@@ -22,7 +22,9 @@ from .errors import (
     ArchiveFormatError,
     DegenerateBandError,
     ManifestError,
+    ModelFormatError,
     ReplaykitError,
+    ScoreFormatError,
     SingularComponentError,
     WavFormatError,
 )

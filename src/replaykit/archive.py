@@ -12,8 +12,9 @@ Layout, little-endian throughout:
         u32   dim
         n_frames * dim IEEE-754 float32, row-major
 
-Reads are all-or-nothing: any declared size running past the remaining
-bytes raises and returns no partial archive.
+Reads are all-or-nothing: a declared size running past the remaining
+bytes, a repeated utterance id, or an entry dim the header's feature kind
+forbids raises and returns no partial archive.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ class FeatureArchive:
         kinds = {fm.kind for fm in self.entries.values()}
         if len(dims) > 1 or len(kinds) > 1:
             raise ValueError("archive entries must share dim and kind")
-
-    def matrix_kind(self) -> FeatureKind:
-        return FeatureKind(self.config["feature"])
-
-    def warp_kind(self) -> WarpKind:
-        return WarpKind.from_name(self.config["warp"])
 
 
 def write_archive(archive: FeatureArchive, path) -> None:
@@ -126,7 +121,14 @@ def read_archive(path) -> FeatureArchive:
         utt_id = reader.take(id_len).decode("utf-8")
         n_frames, dim = struct.unpack("<II", reader.take(8))
         raw = reader.take(4 * n_frames * dim)
+        if utt_id in entries:
+            raise ArchiveFormatError(
+                f"{path}: duplicate utterance id {utt_id!r}")
         values = np.frombuffer(raw, dtype="<f4").reshape(n_frames, dim)
-        entries[utt_id] = FeatureMatrix(values.astype(np.float64),
-                                        matrix_kind, warp_kind)
+        try:
+            entries[utt_id] = FeatureMatrix(values.astype(np.float64),
+                                            matrix_kind, warp_kind)
+        except ValueError as exc:
+            raise ArchiveFormatError(f"{path}: entry {utt_id!r}: {exc}") \
+                from exc
     return FeatureArchive(feature_kind, config, entries)

@@ -2,6 +2,10 @@
 
 Every command exits 0 on success; any failure prints a single diagnostic
 line on stderr and exits 1.
+
+The commands share their stages with `run_study`, but extract from 16-bit
+WAVs and train on float32 archive round-trips, so their results are close
+to a study's but not bit-identical (`replaykit.study` gives the gap).
 """
 
 from __future__ import annotations
@@ -10,22 +14,22 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import archive as archive_mod
 from . import corpus as corpus_mod
 from .filterbank import FeatureKind, WarpKind
-from .fratio import probe_factor
+from .fratio import pool_frames, probe_factor
 from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
-from .metrics import compute_eer, read_scores
+from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_scores
 from .study import (
     ExtractionConfig,
     StudyConfig,
-    build_archive,
     extract_features,
     run_study,
+    write_corpus,
     write_probe_report,
 )
+
+SAMPLES_PER_MS = corpus_mod.PIPELINE_SAMPLE_RATE / 1000
 
 
 def _cmd_synth(args) -> None:
@@ -35,13 +39,9 @@ def _cmd_synth(args) -> None:
         n_heldout_devices=args.heldout_devices,
         utt_seconds=args.utt_seconds, reps=args.reps)
     signals, manifest, profiles = corpus_mod.synth_corpus(config, args.seed)
-    out = Path(args.out)
-    corpus_mod.write_manifest(manifest, out / "manifest.tsv")
-    corpus_mod.save_device_profiles(profiles, out / "devices.json")
-    for rec, sig in zip(manifest, signals):
-        corpus_mod.write_wav(sig, out / rec.audio_path)
+    write_corpus(signals, manifest, profiles, args.out)
     print(f"wrote {len(manifest.genuine_records())} genuine and "
-          f"{len(manifest.replay_records())} replay utterances to {out}")
+          f"{len(manifest.replay_records())} replay utterances to {args.out}")
 
 
 def _cmd_extract(args) -> None:
@@ -51,17 +51,17 @@ def _cmd_extract(args) -> None:
         warp=WarpKind.from_name(args.warp),
         feature=FeatureKind(args.feature),
         bands=args.bands,
-        frame_len=int(round(args.frame_ms * 16)),
-        hop=int(round(args.hop_ms * 16)),
+        frame_len=int(round(args.frame_ms * SAMPLES_PER_MS)),
+        hop=int(round(args.hop_ms * SAMPLES_PER_MS)),
         n_fft=args.nfft,
         delta_window=args.delta_window)
-    entries = {}
-    for rec in manifest:
-        signal = corpus_mod.read_wav(manifest_path.parent / rec.audio_path)
-        entries[rec.utt_id] = extract_features(signal, config)
-    archive = build_archive(entries, config)
+    utterances = ((rec.utt_id,
+                   corpus_mod.read_wav(manifest_path.parent / rec.audio_path))
+                  for rec in manifest)
+    (archive,) = extract_features(utterances, config)
     archive_mod.write_archive(archive, args.out)
-    print(f"wrote {len(entries)} {archive.feature_kind} entries to {args.out}")
+    print(f"wrote {len(archive.entries)} {archive.feature_kind} entries to "
+          f"{args.out}")
 
 
 def _cmd_probe(args) -> None:
@@ -79,10 +79,10 @@ def _cmd_train(args) -> None:
     missing = [r.utt_id for r in manifest if r.utt_id not in archive.entries]
     if missing:
         raise ValueError(f"archive lacks features for {missing[:3]}")
-    genuine = np.concatenate(
-        [archive.entries[r.utt_id].values for r in manifest.genuine_records()])
-    replay = np.concatenate(
-        [archive.entries[r.utt_id].values for r in manifest.replay_records()])
+    genuine = pool_frames(archive.entries,
+                          [r.utt_id for r in manifest.genuine_records()])
+    replay = pool_frames(archive.entries,
+                         [r.utt_id for r in manifest.replay_records()])
     config = TrainConfig(max_iters=args.max_iters,
                          ll_tolerance=args.ll_tolerance)
     g_model = train_gmm(genuine, args.ncomp, args.cov, config, seed=args.seed)
@@ -104,16 +104,11 @@ def _cmd_score(args) -> None:
                   for r in corpus_mod.parse_manifest(args.manifest)}
     # Labels the archive cannot know are written as '-'; `eval` fills them
     # back in from its manifest.
-    lines = []
-    for utt_id, feats in archive.entries.items():
-        value = score_utterance(pair, feats)
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite score for {utt_id!r}")
-        lines.append(f"{utt_id}\t{value!r}\t{labels.get(utt_id, '-')}")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"scored {len(lines)} utterances -> {args.out}")
+    records = [ScoreRecord(utt_id, score_utterance(pair, feats),
+                           labels.get(utt_id, UNLABELLED))
+               for utt_id, feats in archive.entries.items()]
+    write_scores(records, args.out)
+    print(f"scored {len(records)} utterances -> {args.out}")
 
 
 def _cmd_eval(args) -> None:

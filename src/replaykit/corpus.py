@@ -13,9 +13,10 @@ bands while the discriminative cue stays in the high bands.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,6 @@ class AudioSignal:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -232,21 +229,14 @@ def write_manifest(manifest: Manifest, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(MANIFEST_COLUMNS)]
-    for r in manifest:
-        lines.append("\t".join((r.utt_id, r.audio_path, r.label,
-                                r.speaker_id, r.phrase_id, r.device_id)))
+    lines += ["\t".join(getattr(r, c) for c in MANIFEST_COLUMNS)
+              for r in manifest]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_device_profiles(profiles: list[DeviceProfile], path) -> None:
     """Serialize profiles as a JSON array, field names as in DeviceProfile."""
-    doc = [{
-        "device_id": p.device_id,
-        "low_cutoff_hz": p.low_cutoff_hz,
-        "high_cutoff_hz": p.high_cutoff_hz,
-        "ripple": [[c, g] for c, g in p.ripple],
-        "snr_db": p.snr_db,
-    } for p in profiles]
+    doc = [dataclasses.asdict(p) for p in profiles]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -254,12 +244,7 @@ def save_device_profiles(profiles: list[DeviceProfile], path) -> None:
 
 def load_device_profiles(path) -> list[DeviceProfile]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [DeviceProfile(device_id=d["device_id"],
-                          low_cutoff_hz=d["low_cutoff_hz"],
-                          high_cutoff_hz=d["high_cutoff_hz"],
-                          ripple=tuple((c, g) for c, g in d["ripple"]),
-                          snr_db=d["snr_db"])
-            for d in doc]
+    return [DeviceProfile(**d) for d in doc]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +373,8 @@ def _synth_genuine(f0: float, envelope: _PhraseEnvelope, n_samples: int,
     return AudioSignal(x, sr)
 
 
-def _derive_seed(*entropy: int) -> int:
+def derive_seed(*entropy: int) -> int:
+    """One 32-bit seed from a tuple of integers, stable across runs."""
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
@@ -453,7 +439,7 @@ def synth_corpus(config: SynthConfig, seed: int
         for d_idx, profile in enumerate(profiles):
             utt_id = f"{stem}-{profile.device_id}"
             replay = apply_replay_channel(sig, profile,
-                                          _derive_seed(seed, 2, g_idx, d_idx))
+                                          derive_seed(seed, 2, g_idx, d_idx))
             signals.append(replay)
             records.append(UtteranceMeta(utt_id, f"audio/{utt_id}.wav",
                                          REPLAY_LABEL, spk, phr,

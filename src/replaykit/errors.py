@@ -22,8 +22,16 @@ class ManifestError(ReplaykitError, ValueError):
 
 
 class ArchiveFormatError(ReplaykitError, ValueError):
-    """Feature archive bytes are not valid: bad magic, unsupported
-    version, or truncated body."""
+    """Feature archive bytes are not valid: bad magic, unsupported version,
+    truncated body, repeated utterance id, or a dim the kind forbids."""
+
+
+class ModelFormatError(ReplaykitError, ValueError):
+    """Model JSON lacks a key or disagrees with its own K and d."""
+
+
+class ScoreFormatError(ReplaykitError, ValueError):
+    """A score TSV line is malformed or its label cannot be resolved."""
 
 
 class DegenerateBandError(ReplaykitError, ValueError):

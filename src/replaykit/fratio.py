@@ -71,8 +71,9 @@ class ProbeReport:
         return self.patterns[0].n_bands
 
 
-def _pooled_frames(features: dict[str, FeatureMatrix],
-                   utt_ids: list[str]) -> np.ndarray:
+def pool_frames(features: dict[str, FeatureMatrix],
+                utt_ids: list[str]) -> np.ndarray:
+    """The utterances' feature frames stacked in the given order."""
     mats = [features[u].values for u in utt_ids]
     if not mats:
         return np.empty((0, 0))
@@ -111,9 +112,8 @@ def _fratio_from_arrays(g: np.ndarray, r: np.ndarray,
     return FRatioPattern(values, g.shape[0], r.shape[0], band_kind, condition)
 
 
-def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
-    """Shape spread across patterns: normalize each to unit L1 mass, then
-    average the per-band population standard deviation."""
+def normalized_shapes(patterns: list[FRatioPattern]) -> np.ndarray:
+    """Unit-L1 pattern shapes stacked row-wise."""
     if not patterns:
         raise ValueError("need at least one pattern")
     n_bands = patterns[0].n_bands
@@ -125,14 +125,13 @@ def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
         if mass <= 0.0:
             raise ValueError("cannot normalize an all-zero pattern")
         rows.append(p.values / mass)
-    stacked = np.stack(rows)
-    return float(stacked.std(axis=0).mean())
+    return np.stack(rows)
 
 
-def normalized_shapes(patterns: list[FRatioPattern]) -> np.ndarray:
-    """Unit-L1 pattern shapes stacked row-wise (same checks as dispersion)."""
-    pattern_dispersion(patterns)
-    return np.stack([p.values / p.values.sum() for p in patterns])
+def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
+    """Shape spread across patterns: the per-band population standard
+    deviation of the normalized shapes, averaged over bands."""
+    return float(normalized_shapes(patterns).std(axis=0).mean())
 
 
 def probe_factor(features: dict[str, FeatureMatrix], manifest: Manifest,
@@ -157,7 +156,7 @@ def probe_factor(features: dict[str, FeatureMatrix], manifest: Manifest,
 
     patterns = []
     if factor == "device":
-        genuine_pool = _pooled_frames(
+        genuine_pool = pool_frames(
             features, [r.utt_id for r in manifest.genuine_records()])
         for device in manifest.device_ids():
             replay_ids = [r.utt_id for r in manifest.replay_records()
@@ -169,7 +168,7 @@ def probe_factor(features: dict[str, FeatureMatrix], manifest: Manifest,
         values = sorted({getattr(r, attr) for r in manifest})
         for value in values:
             subset = [r for r in manifest if getattr(r, attr) == value]
-            genuine_pool = _pooled_frames(
+            genuine_pool = pool_frames(
                 features, [r.utt_id for r in subset if r.is_genuine])
             replay_ids = [r.utt_id for r in subset if not r.is_genuine]
             patterns.append(_probe_pattern(features, genuine_pool, replay_ids,
@@ -178,7 +177,7 @@ def probe_factor(features: dict[str, FeatureMatrix], manifest: Manifest,
 
 
 def _probe_pattern(features, genuine_pool, replay_ids, band_kind, condition):
-    replay_pool = _pooled_frames(features, replay_ids)
+    replay_pool = pool_frames(features, replay_ids)
     if genuine_pool.shape[0] < 2 or replay_pool.shape[0] < 2:
         raise ValueError(
             f"too few frames for {condition[0]}={condition[1]}: need >= 2 "
@@ -195,7 +194,7 @@ def compare_datasets(features_a: dict[str, FeatureMatrix], manifest_a: Manifest,
     patterns = []
     for feats, man, name in ((features_a, manifest_a, names[0]),
                              (features_b, manifest_b, names[1])):
-        genuine_pool = _pooled_frames(
+        genuine_pool = pool_frames(
             feats, [r.utt_id for r in man.genuine_records()])
         replay_ids = [r.utt_id for r in man.replay_records()]
         band_kind = feats[man.records[0].utt_id].warp_kind

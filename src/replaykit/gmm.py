@@ -11,6 +11,7 @@ through log-sum-exp so far-tail frames stay finite.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import logsumexp
 
-from .errors import SingularComponentError
+from .errors import ModelFormatError, SingularComponentError
 from .filterbank import FeatureMatrix
 
 COVARIANCE_KINDS = ("diag", "full")
@@ -35,9 +36,7 @@ class TrainConfig:
     variance_floor_factor: float = 1e-4
 
     def to_dict(self) -> dict:
-        return {"max_iters": self.max_iters,
-                "ll_tolerance": self.ll_tolerance,
-                "variance_floor_factor": self.variance_floor_factor}
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -282,11 +281,17 @@ def _gmm_to_dict(model: Gmm) -> dict:
     }
 
 
-def _gmm_from_dict(doc: dict, covariance_kind: str, k: int, d: int) -> Gmm:
-    cov = np.asarray(doc["covariances"], dtype=np.float64)
+def _gmm_from_dict(doc: dict, name: str, covariance_kind: str, k: int, d: int,
+                   path) -> Gmm:
+    weights, means, cov = (np.asarray(doc[name][key], dtype=np.float64)
+                           for key in ("weights", "means", "covariances"))
     shape = (k, d) if covariance_kind == "diag" else (k, d, d)
-    return Gmm(np.asarray(doc["weights"]), np.asarray(doc["means"]),
-               cov.reshape(shape), covariance_kind)
+    if weights.shape != (k,) or means.shape != (k, d) \
+            or cov.size != np.prod(shape):
+        raise ModelFormatError(
+            f"{path}: {name} weights {weights.shape}, means {means.shape} and "
+            f"{cov.size} covariance values disagree with K={k}, d={d}")
+    return Gmm(weights, means, cov.reshape(shape), covariance_kind)
 
 
 def save_pair_model(model: GmmPairModel, path) -> None:
@@ -307,11 +312,16 @@ def save_pair_model(model: GmmPairModel, path) -> None:
 
 
 def load_pair_model(path) -> GmmPairModel:
+    """Read a model written by `save_pair_model`; a missing key or a shape
+    that disagrees with K and d raises ModelFormatError naming the file."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind, k, d = doc["covariance_kind"], doc["K"], doc["d"]
-    return GmmPairModel(
-        genuine=_gmm_from_dict(doc["genuine"], kind, k, d),
-        replay=_gmm_from_dict(doc["replay"], kind, k, d),
-        feature_kind=doc["feature_kind"],
-        training_config=doc["training_config"],
-    )
+    try:
+        kind, k, d = doc["covariance_kind"], doc["K"], doc["d"]
+        return GmmPairModel(
+            genuine=_gmm_from_dict(doc, "genuine", kind, k, d, path),
+            replay=_gmm_from_dict(doc, "replay", kind, k, d, path),
+            feature_kind=doc["feature_kind"],
+            training_config=doc["training_config"],
+        )
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: missing key {exc}") from exc

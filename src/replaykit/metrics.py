@@ -15,6 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import GENUINE_LABEL, REPLAY_LABEL, Manifest
+from .errors import ScoreFormatError
+
+UNLABELLED = "-"  # label unknown to the scorer; read_scores fills it in
 
 
 @dataclass(frozen=True)
@@ -24,7 +27,7 @@ class ScoreRecord:
     label: str
 
     def __post_init__(self):
-        if self.label not in (GENUINE_LABEL, REPLAY_LABEL):
+        if self.label not in (GENUINE_LABEL, REPLAY_LABEL, UNLABELLED):
             raise ValueError(f"unknown label {self.label!r}")
         if not np.isfinite(self.score):
             raise ValueError(f"score for {self.utt_id!r} is not finite")
@@ -37,6 +40,8 @@ def compute_eer(records: list[ScoreRecord]) -> tuple[float, float]:
     a sentinel past the maximum, then interpolates at the sign change of
     FAR - FRR.
     """
+    if any(r.label == UNLABELLED for r in records):
+        raise ValueError("cannot compute an EER over unlabelled scores")
     genuine = np.array([r.score for r in records if r.label == GENUINE_LABEL])
     replay = np.array([r.score for r in records if r.label == REPLAY_LABEL])
     if genuine.size == 0 or replay.size == 0:
@@ -64,7 +69,7 @@ def compute_eer(records: list[ScoreRecord]) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Score file I/O: TSV utt_id <tab> score <tab> label
+# Score file I/O: TSV utt_id <tab> score <tab> label (or '-')
 # ---------------------------------------------------------------------------
 
 def write_scores(records: list[ScoreRecord], path) -> None:
@@ -83,19 +88,21 @@ def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
         if not line:
             continue
         fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields, got "
-                             f"{len(fields)}")
-        utt_id, score, label = fields
-        if label == "-":
-            if utt_id not in labels:
-                raise ValueError(f"{path}:{lineno}: no label for {utt_id!r} "
-                                 f"and none found in the manifest")
-            label = labels[utt_id]
-        elif utt_id in labels and labels[utt_id] != label:
-            raise ValueError(f"{path}:{lineno}: label {label!r} disagrees "
-                             f"with manifest {labels[utt_id]!r}")
-        records.append(ScoreRecord(utt_id, float(score), label))
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 fields, got {len(fields)}")
+            utt_id, score, label = fields
+            if label == UNLABELLED:
+                if utt_id not in labels:
+                    raise ValueError(f"no label for {utt_id!r} and none "
+                                     f"found in the manifest")
+                label = labels[utt_id]
+            elif utt_id in labels and labels[utt_id] != label:
+                raise ValueError(f"label {label!r} disagrees with manifest "
+                                 f"{labels[utt_id]!r}")
+            records.append(ScoreRecord(utt_id, float(score), label))
+        except ValueError as exc:
+            raise ScoreFormatError(f"{path}:{lineno}: {exc}") from exc
     if not records:
-        raise ValueError(f"{path}: no score records")
+        raise ScoreFormatError(f"{path}: no score records")
     return records

@@ -38,10 +38,6 @@ class PowerSpectrogram:
     n_fft: int
     sample_rate: int
 
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
     def bin_freqs(self) -> np.ndarray:
         return np.arange(self.n_fft // 2 + 1) * (self.sample_rate / self.n_fft)
 

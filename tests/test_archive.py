@@ -132,6 +132,27 @@ class TestFormatGuards:
         with pytest.raises(ArchiveFormatError, match="feature"):
             read_archive(p)
 
+    def _entry(self, utt_id, n_frames, dim):
+        id_bytes = utt_id.encode()
+        return (struct.pack("<H", len(id_bytes)) + id_bytes
+                + struct.pack("<II", n_frames, dim)
+                + np.zeros(n_frames * dim, "<f4").tobytes())
+
+    def test_duplicate_utterance_id(self, tmp_path):
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({}), p)
+        p.write_bytes(p.read_bytes() + self._entry("u", 1, 3)
+                      + self._entry("u", 2, 3))
+        with pytest.raises(ArchiveFormatError, match="duplicate.*'u'"):
+            read_archive(p)
+
+    def test_entry_dim_contradicts_feature_kind(self, tmp_path):
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({}, feature="cepstra"), p)
+        p.write_bytes(p.read_bytes() + self._entry("u", 2, 5))
+        with pytest.raises(ArchiveFormatError, match="'u'.*dim 13"):
+            read_archive(p)
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError, match="share"):
             FeatureArchive("tag", {}, {"a": _fm(np.ones((1, 2))),

@@ -1,0 +1,136 @@
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from replaykit import cli
+from replaykit.archive import read_archive
+from replaykit.corpus import synth_corpus
+from replaykit.filterbank import FeatureKind, WarpKind
+from replaykit.metrics import compute_eer, read_scores
+from replaykit.study import ExtractionConfig, extract_features
+from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV
+
+
+def _run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _ok(*argv):
+    code, out, err = _run(*argv)
+    assert code == 0, err
+    assert err == ""
+    return out
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """synth -> extract -> probe -> train -> score (with and without
+    labels) on a tiny corpus; every command must exit 0."""
+    root = tmp_path_factory.mktemp("cli")
+    manifest = root / "corpus" / "manifest.tsv"
+    _ok("synth", "--out", root / "corpus", "--seed", SEED, *TINY_SYNTH_ARGV)
+    for feature in ("fbank", "cepstra-delta"):
+        _ok("extract", "--manifest", manifest, "--warp", "mel", "--feature",
+            feature, "--out", root / f"mel_{feature}.rpfa")
+    for factor in ("speaker", "phrase", "device"):
+        _ok("probe", "--archive", root / "mel_fbank.rpfa", "--manifest",
+            manifest, "--factor", factor, "--out", root / f"{factor}.tsv")
+    archive = root / "mel_cepstra-delta.rpfa"
+    _ok("train", "--archive", archive, "--manifest", manifest, "--ncomp", 2,
+        "--cov", "diag", "--seed", SEED, "--max-iters", 2,
+        "--out", root / "model.json")
+    _ok("score", "--archive", archive, "--model", root / "model.json",
+        "--manifest", manifest, "--out", root / "labelled.tsv")
+    _ok("score", "--archive", archive, "--model", root / "model.json",
+        "--out", root / "unlabelled.tsv")
+    return root
+
+
+class TestRoundTrip:
+    def test_eval_prints_compute_eer_of_score_file(self, work):
+        manifest = work / "corpus" / "manifest.tsv"
+        out = _ok("eval", "--scores", work / "labelled.tsv", "--manifest",
+                  manifest)
+        eer, threshold = compute_eer(read_scores(work / "labelled.tsv"))
+        assert out == f"EER: {100.0 * eer:.2f}%  threshold: {threshold!r}\n"
+
+    def test_unlabelled_scores_filled_by_eval(self, work):
+        manifest = work / "corpus" / "manifest.tsv"
+        labelled = (work / "labelled.tsv").read_text().splitlines()
+        unlabelled = (work / "unlabelled.tsv").read_text().splitlines()
+        assert [line.split("\t")[2] for line in unlabelled] == \
+            ["-"] * len(labelled)
+        assert [line.rsplit("\t", 1)[0] for line in unlabelled] == \
+            [line.rsplit("\t", 1)[0] for line in labelled]
+        assert _ok("eval", "--scores", work / "unlabelled.tsv",
+                   "--manifest", manifest) == \
+            _ok("eval", "--scores", work / "labelled.tsv",
+                "--manifest", manifest)
+
+    def test_probe_reports_written(self, work):
+        doc = json.loads((work / "device.json").read_text())
+        assert doc["factor"] == "device" and doc["warp"] == "mel"
+        assert len(doc["patterns"]) == 2
+
+    def test_features_close_to_study_path_but_not_bitwise(self, work):
+        """The documented contract: the CLI's features from 16-bit WAVs,
+        stored as float32, stay within a small gap of the study's float64
+        in-memory features."""
+        signals, manifest, _ = synth_corpus(TINY_CORPUS, SEED)
+        for feature, bound in ((FeatureKind.LOG_FBANK, 1e-2),
+                               (FeatureKind.CEPSTRA_DELTA, 5e-3)):
+            (study,) = extract_features(
+                zip((r.utt_id for r in manifest), signals),
+                ExtractionConfig(WarpKind.MEL, feature))
+            stored = read_archive(work / f"mel_{feature.value}.rpfa")
+            assert stored.config == study.config
+            gap = max(np.abs(stored.entries[u].values - fm.values).max()
+                      for u, fm in study.entries.items())
+            assert 0.0 < gap < bound
+
+
+class TestFailures:
+    def _single_error_line(self, argv):
+        code, out, err = _run(*argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_missing_manifest(self, work, tmp_path):
+        missing = tmp_path / "nope.tsv"
+        line = self._single_error_line(
+            ["eval", "--scores", work / "labelled.tsv", "--manifest",
+             missing])
+        assert str(missing) in line
+        self._single_error_line(
+            ["extract", "--manifest", missing, "--warp", "mel", "--feature",
+             "fbank", "--out", tmp_path / "x.rpfa"])
+
+    def test_model_missing_key(self, work, tmp_path):
+        doc = json.loads((work / "model.json").read_text())
+        del doc["genuine"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        line = self._single_error_line(
+            ["score", "--archive", work / "mel_cepstra-delta.rpfa",
+             "--model", bad, "--out", tmp_path / "s.tsv"])
+        assert line == f"error: {bad}: missing key 'genuine'"
+
+    def test_non_numeric_score(self, work, tmp_path):
+        rows = (work / "labelled.tsv").read_text().splitlines()
+        utt_id, _, label = rows[1].split("\t")
+        rows[1] = f"{utt_id}\tabc\t{label}"
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(rows) + "\n")
+        line = self._single_error_line(
+            ["eval", "--scores", bad, "--manifest",
+             work / "corpus" / "manifest.tsv"])
+        assert line.startswith(f"error: {bad}:2: ")

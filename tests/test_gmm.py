@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from replaykit.errors import ModelFormatError
 from replaykit.filterbank import FeatureKind, FeatureMatrix
 from replaykit.gmm import (
     Gmm,
@@ -225,6 +227,32 @@ class TestModelPersistence:
         flat = np.asarray(doc["genuine"]["covariances"])
         np.testing.assert_array_equal(flat.reshape(2, 3, 3),
                                       pair.genuine.covariances)
+
+    @pytest.mark.parametrize("key", ["genuine", "K", "covariance_kind"])
+    def test_missing_key_is_typed(self, tmp_path, key):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        doc = json.loads(p.read_text())
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value) == f"{p}: missing key '{key}'"
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_shape_disagreeing_with_k_d_is_typed(self, tmp_path, kind):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair(kind), p)
+        doc = json.loads(p.read_text())
+        doc["replay"]["covariances"] = doc["replay"]["covariances"][:-1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="replay.*K=2, d=3"):
+            load_pair_model(p)
+        doc = json.loads(p.read_text())
+        doc["K"] = 3
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="genuine.*K=3, d=3"):
+            load_pair_model(p)
 
     def test_pair_must_share_shape(self):
         g = _single_gaussian(0.0, 1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import eer_brute_force
 from replaykit.corpus import Manifest, UtteranceMeta
+from replaykit.errors import ScoreFormatError
 from replaykit.metrics import ScoreRecord, compute_eer, read_scores, write_scores
 
 
@@ -121,6 +122,29 @@ class TestScoreFiles:
         p.write_text("u9\t1.5\t-\n")
         with pytest.raises(ValueError, match="no label"):
             read_scores(p)
+
+    def test_unlabelled_records_roundtrip_and_need_labels_for_eer(
+            self, tmp_path):
+        records = [ScoreRecord("u0", 1.5, "-"), ScoreRecord("u1", -0.5, "-")]
+        p = tmp_path / "scores.tsv"
+        write_scores(records, p)
+        assert p.read_text() == "u0\t1.5\t-\nu1\t-0.5\t-\n"
+        with pytest.raises(ValueError, match="unlabelled"):
+            compute_eer(records + _records([0.0], [1.0]))
+
+    @pytest.mark.parametrize("row, message", [
+        ("u1\tabc\treplay", "could not convert"),
+        ("u1\tnan\treplay", "not finite"),
+        ("u1\t1.0\tspoof", "unknown label"),
+        ("u1\t1.0", "expected 3 fields"),
+    ])
+    def test_bad_line_reports_path_and_line(self, tmp_path, row, message):
+        p = tmp_path / "scores.tsv"
+        p.write_text(f"u0\t1.5\tgenuine\n{row}\n")
+        with pytest.raises(ScoreFormatError) as info:
+            read_scores(p)
+        assert str(info.value).startswith(f"{p}:2: ")
+        assert message in str(info.value)
 
     def test_label_conflict_detected(self, tmp_path):
         manifest = Manifest([
