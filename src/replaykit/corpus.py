@@ -159,7 +159,7 @@ def read_wav(path) -> AudioSignal:
     """Read a mono 16-bit PCM WAV at 16 kHz; sample s maps to s / 32768."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(str(path))
+        raise FileNotFoundError(f"{path}: no such file")
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
@@ -201,7 +201,7 @@ def parse_manifest(path) -> Manifest:
     """Read a TSV manifest with the exact six-column header."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(str(path))
+        raise FileNotFoundError(f"{path}: no such file")
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ManifestError(f"{path}: empty file")

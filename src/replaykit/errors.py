@@ -27,7 +27,8 @@ class ArchiveFormatError(ReplaykitError, ValueError):
 
 
 class ModelFormatError(ReplaykitError, ValueError):
-    """Model JSON lacks a key or disagrees with its own K and d."""
+    """Model file is not JSON, lacks a key, disagrees with its own K and
+    d, or holds parameters a mixture rejects."""
 
 
 class ScoreFormatError(ReplaykitError, ValueError):

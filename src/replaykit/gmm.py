@@ -7,6 +7,16 @@ a few Lloyd iterations, which makes training deterministic under the seed.
 Variances are floored every M-step against the training data's variance
 (eigenvalue clipping in the full-covariance case), and densities go
 through log-sum-exp so far-tail frames stay finite.
+
+The numerics use the precision-Cholesky parametrisation of scikit-learn's
+GaussianMixture (Pedregosa et al., JMLR 2011). A `Gmm` is frozen, and EM
+builds a new one per M-step, so the factors its densities need are derived
+once per model, on first use: the diagonal precisions, or the inverse
+Cholesky factors of all full covariances from one batched factorisation.
+The diagonal E-step is then one GEMM over all components, the full E-step
+one (d, d + 1) @ (d + 1, n) GEMM per component, and the eigenvalue floor
+one batched eigendecomposition of the (K, d, d) stack. No step makes a
+LAPACK call per component, and k-means distances are GEMMs as well.
 """
 
 from __future__ import annotations
@@ -14,11 +24,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
-from scipy.special import logsumexp
 
 from .errors import ModelFormatError, SingularComponentError
 from .filterbank import FeatureMatrix
@@ -39,9 +48,13 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gmm:
-    """Mixture weights, means and covariances for one class."""
+    """Mixture weights, means and covariances for one class.
+
+    Frozen, because the density factors are derived from the parameters
+    once, on first use: an array changed in place after that is not seen.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -53,9 +66,12 @@ class Gmm:
         if self.covariance_kind not in COVARIANCE_KINDS:
             raise ValueError(f"covariance_kind must be one of "
                              f"{COVARIANCE_KINDS}, got {self.covariance_kind!r}")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.covariances = np.asarray(self.covariances, dtype=np.float64)
+        for name in ("weights", "means", "covariances"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
+        if not all(np.isfinite(a).all()
+                   for a in (self.weights, self.means, self.covariances)):
+            raise ValueError("weights, means and covariances must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < WEIGHT_FLOOR):
             raise ValueError("weights must be >= 1e-8 and sum to 1")
 
@@ -66,6 +82,33 @@ class Gmm:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(o, W, c): ln N(x; mu_k, Sigma_k) is c_k plus a quadratic term
+        in W and the shifted frame z = x - o.
+
+        The shift o is the mixture mean, which keeps the expanded diagonal
+        form from cancelling large terms; m_k = mu_k - o. diag: W is the
+        (2d, K) stack of -Λᵀ/2 over (m Λ)ᵀ for the precisions Λ = 1/σ², and
+        the term is [z², z]·W. full: W[k] is the (d, d + 1) block
+        [L_k⁻¹ | -L_k⁻¹ m_k] for the Cholesky factor L_k of Sigma_k, and
+        the term is -½‖W[k] [z; 1]‖².
+        """
+        base = -0.5 * self.dim * np.log(2.0 * np.pi)
+        origin = self.weights @ self.means
+        means = self.means - origin
+        if self.covariance_kind == "diag":
+            prec = 1.0 / self.covariances
+            const = base - 0.5 * (np.log(self.covariances).sum(axis=1)
+                                  + (means ** 2 * prec).sum(axis=1))
+            return origin, np.vstack([-0.5 * prec.T, (means * prec).T]), const
+        chol = _cholesky(self.covariances)
+        inv_chol = np.linalg.inv(chol)
+        whiten = np.concatenate([inv_chol, -(inv_chol @ means[:, :, None])],
+                                axis=2)
+        const = base - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        return origin, whiten, const
 
 
 @dataclass
@@ -88,38 +131,61 @@ class GmmPairModel:
 # Densities
 # ---------------------------------------------------------------------------
 
-def _component_log_densities(model: Gmm, frames: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of ln N(x; mu_k, Sigma_k)."""
-    n, d = frames.shape
-    k = model.n_comp
-    out = np.empty((n, k))
-    base = -0.5 * d * np.log(2.0 * np.pi)
-    if model.covariance_kind == "diag":
-        for j in range(k):
-            var = model.covariances[j]
-            diff = frames - model.means[j]
-            out[:, j] = base - 0.5 * (np.log(var).sum()
-                                      + ((diff * diff) / var).sum(axis=1))
-    else:
-        for j in range(k):
+def _cholesky(covariances: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (K, d, d) stack in one batched call; if
+    one has none, SingularComponentError names the first such component."""
+    try:
+        return np.linalg.cholesky(covariances)
+    except np.linalg.LinAlgError:
+        for j, cov in enumerate(covariances):
             try:
-                chol = cholesky(model.covariances[j], lower=True)
+                np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise SingularComponentError(
                     f"component {j} covariance is not positive-definite"
                 ) from exc
-            diff = frames - model.means[j]
-            solved = solve_triangular(chol, diff.T, lower=True,
-                                      check_finite=False)
-            out[:, j] = base - np.log(np.diag(chol)).sum() \
-                - 0.5 * (solved * solved).sum(axis=0)
-    return out
+        raise
+
+
+def _component_log_densities(model: Gmm, frames: np.ndarray) -> np.ndarray:
+    """(n, K) matrix of ln N(x; mu_k, Sigma_k)."""
+    origin, factor, const = model._factors
+    n, d = frames.shape
+    if model.covariance_kind == "diag":
+        terms = np.empty((n, 2 * d))
+        np.subtract(frames, origin, out=terms[:, d:])
+        np.square(terms[:, d:], out=terms[:, :d])
+        out = terms @ factor
+        out += const
+        return out
+    # Frames as columns, so each component's whitened frames are one
+    # (d, d + 1) @ (d + 1, n) GEMM and its row of `out` is contiguous.
+    augmented = np.empty((d + 1, n))
+    np.subtract(frames.T, origin[:, None], out=augmented[:d])
+    augmented[d] = 1.0
+    out = np.empty((model.n_comp, n))
+    for j in range(model.n_comp):
+        white = factor[j] @ augmented
+        np.einsum("ij,ij->j", white, white, out=out[j])
+    out *= -0.5
+    out += const[:, None]
+    return out.T
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """ln sum_k exp(a[:, k]) per row, shifted by the row maximum; a row
+    that is all -inf gives -inf."""
+    top = a.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
 
 
 def _frame_log_likelihoods(model: Gmm, frames: np.ndarray) -> np.ndarray:
     """ln sum_k w_k N(x; mu_k, Sigma_k) per frame, via log-sum-exp."""
-    log_dens = _component_log_densities(model, frames)
-    return logsumexp(log_dens + np.log(model.weights), axis=1)
+    weighted = _component_log_densities(model, frames)
+    weighted += np.log(model.weights)
+    return _logsumexp(weighted)
 
 
 def log_likelihood(model: Gmm, frame: np.ndarray) -> float:
@@ -147,6 +213,21 @@ def score_utterance(pair: GmmPairModel, feats: FeatureMatrix) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
+def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each frame's closest centre: the argmin of ‖c‖² − 2x·c,
+    the squared distance without the ‖x‖² that every centre shares."""
+    return np.argmin((centers * centers).sum(axis=1)
+                     - 2.0 * (frames @ centers.T), axis=1)
+
+
+def _split_by_assignment(frames: np.ndarray, assign: np.ndarray,
+                         k: int) -> list[np.ndarray]:
+    """The frames of each of the k clusters, in frame order."""
+    order = np.argsort(assign, kind="stable")
+    bounds = np.cumsum(np.bincount(assign, minlength=k))[:-1]
+    return np.split(frames[order], bounds)
+
+
 def _kmeans_init(frames: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ spreading followed by a few Lloyd iterations."""
@@ -162,23 +243,28 @@ def _kmeans_init(frames: np.ndarray, k: int,
             centers[j] = frames[rng.integers(n)]
         d2 = np.minimum(d2, ((frames - centers[j]) ** 2).sum(axis=1))
 
-    d2_all = np.empty((n, k))
     for _ in range(KMEANS_ITERS):
-        for j in range(k):
-            d2_all[:, j] = ((frames - centers[j]) ** 2).sum(axis=1)
-        assign = d2_all.argmin(axis=1)
-        for j in range(k):
-            members = frames[assign == j]
+        clusters = _split_by_assignment(frames, _nearest(frames, centers), k)
+        for j, members in enumerate(clusters):
             if members.shape[0]:
                 centers[j] = members.mean(axis=0)
     return centers
 
 
-def _floor_full_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = eigh(cov, check_finite=False)
-    eigvals = np.maximum(eigvals, floor)
-    return (eigvecs * eigvals) @ eigvecs.T
+def _floor_eigenvalues(covariances: np.ndarray, floor: float) -> np.ndarray:
+    """Symmetrise each matrix of a (K, d, d) stack and clip its eigenvalues
+    at `floor`, in one batched eigendecomposition."""
+    sym = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    np.maximum(eigvals, floor, out=eigvals)
+    return (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
+
+
+def _normalized_weights(weights: np.ndarray) -> np.ndarray:
+    """Floored weights scaled to sum 1 and floored again, because the
+    scaling can push a floored weight just below WEIGHT_FLOOR."""
+    weights = np.maximum(weights, WEIGHT_FLOOR)
+    return np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
 
 
 def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
@@ -208,64 +294,63 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_init(frames, n_comp, rng)
-    dists = np.empty((n, n_comp))
-    for j in range(n_comp):
-        dists[:, j] = ((frames - centers[j]) ** 2).sum(axis=1)
-    assign = dists.argmin(axis=1)
-
-    weights = np.full(n_comp, 1.0 / n_comp)
-    means = centers.copy()
+    clusters = _split_by_assignment(frames, _nearest(frames, centers), n_comp)
+    counts = np.array([members.shape[0] for members in clusters])
     if covariance_kind == "diag":
-        covariances = np.empty((n_comp, d))
+        covariances = np.array([
+            members.var(axis=0) if members.shape[0] >= 2 else data_var
+            for members in clusters])
+        covariances = np.maximum(covariances, diag_floor)
     else:
         covariances = np.empty((n_comp, d, d))
-    for j in range(n_comp):
-        members = frames[assign == j]
-        count = members.shape[0]
-        weights[j] = max(count / n, WEIGHT_FLOOR)
-        if covariance_kind == "diag":
-            var = members.var(axis=0) if count >= 2 else data_var.copy()
-            covariances[j] = np.maximum(var, diag_floor)
-        else:
-            if count >= 2:
+        for j, members in enumerate(clusters):
+            if members.shape[0] >= 2:
                 centered = members - members.mean(axis=0)
-                cov = centered.T @ centered / count
+                covariances[j] = centered.T @ centered / members.shape[0]
             else:
-                cov = np.diag(data_var)
-            covariances[j] = _floor_full_covariance(cov, full_floor)
-    weights = weights / weights.sum()
+                covariances[j] = np.diag(data_var)
+        covariances = _floor_eigenvalues(covariances, full_floor)
 
-    model = Gmm(weights, means, covariances, covariance_kind, ll_curve=[])
+    if covariance_kind == "full":
+        frames_t = np.ascontiguousarray(frames.T)
+    ll_curve: list[float] = []
+    model = Gmm(_normalized_weights(counts / n), centers, covariances,
+                covariance_kind, ll_curve=ll_curve)
     prev_ll = -np.inf
     for _ in range(config.max_iters):
-        log_dens = _component_log_densities(model, frames)
-        weighted = log_dens + np.log(model.weights)
-        norm = logsumexp(weighted, axis=1)
+        weighted = _component_log_densities(model, frames)
+        weighted += np.log(model.weights)
+        norm = _logsumexp(weighted)
         total_ll = float(norm.sum())
-        model.ll_curve.append(total_ll)
+        ll_curve.append(total_ll)
         if abs(total_ll - prev_ll) / n < config.ll_tolerance:
             break
         prev_ll = total_ll
 
-        resp = np.exp(weighted - norm[:, None])
+        weighted -= norm[:, None]
+        resp = np.exp(weighted, out=weighted)
         counts = resp.sum(axis=0)
-        weights = np.maximum(counts / n, WEIGHT_FLOOR)
-        model.weights = weights / weights.sum()
         safe_counts = np.maximum(counts, 1e-300)
-        model.means = (resp.T @ frames) / safe_counts[:, None]
+        means = (resp.T @ frames) / safe_counts[:, None]
         if covariance_kind == "diag":
             second = (resp.T @ (frames * frames)) / safe_counts[:, None]
-            var = second - model.means ** 2
-            model.covariances = np.maximum(var, diag_floor)
+            covariances = np.maximum(second - means ** 2, diag_floor)
         else:
+            covariances = np.empty((n_comp, d, d))
+            resp_rows = np.ascontiguousarray(resp.T)
             for j in range(n_comp):
-                centered = frames - model.means[j]
-                cov = (centered * resp[:, j:j + 1]).T @ centered / safe_counts[j]
-                model.covariances[j] = _floor_full_covariance(cov, full_floor)
-                if not np.all(np.isfinite(model.covariances[j])):
-                    raise SingularComponentError(
-                        f"component {j} collapsed: non-finite covariance "
-                        f"after flooring (count={counts[j]:.3g})")
+                centered = frames_t - means[j][:, None]
+                covariances[j] = ((centered * resp_rows[j]) @ centered.T
+                                  / safe_counts[j])
+            finite = np.isfinite(covariances).all(axis=(1, 2))
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise SingularComponentError(
+                    f"component {j} collapsed: non-finite covariance "
+                    f"(count={counts[j]:.3g})")
+            covariances = _floor_eigenvalues(covariances, full_floor)
+        model = Gmm(_normalized_weights(counts / n), means, covariances,
+                    covariance_kind, ll_curve=ll_curve)
     return model
 
 
@@ -291,12 +376,15 @@ def _gmm_from_dict(doc: dict, name: str, covariance_kind: str, k: int, d: int,
         raise ModelFormatError(
             f"{path}: {name} weights {weights.shape}, means {means.shape} and "
             f"{cov.size} covariance values disagree with K={k}, d={d}")
-    return Gmm(weights, means, cov.reshape(shape), covariance_kind)
+    try:
+        return Gmm(weights, means, cov.reshape(shape), covariance_kind)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {name}: {exc}") from exc
 
 
 def save_pair_model(model: GmmPairModel, path) -> None:
-    """Write the two mixtures as one JSON document, covariances flattened
-    row-major, floats at full round-trip precision."""
+    """Write the two mixtures as one compact, single-line JSON document,
+    covariances flattened row-major, floats at full round-trip precision."""
     doc = {
         "feature_kind": model.feature_kind,
         "covariance_kind": model.genuine.covariance_kind,
@@ -308,13 +396,17 @@ def save_pair_model(model: GmmPairModel, path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_pair_model(path) -> GmmPairModel:
-    """Read a model written by `save_pair_model`; a missing key or a shape
-    that disagrees with K and d raises ModelFormatError naming the file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model written by `save_pair_model`; text that is not JSON, a
+    missing key, a shape that disagrees with K and d, or parameters `Gmm`
+    rejects raise ModelFormatError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
         kind, k, d = doc["covariance_kind"], doc["K"], doc["d"]
         return GmmPairModel(

@@ -1,9 +1,15 @@
 """Independent reference implementations used by the regular and
-acceptance suites. Deliberately naive: exact rational arithmetic and
-direct counting loops, no shared code with the library paths they check.
+acceptance suites. Deliberately naive: exact rational arithmetic, direct
+counting loops and one-component-at-a-time mixture numerics, no shared
+code with the library paths they check.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.special import logsumexp
 
 
 def fratio_exact(genuine_rows, replay_rows):
@@ -56,3 +62,145 @@ def eer_brute_force(genuine_scores, replay_scores):
             return far_a + alpha * (far(t) - far_a)
         prev = (t, diff, far(t))
     raise AssertionError("no crossing found")
+
+
+# ---------------------------------------------------------------------------
+# Gaussian mixtures: the per-component loop forms of the E-step densities,
+# the k-means initialisation and the M-step, with scipy factorisations.
+# ---------------------------------------------------------------------------
+
+GMM_WEIGHT_FLOOR = 1e-8
+KMEANS_ITERS = 10
+
+
+def gmm_component_log_densities(model, frames):
+    """(n, K) matrix of ln N(x; mu_k, Sigma_k), one component at a time:
+    a Cholesky factor and a triangular solve per full covariance."""
+    n, d = frames.shape
+    k = model.weights.size
+    out = np.empty((n, k))
+    base = -0.5 * d * np.log(2.0 * np.pi)
+    for j in range(k):
+        diff = frames - model.means[j]
+        if model.covariance_kind == "diag":
+            var = model.covariances[j]
+            out[:, j] = base - 0.5 * (np.log(var).sum()
+                                      + ((diff * diff) / var).sum(axis=1))
+        else:
+            chol = cholesky(model.covariances[j], lower=True)
+            solved = solve_triangular(chol, diff.T, lower=True)
+            out[:, j] = base - np.log(np.diag(chol)).sum() \
+                - 0.5 * (solved * solved).sum(axis=0)
+    return out
+
+
+def gmm_frame_log_likelihoods(model, frames):
+    """ln sum_k w_k N(x; mu_k, Sigma_k) per frame, by scipy's logsumexp."""
+    return logsumexp(gmm_component_log_densities(model, frames)
+                     + np.log(model.weights), axis=1)
+
+
+def gmm_floors(frames, variance_floor_factor):
+    """The diagonal variance floors and the full-covariance eigenvalue
+    floor that training derives from the data's variance."""
+    data_var = frames.var(axis=0)
+    return (np.maximum(variance_floor_factor * data_var, 1e-12),
+            max(variance_floor_factor * float(data_var.mean()), 1e-12))
+
+
+def floor_full_covariance(cov, floor):
+    """Symmetrise one matrix and clip its eigenvalues at `floor`."""
+    cov = 0.5 * (cov + cov.T)
+    eigvals, eigvecs = eigh(cov)
+    return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
+
+
+def gmm_init(frames, k, covariance_kind, variance_floor_factor, seed):
+    """k-means++ seeding, Lloyd iterations with distances to one centre at
+    a time, and the initial weights, means and floored covariances."""
+    n, d = frames.shape
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, d))
+    centers[0] = frames[rng.integers(n)]
+    d2 = ((frames - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            centers[j] = frames[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = frames[rng.integers(n)]
+        d2 = np.minimum(d2, ((frames - centers[j]) ** 2).sum(axis=1))
+
+    def assignment():
+        dists = np.empty((n, k))
+        for j in range(k):
+            dists[:, j] = ((frames - centers[j]) ** 2).sum(axis=1)
+        return dists.argmin(axis=1)
+
+    for _ in range(KMEANS_ITERS):
+        assign = assignment()
+        for j in range(k):
+            members = frames[assign == j]
+            if members.shape[0]:
+                centers[j] = members.mean(axis=0)
+    assign = assignment()
+
+    diag_floor, full_floor = gmm_floors(frames, variance_floor_factor)
+    data_var = frames.var(axis=0)
+    weights = np.empty(k)
+    covariances = np.empty((k, d) if covariance_kind == "diag" else (k, d, d))
+    for j in range(k):
+        members = frames[assign == j]
+        count = members.shape[0]
+        weights[j] = max(count / n, GMM_WEIGHT_FLOOR)
+        if covariance_kind == "diag":
+            var = members.var(axis=0) if count >= 2 else data_var
+            covariances[j] = np.maximum(var, diag_floor)
+        else:
+            if count >= 2:
+                centered = members - members.mean(axis=0)
+                cov = centered.T @ centered / count
+            else:
+                cov = np.diag(data_var)
+            covariances[j] = floor_full_covariance(cov, full_floor)
+    return weights / weights.sum(), centers, covariances
+
+
+def gmm_m_step(frames, resp, covariance_kind, diag_floor, full_floor):
+    """Weights, means and floored covariances from responsibilities, with
+    one weighted scatter matrix and one eigenvalue floor per component."""
+    n = frames.shape[0]
+    counts = resp.sum(axis=0)
+    weights = np.maximum(counts / n, GMM_WEIGHT_FLOOR)
+    safe_counts = np.maximum(counts, 1e-300)
+    means = (resp.T @ frames) / safe_counts[:, None]
+    if covariance_kind == "diag":
+        second = (resp.T @ (frames * frames)) / safe_counts[:, None]
+        covariances = np.maximum(second - means ** 2, diag_floor)
+    else:
+        covariances = np.empty((means.shape[0],) + 2 * means.shape[1:])
+        for j in range(means.shape[0]):
+            centered = frames - means[j]
+            cov = (centered * resp[:, j:j + 1]).T @ centered / safe_counts[j]
+            covariances[j] = floor_full_covariance(cov, full_floor)
+    return weights / weights.sum(), means, covariances
+
+
+def gmm_em(frames, model, iters, variance_floor_factor):
+    """`iters` EM iterations from `model`: the total log-likelihood before
+    each M-step, and the final (weights, means, covariances)."""
+    diag_floor, full_floor = gmm_floors(frames, variance_floor_factor)
+    kind = model.covariance_kind
+    params = (model.weights, model.means, model.covariances)
+    ll_curve = []
+    for _ in range(iters):
+        current = SimpleNamespace(weights=params[0], means=params[1],
+                                  covariances=params[2], covariance_kind=kind)
+        weighted = gmm_component_log_densities(current, frames) \
+            + np.log(current.weights)
+        norm = logsumexp(weighted, axis=1)
+        ll_curve.append(float(norm.sum()))
+        resp = np.exp(weighted - norm[:, None])
+        params = gmm_m_step(frames, resp, kind, diag_floor, full_floor)
+    return ll_curve, params
+

@@ -109,10 +109,29 @@ class TestFailures:
         line = self._single_error_line(
             ["eval", "--scores", work / "labelled.tsv", "--manifest",
              missing])
-        assert str(missing) in line
-        self._single_error_line(
+        assert line == f"error: {missing}: no such file"
+        line = self._single_error_line(
             ["extract", "--manifest", missing, "--warp", "mel", "--feature",
              "fbank", "--out", tmp_path / "x.rpfa"])
+        assert line == f"error: {missing}: no such file"
+
+    def test_missing_wav(self, work, tmp_path):
+        corpus = tmp_path / "corpus"
+        _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        wav.unlink()
+        line = self._single_error_line(
+            ["extract", "--manifest", corpus / "manifest.tsv", "--warp", "mel",
+             "--feature", "fbank", "--out", tmp_path / "x.rpfa"])
+        assert line == f"error: {wav}: no such file"
+
+    def test_model_not_json(self, work, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        line = self._single_error_line(
+            ["score", "--archive", work / "mel_cepstra-delta.rpfa",
+             "--model", bad, "--out", tmp_path / "s.tsv"])
+        assert line.startswith(f"error: {bad}: not valid JSON (")
 
     def test_model_missing_key(self, work, tmp_path):
         doc = json.loads((work / "model.json").read_text())

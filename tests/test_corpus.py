@@ -69,8 +69,10 @@ class TestReadWav:
             read_wav(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_wav(tmp_path / "nope.wav")
+        path = tmp_path / "nope.wav"
+        with pytest.raises(FileNotFoundError) as info:
+            read_wav(path)
+        assert str(info.value) == f"{path}: no such file"
 
     def test_sample_count_matches_data_length(self, tmp_path):
         p = tmp_path / "n.wav"

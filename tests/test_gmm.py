@@ -1,21 +1,26 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from replaykit.errors import ModelFormatError
+from replaykit.errors import ModelFormatError, SingularComponentError
 from replaykit.filterbank import FeatureKind, FeatureMatrix
 from replaykit.gmm import (
     Gmm,
     GmmPairModel,
     TrainConfig,
+    _component_log_densities,
+    _logsumexp,
     load_pair_model,
     log_likelihood,
     save_pair_model,
     score_utterance,
     train_gmm,
 )
+import oracles
 
 
 def _single_gaussian(mean, var):
@@ -254,9 +259,216 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="genuine.*K=3, d=3"):
             load_pair_model(p)
 
+    @pytest.mark.parametrize("key,value", [("weights", [0.5, 0.6]),
+                                           ("means", [[0.0] * 3, [math.nan] * 3])])
+    def test_invalid_parameters_are_typed(self, tmp_path, key, value):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        doc = json.loads(p.read_text())
+        doc["replay"][key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value).startswith(f"{p}: replay: ")
+
+    def test_file_is_one_compact_line(self, tmp_path):
+        p = tmp_path / "model.json"
+        pair = self._trained_pair("full")
+        save_pair_model(pair, p)
+        text = p.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_pair_must_share_shape(self):
         g = _single_gaussian(0.0, 1.0)
         r = Gmm(np.array([1.0]), np.array([[0.0, 0.0]]),
                 np.array([[1.0, 1.0]]), "diag")
         with pytest.raises(ValueError, match="share"):
             GmmPairModel(g, r, "t", {})
+
+
+# ---------------------------------------------------------------------------
+# The vectorised numerics against the loop forms in tests/oracles.py
+# ---------------------------------------------------------------------------
+
+TOL = 1e-9
+
+
+def _assert_close(actual, expected):
+    """Within TOL relative to each value, or to the array's largest entry
+    (eigen-reconstructions are exact to a fraction of the matrix norm)."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=TOL,
+                               atol=TOL * np.abs(expected).max())
+
+
+def _random_gmm(rng, kind, k, d):
+    weights = rng.dirichlet(np.ones(k))
+    means = rng.normal(0.0, 3.0, size=(k, d))
+    if kind == "diag":
+        covs = rng.uniform(0.2, 3.0, size=(k, d))
+    else:
+        a = rng.normal(size=(k, d, d))
+        covs = a @ a.transpose(0, 2, 1) / d + 0.1 * np.eye(d)
+    return Gmm(weights, means, covs, kind)
+
+
+def _mixture_frames(rng, k, d, per_comp=60):
+    centers = rng.uniform(-6.0, 6.0, size=(k, d))
+    return np.concatenate([rng.normal(c, rng.uniform(0.4, 1.5),
+                                      size=(per_comp, d)) for c in centers])
+
+
+KINDS_AND_K = [(kind, k) for kind in ("diag", "full") for k in (1, 3, 8)]
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_component_densities(self, kind, k):
+        rng = np.random.default_rng(100 + k)
+        model = _random_gmm(rng, kind, k, 4)
+        frames = rng.normal(0.0, 4.0, size=(50, 4))
+        frames[0] = 1e6  # far tail
+        frames[1] = -1e6
+        _assert_close(_component_log_densities(model, frames),
+                      oracles.gmm_component_log_densities(model, frames))
+
+    def test_densities_at_eigenvalue_floor(self):
+        rng = np.random.default_rng(7)
+        d = 5
+        floor = 1e-4
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        eigvals = np.array([floor, floor, 0.5, 1.0, 2.0])
+        cov = (basis * eigvals) @ basis.T
+        model = Gmm(np.array([0.4, 0.6]), rng.normal(size=(2, d)),
+                    np.stack([cov, np.eye(d)]), "full")
+        frames = np.vstack([model.means[0] + 1e-3 * rng.normal(size=(20, d)),
+                            rng.normal(size=(20, d))])
+        _assert_close(_component_log_densities(model, frames),
+                      oracles.gmm_component_log_densities(model, frames))
+
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_score_utterance(self, kind, k):
+        rng = np.random.default_rng(200 + k)
+        pair = GmmPairModel(_random_gmm(rng, kind, k, 3),
+                            _random_gmm(rng, kind, k, 3), "test", {})
+        x = rng.normal(0.0, 3.0, size=(40, 3))
+        x[5] = 1e6
+        expected = np.mean(oracles.gmm_frame_log_likelihoods(pair.genuine, x)
+                           - oracles.gmm_frame_log_likelihoods(pair.replay, x))
+        assert score_utterance(pair, _cepstra(x)) == pytest.approx(
+            expected, rel=TOL)
+
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_initialisation(self, kind, k):
+        rng = np.random.default_rng(300 + k)
+        frames = _mixture_frames(rng, k, 3)
+        init = train_gmm(frames, k, kind, TrainConfig(max_iters=0), seed=k)
+        weights, means, covs = oracles.gmm_init(frames, k, kind, 1e-4, seed=k)
+        _assert_close(init.weights, weights)
+        _assert_close(init.means, means)
+        _assert_close(init.covariances, covs)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_initialisation_with_an_empty_cluster(self, kind):
+        # Two distinct points: the third k-means++ centre repeats one of
+        # them, and the tie leaves its cluster empty.
+        frames = np.array([[0.0, 0.0]] * 30 + [[1.0, 2.0]] * 10)
+        init = train_gmm(frames, 3, kind, TrainConfig(max_iters=0), seed=0)
+        weights, means, covs = oracles.gmm_init(frames, 3, kind, 1e-4, seed=0)
+        assert np.sort(weights)[0] < 1e-7
+        _assert_close(init.weights, weights)
+        _assert_close(init.means, means)
+        _assert_close(init.covariances, covs)
+
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_one_em_iteration(self, kind, k):
+        rng = np.random.default_rng(400 + k)
+        frames = _mixture_frames(rng, k, 3)
+        init = train_gmm(frames, k, kind, TrainConfig(max_iters=0), seed=1)
+        one = train_gmm(frames, k, kind,
+                        TrainConfig(max_iters=1, ll_tolerance=0.0), seed=1)
+        ll_curve, (weights, means, covs) = oracles.gmm_em(frames, init, 1,
+                                                          1e-4)
+        assert one.ll_curve == pytest.approx(ll_curve, rel=TOL)
+        _assert_close(one.weights, weights)
+        _assert_close(one.means, means)
+        _assert_close(one.covariances, covs)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_one_em_iteration_at_the_floors(self, kind):
+        # The third column is twice the first and the fourth constant, so
+        # every covariance is singular before flooring.
+        rng = np.random.default_rng(11)
+        base = _mixture_frames(rng, 3, 2)
+        frames = np.column_stack([base, 2.0 * base[:, 0],
+                                  np.full(len(base), 1.5)])
+        init = train_gmm(frames, 3, kind, TrainConfig(max_iters=0), seed=2)
+        one = train_gmm(frames, 3, kind,
+                        TrainConfig(max_iters=1, ll_tolerance=0.0), seed=2)
+        _, (weights, means, covs) = oracles.gmm_em(frames, init, 1, 1e-4)
+        _assert_close(one.weights, weights)
+        _assert_close(one.means, means)
+        _assert_close(one.covariances, covs)
+        diag_floor, full_floor = oracles.gmm_floors(frames, 1e-4)
+        if kind == "diag":
+            assert np.all(one.covariances[:, 3] == diag_floor[3])
+        else:
+            smallest = np.linalg.eigvalsh(one.covariances)[:, 0]
+            np.testing.assert_allclose(smallest, full_floor, rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_five_iteration_ll_curve(self, kind):
+        rng = np.random.default_rng(500)
+        frames = _mixture_frames(rng, 8, 5, per_comp=40)
+        init = train_gmm(frames, 8, kind, TrainConfig(max_iters=0), seed=3)
+        fit = train_gmm(frames, 8, kind,
+                        TrainConfig(max_iters=5, ll_tolerance=0.0), seed=3)
+        ll_curve, _ = oracles.gmm_em(frames, init, 5, 1e-4)
+        assert len(fit.ll_curve) == 5
+        np.testing.assert_allclose(fit.ll_curve, ll_curve, rtol=TOL)
+
+
+class TestNumericsGuards:
+    def test_logsumexp_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(0.0, 50.0, size=(30, 8))
+        a[3, 2] = -np.inf
+        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=1),
+                                   rtol=1e-13)
+
+    def test_logsumexp_all_minus_inf_row(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        with np.errstate(all="raise"):
+            out = _logsumexp(a)
+        assert out[0] == -np.inf
+        assert out[1] == 0.0
+
+    def test_non_positive_definite_component_named(self):
+        covs = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0]),
+                         np.zeros((2, 2))])
+        model = Gmm(np.full(4, 0.25), np.zeros((4, 2)), covs, "full")
+        pair = GmmPairModel(model, model, "test", {})
+        with pytest.raises(SingularComponentError,
+                           match=r"^component 2 covariance is not "
+                                 r"positive-definite$"):
+            score_utterance(pair, _cepstra(np.zeros((3, 2))))
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_empty_kmeans_cluster_trains(self, kind):
+        # Identical frames leave the second k-means cluster empty, so its
+        # weight is floored; the floored weights must still be valid.
+        model = train_gmm(np.ones((40, 2)), 2, kind, seed=0)
+        assert model.weights.min() >= 1e-8
+        assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_parameters_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Gmm(np.array([1.0]), np.array([[0.0]]), np.array([[np.nan]]),
+                "full")
+
+    def test_parameters_cannot_be_replaced(self):
+        model = _single_gaussian(0.0, 1.0)
+        log_likelihood(model, np.array([0.5]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.covariances = np.array([[4.0]])
