@@ -12,9 +12,9 @@ Layout, little-endian throughout:
         u32   dim
         n_frames * dim IEEE-754 float32, row-major
 
-Reads are all-or-nothing: a declared size running past the remaining
-bytes, a repeated utterance id, or an entry dim the header's feature kind
-forbids raises and returns no partial archive.
+Reads are all-or-nothing: bytes this layout cannot hold, such as a size
+past the end, an id that is not UTF-8 or repeats, or a dim the header's
+feature kind forbids, raise and return no partial archive.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ def read_archive(path) -> FeatureArchive:
         header = json.loads(reader.take(header_len).decode("utf-8"))
         feature_kind = header["feature_kind"]
         config = header["config"]
-    except (ValueError, KeyError) as exc:
+        warp_kind = (WarpKind.from_name(config["warp"])
+                     if isinstance(config, dict) and "warp" in config
+                     else None)
+    except (ValueError, KeyError, TypeError) as exc:
         raise ArchiveFormatError(f"{path}: bad header: {exc}") from exc
-
-    warp_kind = (WarpKind.from_name(config["warp"])
-                 if isinstance(config, dict) and "warp" in config else None)
 
     entries: dict[str, FeatureMatrix] = {}
     matrix_kind = None
@@ -118,7 +118,11 @@ def read_archive(path) -> FeatureArchive:
                     f"{path}: archive has entries but its config carries no "
                     f"valid 'feature' kind") from exc
         (id_len,) = struct.unpack("<H", reader.take(2))
-        utt_id = reader.take(id_len).decode("utf-8")
+        try:
+            utt_id = reader.take(id_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveFormatError(
+                f"{path}: utterance id is not UTF-8 ({exc})") from exc
         n_frames, dim = struct.unpack("<II", reader.take(8))
         raw = reader.take(4 * n_frames * dim)
         if utt_id in entries:

@@ -43,17 +43,14 @@ MANIFEST_COLUMNS = ("utt_id", "audio_path", "label", "speaker_id",
 
 @dataclass
 class AudioSignal:
-    """Mono PCM samples in [-1.0, 1.0) with their sample rate."""
+    """Mono PCM samples in [-1.0, 1.0) at PIPELINE_SAMPLE_RATE."""
 
     samples: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         if self.samples.size and (np.min(self.samples) < -1.0
                                   or np.max(self.samples) >= 1.0):
             raise ValueError("samples must lie in [-1.0, 1.0)")
@@ -177,7 +174,7 @@ def read_wav(path) -> AudioSignal:
         raise WavFormatError(f"{path}: expected sample rate "
                              f"{PIPELINE_SAMPLE_RATE}, got {rate}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioSignal(samples, rate)
+    return AudioSignal(samples)
 
 
 def write_wav(signal: AudioSignal, path) -> None:
@@ -189,7 +186,7 @@ def write_wav(signal: AudioSignal, path) -> None:
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(signal.sample_rate)
+        wf.setframerate(PIPELINE_SAMPLE_RATE)
         wf.writeframes(ints.tobytes())
 
 
@@ -202,7 +199,10 @@ def parse_manifest(path) -> Manifest:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{path}: no such file")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines:
         raise ManifestError(f"{path}: empty file")
     header = tuple(lines[0].split("\t"))
@@ -287,8 +287,8 @@ def apply_replay_channel(signal: AudioSignal, profile: DeviceProfile,
     """
     x = signal.samples
     if x.size == 0:
-        return AudioSignal(x.copy(), signal.sample_rate)
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / signal.sample_rate)
+        return AudioSignal(x.copy())
+    freqs = np.fft.rfftfreq(x.size, d=1.0 / PIPELINE_SAMPLE_RATE)
     spectrum = np.fft.rfft(x) * _amplitude_response(profile, freqs)
     y = np.fft.irfft(spectrum, n=x.size)
 
@@ -301,7 +301,7 @@ def apply_replay_channel(signal: AudioSignal, profile: DeviceProfile,
     peak = float(np.max(np.abs(y))) if y.size else 0.0
     if peak > 0.99:
         y = y * (0.99 / peak)
-    return AudioSignal(y, signal.sample_rate)
+    return AudioSignal(y)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +349,14 @@ class _PhraseEnvelope:
 
 def _synth_genuine(f0: float, envelope: _PhraseEnvelope, n_samples: int,
                    rng: np.random.Generator) -> AudioSignal:
-    sr = PIPELINE_SAMPLE_RATE
-    t = np.arange(n_samples) / sr
+    t = np.arange(n_samples) / PIPELINE_SAMPLE_RATE
     # Per-utterance delivery variation: pitch and spectral shape wander
     # around the speaker/phrase targets so classes form broad clusters
     # instead of points.
     f0 = f0 * rng.uniform(0.95, 1.05)
     base = 0.2 * rng.uniform(0.8, 1.25)
     peak_scales = rng.uniform(0.75, 1.25, size=3)
-    harmonics = np.arange(1, int((sr / 2 - 1.0) / f0) + 1)
+    harmonics = np.arange(1, int((PIPELINE_SAMPLE_RATE / 2 - 1.0) / f0) + 1)
     freqs = harmonics * f0
     amps = envelope(freqs, base, peak_scales)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=harmonics.size)
@@ -370,7 +369,7 @@ def _synth_genuine(f0: float, envelope: _PhraseEnvelope, n_samples: int,
     x = x / np.sqrt(np.mean(x ** 2))
     x = x + rng.standard_normal(n_samples) * 10.0 ** (-30.0 / 20.0)
     x = x * (0.5 / np.max(np.abs(x)))
-    return AudioSignal(x, sr)
+    return AudioSignal(x)
 
 
 def derive_seed(*entropy: int) -> int:

@@ -5,7 +5,8 @@ the warped axis and triangles are evaluated at each FFT bin's warped
 coordinate, so adjacent filters always sum to one between the first and
 last centers. The Mel warp stretches the low-frequency axis; the inverted
 Mel warp is its mirror about the band midpoint and stretches the high end,
-which is where genuine and replayed speech differ most.
+which is where genuine and replayed speech differ most. Every filterbank
+spans the full band of the pipeline's 16 kHz audio, 0 Hz to NYQUIST_HZ.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import PowerSpectrogram, dct_ii
+from .corpus import PIPELINE_SAMPLE_RATE
+from .spectrum import dct_ii
 
-NYQUIST_HZ = 8000.0
+NYQUIST_HZ = PIPELINE_SAMPLE_RATE / 2
 NUM_CEPSTRA = 13
 LOG_FLOOR = 1e-10
 
@@ -82,35 +84,25 @@ def warp_inverse(kind: WarpKind, w) -> np.ndarray | float:
 
 @dataclass
 class FilterBank:
-    """M triangular filters over FFT bins, uniform on the warped axis."""
+    """M triangular filters over FFT bins, uniform on the warped axis:
+    (M, n_fft // 2 + 1) weights and the M + 2 warped edges."""
 
     kind: WarpKind
-    M: int
-    n_fft: int
-    sample_rate: int
-    f_lo: float
-    f_hi: float
     weights: np.ndarray
     edges_warped: np.ndarray
 
-    def center_freqs_hz(self) -> np.ndarray:
-        return np.asarray(warp_inverse(self.kind, self.edges_warped[1:-1]))
 
-
-def build_filterbank(kind: WarpKind, M: int, n_fft: int, sample_rate: int,
-                     f_lo: float = 0.0, f_hi: float = NYQUIST_HZ) -> FilterBank:
-    """Place M+2 uniformly spaced warped edges and rasterize the triangles.
+def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> FilterBank:
+    """Place M+2 uniformly spaced warped edges over 0..NYQUIST_HZ and
+    rasterize the triangles at the n_fft // 2 + 1 bin frequencies.
 
     Raises if a filter covers no FFT bin (too many filters for the FFT
     resolution) rather than silently producing a dead band.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not 0.0 <= f_lo < f_hi <= sample_rate / 2.0:
-        raise ValueError(f"invalid band [{f_lo}, {f_hi}] for sample rate "
-                         f"{sample_rate}")
-    edges = np.linspace(warp(kind, f_lo), warp(kind, f_hi), M + 2)
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    edges = np.linspace(0.0, warp(kind, NYQUIST_HZ), M + 2)
+    bin_freqs = np.arange(n_fft // 2 + 1) * (PIPELINE_SAMPLE_RATE / n_fft)
     coords = np.asarray(warp(kind, np.minimum(bin_freqs, NYQUIST_HZ)))
 
     weights = np.zeros((M, coords.size))
@@ -126,7 +118,7 @@ def build_filterbank(kind: WarpKind, M: int, n_fft: int, sample_rate: int,
         raise ValueError(
             f"too many filters: filter(s) {empty.tolist()} span zero FFT "
             f"bins at n_fft={n_fft} (kind={kind.value}, M={M})")
-    return FilterBank(kind, M, n_fft, sample_rate, f_lo, f_hi, weights, edges)
+    return FilterBank(kind, weights, edges)
 
 
 @dataclass
@@ -155,14 +147,14 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def fbank_features(spec: PowerSpectrogram, fb: FilterBank) -> FeatureMatrix:
-    """Log filterbank energies: ln(max(weights @ power, LOG_FLOOR))."""
-    if spec.n_fft != fb.n_fft or spec.sample_rate != fb.sample_rate:
+def fbank_features(spec: np.ndarray, fb: FilterBank) -> FeatureMatrix:
+    """Log filterbank energies of a power spectrogram (frames by bins):
+    ln(max(power @ weights.T, LOG_FLOOR))."""
+    if spec.shape[1] != fb.weights.shape[1]:
         raise ValueError(
-            f"spectrogram (n_fft={spec.n_fft}, rate={spec.sample_rate}) "
-            f"does not match filterbank (n_fft={fb.n_fft}, "
-            f"rate={fb.sample_rate})")
-    energies = spec.values @ fb.weights.T
+            f"spectrogram with {spec.shape[1]} bins does not match the "
+            f"filterbank's {fb.weights.shape[1]}")
+    energies = spec @ fb.weights.T
     return FeatureMatrix(np.log(np.maximum(energies, LOG_FLOOR)),
                          FeatureKind.LOG_FBANK, fb.kind)
 

@@ -44,6 +44,10 @@ class TrainConfig:
     ll_tolerance: float = 1e-5
     variance_floor_factor: float = 1e-4
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -282,6 +286,8 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
     if frames.ndim != 2 or frames.shape[1] < 1:
         raise ValueError("frames must be a non-empty 2-D matrix")
     n, d = frames.shape
+    if n_comp < 1:
+        raise ValueError(f"n_comp must be >= 1, got {n_comp}")
     if n < MIN_FRAMES_PER_COMPONENT * n_comp:
         raise ValueError(
             f"too few frames: {n} < {MIN_FRAMES_PER_COMPONENT} * {n_comp} "
@@ -368,17 +374,17 @@ def _gmm_to_dict(model: Gmm) -> dict:
 
 def _gmm_from_dict(doc: dict, name: str, covariance_kind: str, k: int, d: int,
                    path) -> Gmm:
-    weights, means, cov = (np.asarray(doc[name][key], dtype=np.float64)
-                           for key in ("weights", "means", "covariances"))
-    shape = (k, d) if covariance_kind == "diag" else (k, d, d)
-    if weights.shape != (k,) or means.shape != (k, d) \
-            or cov.size != np.prod(shape):
-        raise ModelFormatError(
-            f"{path}: {name} weights {weights.shape}, means {means.shape} and "
-            f"{cov.size} covariance values disagree with K={k}, d={d}")
     try:
+        weights, means, cov = (np.asarray(doc[name][key], dtype=np.float64)
+                               for key in ("weights", "means", "covariances"))
+        shape = (k, d) if covariance_kind == "diag" else (k, d, d)
+        if weights.shape != (k,) or means.shape != (k, d) \
+                or cov.size != np.prod(shape):
+            raise ValueError(
+                f"weights {weights.shape}, means {means.shape} and {cov.size} "
+                f"covariance values disagree with K={k}, d={d}")
         return Gmm(weights, means, cov.reshape(shape), covariance_kind)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: {name}: {exc}") from exc
 
 
@@ -400,13 +406,16 @@ def save_pair_model(model: GmmPairModel, path) -> None:
 
 
 def load_pair_model(path) -> GmmPairModel:
-    """Read a model written by `save_pair_model`; text that is not JSON, a
-    missing key, a shape that disagrees with K and d, or parameters `Gmm`
-    rejects raise ModelFormatError naming the file."""
+    """Read a model written by `save_pair_model`; bytes that are not UTF-8
+    JSON or not an object, a missing key, and parameters that are not numeric,
+    disagree with K and d or fail `Gmm`'s checks raise ModelFormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object, got "
+                               f"{type(doc).__name__}")
     try:
         kind, k, d = doc["covariance_kind"], doc["K"], doc["d"]
         return GmmPairModel(

@@ -82,9 +82,12 @@ def write_scores(records: list[ScoreRecord], path) -> None:
 def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
     """Read a score TSV; '-' labels are filled from the manifest if given."""
     labels = {r.utt_id: r.label for r in manifest} if manifest else {}
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ScoreFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8")
-                                  .splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         fields = line.split("\t")

@@ -4,7 +4,8 @@ Conventions pinned here: 25 ms / 10 ms framing defaults live in the CLI,
 the window is the symmetric Hamming w[n] = 0.54 - 0.46 cos(2 pi n / (L-1)),
 and the forward transform is unnormalized (|X[k]|^2 with no 1/N), so the
 sum over all n_fft bins of |X[k]|^2 equals n_fft times the windowed-frame
-energy.
+energy. Signals are at PIPELINE_SAMPLE_RATE, so power-spectrum bin k sits
+at k * 16000 / n_fft Hz.
 """
 
 from __future__ import annotations
@@ -12,34 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .corpus import AudioSignal
 
 
 @dataclass
 class FrameMatrix:
-    """Contiguous analysis frames of one signal."""
+    """Contiguous analysis frames of one signal, one frame per row."""
 
     frames: np.ndarray
-    frame_len: int
-    hop: int
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-
-@dataclass
-class PowerSpectrogram:
-    """Per-frame squared-magnitude spectra; bin k sits at k*sample_rate/n_fft."""
-
-    values: np.ndarray
-    n_fft: int
-    sample_rate: int
-
-    def bin_freqs(self) -> np.ndarray:
-        return np.arange(self.n_fft // 2 + 1) * (self.sample_rate / self.n_fft)
+    @property
+    def frame_len(self) -> int:
+        return self.frames.shape[1]
 
 
 def frame_signal(signal: AudioSignal, frame_len: int, hop: int) -> FrameMatrix:
@@ -58,12 +48,12 @@ def frame_signal(signal: AudioSignal, frame_len: int, hop: int) -> FrameMatrix:
         n_frames = (x.size - frame_len) // hop + 1
         idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
         frames = x[idx]
-    return FrameMatrix(frames, frame_len, hop)
+    return FrameMatrix(frames)
 
 
-def power_spectrum(frames: FrameMatrix, n_fft: int,
-                   sample_rate: int = 16000) -> PowerSpectrogram:
-    """Hamming-window each frame, zero-pad to n_fft, return |X[k]|^2."""
+def power_spectrum(frames: FrameMatrix, n_fft: int) -> np.ndarray:
+    """Hamming-window each frame, zero-pad to n_fft, return |X[k]|^2 as an
+    (n_frames, n_fft // 2 + 1) array."""
     if n_fft < frames.frame_len:
         raise ValueError(f"n_fft ({n_fft}) smaller than frame length "
                          f"({frames.frame_len})")
@@ -71,18 +61,23 @@ def power_spectrum(frames: FrameMatrix, n_fft: int,
         raise ValueError(f"n_fft must be a power of two, got {n_fft}")
     window = np.hamming(frames.frame_len)
     spectra = np.fft.rfft(frames.frames * window, n=n_fft, axis=1)
-    return PowerSpectrogram(np.abs(spectra) ** 2, n_fft, sample_rate)
+    return np.abs(spectra) ** 2
 
 
 def dct_ii(vector: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out coefficients of the orthonormal DCT-II.
+    """First n_out coefficients of the orthonormal DCT-II along the last axis.
 
     y[k] = a_k * sum_n x[n] cos(pi k (2n+1) / (2N)), a_0 = sqrt(1/N) and
     a_k = sqrt(2/N) otherwise, so the full transform is an orthonormal
-    change of basis.
+    change of basis; computed as a product with that (n_out, N) basis.
     """
     vector = np.asarray(vector, dtype=np.float64)
     n = vector.shape[-1]
     if not 1 <= n_out <= n:
         raise ValueError(f"n_out must be in [1, {n}], got {n_out}")
-    return scipy.fft.dct(vector, type=2, norm="ortho", axis=-1)[..., :n_out]
+    # The integer phase k (2n+1) is reduced modulo 4N, a full period, so
+    # the cosine is evaluated at angles below 2 pi where it is accurate.
+    phase = np.arange(n_out)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
+    basis[0] = np.sqrt(1.0 / n)
+    return vector @ basis.T

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .archive import FeatureArchive, write_archive
 from .corpus import (
-    PIPELINE_SAMPLE_RATE,
     SynthConfig,
     derive_seed,
     save_device_profiles,
@@ -92,13 +91,11 @@ def extract_features(utterances, *configs: ExtractionConfig
         raise ValueError(f"extraction configs must share one framing "
                          f"(frame_len, hop, n_fft), got {sorted(framing)}")
     frame_len, hop, n_fft = framing.pop()
-    banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft,
-                                                 PIPELINE_SAMPLE_RATE)
+    banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft)
              for c in configs}
     entries = [{} for _ in configs]
     for utt_id, signal in utterances:
-        spec = power_spectrum(frame_signal(signal, frame_len, hop), n_fft,
-                              signal.sample_rate)
+        spec = power_spectrum(frame_signal(signal, frame_len, hop), n_fft)
         fbanks = {key: fbank_features(spec, fb) for key, fb in banks.items()}
         for config, out in zip(configs, entries):
             feats = fbanks[config.warp, config.bands]

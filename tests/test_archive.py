@@ -153,6 +153,30 @@ class TestFormatGuards:
         with pytest.raises(ArchiveFormatError, match="'u'.*dim 13"):
             read_archive(p)
 
+    def test_utterance_id_not_utf8(self, tmp_path):
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({}), p)
+        entry = (struct.pack("<H", 2) + b"u\xff" + struct.pack("<II", 1, 3)
+                 + np.zeros(3, "<f4").tobytes())
+        p.write_bytes(p.read_bytes() + entry)
+        with pytest.raises(ArchiveFormatError) as info:
+            read_archive(p)
+        assert str(info.value).startswith(f"{p}: utterance id is not UTF-8 (")
+
+    @pytest.mark.parametrize("header, message", [
+        (b'{"config": {"warp": "bogus"}, "feature_kind": "tag"}',
+         "unknown warp kind 'bogus'"),
+        (b"[]", "list indices"),
+        (b'{"config": {}, "feature_kind": "\xff"}', "utf-8"),
+    ])
+    def test_bad_header(self, tmp_path, header, message):
+        p = tmp_path / "a.rpfa"
+        p.write_bytes(b"RPFA" + struct.pack("<HI", 1, len(header)) + header)
+        with pytest.raises(ArchiveFormatError) as info:
+            read_archive(p)
+        assert str(info.value).startswith(f"{p}: bad header: ")
+        assert message in str(info.value)
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError, match="share"):
             FeatureArchive("tag", {}, {"a": _fm(np.ones((1, 2))),

@@ -125,6 +125,17 @@ class TestFailures:
              "--feature", "fbank", "--out", tmp_path / "x.rpfa"])
         assert line == f"error: {wav}: no such file"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ncomp", 0, "n_comp must be >= 1, got 0"),
+        ("--max-iters", -1, "max_iters must be >= 0, got -1"),
+    ])
+    def test_bad_training_size(self, work, tmp_path, flag, value, message):
+        argv = ["train", "--archive", work / "mel_cepstra-delta.rpfa",
+                "--manifest", work / "corpus" / "manifest.tsv", "--seed", SEED,
+                "--out", tmp_path / "model.json", flag, value]
+        assert self._single_error_line(argv) == f"error: {message}"
+        assert not (tmp_path / "model.json").exists()
+
     def test_model_not_json(self, work, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -41,9 +41,7 @@ class TestReadWav:
     def test_single_sample_scaling(self, tmp_path):
         p = tmp_path / "one.wav"
         _write_raw_wav(p, struct.pack("<h", 16384))
-        sig = read_wav(p)
-        assert sig.sample_rate == SR
-        np.testing.assert_array_equal(sig.samples, [0.5])
+        np.testing.assert_array_equal(read_wav(p).samples, [0.5])
 
     def test_endpoint_mapping(self, tmp_path):
         p = tmp_path / "ends.wav"
@@ -81,7 +79,7 @@ class TestReadWav:
 
     def test_roundtrip_every_16bit_value(self, tmp_path):
         ints = np.arange(-32768, 32768, dtype=np.int64)
-        sig = AudioSignal(ints / 32768.0, SR)
+        sig = AudioSignal(ints / 32768.0)
         p = tmp_path / "all.wav"
         write_wav(sig, p)
         back = read_wav(p)
@@ -91,11 +89,7 @@ class TestReadWav:
 class TestAudioSignal:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[-1.0, 1.0\)"):
-            AudioSignal(np.array([0.0, 1.0]), SR)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError, match="positive"):
-            AudioSignal(np.zeros(4), 0)
+            AudioSignal(np.array([0.0, 1.0]))
 
 
 class TestManifest:
@@ -135,6 +129,14 @@ class TestManifest:
                          "u1\ta.wav\tgenuine\tS01\tP03"])
         with pytest.raises(ManifestError, match="header"):
             parse_manifest(p)
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_bytes(self.HEADER.encode()
+                      + b"\nu1\ta.wav\tgenuine\tS\xff\tP0\t-\n")
+        with pytest.raises(ManifestError) as info:
+            parse_manifest(p)
+        assert str(info.value).startswith(f"{p}: not UTF-8 text (")
 
     def test_empty_manifest(self, tmp_path):
         p = self._write(tmp_path, [self.HEADER])
@@ -184,22 +186,21 @@ class TestDeviceProfile:
 
 def _tone(freq, seconds=0.5, amp=0.9):
     t = np.arange(int(seconds * SR)) / SR
-    return AudioSignal(amp * np.sin(2 * np.pi * freq * t), SR)
+    return AudioSignal(amp * np.sin(2 * np.pi * freq * t))
 
 
 def _band_energy(signal, f_lo, f_hi):
-    frames = frame_signal(signal, 400, 160)
-    spec = power_spectrum(frames, 512, SR)
-    freqs = spec.bin_freqs()
+    spec = power_spectrum(frame_signal(signal, 400, 160), 512)
+    freqs = np.fft.rfftfreq(512, d=1.0 / SR)
     mask = (freqs >= f_lo) & (freqs < f_hi)
-    return float(spec.values[:, mask].sum())
+    return float(spec[:, mask].sum())
 
 
 class TestReplayChannel:
     PROFILE = DeviceProfile("D00", 80.0, 6000.0, ((800.0, 3.0),), 40.0)
 
     def test_zero_in_zero_out(self):
-        sig = AudioSignal(np.zeros(4000), SR)
+        sig = AudioSignal(np.zeros(4000))
         out = apply_replay_channel(sig, self.PROFILE, seed=3)
         np.testing.assert_array_equal(out.samples, 0.0)
 
@@ -241,7 +242,7 @@ class TestReplayChannel:
     @settings(max_examples=25, deadline=None)
     def test_length_and_determinism_property(self, n, seed):
         rng = np.random.default_rng(n + 1)
-        sig = AudioSignal(rng.uniform(-0.5, 0.5, size=n), SR)
+        sig = AudioSignal(rng.uniform(-0.5, 0.5, size=n))
         a = apply_replay_channel(sig, self.PROFILE, seed)
         b = apply_replay_channel(sig, self.PROFILE, seed)
         assert len(a) == n
@@ -323,7 +324,7 @@ class TestChannelGainLinkage:
         # Broadband input: per-band output/input energy ratio should match
         # the channel's band-averaged power gain.
         rng = np.random.default_rng(5)
-        sig = AudioSignal(rng.uniform(-0.5, 0.5, size=SR), SR)
+        sig = AudioSignal(rng.uniform(-0.5, 0.5, size=SR))
         profile = DeviceProfile("D00", 60.0, 7400.0, ((1200.0, 4.0),), 40.0)
         out = apply_replay_channel(sig, profile, seed=2)
         for f_lo, f_hi in [(1000.0, 1500.0), (3000.0, 4000.0),

@@ -52,6 +52,18 @@ class TestTrainGmm:
         with pytest.raises(ValueError, match="too few frames"):
             train_gmm(np.zeros((5, 1)), 1, "diag")
 
+    @pytest.mark.parametrize("n_comp", [0, -1])
+    def test_n_comp_must_be_positive(self, n_comp):
+        with pytest.raises(ValueError, match="n_comp must be >= 1"):
+            train_gmm(np.zeros((20, 1)), n_comp, "diag")
+
+    def test_max_iters_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            TrainConfig(max_iters=-1)
+        model = train_gmm(np.arange(20.0)[:, None], 1, "diag",
+                          TrainConfig(max_iters=0))
+        assert model.ll_curve == []
+
     def test_unknown_covariance_kind(self):
         with pytest.raises(ValueError, match="covariance_kind"):
             train_gmm(np.zeros((20, 1)), 1, "spherical")
@@ -270,6 +282,31 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError) as info:
             load_pair_model(p)
         assert str(info.value).startswith(f"{p}: replay: ")
+
+    def test_json_not_an_object_is_typed(self, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text("[]")
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value) == f"{p}: expected a JSON object, got list"
+
+    def test_non_numeric_parameter_is_typed(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        doc = json.loads(p.read_text())
+        doc["genuine"]["means"][1][2] = "x"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value).startswith(f"{p}: genuine: could not convert")
+
+    def test_non_utf8_bytes_are_typed(self, tmp_path):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        p.write_bytes(b"\xff" + p.read_bytes())
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value).startswith(f"{p}: not valid JSON (")
 
     def test_file_is_one_compact_line(self, tmp_path):
         p = tmp_path / "model.json"

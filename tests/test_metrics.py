@@ -146,6 +146,13 @@ class TestScoreFiles:
         assert str(info.value).startswith(f"{p}:2: ")
         assert message in str(info.value)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "scores.tsv"
+        p.write_bytes(b"u0\t1.5\tgenuine\nu\xff\t0.5\treplay\n")
+        with pytest.raises(ScoreFormatError) as info:
+            read_scores(p)
+        assert str(info.value).startswith(f"{p}: not UTF-8 text (")
+
     def test_label_conflict_detected(self, tmp_path):
         manifest = Manifest([
             UtteranceMeta("u0", "a.wav", "genuine", "S00", "P00", "-"),

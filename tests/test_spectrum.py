@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from replaykit.corpus import AudioSignal
 from replaykit.spectrum import FrameMatrix, dct_ii, frame_signal, power_spectrum
-
-SR = 16000
-
 
 def _count_frames_oracle(signal_len, frame_len, hop):
     """Direct enumeration of frame starts."""
@@ -22,7 +23,7 @@ def _count_frames_oracle(signal_len, frame_len, hop):
 
 def _signal(n, seed=0):
     rng = np.random.default_rng(seed)
-    return AudioSignal(rng.uniform(-0.9, 0.9, size=n), SR)
+    return AudioSignal(rng.uniform(-0.9, 0.9, size=n))
 
 
 class TestFrameSignal:
@@ -59,32 +60,30 @@ class TestFrameSignal:
 
 class TestPowerSpectrum:
     def test_zero_frame_zero_spectrum(self):
-        fm = FrameMatrix(np.zeros((1, 400)), 400, 160)
-        spec = power_spectrum(fm, 512, SR)
-        np.testing.assert_array_equal(spec.values, 0.0)
+        spec = power_spectrum(FrameMatrix(np.zeros((1, 400))), 512)
+        np.testing.assert_array_equal(spec, 0.0)
 
     def test_impulse_flat_spectrum(self):
         # Hamming w[0] = 0.54 - 0.46 = 0.08; an impulse at n=0 transforms
         # to a flat spectrum of squared magnitude 0.08**2.
         frame = np.zeros((1, 400))
         frame[0, 0] = 1.0
-        spec = power_spectrum(FrameMatrix(frame, 400, 160), 512, SR)
-        np.testing.assert_allclose(spec.values, 0.08 ** 2, rtol=1e-12)
+        spec = power_spectrum(FrameMatrix(frame), 512)
+        np.testing.assert_allclose(spec, 0.08 ** 2, rtol=1e-12)
 
     def test_bin_count(self):
         fm = frame_signal(_signal(720), 400, 160)
-        spec = power_spectrum(fm, 512, SR)
-        assert spec.values.shape == (3, 257)
+        assert power_spectrum(fm, 512).shape == (3, 257)
 
     def test_fft_too_small(self):
         fm = frame_signal(_signal(720), 400, 160)
         with pytest.raises(ValueError, match="smaller than frame"):
-            power_spectrum(fm, 256, SR)
+            power_spectrum(fm, 256)
 
     def test_fft_power_of_two(self):
         fm = frame_signal(_signal(720), 400, 160)
         with pytest.raises(ValueError, match="power of two"):
-            power_spectrum(fm, 500, SR)
+            power_spectrum(fm, 500)
 
     def test_parseval_pins_normalization(self):
         # Unnormalized transform: sum over all n_fft bins of |X[k]|^2
@@ -93,11 +92,11 @@ class TestPowerSpectrum:
         rng = np.random.default_rng(7)
         frames = rng.uniform(-1, 1, size=(5, 400))
         n_fft = 512
-        spec = power_spectrum(FrameMatrix(frames, 400, 160), n_fft, SR)
+        spec = power_spectrum(FrameMatrix(frames), n_fft)
         window = np.hamming(400)
         for i in range(5):
             windowed_energy = np.sum((frames[i] * window) ** 2)
-            row = spec.values[i]
+            row = spec[i]
             total = row[0] + row[-1] + 2.0 * row[1:-1].sum()
             np.testing.assert_allclose(total, n_fft * windowed_energy,
                                        rtol=1e-6)
@@ -144,6 +143,12 @@ class TestDctII:
             n_out = int(rng.integers(1, n + 1))
             np.testing.assert_allclose(dct_ii(x, n_out), _dct_oracle(x, n_out),
                                        atol=1e-9)
+        # The pipeline transforms (frames, bands) log-Fbank matrices row by
+        # row.
+        x = rng.uniform(-3, 3, size=(7, 23))
+        np.testing.assert_allclose(dct_ii(x, 13),
+                                   [_dct_oracle(row, 13) for row in x],
+                                   atol=1e-9)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=48))
     @settings(max_examples=50, deadline=None)
@@ -153,3 +158,16 @@ class TestDctII:
         y = dct_ii(x, len(x))
         back = scipy.fft.idct(y, type=2, norm="ortho")
         np.testing.assert_allclose(back, x, atol=1e-9 * max(1.0, np.abs(x).max()))
+
+
+def test_package_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, replaykit, replaykit.cli, replaykit.study; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import eer_brute_force
 from replaykit import cli
-from replaykit.corpus import PIPELINE_SAMPLE_RATE, SynthConfig, synth_corpus
+from replaykit.corpus import SynthConfig, synth_corpus
 from replaykit.filterbank import (
     FeatureKind,
     WarpKind,
@@ -88,12 +88,10 @@ class TestExtractFeatures:
         for config, archive in zip(configs, archives):
             assert list(archive.entries) == [u for u, _ in utterances]
             assert archive.config == config.to_dict()
-            fb = build_filterbank(config.warp, config.bands, config.n_fft,
-                                  PIPELINE_SAMPLE_RATE)
+            fb = build_filterbank(config.warp, config.bands, config.n_fft)
             for utt_id, signal in utterances:
                 spec = power_spectrum(frame_signal(signal, config.frame_len,
-                                                   config.hop),
-                                      config.n_fft, PIPELINE_SAMPLE_RATE)
+                                                   config.hop), config.n_fft)
                 want = fbank_features(spec, fb)
                 if config.feature is not FeatureKind.LOG_FBANK:
                     want = cepstral_features(want)
