@@ -10,7 +10,6 @@ from .corpus import (
     UtteranceMeta,
     apply_replay_channel,
     channel_power_gain,
-    load_device_profiles,
     parse_manifest,
     read_wav,
     save_device_profiles,
@@ -44,7 +43,7 @@ from .fratio import (
     FRatioPattern,
     ProbeReport,
     compare_datasets,
-    fratio_pattern,
+    fratio,
     pattern_dispersion,
     probe_factor,
 )

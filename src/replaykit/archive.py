@@ -97,8 +97,9 @@ def read_archive(path) -> FeatureArchive:
     if version != VERSION:
         raise ArchiveFormatError(f"{path}: unsupported version {version}")
     (header_len,) = struct.unpack("<I", reader.take(4))
+    header_bytes = reader.take(header_len)
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
         feature_kind = header["feature_kind"]
         config = header["config"]
         warp_kind = (WarpKind.from_name(config["warp"])

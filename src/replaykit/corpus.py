@@ -242,11 +242,6 @@ def save_device_profiles(profiles: list[DeviceProfile], path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def load_device_profiles(path) -> list[DeviceProfile]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [DeviceProfile(**d) for d in doc]
-
-
 # ---------------------------------------------------------------------------
 # Replay channel
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Per-band discriminability ratios and variability-factor probing.
 
-For a genuine/replay partition of frames, each band's ratio is the squared
-distance between the class means over the sum of the population (1/N)
-within-class variances. The vector across bands is a fingerprint of where
-the two classes separate; probing recomputes the fingerprint once per
-value of a chosen variability factor (speaker, phrase, device) and the
-dispersion of the normalized fingerprints measures how much that factor
+`fratio` gives, per band, the squared distance between the genuine and
+replay class means over the sum of their population (1/N) variances: a
+fingerprint of where the two classes separate. `probe_factor` computes
+one per value of a factor (speaker, phrase, device) and `compare_datasets`
+one per dataset (train, heldout), each over one archive's features; the
+dispersion of the normalized fingerprints measures how much the factor
 shifts the discriminative picture.
 """
 
@@ -26,20 +26,12 @@ PROBE_FACTORS = ("speaker", "phrase", "device")
 
 @dataclass
 class FRatioPattern:
-    """Band discriminability values [F_1..F_M] for one frame partition."""
+    """Band discriminability values [F_1..F_M] for one value of a factor."""
 
+    value: str
     values: np.ndarray
     n_genuine_frames: int
     n_replay_frames: int
-    band_kind: WarpKind | None = None
-    condition: tuple[str, str] | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("pattern values must be finite and non-negative")
-        if self.n_genuine_frames < 2 or self.n_replay_frames < 2:
-            raise ValueError("each class needs at least 2 frames")
 
     @property
     def n_bands(self) -> int:
@@ -48,23 +40,13 @@ class FRatioPattern:
 
 @dataclass
 class ProbeReport:
-    """One pattern per value of the probed factor, plus their dispersion."""
+    """One pattern per value of the probed factor, the warp of the probed
+    features (None if they name none) and the patterns' dispersion."""
 
     factor: str
+    warp: WarpKind | None
     patterns: list[FRatioPattern]
     dispersion: float
-
-    def __post_init__(self):
-        if not self.patterns:
-            raise ValueError("a probe report needs at least one pattern")
-        n_bands = {p.n_bands for p in self.patterns}
-        kinds = {p.band_kind for p in self.patterns}
-        if len(n_bands) != 1 or len(kinds) != 1:
-            raise ValueError("probe patterns must share band count and kind")
-
-    @property
-    def band_kind(self) -> WarpKind | None:
-        return self.patterns[0].band_kind
 
     @property
     def n_bands(self) -> int:
@@ -80,36 +62,26 @@ def pool_frames(features: dict[str, FeatureMatrix],
     return np.concatenate(mats, axis=0)
 
 
-def fratio_pattern(genuine: FeatureMatrix, replay: FeatureMatrix,
-                   condition: tuple[str, str] | None = None) -> FRatioPattern:
-    """Between-class distance over summed within-class variance, per band."""
-    if genuine.kind is not FeatureKind.LOG_FBANK \
-            or replay.kind is not FeatureKind.LOG_FBANK:
-        raise ValueError("discriminability ratios are defined on log-Fbank "
-                         "features")
-    if genuine.dim != replay.dim:
-        raise ValueError(f"band counts differ: {genuine.dim} vs {replay.dim}")
-    return _fratio_from_arrays(genuine.values, replay.values,
-                               genuine.warp_kind or replay.warp_kind,
-                               condition)
-
-
-def _fratio_from_arrays(g: np.ndarray, r: np.ndarray,
-                        band_kind: WarpKind | None,
-                        condition: tuple[str, str] | None) -> FRatioPattern:
+def fratio(genuine, replay) -> np.ndarray:
+    """Between-class distance over summed within-class variance, per band,
+    of two frames-by-bands arrays."""
+    g = np.asarray(genuine, dtype=np.float64)
+    r = np.asarray(replay, dtype=np.float64)
     if g.shape[0] < 2 or r.shape[0] < 2:
         raise ValueError(f"too few frames: need >= 2 per class, got "
                          f"{g.shape[0]} genuine and {r.shape[0]} replay")
-    mu_g = g.mean(axis=0)
-    mu_r = r.mean(axis=0)
+    if g.shape[1] != r.shape[1]:
+        raise ValueError(f"band counts differ: {g.shape[1]} vs {r.shape[1]}")
     denom = g.var(axis=0) + r.var(axis=0)
     bad = np.flatnonzero(denom < DEGENERATE_DENOMINATOR)
     if bad.size:
         raise DegenerateBandError(
             f"constant features in band(s) {bad.tolist()}: within-class "
             f"variance below {DEGENERATE_DENOMINATOR}")
-    values = (mu_g - mu_r) ** 2 / denom
-    return FRatioPattern(values, g.shape[0], r.shape[0], band_kind, condition)
+    values = (g.mean(axis=0) - r.mean(axis=0)) ** 2 / denom
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite ratios: features hold NaN or inf")
+    return values
 
 
 def normalized_shapes(patterns: list[FRatioPattern]) -> np.ndarray:
@@ -148,56 +120,45 @@ def probe_factor(features: dict[str, FeatureMatrix], manifest: Manifest,
     missing = [r.utt_id for r in manifest if r.utt_id not in features]
     if missing:
         raise ValueError(f"features missing for utterance(s) {missing[:3]}")
-
     kinds = {features[r.utt_id].kind for r in manifest}
     if kinds != {FeatureKind.LOG_FBANK}:
         raise ValueError("probing requires log-Fbank features")
-    band_kind = features[manifest.records[0].utt_id].warp_kind
 
-    patterns = []
-    if factor == "device":
-        genuine_pool = pool_frames(
-            features, [r.utt_id for r in manifest.genuine_records()])
-        for device in manifest.device_ids():
-            replay_ids = [r.utt_id for r in manifest.replay_records()
-                          if r.device_id == device]
-            patterns.append(_probe_pattern(features, genuine_pool, replay_ids,
-                                           band_kind, ("device", device)))
-    else:
-        attr = "speaker_id" if factor == "speaker" else "phrase_id"
-        values = sorted({getattr(r, attr) for r in manifest})
-        for value in values:
-            subset = [r for r in manifest if getattr(r, attr) == value]
-            genuine_pool = pool_frames(
-                features, [r.utt_id for r in subset if r.is_genuine])
-            replay_ids = [r.utt_id for r in subset if not r.is_genuine]
-            patterns.append(_probe_pattern(features, genuine_pool, replay_ids,
-                                           band_kind, (factor, value)))
-    return ProbeReport(factor, patterns, pattern_dispersion(patterns))
+    attr = f"{factor}_id"
+    values = (manifest.device_ids() if factor == "device"
+              else sorted({getattr(r, attr) for r in manifest}))
+    pools = [(v, [r.utt_id for r in manifest.genuine_records()
+                  if factor == "device" or getattr(r, attr) == v],
+              [r.utt_id for r in manifest.replay_records()
+               if getattr(r, attr) == v])
+             for v in values]
+    return _report(features, factor, pools)
 
 
-def _probe_pattern(features, genuine_pool, replay_ids, band_kind, condition):
-    replay_pool = pool_frames(features, replay_ids)
-    if genuine_pool.shape[0] < 2 or replay_pool.shape[0] < 2:
-        raise ValueError(
-            f"too few frames for {condition[0]}={condition[1]}: need >= 2 "
-            f"per class, got {genuine_pool.shape[0]} genuine and "
-            f"{replay_pool.shape[0]} replay")
-    return _fratio_from_arrays(genuine_pool, replay_pool, band_kind, condition)
-
-
-def compare_datasets(features_a: dict[str, FeatureMatrix], manifest_a: Manifest,
-                     features_b: dict[str, FeatureMatrix], manifest_b: Manifest,
-                     names: tuple[str, str] = ("train", "heldout")) -> ProbeReport:
+def compare_datasets(features: dict[str, FeatureMatrix], train: Manifest,
+                     heldout: Manifest) -> ProbeReport:
     """Pool every genuine and replay frame within each dataset and compare
     the two resulting patterns (cross-dataset generalization probe)."""
+    pools = [(name, [r.utt_id for r in man.genuine_records()],
+              [r.utt_id for r in man.replay_records()])
+             for name, man in (("train", train), ("heldout", heldout))]
+    return _report(features, "dataset", pools)
+
+
+def _report(features, factor, pools) -> ProbeReport:
+    """One pattern per (value, genuine ids, replay ids) pool. `fratio`'s
+    messages read "problem: detail"; the value goes after the problem."""
     patterns = []
-    for feats, man, name in ((features_a, manifest_a, names[0]),
-                             (features_b, manifest_b, names[1])):
-        genuine_pool = pool_frames(
-            feats, [r.utt_id for r in man.genuine_records()])
-        replay_ids = [r.utt_id for r in man.replay_records()]
-        band_kind = feats[man.records[0].utt_id].warp_kind
-        patterns.append(_probe_pattern(feats, genuine_pool, replay_ids,
-                                       band_kind, ("dataset", name)))
-    return ProbeReport("dataset", patterns, pattern_dispersion(patterns))
+    for value, genuine_ids, replay_ids in pools:
+        g = pool_frames(features, genuine_ids)
+        r = pool_frames(features, replay_ids)
+        try:
+            values = fratio(g, r)
+        except ValueError as exc:
+            problem, _, detail = str(exc).partition(": ")
+            raise type(exc)(f"{problem} for {factor}={value}: {detail}") \
+                from exc
+        patterns.append(FRatioPattern(value, values, g.shape[0], r.shape[0]))
+    dispersion = pattern_dispersion(patterns)
+    warp = next(iter(features.values())).warp_kind
+    return ProbeReport(factor, warp, patterns, dispersion)

@@ -123,9 +123,11 @@ def write_corpus(signals, manifest, profiles, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 def write_probe_report(report: ProbeReport, tsv_path) -> None:
-    """TSV: one row per factor value, band columns, then each row's RMS
-    deviation from the mean normalized shape. A JSON document with the
-    raw patterns and the scalar dispersion goes next to it."""
+    """TSV: a `value`, `F_1..F_M`, `dispersion_contribution` header, then
+    one row per factor value: its band ratios and the RMS deviation of its
+    normalized shape from the mean shape. Next to it, a JSON document with
+    the factor, the warp (null if the features name none), the band count,
+    the dispersion and each pattern's value, frame counts and ratios."""
     shapes = normalized_shapes(report.patterns)
     mean_shape = shapes.mean(axis=0)
     contributions = ((shapes - mean_shape) ** 2).mean(axis=1) ** 0.5
@@ -134,8 +136,7 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     header.append("dispersion_contribution")
     lines = ["\t".join(header)]
     for pattern, contrib in zip(report.patterns, contributions):
-        value = pattern.condition[1] if pattern.condition else "-"
-        cells = [value] + [repr(v) for v in pattern.values.tolist()]
+        cells = [pattern.value] + [repr(v) for v in pattern.values.tolist()]
         cells.append(repr(float(contrib)))
         lines.append("\t".join(cells))
     tsv_path = Path(tsv_path)
@@ -144,11 +145,11 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
 
     doc = {
         "factor": report.factor,
-        "warp": report.band_kind.value if report.band_kind else None,
+        "warp": report.warp.value if report.warp else None,
         "bands": report.n_bands,
         "dispersion": report.dispersion,
         "patterns": [{
-            "value": p.condition[1] if p.condition else "-",
+            "value": p.value,
             "n_genuine_frames": p.n_genuine_frames,
             "n_replay_frames": p.n_replay_frames,
             "values": p.values.tolist(),
@@ -232,8 +233,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                                probes_dir / f"{factor}_{kind.value}.tsv")
             per_factor[factor] = report.dispersion
         probe_dispersions[kind.value] = per_factor
-        ds_report = compare_datasets(fbank_entries, man_train,
-                                     fbank_entries, man_heldout)
+        ds_report = compare_datasets(fbank_entries, man_train, man_heldout)
         write_probe_report(ds_report, probes_dir / f"dataset_{kind.value}.tsv")
         dataset_dispersions[kind.value] = ds_report.dispersion
 

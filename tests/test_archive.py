@@ -177,6 +177,14 @@ class TestFormatGuards:
         assert str(info.value).startswith(f"{p}: bad header: ")
         assert message in str(info.value)
 
+    def test_header_shorter_than_declared(self, tmp_path):
+        p = tmp_path / "t.rpfa"
+        p.write_bytes(b"RPFA" + struct.pack("<HI", 1, 50) + b"{}")
+        with pytest.raises(ArchiveFormatError) as info:
+            read_archive(p)
+        assert str(info.value) == (f"{p}: truncated archive: needed 50 "
+                                   f"bytes at offset 10, have 2")
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError, match="share"):
             FeatureArchive("tag", {}, {"a": _fm(np.ones((1, 2))),

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -12,7 +14,6 @@ from replaykit.corpus import (
     UtteranceMeta,
     apply_replay_channel,
     channel_power_gain,
-    load_device_profiles,
     parse_manifest,
     read_wav,
     save_device_profiles,
@@ -181,7 +182,17 @@ class TestDeviceProfile:
         ]
         p = tmp_path / "devices.json"
         save_device_profiles(profiles, p)
-        assert load_device_profiles(p) == profiles
+        # The fields of each profile in order; JSON turns ripple tuples
+        # into lists.
+        assert json.loads(p.read_text(encoding="utf-8")) == [
+            {"device_id": "D00", "low_cutoff_hz": 80.0,
+             "high_cutoff_hz": 7000.0,
+             "ripple": [[500.0, 3.0], [1500.0, -2.0]], "snr_db": 35.0},
+            {"device_id": "H00", "low_cutoff_hz": 120.0,
+             "high_cutoff_hz": 6500.0, "ripple": [], "snr_db": 28.0},
+        ]
+        assert [list(d) for d in json.loads(p.read_text(encoding="utf-8"))] \
+            == [[f.name for f in dataclasses.fields(DeviceProfile)]] * 2
 
 
 def _tone(freq, seconds=0.5, amp=0.9):

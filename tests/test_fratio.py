@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,11 @@ from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import (
     FRatioPattern,
     compare_datasets,
-    fratio_pattern,
+    fratio,
     pattern_dispersion,
     probe_factor,
 )
+from replaykit.study import write_probe_report
 
 
 def _logfb(rows, warp_kind=None):
@@ -24,34 +27,39 @@ class TestFRatioPattern:
     def test_hand_example(self):
         # genuine {0,2}: mean 1, var 1; replay {3,5}: mean 4, var 1
         # F = (1-4)^2 / (1+1) = 4.5
-        pattern = fratio_pattern(_logfb([[0.0], [2.0]]), _logfb([[3.0], [5.0]]))
-        assert pattern.values[0] == pytest.approx(4.5, abs=1e-12)
-        assert pattern.n_genuine_frames == 2
-        assert pattern.n_replay_frames == 2
+        values = fratio(np.array([[0.0], [2.0]]), np.array([[3.0], [5.0]]))
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(4.5, abs=1e-12)
 
     def test_identical_means_zero(self):
-        pattern = fratio_pattern(_logfb([[1.0], [3.0]]), _logfb([[0.0], [4.0]]))
-        assert pattern.values[0] == 0.0
+        values = fratio(np.array([[1.0], [3.0]]), np.array([[0.0], [4.0]]))
+        assert values[0] == 0.0
 
     def test_degenerate_band(self):
         with pytest.raises(DegenerateBandError, match="band"):
-            fratio_pattern(_logfb([[1.0], [1.0]]), _logfb([[2.0], [2.0]]))
+            fratio(np.array([[1.0], [1.0]]), np.array([[2.0], [2.0]]))
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="too few frames"):
-            fratio_pattern(_logfb([[1.0]]), _logfb([[2.0], [3.0]]))
+            fratio(np.array([[1.0]]), np.array([[2.0], [3.0]]))
 
     def test_mismatched_bands(self):
         with pytest.raises(ValueError, match="band counts differ"):
-            fratio_pattern(_logfb([[1.0, 2.0], [0.0, 1.0]]),
-                           _logfb([[2.0], [3.0]]))
+            fratio(np.array([[1.0, 2.0], [0.0, 1.0]]),
+                   np.array([[2.0], [3.0]]))
+
+    # An inf frame makes numpy warn while taking the variance.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            fratio(np.array([[bad], [1.0]]), np.array([[2.0], [3.0]]))
 
     def test_class_swap_symmetry(self):
         rng = np.random.default_rng(0)
-        g = _logfb(rng.normal(0, 1, size=(8, 5)))
-        r = _logfb(rng.normal(1, 2, size=(11, 5)))
-        np.testing.assert_array_equal(fratio_pattern(g, r).values,
-                                      fratio_pattern(r, g).values)
+        g = rng.normal(0, 1, size=(8, 5))
+        r = rng.normal(1, 2, size=(11, 5))
+        np.testing.assert_array_equal(fratio(g, r), fratio(r, g))
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3),
            sign=st.sampled_from([-1.0, 1.0]))
@@ -61,8 +69,8 @@ class TestFRatioPattern:
         g = rng.normal(0, 1, size=(6, 4))
         r = rng.normal(1, 2, size=(9, 4))
         c = sign * scale
-        base = fratio_pattern(_logfb(g), _logfb(r)).values
-        scaled = fratio_pattern(_logfb(c * g), _logfb(c * r)).values
+        base = fratio(g, r)
+        scaled = fratio(c * g, c * r)
         np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
 
     def test_matches_exact_oracle_on_random_instances(self):
@@ -73,7 +81,7 @@ class TestFRatioPattern:
             n_r = int(rng.integers(2, 17))
             g = rng.uniform(-4, 4, size=(n_g, m))
             r = rng.uniform(-4, 4, size=(n_r, m))
-            got = fratio_pattern(_logfb(g), _logfb(r)).values
+            got = fratio(g, r)
             exact = fratio_exact(g.tolist(), r.tolist())
             for i in range(m):
                 assert exact[i] is not None
@@ -82,7 +90,7 @@ class TestFRatioPattern:
 
 class TestPatternDispersion:
     def _pattern(self, values):
-        return FRatioPattern(np.asarray(values, dtype=np.float64), 2, 2)
+        return FRatioPattern("-", np.asarray(values, dtype=np.float64), 2, 2)
 
     def test_identical_patterns(self):
         p = self._pattern([1.0, 2.0, 3.0])
@@ -137,9 +145,8 @@ class TestProbeFactor:
         features, manifest = _toy_setup()
         report = probe_factor(features, manifest, "device")
         assert report.factor == "device"
-        assert [p.condition for p in report.patterns] == \
-            [("device", "D00"), ("device", "D01")]
-        assert report.band_kind is WarpKind.LINEAR
+        assert [p.value for p in report.patterns] == ["D00", "D01"]
+        assert report.warp is WarpKind.LINEAR
 
     def test_device_probe_uses_all_genuine_frames(self):
         features, manifest = _toy_setup()
@@ -185,14 +192,74 @@ class TestProbeFactor:
         with pytest.raises(ValueError, match="too few frames for device=D00"):
             probe_factor(features, manifest, "device")
 
+    def test_degenerate_band_names_the_value(self):
+        features, manifest = _toy_setup()
+        for utt in ("S00-live", "S01-live", "S00-D01", "S01-D01"):
+            features[utt] = _logfb(np.zeros((20, 3)), WarpKind.LINEAR)
+        with pytest.raises(DegenerateBandError,
+                           match=r"band\(s\) \[0, 1, 2\] for device=D01: "):
+            probe_factor(features, manifest, "device")
+
+    def test_value_without_replays(self):
+        features, manifest = _toy_setup()
+        manifest = manifest.filter(lambda r: r.is_genuine
+                                   or r.speaker_id != "S01")
+        with pytest.raises(ValueError, match="too few frames for speaker=S01"):
+            probe_factor(features, manifest, "speaker")
+
 
 class TestCompareDatasets:
     def test_two_patterns_with_dataset_conditions(self):
         features, manifest = _toy_setup()
         man_a = manifest.filter(lambda r: r.is_genuine or r.device_id == "D00")
         man_b = manifest.filter(lambda r: r.is_genuine or r.device_id == "D01")
-        report = compare_datasets(features, man_a, features, man_b)
+        report = compare_datasets(features, man_a, man_b)
         assert report.factor == "dataset"
-        assert [p.condition for p in report.patterns] == \
-            [("dataset", "train"), ("dataset", "heldout")]
+        assert [p.value for p in report.patterns] == ["train", "heldout"]
+        assert report.warp is WarpKind.LINEAR
         assert report.dispersion > 0.0
+
+
+class TestWriteProbeReport:
+    def test_device_report_layout(self, tmp_path):
+        features, manifest = _toy_setup()
+        report = probe_factor(features, manifest, "device")
+        tsv = tmp_path / "device_linear.tsv"
+        write_probe_report(report, tsv)
+
+        rows = [line.split("\t")
+                for line in tsv.read_text(encoding="utf-8").splitlines()]
+        assert rows[0] == ["value", "F_1", "F_2", "F_3",
+                           "dispersion_contribution"]
+        assert [row[0] for row in rows[1:]] == ["D00", "D01"]
+        values = np.array([[float(c) for c in row[1:4]] for row in rows[1:]])
+        np.testing.assert_array_equal(
+            values, np.stack([p.values for p in report.patterns]))
+        shapes = values / values.sum(axis=1, keepdims=True)
+        mean_shape = shapes.mean(axis=0)
+        for row, shape in zip(rows[1:], shapes):
+            rms = float(np.sqrt(np.mean((shape - mean_shape) ** 2)))
+            assert float(row[4]) == pytest.approx(rms, rel=1e-12)
+
+        doc = json.loads(tsv.with_suffix(".json").read_text(encoding="utf-8"))
+        assert sorted(doc) == ["bands", "dispersion", "factor", "patterns",
+                               "warp"]
+        assert doc["factor"] == "device"
+        assert doc["warp"] == "linear"
+        assert doc["bands"] == 3
+        assert doc["dispersion"] == report.dispersion
+        assert [p["value"] for p in doc["patterns"]] == ["D00", "D01"]
+        assert sorted(doc["patterns"][0]) == ["n_genuine_frames",
+                                              "n_replay_frames", "value",
+                                              "values"]
+        assert doc["patterns"][0]["n_genuine_frames"] == 40
+        assert doc["patterns"][1]["values"] == values[1].tolist()
+
+    def test_features_without_warp_give_null(self, tmp_path):
+        features, manifest = _toy_setup()
+        features = {u: _logfb(fm.values) for u, fm in features.items()}
+        write_probe_report(probe_factor(features, manifest, "speaker"),
+                           tmp_path / "speaker.tsv")
+        doc = json.loads((tmp_path / "speaker.json").read_text(encoding="utf-8"))
+        assert doc["warp"] is None
+        assert [p["value"] for p in doc["patterns"]] == ["S00", "S01"]

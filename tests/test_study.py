@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,3 +113,20 @@ class TestExtractFeatures:
             extract_features(utterances, a, b)
         with pytest.raises(ValueError, match="framing"):
             extract_features(utterances)
+
+
+def test_benchmark_tracer_finds_its_import_sites():
+    # perfbench/tracing.py wraps layer functions where replaykit.study and
+    # replaykit.cli imported them; renaming or dropping one of those
+    # imports breaks every traced benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import tracing; from replaykit import cli, study; "
+             "tracing.install(tracing.Tracer(), study, cli); print('ok')")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
