@@ -52,7 +52,6 @@ from .gmm import (
     GmmPairModel,
     TrainConfig,
     load_pair_model,
-    log_likelihood,
     save_pair_model,
     score_utterance,
     train_gmm,

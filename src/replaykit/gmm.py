@@ -8,15 +8,30 @@ Variances are floored every M-step against the training data's variance
 (eigenvalue clipping in the full-covariance case), and densities go
 through log-sum-exp so far-tail frames stay finite.
 
-The numerics use the precision-Cholesky parametrisation of scikit-learn's
+The densities use the precision-Cholesky parametrisation of scikit-learn's
 GaussianMixture (Pedregosa et al., JMLR 2011). A `Gmm` is frozen, and EM
 builds a new one per M-step, so the factors its densities need are derived
 once per model, on first use: the diagonal precisions, or the inverse
 Cholesky factors of all full covariances from one batched factorisation.
-The diagonal E-step is then one GEMM over all components, the full E-step
-one (d, d + 1) @ (d + 1, n) GEMM per component, and the eigenvalue floor
-one batched eigendecomposition of the (K, d, d) stack. No step makes a
-LAPACK call per component, and k-means distances are GEMMs as well.
+The diagonal E-step is then one GEMM over all components, and the full
+E-step one whitening GEMM per component.
+
+The M-step, and the initial covariances from the k-means clusters, come
+from one moment sum: Σₙ rₙₖ [q(zₙ); zₙ; 1] for frames z shifted by the
+data mean, where q(z) is z² (diag) or the row-major upper triangle of
+z zᵀ (full). It is built with frames as columns, MOMENT_BLOCK frames at a
+time, as one (q + d + 1, b) @ (b, K) GEMM per block; counts, means and
+uncentred second moments follow, and the covariances are the second
+moments less the outer products of the means. The eigenvalue floor is one
+batched eigendecomposition of the (K, d, d) stack. No step makes a LAPACK
+call per component, and k-means distances are GEMMs as well.
+
+Every exponential of a shifted log-density goes through `_exp_in_place`,
+which clamps its argument at EXP_CUT = -700 and zeroes what lay below.
+numpy's `exp` is many times slower on arguments whose result underflows
+or is subnormal, and with well-separated components many shifted
+log-densities lie below -745. A zeroed term is under exp(-700) < 1e-304,
+so it cannot change a row sum that holds the row maximum's term, 1.0.
 """
 
 from __future__ import annotations
@@ -36,6 +51,8 @@ COVARIANCE_KINDS = ("diag", "full")
 WEIGHT_FLOOR = 1e-8
 MIN_FRAMES_PER_COMPONENT = 10
 KMEANS_ITERS = 10
+MOMENT_BLOCK = 512
+EXP_CUT = -700.0
 
 
 @dataclass(frozen=True)
@@ -176,13 +193,24 @@ def _component_log_densities(model: Gmm, frames: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _exp_in_place(a: np.ndarray) -> np.ndarray:
+    """exp(a) in place, with every entry below EXP_CUT set to exactly 0;
+    -inf gives 0 and NaN stays NaN, as in `np.exp`."""
+    keep = a >= EXP_CUT
+    np.maximum(a, EXP_CUT, out=a)
+    np.exp(a, out=a)
+    a *= keep
+    return a
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """ln sum_k exp(a[:, k]) per row, shifted by the row maximum; a row
     that is all -inf gives -inf."""
     top = a.max(axis=1)
     top[~np.isfinite(top)] = 0.0
+    shifted = _exp_in_place(a - top[:, None])
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
+        return np.log(shifted.sum(axis=1)) + top
 
 
 def _frame_log_likelihoods(model: Gmm, frames: np.ndarray) -> np.ndarray:
@@ -190,15 +218,6 @@ def _frame_log_likelihoods(model: Gmm, frames: np.ndarray) -> np.ndarray:
     weighted = _component_log_densities(model, frames)
     weighted += np.log(model.weights)
     return _logsumexp(weighted)
-
-
-def log_likelihood(model: Gmm, frame: np.ndarray) -> float:
-    """Mixture log-density of a single frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1 or frame.size != model.dim:
-        raise ValueError(f"frame dimension {frame.shape} does not match "
-                         f"model dimension {model.dim}")
-    return float(_frame_log_likelihoods(model, frame[None, :])[0])
 
 
 def score_utterance(pair: GmmPairModel, feats: FeatureMatrix) -> float:
@@ -271,6 +290,55 @@ def _normalized_weights(weights: np.ndarray) -> np.ndarray:
     return np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
 
 
+def _moments(frames: np.ndarray, resp: np.ndarray, origin: np.ndarray,
+             kind: str) -> np.ndarray:
+    """(q + d + 1, K) sums Σₙ rₙₖ [q(zₙ); zₙ; 1] for z = x - origin, where
+    q(z) is z² (diag) or the row-major upper triangle of z zᵀ (full).
+
+    The features are built with frames as columns, MOMENT_BLOCK at a
+    time, and each block is one GEMM with its rows of `resp`.
+    """
+    n, d = frames.shape
+    q = d if kind == "diag" else d * (d + 1) // 2
+    out = np.zeros((q + d + 1, resp.shape[1]))
+    feats = np.empty((q + d + 1, MOMENT_BLOCK))
+    for start in range(0, n, MOMENT_BLOCK):
+        stop = min(start + MOMENT_BLOCK, n)
+        block = feats[:, :stop - start]
+        z = block[q:q + d]
+        np.subtract(frames[start:stop].T, origin[:, None], out=z)
+        if kind == "diag":
+            np.square(z, out=block[:d])
+        else:
+            row = 0
+            for i in range(d):
+                np.multiply(z[i:], z[i], out=block[row:row + d - i])
+                row += d - i
+        block[-1] = 1.0
+        out += block @ resp[start:stop]
+    return out
+
+
+def _estimates(frames: np.ndarray, resp: np.ndarray, origin: np.ndarray,
+               kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-component counts, means and unfloored covariances from the
+    responsibilities, through one `_moments` sum."""
+    d = frames.shape[1]
+    sums = _moments(frames, resp, origin, kind)
+    counts = sums[-1]
+    scaled = sums[:-1] / np.maximum(counts, 1e-300)
+    second, means = scaled[:-d].T, scaled[-d:].T
+    if kind == "diag":
+        covariances = second - means ** 2
+    else:
+        rows, cols = np.triu_indices(d)
+        covariances = np.empty((counts.size, d, d))
+        covariances[:, rows, cols] = second
+        covariances[:, cols, rows] = second
+        covariances -= means[:, :, None] * means[:, None, :]
+    return counts, means + origin, covariances
+
+
 def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
               config: TrainConfig | None = None, seed: int = 0) -> Gmm:
     """Fit a K-component mixture by EM with seeded k-means++ initialization.
@@ -285,7 +353,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] < 1:
         raise ValueError("frames must be a non-empty 2-D matrix")
-    n, d = frames.shape
+    n = frames.shape[0]
     if n_comp < 1:
         raise ValueError(f"n_comp must be >= 1, got {n_comp}")
     if n < MIN_FRAMES_PER_COMPONENT * n_comp:
@@ -293,35 +361,38 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
             f"too few frames: {n} < {MIN_FRAMES_PER_COMPONENT} * {n_comp} "
             f"components")
 
+    origin = frames.mean(axis=0)
     data_var = frames.var(axis=0)
     diag_floor = np.maximum(config.variance_floor_factor * data_var, 1e-12)
     full_floor = max(config.variance_floor_factor * float(data_var.mean()),
                      1e-12)
 
+    def floored(covariances: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        if covariance_kind == "diag":
+            return np.maximum(covariances, diag_floor)
+        finite = np.isfinite(covariances).all(axis=(1, 2))
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise SingularComponentError(
+                f"component {j} collapsed: non-finite covariance "
+                f"(count={counts[j]:.3g})")
+        return _floor_eigenvalues(covariances, full_floor)
+
     rng = np.random.default_rng(seed)
     centers = _kmeans_init(frames, n_comp, rng)
-    clusters = _split_by_assignment(frames, _nearest(frames, centers), n_comp)
-    counts = np.array([members.shape[0] for members in clusters])
-    if covariance_kind == "diag":
-        covariances = np.array([
-            members.var(axis=0) if members.shape[0] >= 2 else data_var
-            for members in clusters])
-        covariances = np.maximum(covariances, diag_floor)
-    else:
-        covariances = np.empty((n_comp, d, d))
-        for j, members in enumerate(clusters):
-            if members.shape[0] >= 2:
-                centered = members - members.mean(axis=0)
-                covariances[j] = centered.T @ centered / members.shape[0]
-            else:
-                covariances[j] = np.diag(data_var)
-        covariances = _floor_eigenvalues(covariances, full_floor)
+    # The initial covariances are the moments of the final k-means
+    # clusters; the (n, K) one-hot matrix is freed before EM's own.
+    one_hot = np.eye(n_comp)[_nearest(frames, centers)]
+    counts, _, covariances = _estimates(frames, one_hot, origin,
+                                        covariance_kind)
+    del one_hot
+    covariances[counts < 2] = (data_var if covariance_kind == "diag"
+                               else np.diag(data_var))
 
-    if covariance_kind == "full":
-        frames_t = np.ascontiguousarray(frames.T)
     ll_curve: list[float] = []
-    model = Gmm(_normalized_weights(counts / n), centers, covariances,
-                covariance_kind, ll_curve=ll_curve)
+    model = Gmm(_normalized_weights(counts / n), centers,
+                floored(covariances, counts), covariance_kind,
+                ll_curve=ll_curve)
     prev_ll = -np.inf
     for _ in range(config.max_iters):
         weighted = _component_log_densities(model, frames)
@@ -334,29 +405,12 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
         prev_ll = total_ll
 
         weighted -= norm[:, None]
-        resp = np.exp(weighted, out=weighted)
-        counts = resp.sum(axis=0)
-        safe_counts = np.maximum(counts, 1e-300)
-        means = (resp.T @ frames) / safe_counts[:, None]
-        if covariance_kind == "diag":
-            second = (resp.T @ (frames * frames)) / safe_counts[:, None]
-            covariances = np.maximum(second - means ** 2, diag_floor)
-        else:
-            covariances = np.empty((n_comp, d, d))
-            resp_rows = np.ascontiguousarray(resp.T)
-            for j in range(n_comp):
-                centered = frames_t - means[j][:, None]
-                covariances[j] = ((centered * resp_rows[j]) @ centered.T
-                                  / safe_counts[j])
-            finite = np.isfinite(covariances).all(axis=(1, 2))
-            if not finite.all():
-                j = int(np.argmin(finite))
-                raise SingularComponentError(
-                    f"component {j} collapsed: non-finite covariance "
-                    f"(count={counts[j]:.3g})")
-            covariances = _floor_eigenvalues(covariances, full_floor)
-        model = Gmm(_normalized_weights(counts / n), means, covariances,
-                    covariance_kind, ll_curve=ll_curve)
+        resp = _exp_in_place(weighted)
+        counts, means, covariances = _estimates(frames, resp, origin,
+                                                covariance_kind)
+        model = Gmm(_normalized_weights(counts / n), means,
+                    floored(covariances, counts), covariance_kind,
+                    ll_curve=ll_curve)
     return model
 
 

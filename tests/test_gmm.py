@@ -13,9 +13,10 @@ from replaykit.gmm import (
     GmmPairModel,
     TrainConfig,
     _component_log_densities,
+    _exp_in_place,
+    _frame_log_likelihoods,
     _logsumexp,
     load_pair_model,
-    log_likelihood,
     save_pair_model,
     score_utterance,
     train_gmm,
@@ -122,7 +123,8 @@ class TestTrainGmm:
 class TestLogLikelihood:
     def test_standard_normal_at_mean(self):
         model = _single_gaussian(1.0, 1.0)
-        assert log_likelihood(model, np.array([1.0])) == pytest.approx(
+        x = np.array([1.0])
+        assert _frame_log_likelihoods(model, x[None])[0] == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_duplicate_components_collapse(self):
@@ -130,19 +132,14 @@ class TestLogLikelihood:
         double = Gmm(np.array([0.5, 0.5]), np.array([[0.5], [0.5]]),
                      np.array([[2.0], [2.0]]), "diag")
         x = np.array([1.7])
-        assert log_likelihood(double, x) == pytest.approx(
-            log_likelihood(single, x), abs=1e-12)
+        assert _frame_log_likelihoods(double, x[None])[0] == pytest.approx(
+            _frame_log_likelihoods(single, x[None])[0], abs=1e-12)
 
     def test_far_tail_is_finite(self):
         model = _single_gaussian(0.0, 1.0)
-        value = log_likelihood(model, np.array([1e6]))
+        value = _frame_log_likelihoods(model, np.array([1e6])[None])[0]
         assert np.isfinite(value)
         assert value < -1e11
-
-    def test_dimension_mismatch(self):
-        model = _single_gaussian(0.0, 1.0)
-        with pytest.raises(ValueError, match="dimension"):
-            log_likelihood(model, np.array([1.0, 2.0]))
 
     def test_component_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -154,8 +151,8 @@ class TestLogLikelihood:
         a = Gmm(weights, means, covs, "diag")
         b = Gmm(weights[perm], means[perm], covs[perm], "diag")
         x = rng.normal(size=d)
-        assert log_likelihood(a, x) == pytest.approx(log_likelihood(b, x),
-                                                     abs=1e-12)
+        assert _frame_log_likelihoods(a, x[None])[0] == pytest.approx(
+            _frame_log_likelihoods(b, x[None])[0], abs=1e-12)
 
 
 def _cepstra(values):
@@ -176,8 +173,8 @@ class TestScoreUtterance:
     def test_single_frame_equals_ratio(self):
         pair = self._pair()
         x = np.array([[0.2]])
-        expected = (log_likelihood(pair.genuine, x[0])
-                    - log_likelihood(pair.replay, x[0]))
+        expected = (_frame_log_likelihoods(pair.genuine, x)[0]
+                    - _frame_log_likelihoods(pair.replay, x)[0])
         assert score_utterance(pair, _cepstra(x)) == pytest.approx(expected,
                                                                    abs=1e-15)
 
@@ -418,6 +415,20 @@ class TestAgainstOracles:
         _assert_close(init.means, means)
         _assert_close(init.covariances, covs)
 
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_initialisation_with_a_single_frame_cluster(self, kind):
+        # The far frame gets a cluster of its own, whose covariance is
+        # the data variance rather than a floored zero.
+        rng = np.random.default_rng(12)
+        frames = np.vstack([rng.normal(0.0, 1.0, size=(40, 2)),
+                            [[50.0, -50.0]]])
+        init = train_gmm(frames, 3, kind, TrainConfig(max_iters=0), seed=0)
+        weights, means, covs = oracles.gmm_init(frames, 3, kind, 1e-4, seed=0)
+        assert np.sort(weights)[0] == pytest.approx(1 / 41)
+        _assert_close(init.weights, weights)
+        _assert_close(init.means, means)
+        _assert_close(init.covariances, covs)
+
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_one_em_iteration(self, kind, k):
         rng = np.random.default_rng(400 + k)
@@ -465,6 +476,23 @@ class TestAgainstOracles:
         assert len(fit.ll_curve) == 5
         np.testing.assert_allclose(fit.ll_curve, ll_curve, rtol=TOL)
 
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_two_em_iterations_at_the_benchmark_shape(self, kind):
+        # K=64 on d=26, the detectors' shape: a quarter (diag) to nearly
+        # all (full) shifted log-densities lie below the exp cut, and the
+        # full moments have 378 rows.
+        rng = np.random.default_rng(600)
+        frames = _mixture_frames(rng, 64, 26, per_comp=12)
+        init = train_gmm(frames, 64, kind, TrainConfig(max_iters=0), seed=4)
+        fit = train_gmm(frames, 64, kind,
+                        TrainConfig(max_iters=2, ll_tolerance=0.0), seed=4)
+        ll_curve, (weights, means, covs) = oracles.gmm_em(frames, init, 2,
+                                                          1e-4)
+        np.testing.assert_allclose(fit.ll_curve, ll_curve, rtol=TOL)
+        _assert_close(fit.weights, weights)
+        _assert_close(fit.means, means)
+        _assert_close(fit.covariances, covs)
+
 
 class TestNumericsGuards:
     def test_logsumexp_matches_scipy(self):
@@ -473,6 +501,44 @@ class TestNumericsGuards:
         a[3, 2] = -np.inf
         np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=1),
                                    rtol=1e-13)
+
+    def test_logsumexp_below_the_exp_cut(self):
+        # Entries in the subnormal band, far below it and at -inf, relative
+        # to the row maximum, are cut to 0 without an underflow.
+        rng = np.random.default_rng(1)
+        shifted = rng.uniform(-20.0, 0.0, size=(6, 8))
+        shifted[:, 0] = 0.0
+        shifted[:, 1] = rng.uniform(-745.0, -708.0, size=6)
+        shifted[:, 2] = -1e4
+        shifted[:, 3] = -np.inf
+        shifted[5, 4:] = rng.uniform(-745.0, -708.0, size=4)
+        a = shifted + rng.uniform(-50.0, 50.0, size=(6, 1))
+        with np.errstate(all="raise"):
+            out = _logsumexp(a)
+        np.testing.assert_allclose(out, logsumexp(a, axis=1), rtol=1e-13)
+
+    def test_responsibilities_below_the_exp_cut_are_zero(self):
+        rng = np.random.default_rng(2)
+        frames = _mixture_frames(rng, 16, 6, per_comp=20)
+        model = train_gmm(frames, 16, "full",
+                          TrainConfig(max_iters=2, ll_tolerance=0.0), seed=0)
+        weighted = _component_log_densities(model, frames)
+        weighted += np.log(model.weights)
+        log_resp = weighted - _logsumexp(weighted)[:, None]
+        below = log_resp < -700.0
+        assert below.mean() > 0.1
+        with np.errstate(all="raise"):
+            resp = _exp_in_place(log_resp.copy())
+        assert np.all(resp[below] == 0.0)
+        np.testing.assert_array_equal(resp[~below], np.exp(log_resp[~below]))
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_exp_in_place_keeps_nan_and_minus_inf(self):
+        a = np.array([np.nan, -np.inf, -800.0, -700.0, 0.0, np.inf])
+        out = _exp_in_place(a)
+        assert out is a
+        np.testing.assert_array_equal(
+            out, [np.nan, 0.0, 0.0, np.exp(-700.0), 1.0, np.inf])
 
     def test_logsumexp_all_minus_inf_row(self):
         a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
@@ -506,6 +572,6 @@ class TestNumericsGuards:
 
     def test_parameters_cannot_be_replaced(self):
         model = _single_gaussian(0.0, 1.0)
-        log_likelihood(model, np.array([0.5]))
+        _frame_log_likelihoods(model, np.array([[0.5]]))
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.covariances = np.array([[4.0]])
