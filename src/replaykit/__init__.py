@@ -9,7 +9,6 @@ from .corpus import (
     SynthConfig,
     UtteranceMeta,
     apply_replay_channel,
-    channel_power_gain,
     parse_manifest,
     read_wav,
     save_device_profiles,

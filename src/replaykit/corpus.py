@@ -2,13 +2,17 @@
 
 The synthetic corpus stands in for licensed anti-spoofing data. Genuine
 utterances are harmonic sources (speaker-specific fundamental) shaped by a
-phrase-specific spectral envelope plus broadband noise. Replayed copies are
-the genuine signals passed through a simulated playback-and-recording
-channel: a device-specific band-pass with low/mid-frequency ripple, plus a
-high-shelf cut above 6 kHz that is shared by every device. The shared
-high-band cut is the engineered replay cue; the device-specific parts live
-below 4 kHz, so cross-device variation concentrates in the low and middle
-bands while the discriminative cue stays in the high bands.
+phrase-specific spectral envelope plus broadband noise; the harmonic sum
+is evaluated by angle addition over blocks of samples (`_harmonic_sum`).
+Replayed copies are the genuine signals passed through a simulated
+playback-and-recording channel: a device-specific band-pass with
+low/mid-frequency ripple, plus a high-shelf cut above 6 kHz that is shared
+by every device. The shared high-band cut is the engineered replay cue;
+the device-specific parts live below 4 kHz, so cross-device variation
+concentrates in the low and middle bands while the discriminative cue
+stays in the high bands. All utterances of a corpus share one length, so
+`synth_corpus` computes each device's response once and each genuine
+signal's spectrum once.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ REPLAY_SHELF_DB = -10.0
 
 # Width of the Gaussian gain bumps realizing a device's ripple entries.
 RIPPLE_WIDTH_HZ = 300.0
+
+# Samples per block in `_harmonic_sum`'s angle-addition split.
+HARMONIC_BLOCK = 256
 
 GENUINE_LABEL = "genuine"
 REPLAY_LABEL = "replay"
@@ -246,18 +253,14 @@ def save_device_profiles(profiles: list[DeviceProfile], path) -> None:
 # Replay channel
 # ---------------------------------------------------------------------------
 
-def channel_power_gain(profile: DeviceProfile, freqs: np.ndarray) -> np.ndarray:
-    """Squared magnitude response of the full replay channel at `freqs`.
+def _amplitude_response(profile: DeviceProfile, freqs: np.ndarray) -> np.ndarray:
+    """Amplitude response of the full replay channel at `freqs`.
 
     Band edges follow a zero-phase 4th-order Butterworth magnitude applied
     forward and backward (so the amplitude response is the Butterworth
     magnitude squared), ripple entries are Gaussian gain bumps in dB, and
     the shared replay cue is a flat cut above REPLAY_SHELF_HZ.
     """
-    return _amplitude_response(profile, np.asarray(freqs, dtype=np.float64)) ** 2
-
-
-def _amplitude_response(profile: DeviceProfile, freqs: np.ndarray) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=np.float64)
     amp = 1.0 / (1.0 + (freqs / profile.high_cutoff_hz) ** 8)
     highpass = np.zeros_like(freqs)
@@ -284,8 +287,15 @@ def apply_replay_channel(signal: AudioSignal, profile: DeviceProfile,
     if x.size == 0:
         return AudioSignal(x.copy())
     freqs = np.fft.rfftfreq(x.size, d=1.0 / PIPELINE_SAMPLE_RATE)
-    spectrum = np.fft.rfft(x) * _amplitude_response(profile, freqs)
-    y = np.fft.irfft(spectrum, n=x.size)
+    return _replay(x, np.fft.rfft(x), _amplitude_response(profile, freqs),
+                   profile, seed)
+
+
+def _replay(x: np.ndarray, spectrum: np.ndarray, response: np.ndarray,
+            profile: DeviceProfile, seed: int) -> AudioSignal:
+    """`apply_replay_channel` on non-empty samples `x`, given their rfft
+    `spectrum` and the channel's `response` at the rfft bins."""
+    y = np.fft.irfft(spectrum * response, n=x.size)
 
     in_rms = float(np.sqrt(np.mean(x ** 2)))
     if in_rms > 0.0:
@@ -293,7 +303,7 @@ def apply_replay_channel(signal: AudioSignal, profile: DeviceProfile,
         noise_rms = in_rms * 10.0 ** (-profile.snr_db / 20.0)
         y = y + rng.standard_normal(x.size) * noise_rms
 
-    peak = float(np.max(np.abs(y))) if y.size else 0.0
+    peak = float(np.max(np.abs(y)))
     if peak > 0.99:
         y = y * (0.99 / peak)
     return AudioSignal(y)
@@ -342,6 +352,30 @@ class _PhraseEnvelope:
         return env
 
 
+def _harmonic_sum(amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray,
+                  n: int) -> np.ndarray:
+    """sum_h amps[h] sin(2 pi freqs[h] t_k + phases[h]) at the first n
+    sample times t_k = k / PIPELINE_SAMPLE_RATE.
+
+    Angle addition over blocks of B = HARMONIC_BLOCK samples: sample
+    k = j B + i has phase a_j + w i, with a_j the phase at the block start
+    and w i the phase advance over the offset, and
+    sin(a_j + w i) = sin(a_j) cos(w i) + cos(a_j) sin(w i). So the sum is
+    two (n/B, H) @ (H, B) products over the sines and cosines of the block
+    starts (amplitude-weighted) and of the offsets: about (n/B + B) H
+    transcendentals instead of n H.
+    """
+    n_blocks = -(-n // HARMONIC_BLOCK)
+    starts = np.arange(n_blocks) * HARMONIC_BLOCK / PIPELINE_SAMPLE_RATE
+    offsets = np.arange(HARMONIC_BLOCK) / PIPELINE_SAMPLE_RATE
+    start_phase = (2.0 * np.pi * starts[:, None] * freqs[None, :]
+                   + phases[None, :])
+    advance = 2.0 * np.pi * freqs[:, None] * offsets[None, :]
+    blocks = ((np.sin(start_phase) * amps) @ np.cos(advance)
+              + (np.cos(start_phase) * amps) @ np.sin(advance))
+    return blocks.ravel()[:n]
+
+
 def _synth_genuine(f0: float, envelope: _PhraseEnvelope, n_samples: int,
                    rng: np.random.Generator) -> AudioSignal:
     t = np.arange(n_samples) / PIPELINE_SAMPLE_RATE
@@ -355,8 +389,7 @@ def _synth_genuine(f0: float, envelope: _PhraseEnvelope, n_samples: int,
     freqs = harmonics * f0
     amps = envelope(freqs, base, peak_scales)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=harmonics.size)
-    x = (amps[None, :] * np.sin(2.0 * np.pi * t[:, None] * freqs[None, :]
-                                + phases[None, :])).sum(axis=1)
+    x = _harmonic_sum(amps, freqs, phases, n_samples)
     # Slow amplitude modulation so frames differ beyond the noise floor.
     mod_hz = rng.uniform(2.0, 6.0)
     mod_phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -429,12 +462,16 @@ def synth_corpus(config: SynthConfig, seed: int
         signals.append(sig)
         records.append(UtteranceMeta(utt_id, f"audio/{utt_id}.wav",
                                      GENUINE_LABEL, spk, phr, NO_DEVICE))
+    # Every signal has n_samples samples: one response per device and one
+    # spectrum per genuine signal serve all of its replays.
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / PIPELINE_SAMPLE_RATE)
+    responses = [_amplitude_response(profile, freqs) for profile in profiles]
     for g_idx, (stem, sig, spk, phr, _) in enumerate(genuine):
-        for d_idx, profile in enumerate(profiles):
+        spectrum = np.fft.rfft(sig.samples)
+        for d_idx, (profile, response) in enumerate(zip(profiles, responses)):
             utt_id = f"{stem}-{profile.device_id}"
-            replay = apply_replay_channel(sig, profile,
-                                          derive_seed(seed, 2, g_idx, d_idx))
-            signals.append(replay)
+            signals.append(_replay(sig.samples, spectrum, response, profile,
+                                   derive_seed(seed, 2, g_idx, d_idx)))
             records.append(UtteranceMeta(utt_id, f"audio/{utt_id}.wav",
                                          REPLAY_LABEL, spk, phr,
                                          profile.device_id))

@@ -41,12 +41,15 @@ class FRatioPattern:
 @dataclass
 class ProbeReport:
     """One pattern per value of the probed factor, the warp of the probed
-    features (None if they name none) and the patterns' dispersion."""
+    features (None if they name none), the patterns' dispersion and each
+    pattern's contribution to it: the RMS deviation of its normalized
+    shape from the mean shape."""
 
     factor: str
     warp: WarpKind | None
     patterns: list[FRatioPattern]
     dispersion: float
+    contributions: np.ndarray
 
     @property
     def n_bands(self) -> int:
@@ -103,7 +106,14 @@ def normalized_shapes(patterns: list[FRatioPattern]) -> np.ndarray:
 def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
     """Shape spread across patterns: the per-band population standard
     deviation of the normalized shapes, averaged over bands."""
-    return float(normalized_shapes(patterns).std(axis=0).mean())
+    return _spread(normalized_shapes(patterns))[0]
+
+
+def _spread(shapes: np.ndarray) -> tuple[float, np.ndarray]:
+    """The dispersion of stacked shapes and each row's RMS deviation from
+    their mean."""
+    contributions = ((shapes - shapes.mean(axis=0)) ** 2).mean(axis=1) ** 0.5
+    return float(shapes.std(axis=0).mean()), contributions
 
 
 def probe_factor(features: dict[str, FeatureMatrix], manifest: Manifest,
@@ -159,6 +169,6 @@ def _report(features, factor, pools) -> ProbeReport:
             raise type(exc)(f"{problem} for {factor}={value}: {detail}") \
                 from exc
         patterns.append(FRatioPattern(value, values, g.shape[0], r.shape[0]))
-    dispersion = pattern_dispersion(patterns)
+    dispersion, contributions = _spread(normalized_shapes(patterns))
     warp = next(iter(features.values())).warp_kind
-    return ProbeReport(factor, warp, patterns, dispersion)
+    return ProbeReport(factor, warp, patterns, dispersion, contributions)

@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import AudioSignal
 
 
 @dataclass
 class FrameMatrix:
-    """Contiguous analysis frames of one signal, one frame per row."""
+    """Analysis frames of one signal, one frame per row; `frame_signal`
+    returns a read-only strided view of the signal."""
 
     frames: np.ndarray
 
@@ -35,8 +37,9 @@ class FrameMatrix:
 def frame_signal(signal: AudioSignal, frame_len: int, hop: int) -> FrameMatrix:
     """Slice a signal into frames starting at multiples of `hop`.
 
-    The trailing partial frame is discarded; a signal shorter than one
-    frame yields zero frames.
+    The frames are a read-only view of the samples, not a copy. The
+    trailing partial frame is discarded; a signal shorter than one frame
+    yields zero frames.
     """
     if hop <= 0 or hop > frame_len:
         raise ValueError(f"invalid framing: need 0 < hop <= frame_len, "
@@ -45,9 +48,7 @@ def frame_signal(signal: AudioSignal, frame_len: int, hop: int) -> FrameMatrix:
     if x.size < frame_len:
         frames = np.empty((0, frame_len))
     else:
-        n_frames = (x.size - frame_len) // hop + 1
-        idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-        frames = x[idx]
+        frames = sliding_window_view(x, frame_len)[::hop]
     return FrameMatrix(frames)
 
 
@@ -61,7 +62,8 @@ def power_spectrum(frames: FrameMatrix, n_fft: int) -> np.ndarray:
         raise ValueError(f"n_fft must be a power of two, got {n_fft}")
     window = np.hamming(frames.frame_len)
     spectra = np.fft.rfft(frames.frames * window, n=n_fft, axis=1)
-    return np.abs(spectra) ** 2
+    power = np.abs(spectra)
+    return np.square(power, out=power)
 
 
 def dct_ii(vector: np.ndarray, n_out: int) -> np.ndarray:

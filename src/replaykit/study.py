@@ -41,7 +41,7 @@ from .filterbank import (
     fbank_features,
 )
 from .fratio import (PROBE_FACTORS, ProbeReport, compare_datasets,
-                     normalized_shapes, pool_frames, probe_factor)
+                     pool_frames, probe_factor)
 from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
                   save_pair_model, score_utterance, train_gmm)
 from .metrics import ScoreRecord, compute_eer, write_scores
@@ -128,14 +128,10 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     normalized shape from the mean shape. Next to it, a JSON document with
     the factor, the warp (null if the features name none), the band count,
     the dispersion and each pattern's value, frame counts and ratios."""
-    shapes = normalized_shapes(report.patterns)
-    mean_shape = shapes.mean(axis=0)
-    contributions = ((shapes - mean_shape) ** 2).mean(axis=1) ** 0.5
-
     header = ["value"] + [f"F_{i + 1}" for i in range(report.n_bands)]
     header.append("dispersion_contribution")
     lines = ["\t".join(header)]
-    for pattern, contrib in zip(report.patterns, contributions):
+    for pattern, contrib in zip(report.patterns, report.contributions):
         cells = [pattern.value] + [repr(v) for v in pattern.values.tolist()]
         cells.append(repr(float(contrib)))
         lines.append("\t".join(cells))

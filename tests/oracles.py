@@ -204,3 +204,18 @@ def gmm_em(frames, model, iters, variance_floor_factor):
         params = gmm_m_step(frames, resp, kind, diag_floor, full_floor)
     return ll_curve, params
 
+
+
+def harmonic_sum_table(amps, freqs, phases, n, rate):
+    """sum_h amps[h] sin(2 pi freqs[h] k / rate + phases[h]) for k < n,
+    one sine per (sample, harmonic) entry of a dense table, summed per
+    row. Rows are taken in chunks to bound memory; each row's sum does
+    not depend on the others."""
+    out = np.empty(n)
+    chunk = 8192
+    for lo in range(0, n, chunk):
+        t = np.arange(lo, min(n, lo + chunk)) / rate
+        out[lo:lo + t.size] = (amps[None, :] * np.sin(
+            2.0 * np.pi * t[:, None] * freqs[None, :] + phases[None, :])
+        ).sum(axis=1)
+    return out

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from replaykit.corpus import (
+    HARMONIC_BLOCK,
     AudioSignal,
     DeviceProfile,
     Manifest,
     SynthConfig,
     UtteranceMeta,
+    _amplitude_response,
+    _harmonic_sum,
     apply_replay_channel,
-    channel_power_gain,
+    derive_seed,
     parse_manifest,
     read_wav,
     save_device_profiles,
@@ -318,6 +323,25 @@ class TestSynthCorpus:
         for sig in signals:
             assert np.max(np.abs(sig.samples)) < 1.0
 
+    def test_replays_equal_the_public_channel(self):
+        # synth_corpus shares one response per device and one spectrum per
+        # genuine signal; each replay must still be, bit for bit, what
+        # apply_replay_channel gives.
+        cfg = SynthConfig(n_speakers=2, n_phrases=1, n_train_devices=1,
+                          n_heldout_devices=2, utt_seconds=0.5, reps=1)
+        seed = 4
+        signals, manifest, profiles = synth_corpus(cfg, seed)
+        n_genuine = len(manifest.genuine_records())
+        replays = iter(zip(manifest.replay_records(), signals[n_genuine:]))
+        for g, source in enumerate(signals[:n_genuine]):
+            for d, profile in enumerate(profiles):
+                rec, replay = next(replays)
+                assert rec.device_id == profile.device_id
+                assert rec.utt_id.startswith(manifest.records[g].utt_id[:-4])
+                want = apply_replay_channel(source, profile,
+                                            derive_seed(seed, 2, g, d))
+                np.testing.assert_array_equal(replay.samples, want.samples)
+
     def test_replay_cue_measurable_for_every_pair(self):
         cfg = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=2,
                           n_heldout_devices=2, utt_seconds=1.0, reps=1)
@@ -328,6 +352,24 @@ class TestSynthCorpus:
             e_src = _band_energy(by_id[source_id], 6000.0, 8000.0)
             e_rep = _band_energy(by_id[rec.utt_id], 6000.0, 8000.0)
             assert e_rep < e_src, rec.utt_id
+
+
+class TestHarmonicSum:
+    @pytest.mark.parametrize("n", [1, HARMONIC_BLOCK - 1, HARMONIC_BLOCK + 1,
+                                   8000, 160000])
+    @pytest.mark.parametrize("f0", [95.0, 262.5])
+    def test_matches_sine_table(self, f0, n):
+        # Up to the 10 s SynthConfig maximum, at a low and a high pitch;
+        # the error bound scales with the sum's largest possible value.
+        rng = np.random.default_rng(3)
+        freqs = np.arange(1, int((SR / 2 - 1.0) / f0) + 1) * f0
+        amps = rng.uniform(0.05, 2.5, size=freqs.size)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=freqs.size)
+        got = _harmonic_sum(amps, freqs, phases, n)
+        want = oracles.harmonic_sum_table(amps, freqs, phases, n, SR)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-9 * np.abs(amps).sum())
 
 
 class TestChannelGainLinkage:
@@ -342,5 +384,5 @@ class TestChannelGainLinkage:
                            (6200.0, 7000.0)]:
             ratio = _band_energy(out, f_lo, f_hi) / _band_energy(sig, f_lo, f_hi)
             centers = np.linspace(f_lo, f_hi, 200)
-            predicted = float(np.mean(channel_power_gain(profile, centers)))
+            predicted = float(np.mean(_amplitude_response(profile, centers) ** 2))
             assert abs(np.log(ratio) - np.log(predicted)) < 0.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replaykit.corpus import AudioSignal, DeviceProfile, apply_replay_channel, channel_power_gain
+from replaykit.corpus import AudioSignal, DeviceProfile, _amplitude_response, apply_replay_channel
 from replaykit.filterbank import (
     NYQUIST_HZ,
     FeatureKind,
@@ -264,8 +264,8 @@ class TestChannelToFeatureLink:
             power_spectrum(frame_signal(out, 400, 160), 512), fb)
         shift = feats_out.values.mean(axis=0) - feats_in.values.mean(axis=0)
 
-        gains = channel_power_gain(profile, fb.weights.shape[1] * 0.0
-                                   + np.arange(257) * (SR / 512))
+        gains = _amplitude_response(profile, fb.weights.shape[1] * 0.0
+                                    + np.arange(257) * (SR / 512)) ** 2
         predicted = np.log((fb.weights @ gains) / fb.weights.sum(axis=1))
         # Interior bands: the first band contains the sub-cutoff region
         # where the response collapses toward zero.

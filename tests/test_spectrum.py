@@ -48,6 +48,22 @@ class TestFrameSignal:
         with pytest.raises(ValueError, match="invalid framing"):
             frame_signal(_signal(400), 400, 401)
 
+    def test_frames_are_a_view_equal_to_the_gather(self):
+        # Lengths around one frame and around the next hop boundary.
+        for frame_len, hop in [(400, 160), (7, 3), (5, 5), (4, 1)]:
+            for n in (frame_len - 1, frame_len, frame_len + 1,
+                      frame_len + hop - 1, frame_len + hop,
+                      frame_len + hop + 1, frame_len + 5 * hop):
+                sig = _signal(n, seed=n)
+                fm = frame_signal(sig, frame_len, hop)
+                n_frames = max(0, (n - frame_len) // hop + 1)
+                idx = (np.arange(frame_len)[None, :]
+                       + hop * np.arange(n_frames)[:, None])
+                np.testing.assert_array_equal(fm.frames, sig.samples[idx])
+                if n_frames:
+                    assert np.shares_memory(fm.frames, sig.samples)
+                    assert not fm.frames.flags.writeable
+
     def test_count_formula_against_enumeration(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
