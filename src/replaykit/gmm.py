@@ -8,23 +8,35 @@ Variances are floored every M-step against the training data's variance
 (eigenvalue clipping in the full-covariance case), and densities go
 through log-sum-exp so far-tail frames stay finite.
 
-The densities use the precision-Cholesky parametrisation of scikit-learn's
-GaussianMixture (Pedregosa et al., JMLR 2011). A `Gmm` is frozen, and EM
-builds a new one per M-step, so the factors its densities need are derived
-once per model, on first use: the diagonal precisions, or the inverse
-Cholesky factors of all full covariances from one batched factorisation.
-The diagonal E-step is then one GEMM over all components, and the full
-E-step one whitening GEMM per component.
+Training works on moment features. For frames shifted by the data mean,
+z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
+upper triangle of z zᵀ (full), built with frames as columns MOMENT_BLOCK
+frames at a time. Each block serves both steps of an EM iteration. The
+E-step is one GEMM of the block against the (q + d + 1, K) density
+weights W, whose columns hold each component's -½ precision terms
+(off-diagonals doubled for full), its precision times m = mu - o, and
+ln w - ½ ln|Sigma| - ½ mᵀ Sigma⁻¹ m - (d/2) ln 2π. The M-step adds the
+block times its responsibilities to the moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1],
+so EM holds no (n, K) array. Counts, means and uncentred second moments
+follow from the sums, and the covariances are the second moments less the
+outer products of the means; the initial covariances are the same sums
+over the final k-means clusters.
 
-The M-step, and the initial covariances from the k-means clusters, come
-from one moment sum: Σₙ rₙₖ [q(zₙ); zₙ; 1] for frames z shifted by the
-data mean, where q(z) is z² (diag) or the row-major upper triangle of
-z zᵀ (full). It is built with frames as columns, MOMENT_BLOCK frames at a
-time, as one (q + d + 1, b) @ (b, K) GEMM per block; counts, means and
-uncentred second moments follow, and the covariances are the second
-moments less the outer products of the means. The eigenvalue floor is one
-batched eigendecomposition of the (K, d, d) stack. No step makes a LAPACK
-call per component, and k-means distances are GEMMs as well.
+W is taken from the floor's results, so EM makes no Cholesky
+factorisation or inverse: 1/σ² and Σ ln σ² for diag, and for full the
+batched eigendecomposition V Λ Vᵀ of the (K, d, d) stack that clips the
+eigenvalues, as Sigma⁻¹ = V Λ⁻¹ Vᵀ and ln|Sigma| = Σ ln λ. No step makes a
+LAPACK call per component, and k-means distances are GEMMs as well.
+
+Scoring stays on whitened frames, because its features would be rebuilt
+for every utterance, which at small K costs more than the GEMM saves.
+Both forms follow the precision parametrisation of scikit-learn's
+GaussianMixture (Pedregosa et al., JMLR 2011). A `Gmm` is frozen, so the
+factors its scoring densities need are derived once per model, on first
+use: the diagonal precisions, or the inverse Cholesky factors of all full
+covariances from one batched factorisation. The diagonal density is then
+one GEMM over all components, and the full one whitening GEMM per
+component.
 
 Every exponential of a shifted log-density goes through `_exp_in_place`,
 which clamps its argument at EXP_CUT = -700 and zeroes what lay below.
@@ -32,6 +44,8 @@ numpy's `exp` is many times slower on arguments whose result underflows
 or is subnormal, and with well-separated components many shifted
 log-densities lie below -745. A zeroed term is under exp(-700) < 1e-304,
 so it cannot change a row sum that holds the row maximum's term, 1.0.
+EM takes one `exp` per block: the responsibilities are the log-sum-exp's
+shifted exponentials divided by their row sums.
 """
 
 from __future__ import annotations
@@ -203,12 +217,20 @@ def _exp_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shifted_exp(a: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(top, e): the row maxima of `a`, 0 where not finite, and
+    e = exp(a - top) through `_exp_in_place`, written to `out` (which may
+    be `a`) if given."""
+    top = a.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    return top, _exp_in_place(np.subtract(a, top[:, None], out=out))
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """ln sum_k exp(a[:, k]) per row, shifted by the row maximum; a row
     that is all -inf gives -inf."""
-    top = a.max(axis=1)
-    top[~np.isfinite(top)] = 0.0
-    shifted = _exp_in_place(a - top[:, None])
+    top, shifted = _shifted_exp(a)
     with np.errstate(divide="ignore"):
         return np.log(shifted.sum(axis=1)) + top
 
@@ -220,6 +242,14 @@ def _frame_log_likelihoods(model: Gmm, frames: np.ndarray) -> np.ndarray:
     return _logsumexp(weighted)
 
 
+def _check_finite(frames: np.ndarray) -> None:
+    """Raise ValueError with the number of frames holding NaN or ±inf."""
+    finite = np.isfinite(frames)
+    if not finite.all():
+        bad = frames.shape[0] - np.count_nonzero(finite.all(axis=1))
+        raise ValueError(f"{bad} of {frames.shape[0]} frames are non-finite")
+
+
 def score_utterance(pair: GmmPairModel, feats: FeatureMatrix) -> float:
     """Frame-averaged log-likelihood ratio; higher means more genuine."""
     if feats.n_frames == 0:
@@ -228,6 +258,7 @@ def score_utterance(pair: GmmPairModel, feats: FeatureMatrix) -> float:
         raise ValueError(f"feature dimension {feats.dim} does not match "
                          f"model dimension {pair.genuine.dim}")
     x = feats.values
+    _check_finite(x)
     return float(np.mean(_frame_log_likelihoods(pair.genuine, x)
                          - _frame_log_likelihoods(pair.replay, x)))
 
@@ -274,13 +305,50 @@ def _kmeans_init(frames: np.ndarray, k: int,
     return centers
 
 
-def _floor_eigenvalues(covariances: np.ndarray, floor: float) -> np.ndarray:
-    """Symmetrise each matrix of a (K, d, d) stack and clip its eigenvalues
-    at `floor`, in one batched eigendecomposition."""
+def _floor_covariances(covariances: np.ndarray, kind: str, floor
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Floored covariances with their precisions and log-determinants.
+
+    diag clips each variance at `floor`, a per-dimension vector. full
+    symmetrises each matrix of the (K, d, d) stack and clips its
+    eigenvalues at the scalar `floor`, in one batched eigendecomposition
+    V Λ Vᵀ; the precisions are V Λ⁻¹ Vᵀ and the log-determinants Σ ln λ.
+    """
+    if kind == "diag":
+        covariances = np.maximum(covariances, floor)
+        return (covariances, 1.0 / covariances,
+                np.log(covariances).sum(axis=1))
     sym = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
     eigvals, eigvecs = np.linalg.eigh(sym)
     np.maximum(eigvals, floor, out=eigvals)
-    return (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
+    eigvecs_t = np.swapaxes(eigvecs, 1, 2)
+    return ((eigvecs * eigvals[:, None, :]) @ eigvecs_t,
+            (eigvecs / eigvals[:, None, :]) @ eigvecs_t,
+            np.log(eigvals).sum(axis=1))
+
+
+def _density_weights(weights: np.ndarray, means: np.ndarray,
+                     precisions: np.ndarray, log_dets: np.ndarray,
+                     kind: str) -> np.ndarray:
+    """(q + d + 1, K) matrix W with [q(z); z; 1]ᵀ W = ln w_k + ln N(x;
+    mu_k, Sigma_k) for z = x - o, where `means` holds m_k = mu_k - o.
+
+    The rows are -½ P_k's terms of zᵀ P_k z in the order of q(z), the
+    off-diagonals doubled for full; then P_k m_k; then ln w_k - ½ ln|Sigma_k|
+    - ½ m_kᵀ P_k m_k - (d/2) ln 2π, for the precisions P_k = Sigma_k⁻¹.
+    """
+    d = means.shape[1]
+    if kind == "diag":
+        quad = -0.5 * precisions.T
+        pm = means * precisions
+    else:
+        rows, cols = np.triu_indices(d)
+        quad = (precisions[:, rows, cols]
+                * np.where(rows == cols, -0.5, -1.0)).T
+        pm = (precisions @ means[:, :, None])[:, :, 0]
+    const = np.log(weights) - 0.5 * (log_dets + (pm * means).sum(axis=1)
+                                     + d * np.log(2.0 * np.pi))
+    return np.vstack([quad, pm.T, const])
 
 
 def _normalized_weights(weights: np.ndarray) -> np.ndarray:
@@ -290,18 +358,15 @@ def _normalized_weights(weights: np.ndarray) -> np.ndarray:
     return np.maximum(weights / weights.sum(), WEIGHT_FLOOR)
 
 
-def _moments(frames: np.ndarray, resp: np.ndarray, origin: np.ndarray,
-             kind: str) -> np.ndarray:
-    """(q + d + 1, K) sums Σₙ rₙₖ [q(zₙ); zₙ; 1] for z = x - origin, where
-    q(z) is z² (diag) or the row-major upper triangle of z zᵀ (full).
-
-    The features are built with frames as columns, MOMENT_BLOCK at a
-    time, and each block is one GEMM with its rows of `resp`.
-    """
+def _feature_blocks(frames: np.ndarray, origin: np.ndarray, kind: str):
+    """Yield (start, stop, block) per MOMENT_BLOCK frames, where block is
+    the (q + d + 1, stop - start) features [q(z); z; 1] of frames[start:stop]
+    as columns, for z = x - origin and q(z) z² (diag) or the row-major upper
+    triangle of z zᵀ (full). Every block is a view of one buffer, which the
+    next block overwrites."""
     n, d = frames.shape
     q = d if kind == "diag" else d * (d + 1) // 2
-    out = np.zeros((q + d + 1, resp.shape[1]))
-    feats = np.empty((q + d + 1, MOMENT_BLOCK))
+    feats = np.empty((q + d + 1, min(n, MOMENT_BLOCK)))
     for start in range(0, n, MOMENT_BLOCK):
         stop = min(start + MOMENT_BLOCK, n)
         block = feats[:, :stop - start]
@@ -315,16 +380,32 @@ def _moments(frames: np.ndarray, resp: np.ndarray, origin: np.ndarray,
                 np.multiply(z[i:], z[i], out=block[row:row + d - i])
                 row += d - i
         block[-1] = 1.0
-        out += block @ resp[start:stop]
-    return out
+        yield start, stop, block
 
 
-def _estimates(frames: np.ndarray, resp: np.ndarray, origin: np.ndarray,
-               kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _em_pass(frames: np.ndarray, origin: np.ndarray,
+             density_weights: np.ndarray, kind: str
+             ) -> tuple[float, np.ndarray]:
+    """One E-step and the M-step's sums, block by block: the total
+    log-likelihood under W = `density_weights`, and the moment sums
+    Σₙ rₙₖ [q(zₙ); zₙ; 1] of the responsibilities."""
+    total_ll = 0.0
+    sums = np.zeros(density_weights.shape)
+    for _, _, block in _feature_blocks(frames, origin, kind):
+        weighted = block.T @ density_weights
+        top, resp = _shifted_exp(weighted, out=weighted)
+        row_sums = resp.sum(axis=1)
+        total_ll += float(np.log(row_sums).sum() + top.sum())
+        resp /= row_sums[:, None]
+        sums += block @ resp
+    return total_ll, sums
+
+
+def _estimates(sums: np.ndarray, origin: np.ndarray, kind: str
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-component counts, means and unfloored covariances from the
-    responsibilities, through one `_moments` sum."""
-    d = frames.shape[1]
-    sums = _moments(frames, resp, origin, kind)
+    moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1]."""
+    d = origin.size
     counts = sums[-1]
     scaled = sums[:-1] / np.maximum(counts, 1e-300)
     second, means = scaled[:-d].T, scaled[-d:].T
@@ -353,6 +434,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] < 1:
         raise ValueError("frames must be a non-empty 2-D matrix")
+    _check_finite(frames)
     n = frames.shape[0]
     if n_comp < 1:
         raise ValueError(f"n_comp must be >= 1, got {n_comp}")
@@ -363,54 +445,53 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
 
     origin = frames.mean(axis=0)
     data_var = frames.var(axis=0)
-    diag_floor = np.maximum(config.variance_floor_factor * data_var, 1e-12)
-    full_floor = max(config.variance_floor_factor * float(data_var.mean()),
-                     1e-12)
+    if covariance_kind == "diag":
+        floor = np.maximum(config.variance_floor_factor * data_var, 1e-12)
+    else:
+        floor = max(config.variance_floor_factor * float(data_var.mean()),
+                    1e-12)
+    ll_curve: list[float] = []
 
-    def floored(covariances: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        if covariance_kind == "diag":
-            return np.maximum(covariances, diag_floor)
-        finite = np.isfinite(covariances).all(axis=(1, 2))
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise SingularComponentError(
-                f"component {j} collapsed: non-finite covariance "
-                f"(count={counts[j]:.3g})")
-        return _floor_eigenvalues(covariances, full_floor)
+    def floored(counts: np.ndarray, means: np.ndarray,
+                covariances: np.ndarray) -> tuple[Gmm, np.ndarray]:
+        """The mixture with floored covariances, and its density weights."""
+        if covariance_kind == "full":
+            finite = np.isfinite(covariances).all(axis=(1, 2))
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise SingularComponentError(
+                    f"component {j} collapsed: non-finite covariance "
+                    f"(count={counts[j]:.3g})")
+        covariances, precisions, log_dets = _floor_covariances(
+            covariances, covariance_kind, floor)
+        model = Gmm(_normalized_weights(counts / n), means, covariances,
+                    covariance_kind, ll_curve=ll_curve)
+        return model, _density_weights(model.weights, means - origin,
+                                       precisions, log_dets, covariance_kind)
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_init(frames, n_comp, rng)
     # The initial covariances are the moments of the final k-means
-    # clusters; the (n, K) one-hot matrix is freed before EM's own.
-    one_hot = np.eye(n_comp)[_nearest(frames, centers)]
-    counts, _, covariances = _estimates(frames, one_hot, origin,
-                                        covariance_kind)
-    del one_hot
+    # clusters, one block of one-hot responsibilities at a time.
+    assign = _nearest(frames, centers)
+    one_hot = np.eye(n_comp)
+    sums = sum(block @ one_hot[assign[start:stop]] for start, stop, block
+               in _feature_blocks(frames, origin, covariance_kind))
+    counts, _, covariances = _estimates(sums, origin, covariance_kind)
     covariances[counts < 2] = (data_var if covariance_kind == "diag"
                                else np.diag(data_var))
 
-    ll_curve: list[float] = []
-    model = Gmm(_normalized_weights(counts / n), centers,
-                floored(covariances, counts), covariance_kind,
-                ll_curve=ll_curve)
+    model, density_weights = floored(counts, centers, covariances)
     prev_ll = -np.inf
     for _ in range(config.max_iters):
-        weighted = _component_log_densities(model, frames)
-        weighted += np.log(model.weights)
-        norm = _logsumexp(weighted)
-        total_ll = float(norm.sum())
+        total_ll, sums = _em_pass(frames, origin, density_weights,
+                                  covariance_kind)
         ll_curve.append(total_ll)
         if abs(total_ll - prev_ll) / n < config.ll_tolerance:
             break
         prev_ll = total_ll
-
-        weighted -= norm[:, None]
-        resp = _exp_in_place(weighted)
-        counts, means, covariances = _estimates(frames, resp, origin,
-                                                covariance_kind)
-        model = Gmm(_normalized_weights(counts / n), means,
-                    floored(covariances, counts), covariance_kind,
-                    ll_curve=ll_curve)
+        model, density_weights = floored(*_estimates(sums, origin,
+                                                     covariance_kind))
     return model
 
 

@@ -9,11 +9,15 @@ from scipy.special import logsumexp
 from replaykit.errors import ModelFormatError, SingularComponentError
 from replaykit.filterbank import FeatureKind, FeatureMatrix
 from replaykit.gmm import (
+    MOMENT_BLOCK,
     Gmm,
     GmmPairModel,
     TrainConfig,
     _component_log_densities,
+    _density_weights,
     _exp_in_place,
+    _feature_blocks,
+    _floor_covariances,
     _frame_log_likelihoods,
     _logsumexp,
     load_pair_model,
@@ -48,6 +52,15 @@ class TestTrainGmm:
         for f, c in zip(fitted, centroids):
             assert abs(f[0] - c[0]) < 0.1
             assert abs(f[1] - c[1]) < 0.1
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, kind, bad):
+        frames = np.random.default_rng(3).normal(size=(40, 3))
+        frames[5, 1] = bad
+        frames[9] = bad
+        with pytest.raises(ValueError, match=r"^2 of 40 frames are non-finite$"):
+            train_gmm(frames, 2, kind, seed=0)
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="too few frames"):
@@ -185,6 +198,16 @@ class TestScoreUtterance:
         a = score_utterance(pair, _cepstra(x))
         b = score_utterance(pair, _cepstra(np.repeat(x, 2, axis=0)))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, kind, bad):
+        rng = np.random.default_rng(4)
+        model = _random_gmm(rng, kind, 2, 3)
+        x = rng.normal(size=(6, 3))
+        x[2, 0] = bad
+        with pytest.raises(ValueError, match=r"^1 of 6 frames are non-finite$"):
+            score_utterance(GmmPairModel(model, model, "test", {}), _cepstra(x))
 
     def test_empty_utterance(self):
         pair = self._pair()
@@ -353,6 +376,20 @@ def _mixture_frames(rng, k, d, per_comp=60):
                                       size=(per_comp, d)) for c in centers])
 
 
+def _assert_training_densities(model, frames, floor):
+    """[q(z); z; 1]ᵀ W from the floor's precisions and log-determinants,
+    block by block, against the loop densities plus ln w."""
+    origin = frames.mean(axis=0)
+    _, precisions, log_dets = _floor_covariances(
+        model.covariances, model.covariance_kind, floor)
+    weights = _density_weights(model.weights, model.means - origin,
+                               precisions, log_dets, model.covariance_kind)
+    actual = np.vstack([block.T @ weights for _, _, block in
+                        _feature_blocks(frames, origin, model.covariance_kind)])
+    _assert_close(actual, oracles.gmm_component_log_densities(model, frames)
+                  + np.log(model.weights))
+
+
 KINDS_AND_K = [(kind, k) for kind in ("diag", "full") for k in (1, 3, 8)]
 
 
@@ -380,6 +417,35 @@ class TestAgainstOracles:
                             rng.normal(size=(20, d))])
         _assert_close(_component_log_densities(model, frames),
                       oracles.gmm_component_log_densities(model, frames))
+
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_training_density_weights(self, kind, k):
+        # EM's E-step form, [q(z); z; 1]ᵀ W, against the loop densities.
+        rng = np.random.default_rng(150 + k)
+        model = _random_gmm(rng, kind, k, 4)
+        frames = rng.normal(0.0, 4.0, size=(50, 4))
+        floor = np.full(4, 1e-12) if kind == "diag" else 1e-12
+        _assert_training_densities(model, frames, floor)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_training_density_weights_at_the_floor(self, kind):
+        rng = np.random.default_rng(7)
+        d = 5
+        floor = 1e-4
+        if kind == "diag":
+            cov = np.array([floor, floor, 0.5, 1.0, 2.0])
+            floors = np.full(d, floor)
+            other = np.ones(d)
+        else:
+            basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            cov = (basis * np.array([floor, floor, 0.5, 1.0, 2.0])) @ basis.T
+            floors = floor
+            other = np.eye(d)
+        model = Gmm(np.array([0.4, 0.6]), rng.normal(size=(2, d)),
+                    np.stack([cov, other]), kind)
+        frames = np.vstack([model.means[0] + 1e-3 * rng.normal(size=(20, d)),
+                            rng.normal(size=(20, d))])
+        _assert_training_densities(model, frames, floors)
 
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_score_utterance(self, kind, k):
@@ -475,6 +541,22 @@ class TestAgainstOracles:
         ll_curve, _ = oracles.gmm_em(frames, init, 5, 1e-4)
         assert len(fit.ll_curve) == 5
         np.testing.assert_allclose(fit.ll_curve, ll_curve, rtol=TOL)
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_three_em_iterations_over_three_blocks(self, kind):
+        # Two full frame blocks and a last one holding a single frame.
+        rng = np.random.default_rng(550)
+        frames = rng.permutation(_mixture_frames(rng, 8, 5, per_comp=130))
+        frames = frames[:2 * MOMENT_BLOCK + 1]
+        init = train_gmm(frames, 8, kind, TrainConfig(max_iters=0), seed=5)
+        fit = train_gmm(frames, 8, kind,
+                        TrainConfig(max_iters=3, ll_tolerance=0.0), seed=5)
+        ll_curve, (weights, means, covs) = oracles.gmm_em(frames, init, 3,
+                                                          1e-4)
+        np.testing.assert_allclose(fit.ll_curve, ll_curve, rtol=TOL)
+        _assert_close(fit.weights, weights)
+        _assert_close(fit.means, means)
+        _assert_close(fit.covariances, covs)
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_two_em_iterations_at_the_benchmark_shape(self, kind):
