@@ -169,9 +169,12 @@ def read_wav(path) -> AudioSignal:
             n_channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            n_samples = wf.getnframes()
+            raw = wf.readframes(n_samples)
     except wave.Error as exc:
         raise WavFormatError(f"{path}: not a supported PCM WAV ({exc})") from exc
+    except EOFError as exc:  # `wave` raises it bare when the header is cut
+        raise WavFormatError(f"{path}: truncated WAV header") from exc
     if n_channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sampwidth != 2:
@@ -180,6 +183,10 @@ def read_wav(path) -> AudioSignal:
     if rate != PIPELINE_SAMPLE_RATE:
         raise WavFormatError(f"{path}: expected sample rate "
                              f"{PIPELINE_SAMPLE_RATE}, got {rate}")
+    if len(raw) != 2 * n_samples:
+        raise WavFormatError(f"{path}: truncated: the header declares "
+                             f"{n_samples} samples ({2 * n_samples} bytes), "
+                             f"the data holds {len(raw)} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioSignal(samples)
 

@@ -80,13 +80,16 @@ def write_scores(records: list[ScoreRecord], path) -> None:
 
 
 def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
-    """Read a score TSV; '-' labels are filled from the manifest if given."""
+    """Read a score TSV; '-' labels are filled from the manifest if given.
+    A malformed line or a repeated utterance id raises ScoreFormatError
+    naming the line."""
     labels = {r.utt_id: r.label for r in manifest} if manifest else {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ScoreFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     records = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -95,6 +98,10 @@ def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
             if len(fields) != 3:
                 raise ValueError(f"expected 3 fields, got {len(fields)}")
             utt_id, score, label = fields
+            if utt_id in first_line:
+                raise ValueError(f"duplicate utterance id {utt_id!r}, first "
+                                 f"on line {first_line[utt_id]}")
+            first_line[utt_id] = lineno
             if label == UNLABELLED:
                 if utt_id not in labels:
                     raise ValueError(f"no label for {utt_id!r} and none "

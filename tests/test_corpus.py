@@ -83,6 +83,21 @@ class TestReadWav:
         _write_raw_wav(p, struct.pack("<4h", 1, 2, 3, 4))
         assert len(read_wav(p)) == 4
 
+    @pytest.mark.parametrize("keep, message", [
+        (0, "truncated WAV header"),
+        (-1, "truncated: the header declares 3 samples (6 bytes), the data "
+             "holds 5 bytes"),
+        (-2, "truncated: the header declares 3 samples (6 bytes), the data "
+             "holds 4 bytes"),
+    ], ids=["empty", "cut-mid-sample", "cut-on-a-sample-boundary"])
+    def test_truncated_file(self, tmp_path, keep, message):
+        p = tmp_path / "cut.wav"
+        _write_raw_wav(p, struct.pack("<3h", 1, 2, 3))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(WavFormatError) as info:
+            read_wav(p)
+        assert str(info.value) == f"{p}: {message}"
+
     def test_roundtrip_every_16bit_value(self, tmp_path):
         ints = np.arange(-32768, 32768, dtype=np.int64)
         sig = AudioSignal(ints / 32768.0)

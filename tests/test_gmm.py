@@ -13,13 +13,13 @@ from replaykit.gmm import (
     Gmm,
     GmmPairModel,
     TrainConfig,
-    _component_log_densities,
     _density_weights,
     _exp_in_place,
     _feature_blocks,
     _floor_covariances,
     _frame_log_likelihoods,
     _logsumexp,
+    _weighted_log_densities,
     load_pair_model,
     save_pair_model,
     score_utterance,
@@ -401,7 +401,8 @@ class TestAgainstOracles:
         frames = rng.normal(0.0, 4.0, size=(50, 4))
         frames[0] = 1e6  # far tail
         frames[1] = -1e6
-        _assert_close(_component_log_densities(model, frames),
+        _assert_close(_weighted_log_densities(model, frames)
+                      - np.log(model.weights),
                       oracles.gmm_component_log_densities(model, frames))
 
     def test_densities_at_eigenvalue_floor(self):
@@ -415,7 +416,8 @@ class TestAgainstOracles:
                     np.stack([cov, np.eye(d)]), "full")
         frames = np.vstack([model.means[0] + 1e-3 * rng.normal(size=(20, d)),
                             rng.normal(size=(20, d))])
-        _assert_close(_component_log_densities(model, frames),
+        _assert_close(_weighted_log_densities(model, frames)
+                      - np.log(model.weights),
                       oracles.gmm_component_log_densities(model, frames))
 
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
@@ -447,17 +449,29 @@ class TestAgainstOracles:
                             rng.normal(size=(20, d))])
         _assert_training_densities(model, frames, floors)
 
-    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
-    def test_score_utterance(self, kind, k):
+    @staticmethod
+    def _assert_score(kind, k, n_frames):
         rng = np.random.default_rng(200 + k)
         pair = GmmPairModel(_random_gmm(rng, kind, k, 3),
                             _random_gmm(rng, kind, k, 3), "test", {})
-        x = rng.normal(0.0, 3.0, size=(40, 3))
+        x = rng.normal(0.0, 3.0, size=(n_frames, 3))
         x[5] = 1e6
         expected = np.mean(oracles.gmm_frame_log_likelihoods(pair.genuine, x)
                            - oracles.gmm_frame_log_likelihoods(pair.replay, x))
         assert score_utterance(pair, _cepstra(x)) == pytest.approx(
             expected, rel=TOL)
+
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_score_utterance(self, kind, k):
+        self._assert_score(kind, k, 40)
+
+    @pytest.mark.parametrize("kind,k", [(kind, k) for kind in ("diag", "full")
+                                        for k in (1, 8, 64)])
+    def test_score_utterance_over_several_blocks(self, kind, k):
+        # Scoring runs MOMENT_BLOCK frames at a time; 1,100 frames make
+        # three blocks, the last one short.
+        assert 2 * MOMENT_BLOCK < 1100 < 3 * MOMENT_BLOCK
+        self._assert_score(kind, k, 1100)
 
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_initialisation(self, kind, k):
@@ -604,8 +618,7 @@ class TestNumericsGuards:
         frames = _mixture_frames(rng, 16, 6, per_comp=20)
         model = train_gmm(frames, 16, "full",
                           TrainConfig(max_iters=2, ll_tolerance=0.0), seed=0)
-        weighted = _component_log_densities(model, frames)
-        weighted += np.log(model.weights)
+        weighted = _weighted_log_densities(model, frames)
         log_resp = weighted - _logsumexp(weighted)[:, None]
         below = log_resp < -700.0
         assert below.mean() > 0.1

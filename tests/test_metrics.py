@@ -146,6 +146,14 @@ class TestScoreFiles:
         assert str(info.value).startswith(f"{p}:2: ")
         assert message in str(info.value)
 
+    def test_duplicate_utterance_id(self, tmp_path):
+        p = tmp_path / "scores.tsv"
+        p.write_text("a\t1.5\tgenuine\nb\t0.5\treplay\na\t-1.0\tgenuine\n")
+        with pytest.raises(ScoreFormatError) as info:
+            read_scores(p)
+        assert str(info.value) == (f"{p}:3: duplicate utterance id 'a', "
+                                   f"first on line 1")
+
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "scores.tsv"
         p.write_bytes(b"u0\t1.5\tgenuine\nu\xff\t0.5\treplay\n")
