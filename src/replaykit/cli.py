@@ -98,6 +98,10 @@ def _cmd_train(args) -> None:
 def _cmd_score(args) -> None:
     archive = archive_mod.read_archive(args.archive)
     pair = load_pair_model(args.model)
+    if pair.feature_kind != archive.feature_kind:
+        raise ValueError(f"model {args.model} was trained on "
+                         f"{pair.feature_kind} features, but archive "
+                         f"{args.archive} holds {archive.feature_kind}")
     labels = {}
     if args.manifest:
         labels = {r.utt_id: r.label

@@ -27,8 +27,9 @@ class ArchiveFormatError(ReplaykitError, ValueError):
 
 
 class ModelFormatError(ReplaykitError, ValueError):
-    """Model file is not JSON, lacks a key, disagrees with its own K and
-    d, or holds parameters a mixture rejects."""
+    """Model file is not JSON, has another format_version, lacks a key,
+    holds parameters that are not base64 or disagree with its own K and d,
+    or holds parameters a mixture rejects."""
 
 
 class ScoreFormatError(ReplaykitError, ValueError):

@@ -52,12 +52,27 @@ log-densities lie below -745. A zeroed term is under exp(-700) < 1e-304,
 so it cannot change a row sum that holds the row maximum's term, 1.0.
 EM takes one `exp` per block: the responsibilities are the log-sum-exp's
 shifted exponentials divided by their row sums.
+
+A model file is one JSON line per genuine/replay pair: `format_version`
+(MODEL_FORMAT_VERSION), the feature and covariance kinds, K, d and the
+training config, and for each mixture its weights, means and covariances
+as base64 strings of their C-order little-endian float64 bytes. As float
+text, `json.dumps` spent a float repr of about 1.6 µs on each value, so a
+K=64, d=26 full pair took 135-156 ms to save and 2 MB on disk; as bytes
+it takes about 10 ms and 0.96 MB (2-vCPU Xeon), and it reads back bit
+for bit, which scoring a saved model in another process relies on.
+Covariances are kept in full rather than as a triangle: a floored full
+covariance V Λ Vᵀ is symmetric only to rounding (in one K=64 fit 18,652
+of 43,264 entries differ from their transpose), so a triangle would not
+read back the model that was saved.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -278,15 +293,24 @@ def _kmeans_init(frames: np.ndarray, k: int,
     keeps its centre."""
     n = frames.shape[0]
     centers = np.empty((k, frames.shape[1]))
+    diff = np.empty_like(frames)
+    ones = np.ones(frames.shape[1])
+
+    def sq_dist(center):
+        # A GEMV sums each row's d squares about twice as fast as
+        # .sum(axis=1) at d=26, which reduces along a narrow axis.
+        np.subtract(frames, center, out=diff)
+        return np.square(diff, out=diff) @ ones
+
     centers[0] = frames[rng.integers(n)]
-    d2 = ((frames - centers[0]) ** 2).sum(axis=1)
+    d2 = sq_dist(centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
             centers[j] = frames[rng.choice(n, p=d2 / total)]
         else:
             centers[j] = frames[rng.integers(n)]
-        d2 = np.minimum(d2, ((frames - centers[j]) ** 2).sum(axis=1))
+        np.minimum(d2, sq_dist(centers[j]), out=d2)
 
     one_hot = np.eye(k)
     for _ in range(KMEANS_ITERS):
@@ -492,34 +516,46 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
 # Model persistence
 # ---------------------------------------------------------------------------
 
+MODEL_FORMAT_VERSION = 2
+_PARAMETERS = ("weights", "means", "covariances")
+
+
 def _gmm_to_dict(model: Gmm) -> dict:
-    return {
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "covariances": model.covariances.ravel().tolist(),
-    }
+    return {name: base64.b64encode(np.ascontiguousarray(
+                getattr(model, name), "<f8").tobytes()).decode("ascii")
+            for name in _PARAMETERS}
 
 
 def _gmm_from_dict(doc: dict, name: str, covariance_kind: str, k: int, d: int,
                    path) -> Gmm:
+    shapes = ((k,), (k, d), (k, d) if covariance_kind == "diag" else (k, d, d))
     try:
-        weights, means, cov = (np.asarray(doc[name][key], dtype=np.float64)
-                               for key in ("weights", "means", "covariances"))
-        shape = (k, d) if covariance_kind == "diag" else (k, d, d)
-        if weights.shape != (k,) or means.shape != (k, d) \
-                or cov.size != np.prod(shape):
-            raise ValueError(
-                f"weights {weights.shape}, means {means.shape} and {cov.size} "
-                f"covariance values disagree with K={k}, d={d}")
-        return Gmm(weights, means, cov.reshape(shape), covariance_kind)
+        arrays = []
+        for key, shape in zip(_PARAMETERS, shapes):
+            text = doc[name][key]
+            try:
+                raw = base64.b64decode(text, validate=True)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key} is not base64 ({exc})") from exc
+            size = 8 * math.prod(shape)
+            if len(raw) != size:
+                raise ValueError(f"{key} holds {len(raw)} bytes, not the "
+                                 f"{size} of shape {shape} for K={k}, d={d}")
+            arrays.append(np.frombuffer(raw, "<f8").reshape(shape))
+        return Gmm(*arrays, covariance_kind)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: {name}: {exc}") from exc
 
 
 def save_pair_model(model: GmmPairModel, path) -> None:
-    """Write the two mixtures as one compact, single-line JSON document,
-    covariances flattened row-major, floats at full round-trip precision."""
+    """Write the two mixtures as one compact, single-line JSON document.
+
+    Each mixture's weights, means and covariances are base64 strings of
+    their C-order little-endian float64 bytes; see the module docstring
+    for why they are not float text and why covariances are kept in full.
+    """
     doc = {
+        "format_version": MODEL_FORMAT_VERSION,
         "feature_kind": model.feature_kind,
         "covariance_kind": model.genuine.covariance_kind,
         "K": model.genuine.n_comp,
@@ -534,9 +570,14 @@ def save_pair_model(model: GmmPairModel, path) -> None:
 
 
 def load_pair_model(path) -> GmmPairModel:
-    """Read a model written by `save_pair_model`; bytes that are not UTF-8
-    JSON or not an object, a missing key, and parameters that are not numeric,
-    disagree with K and d or fail `Gmm`'s checks raise ModelFormatError."""
+    """Read a model written by `save_pair_model`, bit for bit.
+
+    Bytes that are not UTF-8 JSON or not an object, a `format_version`
+    other than MODEL_FORMAT_VERSION (older list-format files included), a
+    missing key, and parameters that are not base64, hold a byte count
+    that disagrees with K and d, or fail `Gmm`'s checks raise
+    ModelFormatError naming the file.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -544,6 +585,10 @@ def load_pair_model(path) -> GmmPairModel:
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object, got "
                                f"{type(doc).__name__}")
+    version = doc.get("format_version", "missing")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: format_version is {version}, this "
+                               f"reader needs {MODEL_FORMAT_VERSION}")
     try:
         kind, k, d = doc["covariance_kind"], doc["K"], doc["d"]
         return GmmPairModel(

@@ -154,6 +154,20 @@ class TestFailures:
              "--model", bad, "--out", tmp_path / "s.tsv"])
         assert line == f"error: {bad}: missing key 'genuine'"
 
+    def test_model_of_another_feature_kind(self, work, tmp_path):
+        # Inverted-Mel and Mel cepstra with deltas share d, so only the
+        # feature kind tells this model and archive apart.
+        imel = tmp_path / "imel_cepstra-delta.rpfa"
+        _ok("extract", "--manifest", work / "corpus" / "manifest.tsv",
+            "--warp", "imel", "--feature", "cepstra-delta", "--out", imel)
+        model = work / "model.json"
+        line = self._single_error_line(
+            ["score", "--archive", imel, "--model", model,
+             "--out", tmp_path / "s.tsv"])
+        assert line == (f"error: model {model} was trained on MFCC+D "
+                        f"features, but archive {imel} holds IMFCC+D")
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_non_numeric_score(self, work, tmp_path):
         rows = (work / "labelled.tsv").read_text().splitlines()
         utt_id, _, label = rows[1].split("\t")

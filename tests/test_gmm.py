@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -229,6 +230,10 @@ class TestScoreUtterance:
         assert score_utterance(pair, feats) == score_utterance(pair, feats)
 
 
+def _encode(a):
+    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode()
+
+
 class TestModelPersistence:
     def _trained_pair(self, kind):
         rng = np.random.default_rng(12)
@@ -254,16 +259,16 @@ class TestModelPersistence:
         pair = self._trained_pair("full")
         p = tmp_path / "model.json"
         save_pair_model(pair, p)
-        import json
         doc = json.loads(p.read_text())
-        assert set(doc) == {"feature_kind", "covariance_kind", "K", "d",
-                            "training_config", "genuine", "replay"}
-        assert doc["K"] == 2 and doc["d"] == 3
-        # covariances flat row-major
-        assert len(doc["genuine"]["covariances"]) == 2 * 3 * 3
-        flat = np.asarray(doc["genuine"]["covariances"])
-        np.testing.assert_array_equal(flat.reshape(2, 3, 3),
-                                      pair.genuine.covariances)
+        assert set(doc) == {"format_version", "feature_kind",
+                            "covariance_kind", "K", "d", "training_config",
+                            "genuine", "replay"}
+        assert doc["format_version"] == 2 and doc["K"] == 2 and doc["d"] == 3
+        # covariances in full, C order, as little-endian float64 bytes
+        raw = base64.b64decode(doc["genuine"]["covariances"])
+        np.testing.assert_array_equal(
+            np.frombuffer(raw, "<f8").reshape(2, 3, 3),
+            pair.genuine.covariances)
 
     @pytest.mark.parametrize("key", ["genuine", "K", "covariance_kind"])
     def test_missing_key_is_typed(self, tmp_path, key):
@@ -281,7 +286,8 @@ class TestModelPersistence:
         p = tmp_path / "model.json"
         save_pair_model(self._trained_pair(kind), p)
         doc = json.loads(p.read_text())
-        doc["replay"]["covariances"] = doc["replay"]["covariances"][:-1]
+        raw = base64.b64decode(doc["replay"]["covariances"])
+        doc["replay"]["covariances"] = base64.b64encode(raw[:-8]).decode()
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="replay.*K=2, d=3"):
             load_pair_model(p)
@@ -294,14 +300,16 @@ class TestModelPersistence:
     @pytest.mark.parametrize("key,value", [("weights", [0.5, 0.6]),
                                            ("means", [[0.0] * 3, [math.nan] * 3])])
     def test_invalid_parameters_are_typed(self, tmp_path, key, value):
+        # Well-formed bytes of the right size, so `Gmm`'s checks are reached.
         p = tmp_path / "model.json"
         save_pair_model(self._trained_pair("diag"), p)
         doc = json.loads(p.read_text())
-        doc["replay"][key] = value
+        doc["replay"][key] = _encode(np.array(value))
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError) as info:
             load_pair_model(p)
         assert str(info.value).startswith(f"{p}: replay: ")
+        assert "must be" in str(info.value)
 
     def test_json_not_an_object_is_typed(self, tmp_path):
         p = tmp_path / "model.json"
@@ -314,11 +322,42 @@ class TestModelPersistence:
         p = tmp_path / "model.json"
         save_pair_model(self._trained_pair("diag"), p)
         doc = json.loads(p.read_text())
-        doc["genuine"]["means"][1][2] = "x"
+        doc["genuine"]["means"] = "not base64!"
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError) as info:
             load_pair_model(p)
-        assert str(info.value).startswith(f"{p}: genuine: could not convert")
+        assert str(info.value).startswith(f"{p}: genuine: means is not base64")
+
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_format_version_other_than_2_is_typed(self, tmp_path, version):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        doc = json.loads(p.read_text())
+        del doc["format_version"]
+        if version is not None:
+            doc["format_version"] = version
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        found = "missing" if version is None else version
+        assert str(info.value) == (f"{p}: format_version is {found}, "
+                                   f"this reader needs 2")
+
+    def test_paper_sized_full_pair_is_bit_exact_and_under_1_mb(self, tmp_path):
+        rng = np.random.default_rng(64)
+        config = TrainConfig(max_iters=2)
+        g = train_gmm(rng.normal(0, 1, size=(700, 26)), 64, "full", config,
+                      seed=1)
+        r = train_gmm(rng.normal(1, 2, size=(700, 26)), 64, "full", config,
+                      seed=2)
+        p = tmp_path / "model.json"
+        save_pair_model(GmmPairModel(g, r, "MFCC+D", config.to_dict()), p)
+        assert p.stat().st_size < 1_000_000
+        back = load_pair_model(p)
+        for a, b in ((g, back.genuine), (r, back.replay)):
+            for name in ("weights", "means", "covariances"):
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name))
 
     def test_non_utf8_bytes_are_typed(self, tmp_path):
         p = tmp_path / "model.json"
