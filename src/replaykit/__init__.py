@@ -4,11 +4,11 @@ per-band discriminability probing, GMM scoring, and EER evaluation."""
 from .archive import FeatureArchive, read_archive, write_archive
 from .corpus import (
     AudioSignal,
+    CorpusSignals,
     DeviceProfile,
     Manifest,
     SynthConfig,
     UtteranceMeta,
-    apply_replay_channel,
     parse_manifest,
     read_wav,
     save_device_profiles,

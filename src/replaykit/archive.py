@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveFormatError
+from .errors import ArchiveFormatError, existing_file
 from .filterbank import FeatureKind, FeatureMatrix, WarpKind
 
 MAGIC = b"RPFA"
@@ -88,7 +88,7 @@ class _Reader:
 
 
 def read_archive(path) -> FeatureArchive:
-    path = Path(path)
+    path = existing_file(path)
     reader = _Reader(path.read_bytes(), str(path))
     magic = reader.take(4)
     if magic != MAGIC:

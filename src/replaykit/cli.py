@@ -39,7 +39,8 @@ def _cmd_synth(args) -> None:
         n_heldout_devices=args.heldout_devices,
         utt_seconds=args.utt_seconds, reps=args.reps)
     signals, manifest, profiles = corpus_mod.synth_corpus(config, args.seed)
-    write_corpus(signals, manifest, profiles, args.out)
+    for _ in write_corpus(signals, manifest, profiles, args.out):
+        pass
     print(f"wrote {len(manifest.genuine_records())} genuine and "
           f"{len(manifest.replay_records())} replay utterances to {args.out}")
 

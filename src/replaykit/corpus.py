@@ -13,6 +13,12 @@ concentrates in the low and middle bands while the discriminative cue
 stays in the high bands. All utterances of a corpus share one length, so
 `synth_corpus` computes each device's response once and each genuine
 signal's spectrum once.
+
+`synth_corpus` returns its signals as a stream in manifest order
+(`CorpusSignals`), made while it is iterated. Replays make up most of a
+corpus, one per genuine utterance and device, so a pass holds at once
+only the genuine signals, which every replay is made from, the device
+responses, and the one replay being made.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import wave
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, WavFormatError
+from .errors import ManifestError, WavFormatError, existing_file
 
 PIPELINE_SAMPLE_RATE = 16000
 
@@ -161,9 +168,7 @@ class DeviceProfile:
 
 def read_wav(path) -> AudioSignal:
     """Read a mono 16-bit PCM WAV at 16 kHz; sample s maps to s / 32768."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{path}: no such file")
+    path = existing_file(path)
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
@@ -193,8 +198,9 @@ def read_wav(path) -> AudioSignal:
 
 def write_wav(signal: AudioSignal, path) -> None:
     """Write 16-bit PCM; the exact inverse of read_wav's sample mapping."""
-    ints = np.round(signal.samples * 32768.0)
-    ints = np.clip(ints, -32768, 32767).astype("<i2")
+    ints = signal.samples * 32768.0
+    np.round(ints, out=ints)
+    ints = np.clip(ints, -32768, 32767, out=ints).astype("<i2")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with wave.open(str(path), "wb") as wf:
@@ -210,9 +216,7 @@ def write_wav(signal: AudioSignal, path) -> None:
 
 def parse_manifest(path) -> Manifest:
     """Read a TSV manifest with the exact six-column header."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{path}: no such file")
+    path = existing_file(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -282,37 +286,31 @@ def _amplitude_response(profile: DeviceProfile, freqs: np.ndarray) -> np.ndarray
     return amp * 10.0 ** (gain_db / 20.0)
 
 
-def apply_replay_channel(signal: AudioSignal, profile: DeviceProfile,
-                         seed: int) -> AudioSignal:
-    """Pass a signal through a playback-and-recording channel.
+def _replay(x: np.ndarray, spectrum: np.ndarray, response: np.ndarray,
+            profile: DeviceProfile, seed: int) -> AudioSignal:
+    """Pass non-empty samples `x` through a playback-and-recording channel,
+    given their rfft `spectrum` and the channel's `response` at the rfft
+    bins.
 
     Zero-phase spectral filtering (length-preserving), then additive white
     noise scaled to profile.snr_db against the input RMS; silence in means
     silence out. The result is rescaled only if its peak exceeds 0.99.
     """
-    x = signal.samples
-    if x.size == 0:
-        return AudioSignal(x.copy())
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / PIPELINE_SAMPLE_RATE)
-    return _replay(x, np.fft.rfft(x), _amplitude_response(profile, freqs),
-                   profile, seed)
-
-
-def _replay(x: np.ndarray, spectrum: np.ndarray, response: np.ndarray,
-            profile: DeviceProfile, seed: int) -> AudioSignal:
-    """`apply_replay_channel` on non-empty samples `x`, given their rfft
-    `spectrum` and the channel's `response` at the rfft bins."""
     y = np.fft.irfft(spectrum * response, n=x.size)
 
     in_rms = float(np.sqrt(np.mean(x ** 2)))
     if in_rms > 0.0:
         rng = np.random.default_rng(seed)
         noise_rms = in_rms * 10.0 ** (-profile.snr_db / 20.0)
-        y = y + rng.standard_normal(x.size) * noise_rms
+        # In place: a stream frees each replay's temporaries, and every
+        # fresh one is faulted in again.
+        noise = rng.standard_normal(x.size)
+        noise *= noise_rms
+        y += noise
 
     peak = float(np.max(np.abs(y)))
     if peak > 0.99:
-        y = y * (0.99 / peak)
+        y *= 0.99 / peak
     return AudioSignal(y)
 
 
@@ -412,13 +410,56 @@ def derive_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
+class CorpusSignals:
+    """The signals of a synthetic corpus in manifest order, made while
+    they are iterated: each genuine signal, then each genuine signal's
+    replay through each device.
+
+    A pass keeps the genuine signals, because each replay is made from
+    one, and the devices' responses; it holds each replay only until the
+    next one is asked for. `len()` is the manifest's length, and every
+    pass makes the same bytes.
+    """
+
+    def __init__(self, sources: list[tuple[float, _PhraseEnvelope, tuple]],
+                 profiles: list[DeviceProfile], n_samples: int, seed: int):
+        # One (f0, envelope, rng entropy) per genuine utterance.
+        self._sources = sources
+        self._profiles = profiles
+        self._n_samples = n_samples
+        self._seed = seed
+
+    def __len__(self) -> int:
+        return len(self._sources) * (1 + len(self._profiles))
+
+    def __iter__(self) -> Iterator[AudioSignal]:
+        genuine = []
+        for f0, envelope, entropy in self._sources:
+            genuine.append(_synth_genuine(f0, envelope, self._n_samples,
+                                          np.random.default_rng(entropy)))
+            yield genuine[-1]
+        # Every signal has n_samples samples: one response per device and
+        # one spectrum per genuine signal serve all of its replays.
+        freqs = np.fft.rfftfreq(self._n_samples,
+                                d=1.0 / PIPELINE_SAMPLE_RATE)
+        responses = [_amplitude_response(profile, freqs)
+                     for profile in self._profiles]
+        for g_idx, sig in enumerate(genuine):
+            spectrum = np.fft.rfft(sig.samples)
+            for d_idx, (profile, response) in enumerate(
+                    zip(self._profiles, responses)):
+                yield _replay(sig.samples, spectrum, response, profile,
+                              derive_seed(self._seed, 2, g_idx, d_idx))
+
+
 def synth_corpus(config: SynthConfig, seed: int
-                 ) -> tuple[list[AudioSignal], Manifest, list[DeviceProfile]]:
+                 ) -> tuple[CorpusSignals, Manifest, list[DeviceProfile]]:
     """Generate a deterministic corpus of genuine and replayed utterances.
 
-    Returns signals aligned with the manifest rows: every (speaker, phrase,
-    rep) genuine utterance followed at the end by its replayed copy through
-    each device. Train devices are named D00.., held-out devices H00...
+    The manifest lists every (speaker, phrase, rep) genuine utterance,
+    then each one's replayed copy through each device; train devices are
+    named D00.., held-out devices H00... The signals follow the manifest
+    rows and are made only as they are iterated (`CorpusSignals`).
     """
     rng = np.random.default_rng([seed, 0])
     fundamentals = rng.uniform(100.0, 250.0, size=config.n_speakers)
@@ -451,36 +492,24 @@ def synth_corpus(config: SynthConfig, seed: int
             snr_db=float(rng.uniform(28.0, 40.0)),
         ))
 
-    n_samples = int(round(config.utt_seconds * PIPELINE_SAMPLE_RATE))
-    signals: list[AudioSignal] = []
-    records: list[UtteranceMeta] = []
-    genuine: list[tuple[str, AudioSignal, str, str, str]] = []
+    sources = []
+    genuine_records: list[UtteranceMeta] = []
+    replay_records: list[UtteranceMeta] = []
     for s in range(config.n_speakers):
         for p in range(config.n_phrases):
             for r in range(config.reps):
-                utt_rng = np.random.default_rng([seed, 1, s, p, r])
-                sig = _synth_genuine(fundamentals[s], envelopes[p],
-                                     n_samples, utt_rng)
                 stem = f"S{s:02d}-P{p:02d}-R{r}"
-                genuine.append((stem, sig, f"S{s:02d}", f"P{p:02d}", "live"))
+                spk, phr = f"S{s:02d}", f"P{p:02d}"
+                sources.append((fundamentals[s], envelopes[p],
+                                (seed, 1, s, p, r)))
+                genuine_records.append(UtteranceMeta(
+                    f"{stem}-live", f"audio/{stem}-live.wav", GENUINE_LABEL,
+                    spk, phr, NO_DEVICE))
+                replay_records += [UtteranceMeta(
+                    f"{stem}-{profile.device_id}",
+                    f"audio/{stem}-{profile.device_id}.wav", REPLAY_LABEL,
+                    spk, phr, profile.device_id) for profile in profiles]
 
-    for stem, sig, spk, phr, _ in genuine:
-        utt_id = f"{stem}-live"
-        signals.append(sig)
-        records.append(UtteranceMeta(utt_id, f"audio/{utt_id}.wav",
-                                     GENUINE_LABEL, spk, phr, NO_DEVICE))
-    # Every signal has n_samples samples: one response per device and one
-    # spectrum per genuine signal serve all of its replays.
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / PIPELINE_SAMPLE_RATE)
-    responses = [_amplitude_response(profile, freqs) for profile in profiles]
-    for g_idx, (stem, sig, spk, phr, _) in enumerate(genuine):
-        spectrum = np.fft.rfft(sig.samples)
-        for d_idx, (profile, response) in enumerate(zip(profiles, responses)):
-            utt_id = f"{stem}-{profile.device_id}"
-            signals.append(_replay(sig.samples, spectrum, response, profile,
-                                   derive_seed(seed, 2, g_idx, d_idx)))
-            records.append(UtteranceMeta(utt_id, f"audio/{utt_id}.wav",
-                                         REPLAY_LABEL, spk, phr,
-                                         profile.device_id))
-
-    return signals, Manifest(records), profiles
+    n_samples = int(round(config.utt_seconds * PIPELINE_SAMPLE_RATE))
+    return (CorpusSignals(sources, profiles, n_samples, seed),
+            Manifest(genuine_records + replay_records), profiles)

@@ -3,8 +3,21 @@
 Most precondition violations raise plain ValueError; the classes here exist
 for conditions a caller plausibly wants to catch on their own (file format
 problems, degenerate statistics, training collapse). All of them remain
-catchable as their builtin base.
+catchable as their builtin base. Every reader of an input file checks
+that it exists through `existing_file`.
 """
+
+from pathlib import Path
+
+
+def existing_file(path) -> Path:
+    """`path` as a Path; FileNotFoundError `<path>: no such file` if
+    nothing is there, so a missing input is named the same way by every
+    reader."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{path}: no such file")
+    return path
 
 
 class ReplaykitError(Exception):

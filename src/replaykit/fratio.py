@@ -6,7 +6,8 @@ fingerprint of where the two classes separate. `probe_factor` computes
 one per value of a factor (speaker, phrase, device) and `compare_datasets`
 one per dataset (train, heldout), each over one archive's features; the
 dispersion of the normalized fingerprints measures how much the factor
-shifts the discriminative picture.
+shifts the discriminative picture. The probes take each pool's moments
+from per-utterance sums and never stack a pool's frames.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class ProbeReport:
 
 def pool_frames(features: dict[str, FeatureMatrix],
                 utt_ids: list[str]) -> np.ndarray:
-    """The utterances' feature frames stacked in the given order."""
+    """The utterances' feature frames stacked in the given order, as
+    mixture training takes them."""
     mats = [features[u].values for u in utt_ids]
     if not mats:
         return np.empty((0, 0))
@@ -68,20 +70,41 @@ def pool_frames(features: dict[str, FeatureMatrix],
 def fratio(genuine, replay) -> np.ndarray:
     """Between-class distance over summed within-class variance, per band,
     of two frames-by-bands arrays."""
-    g = np.asarray(genuine, dtype=np.float64)
-    r = np.asarray(replay, dtype=np.float64)
-    if g.shape[0] < 2 or r.shape[0] < 2:
+    return _pooled_fratio([np.asarray(genuine, dtype=np.float64)],
+                          [np.asarray(replay, dtype=np.float64)])
+
+
+def _moments(blocks: list[np.ndarray], n: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band mean and population (1/n) variance of the n frames of
+    `blocks` taken together, without stacking them: the variance is
+    two-pass, centred on the pooled mean."""
+    mean = sum(b.sum(axis=0) for b in blocks) / n
+    var = sum(np.square(b - mean).sum(axis=0) for b in blocks) / n
+    return mean, var
+
+
+def _pooled_fratio(genuine: list[np.ndarray],
+                   replay: list[np.ndarray]) -> np.ndarray:
+    """`fratio` of two pools, each given as frames-by-bands blocks."""
+    n_g = sum(b.shape[0] for b in genuine)
+    n_r = sum(b.shape[0] for b in replay)
+    if n_g < 2 or n_r < 2:
         raise ValueError(f"too few frames: need >= 2 per class, got "
-                         f"{g.shape[0]} genuine and {r.shape[0]} replay")
-    if g.shape[1] != r.shape[1]:
-        raise ValueError(f"band counts differ: {g.shape[1]} vs {r.shape[1]}")
-    denom = g.var(axis=0) + r.var(axis=0)
+                         f"{n_g} genuine and {n_r} replay")
+    dims = list(dict.fromkeys(b.shape[1] for b in (*genuine, *replay)))
+    if len(dims) > 1:
+        raise ValueError(f"band counts differ: "
+                         f"{' vs '.join(map(str, dims))}")
+    mean_g, var_g = _moments(genuine, n_g)
+    mean_r, var_r = _moments(replay, n_r)
+    denom = var_g + var_r
     bad = np.flatnonzero(denom < DEGENERATE_DENOMINATOR)
     if bad.size:
         raise DegenerateBandError(
             f"constant features in band(s) {bad.tolist()}: within-class "
             f"variance below {DEGENERATE_DENOMINATOR}")
-    values = (g.mean(axis=0) - r.mean(axis=0)) ** 2 / denom
+    values = (mean_g - mean_r) ** 2 / denom
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite ratios: features hold NaN or inf")
     return values
@@ -156,19 +179,22 @@ def compare_datasets(features: dict[str, FeatureMatrix], train: Manifest,
 
 
 def _report(features, factor, pools) -> ProbeReport:
-    """One pattern per (value, genuine ids, replay ids) pool. `fratio`'s
+    """One pattern per (value, genuine ids, replay ids) pool, from the
+    pooled utterances' moments; no pool's frames are stacked. `fratio`'s
     messages read "problem: detail"; the value goes after the problem."""
     patterns = []
     for value, genuine_ids, replay_ids in pools:
-        g = pool_frames(features, genuine_ids)
-        r = pool_frames(features, replay_ids)
+        g = [features[u].values for u in genuine_ids]
+        r = [features[u].values for u in replay_ids]
         try:
-            values = fratio(g, r)
+            values = _pooled_fratio(g, r)
         except ValueError as exc:
             problem, _, detail = str(exc).partition(": ")
             raise type(exc)(f"{problem} for {factor}={value}: {detail}") \
                 from exc
-        patterns.append(FRatioPattern(value, values, g.shape[0], r.shape[0]))
+        patterns.append(FRatioPattern(value, values,
+                                      sum(b.shape[0] for b in g),
+                                      sum(b.shape[0] for b in r)))
     dispersion, contributions = _spread(normalized_shapes(patterns))
     warp = next(iter(features.values())).warp_kind
     return ProbeReport(factor, warp, patterns, dispersion, contributions)

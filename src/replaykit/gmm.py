@@ -79,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError, SingularComponentError
+from .errors import ModelFormatError, SingularComponentError, existing_file
 from .filterbank import FeatureMatrix
 
 COVARIANCE_KINDS = ("diag", "full")
@@ -576,10 +576,11 @@ def load_pair_model(path) -> GmmPairModel:
     other than MODEL_FORMAT_VERSION (older list-format files included), a
     missing key, and parameters that are not base64, hold a byte count
     that disagrees with K and d, or fail `Gmm`'s checks raise
-    ModelFormatError naming the file.
+    ModelFormatError naming the file; a missing file raises
+    FileNotFoundError `<path>: no such file`.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(existing_file(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import GENUINE_LABEL, REPLAY_LABEL, Manifest
-from .errors import ScoreFormatError
+from .errors import ScoreFormatError, existing_file
 
 UNLABELLED = "-"  # label unknown to the scorer; read_scores fills it in
 
@@ -82,10 +82,11 @@ def write_scores(records: list[ScoreRecord], path) -> None:
 def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
     """Read a score TSV; '-' labels are filled from the manifest if given.
     A malformed line or a repeated utterance id raises ScoreFormatError
-    naming the line."""
+    naming the line, and a missing file FileNotFoundError `<path>: no
+    such file`."""
     labels = {r.utt_id: r.label for r in manifest} if manifest else {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = existing_file(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ScoreFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     records = []

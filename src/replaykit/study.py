@@ -8,6 +8,12 @@ train-device portion, scores the held-out-device portion, and aggregates
 every dispersion and EER into a StudyReport. Everything is deterministic
 under the seed, including the bytes of every file written.
 
+The corpus passes through once: each signal is written as a WAV and
+framed as the stream from `synth_corpus` makes it, so a study holds at
+once the genuine signals, one replay, and the feature archives. The
+probes read per-utterance moments of the archives and stack no frames;
+only the detection legs pool frames, to train on them.
+
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
 signals, while the CLI extracts from 16-bit WAVs and trains on float32
@@ -20,11 +26,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .archive import FeatureArchive, write_archive
 from .corpus import (
+    AudioSignal,
     SynthConfig,
     derive_seed,
     save_device_profiles,
@@ -108,14 +116,23 @@ def extract_features(utterances, *configs: ExtractionConfig
             for c, e in zip(configs, entries)]
 
 
-def write_corpus(signals, manifest, profiles, out_dir) -> None:
-    """Write a corpus as `synth_corpus` returns it: manifest.tsv,
-    devices.json and one WAV per manifest row under out_dir."""
+def write_corpus(signals, manifest, profiles, out_dir
+                 ) -> Iterator[tuple[str, AudioSignal]]:
+    """Write a corpus as `synth_corpus` returns it under out_dir:
+    manifest.tsv and devices.json now, and one WAV per manifest row as the
+    returned iterator passes it on as (utt_id, signal). Drain the iterator
+    to write every WAV; it holds one signal at a time beyond what
+    `signals` itself holds."""
     out_dir = Path(out_dir)
     write_manifest(manifest, out_dir / "manifest.tsv")
     save_device_profiles(profiles, out_dir / "devices.json")
-    for rec, sig in zip(manifest, signals):
+    return _write_wavs(zip(manifest, signals, strict=True), out_dir)
+
+
+def _write_wavs(rows, out_dir: Path) -> Iterator[tuple[str, AudioSignal]]:
+    for rec, sig in rows:
         write_wav(sig, out_dir / rec.audio_path)
+        yield rec.utt_id, sig
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +211,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     out_dir = Path(out_dir)
 
     signals, manifest, profiles = synth_corpus(config.corpus, seed)
-    write_corpus(signals, manifest, profiles, out_dir / "corpus")
+    utterances = write_corpus(signals, manifest, profiles, out_dir / "corpus")
 
     configs = [ExtractionConfig(kind, feature, config.bands, config.frame_len,
                                 config.hop, config.n_fft, config.delta_window)
@@ -203,7 +220,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                                FeatureKind.CEPSTRA_DELTA)]
     archives = dict(zip(
         ((c.warp, c.feature) for c in configs),
-        extract_features(zip((r.utt_id for r in manifest), signals), *configs)))
+        extract_features(utterances, *configs)))
     for (kind, feature), archive in archives.items():
         write_archive(archive, out_dir / "features"
                       / f"{kind.value}_{feature.value}.rpfa")

@@ -11,6 +11,13 @@ import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import logsumexp
 
+from replaykit.corpus import (
+    PIPELINE_SAMPLE_RATE,
+    AudioSignal,
+    _amplitude_response,
+    _replay,
+)
+
 
 def fratio_exact(genuine_rows, replay_rows):
     """Exact per-band discriminability ratio via rational arithmetic.
@@ -204,6 +211,24 @@ def gmm_em(frames, model, iters, variance_floor_factor):
         params = gmm_m_step(frames, resp, kind, diag_floor, full_floor)
     return ll_curve, params
 
+
+# ---------------------------------------------------------------------------
+# Synthetic corpus
+# ---------------------------------------------------------------------------
+
+def apply_replay_channel(signal, profile, seed):
+    """One signal through a device's playback-and-recording channel, with
+    its own spectrum and channel response. Not independent of the library:
+    it runs `corpus._replay`, the one channel definition, and is the
+    per-signal form that `synth_corpus`'s stream, which shares each
+    device's response and each genuine spectrum over many replays, must
+    equal bit for bit. Empty signals pass through as empty."""
+    x = signal.samples
+    if x.size == 0:
+        return AudioSignal(x.copy())
+    freqs = np.fft.rfftfreq(x.size, d=1.0 / PIPELINE_SAMPLE_RATE)
+    return _replay(x, np.fft.rfft(x), _amplitude_response(profile, freqs),
+                   profile, seed)
 
 
 def harmonic_sum_table(amps, freqs, phases, n, rate):

@@ -125,6 +125,21 @@ class TestFailures:
              "--feature", "fbank", "--out", tmp_path / "x.rpfa"])
         assert line == f"error: {wav}: no such file"
 
+    @pytest.mark.parametrize("command, flag", [
+        ("score", "--archive"), ("score", "--model"), ("eval", "--scores")])
+    def test_missing_input_file(self, work, tmp_path, command, flag):
+        args = {"score": {"--archive": work / "mel_cepstra-delta.rpfa",
+                          "--model": work / "model.json",
+                          "--out": tmp_path / "s.tsv"},
+                "eval": {"--scores": work / "labelled.tsv",
+                         "--manifest": work / "corpus" / "manifest.tsv"},
+                }[command]
+        missing = tmp_path / "nope"
+        args[flag] = missing
+        argv = [command] + [item for pair in args.items() for item in pair]
+        assert self._single_error_line(argv) == \
+            f"error: {missing}: no such file"
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--ncomp", 0, "n_comp must be >= 1, got 0"),
         ("--max-iters", -1, "max_iters must be >= 0, got -1"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from replaykit.corpus import (
     UtteranceMeta,
     _amplitude_response,
     _harmonic_sum,
-    apply_replay_channel,
     derive_seed,
     parse_manifest,
     read_wav,
@@ -232,31 +232,31 @@ class TestReplayChannel:
 
     def test_zero_in_zero_out(self):
         sig = AudioSignal(np.zeros(4000))
-        out = apply_replay_channel(sig, self.PROFILE, seed=3)
+        out = oracles.apply_replay_channel(sig, self.PROFILE, seed=3)
         np.testing.assert_array_equal(out.samples, 0.0)
 
     def test_length_preserved(self):
         sig = _tone(440.0)
-        out = apply_replay_channel(sig, self.PROFILE, seed=3)
+        out = oracles.apply_replay_channel(sig, self.PROFILE, seed=3)
         assert len(out) == len(sig)
 
     def test_seed_determinism(self):
         sig = _tone(440.0)
-        a = apply_replay_channel(sig, self.PROFILE, seed=3)
-        b = apply_replay_channel(sig, self.PROFILE, seed=3)
+        a = oracles.apply_replay_channel(sig, self.PROFILE, seed=3)
+        b = oracles.apply_replay_channel(sig, self.PROFILE, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_different_seed_differs(self):
         sig = _tone(440.0)
-        a = apply_replay_channel(sig, self.PROFILE, seed=3)
-        b = apply_replay_channel(sig, self.PROFILE, seed=4)
+        a = oracles.apply_replay_channel(sig, self.PROFILE, seed=3)
+        b = oracles.apply_replay_channel(sig, self.PROFILE, seed=4)
         assert np.any(a.samples != b.samples)
 
     def test_high_tone_attenuated_at_least_20db(self):
         # 7 kHz tone against a 6 kHz high cutoff: band-pass roll-off plus
         # the shared high-shelf cut must remove >= 20 dB of band energy.
         sig = _tone(7000.0)
-        out = apply_replay_channel(sig, self.PROFILE, seed=11)
+        out = oracles.apply_replay_channel(sig, self.PROFILE, seed=11)
         before = _band_energy(sig, 6800.0, 7200.0)
         after = _band_energy(out, 6800.0, 7200.0)
         assert 10.0 * np.log10(before / after) >= 20.0
@@ -265,7 +265,7 @@ class TestReplayChannel:
         # Ripple gain can push a mid-band tone above the input peak.
         profile = DeviceProfile("D00", 80.0, 7400.0, ((1000.0, 6.0),), 40.0)
         sig = _tone(1000.0, amp=0.99)
-        out = apply_replay_channel(sig, profile, seed=5)
+        out = oracles.apply_replay_channel(sig, profile, seed=5)
         assert np.max(np.abs(out.samples)) <= 0.99
 
     @given(n=st.integers(min_value=0, max_value=2000),
@@ -274,8 +274,8 @@ class TestReplayChannel:
     def test_length_and_determinism_property(self, n, seed):
         rng = np.random.default_rng(n + 1)
         sig = AudioSignal(rng.uniform(-0.5, 0.5, size=n))
-        a = apply_replay_channel(sig, self.PROFILE, seed)
-        b = apply_replay_channel(sig, self.PROFILE, seed)
+        a = oracles.apply_replay_channel(sig, self.PROFILE, seed)
+        b = oracles.apply_replay_channel(sig, self.PROFILE, seed)
         assert len(a) == n
         np.testing.assert_array_equal(a.samples, b.samples)
 
@@ -289,6 +289,36 @@ class TestSynthCorpus:
         assert len(manifest.replay_records()) == 12
         assert len(signals) == len(manifest)
         assert len(profiles) == 3
+
+    def test_signals_are_sized_and_each_pass_gives_the_same_bytes(self):
+        cfg = SynthConfig(n_speakers=2, n_phrases=1, n_train_devices=2,
+                          n_heldout_devices=1, utt_seconds=0.5, reps=2)
+        signals, manifest, _ = synth_corpus(cfg, seed=3)
+        assert len(signals) == len(manifest) == 16
+        first = [sig.samples.tobytes() for sig in signals]
+        assert len(first) == 16
+        assert [sig.samples.tobytes() for sig in signals] == first
+
+    def test_stream_holds_genuine_signals_and_one_replay(self):
+        # 4 genuine utterances through 16 devices: 68 signals of 64 kB.
+        # A pass keeps the 4 genuine signals and the 16 device responses
+        # (half a signal each) and makes one replay at a time, so its
+        # peak stays far below the 4.4 MB an eager list of all signals
+        # holds. With one genuine utterance the responses alone would
+        # come to half the sum, whatever the device count.
+        cfg = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=8,
+                          n_heldout_devices=8, utt_seconds=0.5, reps=1)
+        tracemalloc.start()
+        try:
+            signals, _, _ = synth_corpus(cfg, seed=1)
+            total = 0
+            for sig in signals:
+                total += sig.samples.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == 68 * 8000 * 8
+        assert peak < total / 3
 
     def test_device_naming(self):
         cfg = SynthConfig(n_speakers=1, n_phrases=1, n_train_devices=1,
@@ -312,7 +342,7 @@ class TestSynthCorpus:
                           n_heldout_devices=1, utt_seconds=0.5, reps=1)
         sig_a, _, _ = synth_corpus(cfg, seed=9)
         sig_b, _, _ = synth_corpus(cfg, seed=10)
-        assert np.any(sig_a[0].samples != sig_b[0].samples)
+        assert np.any(list(sig_a)[0].samples != list(sig_b)[0].samples)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="invalid config"):
@@ -341,11 +371,12 @@ class TestSynthCorpus:
     def test_replays_equal_the_public_channel(self):
         # synth_corpus shares one response per device and one spectrum per
         # genuine signal; each replay must still be, bit for bit, what
-        # apply_replay_channel gives.
+        # the per-signal channel gives.
         cfg = SynthConfig(n_speakers=2, n_phrases=1, n_train_devices=1,
                           n_heldout_devices=2, utt_seconds=0.5, reps=1)
         seed = 4
         signals, manifest, profiles = synth_corpus(cfg, seed)
+        signals = list(signals)
         n_genuine = len(manifest.genuine_records())
         replays = iter(zip(manifest.replay_records(), signals[n_genuine:]))
         for g, source in enumerate(signals[:n_genuine]):
@@ -353,7 +384,7 @@ class TestSynthCorpus:
                 rec, replay = next(replays)
                 assert rec.device_id == profile.device_id
                 assert rec.utt_id.startswith(manifest.records[g].utt_id[:-4])
-                want = apply_replay_channel(source, profile,
+                want = oracles.apply_replay_channel(source, profile,
                                             derive_seed(seed, 2, g, d))
                 np.testing.assert_array_equal(replay.samples, want.samples)
 
@@ -394,7 +425,7 @@ class TestChannelGainLinkage:
         rng = np.random.default_rng(5)
         sig = AudioSignal(rng.uniform(-0.5, 0.5, size=SR))
         profile = DeviceProfile("D00", 60.0, 7400.0, ((1200.0, 4.0),), 40.0)
-        out = apply_replay_channel(sig, profile, seed=2)
+        out = oracles.apply_replay_channel(sig, profile, seed=2)
         for f_lo, f_hi in [(1000.0, 1500.0), (3000.0, 4000.0),
                            (6200.0, 7000.0)]:
             ratio = _band_energy(out, f_lo, f_hi) / _band_energy(sig, f_lo, f_hi)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replaykit.corpus import AudioSignal, DeviceProfile, _amplitude_response, apply_replay_channel
+import oracles
+from replaykit.corpus import AudioSignal, DeviceProfile, _amplitude_response
 from replaykit.filterbank import (
     NYQUIST_HZ,
     FeatureKind,
@@ -255,7 +256,7 @@ class TestChannelToFeatureLink:
         sig = AudioSignal(rng.uniform(-0.5, 0.5, size=2 * SR))
         profile = DeviceProfile("D00", 60.0, 7400.0,
                                 ((900.0, 4.0), (2500.0, -3.0)), 40.0)
-        out = apply_replay_channel(sig, profile, seed=8)
+        out = oracles.apply_replay_channel(sig, profile, seed=8)
 
         fb = build_filterbank(WarpKind.LINEAR, 23, 512)
         feats_in = fbank_features(

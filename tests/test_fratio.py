@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,133 @@ class TestProbeFactor:
                                    or r.speaker_id != "S01")
         with pytest.raises(ValueError, match="too few frames for speaker=S01"):
             probe_factor(features, manifest, "speaker")
+
+
+def _uneven_setup():
+    """Three speakers x two phrases, three devices, utterances of uneven
+    length around a large offset, so the pooled moments depend on how
+    each utterance's frames are weighted and centred: at this offset a
+    one-pass variance, E[x^2] - E[x]^2, misses the exact ratios by more
+    than 1e-12 relative."""
+    offset = 200.0
+    records = []
+    features = {}
+    rng = np.random.default_rng(11)
+    for s in ("S00", "S01", "S02"):
+        for p in ("P00", "P01"):
+            utt = f"{s}-{p}-live"
+            records.append(UtteranceMeta(utt, f"{utt}.wav", "genuine", s, p,
+                                         "-"))
+            rows = rng.normal(offset, 1.0, size=(rng.integers(5, 31), 4))
+            features[utt] = _logfb(rows, WarpKind.MEL)
+            for d, shift in (("D00", 0.5), ("D01", 1.5), ("H00", 3.0)):
+                rutt = f"{s}-{p}-{d}"
+                records.append(UtteranceMeta(rutt, f"{rutt}.wav", "replay",
+                                             s, p, d))
+                rows = rng.normal(offset + shift, 1.0 + shift,
+                                  size=(rng.integers(5, 31), 4))
+                features[rutt] = _logfb(rows, WarpKind.MEL)
+    return features, Manifest(records)
+
+
+def _rows(features, records):
+    return [row for r in records for row in features[r.utt_id].values.tolist()]
+
+
+def _assert_matches_exact(pattern, genuine_rows, replay_rows):
+    assert pattern.n_genuine_frames == len(genuine_rows)
+    assert pattern.n_replay_frames == len(replay_rows)
+    exact = [float(v) for v in fratio_exact(genuine_rows, replay_rows)]
+    np.testing.assert_allclose(pattern.values, exact, rtol=1e-12, atol=0.0)
+
+
+class TestPooledMoments:
+    """The probes take each pool's moments from per-utterance sums; the
+    patterns must equal the ratio of the pool's stacked rows."""
+
+    @pytest.mark.parametrize("factor", ["speaker", "phrase", "device"])
+    def test_probe_matches_exact_ratio_of_stacked_rows(self, factor):
+        features, manifest = _uneven_setup()
+        report = probe_factor(features, manifest, factor)
+        attr = f"{factor}_id"
+        for pattern in report.patterns:
+            genuine = [r for r in manifest.genuine_records()
+                       if factor == "device"
+                       or getattr(r, attr) == pattern.value]
+            replay = [r for r in manifest.replay_records()
+                      if getattr(r, attr) == pattern.value]
+            assert len(genuine) >= 2 and len(replay) >= 2
+            _assert_matches_exact(pattern, _rows(features, genuine),
+                                  _rows(features, replay))
+
+    def test_compare_datasets_matches_exact_ratio_of_stacked_rows(self):
+        features, manifest = _uneven_setup()
+        train = manifest.filter(lambda r: r.is_genuine
+                                or r.device_id.startswith("D"))
+        heldout = manifest.filter(lambda r: r.is_genuine
+                                  or r.device_id.startswith("H"))
+        report = compare_datasets(features, train, heldout)
+        for pattern, man in zip(report.patterns, (train, heldout)):
+            _assert_matches_exact(pattern,
+                                  _rows(features, man.genuine_records()),
+                                  _rows(features, man.replay_records()))
+
+    def test_probe_stacks_no_pool(self):
+        # 200 utterances of 500 frames: the genuine pool alone is 2.4 MB,
+        # one utterance 48 kB.
+        records, features = [], {}
+        rng = np.random.default_rng(2)
+        for i in range(100):
+            for label, device, shift in (("genuine", "-", 0.0),
+                                         ("replay", "D00", 1.0)):
+                utt = f"U{i:03d}-{label}"
+                records.append(UtteranceMeta(utt, f"{utt}.wav", label,
+                                             f"S{i % 2}", "P00", device))
+                features[utt] = _logfb(rng.normal(shift, 1.0, size=(500, 12)))
+        manifest = Manifest(records)
+        pool_bytes = 100 * 500 * 12 * 8
+        tracemalloc.start()
+        try:
+            report = probe_factor(features, manifest, "device")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.patterns[0].n_genuine_frames == 100 * 500
+        assert peak < pool_bytes / 10
+
+    def test_too_few_frames_message(self):
+        features, manifest = _toy_setup()
+        features["S00-D00"] = _logfb(np.zeros((1, 3)), WarpKind.LINEAR)
+        features["S01-D00"] = _logfb(np.zeros((0, 3)), WarpKind.LINEAR)
+        with pytest.raises(ValueError) as info:
+            probe_factor(features, manifest, "device")
+        assert str(info.value) == ("too few frames for device=D00: need >= 2 "
+                                   "per class, got 40 genuine and 1 replay")
+
+    def test_degenerate_band_message(self):
+        features, manifest = _toy_setup()
+        for utt in ("S00-live", "S01-live", "S00-D01", "S01-D01"):
+            features[utt] = _logfb(np.zeros((20, 3)), WarpKind.LINEAR)
+        features["S00-D00"] = _logfb(np.ones((20, 3)), WarpKind.LINEAR)
+        features["S01-D00"] = _logfb(np.ones((20, 3)), WarpKind.LINEAR)
+        with pytest.raises(DegenerateBandError) as info:
+            probe_factor(features, manifest, "device")
+        assert str(info.value) == (
+            "constant features in band(s) [0, 1, 2] for device=D00: "
+            "within-class variance below 1e-12")
+
+    # An inf frame makes numpy warn while centring on an inf mean.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_message(self, bad):
+        features, manifest = _toy_setup()
+        rows = features["S01-D01"].values.copy()
+        rows[3, 1] = bad
+        features["S01-D01"] = _logfb(rows, WarpKind.LINEAR)
+        with pytest.raises(ValueError) as info:
+            probe_factor(features, manifest, "device")
+        assert str(info.value) == ("non-finite ratios for device=D01: "
+                                   "features hold NaN or inf")
 
 
 class TestCompareDatasets:
