@@ -56,7 +56,13 @@ from .gmm import (
     train_gmm,
 )
 from .metrics import ScoreRecord, compute_eer, read_scores, write_scores
-from .spectrum import FrameMatrix, dct_ii, frame_signal, power_spectrum
+from .spectrum import (
+    FrameMatrix,
+    SpectrumWorkspace,
+    dct_ii,
+    frame_signal,
+    power_spectrum,
+)
 from .study import (
     ExtractionConfig,
     StudyConfig,

@@ -70,8 +70,10 @@ def pool_frames(features: dict[str, FeatureMatrix],
 def fratio(genuine, replay) -> np.ndarray:
     """Between-class distance over summed within-class variance, per band,
     of two frames-by-bands arrays."""
-    return _pooled_fratio([np.asarray(genuine, dtype=np.float64)],
-                          [np.asarray(replay, dtype=np.float64)])
+    g = [np.asarray(genuine, dtype=np.float64)]
+    r = [np.asarray(replay, dtype=np.float64)]
+    n_g, n_r = _pool_sizes(g, r)
+    return _ratio(_moments(g, n_g), _moments(r, n_r))
 
 
 def _moments(blocks: list[np.ndarray], n: int
@@ -84,9 +86,10 @@ def _moments(blocks: list[np.ndarray], n: int
     return mean, var
 
 
-def _pooled_fratio(genuine: list[np.ndarray],
-                   replay: list[np.ndarray]) -> np.ndarray:
-    """`fratio` of two pools, each given as frames-by-bands blocks."""
+def _pool_sizes(genuine: list[np.ndarray],
+                replay: list[np.ndarray]) -> tuple[int, int]:
+    """Frame counts of two pools given as frames-by-bands blocks; raises
+    unless each holds two frames and all blocks share one band count."""
     n_g = sum(b.shape[0] for b in genuine)
     n_r = sum(b.shape[0] for b in replay)
     if n_g < 2 or n_r < 2:
@@ -96,8 +99,12 @@ def _pooled_fratio(genuine: list[np.ndarray],
     if len(dims) > 1:
         raise ValueError(f"band counts differ: "
                          f"{' vs '.join(map(str, dims))}")
-    mean_g, var_g = _moments(genuine, n_g)
-    mean_r, var_r = _moments(replay, n_r)
+    return n_g, n_r
+
+
+def _ratio(genuine_moments, replay_moments) -> np.ndarray:
+    """`fratio` from each class's (mean, variance)."""
+    (mean_g, var_g), (mean_r, var_r) = genuine_moments, replay_moments
     denom = var_g + var_r
     bad = np.flatnonzero(denom < DEGENERATE_DENOMINATOR)
     if bad.size:
@@ -180,21 +187,31 @@ def compare_datasets(features: dict[str, FeatureMatrix], train: Manifest,
 
 def _report(features, factor, pools) -> ProbeReport:
     """One pattern per (value, genuine ids, replay ids) pool, from the
-    pooled utterances' moments; no pool's frames are stacked. `fratio`'s
-    messages read "problem: detail"; the value goes after the problem."""
+    pooled utterances' moments; no pool's frames are stacked, and a list
+    of ids that several pools share (the device probe's genuine pool) has
+    its moments taken once. `fratio`'s messages read "problem: detail";
+    the value goes after the problem."""
+    moments = {}
+
+    def pool_moments(ids, blocks, n):
+        key = tuple(ids)
+        if key not in moments:
+            moments[key] = _moments(blocks, n)
+        return moments[key]
+
     patterns = []
     for value, genuine_ids, replay_ids in pools:
         g = [features[u].values for u in genuine_ids]
         r = [features[u].values for u in replay_ids]
         try:
-            values = _pooled_fratio(g, r)
+            n_g, n_r = _pool_sizes(g, r)
+            values = _ratio(pool_moments(genuine_ids, g, n_g),
+                            pool_moments(replay_ids, r, n_r))
         except ValueError as exc:
             problem, _, detail = str(exc).partition(": ")
             raise type(exc)(f"{problem} for {factor}={value}: {detail}") \
                 from exc
-        patterns.append(FRatioPattern(value, values,
-                                      sum(b.shape[0] for b in g),
-                                      sum(b.shape[0] for b in r)))
+        patterns.append(FRatioPattern(value, values, n_g, n_r))
     dispersion, contributions = _spread(normalized_shapes(patterns))
     warp = next(iter(features.values())).warp_kind
     return ProbeReport(factor, warp, patterns, dispersion, contributions)

@@ -6,6 +6,11 @@ and the forward transform is unnormalized (|X[k]|^2 with no 1/N), so the
 sum over all n_fft bins of |X[k]|^2 equals n_fft times the windowed-frame
 energy. Signals are at PIPELINE_SAMPLE_RATE, so power-spectrum bin k sits
 at k * 16000 / n_fft Hz.
+
+`power_spectrum` computes in the buffers of a `SpectrumWorkspace`. Whoever
+passes one owns it and the spectrum it returns, which is a view that the
+next call through the same workspace overwrites; `extract_features` makes
+one per call and consumes each spectrum before framing the next signal.
 """
 
 from __future__ import annotations
@@ -52,17 +57,65 @@ def frame_signal(signal: AudioSignal, frame_len: int, hop: int) -> FrameMatrix:
     return FrameMatrix(frames)
 
 
-def power_spectrum(frames: FrameMatrix, n_fft: int) -> np.ndarray:
+class SpectrumWorkspace:
+    """The window and the three buffers `power_spectrum` computes in: the
+    zero-padded windowed frames, the complex `rfft` bins and the power.
+
+    The buffers grow to the largest frame count seen so far and each call
+    takes their first n rows, so one workspace serves many signals without
+    allocating per signal. The padding columns are zeroed once, when a
+    buffer is allocated, and never written.
+    """
+
+    def __init__(self, frame_len: int, n_fft: int):
+        if n_fft < frame_len:
+            raise ValueError(f"n_fft ({n_fft}) smaller than frame length "
+                             f"({frame_len})")
+        if n_fft & (n_fft - 1):
+            raise ValueError(f"n_fft must be a power of two, got {n_fft}")
+        self.frame_len = frame_len
+        self.n_fft = n_fft
+        self.window = np.hamming(frame_len)
+        self._allocate(0)
+
+    def _allocate(self, n: int) -> None:
+        n_bins = self.n_fft // 2 + 1
+        self._padded = np.zeros((n, self.n_fft))
+        self._bins = np.empty((n, n_bins), dtype=np.complex128)
+        self._power = np.empty((n, n_bins))
+
+    def buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(padded, bins, power) views of n rows each."""
+        if n > self._padded.shape[0]:
+            self._allocate(n)
+        return self._padded[:n], self._bins[:n], self._power[:n]
+
+
+def power_spectrum(frames: FrameMatrix, n_fft: int,
+                   workspace: SpectrumWorkspace | None = None) -> np.ndarray:
     """Hamming-window each frame, zero-pad to n_fft, return |X[k]|^2 as an
-    (n_frames, n_fft // 2 + 1) array."""
-    if n_fft < frames.frame_len:
-        raise ValueError(f"n_fft ({n_fft}) smaller than frame length "
-                         f"({frames.frame_len})")
-    if n_fft & (n_fft - 1):
-        raise ValueError(f"n_fft must be a power of two, got {n_fft}")
-    window = np.hamming(frames.frame_len)
-    spectra = np.fft.rfft(frames.frames * window, n=n_fft, axis=1)
-    power = np.abs(spectra)
+    (n_frames, n_fft // 2 + 1) array.
+
+    The result is a view into the workspace's power buffer: it stays valid
+    until the next call with the same workspace, so a caller that keeps
+    spectra must copy them. Without a workspace the call makes its own,
+    and the result is the caller's to keep; a caller that computes many
+    spectra should pass one workspace, so that the buffers are not
+    allocated and faulted in again for every call.
+    """
+    if workspace is None:
+        workspace = SpectrumWorkspace(frames.frame_len, n_fft)
+    elif (workspace.frame_len, workspace.n_fft) != (frames.frame_len, n_fft):
+        raise ValueError(f"workspace for frame length {workspace.frame_len} "
+                         f"and n_fft {workspace.n_fft} given frames of "
+                         f"length {frames.frame_len} and n_fft {n_fft}")
+    padded, bins, power = workspace.buffers(frames.n_frames)
+    np.multiply(frames.frames, workspace.window,
+                out=padded[:, :frames.frame_len])
+    # The transform length is the buffer's width, so rfft makes no padded
+    # copy of its own.
+    np.fft.rfft(padded, axis=1, out=bins)
+    np.abs(bins, out=power)
     return np.square(power, out=power)
 
 

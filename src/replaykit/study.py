@@ -53,7 +53,7 @@ from .fratio import (PROBE_FACTORS, ProbeReport, compare_datasets,
 from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
                   save_pair_model, score_utterance, train_gmm)
 from .metrics import ScoreRecord, compute_eer, write_scores
-from .spectrum import frame_signal, power_spectrum
+from .spectrum import SpectrumWorkspace, frame_signal, power_spectrum
 
 FBANK_TAGS = {WarpKind.LINEAR: "L-Fbank", WarpKind.MEL: "M-Fbank",
               WarpKind.INVERTED_MEL: "IM-Fbank"}
@@ -93,6 +93,11 @@ def extract_features(utterances, *configs: ExtractionConfig
     utterance's spectrogram and each (warp, bands) log-Fbank is computed
     once. Pairs are taken one at a time, so a lazy generator holds one
     waveform at once.
+
+    The call owns one `SpectrumWorkspace`, sized to its longest utterance,
+    and computes every spectrum in it. Each spectrum stays valid only
+    until the next utterance's, so it is turned into filterbank energies
+    at once and never kept.
     """
     framing = {(c.frame_len, c.hop, c.n_fft) for c in configs}
     if len(framing) != 1:
@@ -101,9 +106,11 @@ def extract_features(utterances, *configs: ExtractionConfig
     frame_len, hop, n_fft = framing.pop()
     banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft)
              for c in configs}
+    workspace = SpectrumWorkspace(frame_len, n_fft)
     entries = [{} for _ in configs]
     for utt_id, signal in utterances:
-        spec = power_spectrum(frame_signal(signal, frame_len, hop), n_fft)
+        spec = power_spectrum(frame_signal(signal, frame_len, hop), n_fft,
+                              workspace)
         fbanks = {key: fbank_features(spec, fb) for key, fb in banks.items()}
         for config, out in zip(configs, entries):
             feats = fbanks[config.warp, config.bands]

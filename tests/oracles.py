@@ -71,6 +71,17 @@ def eer_brute_force(genuine_scores, replay_scores):
     raise AssertionError("no crossing found")
 
 
+def power_spectrum_loop(frames, n_fft):
+    """|X[k]|^2 of each Hamming-windowed frame zero-padded to n_fft, one
+    frame at a time through numpy's own padding (`rfft(..., n=n_fft)`)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    window = np.hamming(frames.shape[1])
+    out = np.empty((frames.shape[0], n_fft // 2 + 1))
+    for i, frame in enumerate(frames):
+        out[i] = np.abs(np.fft.rfft(frame * window, n=n_fft)) ** 2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gaussian mixtures: the per-component loop forms of the E-step densities,
 # the k-means initialisation and the M-step, with scipy factorisations.

@@ -98,6 +98,18 @@ class TestReadWav:
             read_wav(p)
         assert str(info.value) == f"{p}: {message}"
 
+    def test_every_16bit_value_reads_as_its_quotient_by_32768(self, tmp_path):
+        # The reader scales by 2**-15 in one step; pin it bit for bit to
+        # the float64 quotient s / 32768 over every 16-bit sample value.
+        ints = np.arange(-32768, 32768).astype("<i2")
+        p = tmp_path / "all.wav"
+        _write_raw_wav(p, ints.tobytes())
+        samples = read_wav(p).samples
+        assert samples.dtype == np.float64
+        want = ints.astype(np.float64) / 32768.0
+        np.testing.assert_array_equal(samples.view(np.uint64),
+                                      want.view(np.uint64))
+
     def test_roundtrip_every_16bit_value(self, tmp_path):
         ints = np.arange(-32768, 32768, dtype=np.int64)
         sig = AudioSignal(ints / 32768.0)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import tracemalloc
 
@@ -17,6 +18,9 @@ from replaykit.fratio import (
     probe_factor,
 )
 from replaykit.study import write_probe_report
+
+# The package exports the `fratio` function under the module's name.
+fratio_mod = importlib.import_module("replaykit.fratio")
 
 
 def _logfb(rows, warp_kind=None):
@@ -155,6 +159,25 @@ class TestProbeFactor:
         # 2 speakers x 20 genuine frames pooled for every device value
         assert all(p.n_genuine_frames == 40 for p in report.patterns)
         assert all(p.n_replay_frames == 40 for p in report.patterns)
+
+    def test_shared_genuine_pool_summed_once(self, monkeypatch):
+        # Every device pattern pools the same genuine utterances; the probe
+        # takes that pool's moments once, and once per distinct replay pool.
+        features, manifest = _toy_setup()
+        want = probe_factor(features, manifest, "device")
+        calls = []
+        moments = fratio_mod._moments
+
+        def counting(blocks, n):
+            calls.append(n)
+            return moments(blocks, n)
+
+        monkeypatch.setattr(fratio_mod, "_moments", counting)
+        got = probe_factor(features, manifest, "device")
+        assert calls == [40, 40, 40]  # the genuine pool, then D00 and D01
+        assert got.dispersion == want.dispersion
+        for a, b in zip(got.patterns, want.patterns):
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_speaker_probe_restricts_both_pools(self):
         features, manifest = _toy_setup()

@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import power_spectrum_loop
 from replaykit.corpus import AudioSignal
-from replaykit.spectrum import FrameMatrix, dct_ii, frame_signal, power_spectrum
+from replaykit.spectrum import (
+    FrameMatrix,
+    SpectrumWorkspace,
+    dct_ii,
+    frame_signal,
+    power_spectrum,
+)
 
 def _count_frames_oracle(signal_len, frame_len, hop):
     """Direct enumeration of frame starts."""
@@ -116,6 +123,42 @@ class TestPowerSpectrum:
             total = row[0] + row[-1] + 2.0 * row[1:-1].sum()
             np.testing.assert_allclose(total, n_fft * windowed_energy,
                                        rtol=1e-6)
+
+    def test_matches_loop_oracle_bit_for_bit(self):
+        # Padding inside a buffer and padding inside rfft run the same
+        # transform on the same samples, so no tolerance is needed.
+        rng = np.random.default_rng(5)
+        for frame_len, n_fft in [(400, 512), (400, 1024), (256, 256),
+                                 (7, 8), (1, 1)]:
+            for n_frames in (0, 1, 5, 198):
+                frames = rng.uniform(-1, 1, size=(n_frames, frame_len))
+                spec = power_spectrum(FrameMatrix(frames), n_fft)
+                assert spec.shape == (n_frames, n_fft // 2 + 1)
+                np.testing.assert_array_equal(
+                    spec, power_spectrum_loop(frames, n_fft))
+
+    def test_one_workspace_over_growing_and_shrinking_frame_counts(self):
+        # Each spectrum equals the oracle's, whether the buffers grow for
+        # it or a shorter signal leaves longer rows' samples behind them.
+        rng = np.random.default_rng(6)
+        workspace = SpectrumWorkspace(400, 512)
+        for n_frames in (198, 3, 0, 250, 1, 250):
+            frames = rng.uniform(-1, 1, size=(n_frames, 400))
+            spec = power_spectrum(FrameMatrix(frames), 512, workspace)
+            np.testing.assert_array_equal(
+                spec, power_spectrum_loop(frames, 512))
+        padded, _, power = workspace.buffers(250)
+        assert np.shares_memory(spec, power)
+        np.testing.assert_array_equal(padded[:, 400:], 0.0)
+
+    def test_workspace_must_fit_the_frames(self):
+        fm = frame_signal(_signal(720), 400, 160)
+        with pytest.raises(ValueError, match="workspace for frame length "
+                                             "400 and n_fft 1024"):
+            power_spectrum(fm, 512, SpectrumWorkspace(400, 1024))
+        with pytest.raises(ValueError, match="workspace for frame length "
+                                             "256"):
+            power_spectrum(fm, 512, SpectrumWorkspace(256, 512))
 
 
 def _dct_oracle(x, n_out):

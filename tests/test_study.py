@@ -10,7 +10,7 @@ import pytest
 
 from oracles import eer_brute_force
 from replaykit import cli
-from replaykit.corpus import SynthConfig, synth_corpus
+from replaykit.corpus import AudioSignal, SynthConfig, synth_corpus
 from replaykit.filterbank import (
     FeatureKind,
     WarpKind,
@@ -105,6 +105,28 @@ class TestExtractFeatures:
                 assert got.kind is config.feature
                 assert got.warp_kind is config.warp
                 np.testing.assert_array_equal(got.values, want.values)
+
+    def test_buffer_reuse_across_utterance_lengths(self):
+        # One call computes every spectrum in one set of buffers. Lengths
+        # long -> short -> shorter than a frame -> long make it reuse rows
+        # a longer utterance wrote and grow the buffers mid-call; every
+        # entry must equal its own single-utterance extraction bit for bit.
+        rng = np.random.default_rng(SEED)
+        utterances = [(f"u{i}", AudioSignal(rng.uniform(-0.9, 0.9, n)))
+                      for i, n in enumerate((16000, 2000, 399, 24000))]
+        # Deltas reject the zero-frame utterance; they read no spectrum.
+        configs = [ExtractionConfig(warp, feature) for warp in WarpKind
+                   for feature in (FeatureKind.LOG_FBANK, FeatureKind.CEPSTRA)]
+        archives = extract_features(iter(utterances), *configs)
+        for utt_id, signal in utterances:
+            alone = extract_features([(utt_id, signal)], *configs)
+            for archive, single in zip(archives, alone):
+                got = archive.entries[utt_id].values
+                want = single.entries[utt_id].values
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert [fm.n_frames for fm in archives[0].entries.values()] == \
+            [98, 11, 0, 148]
 
     def test_configs_must_share_framing(self, utterances):
         a = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
