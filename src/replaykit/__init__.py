@@ -19,6 +19,7 @@ from .corpus import (
 from .errors import (
     ArchiveFormatError,
     DegenerateBandError,
+    EmptyUtteranceError,
     ManifestError,
     ModelFormatError,
     ReplaykitError,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import archive as archive_mod
 from . import corpus as corpus_mod
+from .errors import EmptyUtteranceError
 from .filterbank import FeatureKind, WarpKind
 from .fratio import pool_frames, probe_factor
 from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
@@ -109,9 +110,14 @@ def _cmd_score(args) -> None:
                   for r in corpus_mod.parse_manifest(args.manifest)}
     # Labels the archive cannot know are written as '-'; `eval` fills them
     # back in from its manifest.
-    records = [ScoreRecord(utt_id, score_utterance(pair, feats),
-                           labels.get(utt_id, UNLABELLED))
-               for utt_id, feats in archive.entries.items()]
+    records = []
+    for utt_id, feats in archive.entries.items():
+        if feats.n_frames == 0:
+            raise EmptyUtteranceError(f"utterance {utt_id} has 0 frames in "
+                                      f"{args.archive}; scoring needs at "
+                                      f"least 1")
+        records.append(ScoreRecord(utt_id, score_utterance(pair, feats),
+                                   labels.get(utt_id, UNLABELLED)))
     write_scores(records, args.out)
     print(f"scored {len(records)} utterances -> {args.out}")
 

@@ -49,6 +49,12 @@ class ScoreFormatError(ReplaykitError, ValueError):
     """A score TSV line is malformed or its label cannot be resolved."""
 
 
+class EmptyUtteranceError(ReplaykitError, ValueError):
+    """An utterance has no frames where a stage needs at least one: deltas
+    of an utterance shorter than one frame, or a score of a 0-frame
+    feature matrix."""
+
+
 class DegenerateBandError(ReplaykitError, ValueError):
     """A band's within-class variance is numerically zero, so its
     discriminability ratio would be infinite."""

@@ -8,6 +8,19 @@ Variances are floored every M-step against the training data's variance
 (eigenvalue clipping in the full-covariance case), and densities go
 through log-sum-exp so far-tail frames stay finite.
 
+k-means++ (Arthur & Vassilvitskii, SODA 2007) draws each next centre with
+probability proportional to the squared distance from the nearest centre
+so far. That distance is ‖x‖² − 2x·c + ‖c‖², clipped at 0: one GEMV per
+centre against row norms taken once, where Σ(x − c)² made two more passes
+over the frames. The draw is `Generator.choice(n, p=d2 / total)`'s own, a
+cumsum scaled by its last entry and searched with one `rng.random()`,
+without choice's passes that check p, so a seed picks the same frames.
+Each Lloyd iteration takes the distances as one GEMM with the centre
+norms added in place, and the cluster sums as one one-hot GEMM. At the
+default study's 28,512 replay frames, d=26 and K=64, initialisation takes
+274 ms against 492 ms for per-centre subtract-and-square passes and
+`choice`, with bit-identical centres (2-vCPU Xeon, one BLAS thread).
+
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
 upper triangle of z zᵀ (full), built with frames as columns MOMENT_BLOCK
@@ -28,21 +41,35 @@ clusters.
 W is taken from the floor's results, so EM makes no Cholesky
 factorisation or inverse: 1/σ² and Σ ln σ² for diag, and for full the
 batched eigendecomposition V Λ Vᵀ of the (K, d, d) stack that clips the
-eigenvalues, as Sigma⁻¹ = V Λ⁻¹ Vᵀ and ln|Sigma| = Σ ln λ. No step makes a
-LAPACK call per component, and k-means distances are GEMMs as well.
+eigenvalues, as Sigma⁻¹ = V Λ⁻¹ Vᵀ and ln|Sigma| = Σ ln λ. The floored
+covariances V max(Λ, f) Vᵀ are rebuilt only for the parameters a fit
+returns, not on every pass. No step makes a LAPACK call per component.
 
-Scoring runs over the same blocks, built as the diag features [z²; z; 1]
-for either kind. A `Gmm` is frozen, so the factors its scoring densities
-need are derived once per model, on first use. Diagonal scoring is the
-E-step's kernel, (Wᵀ block)ᵀ, against the density weights of the
-model's own variances. Full scoring keeps Cholesky whitening: the K
-blocks [L⁻¹ | -L⁻¹m] from one batched factorisation are stacked into one
-(K·d, d + 1) matrix, one GEMM per block against its rows [z; 1]. Full
-features would cost d(d + 1)/2 products per frame of every utterance,
-more than the GEMM saves at small K: 365 µs against 125 µs for a
-498-frame utterance at K=2, d=26 (2-vCPU Xeon, one BLAS thread). Both
-forms follow the precision parametrisation of scikit-learn's
-GaussianMixture (Pedregosa et al., JMLR 2011).
+Scoring takes both mixtures of a `GmmPairModel` at once. The pair is
+frozen, so its factors are derived once, on first use, about one origin
+shared by the pair: the mean of the two mixture means. Each block of
+MOMENT_BLOCK frames is built once and multiplied by the genuine and
+replay factors placed side by side, and a log-sum-exp over each half
+gives the two per-frame log-likelihoods. Diagonal pairs, and full pairs
+with K at or above FULL_FEATURES_MIN_K, use the E-step's kernel, the
+features [q(z); z; 1] against W, with the full precisions L⁻ᵀL⁻¹ taken
+from one batched Cholesky factorisation. Below it, full pairs keep
+Cholesky whitening: the 2K blocks [L⁻¹ | -L⁻¹m] stacked into one
+(2K·d, d + 1) matrix, one GEMM per block against its rows [z; 1], then
+each component's squared norm. Per frame and component the feature
+form's GEMM multiplies q + d + 1 = 378 weights at d=26, against
+whitening's d(d + 1) = 702, but it first builds the q = 351 products of
+z zᵀ, a cost per frame that only a large K repays. Per pair call (random
+d=26 pairs, 2-vCPU Xeon, one BLAS thread), features against whitening:
+K=2, 498 frames 0.44 against 0.19 ms; K=6 0.58 against 0.41 ms; K=8
+within noise of each other (0.19 against 0.20 ms at 148 frames,
+0.60-0.85 ms either way at 498); K=10 0.79 against 0.92 ms; K=64, 148
+frames 0.80 against 1.74 ms. Both forms follow the precision
+parametrisation of scikit-learn's GaussianMixture (Pedregosa et al.,
+JMLR 2011). With the origin shared, the feature form expands each
+component's quadratic form about a point up to half the pair's
+separation Δ away, so a frame's log-likelihood carries an absolute error
+of a few ulp of (Δ/2)²/σ²; tests pin it for mixtures 10³ σ apart.
 
 Every exponential of a shifted log-density goes through `_exp_in_place`,
 which clamps its argument at EXP_CUT = -700 and zeroes what lay below.
@@ -73,13 +100,16 @@ import base64
 import dataclasses
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelFormatError, SingularComponentError, existing_file
+from .errors import (EmptyUtteranceError, ModelFormatError,
+                     SingularComponentError, existing_file)
 from .filterbank import FeatureMatrix
 
 COVARIANCE_KINDS = ("diag", "full")
@@ -88,6 +118,7 @@ MIN_FRAMES_PER_COMPONENT = 10
 KMEANS_ITERS = 10
 MOMENT_BLOCK = 512
 EXP_CUT = -700.0
+FULL_FEATURES_MIN_K = 8
 
 
 @dataclass(frozen=True)
@@ -108,8 +139,8 @@ class TrainConfig:
 class Gmm:
     """Mixture weights, means and covariances for one class.
 
-    Frozen, because the density factors are derived from the parameters
-    once, on first use: an array changed in place after that is not seen.
+    Frozen, like the `GmmPairModel` that derives its scoring factors from
+    the parameters once: an array changed in place after that is not seen.
     """
 
     weights: np.ndarray
@@ -139,37 +170,14 @@ class Gmm:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(o, W, c) for `_weighted_log_densities`, for the shifted frame
-        z = x - o.
 
-        The shift o is the mixture mean, which keeps the expanded diagonal
-        form from cancelling large terms; m_k = mu_k - o. diag: W is the
-        E-step's (2d + 1, K) `_density_weights`, so ln w_k + ln N(x; mu_k,
-        Sigma_k) = [z²; z; 1]ᵀ W, and c is None. full: W stacks the K
-        (d, d + 1) blocks [L_k⁻¹ | -L_k⁻¹ m_k], for the Cholesky factors L_k
-        of Sigma_k, into one (K·d, d + 1) matrix, and the log-density is
-        c_k - ½‖W_k [z; 1]‖² for block W_k.
-        """
-        origin = self.weights @ self.means
-        means = self.means - origin
-        if self.covariance_kind == "diag":
-            return origin, _density_weights(
-                self.weights, means, 1.0 / self.covariances,
-                np.log(self.covariances).sum(axis=1), "diag"), None
-        chol = _cholesky(self.covariances)
-        inv_chol = np.linalg.inv(chol)
-        whiten = np.concatenate([inv_chol, -(inv_chol @ means[:, :, None])],
-                                axis=2)
-        const = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi)
-                 - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
-        return origin, whiten.reshape(-1, self.dim + 1), const
-
-
-@dataclass
+@dataclass(frozen=True)
 class GmmPairModel:
-    """Genuine and replay mixtures plus the provenance of their features."""
+    """Genuine and replay mixtures plus the provenance of their features.
+
+    Frozen, because the scoring factors of both mixtures are derived once
+    per pair, on first use.
+    """
 
     genuine: Gmm
     replay: Gmm
@@ -182,10 +190,29 @@ class GmmPairModel:
             raise ValueError("genuine and replay models must share dimension "
                              "and covariance kind")
 
+    @cached_property
+    def _densities(self) -> _Densities:
+        return _stacked_densities((self.genuine, self.replay))
+
 
 # ---------------------------------------------------------------------------
 # Densities
 # ---------------------------------------------------------------------------
+
+class _Densities(NamedTuple):
+    """Scoring factors of mixtures placed side by side, for frames shifted
+    by one shared `origin` and built as `_feature_blocks` of kind
+    `features`. With `const` None, `matrix` is the (q + d + 1, ΣK) density
+    weights of the E-step; otherwise it stacks the (d, d + 1) whitening
+    blocks of all ΣK components and `const` holds their log-density
+    constants. `n_comps` is each mixture's K, in order."""
+
+    origin: np.ndarray
+    features: str
+    matrix: np.ndarray
+    const: np.ndarray | None
+    n_comps: tuple[int, ...]
+
 
 def _cholesky(covariances: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (K, d, d) stack in one batched call; if
@@ -203,21 +230,65 @@ def _cholesky(covariances: np.ndarray) -> np.ndarray:
         raise
 
 
-def _weighted_log_densities(model: Gmm, frames: np.ndarray) -> np.ndarray:
-    """(n, K) column-major matrix of ln w_k + ln N(x; mu_k, Sigma_k), one
-    block of diag features [z²; z; 1] at a time: diag takes the E-step's
-    product with `model._factors`' W, and full whitens the block's rows
-    [z; 1] for all K components in one (K·d, d + 1) GEMM."""
-    origin, factor, const = model._factors
-    k, d = model.n_comp, model.dim
-    out = np.empty((k, frames.shape[0]))
-    for start, stop, block in _feature_blocks(frames, origin, "diag"):
-        if const is None:
-            np.matmul(factor.T, block, out=out[:, start:stop])
+def _stacked_densities(mixtures: tuple[Gmm, ...]) -> _Densities:
+    """The factors of `mixtures` (one covariance kind and dimension) about
+    the mean of their mixture means, side by side in mixture order.
+
+    diag, and full with K >= FULL_FEATURES_MIN_K: each mixture's
+    `_density_weights`, from 1/σ² (diag) or the precisions L⁻ᵀL⁻¹ of the
+    Cholesky factors L (full). full below it: for each component the
+    whitening block [L⁻¹ | -L⁻¹ m] of m = mu - o, with the constant
+    ln w - ½ ln|Sigma| - (d/2) ln 2π.
+    """
+    origin = np.mean([m.weights @ m.means for m in mixtures], axis=0)
+    kind = mixtures[0].covariance_kind
+    n_comps = tuple(m.n_comp for m in mixtures)
+    whiten = kind == "full" and max(n_comps) < FULL_FEATURES_MIN_K
+    matrices, consts = [], []
+    for m in mixtures:
+        means = m.means - origin
+        if kind == "diag":
+            matrices.append(_density_weights(
+                m.weights, means, 1.0 / m.covariances,
+                np.log(m.covariances).sum(axis=1), kind))
+            continue
+        chol = _cholesky(m.covariances)
+        inv_chol = np.linalg.inv(chol)
+        log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        if whiten:
+            matrices.append(np.concatenate(
+                [inv_chol, -(inv_chol @ means[:, :, None])],
+                axis=2).reshape(-1, m.dim + 1))
+            consts.append(np.log(m.weights) - 0.5 * (
+                log_dets + m.dim * np.log(2.0 * np.pi)))
         else:
-            white = (factor @ block[d:]).reshape(k, d, stop - start)
-            out[:, start:stop] = const[:, None] - 0.5 * np.einsum(
-                "kin,kin->kn", white, white)
+            matrices.append(_density_weights(
+                m.weights, means, np.swapaxes(inv_chol, 1, 2) @ inv_chol,
+                log_dets, kind))
+    if whiten:
+        return _Densities(origin, "whiten", np.vstack(matrices),
+                          np.concatenate(consts), n_comps)
+    return _Densities(origin, kind, np.hstack(matrices), None, n_comps)
+
+
+def _weighted_log_densities(densities: _Densities,
+                            frames: np.ndarray) -> np.ndarray:
+    """(n, ΣK) column-major matrix of ln w_k + ln N(x; mu_k, Sigma_k) for
+    every component of the stacked mixtures, one block at a time: the
+    E-step's product (Wᵀ block)ᵀ, or, for whitening, one GEMM of the
+    stacked blocks against the block's rows [z; 1] and a sum of squares."""
+    n_cols = sum(densities.n_comps)
+    out = np.empty((n_cols, frames.shape[0]))
+    for start, stop, block in _feature_blocks(frames, densities.origin,
+                                              densities.features):
+        if densities.const is None:
+            np.matmul(densities.matrix.T, block, out=out[:, start:stop])
+        else:
+            white = (densities.matrix @ block).reshape(n_cols, -1,
+                                                       stop - start)
+            half_sq = np.einsum("kin,kin->kn", white, white)
+            half_sq *= -0.5
+            np.add(half_sq, densities.const[:, None], out=out[:, start:stop])
     return out.T
 
 
@@ -249,9 +320,17 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return np.log(shifted.sum(axis=1)) + top
 
 
-def _frame_log_likelihoods(model: Gmm, frames: np.ndarray) -> np.ndarray:
-    """ln sum_k w_k N(x; mu_k, Sigma_k) per frame, via log-sum-exp."""
-    return _logsumexp(_weighted_log_densities(model, frames))
+def _frame_log_likelihoods(densities: _Densities,
+                           frames: np.ndarray) -> list[np.ndarray]:
+    """ln sum_k w_k N(x; mu_k, Sigma_k) per frame for each stacked mixture,
+    by a log-sum-exp over its own columns."""
+    weighted = _weighted_log_densities(densities, frames)
+    stop = 0
+    out = []
+    for k in densities.n_comps:
+        out.append(_logsumexp(weighted[:, stop:stop + k]))
+        stop += k
+    return out
 
 
 def _check_finite(frames: np.ndarray) -> None:
@@ -265,14 +344,14 @@ def _check_finite(frames: np.ndarray) -> None:
 def score_utterance(pair: GmmPairModel, feats: FeatureMatrix) -> float:
     """Frame-averaged log-likelihood ratio; higher means more genuine."""
     if feats.n_frames == 0:
-        raise ValueError("cannot score an empty utterance")
+        raise EmptyUtteranceError("cannot score an empty utterance")
     if feats.dim != pair.genuine.dim:
         raise ValueError(f"feature dimension {feats.dim} does not match "
                          f"model dimension {pair.genuine.dim}")
     x = feats.values
     _check_finite(x)
-    return float(np.mean(_frame_log_likelihoods(pair.genuine, x)
-                         - _frame_log_likelihoods(pair.replay, x)))
+    genuine, replay = _frame_log_likelihoods(pair._densities, x)
+    return float(np.mean(genuine - replay))
 
 
 # ---------------------------------------------------------------------------
@@ -281,33 +360,40 @@ def score_utterance(pair: GmmPairModel, feats: FeatureMatrix) -> float:
 
 def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of each frame's closest centre: the argmin of ‖c‖² − 2x·c,
-    the squared distance without the ‖x‖² that every centre shares."""
-    return np.argmin((centers * centers).sum(axis=1)
-                     - 2.0 * (frames @ centers.T), axis=1)
+    the squared distance without the ‖x‖² that every centre shares, as one
+    GEMM into which the centre norms are added in place."""
+    dist = frames @ (-2.0 * centers.T)
+    dist += (centers * centers).sum(axis=1)
+    return np.argmin(dist, axis=1)
 
 
 def _kmeans_init(frames: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ spreading followed by a few Lloyd iterations, each of
     which takes the cluster sums as one one-hot GEMM; an empty cluster
-    keeps its centre."""
+    keeps its centre. Spreading takes one GEMV per centre and draws as
+    `Generator.choice(n, p=d2 / total)` does (see the module docstring),
+    in buffers allocated once per call."""
     n = frames.shape[0]
     centers = np.empty((k, frames.shape[1]))
-    diff = np.empty_like(frames)
-    ones = np.ones(frames.shape[1])
+    norms = np.einsum("nd,nd->n", frames, frames)
+    dist = np.empty(n)
+    cdf = np.empty(n)
 
     def sq_dist(center):
-        # A GEMV sums each row's d squares about twice as fast as
-        # .sum(axis=1) at d=26, which reduces along a narrow axis.
-        np.subtract(frames, center, out=diff)
-        return np.square(diff, out=diff) @ ones
+        np.matmul(frames, -2.0 * center, out=dist)
+        np.add(dist, norms, out=dist)
+        np.add(dist, center @ center, out=dist)
+        return np.maximum(dist, 0.0, out=dist)
 
     centers[0] = frames[rng.integers(n)]
-    d2 = sq_dist(centers[0])
+    d2 = sq_dist(centers[0]).copy()
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            centers[j] = frames[rng.choice(n, p=d2 / total)]
+            np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
+            cdf /= cdf[-1]
+            centers[j] = frames[cdf.searchsorted(rng.random(), side="right")]
         else:
             centers[j] = frames[rng.integers(n)]
         np.minimum(d2, sq_dist(centers[j]), out=d2)
@@ -323,23 +409,27 @@ def _kmeans_init(frames: np.ndarray, k: int,
 
 
 def _floor_covariances(covariances: np.ndarray, kind: str, floor
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Floored covariances with their precisions and log-determinants.
+                       ) -> tuple[Callable[[], np.ndarray], np.ndarray,
+                                  np.ndarray]:
+    """(floored, precisions, log_dets): a function returning the floored
+    covariances, with their precisions and log-determinants.
 
     diag clips each variance at `floor`, a per-dimension vector. full
     symmetrises each matrix of the (K, d, d) stack and clips its
     eigenvalues at the scalar `floor`, in one batched eigendecomposition
     V Λ Vᵀ; the precisions are V Λ⁻¹ Vᵀ and the log-determinants Σ ln λ.
+    An EM pass needs only those two, so the floored V Λ Vᵀ is rebuilt
+    only when `floored` is called, for the parameters a fit returns.
     """
     if kind == "diag":
         covariances = np.maximum(covariances, floor)
-        return (covariances, 1.0 / covariances,
+        return (lambda: covariances, 1.0 / covariances,
                 np.log(covariances).sum(axis=1))
     sym = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
     eigvals, eigvecs = np.linalg.eigh(sym)
     np.maximum(eigvals, floor, out=eigvals)
     eigvecs_t = np.swapaxes(eigvecs, 1, 2)
-    return ((eigvecs * eigvals[:, None, :]) @ eigvecs_t,
+    return (lambda: (eigvecs * eigvals[:, None, :]) @ eigvecs_t,
             (eigvecs / eigvals[:, None, :]) @ eigvecs_t,
             np.log(eigvals).sum(axis=1))
 
@@ -378,11 +468,11 @@ def _normalized_weights(weights: np.ndarray) -> np.ndarray:
 def _feature_blocks(frames: np.ndarray, origin: np.ndarray, kind: str):
     """Yield (start, stop, block) per MOMENT_BLOCK frames, where block is
     the (q + d + 1, stop - start) features [q(z); z; 1] of frames[start:stop]
-    as columns, for z = x - origin and q(z) z² (diag) or the row-major upper
-    triangle of z zᵀ (full). Every block is a view of one buffer, which the
-    next block overwrites."""
+    as columns, for z = x - origin and q(z) z² (diag), the row-major upper
+    triangle of z zᵀ (full) or nothing (whiten). Every block is a view of
+    one buffer, which the next block overwrites."""
     n, d = frames.shape
-    q = d if kind == "diag" else d * (d + 1) // 2
+    q = {"diag": d, "full": d * (d + 1) // 2, "whiten": 0}[kind]
     feats = np.empty((q + d + 1, min(n, MOMENT_BLOCK)))
     for start in range(0, n, MOMENT_BLOCK):
         stop = min(start + MOMENT_BLOCK, n)
@@ -391,7 +481,7 @@ def _feature_blocks(frames: np.ndarray, origin: np.ndarray, kind: str):
         np.subtract(frames[start:stop].T, origin[:, None], out=z)
         if kind == "diag":
             np.square(z, out=block[:d])
-        else:
+        elif kind == "full":
             row = 0
             for i in range(d):
                 np.multiply(z[i:], z[i], out=block[row:row + d - i])
@@ -494,7 +584,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
                     f"component {j} collapsed: non-finite covariance "
                     f"(count={counts[j]:.3g})")
         weights = _normalized_weights(counts / n)
-        covariances, precisions, log_dets = _floor_covariances(
+        floored, precisions, log_dets = _floor_covariances(
             covariances, covariance_kind, floor)
         if len(ll_curve) == config.max_iters:
             break
@@ -508,8 +598,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
             break
         prev_ll = total_ll
         counts, means, covariances = _estimates(sums, origin, covariance_kind)
-    return Gmm(weights, means, covariances, covariance_kind,
-               ll_curve=ll_curve)
+    return Gmm(weights, means, floored(), covariance_kind, ll_curve=ll_curve)
 
 
 # ---------------------------------------------------------------------------

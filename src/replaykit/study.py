@@ -40,6 +40,7 @@ from .corpus import (
     write_manifest,
     write_wav,
 )
+from .errors import EmptyUtteranceError
 from .filterbank import (
     FeatureKind,
     WarpKind,
@@ -94,6 +95,10 @@ def extract_features(utterances, *configs: ExtractionConfig
     once. Pairs are taken one at a time, so a lazy generator holds one
     waveform at once.
 
+    An utterance shorter than one frame gets a 0-frame entry, except under
+    a cepstra-with-deltas config, where it raises EmptyUtteranceError
+    naming it.
+
     The call owns one `SpectrumWorkspace`, sized to its longest utterance,
     and computes every spectrum in it. Each spectrum stays valid only
     until the next utterance's, so it is turned into filterbank energies
@@ -117,6 +122,11 @@ def extract_features(utterances, *configs: ExtractionConfig
             if config.feature is not FeatureKind.LOG_FBANK:
                 feats = cepstral_features(feats)
             if config.feature is FeatureKind.CEPSTRA_DELTA:
+                if feats.n_frames == 0:
+                    raise EmptyUtteranceError(
+                        f"utterance {utt_id} has 0 frames: its "
+                        f"{signal.samples.size} samples are shorter than one "
+                        f"{frame_len}-sample frame, and deltas need at least 1")
                 feats = append_deltas(feats, config.delta_window)
             out[utt_id] = feats
     return [FeatureArchive(feature_tag(c.warp, c.feature), c.to_dict(), e)

@@ -133,21 +133,28 @@ def floor_full_covariance(cov, floor):
     return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
 
 
+def kmeans_pp_indices(frames, k, rng):
+    """The frame index of each k-means++ centre: the first uniform, each
+    next one drawn by `Generator.choice` with probability proportional to
+    the exact squared distance from the nearest centre so far, or uniform
+    once every distance is 0."""
+    n = frames.shape[0]
+    picks = [int(rng.integers(n))]
+    d2 = ((frames - frames[picks[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        picks.append(int(rng.choice(n, p=d2 / total)) if total > 0.0
+                     else int(rng.integers(n)))
+        d2 = np.minimum(d2, ((frames - frames[picks[-1]]) ** 2).sum(axis=1))
+    return picks
+
+
 def gmm_init(frames, k, covariance_kind, variance_floor_factor, seed):
     """k-means++ seeding, Lloyd iterations with distances to one centre at
     a time, and the initial weights, means and floored covariances."""
     n, d = frames.shape
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, d))
-    centers[0] = frames[rng.integers(n)]
-    d2 = ((frames - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            centers[j] = frames[rng.choice(n, p=d2 / total)]
-        else:
-            centers[j] = frames[rng.integers(n)]
-        d2 = np.minimum(d2, ((frames - centers[j]) ** 2).sum(axis=1))
+    centers = frames[kmeans_pp_indices(frames, k,
+                                       np.random.default_rng(seed))]
 
     def assignment():
         dists = np.empty((n, k))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from replaykit import cli
-from replaykit.archive import read_archive
-from replaykit.corpus import synth_corpus
-from replaykit.filterbank import FeatureKind, WarpKind
+from replaykit.archive import read_archive, write_archive
+from replaykit.corpus import (AudioSignal, parse_manifest, synth_corpus,
+                              write_wav)
+from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.metrics import compute_eer, read_scores
 from replaykit.study import ExtractionConfig, extract_features
 from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV
@@ -193,3 +194,34 @@ class TestFailures:
             ["eval", "--scores", bad, "--manifest",
              work / "corpus" / "manifest.tsv"])
         assert line.startswith(f"error: {bad}:2: ")
+
+    def test_deltas_of_an_utterance_shorter_than_a_frame(self, work, tmp_path):
+        # 399 samples are one short of a 25 ms frame: fbank and cepstra
+        # write a 0-frame entry, deltas name the utterance.
+        corpus = tmp_path / "corpus"
+        _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
+        rec = parse_manifest(corpus / "manifest.tsv").records[1]
+        write_wav(AudioSignal(np.zeros(399)), corpus / rec.audio_path)
+        argv = ["extract", "--manifest", corpus / "manifest.tsv", "--warp",
+                "mel", "--out", tmp_path / "x.rpfa", "--feature"]
+        _ok(*argv, "cepstra")
+        assert read_archive(tmp_path / "x.rpfa").entries[rec.utt_id] \
+            .n_frames == 0
+        line = self._single_error_line(argv + ["cepstra-delta"])
+        assert line == (f"error: utterance {rec.utt_id} has 0 frames: its "
+                        f"399 samples are shorter than one 400-sample "
+                        f"frame, and deltas need at least 1")
+
+    def test_score_of_a_zero_frame_entry(self, work, tmp_path):
+        archive = read_archive(work / "mel_cepstra-delta.rpfa")
+        utt_id = list(archive.entries)[2]
+        archive.entries[utt_id] = FeatureMatrix(
+            np.zeros((0, 26)), FeatureKind.CEPSTRA_DELTA)
+        bad = tmp_path / "empty_entry.rpfa"
+        write_archive(archive, bad)
+        line = self._single_error_line(
+            ["score", "--archive", bad, "--model", work / "model.json",
+             "--out", tmp_path / "s.tsv"])
+        assert line == (f"error: utterance {utt_id} has 0 frames in {bad}; "
+                        f"scoring needs at least 1")
+        assert not (tmp_path / "s.tsv").exists()

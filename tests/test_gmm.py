@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from replaykit.errors import ModelFormatError, SingularComponentError
 from replaykit.filterbank import FeatureKind, FeatureMatrix
 from replaykit.gmm import (
+    FULL_FEATURES_MIN_K,
     MOMENT_BLOCK,
     Gmm,
     GmmPairModel,
@@ -19,7 +20,9 @@ from replaykit.gmm import (
     _feature_blocks,
     _floor_covariances,
     _frame_log_likelihoods,
+    _kmeans_init,
     _logsumexp,
+    _stacked_densities,
     _weighted_log_densities,
     load_pair_model,
     save_pair_model,
@@ -31,6 +34,17 @@ import oracles
 
 def _single_gaussian(mean, var):
     return Gmm(np.array([1.0]), np.array([[mean]]), np.array([[var]]), "diag")
+
+
+def _log_densities(model, frames):
+    """One mixture's ln w_k + ln N(x; mu_k, Sigma_k) by the scoring kernel."""
+    return _weighted_log_densities(_stacked_densities((model,)), frames)
+
+
+def _log_likelihoods(model, frames):
+    """One mixture's per-frame log-likelihoods by the scoring kernel."""
+    (out,) = _frame_log_likelihoods(_stacked_densities((model,)), frames)
+    return out
 
 
 class TestTrainGmm:
@@ -138,7 +152,7 @@ class TestLogLikelihood:
     def test_standard_normal_at_mean(self):
         model = _single_gaussian(1.0, 1.0)
         x = np.array([1.0])
-        assert _frame_log_likelihoods(model, x[None])[0] == pytest.approx(
+        assert _log_likelihoods(model, x[None])[0] == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_duplicate_components_collapse(self):
@@ -146,12 +160,12 @@ class TestLogLikelihood:
         double = Gmm(np.array([0.5, 0.5]), np.array([[0.5], [0.5]]),
                      np.array([[2.0], [2.0]]), "diag")
         x = np.array([1.7])
-        assert _frame_log_likelihoods(double, x[None])[0] == pytest.approx(
-            _frame_log_likelihoods(single, x[None])[0], abs=1e-12)
+        assert _log_likelihoods(double, x[None])[0] == pytest.approx(
+            _log_likelihoods(single, x[None])[0], abs=1e-12)
 
     def test_far_tail_is_finite(self):
         model = _single_gaussian(0.0, 1.0)
-        value = _frame_log_likelihoods(model, np.array([1e6])[None])[0]
+        value = _log_likelihoods(model, np.array([1e6])[None])[0]
         assert np.isfinite(value)
         assert value < -1e11
 
@@ -165,8 +179,8 @@ class TestLogLikelihood:
         a = Gmm(weights, means, covs, "diag")
         b = Gmm(weights[perm], means[perm], covs[perm], "diag")
         x = rng.normal(size=d)
-        assert _frame_log_likelihoods(a, x[None])[0] == pytest.approx(
-            _frame_log_likelihoods(b, x[None])[0], abs=1e-12)
+        assert _log_likelihoods(a, x[None])[0] == pytest.approx(
+            _log_likelihoods(b, x[None])[0], abs=1e-12)
 
 
 def _cepstra(values):
@@ -187,8 +201,8 @@ class TestScoreUtterance:
     def test_single_frame_equals_ratio(self):
         pair = self._pair()
         x = np.array([[0.2]])
-        expected = (_frame_log_likelihoods(pair.genuine, x)[0]
-                    - _frame_log_likelihoods(pair.replay, x)[0])
+        expected = (_log_likelihoods(pair.genuine, x)[0]
+                    - _log_likelihoods(pair.replay, x)[0])
         assert score_utterance(pair, _cepstra(x)) == pytest.approx(expected,
                                                                    abs=1e-15)
 
@@ -440,7 +454,7 @@ class TestAgainstOracles:
         frames = rng.normal(0.0, 4.0, size=(50, 4))
         frames[0] = 1e6  # far tail
         frames[1] = -1e6
-        _assert_close(_weighted_log_densities(model, frames)
+        _assert_close(_log_densities(model, frames)
                       - np.log(model.weights),
                       oracles.gmm_component_log_densities(model, frames))
 
@@ -455,7 +469,7 @@ class TestAgainstOracles:
                     np.stack([cov, np.eye(d)]), "full")
         frames = np.vstack([model.means[0] + 1e-3 * rng.normal(size=(20, d)),
                             rng.normal(size=(20, d))])
-        _assert_close(_weighted_log_densities(model, frames)
+        _assert_close(_log_densities(model, frames)
                       - np.log(model.weights),
                       oracles.gmm_component_log_densities(model, frames))
 
@@ -511,6 +525,73 @@ class TestAgainstOracles:
         # three blocks, the last one short.
         assert 2 * MOMENT_BLOCK < 1100 < 3 * MOMENT_BLOCK
         self._assert_score(kind, k, 1100)
+
+    # Full pairs below FULL_FEATURES_MIN_K whiten, at and above it they
+    # take the E-step's feature form; the last pair mixes the two sides.
+    PAIR_KS = [(1, 1), (FULL_FEATURES_MIN_K - 1,) * 2,
+               (FULL_FEATURES_MIN_K,) * 2, (64, 64),
+               (2, FULL_FEATURES_MIN_K)]
+
+    @pytest.mark.parametrize("n_frames", [40, 1100])
+    @pytest.mark.parametrize("ks", PAIR_KS)
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_pair_kernel(self, kind, ks, n_frames):
+        # Both mixtures in one GEMM per block about a shared origin, per
+        # frame against the loop oracle; 1,100 frames make three blocks.
+        rng = np.random.default_rng(700 + sum(ks))
+        pair = GmmPairModel(_random_gmm(rng, kind, ks[0], 3),
+                            _random_gmm(rng, kind, ks[1], 3), "test", {})
+        x = rng.normal(0.0, 3.0, size=(n_frames, 3))
+        x[5] = 1e6
+        densities = pair._densities
+        whiten = kind == "full" and max(ks) < FULL_FEATURES_MIN_K
+        assert densities.features == ("whiten" if whiten else kind)
+        for got, model in zip(_frame_log_likelihoods(densities, x),
+                              (pair.genuine, pair.replay)):
+            np.testing.assert_allclose(
+                got, oracles.gmm_frame_log_likelihoods(model, x),
+                rtol=TOL, atol=TOL)
+
+    @pytest.mark.parametrize("kind,k", [("diag", 4),
+                                        ("full", FULL_FEATURES_MIN_K - 1),
+                                        ("full", FULL_FEATURES_MIN_K)])
+    def test_pair_kernel_with_means_far_apart(self, kind, k):
+        # The replay means sit 10³ standard deviations (the covariances
+        # are O(1)) from the genuine ones, and the shared origin midway.
+        # Near either mixture the feature form's terms reach ~(Δ/2)²/σ²
+        # and cancel to O(1), so a per-frame log-likelihood may be off by
+        # a few ulp of that: the tolerance is 64 ulp of Δ² (1.4e-8; 3e-10
+        # seen at d=3). Whitening subtracts first and stays far inside it.
+        separation = 1e3
+        rng = np.random.default_rng(800 + k)
+        genuine = _random_gmm(rng, kind, k, 3)
+        far = _random_gmm(rng, kind, k, 3)
+        replay = Gmm(far.weights, far.means + [separation, 0.0, 0.0],
+                     far.covariances, kind)
+        pair = GmmPairModel(genuine, replay, "test", {})
+        x = rng.normal(size=(100, 3)) + np.vstack([
+            genuine.means[rng.integers(k, size=50)],
+            replay.means[rng.integers(k, size=50)]])
+        atol = 64 * np.finfo(float).eps * separation ** 2
+        for got, model in zip(_frame_log_likelihoods(pair._densities, x),
+                              (genuine, replay)):
+            np.testing.assert_allclose(
+                got, oracles.gmm_frame_log_likelihoods(model, x),
+                rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("n,k", [(40, 3), (700, 16), (3000, 64)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_pp_picks_what_choice_picks(self, monkeypatch, n, k,
+                                               seed):
+        # The seeding's GEMV distances and cumsum/searchsorted draw pick
+        # the frames that exact distances and Generator.choice(p=) pick.
+        frames = np.random.default_rng(900 + n).normal(
+            0.0, [1.0] * 13 + [10.0] * 13, size=(n, 26))
+        monkeypatch.setattr("replaykit.gmm.KMEANS_ITERS", 0)
+        centers = _kmeans_init(frames, k, np.random.default_rng(seed))
+        picks = oracles.kmeans_pp_indices(frames, k,
+                                          np.random.default_rng(seed))
+        np.testing.assert_array_equal(centers, frames[picks])
 
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_initialisation(self, kind, k):
@@ -657,7 +738,7 @@ class TestNumericsGuards:
         frames = _mixture_frames(rng, 16, 6, per_comp=20)
         model = train_gmm(frames, 16, "full",
                           TrainConfig(max_iters=2, ll_tolerance=0.0), seed=0)
-        weighted = _weighted_log_densities(model, frames)
+        weighted = _log_densities(model, frames)
         log_resp = weighted - _logsumexp(weighted)[:, None]
         below = log_resp < -700.0
         assert below.mean() > 0.1
@@ -706,6 +787,9 @@ class TestNumericsGuards:
 
     def test_parameters_cannot_be_replaced(self):
         model = _single_gaussian(0.0, 1.0)
-        _frame_log_likelihoods(model, np.array([[0.5]]))
+        pair = GmmPairModel(model, model, "test", {})
+        score_utterance(pair, _cepstra(np.array([[0.5]])))
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.covariances = np.array([[4.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.replay = _single_gaussian(1.0, 1.0)
