@@ -1,7 +1,7 @@
 """Replay-attack detection pipeline with warped filterbank features,
 per-band discriminability probing, GMM scoring, and EER evaluation."""
 
-from .archive import FeatureArchive, read_archive, write_archive
+from .archive import ArchiveWriter, FeatureArchive, read_archive, write_archive
 from .corpus import (
     AudioSignal,
     CorpusSignals,
@@ -41,6 +41,8 @@ from .filterbank import (
 )
 from .fratio import (
     FRatioPattern,
+    MomentAccumulator,
+    MomentTable,
     ProbeReport,
     compare_datasets,
     fratio,
@@ -70,6 +72,7 @@ from .study import (
     StudyReport,
     extract_features,
     feature_tag,
+    iter_features,
     run_study,
 )
 

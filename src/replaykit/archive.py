@@ -15,11 +15,20 @@ Layout, little-endian throughout:
 Reads are all-or-nothing: bytes this layout cannot hold, such as a size
 past the end, an id that is not UTF-8 or repeats, or a dim the header's
 feature kind forbids, raise and return no partial archive.
+
+Nothing in the layout marks the last entry, so an archive cut at an entry
+boundary reads back as a valid, shorter one. Writes therefore go to
+`<path>.partial`, one entry at a time through `ArchiveWriter`, and the
+file is renamed to `path` only when the writer exits cleanly: a file at an
+archive's path is complete. `write_archive` writes an in-memory
+`FeatureArchive` the same way; `run_study` streams its archives through
+writers and never holds a whole log-Fbank archive.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,24 +57,58 @@ class FeatureArchive:
             raise ValueError("archive entries must share dim and kind")
 
 
+class ArchiveWriter:
+    """Writes an RPFA archive one entry at a time, as a context manager:
+    to `<path>.partial`, which a clean exit from the `with` block renames
+    to `path` and any failure deletes (see the module docstring). Entries
+    must share one dim and kind, as a `FeatureArchive`'s do, and an id may
+    appear once."""
+
+    def __init__(self, path, feature_kind: str, config: dict):
+        self.path = Path(path)
+        self._partial = self.path.with_name(self.path.name + ".partial")
+        header = json.dumps({"feature_kind": feature_kind, "config": config},
+                            sort_keys=True).encode("utf-8")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(self._partial, "wb")
+        self._fh.write(MAGIC + struct.pack("<HI", VERSION, len(header))
+                       + header)
+        self._ids: set[str] = set()
+        self._shape: tuple[int, FeatureKind] | None = None
+
+    def add(self, utt_id: str, fm: FeatureMatrix) -> None:
+        shape = (fm.dim, fm.kind)
+        if self._shape is None:
+            self._shape = shape
+        elif shape != self._shape:
+            raise ValueError("archive entries must share dim and kind")
+        if utt_id in self._ids:
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
+        self._ids.add(utt_id)
+        id_bytes = utt_id.encode("utf-8")
+        self._fh.write(struct.pack("<H", len(id_bytes)) + id_bytes
+                       + struct.pack("<II", fm.n_frames, fm.dim))
+        self._fh.write(np.ascontiguousarray(fm.values, dtype="<f4"))
+
+    def __enter__(self) -> "ArchiveWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        committed = False
+        try:
+            self._fh.close()
+            if exc_type is None:
+                os.replace(self._partial, self.path)
+                committed = True
+        finally:
+            if not committed:
+                self._partial.unlink(missing_ok=True)
+
+
 def write_archive(archive: FeatureArchive, path) -> None:
-    header = json.dumps({"feature_kind": archive.feature_kind,
-                         "config": archive.config},
-                        sort_keys=True).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
+    with ArchiveWriter(path, archive.feature_kind, archive.config) as writer:
         for utt_id, fm in archive.entries.items():
-            id_bytes = utt_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<II", fm.n_frames, fm.dim))
-            fh.write(np.ascontiguousarray(fm.values,
-                                          dtype="<f4").tobytes())
+            writer.add(utt_id, fm)
 
 
 class _Reader:

@@ -18,7 +18,7 @@ from . import archive as archive_mod
 from . import corpus as corpus_mod
 from .errors import EmptyUtteranceError
 from .filterbank import FeatureKind, WarpKind
-from .fratio import pool_frames, probe_factor
+from .fratio import MomentTable, pool_frames, probe_factor
 from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
 from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_scores
 from .study import (
@@ -69,7 +69,8 @@ def _cmd_extract(args) -> None:
 def _cmd_probe(args) -> None:
     archive = archive_mod.read_archive(args.archive)
     manifest = corpus_mod.parse_manifest(args.manifest)
-    report = probe_factor(archive.entries, manifest, args.factor)
+    report = probe_factor(MomentTable.of(archive.entries), manifest,
+                          args.factor)
     write_probe_report(report, args.out)
     print(f"factor={args.factor} values={len(report.patterns)} "
           f"dispersion={report.dispersion:.6f} -> {args.out}")

@@ -179,11 +179,16 @@ def append_deltas(feats: FeatureMatrix, window: int = 2) -> FeatureMatrix:
     if feats.n_frames == 0:
         raise ValueError("cannot append deltas to an empty feature matrix")
     x = feats.values
-    t = np.arange(x.shape[0])
+    n_frames = x.shape[0]
+    # x with its first and last frames repeated `window` times on each
+    # side; frame t + n (or t - n), clamped to the edges, is row
+    # t + n + window (or t - n + window) of it.
+    padded = np.concatenate([np.repeat(x[:1], window, axis=0), x,
+                             np.repeat(x[-1:], window, axis=0)])
     num = np.zeros_like(x)
     for n in range(1, window + 1):
-        ahead = x[np.minimum(t + n, x.shape[0] - 1)]
-        behind = x[np.maximum(t - n, 0)]
+        ahead = padded[window + n:window + n + n_frames]
+        behind = padded[window - n:window - n + n_frames]
         num += n * (ahead - behind)
     deltas = num / (2.0 * sum(n * n for n in range(1, window + 1)))
     return FeatureMatrix(np.hstack([x, deltas]), FeatureKind.CEPSTRA_DELTA,

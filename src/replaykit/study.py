@@ -8,11 +8,16 @@ train-device portion, scores the held-out-device portion, and aggregates
 every dispersion and EER into a StudyReport. Everything is deterministic
 under the seed, including the bytes of every file written.
 
-The corpus passes through once: each signal is written as a WAV and
-framed as the stream from `synth_corpus` makes it, so a study holds at
-once the genuine signals, one replay, and the feature archives. The
-probes read per-utterance moments of the archives and stack no frames;
-only the detection legs pool frames, to train on them.
+The corpus passes through once (`iter_features`): each signal is written
+as a WAV and framed as the stream from `synth_corpus` makes it, and its
+six feature matrices are appended to their archives on disk at once.
+Each archive appears at its path, complete, when the pass ends; a pass
+that raises leaves none (`ArchiveWriter`). Of the frames, the study keeps
+only the cepstra+delta streams, which its detection legs pool to train
+and score on. A log-Fbank matrix leaves only its per-utterance moments
+(`MomentAccumulator`), which are all the probes read. So a study holds at
+once the genuine signals, one replay, the cepstra+delta frames and three
+small moment tables.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -24,13 +29,15 @@ cepstra+delta); inverted-Mel, which weights the quiet top band, by 2e-2.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .archive import FeatureArchive, write_archive
+# perfbench/tracing.py wraps `write_archive` at this import site.
+from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
 from .corpus import (
     AudioSignal,
     SynthConfig,
@@ -43,14 +50,15 @@ from .corpus import (
 from .errors import EmptyUtteranceError
 from .filterbank import (
     FeatureKind,
+    FeatureMatrix,
     WarpKind,
     append_deltas,
     build_filterbank,
     cepstral_features,
     fbank_features,
 )
-from .fratio import (PROBE_FACTORS, ProbeReport, compare_datasets,
-                     pool_frames, probe_factor)
+from .fratio import (PROBE_FACTORS, MomentAccumulator, ProbeReport,
+                     compare_datasets, pool_frames, probe_factor)
 from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
                   save_pair_model, score_utterance, train_gmm)
 from .metrics import ScoreRecord, compute_eer, write_scores
@@ -85,21 +93,23 @@ class ExtractionConfig:
                 "feature": self.feature.value}
 
 
-def extract_features(utterances, *configs: ExtractionConfig
-                     ) -> list[FeatureArchive]:
+def iter_features(utterances, *configs: ExtractionConfig
+                  ) -> Iterator[tuple[str, list[FeatureMatrix]]]:
     """Run (utt_id, signal) pairs through framing, spectra, filterbank and,
-    where a config asks, cepstra and deltas; one archive per config.
+    where a config asks, cepstra and deltas; yield (utt_id, one feature
+    matrix per config, in config order) for each pair as it is read.
 
-    The configs must share one framing (frame_len, hop, n_fft); each
-    utterance's spectrogram and each (warp, bands) log-Fbank is computed
-    once. Pairs are taken one at a time, so a lazy generator holds one
-    waveform at once.
+    The configs must share one framing (frame_len, hop, n_fft), which is
+    checked when iteration starts; each utterance's spectrogram and each
+    (warp, bands) log-Fbank is computed once. Pairs are taken one at a
+    time, so a lazy generator holds one waveform at once, and nothing
+    here keeps a yielded matrix.
 
-    An utterance shorter than one frame gets a 0-frame entry, except under
-    a cepstra-with-deltas config, where it raises EmptyUtteranceError
+    An utterance shorter than one frame gets a 0-frame matrix, except
+    under a cepstra-with-deltas config, where it raises EmptyUtteranceError
     naming it.
 
-    The call owns one `SpectrumWorkspace`, sized to its longest utterance,
+    The pass owns one `SpectrumWorkspace`, sized to its longest utterance,
     and computes every spectrum in it. Each spectrum stays valid only
     until the next utterance's, so it is turned into filterbank energies
     at once and never kept.
@@ -112,23 +122,33 @@ def extract_features(utterances, *configs: ExtractionConfig
     banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft)
              for c in configs}
     workspace = SpectrumWorkspace(frame_len, n_fft)
-    entries = [{} for _ in configs]
     for utt_id, signal in utterances:
         spec = power_spectrum(frame_signal(signal, frame_len, hop), n_fft,
                               workspace)
         fbanks = {key: fbank_features(spec, fb) for key, fb in banks.items()}
-        for config, out in zip(configs, entries):
-            feats = fbanks[config.warp, config.bands]
+        feats = []
+        for config in configs:
+            fm = fbanks[config.warp, config.bands]
             if config.feature is not FeatureKind.LOG_FBANK:
-                feats = cepstral_features(feats)
+                fm = cepstral_features(fm)
             if config.feature is FeatureKind.CEPSTRA_DELTA:
-                if feats.n_frames == 0:
+                if fm.n_frames == 0:
                     raise EmptyUtteranceError(
                         f"utterance {utt_id} has 0 frames: its "
                         f"{signal.samples.size} samples are shorter than one "
                         f"{frame_len}-sample frame, and deltas need at least 1")
-                feats = append_deltas(feats, config.delta_window)
-            out[utt_id] = feats
+                fm = append_deltas(fm, config.delta_window)
+            feats.append(fm)
+        yield utt_id, feats
+
+
+def extract_features(utterances, *configs: ExtractionConfig
+                     ) -> list[FeatureArchive]:
+    """`iter_features` collected into one in-memory archive per config."""
+    entries = [{} for _ in configs]
+    for utt_id, feats in iter_features(utterances, *configs):
+        for out, fm in zip(entries, feats):
+            out[utt_id] = fm
     return [FeatureArchive(feature_tag(c.warp, c.feature), c.to_dict(), e)
             for c, e in zip(configs, entries)]
 
@@ -235,12 +255,22 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                for kind in WarpKind
                for feature in (FeatureKind.LOG_FBANK,
                                FeatureKind.CEPSTRA_DELTA)]
-    archives = dict(zip(
-        ((c.warp, c.feature) for c in configs),
-        extract_features(utterances, *configs)))
-    for (kind, feature), archive in archives.items():
-        write_archive(archive, out_dir / "features"
-                      / f"{kind.value}_{feature.value}.rpfa")
+    # One pass writes all six archives as it goes. The probes need only
+    # the log-Fbank streams' moments; the cepstra+delta frames are kept
+    # for training and scoring.
+    fbank_moments = {kind: MomentAccumulator() for kind in WarpKind}
+    cepstra = {kind: {} for kind in WarpKind}
+    with contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(ArchiveWriter(
+            out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
+            feature_tag(c.warp, c.feature), c.to_dict())) for c in configs]
+        for utt_id, feats in iter_features(utterances, *configs):
+            for c, writer, fm in zip(configs, writers, feats):
+                writer.add(utt_id, fm)
+                if c.feature is FeatureKind.LOG_FBANK:
+                    fbank_moments[c.warp].add(utt_id, fm)
+                else:
+                    cepstra[c.warp][utt_id] = fm
 
     # Probes on log-Fbank features, per factor and warp, plus the
     # train-vs-heldout dataset comparison.
@@ -255,15 +285,15 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     probe_dispersions: dict[str, dict[str, float]] = {}
     dataset_dispersions: dict[str, float] = {}
     for kind in WarpKind:
-        fbank_entries = archives[kind, FeatureKind.LOG_FBANK].entries
+        moments = fbank_moments[kind].table()
         per_factor = {}
         for factor in PROBE_FACTORS:
-            report = probe_factor(fbank_entries, manifest, factor)
+            report = probe_factor(moments, manifest, factor)
             write_probe_report(report,
                                probes_dir / f"{factor}_{kind.value}.tsv")
             per_factor[factor] = report.dispersion
         probe_dispersions[kind.value] = per_factor
-        ds_report = compare_datasets(fbank_entries, man_train, man_heldout)
+        ds_report = compare_datasets(moments, man_train, man_heldout)
         write_probe_report(ds_report, probes_dir / f"dataset_{kind.value}.tsv")
         dataset_dispersions[kind.value] = ds_report.dispersion
 
@@ -275,7 +305,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
 
     eers: dict[str, dict[str, dict[str, float]]] = {}
     for kind_idx, kind in enumerate(WarpKind):
-        entries = archives[kind, FeatureKind.CEPSTRA_DELTA].entries
+        entries = cepstra[kind]
         tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
         genuine_frames = pool_frames(entries, genuine_ids)
         replay_frames = pool_frames(entries, train_replay_ids)

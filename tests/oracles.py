@@ -19,6 +19,17 @@ from replaykit.corpus import (
 )
 
 
+def moments_exact(rows):
+    """Exact per-band (mean, population variance) of a list of
+    equal-length rows of floats, as Fractions."""
+    out = []
+    for i in range(len(rows[0])):
+        col = [Fraction(row[i]) for row in rows]
+        mean = sum(col) / len(col)
+        out.append((mean, sum((x - mean) ** 2 for x in col) / len(col)))
+    return out
+
+
 def fratio_exact(genuine_rows, replay_rows):
     """Exact per-band discriminability ratio via rational arithmetic.
 
@@ -26,15 +37,9 @@ def fratio_exact(genuine_rows, replay_rows):
     exactly to a Fraction, so the result is the mathematically exact value
     of the ratio (or None for a zero denominator).
     """
-    n_bands = len(genuine_rows[0])
     out = []
-    for i in range(n_bands):
-        g = [Fraction(row[i]) for row in genuine_rows]
-        r = [Fraction(row[i]) for row in replay_rows]
-        mu_g = sum(g) / len(g)
-        mu_r = sum(r) / len(r)
-        var_g = sum((x - mu_g) ** 2 for x in g) / len(g)
-        var_r = sum((x - mu_r) ** 2 for x in r) / len(r)
+    for (mu_g, var_g), (mu_r, var_r) in zip(moments_exact(genuine_rows),
+                                            moments_exact(replay_rows)):
         denom = var_g + var_r
         if denom == 0:
             out.append(None)
@@ -69,6 +74,20 @@ def eer_brute_force(genuine_scores, replay_scores):
             return far_a + alpha * (far(t) - far_a)
         prev = (t, diff, far(t))
     raise AssertionError("no crossing found")
+
+
+def append_deltas_loop(values, window):
+    """Regression-slope deltas appended to each frame, one frame and one
+    offset at a time: d_t = sum_n n (x[min(t+n, T-1)] - x[max(t-n, 0)])
+    / (2 sum_n n^2)."""
+    x = np.asarray(values, dtype=np.float64)
+    last = x.shape[0] - 1
+    num = np.zeros_like(x)
+    for t in range(x.shape[0]):
+        for n in range(1, window + 1):
+            num[t] += n * (x[min(t + n, last)] - x[max(t - n, 0)])
+    denom = 2.0 * sum(n * n for n in range(1, window + 1))
+    return np.hstack([x, num / denom])
 
 
 def power_spectrum_loop(frames, n_fft):

@@ -1,10 +1,12 @@
+import gc
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replaykit.archive import FeatureArchive, read_archive, write_archive
+from replaykit.archive import (ArchiveWriter, FeatureArchive, read_archive,
+                               write_archive)
 from replaykit.errors import ArchiveFormatError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 
@@ -189,3 +191,66 @@ class TestFormatGuards:
         with pytest.raises(ValueError, match="share"):
             FeatureArchive("tag", {}, {"a": _fm(np.ones((1, 2))),
                                        "b": _fm(np.ones((1, 3)))})
+
+
+class TestArchiveWriter:
+    def _writer(self, path):
+        return ArchiveWriter(path, "L-Fbank", _archive({}).config)
+
+    def test_file_appears_at_path_only_on_clean_exit(self, tmp_path):
+        p = tmp_path / "sub" / "a.rpfa"
+        partial = tmp_path / "sub" / "a.rpfa.partial"
+        entries = {"u0": _fm(np.ones((2, 3))), "u1": _fm(np.zeros((0, 3)))}
+        with self._writer(p) as writer:
+            for utt_id, fm in entries.items():
+                writer.add(utt_id, fm)
+            assert partial.is_file() and not p.exists()
+        assert p.is_file() and not partial.exists()
+        want = tmp_path / "want.rpfa"
+        write_archive(_archive(entries), want)
+        assert p.read_bytes() == want.read_bytes()
+
+    def test_exception_removes_partial_and_keeps_old_file(self, tmp_path):
+        p = tmp_path / "a.rpfa"
+        p.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="mid-pass"):
+            with self._writer(p) as writer:
+                writer.add("u0", _fm(np.ones((2, 3))))
+                raise RuntimeError("mid-pass")
+        assert p.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_entry_boundary_cut_reads_as_shorter_archive(self, tmp_path):
+        # Why a partial file must never sit at the target path: nothing in
+        # the layout marks the last entry, so a cut archive is still valid.
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({"u0": _fm(np.ones((2, 3))),
+                                "u1": _fm(np.ones((4, 3)))}), p)
+        p.write_bytes(p.read_bytes()[:-(2 + 2 + 8 + 4 * 4 * 3)])
+        assert list(read_archive(p).entries) == ["u0"]
+
+    @pytest.mark.parametrize("second", [
+        _fm(np.ones((2, 4))),
+        _fm(np.ones((2, 13)), kind=FeatureKind.CEPSTRA),
+    ])
+    def test_entries_share_dim_and_kind(self, tmp_path, second):
+        with pytest.raises(ValueError, match="share dim and kind"):
+            with self._writer(tmp_path / "a.rpfa") as writer:
+                writer.add("u0", _fm(np.ones((2, 3))))
+                writer.add("u1", second)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate utterance id 'u0'"):
+            with self._writer(tmp_path / "a.rpfa") as writer:
+                writer.add("u0", _fm(np.ones((2, 3))))
+                writer.add("u0", _fm(np.ones((1, 3))))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_never_closed_warns(self, tmp_path):
+        # The test configuration turns this warning into a failure, so a
+        # writer used outside `with` and left open fails the suite.
+        writer = self._writer(tmp_path / "a.rpfa")
+        with pytest.warns(ResourceWarning):
+            del writer
+            gc.collect()

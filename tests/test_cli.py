@@ -212,6 +212,22 @@ class TestFailures:
                         f"399 samples are shorter than one 400-sample "
                         f"frame, and deltas need at least 1")
 
+    def test_failed_extract_leaves_no_archive(self, work, tmp_path):
+        # The short utterance is the manifest's last, so every other entry
+        # is extracted before the failure; neither the archive nor its
+        # partial file may be left behind.
+        corpus = tmp_path / "corpus"
+        _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
+        rec = parse_manifest(corpus / "manifest.tsv").records[-1]
+        write_wav(AudioSignal(np.zeros(399)), corpus / rec.audio_path)
+        out = tmp_path / "features" / "x.rpfa"
+        line = self._single_error_line(
+            ["extract", "--manifest", corpus / "manifest.tsv", "--warp",
+             "mel", "--feature", "cepstra-delta", "--out", out])
+        assert line.startswith(f"error: utterance {rec.utt_id} has 0 frames")
+        assert not out.exists()
+        assert not out.with_name("x.rpfa.partial").exists()
+
     def test_score_of_a_zero_frame_entry(self, work, tmp_path):
         archive = read_archive(work / "mel_cepstra-delta.rpfa")
         utt_id = list(archive.entries)[2]

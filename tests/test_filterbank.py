@@ -246,6 +246,17 @@ class TestAppendDeltas:
         with pytest.raises(ValueError, match="expected cepstra"):
             append_deltas(logfb)
 
+    # Windows wider than the utterance clamp every neighbour to an edge.
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 4, 5, 6, 7, 64, 497, 498])
+    def test_bit_identical_to_loop_oracle(self, n_frames, window):
+        rng = np.random.default_rng(n_frames * 10 + window)
+        values = rng.normal(0.0, 3.0, size=(n_frames, 13))
+        out = append_deltas(self._cepstra(values), window)
+        want = oracles.append_deltas_loop(values, window)
+        assert out.values.shape == want.shape
+        assert out.values.tobytes() == want.tobytes()
+
 
 class TestChannelToFeatureLink:
     def test_logfbank_shift_matches_channel_gain(self):

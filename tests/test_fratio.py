@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fratio_exact
+from oracles import fratio_exact, moments_exact
 from replaykit.corpus import Manifest, UtteranceMeta
 from replaykit.errors import DegenerateBandError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import (
     FRatioPattern,
+    MomentAccumulator,
+    MomentTable,
     compare_datasets,
     fratio,
     pattern_dispersion,
@@ -357,6 +359,72 @@ class TestPooledMoments:
             probe_factor(features, manifest, "device")
         assert str(info.value) == ("non-finite ratios for device=D01: "
                                    "features hold NaN or inf")
+
+
+class TestMomentTable:
+    """Merged per-utterance moments against exact rational moments of the
+    stacked rows."""
+
+    @pytest.mark.parametrize("leading_empty", [False, True])
+    def test_merge_stable_far_from_zero(self, leading_empty):
+        # At an offset of 1e6 a column sum of 30 frames is rounded to
+        # ~4e-9, so a merge that took each utterance's mean from it would
+        # miss the unit variance by ~1e-11 relative.
+        rng = np.random.default_rng(13)
+        features = {f"u{i:02d}": _logfb(rng.normal(1e6, 1.0, size=(
+            int(rng.integers(1, 31)), 3))) for i in range(40)}
+        if leading_empty:
+            features = {"empty": _logfb(np.zeros((0, 3))), **features}
+        table = MomentTable.of(features)
+        ids = list(features)
+        rows = table.rows(ids)
+        n = int(table.counts[rows].sum())
+        mean, var = fratio_mod._moments(table.stats(rows), n)
+        exact = moments_exact(_rows_of(features, ids))
+        np.testing.assert_allclose(mean, [float(m) for m, _ in exact],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(var, [float(v) for _, v in exact],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_probe_from_table_equals_probe_from_features(self):
+        features, manifest = _uneven_setup()
+        moments = MomentAccumulator()
+        for utt_id, fm in features.items():
+            moments.add(utt_id, fm)
+        table = moments.table()
+        assert table.warp is WarpKind.MEL
+        assert sorted(table.index) == sorted(features)
+        for factor in ("speaker", "device"):
+            want = probe_factor(features, manifest, factor)
+            got = probe_factor(table, manifest, factor)
+            assert got.dispersion == want.dispersion
+            for a, b in zip(got.patterns, want.patterns):
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_table_keeps_no_frames(self):
+        features, _ = _uneven_setup()
+        table = MomentTable.of(features)
+        n_utts = len(features)
+        assert table.counts.shape == (n_utts,)
+        assert table.sums.shape == table.centres.shape == table.m2.shape \
+            == (n_utts, 4)
+
+    def test_requires_logfbank_message(self):
+        moments = MomentAccumulator()
+        with pytest.raises(ValueError) as info:
+            moments.add("u", FeatureMatrix(np.zeros((5, 13)),
+                                           FeatureKind.CEPSTRA))
+        assert str(info.value) == "probing requires log-Fbank features"
+
+    def test_band_counts_must_agree(self):
+        moments = MomentAccumulator()
+        moments.add("a", _logfb(np.zeros((2, 3))))
+        with pytest.raises(ValueError, match="band counts differ: 3 vs 4"):
+            moments.add("b", _logfb(np.zeros((2, 4))))
+
+
+def _rows_of(features, ids):
+    return [row for u in ids for row in features[u].values.tolist()]
 
 
 class TestCompareDatasets:

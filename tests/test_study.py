@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,43 @@ class TestExtractFeatures:
             extract_features(utterances, a, b)
         with pytest.raises(ValueError, match="framing"):
             extract_features(utterances)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_study_holds_no_log_fbank_frames(tmp_path):
+    # Long utterances make the log-Fbank frames a large share of what a
+    # study holds. Extracting all six streams into memory, as a study did
+    # before it streamed its archives, peaks at least as high as such a
+    # study did; a study that keeps the log-Fbank streams' moments, not
+    # their frames, must peak lower by at least half their float64 bytes.
+    corpus = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=1,
+                         n_heldout_devices=3, utt_seconds=5.0, reps=1)
+    config = StudyConfig(corpus=corpus, n_comp=2,
+                         train=TrainConfig(max_iters=1))
+    study_peak, _ = _traced_peak(lambda: run_study(SEED, tmp_path, config))
+
+    def extract_all():
+        signals, manifest, _ = synth_corpus(corpus, SEED)
+        configs = [ExtractionConfig(warp, feature) for warp in WarpKind
+                   for feature in (FeatureKind.LOG_FBANK,
+                                   FeatureKind.CEPSTRA_DELTA)]
+        return extract_features(zip((r.utt_id for r in manifest), signals),
+                                *configs)
+
+    extract_peak, archives = _traced_peak(extract_all)
+    fbank_bytes = sum(fm.values.nbytes for archive in archives
+                      if archive.config["feature"] == "fbank"
+                      for fm in archive.entries.values())
+    assert fbank_bytes > 5_000_000
+    assert study_peak < extract_peak - fbank_bytes / 2
 
 
 def test_benchmark_tracer_finds_its_import_sites():
