@@ -14,11 +14,13 @@ stays in the high bands. All utterances of a corpus share one length, so
 `synth_corpus` computes each device's response once and each genuine
 signal's spectrum once.
 
-`synth_corpus` returns its signals as a stream in manifest order
-(`CorpusSignals`), made while it is iterated. Replays make up most of a
-corpus, one per genuine utterance and device, so a pass holds at once
-only the genuine signals, which every replay is made from, the device
-responses, and the one replay being made.
+`synth_corpus` returns its signals as a stream (`CorpusSignals`), made
+while it is iterated, each with its manifest row: the genuine signals,
+then the replays one device at a time, train devices first. Replays make
+up most of a corpus, one per genuine utterance and device, so a pass
+holds at once only each genuine signal's spectrum, which all of its
+replays are made from, one device's response, and the one replay being
+made.
 """
 
 from __future__ import annotations
@@ -287,25 +289,25 @@ def _amplitude_response(profile: DeviceProfile, freqs: np.ndarray) -> np.ndarray
     return amp * 10.0 ** (gain_db / 20.0)
 
 
-def _replay(x: np.ndarray, spectrum: np.ndarray, response: np.ndarray,
-            profile: DeviceProfile, seed: int) -> AudioSignal:
-    """Pass non-empty samples `x` through a playback-and-recording channel,
-    given their rfft `spectrum` and the channel's `response` at the rfft
-    bins.
+def _replay(spectrum: np.ndarray, in_rms: float, n: int,
+            response: np.ndarray, profile: DeviceProfile,
+            seed: int) -> AudioSignal:
+    """Pass n > 0 samples through a playback-and-recording channel, given
+    their rfft `spectrum`, their RMS and the channel's `response` at the
+    rfft bins.
 
     Zero-phase spectral filtering (length-preserving), then additive white
     noise scaled to profile.snr_db against the input RMS; silence in means
     silence out. The result is rescaled only if its peak exceeds 0.99.
     """
-    y = np.fft.irfft(spectrum * response, n=x.size)
+    y = np.fft.irfft(spectrum * response, n=n)
 
-    in_rms = float(np.sqrt(np.mean(x ** 2)))
     if in_rms > 0.0:
         rng = np.random.default_rng(seed)
         noise_rms = in_rms * 10.0 ** (-profile.snr_db / 20.0)
         # In place: a stream frees each replay's temporaries, and every
         # fresh one is faulted in again.
-        noise = rng.standard_normal(x.size)
+        noise = rng.standard_normal(n)
         noise *= noise_rms
         y += noise
 
@@ -412,45 +414,60 @@ def derive_seed(*entropy: int) -> int:
 
 
 class CorpusSignals:
-    """The signals of a synthetic corpus in manifest order, made while
-    they are iterated: each genuine signal, then each genuine signal's
-    replay through each device.
+    """The signals of a synthetic corpus, made while they are iterated,
+    as (manifest row, signal) pairs: every genuine signal in manifest
+    order, then one device at a time, in `profiles` order (train devices
+    first), each genuine signal's replay through that device.
 
-    A pass keeps the genuine signals, because each replay is made from
-    one, and the devices' responses; it holds each replay only until the
-    next one is asked for. `len()` is the manifest's length, and every
-    pass makes the same bytes.
+    So a consumer can finish with the genuine and train-device signals
+    before the first held-out replay is made. Only the stream is in this
+    order; the manifest keeps its own, on which the CLI's frame pools, and
+    so its k-means++ draws, depend (`synth_corpus`). A pass keeps each
+    genuine signal's spectrum and RMS, not the signal, and one device's
+    response at a time; it holds each replay only until the next one is
+    asked for.
+    `len()` is the manifest's length, and every pass makes the same bytes.
+    The replay of genuine signal g through device d is seeded by (g, d),
+    not by its place in the stream.
     """
 
-    def __init__(self, sources: list[tuple[float, _PhraseEnvelope, tuple]],
+    def __init__(self, manifest: Manifest,
+                 sources: list[tuple[float, _PhraseEnvelope, tuple]],
                  profiles: list[DeviceProfile], n_samples: int, seed: int):
-        # One (f0, envelope, rng entropy) per genuine utterance.
+        # `synth_corpus`'s manifest: one row per source, then each
+        # source's replay rows in `profiles` order. One (f0, envelope,
+        # rng entropy) source per genuine utterance.
+        self._manifest = manifest
         self._sources = sources
         self._profiles = profiles
         self._n_samples = n_samples
         self._seed = seed
 
     def __len__(self) -> int:
-        return len(self._sources) * (1 + len(self._profiles))
+        return len(self._manifest)
 
-    def __iter__(self) -> Iterator[AudioSignal]:
-        genuine = []
-        for f0, envelope, entropy in self._sources:
-            genuine.append(_synth_genuine(f0, envelope, self._n_samples,
-                                          np.random.default_rng(entropy)))
-            yield genuine[-1]
+    def __iter__(self) -> Iterator[tuple[UtteranceMeta, AudioSignal]]:
+        records = self._manifest.records
+        n_genuine, n_devices = len(self._sources), len(self._profiles)
+        spectra = []
+        for rec, (f0, envelope, entropy) in zip(records, self._sources):
+            sig = _synth_genuine(f0, envelope, self._n_samples,
+                                 np.random.default_rng(entropy))
+            yield rec, sig
+            spectra.append((np.fft.rfft(sig.samples),
+                            float(np.sqrt(np.mean(sig.samples ** 2)))))
+            del sig
         # Every signal has n_samples samples: one response per device and
         # one spectrum per genuine signal serve all of its replays.
         freqs = np.fft.rfftfreq(self._n_samples,
                                 d=1.0 / PIPELINE_SAMPLE_RATE)
-        responses = [_amplitude_response(profile, freqs)
-                     for profile in self._profiles]
-        for g_idx, sig in enumerate(genuine):
-            spectrum = np.fft.rfft(sig.samples)
-            for d_idx, (profile, response) in enumerate(
-                    zip(self._profiles, responses)):
-                yield _replay(sig.samples, spectrum, response, profile,
-                              derive_seed(self._seed, 2, g_idx, d_idx))
+        for d_idx, profile in enumerate(self._profiles):
+            response = _amplitude_response(profile, freqs)
+            for g_idx, (spectrum, in_rms) in enumerate(spectra):
+                yield (records[n_genuine + g_idx * n_devices + d_idx],
+                       _replay(spectrum, in_rms, self._n_samples, response,
+                               profile,
+                               derive_seed(self._seed, 2, g_idx, d_idx)))
 
 
 def synth_corpus(config: SynthConfig, seed: int
@@ -459,8 +476,12 @@ def synth_corpus(config: SynthConfig, seed: int
 
     The manifest lists every (speaker, phrase, rep) genuine utterance,
     then each one's replayed copy through each device; train devices are
-    named D00.., held-out devices H00... The signals follow the manifest
-    rows and are made only as they are iterated (`CorpusSignals`).
+    named D00.., held-out devices H00... The signals are made only as
+    they are iterated (`CorpusSignals`), each with its manifest row, in
+    another order: the genuine signals, then the replays device by
+    device. The manifest keeps its order because the CLI extracts, pools
+    and trains in it, and k-means++ draws its centres by a frame's index
+    in the pooled order, so the CLI's models depend on that order.
     """
     rng = np.random.default_rng([seed, 0])
     fundamentals = rng.uniform(100.0, 250.0, size=config.n_speakers)
@@ -512,5 +533,6 @@ def synth_corpus(config: SynthConfig, seed: int
                     spk, phr, profile.device_id) for profile in profiles]
 
     n_samples = int(round(config.utt_seconds * PIPELINE_SAMPLE_RATE))
-    return (CorpusSignals(sources, profiles, n_samples, seed),
-            Manifest(genuine_records + replay_records), profiles)
+    manifest = Manifest(genuine_records + replay_records)
+    return (CorpusSignals(manifest, sources, profiles, n_samples, seed),
+            manifest, profiles)

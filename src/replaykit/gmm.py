@@ -130,6 +130,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        # A NaN tolerance fails every comparison, so EM would never stop
+        # early; a NaN, infinite or negative floor factor breaks the floor.
+        if math.isnan(self.ll_tolerance):
+            raise ValueError("ll_tolerance must be a number, got nan")
+        if not 0.0 <= self.variance_floor_factor < math.inf:
+            raise ValueError(f"variance_floor_factor must be finite and "
+                             f">= 0, got {self.variance_floor_factor}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -153,9 +160,12 @@ class Gmm:
         if self.covariance_kind not in COVARIANCE_KINDS:
             raise ValueError(f"covariance_kind must be one of "
                              f"{COVARIANCE_KINDS}, got {self.covariance_kind!r}")
+        # C order, whatever order training left them in: the scoring
+        # factors' sums round by layout, so a pair trained in-process
+        # scores the same bits as its file read back.
         for name in ("weights", "means", "covariances"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name),
-                                                      dtype=np.float64))
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=np.float64))
         if not all(np.isfinite(a).all()
                    for a in (self.weights, self.means, self.covariances)):
             raise ValueError("weights, means and covariances must be finite")

@@ -12,12 +12,21 @@ The corpus passes through once (`iter_features`): each signal is written
 as a WAV and framed as the stream from `synth_corpus` makes it, and its
 six feature matrices are appended to their archives on disk at once.
 Each archive appears at its path, complete, when the pass ends; a pass
-that raises leaves none (`ArchiveWriter`). Of the frames, the study keeps
-only the cepstra+delta streams, which its detection legs pool to train
-and score on. A log-Fbank matrix leaves only its per-utterance moments
-(`MomentAccumulator`), which are all the probes read. So a study holds at
-once the genuine signals, one replay, the cepstra+delta frames and three
-small moment tables.
+that raises, in training too, leaves none (`ArchiveWriter`). A log-Fbank
+matrix leaves only its per-utterance moments (`MomentAccumulator`), which
+are all the probes read.
+
+The stream gives the genuine signals and the train devices' replays
+before any held-out replay (`CorpusSignals`), so the pass stops at that
+boundary to train. Up to it the study keeps the cepstra+delta frames,
+which the six detection legs pool to train on; it then trains and saves
+each leg's pair, scores the genuine utterances with it, and drops the
+training frames. The rest of the pass scores each held-out replay with
+its warp's two pairs as the replay is made, and keeps none of its
+frames. So a study holds at once the genuine signals' spectra, one
+utterance's features, three small moment tables and, as training
+replaces the one with the other, the training cepstra+delta frames and
+the six pairs.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -156,18 +166,19 @@ def extract_features(utterances, *configs: ExtractionConfig
 def write_corpus(signals, manifest, profiles, out_dir
                  ) -> Iterator[tuple[str, AudioSignal]]:
     """Write a corpus as `synth_corpus` returns it under out_dir:
-    manifest.tsv and devices.json now, and one WAV per manifest row as the
-    returned iterator passes it on as (utt_id, signal). Drain the iterator
-    to write every WAV; it holds one signal at a time beyond what
-    `signals` itself holds."""
+    manifest.tsv and devices.json now, and each signal's WAV, at the path
+    of the manifest row it comes with, as the returned iterator passes it
+    on as (utt_id, signal) in the stream's order. Drain the iterator to
+    write every WAV; it holds one signal at a time beyond what `signals`
+    itself holds."""
     out_dir = Path(out_dir)
     write_manifest(manifest, out_dir / "manifest.tsv")
     save_device_profiles(profiles, out_dir / "devices.json")
-    return _write_wavs(zip(manifest, signals, strict=True), out_dir)
+    return _write_wavs(signals, out_dir)
 
 
-def _write_wavs(rows, out_dir: Path) -> Iterator[tuple[str, AudioSignal]]:
-    for rec, sig in rows:
+def _write_wavs(signals, out_dir: Path) -> Iterator[tuple[str, AudioSignal]]:
+    for rec, sig in signals:
         write_wav(sig, out_dir / rec.audio_path)
         yield rec.utt_id, sig
 
@@ -242,38 +253,20 @@ class StudyReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
 
+def _leg_stem(tag: str, cov: str) -> str:
+    """File stem of a detection leg's model and scores, e.g. imfcc_full."""
+    return f"{tag.split('+')[0].lower()}_{cov}"
+
+
 def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyReport:
     """Run the full probing-and-detection loop; see the module docstring."""
     config = config or StudyConfig()
     out_dir = Path(out_dir)
 
     signals, manifest, profiles = synth_corpus(config.corpus, seed)
-    utterances = write_corpus(signals, manifest, profiles, out_dir / "corpus")
-
-    configs = [ExtractionConfig(kind, feature, config.bands, config.frame_len,
-                                config.hop, config.n_fft, config.delta_window)
-               for kind in WarpKind
-               for feature in (FeatureKind.LOG_FBANK,
-                               FeatureKind.CEPSTRA_DELTA)]
-    # One pass writes all six archives as it goes. The probes need only
-    # the log-Fbank streams' moments; the cepstra+delta frames are kept
-    # for training and scoring.
-    fbank_moments = {kind: MomentAccumulator() for kind in WarpKind}
-    cepstra = {kind: {} for kind in WarpKind}
-    with contextlib.ExitStack() as stack:
-        writers = [stack.enter_context(ArchiveWriter(
-            out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
-            feature_tag(c.warp, c.feature), c.to_dict())) for c in configs]
-        for utt_id, feats in iter_features(utterances, *configs):
-            for c, writer, fm in zip(configs, writers, feats):
-                writer.add(utt_id, fm)
-                if c.feature is FeatureKind.LOG_FBANK:
-                    fbank_moments[c.warp].add(utt_id, fm)
-                else:
-                    cepstra[c.warp][utt_id] = fm
-
-    # Probes on log-Fbank features, per factor and warp, plus the
-    # train-vs-heldout dataset comparison.
+    # The stream's first part is exactly man_train's rows: the genuine
+    # signals, then the train devices' replays.
+    stream = write_corpus(signals, manifest, profiles, out_dir / "corpus")
     train_devices = {p.device_id
                      for p in profiles[:config.corpus.n_train_devices]}
     man_train = manifest.filter(
@@ -281,6 +274,76 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     man_heldout = manifest.filter(
         lambda r: r.is_genuine or r.device_id not in train_devices)
 
+    configs = [ExtractionConfig(kind, feature, config.bands, config.frame_len,
+                                config.hop, config.n_fft, config.delta_window)
+               for kind in WarpKind
+               for feature in (FeatureKind.LOG_FBANK,
+                               FeatureKind.CEPSTRA_DELTA)]
+    # Detection legs: genuine model on all genuine frames, replay model on
+    # train-device replay frames; score genuine plus held-out replays.
+    genuine_ids = [r.utt_id for r in manifest.genuine_records()]
+    train_replay_ids = [r.utt_id for r in man_train.replay_records()]
+    fbank_moments = {kind: MomentAccumulator() for kind in WarpKind}
+    pairs: dict[tuple[WarpKind, str], GmmPairModel] = {}
+    scores: dict[tuple[WarpKind, str], dict[str, float]] = {}
+    with contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(ArchiveWriter(
+            out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
+            feature_tag(c.warp, c.feature), c.to_dict())) for c in configs]
+
+        def extract(utterances):
+            """Append each utterance's six matrices to the archives, keep
+            the log-Fbank streams' moments, and yield (utt_id, the
+            cepstra+delta matrix per warp)."""
+            for utt_id, feats in iter_features(utterances, *configs):
+                kept = {}
+                for c, writer, fm in zip(configs, writers, feats):
+                    writer.add(utt_id, fm)
+                    if c.feature is FeatureKind.LOG_FBANK:
+                        fbank_moments[c.warp].add(utt_id, fm)
+                    else:
+                        kept[c.warp] = fm
+                yield utt_id, kept
+
+        cepstra = {kind: {} for kind in WarpKind}
+        for utt_id, kept in extract(itertools.islice(stream, len(man_train))):
+            for kind, fm in kept.items():
+                cepstra[kind][utt_id] = fm
+
+        for kind_idx, kind in enumerate(WarpKind):
+            # Once pooled, a warp's train-device replays are dropped; its
+            # genuine matrices go once its pairs have scored them.
+            entries = cepstra.pop(kind)
+            tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
+            genuine_frames = pool_frames(entries, genuine_ids)
+            replay_frames = pool_frames(entries, train_replay_ids)
+            genuine = [entries[u] for u in genuine_ids]
+            del entries
+            for cov_idx, cov in enumerate(COVARIANCE_KINDS):
+                g_model = train_gmm(
+                    genuine_frames, config.n_comp, cov, config.train,
+                    seed=derive_seed(seed, 3, kind_idx, cov_idx, 0))
+                r_model = train_gmm(
+                    replay_frames, config.n_comp, cov, config.train,
+                    seed=derive_seed(seed, 3, kind_idx, cov_idx, 1))
+                pair = GmmPairModel(g_model, r_model, tag,
+                                    config.train.to_dict())
+                save_pair_model(pair, out_dir / "models" /
+                                f"{_leg_stem(tag, cov)}.json")
+                pairs[kind, cov] = pair
+                scores[kind, cov] = {
+                    u: score_utterance(pair, fm)
+                    for u, fm in zip(genuine_ids, genuine)}
+            del genuine, genuine_frames, replay_frames
+
+        # The held-out replays: each is scored by its warp's pairs as it
+        # is made, and none of its frames is kept.
+        for utt_id, kept in extract(stream):
+            for (kind, cov), pair in pairs.items():
+                scores[kind, cov][utt_id] = score_utterance(pair, kept[kind])
+
+    # Probes on log-Fbank features, per factor and warp, plus the
+    # train-vs-heldout dataset comparison.
     probes_dir = out_dir / "probes"
     probe_dispersions: dict[str, dict[str, float]] = {}
     dataset_dispersions: dict[str, float] = {}
@@ -297,37 +360,17 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         write_probe_report(ds_report, probes_dir / f"dataset_{kind.value}.tsv")
         dataset_dispersions[kind.value] = ds_report.dispersion
 
-    # Detection legs: genuine model on all genuine frames, replay model on
-    # train-device replay frames; score genuine plus held-out replays.
-    genuine_ids = [r.utt_id for r in manifest.genuine_records()]
-    train_replay_ids = [r.utt_id for r in man_train.replay_records()]
+    # Score files list the genuine utterances, then the held-out replays,
+    # in manifest order.
     eval_records = (manifest.genuine_records() + man_heldout.replay_records())
-
     eers: dict[str, dict[str, dict[str, float]]] = {}
-    for kind_idx, kind in enumerate(WarpKind):
-        entries = cepstra[kind]
+    for (kind, cov), by_utt in scores.items():
         tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
-        genuine_frames = pool_frames(entries, genuine_ids)
-        replay_frames = pool_frames(entries, train_replay_ids)
-        eers[tag] = {}
-        for cov_idx, cov in enumerate(COVARIANCE_KINDS):
-            g_model = train_gmm(genuine_frames, config.n_comp, cov,
-                                config.train,
-                                seed=derive_seed(seed, 3, kind_idx, cov_idx, 0))
-            r_model = train_gmm(replay_frames, config.n_comp, cov,
-                                config.train,
-                                seed=derive_seed(seed, 3, kind_idx, cov_idx, 1))
-            pair = GmmPairModel(g_model, r_model, tag, config.train.to_dict())
-            stem = f"{tag.split('+')[0].lower()}_{cov}"
-            save_pair_model(pair, out_dir / "models" / f"{stem}.json")
-
-            scores = [ScoreRecord(r.utt_id,
-                                  score_utterance(pair, entries[r.utt_id]),
-                                  r.label)
-                      for r in eval_records]
-            write_scores(scores, out_dir / "scores" / f"{stem}.tsv")
-            eer, threshold = compute_eer(scores)
-            eers[tag][cov] = {"eer": eer, "threshold": threshold}
+        records = [ScoreRecord(r.utt_id, by_utt[r.utt_id], r.label)
+                   for r in eval_records]
+        write_scores(records, out_dir / "scores" / f"{_leg_stem(tag, cov)}.tsv")
+        eer, threshold = compute_eer(records)
+        eers.setdefault(tag, {})[cov] = {"eer": eer, "threshold": threshold}
 
     report = StudyReport(seed=seed, config=config.to_dict(),
                          probe_dispersions=probe_dispersions,

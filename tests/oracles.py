@@ -264,8 +264,8 @@ def apply_replay_channel(signal, profile, seed):
     if x.size == 0:
         return AudioSignal(x.copy())
     freqs = np.fft.rfftfreq(x.size, d=1.0 / PIPELINE_SAMPLE_RATE)
-    return _replay(x, np.fft.rfft(x), _amplitude_response(profile, freqs),
-                   profile, seed)
+    return _replay(np.fft.rfft(x), float(np.sqrt(np.mean(x ** 2))), x.size,
+                   _amplitude_response(profile, freqs), profile, seed)
 
 
 def harmonic_sum_table(amps, freqs, phases, n, rate):

@@ -83,11 +83,11 @@ class TestRoundTrip:
         """The documented contract: the CLI's features from 16-bit WAVs,
         stored as float32, stay within a small gap of the study's float64
         in-memory features."""
-        signals, manifest, _ = synth_corpus(TINY_CORPUS, SEED)
+        signals, _, _ = synth_corpus(TINY_CORPUS, SEED)
         for feature, bound in ((FeatureKind.LOG_FBANK, 1e-2),
                                (FeatureKind.CEPSTRA_DELTA, 5e-3)):
             (study,) = extract_features(
-                zip((r.utt_id for r in manifest), signals),
+                ((r.utt_id, s) for r, s in signals),
                 ExtractionConfig(WarpKind.MEL, feature))
             stored = read_archive(work / f"mel_{feature.value}.rpfa")
             assert stored.config == study.config
@@ -144,6 +144,7 @@ class TestFailures:
     @pytest.mark.parametrize("flag, value, message", [
         ("--ncomp", 0, "n_comp must be >= 1, got 0"),
         ("--max-iters", -1, "max_iters must be >= 0, got -1"),
+        ("--ll-tolerance", "nan", "ll_tolerance must be a number, got nan"),
     ])
     def test_bad_training_size(self, work, tmp_path, flag, value, message):
         argv = ["train", "--archive", work / "mel_cepstra-delta.rpfa",

@@ -307,30 +307,54 @@ class TestSynthCorpus:
                           n_heldout_devices=1, utt_seconds=0.5, reps=2)
         signals, manifest, _ = synth_corpus(cfg, seed=3)
         assert len(signals) == len(manifest) == 16
-        first = [sig.samples.tobytes() for sig in signals]
+        first = [(rec, sig.samples.tobytes()) for rec, sig in signals]
         assert len(first) == 16
-        assert [sig.samples.tobytes() for sig in signals] == first
+        assert [(rec, sig.samples.tobytes()) for rec, sig in signals] == first
+
+    def test_stream_yields_every_manifest_row_once_genuine_then_by_device(
+            self):
+        cfg = SynthConfig(n_speakers=2, n_phrases=1, n_train_devices=2,
+                          n_heldout_devices=3, utt_seconds=0.5, reps=2)
+        signals, manifest, profiles = synth_corpus(cfg, seed=3)
+        yielded = [rec for rec, _ in signals]
+        # Every row once: the rows are unique, and as many as the manifest's.
+        assert sorted(yielded, key=manifest.records.index) == manifest.records
+        genuine = manifest.genuine_records()
+        assert yielded[:len(genuine)] == genuine
+        # Then one block per device, in profiles order, train devices
+        # first, each block in genuine order.
+        for d, profile in enumerate(profiles):
+            block = yielded[len(genuine) * (1 + d):len(genuine) * (2 + d)]
+            assert {rec.device_id for rec in block} == {profile.device_id}
+            assert [rec.utt_id.rsplit("-", 1)[0] for rec in block] == \
+                [rec.utt_id.rsplit("-", 1)[0] for rec in genuine]
+        assert [p.device_id for p in profiles] == \
+            ["D00", "D01", "H00", "H01", "H02"]
 
     def test_stream_holds_genuine_signals_and_one_replay(self):
-        # 4 genuine utterances through 16 devices: 68 signals of 64 kB.
-        # A pass keeps the 4 genuine signals and the 16 device responses
-        # (half a signal each) and makes one replay at a time, so its
-        # peak stays far below the 4.4 MB an eager list of all signals
-        # holds. With one genuine utterance the responses alone would
-        # come to half the sum, whatever the device count.
-        cfg = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=8,
-                          n_heldout_devices=8, utt_seconds=0.5, reps=1)
-        tracemalloc.start()
-        try:
-            signals, _, _ = synth_corpus(cfg, seed=1)
-            total = 0
-            for sig in signals:
-                total += sig.samples.nbytes
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert total == 68 * 8000 * 8
-        assert peak < total / 3
+        # A pass keeps each genuine signal's spectrum (as large as the
+        # signal), one device response (half a signal) and one replay, so
+        # its peak stays far below what an eager list of all signals
+        # holds. 4 genuine utterances through 16 devices: 68 signals of
+        # 64 kB. 1 genuine utterance through 16 devices: 17 signals, where
+        # all 16 responses held at once would alone come to 47% of the
+        # sum, and such a pass peaked at 87% of it; holding one at a time
+        # peaks near 40%, mostly the synthesis's own temporaries.
+        for n_speakers, n_phrases, share in ((2, 2, 1 / 3), (1, 1, 1 / 2)):
+            cfg = SynthConfig(n_speakers=n_speakers, n_phrases=n_phrases,
+                              n_train_devices=8, n_heldout_devices=8,
+                              utt_seconds=0.5, reps=1)
+            tracemalloc.start()
+            try:
+                signals, _, _ = synth_corpus(cfg, seed=1)
+                total = 0
+                for _, sig in signals:
+                    total += sig.samples.nbytes
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert total == n_speakers * n_phrases * 17 * 8000 * 8
+            assert peak < share * total, (n_speakers, n_phrases)
 
     def test_device_naming(self):
         cfg = SynthConfig(n_speakers=1, n_phrases=1, n_train_devices=1,
@@ -346,7 +370,8 @@ class TestSynthCorpus:
         sig_b, man_b, prof_b = synth_corpus(cfg, seed=9)
         assert man_a.records == man_b.records
         assert prof_a == prof_b
-        for a, b in zip(sig_a, sig_b):
+        for (rec_a, a), (rec_b, b) in zip(sig_a, sig_b, strict=True):
+            assert rec_a == rec_b
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_different_seeds_differ(self):
@@ -354,7 +379,8 @@ class TestSynthCorpus:
                           n_heldout_devices=1, utt_seconds=0.5, reps=1)
         sig_a, _, _ = synth_corpus(cfg, seed=9)
         sig_b, _, _ = synth_corpus(cfg, seed=10)
-        assert np.any(list(sig_a)[0].samples != list(sig_b)[0].samples)
+        assert np.any(next(iter(sig_a))[1].samples
+                      != next(iter(sig_b))[1].samples)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="invalid config"):
@@ -377,34 +403,37 @@ class TestSynthCorpus:
         n_gen = n_spk * n_phr * reps
         assert len(manifest.genuine_records()) == n_gen
         assert len(manifest.replay_records()) == n_gen * (n_train + n_held)
-        for sig in signals:
+        for _, sig in signals:
             assert np.max(np.abs(sig.samples)) < 1.0
 
     def test_replays_equal_the_public_channel(self):
         # synth_corpus shares one response per device and one spectrum per
-        # genuine signal; each replay must still be, bit for bit, what
-        # the per-signal channel gives.
+        # genuine signal; each replay, found by the record it is yielded
+        # with, must still be, bit for bit, what the per-signal channel
+        # gives its genuine source through its device.
         cfg = SynthConfig(n_speakers=2, n_phrases=1, n_train_devices=1,
                           n_heldout_devices=2, utt_seconds=0.5, reps=1)
         seed = 4
         signals, manifest, profiles = synth_corpus(cfg, seed)
-        signals = list(signals)
-        n_genuine = len(manifest.genuine_records())
-        replays = iter(zip(manifest.replay_records(), signals[n_genuine:]))
-        for g, source in enumerate(signals[:n_genuine]):
+        by_id = {rec.utt_id: sig for rec, sig in signals}
+        assert len(by_id) == len(manifest)
+        checked = 0
+        for g, source in enumerate(manifest.genuine_records()):
             for d, profile in enumerate(profiles):
-                rec, replay = next(replays)
-                assert rec.device_id == profile.device_id
-                assert rec.utt_id.startswith(manifest.records[g].utt_id[:-4])
-                want = oracles.apply_replay_channel(source, profile,
-                                            derive_seed(seed, 2, g, d))
-                np.testing.assert_array_equal(replay.samples, want.samples)
+                utt_id = f"{source.utt_id[:-len('-live')]}-{profile.device_id}"
+                want = oracles.apply_replay_channel(
+                    by_id[source.utt_id], profile, derive_seed(seed, 2, g, d))
+                np.testing.assert_array_equal(by_id[utt_id].samples,
+                                              want.samples)
+                checked += 1
+        assert checked == len(manifest.replay_records()) == 6
 
     def test_replay_cue_measurable_for_every_pair(self):
         cfg = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=2,
                           n_heldout_devices=2, utt_seconds=1.0, reps=1)
         signals, manifest, _ = synth_corpus(cfg, seed=123)
-        by_id = {rec.utt_id: sig for rec, sig in zip(manifest, signals)}
+        by_id = {rec.utt_id: sig for rec, sig in signals}
+        assert len(by_id) == len(manifest)
         for rec in manifest.replay_records():
             source_id = rec.utt_id.rsplit("-", 1)[0] + "-live"
             e_src = _band_energy(by_id[source_id], 6000.0, 8000.0)

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,24 @@ class TestTrainGmm:
         model = train_gmm(np.arange(20.0)[:, None], 1, "diag",
                           TrainConfig(max_iters=0))
         assert model.ll_curve == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ll_tolerance", float("nan"), "ll_tolerance must be a number"),
+        ("variance_floor_factor", float("nan"),
+         "variance_floor_factor must be finite and >= 0, got nan"),
+        ("variance_floor_factor", float("inf"),
+         "variance_floor_factor must be finite and >= 0, got inf"),
+        ("variance_floor_factor", -1e-4,
+         "variance_floor_factor must be finite and >= 0, got -0.0001"),
+    ])
+    def test_config_rejects_unusable_stopping_and_floor(self, field, value,
+                                                        message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{field: value})
+
+    def test_config_keeps_zero_tolerance_and_floor(self):
+        config = TrainConfig(ll_tolerance=0.0, variance_floor_factor=0.0)
+        assert config.ll_tolerance == config.variance_floor_factor == 0.0
 
     def test_unknown_covariance_kind(self):
         with pytest.raises(ValueError, match="covariance_kind"):
@@ -268,6 +287,24 @@ class TestModelPersistence:
             np.testing.assert_array_equal(a.covariances, b.covariances)
         assert back.feature_kind == "LFCC+D"
         assert back.training_config == pair.training_config
+
+    @pytest.mark.parametrize("kind, k", [("diag", 2), ("full", 2),
+                                         ("diag", 8), ("full", 8)])
+    def test_read_back_pair_scores_the_same_bits(self, tmp_path, kind, k):
+        # Training leaves its means and covariances in Fortran order and
+        # a file reads back in C order; the scoring factors' sums round by
+        # layout unless the mixture fixes one.
+        rng = np.random.default_rng(5)
+        g = train_gmm(rng.normal(0, 1, size=(600, 26)), k, kind,
+                      TrainConfig(max_iters=2), seed=1)
+        r = train_gmm(rng.normal(0.5, 1, size=(600, 26)), k, kind,
+                      TrainConfig(max_iters=2), seed=2)
+        pair = GmmPairModel(g, r, "MFCC+D", TrainConfig().to_dict())
+        save_pair_model(pair, tmp_path / "model.json")
+        back = load_pair_model(tmp_path / "model.json")
+        for _ in range(20):
+            feats = _cepstra(rng.normal(0.2, 1.2, size=(97, 26)))
+            assert score_utterance(back, feats) == score_utterance(pair, feats)
 
     def test_file_schema(self, tmp_path):
         pair = self._trained_pair("full")

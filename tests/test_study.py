@@ -20,10 +20,17 @@ from replaykit.filterbank import (
     cepstral_features,
     fbank_features,
 )
-from replaykit.gmm import TrainConfig
+from replaykit.gmm import TrainConfig, load_pair_model, score_utterance
 from replaykit.metrics import compute_eer, read_scores
 from replaykit.spectrum import frame_signal, power_spectrum
-from replaykit.study import ExtractionConfig, StudyConfig, extract_features, run_study
+from replaykit.study import (
+    ExtractionConfig,
+    StudyConfig,
+    extract_features,
+    iter_features,
+    run_study,
+    write_corpus,
+)
 
 SEED = 1
 TINY_CORPUS = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=1,
@@ -72,6 +79,44 @@ class TestRunStudy:
             assert eer == pytest.approx(eer_brute_force(genuine, replay),
                                         abs=1e-12)
 
+    def test_scores_equal_the_saved_pairs_over_extracted_features(
+            self, study_runs):
+        # Held-out replays are scored as they stream, genuine utterances
+        # once their pair is trained. Every score must still be, bit for
+        # bit, the saved pair's score of that utterance's features, and
+        # each score file must list the genuine utterances, then the
+        # held-out replays, in manifest order.
+        (out, _), (report, _) = study_runs
+        signals, manifest, profiles = synth_corpus(TINY_CORPUS, SEED)
+        heldout = {p.device_id
+                   for p in profiles[TINY_CORPUS.n_train_devices:]}
+        eval_records = manifest.genuine_records() + [
+            r for r in manifest.replay_records() if r.device_id in heldout]
+        archives = extract_features(
+            ((r.utt_id, s) for r, s in signals),
+            *(ExtractionConfig(warp, FeatureKind.CEPSTRA_DELTA)
+              for warp in WarpKind))
+        features = {archive.feature_kind: archive.entries
+                    for archive in archives}
+        pairs = {(tag, cov): load_pair_model(
+                     out / "models" / f"{tag.split('+')[0].lower()}_{cov}.json")
+                 for tag, by_cov in report.eers.items() for cov in by_cov}
+        assert len(pairs) == 6
+        for (tag, cov), pair in pairs.items():
+            stem = f"{tag.split('+')[0].lower()}_{cov}"
+            records = read_scores(out / "scores" / f"{stem}.tsv")
+            assert [(r.utt_id, r.label) for r in records] == \
+                [(r.utt_id, r.label) for r in eval_records]
+            for rec in records:
+                assert rec.score == score_utterance(
+                    pair, features[tag][rec.utt_id]), (stem, rec.utt_id)
+                # Another leg's pair gives another score, so a replay
+                # scored by the wrong warp or covariance kind shows.
+                for other, other_pair in pairs.items():
+                    if other != (tag, cov):
+                        assert rec.score != score_utterance(
+                            other_pair, features[other[0]][rec.utt_id])
+
     def test_corpus_matches_cli_synth(self, study_runs, tmp_path):
         (out, _), _ = study_runs
         argv = ["synth", "--out", str(tmp_path), "--seed", str(SEED)]
@@ -83,8 +128,8 @@ class TestRunStudy:
 class TestExtractFeatures:
     @pytest.fixture(scope="class")
     def utterances(self):
-        signals, manifest, _ = synth_corpus(TINY_CORPUS, SEED)
-        return [(r.utt_id, s) for r, s in zip(manifest, signals)][:3]
+        signals, _, _ = synth_corpus(TINY_CORPUS, SEED)
+        return [(r.utt_id, s) for r, s in signals][:3]
 
     def test_shared_extraction_equals_layer_composition(self, utterances):
         configs = [ExtractionConfig(warp, feature) for warp in WarpKind
@@ -160,11 +205,11 @@ def test_study_holds_no_log_fbank_frames(tmp_path):
     study_peak, _ = _traced_peak(lambda: run_study(SEED, tmp_path, config))
 
     def extract_all():
-        signals, manifest, _ = synth_corpus(corpus, SEED)
+        signals, _, _ = synth_corpus(corpus, SEED)
         configs = [ExtractionConfig(warp, feature) for warp in WarpKind
                    for feature in (FeatureKind.LOG_FBANK,
                                    FeatureKind.CEPSTRA_DELTA)]
-        return extract_features(zip((r.utt_id for r in manifest), signals),
+        return extract_features(((r.utt_id, s) for r, s in signals),
                                 *configs)
 
     extract_peak, archives = _traced_peak(extract_all)
@@ -173,6 +218,43 @@ def test_study_holds_no_log_fbank_frames(tmp_path):
                       for fm in archive.entries.values())
     assert fbank_bytes > 5_000_000
     assert study_peak < extract_peak - fbank_bytes / 2
+
+
+def test_study_holds_no_held_out_replay_frames(tmp_path):
+    # A study that kept every utterance's cepstra+delta frames until its
+    # corpus pass ended peaked at least as high as that pass alone: the
+    # corpus written and framed, all six streams extracted, the
+    # cepstra+delta frames kept. A study that trains before the held-out
+    # replays are made, and scores each as it streams, must peak lower by
+    # at least half the held-out replays' float64 cepstra+delta bytes.
+    corpus = SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=1,
+                         n_heldout_devices=3, utt_seconds=5.0, reps=1)
+    config = StudyConfig(corpus=corpus, n_comp=2,
+                         train=TrainConfig(max_iters=1))
+    study_peak, _ = _traced_peak(
+        lambda: run_study(SEED, tmp_path / "study", config))
+
+    configs = [ExtractionConfig(warp, feature) for warp in WarpKind
+               for feature in (FeatureKind.LOG_FBANK,
+                               FeatureKind.CEPSTRA_DELTA)]
+
+    def pass_keeping_cepstra():
+        signals, manifest, profiles = synth_corpus(corpus, SEED)
+        utterances = write_corpus(signals, manifest, profiles,
+                                  tmp_path / "pass")
+        kept = {}
+        for utt_id, feats in iter_features(utterances, *configs):
+            kept[utt_id] = [fm for c, fm in zip(configs, feats)
+                            if c.feature is FeatureKind.CEPSTRA_DELTA]
+        return manifest, kept
+
+    pass_peak, (manifest, kept) = _traced_peak(pass_keeping_cepstra)
+    heldout_bytes = sum(fm.values.nbytes
+                        for r in manifest.replay_records()
+                        if r.device_id.startswith("H")
+                        for fm in kept[r.utt_id])
+    assert heldout_bytes > 3_000_000
+    assert study_peak < pass_peak - heldout_bytes / 2
 
 
 def test_benchmark_tracer_finds_its_import_sites():
