@@ -1,7 +1,13 @@
 """Replay-attack detection pipeline with warped filterbank features,
 per-band discriminability probing, GMM scoring, and EER evaluation."""
 
-from .archive import ArchiveWriter, FeatureArchive, read_archive, write_archive
+from .archive import (
+    ArchiveReader,
+    ArchiveWriter,
+    FeatureArchive,
+    read_archive,
+    write_archive,
+)
 from .corpus import (
     AudioSignal,
     CorpusSignals,
@@ -20,6 +26,7 @@ from .errors import (
     ArchiveFormatError,
     DegenerateBandError,
     EmptyUtteranceError,
+    FeatureMismatchError,
     ManifestError,
     ModelFormatError,
     ReplaykitError,

@@ -3,6 +3,23 @@
 Every command exits 0 on success; any failure prints a single diagnostic
 line on stderr and exits 1.
 
+What each command holds in memory at once, beyond its own output:
+- `synth`: the corpus stream's state (`corpus.CorpusSignals`) and one
+  signal, whose WAV is written before the next is made;
+- `extract`: one waveform and its features, streamed into the archive's
+  writer, which renames the file into place only when every entry is in;
+- `probe`: one archive entry, whose per-utterance moments it keeps;
+- `train`: one archive entry and one pool. The genuine pool is allocated
+  once from the frame counts the reader scanned, filled in manifest
+  order and dropped once its mixture is trained; then the replay pool;
+- `score`: one archive entry. Scores are kept and the file is written at
+  the end, once the archive's feature kind and extraction config are
+  found to be the model's;
+- `eval`: the score file; `study`: see `run_study`.
+`probe`, `train` and `score` read archives through `ArchiveReader`,
+which checks the whole file when it opens, so a malformed archive fails
+them before they write anything.
+
 The commands share their stages with `run_study`, but extract from 16-bit
 WAVs and train on float32 archive round-trips, so their results are close
 to a study's but not bit-identical (`replaykit.study` gives the gap).
@@ -11,20 +28,24 @@ to a study's but not bit-identical (`replaykit.study` gives the gap).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from . import archive as archive_mod
 from . import corpus as corpus_mod
-from .errors import EmptyUtteranceError
+from .errors import EmptyUtteranceError, FeatureMismatchError
 from .filterbank import FeatureKind, WarpKind
-from .fratio import MomentTable, pool_frames, probe_factor
+from .fratio import MomentAccumulator, pool_frames, probe_factor
 from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
 from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_scores
-from .study import (
+# perfbench/tracing.py wraps `extract_features` at this import site.
+from .study import (  # noqa: F401
     ExtractionConfig,
     StudyConfig,
     extract_features,
+    feature_tag,
+    iter_features,
     run_study,
     write_corpus,
     write_probe_report,
@@ -60,65 +81,79 @@ def _cmd_extract(args) -> None:
     utterances = ((rec.utt_id,
                    corpus_mod.read_wav(manifest_path.parent / rec.audio_path))
                   for rec in manifest)
-    (archive,) = extract_features(utterances, config)
-    archive_mod.write_archive(archive, args.out)
-    print(f"wrote {len(archive.entries)} {archive.feature_kind} entries to "
-          f"{args.out}")
+    tag = feature_tag(config.warp, config.feature)
+    with archive_mod.ArchiveWriter(args.out, tag, config.to_dict()) as writer:
+        for utt_id, (fm,) in iter_features(utterances, config):
+            writer.add(utt_id, fm)
+    print(f"wrote {len(manifest)} {tag} entries to {args.out}")
 
 
 def _cmd_probe(args) -> None:
-    archive = archive_mod.read_archive(args.archive)
-    manifest = corpus_mod.parse_manifest(args.manifest)
-    report = probe_factor(MomentTable.of(archive.entries), manifest,
-                          args.factor)
+    moments = MomentAccumulator()
+    with archive_mod.ArchiveReader(args.archive) as reader:
+        manifest = corpus_mod.parse_manifest(args.manifest)
+        for utt_id, fm in reader:
+            moments.add(utt_id, fm)
+    report = probe_factor(moments.table(), manifest, args.factor)
     write_probe_report(report, args.out)
     print(f"factor={args.factor} values={len(report.patterns)} "
           f"dispersion={report.dispersion:.6f} -> {args.out}")
 
 
 def _cmd_train(args) -> None:
-    archive = archive_mod.read_archive(args.archive)
-    manifest = corpus_mod.parse_manifest(args.manifest)
-    missing = [r.utt_id for r in manifest if r.utt_id not in archive.entries]
-    if missing:
-        raise ValueError(f"archive lacks features for {missing[:3]}")
-    genuine = pool_frames(archive.entries,
-                          [r.utt_id for r in manifest.genuine_records()])
-    replay = pool_frames(archive.entries,
-                         [r.utt_id for r in manifest.replay_records()])
-    config = TrainConfig(max_iters=args.max_iters,
-                         ll_tolerance=args.ll_tolerance)
-    g_model = train_gmm(genuine, args.ncomp, args.cov, config, seed=args.seed)
-    r_model = train_gmm(replay, args.ncomp, args.cov, config,
-                        seed=args.seed + 1)
-    pair = GmmPairModel(g_model, r_model, archive.feature_kind,
-                        config.to_dict())
+    with archive_mod.ArchiveReader(args.archive) as reader:
+        manifest = corpus_mod.parse_manifest(args.manifest)
+        counts = reader.frame_counts
+        missing = [r.utt_id for r in manifest if r.utt_id not in counts]
+        if missing:
+            raise ValueError(f"archive lacks features for {missing[:3]}")
+        config = TrainConfig(max_iters=args.max_iters,
+                             ll_tolerance=args.ll_tolerance)
+        genuine = [r.utt_id for r in manifest.genuine_records()]
+        replay = [r.utt_id for r in manifest.replay_records()]
+        # Each pool is an argument only, so it is dropped once its model
+        # is trained, before the next is filled.
+        g_model = train_gmm(pool_frames(genuine, counts, reader.values),
+                            args.ncomp, args.cov, config, seed=args.seed)
+        r_model = train_gmm(pool_frames(replay, counts, reader.values),
+                            args.ncomp, args.cov, config, seed=args.seed + 1)
+    pair = GmmPairModel(g_model, r_model, reader.feature_kind,
+                        config.to_dict(), reader.config)
     save_pair_model(pair, args.out)
     print(f"trained {args.cov} pair (K={args.ncomp}) on "
-          f"{genuine.shape[0]}+{replay.shape[0]} frames -> {args.out}")
+          f"{sum(counts[u] for u in genuine)}+"
+          f"{sum(counts[u] for u in replay)} frames -> {args.out}")
 
 
 def _cmd_score(args) -> None:
-    archive = archive_mod.read_archive(args.archive)
-    pair = load_pair_model(args.model)
-    if pair.feature_kind != archive.feature_kind:
-        raise ValueError(f"model {args.model} was trained on "
-                         f"{pair.feature_kind} features, but archive "
-                         f"{args.archive} holds {archive.feature_kind}")
-    labels = {}
-    if args.manifest:
-        labels = {r.utt_id: r.label
-                  for r in corpus_mod.parse_manifest(args.manifest)}
-    # Labels the archive cannot know are written as '-'; `eval` fills them
-    # back in from its manifest.
-    records = []
-    for utt_id, feats in archive.entries.items():
-        if feats.n_frames == 0:
-            raise EmptyUtteranceError(f"utterance {utt_id} has 0 frames in "
-                                      f"{args.archive}; scoring needs at "
-                                      f"least 1")
-        records.append(ScoreRecord(utt_id, score_utterance(pair, feats),
-                                   labels.get(utt_id, UNLABELLED)))
+    with archive_mod.ArchiveReader(args.archive) as reader:
+        pair = load_pair_model(args.model)
+        if pair.feature_kind != reader.feature_kind:
+            raise FeatureMismatchError(
+                f"model {args.model} was trained on {pair.feature_kind} "
+                f"features, but archive {args.archive} holds "
+                f"{reader.feature_kind}")
+        if pair.extraction_config != reader.config:
+            trained, given = (json.dumps(c, sort_keys=True) for c in
+                              (pair.extraction_config, reader.config))
+            raise FeatureMismatchError(
+                f"model {args.model} was trained on features extracted with "
+                f"{trained}, but archive {args.archive} holds features "
+                f"extracted with {given}")
+        labels = {}
+        if args.manifest:
+            labels = {r.utt_id: r.label
+                      for r in corpus_mod.parse_manifest(args.manifest)}
+        # Labels the archive cannot know are written as '-'; `eval` fills
+        # them back in from its manifest.
+        records = []
+        for utt_id, feats in reader:
+            if feats.n_frames == 0:
+                raise EmptyUtteranceError(
+                    f"utterance {utt_id} has 0 frames in {args.archive}; "
+                    f"scoring needs at least 1")
+            records.append(ScoreRecord(utt_id, score_utterance(pair, feats),
+                                       labels.get(utt_id, UNLABELLED)))
     write_scores(records, args.out)
     print(f"scored {len(records)} utterances -> {args.out}")
 

@@ -63,3 +63,8 @@ class DegenerateBandError(ReplaykitError, ValueError):
 class SingularComponentError(ReplaykitError, RuntimeError):
     """A full-covariance mixture component lost positive-definiteness
     during training even after variance flooring."""
+
+
+class FeatureMismatchError(ReplaykitError, ValueError):
+    """Features handed to a model are of another kind, or come from
+    another extraction config, than the features it was trained on."""

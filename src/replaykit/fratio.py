@@ -17,7 +17,7 @@ its utterances' rows.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +63,23 @@ class ProbeReport:
         return self.patterns[0].n_bands
 
 
-def pool_frames(features: dict[str, FeatureMatrix],
-                utt_ids: list[str]) -> np.ndarray:
+def pool_frames(utt_ids: list[str], frame_counts: Mapping[str, int],
+                values: Callable[[str], np.ndarray]) -> np.ndarray:
     """The utterances' feature frames stacked in the given order, as
-    mixture training takes them."""
-    mats = [features[u].values for u in utt_ids]
-    if not mats:
-        return np.empty((0, 0))
-    return np.concatenate(mats, axis=0)
+    mixture training takes them: one float64 array, allocated once from
+    `frame_counts` and filled with `values(utt_id)` one utterance at a
+    time, so a caller reading each from disk (`ArchiveReader.values`)
+    holds one utterance beyond the pool. float32 frames widen exactly."""
+    pool = None
+    start = 0
+    for utt_id in utt_ids:
+        block = values(utt_id)
+        if pool is None:
+            pool = np.empty((sum(frame_counts[u] for u in utt_ids),
+                             block.shape[1]))
+        pool[start:start + block.shape[0]] = block
+        start += block.shape[0]
+    return np.empty((0, 0)) if pool is None else pool
 
 
 class MomentTable:

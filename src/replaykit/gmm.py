@@ -81,13 +81,15 @@ EM takes one `exp` per block: the responsibilities are the log-sum-exp's
 shifted exponentials divided by their row sums.
 
 A model file is one JSON line per genuine/replay pair: `format_version`
-(MODEL_FORMAT_VERSION), the feature and covariance kinds, K, d and the
-training config, and for each mixture its weights, means and covariances
-as base64 strings of their C-order little-endian float64 bytes. As float
-text, `json.dumps` spent a float repr of about 1.6 µs on each value, so a
-K=64, d=26 full pair took 135-156 ms to save and 2 MB on disk; as bytes
-it takes about 10 ms and 0.96 MB (2-vCPU Xeon), and it reads back bit
-for bit, which scoring a saved model in another process relies on.
+(MODEL_FORMAT_VERSION), the feature and covariance kinds, K, d, the
+training config and the extraction config of the features it was trained
+on (an archive header's `config`), and for each mixture its weights,
+means and covariances as base64 strings of their C-order little-endian
+float64 bytes. As float text, `json.dumps` spent a float repr of about
+1.6 µs on each value, so a K=64, d=26 full pair took 135-156 ms to save
+and 2 MB on disk; as bytes it takes about 10 ms and 0.96 MB (2-vCPU
+Xeon), and it reads back bit for bit, which scoring a saved model in
+another process relies on.
 Covariances are kept in full rather than as a triangle: a floored full
 covariance V Λ Vᵀ is symmetric only to rounding (in one K=64 fit 18,652
 of 43,264 entries differ from their transpose), so a triangle would not
@@ -183,7 +185,10 @@ class Gmm:
 
 @dataclass(frozen=True)
 class GmmPairModel:
-    """Genuine and replay mixtures plus the provenance of their features.
+    """Genuine and replay mixtures plus the provenance of their features:
+    the feature kind's tag, the training config, and the extraction config
+    of the archive they were trained on, which `replaykit score` requires
+    an archive to match (empty when the pair names none).
 
     Frozen, because the scoring factors of both mixtures are derived once
     per pair, on first use.
@@ -193,6 +198,7 @@ class GmmPairModel:
     replay: Gmm
     feature_kind: str
     training_config: dict
+    extraction_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.genuine.dim != self.replay.dim \
@@ -615,7 +621,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
 # Model persistence
 # ---------------------------------------------------------------------------
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 _PARAMETERS = ("weights", "means", "covariances")
 
 
@@ -660,6 +666,7 @@ def save_pair_model(model: GmmPairModel, path) -> None:
         "K": model.genuine.n_comp,
         "d": model.genuine.dim,
         "training_config": model.training_config,
+        "extraction_config": model.extraction_config,
         "genuine": _gmm_to_dict(model.genuine),
         "replay": _gmm_to_dict(model.replay),
     }
@@ -672,11 +679,11 @@ def load_pair_model(path) -> GmmPairModel:
     """Read a model written by `save_pair_model`, bit for bit.
 
     Bytes that are not UTF-8 JSON or not an object, a `format_version`
-    other than MODEL_FORMAT_VERSION (older list-format files included), a
-    missing key, and parameters that are not base64, hold a byte count
-    that disagrees with K and d, or fail `Gmm`'s checks raise
-    ModelFormatError naming the file; a missing file raises
-    FileNotFoundError `<path>: no such file`.
+    other than MODEL_FORMAT_VERSION (older files, which record no
+    extraction config, included), a missing key, and parameters that
+    are not base64, hold a byte count that disagrees with K and d, or
+    fail `Gmm`'s checks raise ModelFormatError naming the file; a
+    missing file raises FileNotFoundError `<path>: no such file`.
     """
     try:
         doc = json.loads(existing_file(path).read_text(encoding="utf-8"))
@@ -696,6 +703,7 @@ def load_pair_model(path) -> GmmPairModel:
             replay=_gmm_from_dict(doc, "replay", kind, k, d, path),
             feature_kind=doc["feature_kind"],
             training_config=doc["training_config"],
+            extraction_config=doc["extraction_config"],
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing key {exc}") from exc

@@ -150,6 +150,9 @@ def iter_features(utterances, *configs: ExtractionConfig
                 fm = append_deltas(fm, config.delta_window)
             feats.append(fm)
         yield utt_id, feats
+        # Dropped before the next pair is taken: a lazy source makes the
+        # next signal then, and both would be held at once.
+        del signal, spec, fbanks, feats, fm
 
 
 def extract_features(utterances, *configs: ExtractionConfig
@@ -181,6 +184,7 @@ def _write_wavs(signals, out_dir: Path) -> Iterator[tuple[str, AudioSignal]]:
     for rec, sig in signals:
         write_wav(sig, out_dir / rec.audio_path)
         yield rec.utt_id, sig
+        del sig  # before the stream makes the next signal
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +285,8 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                                FeatureKind.CEPSTRA_DELTA)]
     # Detection legs: genuine model on all genuine frames, replay model on
     # train-device replay frames; score genuine plus held-out replays.
+    leg_configs = {c.warp: c for c in configs
+                   if c.feature is FeatureKind.CEPSTRA_DELTA}
     genuine_ids = [r.utt_id for r in manifest.genuine_records()]
     train_replay_ids = [r.utt_id for r in man_train.replay_records()]
     fbank_moments = {kind: MomentAccumulator() for kind in WarpKind}
@@ -304,6 +310,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                     else:
                         kept[c.warp] = fm
                 yield utt_id, kept
+                del feats, fm, kept  # before the next utterance is made
 
         cepstra = {kind: {} for kind in WarpKind}
         for utt_id, kept in extract(itertools.islice(stream, len(man_train))):
@@ -315,8 +322,11 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
             # genuine matrices go once its pairs have scored them.
             entries = cepstra.pop(kind)
             tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
-            genuine_frames = pool_frames(entries, genuine_ids)
-            replay_frames = pool_frames(entries, train_replay_ids)
+            counts = {u: fm.n_frames for u, fm in entries.items()}
+            genuine_frames = pool_frames(genuine_ids, counts,
+                                         lambda u: entries[u].values)
+            replay_frames = pool_frames(train_replay_ids, counts,
+                                        lambda u: entries[u].values)
             genuine = [entries[u] for u in genuine_ids]
             del entries
             for cov_idx, cov in enumerate(COVARIANCE_KINDS):
@@ -327,7 +337,8 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                     replay_frames, config.n_comp, cov, config.train,
                     seed=derive_seed(seed, 3, kind_idx, cov_idx, 1))
                 pair = GmmPairModel(g_model, r_model, tag,
-                                    config.train.to_dict())
+                                    config.train.to_dict(),
+                                    leg_configs[kind].to_dict())
                 save_pair_model(pair, out_dir / "models" /
                                 f"{_leg_stem(tag, cov)}.json")
                 pairs[kind, cov] = pair
@@ -341,6 +352,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         for utt_id, kept in extract(stream):
             for (kind, cov), pair in pairs.items():
                 scores[kind, cov][utt_id] = score_utterance(pair, kept[kind])
+            del kept
 
     # Probes on log-Fbank features, per factor and warp, plus the
     # train-vs-heldout dataset comparison.

@@ -1,12 +1,13 @@
 import gc
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replaykit.archive import (ArchiveWriter, FeatureArchive, read_archive,
-                               write_archive)
+from replaykit.archive import (ArchiveReader, ArchiveWriter, FeatureArchive,
+                               read_archive, write_archive)
 from replaykit.errors import ArchiveFormatError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 
@@ -191,6 +192,74 @@ class TestFormatGuards:
         with pytest.raises(ValueError, match="share"):
             FeatureArchive("tag", {}, {"a": _fm(np.ones((1, 2))),
                                        "b": _fm(np.ones((1, 3)))})
+
+
+class TestArchiveReader:
+    def _written(self, tmp_path):
+        rng = np.random.default_rng(3)
+        entries = {f"u{i}": _fm(rng.normal(size=(n, 3)))
+                   for i, n in enumerate((4, 0, 2, 5))}
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive(entries), p)
+        return p, entries
+
+    def test_reads_in_file_order_or_by_id(self, tmp_path):
+        p, entries = self._written(tmp_path)
+        whole = read_archive(p).entries
+        with ArchiveReader(p) as reader:
+            assert reader.feature_kind == "L-Fbank"
+            assert reader.config == _archive({}).config
+            assert reader.frame_counts == {u: fm.n_frames
+                                           for u, fm in entries.items()}
+            assert [u for u, _ in reader] == list(entries)
+            for utt_id in reversed(list(entries)):
+                stored = reader.values(utt_id)
+                assert stored.dtype == np.dtype("<f4")
+                np.testing.assert_array_equal(
+                    stored, entries[utt_id].values.astype(np.float32))
+                fm = reader.read(utt_id)
+                assert fm.kind is FeatureKind.LOG_FBANK
+                assert fm.warp_kind is WarpKind.LINEAR
+                np.testing.assert_array_equal(fm.values,
+                                              whole[utt_id].values)
+            with pytest.raises(KeyError):
+                reader.read("nope")
+
+    def test_mixed_dims_rejected_at_open(self, tmp_path):
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({"u0": _fm(np.ones((2, 3))),
+                                "u1": _fm(np.ones((1, 3)))}), p)
+        data = p.read_bytes()
+        id_bytes = b"u2"
+        p.write_bytes(data + struct.pack("<H", 2) + id_bytes
+                      + struct.pack("<II", 1, 4)
+                      + np.zeros(4, "<f4").tobytes())
+        with pytest.raises(ArchiveFormatError) as info:
+            ArchiveReader(p)
+        assert str(info.value) == (f"{p}: entry 'u2': archive entries must "
+                                   f"share dim and kind, got dim 4 after 3")
+
+    def test_failed_scan_closes_the_file(self, tmp_path):
+        p, _ = self._written(tmp_path)
+        p.write_bytes(p.read_bytes()[:-1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ArchiveFormatError, match="truncated"):
+                ArchiveReader(p)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_file_cut_after_open(self, tmp_path):
+        p, entries = self._written(tmp_path)
+        data = p.read_bytes()
+        with ArchiveReader(p) as reader:
+            p.write_bytes(data[:-4])
+            with pytest.raises(ArchiveFormatError) as info:
+                reader.read("u3")
+        assert str(info.value).startswith(f"{p}: truncated archive: needed "
+                                          f"60 bytes at offset ")
+        assert str(info.value).endswith(", have 56")
 
 
 class TestArchiveWriter:

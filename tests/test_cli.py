@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from replaykit import cli
-from replaykit.archive import read_archive, write_archive
+from replaykit.archive import FeatureArchive, read_archive, write_archive
 from replaykit.corpus import (AudioSignal, parse_manifest, synth_corpus,
                               write_wav)
+from replaykit.errors import ArchiveFormatError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
-from replaykit.metrics import compute_eer, read_scores
-from replaykit.study import ExtractionConfig, extract_features
-from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV
+from replaykit.fratio import MomentTable, probe_factor
+from replaykit.gmm import (GmmPairModel, TrainConfig, load_pair_model,
+                           save_pair_model, score_utterance, train_gmm)
+from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
+                               write_scores)
+from replaykit.study import (ExtractionConfig, extract_features,
+                             write_probe_report)
+from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak
 
 
 def _run(*argv):
@@ -242,3 +248,174 @@ class TestFailures:
         assert line == (f"error: utterance {utt_id} has 0 frames in {bad}; "
                         f"scoring needs at least 1")
         assert not (tmp_path / "s.tsv").exists()
+
+    def test_model_of_another_extraction_config(self, work, tmp_path):
+        # 40 bands and 30 ms frames give MFCC+D of the same kind and dim
+        # as the model's 23-band, 25 ms training features, so only the
+        # extraction config the model records tells them apart.
+        manifest = work / "corpus" / "manifest.tsv"
+        wide = tmp_path / "mel40.rpfa"
+        _ok("extract", "--manifest", manifest, "--warp", "mel", "--feature",
+            "cepstra-delta", "--bands", 40, "--frame-ms", 30, "--out", wide)
+        model = work / "model.json"
+        out = tmp_path / "s.tsv"
+        line = self._single_error_line(
+            ["score", "--archive", wide, "--model", model, "--manifest",
+             manifest, "--out", out])
+        trained = json.dumps(read_archive(
+            work / "mel_cepstra-delta.rpfa").config, sort_keys=True)
+        given = json.dumps(read_archive(wide).config, sort_keys=True)
+        assert '"bands": 23' in trained and '"bands": 40' in given
+        assert line == (f"error: model {model} was trained on features "
+                        f"extracted with {trained}, but archive {wide} "
+                        f"holds features extracted with {given}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["probe", "train", "score"])
+    def test_truncated_archive(self, work, tmp_path, command):
+        # The cut is in the last entry's frames, so every earlier entry
+        # reads; the scan at open must still fail the command before it
+        # writes anything.
+        feature = "fbank" if command == "probe" else "cepstra-delta"
+        bad = tmp_path / "cut.rpfa"
+        bad.write_bytes((work / f"mel_{feature}.rpfa").read_bytes()[:-5])
+        with pytest.raises(ArchiveFormatError) as info:
+            read_archive(bad)
+        assert "truncated archive" in str(info.value)
+        out = tmp_path / "out"
+        argv = {"probe": ["--factor", "device"],
+                "train": ["--ncomp", 2, "--seed", SEED, "--max-iters", 2],
+                "score": ["--model", work / "model.json"]}[command]
+        line = self._single_error_line(
+            [command, "--archive", bad, "--manifest",
+             work / "corpus" / "manifest.tsv", "--out", out, *argv])
+        assert line == f"error: {info.value}"
+        assert list(tmp_path.iterdir()) == [bad]
+
+
+class TestStreamsAsInMemory:
+    """Each command reads its archive one entry at a time; its output must
+    be byte-identical to the whole archive read into memory as float64,
+    with every pool stacked at once."""
+
+    def test_probe(self, work, tmp_path):
+        archive = read_archive(work / "mel_fbank.rpfa")
+        manifest = parse_manifest(work / "corpus" / "manifest.tsv")
+        for factor in ("speaker", "phrase", "device"):
+            report = probe_factor(MomentTable.of(archive.entries), manifest,
+                                  factor)
+            write_probe_report(report, tmp_path / f"{factor}.tsv")
+            for suffix in (".tsv", ".json"):
+                name = factor + suffix
+                assert (work / name).read_bytes() == \
+                    (tmp_path / name).read_bytes(), name
+
+    def test_score(self, work, tmp_path):
+        archive = read_archive(work / "mel_cepstra-delta.rpfa")
+        manifest = parse_manifest(work / "corpus" / "manifest.tsv")
+        labels = {r.utt_id: r.label for r in manifest}
+        pair = load_pair_model(work / "model.json")
+        write_scores([ScoreRecord(u, score_utterance(pair, fm), labels[u])
+                      for u, fm in archive.entries.items()],
+                     tmp_path / "scores.tsv")
+        assert (work / "labelled.tsv").read_bytes() == \
+            (tmp_path / "scores.tsv").read_bytes()
+
+    @pytest.mark.parametrize("cov", ["diag", "full"])
+    def test_train(self, work, tmp_path, cov):
+        # Pools follow the manifest, not the archive, so an archive with
+        # its entries reversed must train the same model.
+        path = work / "mel_cepstra-delta.rpfa"
+        archive = read_archive(path)
+        manifest = parse_manifest(work / "corpus" / "manifest.tsv")
+        reversed_path = tmp_path / "reversed.rpfa"
+        write_archive(FeatureArchive(archive.feature_kind, archive.config,
+                                     dict(reversed(archive.entries.items()))),
+                      reversed_path)
+        config = TrainConfig(max_iters=2)
+        g, r = (train_gmm(np.concatenate(
+                    [archive.entries[rec.utt_id].values for rec in records]),
+                    2, cov, config, seed=SEED + offset)
+                for offset, records in enumerate(
+                    (manifest.genuine_records(), manifest.replay_records())))
+        save_pair_model(GmmPairModel(g, r, archive.feature_kind,
+                                     config.to_dict(), archive.config),
+                        tmp_path / "want.json")
+        for source in (path, reversed_path):
+            _ok("train", "--archive", source, "--manifest",
+                work / "corpus" / "manifest.tsv", "--ncomp", 2, "--cov", cov,
+                "--seed", SEED, "--max-iters", 2,
+                "--out", tmp_path / "model.json")
+            assert (tmp_path / "model.json").read_bytes() == \
+                (tmp_path / "want.json").read_bytes()
+
+
+class TestMemory:
+    """Traced peaks of the archive-reading commands on 5 s utterances, 20
+    of them, whose float64 features are about 2 MB per archive."""
+
+    @pytest.fixture(scope="class")
+    def long_work(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("long")
+        manifest = root / "corpus" / "manifest.tsv"
+        _ok("synth", "--out", root / "corpus", "--seed", SEED, "--speakers",
+            2, "--phrases", 2, "--train-devices", 2, "--heldout-devices", 2,
+            "--reps", 1, "--utt-seconds", 5.0)
+        for feature in ("fbank", "cepstra-delta"):
+            _ok("extract", "--manifest", manifest, "--warp", "mel",
+                "--feature", feature, "--out", root / f"{feature}.rpfa")
+        return root
+
+    def _peak(self, *argv):
+        return _traced_peak(lambda: _ok(*argv))[0]
+
+    @staticmethod
+    def _float64_bytes(path):
+        return sum(fm.values.nbytes
+                   for fm in read_archive(path).entries.values())
+
+    def test_probe_holds_one_entry(self, long_work, tmp_path):
+        # Reading the whole archive peaked at 1.55 times its float64
+        # bytes; reading one entry at a time, at 0.25.
+        fbank = long_work / "fbank.rpfa"
+        archive_bytes = self._float64_bytes(fbank)
+        assert archive_bytes > 1_500_000
+        peak = self._peak("probe", "--archive", fbank, "--manifest",
+                          long_work / "corpus" / "manifest.tsv", "--factor",
+                          "device", "--out", tmp_path / "p.tsv")
+        assert peak < archive_bytes / 2
+
+    def test_score_holds_one_entry(self, long_work, tmp_path):
+        # Reading the whole archive peaked at 1.55 times its float64
+        # bytes; reading one entry at a time, at 0.38 with a full pair.
+        cepstra = long_work / "cepstra-delta.rpfa"
+        _ok("train", "--archive", cepstra, "--manifest",
+            long_work / "corpus" / "manifest.tsv", "--ncomp", 2, "--cov",
+            "full", "--seed", SEED, "--max-iters", 2,
+            "--out", tmp_path / "model.json")
+        peak = self._peak("score", "--archive", cepstra, "--model",
+                          tmp_path / "model.json", "--out", tmp_path / "s.tsv")
+        assert peak < self._float64_bytes(cepstra) / 2
+
+    @pytest.mark.parametrize("cov", ["diag", "full"])
+    def test_train_holds_one_pool(self, long_work, tmp_path, cov):
+        # The reference peak is training the larger (replay) pool with
+        # that pool stacked inside the trace: what `train` must hold at
+        # least. Holding the whole archive and both pools as well put it
+        # 1.2 times the archive's float64 bytes higher; filling one pool
+        # at a time from the file must stay within a quarter of them.
+        manifest = long_work / "corpus" / "manifest.tsv"
+        cepstra = long_work / "cepstra-delta.rpfa"
+        entries = read_archive(cepstra).entries
+        replay = [r.utt_id for r in parse_manifest(manifest).replay_records()]
+        config = TrainConfig(max_iters=2)
+        reference, _ = _traced_peak(lambda: train_gmm(
+            np.concatenate([entries[u].values for u in replay]), 2, cov,
+            config, seed=SEED + 1))
+        archive_bytes = self._float64_bytes(cepstra)
+        del entries
+        peak = self._peak("train", "--archive", cepstra, "--manifest",
+                          manifest, "--ncomp", 2, "--cov", cov, "--seed",
+                          SEED, "--max-iters", 2,
+                          "--out", tmp_path / "model.json")
+        assert peak < reference + archive_bytes / 4

@@ -17,6 +17,7 @@ from replaykit.fratio import (
     compare_datasets,
     fratio,
     pattern_dispersion,
+    pool_frames,
     probe_factor,
 )
 from replaykit.study import write_probe_report
@@ -482,3 +483,31 @@ class TestWriteProbeReport:
         doc = json.loads((tmp_path / "speaker.json").read_text(encoding="utf-8"))
         assert doc["warp"] is None
         assert [p["value"] for p in doc["patterns"]] == ["S00", "S01"]
+
+
+class TestPoolFrames:
+    def test_stacks_in_the_given_order_widening_exactly(self):
+        rng = np.random.default_rng(9)
+        stored = {u: rng.normal(size=(n, 4)).astype(np.float32)
+                  for u, n in (("a", 3), ("b", 0), ("c", 5))}
+        counts = {u: v.shape[0] for u, v in stored.items()}
+        ids = ["c", "b", "a"]
+        pool = pool_frames(ids, counts, stored.__getitem__)
+        assert pool.dtype == np.float64
+        np.testing.assert_array_equal(
+            pool, np.concatenate([stored[u].astype(np.float64)
+                                  for u in ids]))
+
+    def test_reads_each_utterance_once(self):
+        stored = {"a": np.ones((2, 3)), "b": np.zeros((1, 3))}
+        reads = []
+
+        def values(utt_id):
+            reads.append(utt_id)
+            return stored[utt_id]
+
+        pool_frames(["b", "a"], {"a": 2, "b": 1}, values)
+        assert reads == ["b", "a"]
+
+    def test_no_utterances(self):
+        assert pool_frames([], {}, None).shape == (0, 0)

@@ -272,7 +272,9 @@ class TestModelPersistence:
         rng = np.random.default_rng(12)
         g = train_gmm(rng.normal(0, 1, size=(80, 3)), 2, kind, seed=1)
         r = train_gmm(rng.normal(2, 1, size=(80, 3)), 2, kind, seed=2)
-        return GmmPairModel(g, r, "LFCC+D", TrainConfig().to_dict())
+        return GmmPairModel(g, r, "LFCC+D", TrainConfig().to_dict(),
+                            {"warp": "linear", "feature": "cepstra-delta",
+                             "bands": 23})
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_roundtrip_bit_exact(self, tmp_path, kind):
@@ -287,6 +289,7 @@ class TestModelPersistence:
             np.testing.assert_array_equal(a.covariances, b.covariances)
         assert back.feature_kind == "LFCC+D"
         assert back.training_config == pair.training_config
+        assert back.extraction_config == pair.extraction_config
 
     @pytest.mark.parametrize("kind, k", [("diag", 2), ("full", 2),
                                          ("diag", 8), ("full", 8)])
@@ -313,15 +316,17 @@ class TestModelPersistence:
         doc = json.loads(p.read_text())
         assert set(doc) == {"format_version", "feature_kind",
                             "covariance_kind", "K", "d", "training_config",
-                            "genuine", "replay"}
-        assert doc["format_version"] == 2 and doc["K"] == 2 and doc["d"] == 3
+                            "extraction_config", "genuine", "replay"}
+        assert doc["format_version"] == 3 and doc["K"] == 2 and doc["d"] == 3
+        assert doc["extraction_config"] == pair.extraction_config
         # covariances in full, C order, as little-endian float64 bytes
         raw = base64.b64decode(doc["genuine"]["covariances"])
         np.testing.assert_array_equal(
             np.frombuffer(raw, "<f8").reshape(2, 3, 3),
             pair.genuine.covariances)
 
-    @pytest.mark.parametrize("key", ["genuine", "K", "covariance_kind"])
+    @pytest.mark.parametrize("key", ["genuine", "K", "covariance_kind",
+                                     "extraction_config"])
     def test_missing_key_is_typed(self, tmp_path, key):
         p = tmp_path / "model.json"
         save_pair_model(self._trained_pair("diag"), p)
@@ -379,8 +384,9 @@ class TestModelPersistence:
             load_pair_model(p)
         assert str(info.value).startswith(f"{p}: genuine: means is not base64")
 
-    @pytest.mark.parametrize("version", [None, 1])
-    def test_format_version_other_than_2_is_typed(self, tmp_path, version):
+    @pytest.mark.parametrize("version", [None, 1, 2])
+    def test_format_version_other_than_current_is_typed(self, tmp_path,
+                                                        version):
         p = tmp_path / "model.json"
         save_pair_model(self._trained_pair("diag"), p)
         doc = json.loads(p.read_text())
@@ -392,7 +398,7 @@ class TestModelPersistence:
             load_pair_model(p)
         found = "missing" if version is None else version
         assert str(info.value) == (f"{p}: format_version is {found}, "
-                                   f"this reader needs 2")
+                                   f"this reader needs 3")
 
     def test_paper_sized_full_pair_is_bit_exact_and_under_1_mb(self, tmp_path):
         rng = np.random.default_rng(64)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from oracles import eer_brute_force
 from replaykit import cli
+from replaykit.archive import read_archive
 from replaykit.corpus import AudioSignal, SynthConfig, synth_corpus
 from replaykit.filterbank import (
     FeatureKind,
@@ -27,6 +29,7 @@ from replaykit.study import (
     ExtractionConfig,
     StudyConfig,
     extract_features,
+    feature_tag,
     iter_features,
     run_study,
     write_corpus,
@@ -117,6 +120,24 @@ class TestRunStudy:
                         assert rec.score != score_utterance(
                             other_pair, features[other[0]][rec.utt_id])
 
+    def test_models_record_their_archives_extraction_config(
+            self, study_runs, tmp_path):
+        # So `replaykit score` accepts each leg's own archive with its
+        # model, and refuses another warp's archive of the same kind.
+        (out, _), _ = study_runs
+        for warp in WarpKind:
+            archive = out / "features" / f"{warp.value}_cepstra-delta.rpfa"
+            header = read_archive(archive).config
+            tag = feature_tag(warp, FeatureKind.CEPSTRA_DELTA)
+            for cov in ("diag", "full"):
+                stem = f"{tag.split('+')[0].lower()}_{cov}"
+                model = out / "models" / f"{stem}.json"
+                assert load_pair_model(model).extraction_config == header
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["score", "--archive", str(archive),
+                                     "--model", str(model), "--out",
+                                     str(tmp_path / "s.tsv")]) == 0
+
     def test_corpus_matches_cli_synth(self, study_runs, tmp_path):
         (out, _), _ = study_runs
         argv = ["synth", "--out", str(tmp_path), "--seed", str(SEED)]
@@ -173,6 +194,29 @@ class TestExtractFeatures:
                 assert got.tobytes() == want.tobytes()
         assert [fm.n_frames for fm in archives[0].entries.values()] == \
             [98, 11, 0, 148]
+
+    def test_stream_holds_no_previous_utterance(self, tmp_path):
+        # A lazy source makes the next signal while the WAV writer and the
+        # extraction pass wait for it; neither may still hold the previous
+        # utterance's signal or feature matrices then.
+        signals, manifest, profiles = synth_corpus(TINY_CORPUS, SEED)
+        alive = []
+
+        def source():
+            for rec, sig in signals:
+                assert all(ref() is None for ref in alive), rec.utt_id
+                fresh = AudioSignal(sig.samples.copy())
+                alive.append(weakref.ref(fresh))
+                yield rec, fresh
+                del fresh
+
+        configs = [ExtractionConfig(WarpKind.MEL, feature)
+                   for feature in FeatureKind]
+        stream = write_corpus(source(), manifest, profiles, tmp_path)
+        for _, feats in iter_features(stream, *configs):
+            alive.extend(weakref.ref(fm) for fm in feats)
+            del feats
+        assert len(alive) == 4 * len(manifest)
 
     def test_configs_must_share_framing(self, utterances):
         a = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
