@@ -16,10 +16,12 @@ over the frames. The draw is `Generator.choice(n, p=d2 / total)`'s own, a
 cumsum scaled by its last entry and searched with one `rng.random()`,
 without choice's passes that check p, so a seed picks the same frames.
 Each Lloyd iteration takes the distances as one GEMM with the centre
-norms added in place, and the cluster sums as one one-hot GEMM. At the
-default study's 28,512 replay frames, d=26 and K=64, initialisation takes
-274 ms against 492 ms for per-centre subtract-and-square passes and
-`choice`, with bit-identical centres (2-vCPU Xeon, one BLAS thread).
+norms added in place, and the cluster sums as one one-hot GEMM per
+MOMENT_BLOCK frames, which builds no (n, K) one-hot matrix (14.6 MB at
+the default study's 28,512 replay frames and K=64). One `np.bincount`
+per dimension also builds none, and is about as fast at K=64, but takes
+twice as long at K=2 (2.6 against 1.5 ms per iteration over 14,256
+frames, one BLAS thread).
 
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
@@ -36,7 +38,20 @@ the moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1], so EM holds no (n, K) array.
 Counts, means and uncentred second moments follow from the sums, and the
 covariances are the second moments less the outer products of the means;
 the initial covariances are the same sums over the final k-means
-clusters.
+clusters. The data variance, from which the floor is taken, is also
+summed MOMENT_BLOCK frames at a time (`_variance`), and equals numpy's
+`var(axis=0)` bit for bit.
+
+MOMENT_BLOCK sets what a fit holds beyond its frames. A full block's
+features are (q + d + 1) × MOMENT_BLOCK floats, 0.77 MB at d=26 and 256
+frames, and its log-densities and responsibilities are another
+MOMENT_BLOCK × K. `run_study` trains two fits at once, so it holds two
+such working sets. A K=64, d=26 full fit over 1,776 frames, the
+`study-em` benchmark's replay pool, peaks under tracemalloc at 2.8 MB
+with 256-frame blocks and at 3.9 MB with 512-frame blocks. Training two
+fits at once raised that benchmark's peak RSS from 54.8 MB by 4% with
+256-frame blocks and by 8% with 512-frame blocks, whose wall time was
+no shorter.
 
 W is taken from the floor's results, so EM makes no Cholesky
 factorisation or inverse: 1/σ² and Σ ln σ² for diag, and for full the
@@ -59,12 +74,10 @@ Cholesky whitening: the 2K blocks [L⁻¹ | -L⁻¹m] stacked into one
 each component's squared norm. Per frame and component the feature
 form's GEMM multiplies q + d + 1 = 378 weights at d=26, against
 whitening's d(d + 1) = 702, but it first builds the q = 351 products of
-z zᵀ, a cost per frame that only a large K repays. Per pair call (random
-d=26 pairs, 2-vCPU Xeon, one BLAS thread), features against whitening:
-K=2, 498 frames 0.44 against 0.19 ms; K=6 0.58 against 0.41 ms; K=8
-within noise of each other (0.19 against 0.20 ms at 148 frames,
-0.60-0.85 ms either way at 498); K=10 0.79 against 0.92 ms; K=64, 148
-frames 0.80 against 1.74 ms. Both forms follow the precision
+z zᵀ, a cost per frame that only a large K repays: on random d=26
+pairs, whitening was the faster form at K=2 and K=6, the feature form
+at K=10 and K=64, and the two were within noise of each other at K=8.
+Both forms follow the precision
 parametrisation of scikit-learn's GaussianMixture (Pedregosa et al.,
 JMLR 2011). With the origin shared, the feature form expands each
 component's quadratic form about a point up to half the pair's
@@ -118,7 +131,7 @@ COVARIANCE_KINDS = ("diag", "full")
 WEIGHT_FLOOR = 1e-8
 MIN_FRAMES_PER_COMPONENT = 10
 KMEANS_ITERS = 10
-MOMENT_BLOCK = 512
+MOMENT_BLOCK = 256
 EXP_CUT = -700.0
 FULL_FEATURES_MIN_K = 8
 
@@ -386,10 +399,10 @@ def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kmeans_init(frames: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ spreading followed by a few Lloyd iterations, each of
-    which takes the cluster sums as one one-hot GEMM; an empty cluster
-    keeps its centre. Spreading takes one GEMV per centre and draws as
-    `Generator.choice(n, p=d2 / total)` does (see the module docstring),
-    in buffers allocated once per call."""
+    which takes the cluster sums as one one-hot GEMM per MOMENT_BLOCK
+    frames; an empty cluster keeps its centre. Spreading takes one GEMV
+    per centre and draws as `Generator.choice(n, p=d2 / total)` does (see
+    the module docstring), in buffers allocated once per call."""
     n = frames.shape[0]
     centers = np.empty((k, frames.shape[1]))
     norms = np.einsum("nd,nd->n", frames, frames)
@@ -419,7 +432,9 @@ def _kmeans_init(frames: np.ndarray, k: int,
         assign = _nearest(frames, centers)
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0
-        sums = one_hot[assign].T @ frames
+        sums = sum(one_hot[assign[start:start + MOMENT_BLOCK]].T
+                   @ frames[start:start + MOMENT_BLOCK]
+                   for start in range(0, n, MOMENT_BLOCK))
         centers[filled] = sums[filled] / counts[filled, None]
     return centers
 
@@ -506,6 +521,24 @@ def _feature_blocks(frames: np.ndarray, origin: np.ndarray, kind: str):
         yield start, stop, block
 
 
+def _variance(frames: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per-dimension variance about `mean`, MOMENT_BLOCK frames at a time,
+    with no temporary as large as the frames. For C-ordered frames and
+    mean = frames.mean(axis=0) it is frames.var(axis=0) bit for bit:
+    numpy sums the squared deviations over axis 0 one row after another,
+    and here each block's sum starts from the running sum, carried as the
+    block's first row."""
+    n, d = frames.shape
+    buf = np.zeros((min(n, MOMENT_BLOCK) + 1, d))
+    for start in range(0, n, MOMENT_BLOCK):
+        stop = min(start + MOMENT_BLOCK, n)
+        rows = buf[1:stop - start + 1]
+        np.subtract(frames[start:stop], mean, out=rows)
+        np.square(rows, out=rows)
+        buf[0] = np.add.reduce(buf[:stop - start + 1], axis=0)
+    return buf[0] / n
+
+
 def _em_pass(frames: np.ndarray, origin: np.ndarray,
              density_weights: np.ndarray, kind: str
              ) -> tuple[float, np.ndarray]:
@@ -567,7 +600,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
             f"components")
 
     origin = frames.mean(axis=0)
-    data_var = frames.var(axis=0)
+    data_var = _variance(frames, origin)
     if covariance_kind == "diag":
         floor = np.maximum(config.variance_floor_factor * data_var, 1e-12)
     else:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from replaykit.gmm import (
     _kmeans_init,
     _logsumexp,
     _stacked_densities,
+    _variance,
     _weighted_log_densities,
     load_pair_model,
     save_pair_model,
@@ -31,6 +33,11 @@ from replaykit.gmm import (
     train_gmm,
 )
 import oracles
+
+
+# Four full frame blocks and a short fifth: 1,100 frames at
+# MOMENT_BLOCK = 256.
+SEVERAL_BLOCKS = 4 * MOMENT_BLOCK + 76
 
 
 def _single_gaussian(mean, var):
@@ -564,10 +571,8 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("kind,k", [(kind, k) for kind in ("diag", "full")
                                         for k in (1, 8, 64)])
     def test_score_utterance_over_several_blocks(self, kind, k):
-        # Scoring runs MOMENT_BLOCK frames at a time; 1,100 frames make
-        # three blocks, the last one short.
-        assert 2 * MOMENT_BLOCK < 1100 < 3 * MOMENT_BLOCK
-        self._assert_score(kind, k, 1100)
+        # Scoring runs MOMENT_BLOCK frames at a time.
+        self._assert_score(kind, k, SEVERAL_BLOCKS)
 
     # Full pairs below FULL_FEATURES_MIN_K whiten, at and above it they
     # take the E-step's feature form; the last pair mixes the two sides.
@@ -575,12 +580,12 @@ class TestAgainstOracles:
                (FULL_FEATURES_MIN_K,) * 2, (64, 64),
                (2, FULL_FEATURES_MIN_K)]
 
-    @pytest.mark.parametrize("n_frames", [40, 1100])
+    @pytest.mark.parametrize("n_frames", [40, SEVERAL_BLOCKS])
     @pytest.mark.parametrize("ks", PAIR_KS)
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_pair_kernel(self, kind, ks, n_frames):
         # Both mixtures in one GEMM per block about a shared origin, per
-        # frame against the loop oracle; 1,100 frames make three blocks.
+        # frame against the loop oracle, in one block and in several.
         rng = np.random.default_rng(700 + sum(ks))
         pair = GmmPairModel(_random_gmm(rng, kind, ks[0], 3),
                             _random_gmm(rng, kind, ks[1], 3), "test", {})
@@ -754,6 +759,29 @@ class TestAgainstOracles:
 
 
 class TestNumericsGuards:
+    @pytest.mark.parametrize("n", [1, MOMENT_BLOCK - 1, MOMENT_BLOCK,
+                                   MOMENT_BLOCK + 1, 1776, 9960, 28512])
+    def test_blocked_variance_is_numpys_bit_for_bit(self, n):
+        # The variance floor takes its bits from the data variance.
+        rng = np.random.default_rng(n)
+        frames = rng.normal(rng.normal(0.0, 50.0, 26),
+                            rng.uniform(0.1, 10.0, 26), size=(n, 26))
+        np.testing.assert_array_equal(_variance(frames, frames.mean(axis=0)),
+                                      frames.var(axis=0))
+
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_a_small_fit_holds_less_than_half_its_frames(self, kind):
+        # At K=2 the data variance's temporary, as large as the frames,
+        # was most of what a fit held beyond them.
+        frames = np.random.default_rng(7).normal(size=(28512, 26))
+        tracemalloc.start()
+        try:
+            train_gmm(frames, 2, kind, TrainConfig(max_iters=2), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes / 2
+
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(0)
         a = rng.normal(0.0, 50.0, size=(30, 8))

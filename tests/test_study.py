@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from oracles import eer_brute_force
-from replaykit import cli
+from replaykit import cli, study
 from replaykit.archive import read_archive
 from replaykit.corpus import AudioSignal, SynthConfig, synth_corpus
+from replaykit.errors import SingularComponentError
 from replaykit.filterbank import (
     FeatureKind,
     WarpKind,
@@ -22,7 +24,8 @@ from replaykit.filterbank import (
     cepstral_features,
     fbank_features,
 )
-from replaykit.gmm import TrainConfig, load_pair_model, score_utterance
+from replaykit.gmm import (TrainConfig, load_pair_model, score_utterance,
+                           train_gmm)
 from replaykit.metrics import compute_eer, read_scores
 from replaykit.spectrum import frame_signal, power_spectrum
 from replaykit.study import (
@@ -31,6 +34,7 @@ from replaykit.study import (
     extract_features,
     feature_tag,
     iter_features,
+    _two_at_a_time,
     run_study,
     write_corpus,
 )
@@ -144,6 +148,119 @@ class TestRunStudy:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv + TINY_SYNTH_ARGV) == 0
         assert _tree(tmp_path) == _tree(out / "corpus")
+
+
+class TestTwoAtATime:
+    """`run_study` trains each warp's four fits on two threads; every
+    result must be what training them one after another gives."""
+
+    EM = TrainConfig(max_iters=2, ll_tolerance=0.0)
+
+    def test_fits_equal_sequential_fits_in_task_order(self):
+        # The study's shape: d=26, K=64, diag and full, two pools. The
+        # costs put the full fits first, so the runners take the tasks
+        # out of task order.
+        rng = np.random.default_rng(40)
+        pools = [rng.normal(size=(n, 26)) * rng.uniform(0.5, 2.0, 26)
+                 for n in (700, 900)]
+        specs = [(pools[0], "diag", 0), (pools[1], "diag", 1),
+                 (pools[0], "full", 2), (pools[1], "full", 3)]
+        before = threading.active_count()
+        fits = _two_at_a_time(
+            [lambda f=f, kind=kind, seed=seed: train_gmm(
+                f, 64, kind, self.EM, seed=seed) for f, kind, seed in specs],
+            [(kind == "full", len(f)) for f, kind, _ in specs])
+        assert threading.active_count() == before
+        for fit, (f, kind, seed) in zip(fits, specs):
+            alone = train_gmm(f, 64, kind, self.EM, seed=seed)
+            assert fit.covariance_kind == kind
+            for name in ("weights", "means", "covariances"):
+                np.testing.assert_array_equal(getattr(fit, name),
+                                              getattr(alone, name))
+            assert fit.ll_curve == alone.ll_curve
+
+    def test_two_runners_take_the_costliest_tasks_first(self):
+        # The two costliest tasks wait for each other, so they must run at
+        # once, on two threads, before either runner takes another.
+        barrier = threading.Barrier(2, timeout=10)
+        started = []
+
+        def task(i):
+            def run():
+                started.append(i)
+                if i in (0, 2):
+                    barrier.wait()
+                return i, threading.current_thread()
+            return run
+
+        results = _two_at_a_time([task(i) for i in range(4)], [5, 1, 9, 3])
+        assert [i for i, _ in results] == [0, 1, 2, 3]
+        assert sorted(started[:2]) == [0, 2]
+        assert results[0][1] is not results[2][1]
+
+    def test_every_task_runs_once_under_fast_thread_switching(self):
+        # Thread switches every microsecond between many short tasks: a
+        # task taken twice, or skipped, by the two runners shows here.
+        runs = [0] * 2000
+        lock = threading.Lock()
+
+        def task(i):
+            def run():
+                with lock:
+                    runs[i] += 1
+                return i
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _two_at_a_time([task(i) for i in range(len(runs))],
+                                     [i % 7 for i in range(len(runs))])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(len(runs)))
+        assert runs == [1] * len(runs)
+
+    @pytest.mark.parametrize("on_worker", [False, True],
+                             ids=["caller", "worker"])
+    @pytest.mark.parametrize("frames,kind,error", [
+        (np.zeros((5, 2)), "diag", ValueError),
+        # Squares of 1e160 overflow, so the first covariances are not
+        # finite.
+        (np.random.default_rng(41).normal(size=(40, 2)) * 1e160, "full",
+         SingularComponentError),
+    ], ids=["too-few-frames", "singular"])
+    def test_a_failing_fit_raises_from_either_runner(
+            self, frames, kind, error, on_worker):
+        good = np.random.default_rng(42).normal(size=(200, 2))
+        caller = threading.current_thread()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def fit(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return train_gmm(x, 2, kind, seed=0)
+
+        def task():
+            # Each runner holds one of the two tasks when it gets here.
+            barrier.wait()
+            failing = (threading.current_thread() is not caller) == on_worker
+            return fit(frames if failing else good)
+
+        with pytest.raises(error) as alone:
+            fit(frames)
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            _two_at_a_time([task, task], [1, 1])
+        assert type(info.value) is error
+        assert str(info.value) == str(alone.value)
+        assert threading.active_count() == before
+
+    def test_study_writes_what_a_sequential_loop_writes(
+            self, study_runs, tmp_path, monkeypatch):
+        monkeypatch.setattr(study, "_two_at_a_time",
+                            lambda tasks, costs: [task() for task in tasks])
+        run_study(SEED, tmp_path, TINY)
+        assert _tree(tmp_path) == _tree(study_runs[0][0])
 
 
 class TestExtractFeatures:
