@@ -48,7 +48,6 @@ from .filterbank import (
 )
 from .fratio import (
     FRatioPattern,
-    MomentAccumulator,
     MomentTable,
     ProbeReport,
     compare_datasets,

@@ -40,7 +40,7 @@ from . import archive as archive_mod
 from . import corpus as corpus_mod
 from .errors import EmptyUtteranceError, FeatureMismatchError
 from .filterbank import FeatureKind, WarpKind
-from .fratio import MomentAccumulator, pool_frames, probe_factor
+from .fratio import MomentTable, pool_frames, probe_factor
 from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
 from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_scores
 # perfbench/tracing.py wraps `extract_features` at this import site.
@@ -93,12 +93,12 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_probe(args) -> None:
-    moments = MomentAccumulator()
+    table = MomentTable()
     with archive_mod.ArchiveReader(args.archive) as reader:
         manifest = corpus_mod.parse_manifest(args.manifest)
         for utt_id, fm in reader:
-            moments.add(utt_id, fm)
-    report = probe_factor(moments.table(), manifest, args.factor)
+            table.add(utt_id, fm)
+    report = probe_factor(table, manifest, args.factor)
     write_probe_report(report, args.out)
     print(f"factor={args.factor} values={len(report.patterns)} "
           f"dispersion={report.dispersion:.6f} -> {args.out}")

@@ -8,15 +8,16 @@ one per dataset (train, heldout), each over one archive's features; the
 dispersion of the normalized fingerprints measures how much the factor
 shifts the discriminative picture.
 
-The probes read no frames. They take an archive's `MomentTable`, which
-holds per utterance a frame count, column sums and squared deviations;
-`MomentAccumulator` builds one as the frames are made, or `MomentTable.of`
-from an archive read back. Each pool's mean and variance are merged from
-its utterances' rows.
+The probes read no frames. They take an archive's `MomentTable`, to which
+each utterance's log-Fbank frames are added as they are made or read
+back; it keeps per utterance a frame count, column sums and squared
+deviations, and drops the frames. Each pool's mean and variance are
+merged from its utterances' rows, stacked in the pool's order.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -85,67 +86,38 @@ def pool_frames(utt_ids: list[str], frame_counts: Mapping[str, int],
 class MomentTable:
     """Per-utterance moments of one archive's log-Fbank features, enough
     to give any pool of its utterances the mean and variance of the
-    pool's stacked frames (see `_moments`). Row `index[utt_id]` holds the
-    utterance's frame count, its column sums, its mean's offset from the
-    table's origin (`centres`), and the squared deviations of its frames
-    about that mean (`m2`). The origin is the first frame the table was
-    given; offsets from it keep the variance merge exact to rounding even
-    for features far from 0.
+    pool's stacked frames (see `_moments`). `add` keeps an utterance's
+    row and no frame: its frame count, its column sums, its mean's offset
+    from the table's origin, and the squared deviations of its frames
+    about that mean. The origin is the first frame of the first utterance
+    that has frames; offsets from it keep the variance merge exact to
+    rounding even for features far from 0.
     """
 
-    def __init__(self, warp: WarpKind | None, index: dict[str, int],
-                 counts: np.ndarray, sums: np.ndarray, centres: np.ndarray,
-                 m2: np.ndarray):
-        self.warp = warp
-        self.index = index
-        self.counts = counts
-        self.sums = sums
-        self.centres = centres
-        self.m2 = m2
-
-    @classmethod
-    def of(cls, features: Mapping[str, FeatureMatrix]) -> MomentTable:
-        moments = MomentAccumulator()
-        for utt_id, fm in features.items():
-            moments.add(utt_id, fm)
-        return moments.table()
-
-    def rows(self, utt_ids: list[str]) -> np.ndarray:
-        return np.array([self.index[u] for u in utt_ids], dtype=np.intp)
-
-    def stats(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (self.counts[rows], self.sums[rows], self.centres[rows],
-                self.m2[rows])
-
-
-class MomentAccumulator:
-    """Builds a `MomentTable` one utterance at a time, so that no frame
-    has to be kept once its moments are taken."""
-
     def __init__(self):
-        self._ids: list[str] = []
-        self._rows: list[tuple] = []
-        self._warp: WarpKind | None = None
+        self.warp: WarpKind | None = None
+        self._dim = 0
         self._origin: np.ndarray | None = None
+        self._rows: dict[str, tuple] = {}
 
     def add(self, utt_id: str, fm: FeatureMatrix) -> None:
+        """Keep one utterance's row; an id the table holds is refused."""
         if fm.kind is not FeatureKind.LOG_FBANK:
             raise ValueError("probing requires log-Fbank features")
         if not self._rows:
-            self._warp = fm.warp_kind
-        elif fm.dim != self._rows[0][1].size:
-            raise ValueError(f"band counts differ: "
-                             f"{self._rows[0][1].size} vs {fm.dim}")
+            self.warp, self._dim = fm.warp_kind, fm.dim
+        elif fm.dim != self._dim:
+            raise ValueError(f"band counts differ: {self._dim} vs {fm.dim}")
+        if utt_id in self._rows:
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
         if self._origin is None and fm.n_frames:
             self._origin = fm.values[0].copy()
-        self._ids.append(utt_id)
-        self._rows.append(_utterance_moments(fm.values, self._origin))
+        self._rows[utt_id] = _utterance_moments(fm.values, self._origin)
 
-    def table(self) -> MomentTable:
-        dim = self._rows[0][1].size if self._rows else 0
-        return MomentTable(self._warp,
-                           {u: i for i, u in enumerate(self._ids)},
-                           *_stack(self._rows, dim))
+    def stats(self, utt_ids) -> tuple[np.ndarray, ...]:
+        """The (counts, sums, centres, m2) rows of `utt_ids`, stacked in
+        the order given."""
+        return _stack([self._rows[u] for u in utt_ids], self._dim)
 
 
 def _utterance_moments(values: np.ndarray, origin) -> tuple:
@@ -216,8 +188,15 @@ def _ratio(genuine_moments, replay_moments) -> np.ndarray:
     return values
 
 
-def normalized_shapes(patterns: list[FRatioPattern]) -> np.ndarray:
-    """Unit-L1 pattern shapes stacked row-wise."""
+def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
+    """Shape spread across patterns: the per-band population standard
+    deviation of their unit-L1 shapes, averaged over bands."""
+    return _spread(patterns)[0]
+
+
+def _spread(patterns: list[FRatioPattern]) -> tuple[float, np.ndarray]:
+    """The patterns' dispersion and each one's RMS deviation of its
+    unit-L1 shape from the mean shape."""
     if not patterns:
         raise ValueError("need at least one pattern")
     n_bands = patterns[0].n_bands
@@ -229,32 +208,15 @@ def normalized_shapes(patterns: list[FRatioPattern]) -> np.ndarray:
         if mass <= 0.0:
             raise ValueError("cannot normalize an all-zero pattern")
         rows.append(p.values / mass)
-    return np.stack(rows)
-
-
-def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
-    """Shape spread across patterns: the per-band population standard
-    deviation of the normalized shapes, averaged over bands."""
-    return _spread(normalized_shapes(patterns))[0]
-
-
-def _spread(shapes: np.ndarray) -> tuple[float, np.ndarray]:
-    """The dispersion of stacked shapes and each row's RMS deviation from
-    their mean."""
+    shapes = np.stack(rows)
     contributions = ((shapes - shapes.mean(axis=0)) ** 2).mean(axis=1) ** 0.5
     return float(shapes.std(axis=0).mean()), contributions
 
 
-def _table(moments) -> MomentTable:
-    return (moments if isinstance(moments, MomentTable)
-            else MomentTable.of(moments))
-
-
-def probe_factor(moments: MomentTable | Mapping[str, FeatureMatrix],
-                 manifest: Manifest, factor: str) -> ProbeReport:
+def probe_factor(table: MomentTable, manifest: Manifest,
+                 factor: str) -> ProbeReport:
     """One discriminability pattern per value of the probed factor, from
-    an archive's `MomentTable` (or the utterance -> log-Fbank mapping it
-    is built from).
+    an archive's `MomentTable`.
 
     For speaker and phrase, both frame pools are restricted to utterances
     carrying the value. Genuine utterances carry no device, so the device
@@ -263,57 +225,57 @@ def probe_factor(moments: MomentTable | Mapping[str, FeatureMatrix],
     if factor not in PROBE_FACTORS:
         raise ValueError(f"unknown factor {factor!r}; expected one of "
                          f"{list(PROBE_FACTORS)}")
-    table = _table(moments)
-    missing = [r.utt_id for r in manifest if r.utt_id not in table.index]
+    missing = [r.utt_id for r in manifest if r.utt_id not in table._rows]
     if missing:
         raise ValueError(f"features missing for utterance(s) {missing[:3]}")
 
     attr = f"{factor}_id"
     values = (manifest.device_ids() if factor == "device"
               else sorted({getattr(r, attr) for r in manifest}))
-    pools = [(v, [r.utt_id for r in manifest.genuine_records()
-                  if factor == "device" or getattr(r, attr) == v],
-              [r.utt_id for r in manifest.replay_records()
-               if getattr(r, attr) == v])
+    pools = [(v, tuple(r.utt_id for r in manifest.genuine_records()
+                       if factor == "device" or getattr(r, attr) == v),
+              tuple(r.utt_id for r in manifest.replay_records()
+                    if getattr(r, attr) == v))
              for v in values]
     return _report(table, factor, pools)
 
 
-def compare_datasets(moments: MomentTable | Mapping[str, FeatureMatrix],
-                     train: Manifest, heldout: Manifest) -> ProbeReport:
+def compare_datasets(table: MomentTable, train: Manifest,
+                     heldout: Manifest) -> ProbeReport:
     """Pool every genuine and replay frame within each dataset and compare
     the two resulting patterns (cross-dataset generalization probe)."""
-    pools = [(name, [r.utt_id for r in man.genuine_records()],
-              [r.utt_id for r in man.replay_records()])
+    pools = [(name, tuple(r.utt_id for r in man.genuine_records()),
+              tuple(r.utt_id for r in man.replay_records()))
              for name, man in (("train", train), ("heldout", heldout))]
-    return _report(_table(moments), "dataset", pools)
+    return _report(table, "dataset", pools)
 
 
 def _report(table: MomentTable, factor, pools) -> ProbeReport:
     """One pattern per (value, genuine ids, replay ids) pool, merged from
-    the table's rows; a list of ids that several pools share (the device
-    probe's genuine pool) is merged once. `fratio`'s messages read
+    the table's rows; a tuple of ids that several pools share (the device
+    probe's genuine pool) is stacked and merged once. Both pools' sizes
+    are checked before either is merged. `fratio`'s messages read
     "problem: detail"; the value goes after the problem."""
-    moments = {}
 
-    def pool_moments(ids, rows, n):
-        key = tuple(ids)
-        if key not in moments:
-            moments[key] = _moments(table.stats(rows), n)
-        return moments[key]
+    @functools.cache
+    def stacked(ids):
+        stats = table.stats(ids)
+        return stats, int(stats[0].sum())
+
+    @functools.cache
+    def merged(ids):
+        return _moments(*stacked(ids))
 
     patterns = []
     for value, genuine_ids, replay_ids in pools:
-        g, r = table.rows(genuine_ids), table.rows(replay_ids)
-        n_g, n_r = int(table.counts[g].sum()), int(table.counts[r].sum())
+        n_g, n_r = stacked(genuine_ids)[1], stacked(replay_ids)[1]
         try:
             _check_sizes(n_g, n_r)
-            values = _ratio(pool_moments(genuine_ids, g, n_g),
-                            pool_moments(replay_ids, r, n_r))
+            values = _ratio(merged(genuine_ids), merged(replay_ids))
         except ValueError as exc:
             problem, _, detail = str(exc).partition(": ")
             raise type(exc)(f"{problem} for {factor}={value}: {detail}") \
                 from exc
         patterns.append(FRatioPattern(value, values, n_g, n_r))
-    dispersion, contributions = _spread(normalized_shapes(patterns))
+    dispersion, contributions = _spread(patterns)
     return ProbeReport(factor, table.warp, patterns, dispersion, contributions)

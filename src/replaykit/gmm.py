@@ -15,13 +15,15 @@ centre against row norms taken once, where Σ(x − c)² made two more passes
 over the frames. The draw is `Generator.choice(n, p=d2 / total)`'s own, a
 cumsum scaled by its last entry and searched with one `rng.random()`,
 without choice's passes that check p, so a seed picks the same frames.
-Each Lloyd iteration takes the distances as one GEMM with the centre
-norms added in place, and the cluster sums as one one-hot GEMM per
-MOMENT_BLOCK frames, which builds no (n, K) one-hot matrix (14.6 MB at
-the default study's 28,512 replay frames and K=64). One `np.bincount`
-per dimension also builds none, and is about as fast at K=64, but takes
-twice as long at K=2 (2.6 against 1.5 ms per iteration over 14,256
-frames, one BLAS thread).
+Each Lloyd iteration takes MOMENT_BLOCK frames at a time: one GEMM, with
+the centre norms added in place, assigns them to their nearest centres,
+and one one-hot GEMM adds them to the cluster sums. So no (n, K) array
+is built (14.6 MB at the default study's 28,512 frames and K=64), and no
+assignment of all n frames is kept; on the benchmark workloads at seeds
+1 and 2 every assignment equals that of one GEMM over all frames. One
+`np.bincount` per dimension for the sums is about as fast at K=64, but
+takes twice as long at K=2 (2.6 against 1.5 ms per iteration over
+14,256 frames, one BLAS thread).
 
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
@@ -38,7 +40,8 @@ the moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1], so EM holds no (n, K) array.
 Counts, means and uncentred second moments follow from the sums, and the
 covariances are the second moments less the outer products of the means;
 the initial covariances are the same sums over the final k-means
-clusters. The data variance, from which the floor is taken, is also
+clusters, each block assigned to its nearest final centre as it is
+built. The data variance, from which the floor is taken, is also
 summed MOMENT_BLOCK frames at a time (`_variance`), and equals numpy's
 `var(axis=0)` bit for bit.
 
@@ -399,8 +402,8 @@ def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kmeans_init(frames: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ spreading followed by a few Lloyd iterations, each of
-    which takes the cluster sums as one one-hot GEMM per MOMENT_BLOCK
-    frames; an empty cluster keeps its centre. Spreading takes one GEMV
+    which assigns frames and takes the cluster sums MOMENT_BLOCK frames at
+    a time; an empty cluster keeps its centre. Spreading takes one GEMV
     per centre and draws as `Generator.choice(n, p=d2 / total)` does (see
     the module docstring), in buffers allocated once per call."""
     n = frames.shape[0]
@@ -429,12 +432,14 @@ def _kmeans_init(frames: np.ndarray, k: int,
 
     one_hot = np.eye(k)
     for _ in range(KMEANS_ITERS):
-        assign = _nearest(frames, centers)
-        counts = np.bincount(assign, minlength=k)
+        counts = np.zeros(k, dtype=np.intp)
+        sums = 0
+        for start in range(0, n, MOMENT_BLOCK):
+            block = frames[start:start + MOMENT_BLOCK]
+            assign = _nearest(block, centers)
+            counts += np.bincount(assign, minlength=k)
+            sums = sums + one_hot[assign].T @ block
         filled = counts > 0
-        sums = sum(one_hot[assign[start:start + MOMENT_BLOCK]].T
-                   @ frames[start:start + MOMENT_BLOCK]
-                   for start in range(0, n, MOMENT_BLOCK))
         centers[filled] = sums[filled] / counts[filled, None]
     return centers
 
@@ -610,9 +615,9 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
     means = _kmeans_init(frames, n_comp, np.random.default_rng(seed))
     # The initial covariances are the moments of the final k-means
     # clusters, one block of one-hot responsibilities at a time.
-    assign = _nearest(frames, means)
     one_hot = np.eye(n_comp)
-    sums = sum(block @ one_hot[assign[start:stop]] for start, stop, block
+    sums = sum(block @ one_hot[_nearest(frames[start:stop], means)]
+               for start, stop, block
                in _feature_blocks(frames, origin, covariance_kind))
     counts, _, covariances = _estimates(sums, origin, covariance_kind)
     covariances[counts < 2] = (data_var if covariance_kind == "diag"

@@ -7,10 +7,11 @@ sum over all n_fft bins of |X[k]|^2 equals n_fft times the windowed-frame
 energy. Signals are at PIPELINE_SAMPLE_RATE, so power-spectrum bin k sits
 at k * 16000 / n_fft Hz.
 
-`power_spectrum` computes in the buffers of a `SpectrumWorkspace`. Whoever
-passes one owns it and the spectrum it returns, which is a view that the
-next call through the same workspace overwrites; `extract_features` makes
-one per call and consumes each spectrum before framing the next signal.
+`power_spectrum` computes in the buffers of a `SpectrumWorkspace`, which
+sets the FFT length. Whoever passes one owns it and the spectrum it
+returns, which is a view that the next call through the same workspace
+overwrites; `iter_features` makes one per pass and consumes each spectrum
+before framing the next signal.
 """
 
 from __future__ import annotations
@@ -91,24 +92,18 @@ class SpectrumWorkspace:
         return self._padded[:n], self._bins[:n], self._power[:n]
 
 
-def power_spectrum(frames: FrameMatrix, n_fft: int,
-                   workspace: SpectrumWorkspace | None = None) -> np.ndarray:
-    """Hamming-window each frame, zero-pad to n_fft, return |X[k]|^2 as an
-    (n_frames, n_fft // 2 + 1) array.
+def power_spectrum(frames: FrameMatrix,
+                   workspace: SpectrumWorkspace) -> np.ndarray:
+    """Hamming-window each frame, zero-pad to the workspace's n_fft, return
+    |X[k]|^2 as an (n_frames, n_fft // 2 + 1) array.
 
     The result is a view into the workspace's power buffer: it stays valid
     until the next call with the same workspace, so a caller that keeps
-    spectra must copy them. Without a workspace the call makes its own,
-    and the result is the caller's to keep; a caller that computes many
-    spectra should pass one workspace, so that the buffers are not
-    allocated and faulted in again for every call.
+    spectra must copy them.
     """
-    if workspace is None:
-        workspace = SpectrumWorkspace(frames.frame_len, n_fft)
-    elif (workspace.frame_len, workspace.n_fft) != (frames.frame_len, n_fft):
+    if workspace.frame_len != frames.frame_len:
         raise ValueError(f"workspace for frame length {workspace.frame_len} "
-                         f"and n_fft {workspace.n_fft} given frames of "
-                         f"length {frames.frame_len} and n_fft {n_fft}")
+                         f"given frames of length {frames.frame_len}")
     padded, bins, power = workspace.buffers(frames.n_frames)
     np.multiply(frames.frames, workspace.window,
                 out=padded[:, :frames.frame_len])

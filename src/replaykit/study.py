@@ -13,8 +13,8 @@ as a WAV and framed as the stream from `synth_corpus` makes it, and its
 six feature matrices are appended to their archives on disk at once.
 Each archive appears at its path, complete, when the pass ends; a pass
 that raises, in training too, leaves none (`ArchiveWriter`). A log-Fbank
-matrix leaves only its per-utterance moments (`MomentAccumulator`), which
-are all the probes read.
+matrix leaves only its per-utterance moments, added to its warp's
+`MomentTable`, which is all the probes read.
 
 The stream gives the genuine signals and the train devices' replays
 before any held-out replay (`CorpusSignals`), so the pass stops at that
@@ -81,7 +81,7 @@ from .filterbank import (
     cepstral_features,
     fbank_features,
 )
-from .fratio import (PROBE_FACTORS, MomentAccumulator, ProbeReport,
+from .fratio import (PROBE_FACTORS, MomentTable, ProbeReport,
                      compare_datasets, pool_frames, probe_factor)
 from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
                   save_pair_model, score_utterance, train_gmm)
@@ -147,7 +147,7 @@ def iter_features(utterances, *configs: ExtractionConfig
              for c in configs}
     workspace = SpectrumWorkspace(frame_len, n_fft)
     for utt_id, signal in utterances:
-        spec = power_spectrum(frame_signal(signal, frame_len, hop), n_fft,
+        spec = power_spectrum(frame_signal(signal, frame_len, hop),
                               workspace)
         fbanks = {key: fbank_features(spec, fb) for key, fb in banks.items()}
         feats = []
@@ -339,7 +339,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                    if c.feature is FeatureKind.CEPSTRA_DELTA}
     genuine_ids = [r.utt_id for r in manifest.genuine_records()]
     train_replay_ids = [r.utt_id for r in man_train.replay_records()]
-    fbank_moments = {kind: MomentAccumulator() for kind in WarpKind}
+    fbank_tables = {kind: MomentTable() for kind in WarpKind}
     pairs: dict[tuple[WarpKind, str], GmmPairModel] = {}
     scores: dict[tuple[WarpKind, str], dict[str, float]] = {}
     with contextlib.ExitStack() as stack:
@@ -356,7 +356,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                 for c, writer, fm in zip(configs, writers, feats):
                     writer.add(utt_id, fm)
                     if c.feature is FeatureKind.LOG_FBANK:
-                        fbank_moments[c.warp].add(utt_id, fm)
+                        fbank_tables[c.warp].add(utt_id, fm)
                     else:
                         kept[c.warp] = fm
                 yield utt_id, kept
@@ -418,16 +418,15 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     probes_dir = out_dir / "probes"
     probe_dispersions: dict[str, dict[str, float]] = {}
     dataset_dispersions: dict[str, float] = {}
-    for kind in WarpKind:
-        moments = fbank_moments[kind].table()
+    for kind, table in fbank_tables.items():
         per_factor = {}
         for factor in PROBE_FACTORS:
-            report = probe_factor(moments, manifest, factor)
+            report = probe_factor(table, manifest, factor)
             write_probe_report(report,
                                probes_dir / f"{factor}_{kind.value}.tsv")
             per_factor[factor] = report.dispersion
         probe_dispersions[kind.value] = per_factor
-        ds_report = compare_datasets(moments, man_train, man_heldout)
+        ds_report = compare_datasets(table, man_train, man_heldout)
         write_probe_report(ds_report, probes_dir / f"dataset_{kind.value}.tsv")
         dataset_dispersions[kind.value] = ds_report.dispersion
 

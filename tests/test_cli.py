@@ -301,9 +301,11 @@ class TestStreamsAsInMemory:
     def test_probe(self, work, tmp_path):
         archive = read_archive(work / "mel_fbank.rpfa")
         manifest = parse_manifest(work / "corpus" / "manifest.tsv")
+        table = MomentTable()
+        for utt_id, fm in archive.entries.items():
+            table.add(utt_id, fm)
         for factor in ("speaker", "phrase", "device"):
-            report = probe_factor(MomentTable.of(archive.entries), manifest,
-                                  factor)
+            report = probe_factor(table, manifest, factor)
             write_probe_report(report, tmp_path / f"{factor}.tsv")
             for suffix in (".tsv", ".json"):
                 name = factor + suffix

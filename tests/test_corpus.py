@@ -27,7 +27,7 @@ from replaykit.corpus import (
     write_wav,
 )
 from replaykit.errors import ManifestError, WavFormatError
-from replaykit.spectrum import frame_signal, power_spectrum
+from replaykit.spectrum import SpectrumWorkspace, frame_signal, power_spectrum
 
 SR = 16000
 
@@ -233,7 +233,8 @@ def _tone(freq, seconds=0.5, amp=0.9):
 
 
 def _band_energy(signal, f_lo, f_hi):
-    spec = power_spectrum(frame_signal(signal, 400, 160), 512)
+    spec = power_spectrum(frame_signal(signal, 400, 160),
+                          SpectrumWorkspace(400, 512))
     freqs = np.fft.rfftfreq(512, d=1.0 / SR)
     mask = (freqs >= f_lo) & (freqs < f_hi)
     return float(spec[:, mask].sum())

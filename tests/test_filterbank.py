@@ -18,7 +18,7 @@ from replaykit.filterbank import (
     warp,
     warp_inverse,
 )
-from replaykit.spectrum import frame_signal, power_spectrum
+from replaykit.spectrum import SpectrumWorkspace, frame_signal, power_spectrum
 
 SR = 16000
 
@@ -270,10 +270,11 @@ class TestChannelToFeatureLink:
         out = oracles.apply_replay_channel(sig, profile, seed=8)
 
         fb = build_filterbank(WarpKind.LINEAR, 23, 512)
+        workspace = SpectrumWorkspace(400, 512)
         feats_in = fbank_features(
-            power_spectrum(frame_signal(sig, 400, 160), 512), fb)
+            power_spectrum(frame_signal(sig, 400, 160), workspace), fb)
         feats_out = fbank_features(
-            power_spectrum(frame_signal(out, 400, 160), 512), fb)
+            power_spectrum(frame_signal(out, 400, 160), workspace), fb)
         shift = feats_out.values.mean(axis=0) - feats_in.values.mean(axis=0)
 
         gains = _amplitude_response(profile, fb.weights.shape[1] * 0.0

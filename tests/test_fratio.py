@@ -12,7 +12,6 @@ from replaykit.errors import DegenerateBandError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import (
     FRatioPattern,
-    MomentAccumulator,
     MomentTable,
     compare_datasets,
     fratio,
@@ -29,6 +28,15 @@ fratio_mod = importlib.import_module("replaykit.fratio")
 def _logfb(rows, warp_kind=None):
     return FeatureMatrix(np.asarray(rows, dtype=np.float64),
                          FeatureKind.LOG_FBANK, warp_kind)
+
+
+def _table(features):
+    """The `MomentTable` of an utterance -> frames mapping, added in its
+    order."""
+    table = MomentTable()
+    for utt_id, fm in features.items():
+        table.add(utt_id, fm)
+    return table
 
 
 class TestFRatioPattern:
@@ -151,14 +159,14 @@ def _toy_setup():
 class TestProbeFactor:
     def test_one_pattern_per_device(self):
         features, manifest = _toy_setup()
-        report = probe_factor(features, manifest, "device")
+        report = probe_factor(_table(features), manifest, "device")
         assert report.factor == "device"
         assert [p.value for p in report.patterns] == ["D00", "D01"]
         assert report.warp is WarpKind.LINEAR
 
     def test_device_probe_uses_all_genuine_frames(self):
         features, manifest = _toy_setup()
-        report = probe_factor(features, manifest, "device")
+        report = probe_factor(_table(features), manifest, "device")
         # 2 speakers x 20 genuine frames pooled for every device value
         assert all(p.n_genuine_frames == 40 for p in report.patterns)
         assert all(p.n_replay_frames == 40 for p in report.patterns)
@@ -167,7 +175,7 @@ class TestProbeFactor:
         # Every device pattern pools the same genuine utterances; the probe
         # takes that pool's moments once, and once per distinct replay pool.
         features, manifest = _toy_setup()
-        want = probe_factor(features, manifest, "device")
+        want = probe_factor(_table(features), manifest, "device")
         calls = []
         moments = fratio_mod._moments
 
@@ -176,7 +184,7 @@ class TestProbeFactor:
             return moments(blocks, n)
 
         monkeypatch.setattr(fratio_mod, "_moments", counting)
-        got = probe_factor(features, manifest, "device")
+        got = probe_factor(_table(features), manifest, "device")
         assert calls == [40, 40, 40]  # the genuine pool, then D00 and D01
         assert got.dispersion == want.dispersion
         for a, b in zip(got.patterns, want.patterns):
@@ -184,40 +192,40 @@ class TestProbeFactor:
 
     def test_speaker_probe_restricts_both_pools(self):
         features, manifest = _toy_setup()
-        report = probe_factor(features, manifest, "speaker")
+        report = probe_factor(_table(features), manifest, "speaker")
         assert all(p.n_genuine_frames == 20 for p in report.patterns)
         assert all(p.n_replay_frames == 40 for p in report.patterns)
 
     def test_single_value_factor_zero_dispersion(self):
         features, manifest = _toy_setup()
-        report = probe_factor(features, manifest, "phrase")
+        report = probe_factor(_table(features), manifest, "phrase")
         assert len(report.patterns) == 1
         assert report.dispersion == 0.0
 
     def test_unknown_factor(self):
         features, manifest = _toy_setup()
         with pytest.raises(ValueError, match="unknown factor"):
-            probe_factor(features, manifest, "weather")
+            probe_factor(_table(features), manifest, "weather")
 
     def test_missing_features(self):
         features, manifest = _toy_setup()
         del features["S00-live"]
         with pytest.raises(ValueError, match="missing"):
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
 
     def test_requires_logfbank(self):
         features, manifest = _toy_setup()
         features = {u: FeatureMatrix(np.zeros((5, 13)), FeatureKind.CEPSTRA)
                     for u in features}
         with pytest.raises(ValueError, match="log-Fbank"):
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
 
     def test_too_few_frames_in_one_pool(self):
         features, manifest = _toy_setup()
         features["S00-D00"] = _logfb(np.zeros((1, 3)), WarpKind.LINEAR)
         features["S01-D00"] = _logfb(np.zeros((0, 3)), WarpKind.LINEAR)
         with pytest.raises(ValueError, match="too few frames for device=D00"):
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
 
     def test_degenerate_band_names_the_value(self):
         features, manifest = _toy_setup()
@@ -225,14 +233,14 @@ class TestProbeFactor:
             features[utt] = _logfb(np.zeros((20, 3)), WarpKind.LINEAR)
         with pytest.raises(DegenerateBandError,
                            match=r"band\(s\) \[0, 1, 2\] for device=D01: "):
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
 
     def test_value_without_replays(self):
         features, manifest = _toy_setup()
         manifest = manifest.filter(lambda r: r.is_genuine
                                    or r.speaker_id != "S01")
         with pytest.raises(ValueError, match="too few frames for speaker=S01"):
-            probe_factor(features, manifest, "speaker")
+            probe_factor(_table(features), manifest, "speaker")
 
 
 def _uneven_setup():
@@ -280,7 +288,7 @@ class TestPooledMoments:
     @pytest.mark.parametrize("factor", ["speaker", "phrase", "device"])
     def test_probe_matches_exact_ratio_of_stacked_rows(self, factor):
         features, manifest = _uneven_setup()
-        report = probe_factor(features, manifest, factor)
+        report = probe_factor(_table(features), manifest, factor)
         attr = f"{factor}_id"
         for pattern in report.patterns:
             genuine = [r for r in manifest.genuine_records()
@@ -298,7 +306,7 @@ class TestPooledMoments:
                                 or r.device_id.startswith("D"))
         heldout = manifest.filter(lambda r: r.is_genuine
                                   or r.device_id.startswith("H"))
-        report = compare_datasets(features, train, heldout)
+        report = compare_datasets(_table(features), train, heldout)
         for pattern, man in zip(report.patterns, (train, heldout)):
             _assert_matches_exact(pattern,
                                   _rows(features, man.genuine_records()),
@@ -320,7 +328,7 @@ class TestPooledMoments:
         pool_bytes = 100 * 500 * 12 * 8
         tracemalloc.start()
         try:
-            report = probe_factor(features, manifest, "device")
+            report = probe_factor(_table(features), manifest, "device")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,7 +340,7 @@ class TestPooledMoments:
         features["S00-D00"] = _logfb(np.zeros((1, 3)), WarpKind.LINEAR)
         features["S01-D00"] = _logfb(np.zeros((0, 3)), WarpKind.LINEAR)
         with pytest.raises(ValueError) as info:
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
         assert str(info.value) == ("too few frames for device=D00: need >= 2 "
                                    "per class, got 40 genuine and 1 replay")
 
@@ -343,7 +351,7 @@ class TestPooledMoments:
         features["S00-D00"] = _logfb(np.ones((20, 3)), WarpKind.LINEAR)
         features["S01-D00"] = _logfb(np.ones((20, 3)), WarpKind.LINEAR)
         with pytest.raises(DegenerateBandError) as info:
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
         assert str(info.value) == (
             "constant features in band(s) [0, 1, 2] for device=D00: "
             "within-class variance below 1e-12")
@@ -357,7 +365,7 @@ class TestPooledMoments:
         rows[3, 1] = bad
         features["S01-D01"] = _logfb(rows, WarpKind.LINEAR)
         with pytest.raises(ValueError) as info:
-            probe_factor(features, manifest, "device")
+            probe_factor(_table(features), manifest, "device")
         assert str(info.value) == ("non-finite ratios for device=D01: "
                                    "features hold NaN or inf")
 
@@ -376,52 +384,60 @@ class TestMomentTable:
             int(rng.integers(1, 31)), 3))) for i in range(40)}
         if leading_empty:
             features = {"empty": _logfb(np.zeros((0, 3))), **features}
-        table = MomentTable.of(features)
         ids = list(features)
-        rows = table.rows(ids)
-        n = int(table.counts[rows].sum())
-        mean, var = fratio_mod._moments(table.stats(rows), n)
+        stats = _table(features).stats(ids)
+        mean, var = fratio_mod._moments(stats, int(stats[0].sum()))
         exact = moments_exact(_rows_of(features, ids))
         np.testing.assert_allclose(mean, [float(m) for m, _ in exact],
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(var, [float(v) for _, v in exact],
                                    rtol=1e-12, atol=0.0)
 
-    def test_probe_from_table_equals_probe_from_features(self):
-        features, manifest = _uneven_setup()
-        moments = MomentAccumulator()
-        for utt_id, fm in features.items():
-            moments.add(utt_id, fm)
-        table = moments.table()
-        assert table.warp is WarpKind.MEL
-        assert sorted(table.index) == sorted(features)
-        for factor in ("speaker", "device"):
-            want = probe_factor(features, manifest, factor)
-            got = probe_factor(table, manifest, factor)
-            assert got.dispersion == want.dispersion
-            for a, b in zip(got.patterns, want.patterns):
-                assert a.values.tobytes() == b.values.tobytes()
-
     def test_table_keeps_no_frames(self):
+        # A row per utterance, each a count and three band-length vectors,
+        # plus the origin: nothing the size of an utterance's frames.
         features, _ = _uneven_setup()
-        table = MomentTable.of(features)
-        n_utts = len(features)
-        assert table.counts.shape == (n_utts,)
-        assert table.sums.shape == table.centres.shape == table.m2.shape \
-            == (n_utts, 4)
+        table = _table(features)
+        counts, *columns = table.stats(list(features))
+        assert counts.tolist() == [fm.n_frames for fm in features.values()]
+        assert all(c.shape == (len(features), 4) for c in columns)
+        assert sorted(table._rows) == sorted(features)
+        held = [a for row in table._rows.values() for a in row[1:]]
+        assert all(a.shape == (4,) for a in held + [table._origin])
+
+    def test_stats_stack_the_given_utterances_in_order(self):
+        features, _ = _uneven_setup()
+        table = _table(features)
+        ids = list(features)
+        every = table.stats(ids)
+        picked = [ids[7], ids[2], ids[20]]
+        for got, want in zip(table.stats(picked), every):
+            np.testing.assert_array_equal(got, want[[7, 2, 20]])
 
     def test_requires_logfbank_message(self):
-        moments = MomentAccumulator()
+        table = MomentTable()
         with pytest.raises(ValueError) as info:
-            moments.add("u", FeatureMatrix(np.zeros((5, 13)),
-                                           FeatureKind.CEPSTRA))
+            table.add("u", FeatureMatrix(np.zeros((5, 13)),
+                                         FeatureKind.CEPSTRA))
         assert str(info.value) == "probing requires log-Fbank features"
 
     def test_band_counts_must_agree(self):
-        moments = MomentAccumulator()
-        moments.add("a", _logfb(np.zeros((2, 3))))
+        table = MomentTable()
+        table.add("a", _logfb(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="band counts differ: 3 vs 4"):
-            moments.add("b", _logfb(np.zeros((2, 4))))
+            table.add("b", _logfb(np.zeros((2, 4))))
+
+    def test_repeated_utterance_id(self):
+        # The second add is refused, and the table keeps the first row.
+        table = MomentTable()
+        table.add("a", _logfb(np.zeros((2, 3))))
+        table.add("b", _logfb(np.ones((3, 3))))
+        with pytest.raises(ValueError) as info:
+            table.add("a", _logfb(np.full((4, 3), 2.0)))
+        assert str(info.value) == "duplicate utterance id 'a'"
+        counts, sums, _, _ = table.stats(["a", "b"])
+        assert counts.tolist() == [2, 3]
+        np.testing.assert_array_equal(sums, [[0.0] * 3, [3.0] * 3])
 
 
 def _rows_of(features, ids):
@@ -433,7 +449,7 @@ class TestCompareDatasets:
         features, manifest = _toy_setup()
         man_a = manifest.filter(lambda r: r.is_genuine or r.device_id == "D00")
         man_b = manifest.filter(lambda r: r.is_genuine or r.device_id == "D01")
-        report = compare_datasets(features, man_a, man_b)
+        report = compare_datasets(_table(features), man_a, man_b)
         assert report.factor == "dataset"
         assert [p.value for p in report.patterns] == ["train", "heldout"]
         assert report.warp is WarpKind.LINEAR
@@ -443,7 +459,7 @@ class TestCompareDatasets:
 class TestWriteProbeReport:
     def test_device_report_layout(self, tmp_path):
         features, manifest = _toy_setup()
-        report = probe_factor(features, manifest, "device")
+        report = probe_factor(_table(features), manifest, "device")
         tsv = tmp_path / "device_linear.tsv"
         write_probe_report(report, tsv)
 
@@ -478,7 +494,7 @@ class TestWriteProbeReport:
     def test_features_without_warp_give_null(self, tmp_path):
         features, manifest = _toy_setup()
         features = {u: _logfb(fm.values) for u, fm in features.items()}
-        write_probe_report(probe_factor(features, manifest, "speaker"),
+        write_probe_report(probe_factor(_table(features), manifest, "speaker"),
                            tmp_path / "speaker.tsv")
         doc = json.loads((tmp_path / "speaker.json").read_text(encoding="utf-8"))
         assert doc["warp"] is None

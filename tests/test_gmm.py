@@ -782,6 +782,20 @@ class TestNumericsGuards:
             tracemalloc.stop()
         assert peak < frames.nbytes / 2
 
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_a_k64_fit_builds_no_frames_by_components_array(self, kind):
+        # Nearest centres are taken MOMENT_BLOCK frames at a time; one
+        # (n, K) float64 array would be 14.6 MB here.
+        n, k = 28512, 64
+        frames = np.random.default_rng(8).normal(size=(n, 26))
+        tracemalloc.start()
+        try:
+            train_gmm(frames, k, kind, TrainConfig(max_iters=2), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8 / 4
+
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(0)
         a = rng.normal(0.0, 50.0, size=(30, 8))

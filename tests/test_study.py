@@ -27,7 +27,7 @@ from replaykit.filterbank import (
 from replaykit.gmm import (TrainConfig, load_pair_model, score_utterance,
                            train_gmm)
 from replaykit.metrics import compute_eer, read_scores
-from replaykit.spectrum import frame_signal, power_spectrum
+from replaykit.spectrum import SpectrumWorkspace, frame_signal, power_spectrum
 from replaykit.study import (
     ExtractionConfig,
     StudyConfig,
@@ -278,8 +278,9 @@ class TestExtractFeatures:
             assert archive.config == config.to_dict()
             fb = build_filterbank(config.warp, config.bands, config.n_fft)
             for utt_id, signal in utterances:
-                spec = power_spectrum(frame_signal(signal, config.frame_len,
-                                                   config.hop), config.n_fft)
+                spec = power_spectrum(
+                    frame_signal(signal, config.frame_len, config.hop),
+                    SpectrumWorkspace(config.frame_len, config.n_fft))
                 want = fbank_features(spec, fb)
                 if config.feature is not FeatureKind.LOG_FBANK:
                     want = cepstral_features(want)
