@@ -225,9 +225,7 @@ def probe_factor(table: MomentTable, manifest: Manifest,
     if factor not in PROBE_FACTORS:
         raise ValueError(f"unknown factor {factor!r}; expected one of "
                          f"{list(PROBE_FACTORS)}")
-    missing = [r.utt_id for r in manifest if r.utt_id not in table._rows]
-    if missing:
-        raise ValueError(f"features missing for utterance(s) {missing[:3]}")
+    _check_present(table, manifest)
 
     attr = f"{factor}_id"
     values = (manifest.device_ids() if factor == "device"
@@ -244,10 +242,20 @@ def compare_datasets(table: MomentTable, train: Manifest,
                      heldout: Manifest) -> ProbeReport:
     """Pool every genuine and replay frame within each dataset and compare
     the two resulting patterns (cross-dataset generalization probe)."""
+    _check_present(table, train, heldout)
     pools = [(name, tuple(r.utt_id for r in man.genuine_records()),
               tuple(r.utt_id for r in man.replay_records()))
              for name, man in (("train", train), ("heldout", heldout))]
     return _report(table, "dataset", pools)
+
+
+def _check_present(table: MomentTable, *manifests: Manifest) -> None:
+    """Raise if the table lacks a row for an utterance the manifests name."""
+    missing = list(dict.fromkeys(r.utt_id for manifest in manifests
+                                 for r in manifest
+                                 if r.utt_id not in table._rows))
+    if missing:
+        raise ValueError(f"features missing for utterance(s) {missing[:3]}")
 
 
 def _report(table: MomentTable, factor, pools) -> ProbeReport:

@@ -24,22 +24,35 @@ each leg's pair, scores the genuine utterances with it, and drops the
 training frames. The rest of the pass scores each held-out replay with
 its warp's two pairs as the replay is made, and keeps none of its
 frames. So a study holds at once the genuine signals' spectra, one
-utterance's features, three small moment tables and, as training
-replaces the one with the other, the training cepstra+delta frames and
-the six pairs.
+utterance's features, the signal made ahead of it (below), three small
+moment tables and, as training replaces the one with the other, the
+training cepstra+delta frames and the six pairs.
+
+Two threads share the pass (`_read_ahead`). A producer thread makes each
+signal and writes its WAV while the calling thread extracts, scores and
+trains on the one before. The producer starts a signal only once the
+caller has taken the last, so it holds at most one signal the caller
+has not. One is enough: on the `study-frontend` benchmark the producer
+does about 0.7 s of the pass's work and the caller 1.0 s, so the next
+signal is nearly always ready when it is wanted, and a deeper hand-off
+would only hold more signals. The stream keeps its one consumer and its
+order, so every file is byte-identical to a pass on one thread. When the
+pass ends or raises, the producer is stopped and joined before
+`run_study` returns or raises, so no WAV is written after.
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 run two at a time: on the calling thread and one worker thread
-(`_two_at_a_time`), full fits first, then the larger pool. numpy
-releases the GIL in the GEMMs, `eigh` and `exp` that make up a fit, so
-the two overlap on two cores. Each fit gets the frames and seed it
-would get in a loop, and the results come back in leg order, so every
-file is byte-identical to sequential training. Training thus holds up
-to two fits' working sets at once (see `gmm.MOMENT_BLOCK`). The scope
-is one warp, not all twelve fits: those would keep every warp's pools
-alive at once, which raised the `study-frontend` benchmark's peak RSS
-from 74.9 to 82.1 MB, and shortened neither that benchmark nor
-`study-em`.
+(`_two_at_a_time`), full fits first, then the larger pool. Training thus
+runs three threads on two cores, the two fits and the producer making
+the first held-out replay. numpy releases the GIL in the GEMMs, FFTs,
+`eigh` and `exp` that make up the work, so the threads overlap. Each fit
+gets the frames and seed it would get in a loop, and the results come
+back in leg order, so every file is byte-identical to sequential
+training. Training holds up to two fits' working sets at once (see
+`gmm.MOMENT_BLOCK`). The scope is one warp, not all twelve fits: those
+would keep every warp's pools alive at once, which raised the
+`study-frontend` benchmark's peak RSS from 74.9 to 82.1 MB, and
+shortened neither that benchmark nor `study-em`.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -55,6 +68,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import queue
 import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -307,6 +321,60 @@ def _two_at_a_time(tasks: list[Callable[[], object]], costs: list) -> list:
     return results
 
 
+def _read_ahead(items, stack: contextlib.ExitStack) -> Iterator:
+    """Yield `items` in order while a producer thread makes the next one.
+
+    The producer takes an item only once the caller has taken the one
+    before, so it is at most one item ahead. An exception it meets is
+    raised here when its place in the order comes. Closing `stack` stops
+    the producer, which finishes the item in hand, and joins it.
+    """
+    items = iter(items)
+    handoff: queue.SimpleQueue = queue.SimpleQueue()
+    wanted = threading.Semaphore(1)
+    stopped = threading.Event()
+    end = object()
+
+    def produce():
+        while True:
+            wanted.acquire()
+            if stopped.is_set():
+                return
+            try:
+                item = next(items, end)
+            except BaseException as exc:
+                handoff.put((exc, None))
+                return
+            handoff.put((None, item))
+            if item is end:
+                return
+            del item  # the caller's now
+
+    def stop():
+        stopped.set()
+        wanted.release()
+        producer.join()
+        handoff.put((None, end))  # so a later take ends, not waits
+
+    producer = threading.Thread(target=produce, name="replaykit-corpus",
+                                daemon=True)
+    producer.start()
+    stack.callback(stop)
+
+    def take():
+        while True:
+            error, item = handoff.get()
+            if error is not None:
+                raise error
+            if item is end:
+                return
+            wanted.release()
+            yield item
+            del item
+
+    return take()
+
+
 def _leg_stem(tag: str, cov: str) -> str:
     """File stem of a detection leg's model and scores, e.g. imfcc_full."""
     return f"{tag.split('+')[0].lower()}_{cov}"
@@ -318,9 +386,6 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     out_dir = Path(out_dir)
 
     signals, manifest, profiles = synth_corpus(config.corpus, seed)
-    # The stream's first part is exactly man_train's rows: the genuine
-    # signals, then the train devices' replays.
-    stream = write_corpus(signals, manifest, profiles, out_dir / "corpus")
     train_devices = {p.device_id
                      for p in profiles[:config.corpus.n_train_devices]}
     man_train = manifest.filter(
@@ -346,6 +411,11 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         writers = [stack.enter_context(ArchiveWriter(
             out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
             feature_tag(c.warp, c.feature), c.to_dict())) for c in configs]
+        # Written and made on a producer thread, one signal ahead of the
+        # extraction. Its first part is exactly man_train's rows: the
+        # genuine signals, then the train devices' replays.
+        stream = _read_ahead(write_corpus(signals, manifest, profiles,
+                                          out_dir / "corpus"), stack)
 
         def extract(utterances):
             """Append each utterance's six matrices to the archives, keep

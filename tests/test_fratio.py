@@ -213,6 +213,18 @@ class TestProbeFactor:
         with pytest.raises(ValueError, match="missing"):
             probe_factor(_table(features), manifest, "device")
 
+    def test_compare_datasets_names_missing_features(self):
+        # Each dataset's genuine rows are the same utterances; one missing
+        # is named once, before any pool is stacked.
+        features, manifest = _toy_setup()
+        train = manifest.filter(lambda r: r.device_id != "D01")
+        heldout = manifest.filter(lambda r: r.device_id != "D00")
+        del features["S00-live"], features["S01-D01"]
+        with pytest.raises(ValueError) as info:
+            compare_datasets(_table(features), train, heldout)
+        assert str(info.value) == ("features missing for utterance(s) "
+                                   "['S00-live', 'S01-D01']")
+
     def test_requires_logfbank(self):
         features, manifest = _toy_setup()
         features = {u: FeatureMatrix(np.zeros((5, 13)), FeatureKind.CEPSTRA)

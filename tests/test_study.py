@@ -1,9 +1,11 @@
 import contextlib
 import io
+import itertools
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -34,6 +36,7 @@ from replaykit.study import (
     extract_features,
     feature_tag,
     iter_features,
+    _read_ahead,
     _two_at_a_time,
     run_study,
     write_corpus,
@@ -259,6 +262,99 @@ class TestTwoAtATime:
             self, study_runs, tmp_path, monkeypatch):
         monkeypatch.setattr(study, "_two_at_a_time",
                             lambda tasks, costs: [task() for task in tasks])
+        run_study(SEED, tmp_path, TINY)
+        assert _tree(tmp_path) == _tree(study_runs[0][0])
+
+
+class TestReadAhead:
+    """`run_study` makes and writes its corpus on a producer thread, one
+    signal ahead of the extraction that takes it."""
+
+    @staticmethod
+    def counting(made, n=None):
+        for i in itertools.count() if n is None else range(n):
+            made.append(i)
+            yield i
+
+    def test_items_come_out_in_order_at_most_one_ahead(self):
+        made = []
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with contextlib.ExitStack() as stack:
+                taken = []
+                for item in _read_ahead(self.counting(made, 2000), stack):
+                    assert len(made) <= item + 2
+                    taken.append(item)
+        finally:
+            sys.setswitchinterval(interval)
+        assert taken == list(range(2000))
+        assert threading.active_count() == before
+
+    def test_a_producer_exception_is_raised_in_its_place(self):
+        def failing():
+            yield from range(3)
+            raise SingularComponentError("component 2 collapsed")
+
+        before = threading.active_count()
+        taken = []
+        with pytest.raises(SingularComponentError) as info:
+            with contextlib.ExitStack() as stack:
+                for item in _read_ahead(failing(), stack):
+                    taken.append(item)
+        assert type(info.value) is SingularComponentError
+        assert str(info.value) == "component 2 collapsed"
+        assert taken == [0, 1, 2]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("how", ["raise", "close"])
+    def test_a_stopped_consumer_stops_and_joins_the_producer(self, how):
+        made = []
+        before = threading.active_count()
+        with contextlib.suppress(KeyError):
+            with contextlib.ExitStack() as stack:
+                items = _read_ahead(self.counting(made), stack)
+                assert [next(items), next(items)] == [0, 1]
+                if how == "raise":
+                    raise KeyError("consumer failed")
+        assert threading.active_count() == before
+        assert len(made) <= 3
+        count = len(made)
+        time.sleep(0.05)
+        assert len(made) == count
+        # A closed stream ends: it neither waits nor makes more.
+        assert len(list(items)) <= 1
+        assert len(made) == count
+
+    def test_study_raising_in_training_writes_no_wav_after(
+            self, tmp_path, monkeypatch):
+        # Each WAV write is slowed, so the producer is still writing the
+        # first held-out replay when training raises, unless it is
+        # stopped and joined before `run_study` raises.
+        write_wav = study.write_wav
+
+        def slow_write_wav(signal, path):
+            time.sleep(0.02)
+            write_wav(signal, path)
+
+        def failing_fit(*args, **kwargs):
+            raise SingularComponentError("fit failed")
+
+        monkeypatch.setattr(study, "write_wav", slow_write_wav)
+        monkeypatch.setattr(study, "train_gmm", failing_fit)
+        before = threading.active_count()
+        with pytest.raises(SingularComponentError, match="fit failed"):
+            run_study(SEED, tmp_path, TINY)
+        written = sorted(tmp_path.rglob("*"))
+        assert threading.active_count() == before
+        time.sleep(0.1)
+        assert sorted(tmp_path.rglob("*")) == written
+
+    def test_study_writes_what_an_unthreaded_stream_writes(
+            self, study_runs, tmp_path, monkeypatch):
+        monkeypatch.setattr(study, "_read_ahead",
+                            lambda items, stack: iter(items))
         run_study(SEED, tmp_path, TINY)
         assert _tree(tmp_path) == _tree(study_runs[0][0])
 
