@@ -67,9 +67,10 @@ class AudioSignal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
-        if self.samples.size and (np.min(self.samples) < -1.0
-                                  or np.max(self.samples) >= 1.0):
-            raise ValueError("samples must lie in [-1.0, 1.0)")
+        # Written so that NaN, for which every comparison is false, fails.
+        if self.samples.size and not (np.min(self.samples) >= -1.0
+                                      and np.max(self.samples) < 1.0):
+            raise ValueError("samples must be finite and lie in [-1.0, 1.0)")
 
     def __len__(self) -> int:
         return self.samples.size

@@ -28,31 +28,34 @@ utterance's features, the signal made ahead of it (below), three small
 moment tables and, as training replaces the one with the other, the
 training cepstra+delta frames and the six pairs.
 
-Two threads share the pass (`_read_ahead`). A producer thread makes each
-signal and writes its WAV while the calling thread extracts, scores and
-trains on the one before. The producer starts a signal only once the
-caller has taken the last, so it holds at most one signal the caller
-has not. One is enough: on the `study-frontend` benchmark the producer
-does about 0.7 s of the pass's work and the caller 1.0 s, so the next
-signal is nearly always ready when it is wanted, and a deeper hand-off
-would only hold more signals. The stream keeps its one consumer and its
-order, so every file is byte-identical to a pass on one thread. When the
-pass ends or raises, the producer is stopped and joined before
-`run_study` returns or raises, so no WAV is written after.
+One pool of two worker threads serves the pass; `run_study` makes one
+per call. On it the corpus is made one signal ahead (`_read_ahead`): a
+worker makes the next signal and writes its WAV while the calling thread
+extracts, scores and trains on the one before. One is enough: on the
+`study-frontend` benchmark making the corpus is about 0.7 s of the
+pass's work and the caller's share 1.0 s, so the next signal is nearly
+always ready when it is wanted, and a deeper hand-off would only hold
+more signals. The stream keeps its one consumer and its order, so every
+file is byte-identical to a pass on one thread.
 
 A warp's four fits, diag and full for the genuine and the replay pool,
-run two at a time: on the calling thread and one worker thread
-(`_two_at_a_time`), full fits first, then the larger pool. Training thus
-runs three threads on two cores, the two fits and the producer making
-the first held-out replay. numpy releases the GIL in the GEMMs, FFTs,
-`eigh` and `exp` that make up the work, so the threads overlap. Each fit
-gets the frames and seed it would get in a loop, and the results come
-back in leg order, so every file is byte-identical to sequential
-training. Training holds up to two fits' working sets at once (see
-`gmm.MOMENT_BLOCK`). The scope is one warp, not all twelve fits: those
-would keep every warp's pools alive at once, which raised the
-`study-frontend` benchmark's peak RSS from 74.9 to 82.1 MB, and
-shortened neither that benchmark nor `study-em`.
+go to the same pool, full fits first, then the larger pool, so the two
+costliest start first. At the start of training the first held-out
+replay, made ahead, still takes one of the two workers until it is
+written. numpy releases the GIL in the GEMMs, FFTs, `eigh` and `exp`
+that make up the work, so the threads overlap. Each fit gets the frames
+and seed it would get in a loop, and the results are taken in leg order,
+so every file is byte-identical to sequential training. Training holds
+up to two fits' working sets at once (see `gmm.MOMENT_BLOCK`). The scope
+is one warp, not all twelve fits: those would keep every warp's pools
+alive at once, which raised the `study-frontend` benchmark's peak RSS
+from 74.9 to 82.1 MB, and shortened neither that benchmark nor
+`study-em`.
+
+When the pass ends or raises, in training too, the pool is shut down
+before `run_study` returns or raises: fits not yet started are
+cancelled, the work in hand finishes, and the pool's threads are
+joined. So no WAV is written after, and no thread outlives the call.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -68,9 +71,8 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import queue
-import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,7 +226,13 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     one row per factor value: its band ratios and the RMS deviation of its
     normalized shape from the mean shape. Next to it, a JSON document with
     the factor, the warp (null if the features name none), the band count,
-    the dispersion and each pattern's value, frame counts and ratios."""
+    the dispersion and each pattern's value, frame counts and ratios.
+    A TSV path ending in .json, which the JSON document would overwrite,
+    raises ValueError before anything is written."""
+    tsv_path = Path(tsv_path)
+    if tsv_path.suffix == ".json":
+        raise ValueError(f"{tsv_path}: the probe report's TSV path must not "
+                         f"end in .json, where its JSON document goes")
     header = ["value"] + [f"F_{i + 1}" for i in range(report.n_bands)]
     header.append("dispersion_contribution")
     lines = ["\t".join(header)]
@@ -232,7 +240,6 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
         cells = [pattern.value] + [repr(v) for v in pattern.values.tolist()]
         cells.append(repr(float(contrib)))
         lines.append("\t".join(cells))
-    tsv_path = Path(tsv_path)
     tsv_path.parent.mkdir(parents=True, exist_ok=True)
     tsv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -285,94 +292,17 @@ class StudyReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
 
-def _two_at_a_time(tasks: list[Callable[[], object]], costs: list) -> list:
-    """Call every task on two runners, the calling thread and one worker
-    thread, and return the results in task order.
-
-    The runners take tasks from one shared queue, highest cost first (ties
-    in task order). Once a task raises, neither runner starts another; the
-    first exception is raised again after both have stopped.
-    """
-    order = iter(sorted(range(len(tasks)), key=lambda i: costs[i],
-                        reverse=True))
-    lock = threading.Lock()
-    results: list = [None] * len(tasks)
-    errors: list[BaseException] = []
-
-    def run():
-        while not errors:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = tasks[i]()
-            except BaseException as exc:
-                errors.append(exc)
-
-    worker = threading.Thread(target=run, name="replaykit-fit", daemon=True)
-    worker.start()
-    try:
-        run()
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _read_ahead(items, stack: contextlib.ExitStack) -> Iterator:
-    """Yield `items` in order while a producer thread makes the next one.
-
-    The producer takes an item only once the caller has taken the one
-    before, so it is at most one item ahead. An exception it meets is
-    raised here when its place in the order comes. Closing `stack` stops
-    the producer, which finishes the item in hand, and joins it.
-    """
+def _read_ahead(items, pool: ThreadPoolExecutor) -> Iterator:
+    """Yield `items` in order while `pool` makes the next one, so it is
+    at most one item ahead. An exception met making an item is raised
+    here when its place in the order comes."""
     items = iter(items)
-    handoff: queue.SimpleQueue = queue.SimpleQueue()
-    wanted = threading.Semaphore(1)
-    stopped = threading.Event()
     end = object()
-
-    def produce():
-        while True:
-            wanted.acquire()
-            if stopped.is_set():
-                return
-            try:
-                item = next(items, end)
-            except BaseException as exc:
-                handoff.put((exc, None))
-                return
-            handoff.put((None, item))
-            if item is end:
-                return
-            del item  # the caller's now
-
-    def stop():
-        stopped.set()
-        wanted.release()
-        producer.join()
-        handoff.put((None, end))  # so a later take ends, not waits
-
-    producer = threading.Thread(target=produce, name="replaykit-corpus",
-                                daemon=True)
-    producer.start()
-    stack.callback(stop)
-
-    def take():
-        while True:
-            error, item = handoff.get()
-            if error is not None:
-                raise error
-            if item is end:
-                return
-            wanted.release()
-            yield item
-            del item
-
-    return take()
+    ahead = pool.submit(next, items, end)
+    while (item := ahead.result()) is not end:
+        ahead = pool.submit(next, items, end)
+        yield item
+        del item  # the caller's now
 
 
 def _leg_stem(tag: str, cov: str) -> str:
@@ -411,11 +341,16 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         writers = [stack.enter_context(ArchiveWriter(
             out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
             feature_tag(c.warp, c.feature), c.to_dict())) for c in configs]
-        # Written and made on a producer thread, one signal ahead of the
+        # Shut down first when the stack unwinds: queued fits are
+        # cancelled, the work in hand finishes, and the threads are joined.
+        pool = ThreadPoolExecutor(max_workers=2,
+                                  thread_name_prefix="replaykit")
+        stack.callback(pool.shutdown, cancel_futures=True)
+        # Written and made on the pool, one signal ahead of the
         # extraction. Its first part is exactly man_train's rows: the
         # genuine signals, then the train devices' replays.
         stream = _read_ahead(write_corpus(signals, manifest, profiles,
-                                          out_dir / "corpus"), stack)
+                                          out_dir / "corpus"), pool)
 
         def extract(utterances):
             """Append each utterance's six matrices to the archives, keep
@@ -448,22 +383,23 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
             genuine = [entries[u] for u in genuine_ids]
             del entries
 
-            # The warp's four fits, (diag, full) × (genuine, replay), two
-            # at a time; full fits cost the most, then the larger pool.
+            # The warp's four fits, (diag, full) × (genuine, replay), go to
+            # the pool costliest first: full fits, then the larger pool,
+            # ties in leg order. `train_gmm` is looked up by this module's
+            # name as each is submitted, so a wrapper set on it sees them
+            # all.
             legs = [(cov_idx, cov, cls)
                     for cov_idx, cov in enumerate(COVARIANCE_KINDS)
                     for cls in (0, 1)]
-
-            def fit(cov_idx, cov, cls):
-                # Calls `train_gmm` by this module's name, which is looked
-                # up when the fit runs, so a wrapper set on it sees them all.
-                return lambda: train_gmm(
-                    pools[cls], config.n_comp, cov, config.train,
+            fits = {}
+            for cov_idx, cov, cls in sorted(
+                    legs, key=lambda leg: (leg[1] == "full",
+                                           len(pools[leg[2]])),
+                    reverse=True):
+                fits[cov_idx, cov, cls] = pool.submit(
+                    train_gmm, pools[cls], config.n_comp, cov, config.train,
                     seed=derive_seed(seed, 3, kind_idx, cov_idx, cls))
-
-            models = iter(_two_at_a_time(
-                [fit(*leg) for leg in legs],
-                [(cov == "full", len(pools[cls])) for _, cov, cls in legs]))
+            models = iter([fits[leg].result() for leg in legs])
             for cov in COVARIANCE_KINDS:
                 pair = GmmPairModel(next(models), next(models), tag,
                                     config.train.to_dict(),
@@ -474,7 +410,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                 scores[kind, cov] = {
                     u: score_utterance(pair, fm)
                     for u, fm in zip(genuine_ids, genuine)}
-            del genuine, pools, models
+            del genuine, pools, fits, models
 
         # The held-out replays: each is scored by its warp's pairs as it
         # is made, and none of its frames is kept.

@@ -159,6 +159,17 @@ class TestFailures:
         assert self._single_error_line(argv) == f"error: {message}"
         assert not (tmp_path / "model.json").exists()
 
+    def test_probe_out_ending_in_json(self, work, tmp_path):
+        # The report's JSON document goes next to the TSV, at the same
+        # path with .json, so it would overwrite a TSV named x.json.
+        out = tmp_path / "device.json"
+        line = self._single_error_line(
+            ["probe", "--archive", work / "mel_fbank.rpfa", "--manifest",
+             work / "corpus" / "manifest.tsv", "--factor", "device",
+             "--out", out])
+        assert line.startswith(f"error: {out}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_not_json(self, work, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -124,6 +124,11 @@ class TestAudioSignal:
         with pytest.raises(ValueError, match=r"\[-1.0, 1.0\)"):
             AudioSignal(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AudioSignal(np.array([0.0, bad, 0.5]))
+
 
 class TestManifest:
     HEADER = "utt_id\taudio_path\tlabel\tspeaker_id\tphrase_id\tdevice_id"

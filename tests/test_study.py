@@ -8,6 +8,8 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import (CancelledError, Future,
+                                ThreadPoolExecutor)
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ import pytest
 from oracles import eer_brute_force
 from replaykit import cli, study
 from replaykit.archive import read_archive
-from replaykit.corpus import AudioSignal, SynthConfig, synth_corpus
+from replaykit.corpus import (AudioSignal, SynthConfig, derive_seed,
+                              synth_corpus)
 from replaykit.errors import SingularComponentError
 from replaykit.filterbank import (
     FeatureKind,
@@ -37,7 +40,6 @@ from replaykit.study import (
     feature_tag,
     iter_features,
     _read_ahead,
-    _two_at_a_time,
     run_study,
     write_corpus,
 )
@@ -153,79 +155,135 @@ class TestRunStudy:
         assert _tree(tmp_path) == _tree(out / "corpus")
 
 
+class SynchronousExecutor:
+    """A stand-in for `ThreadPoolExecutor` that runs each task when it is
+    submitted, on the thread that submits it."""
+
+    def __init__(self, max_workers=None, thread_name_prefix=""):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+def _recording_train_gmm(monkeypatch, before_fit=None):
+    """Replace `study.train_gmm` with a wrapper that records each fit's
+    frames, arguments, seed, thread and result, in the order the fits
+    start, and calls `before_fit(seed)`, if given, before fitting."""
+    fits = []
+    lock = threading.Lock()
+
+    def recording(frames, n_comp, covariance_kind, config, seed):
+        record = {"frames": frames, "args": (n_comp, covariance_kind, config),
+                  "seed": seed, "thread": threading.current_thread()}
+        with lock:
+            fits.append(record)
+        if before_fit is not None:
+            before_fit(seed)
+        record["result"] = train_gmm(frames, n_comp, covariance_kind, config,
+                                     seed=seed)
+        return record["result"]
+
+    monkeypatch.setattr(study, "train_gmm", recording)
+    return fits
+
+
+def _archive_files(root):
+    """Feature archives under root, complete or partial."""
+    return sorted(root.rglob("*.rpfa")) + sorted(root.rglob("*.partial"))
+
+
+def _fit_seed(kind_idx, cov_idx, cls):
+    """The seed `run_study` derives for one leg's fit at SEED."""
+    return derive_seed(SEED, 3, kind_idx, cov_idx, cls)
+
+
 class TestTwoAtATime:
-    """`run_study` trains each warp's four fits on two threads; every
-    result must be what training them one after another gives."""
+    """`run_study` trains each warp's four fits two at a time on its pool;
+    every result must be what training them one after another gives."""
 
-    EM = TrainConfig(max_iters=2, ll_tolerance=0.0)
+    # The study's shape: d=26, K=64, diag and full. Two train devices make
+    # the replay pool twice the genuine one, so the cost order (full fits
+    # first, then the larger pool) is not leg order.
+    FITS = StudyConfig(
+        corpus=SynthConfig(n_speakers=2, n_phrases=2, n_train_devices=2,
+                           n_heldout_devices=1, utt_seconds=2.0, reps=1),
+        n_comp=64, train=TrainConfig(max_iters=2, ll_tolerance=0.0))
 
-    def test_fits_equal_sequential_fits_in_task_order(self):
-        # The study's shape: d=26, K=64, diag and full, two pools. The
-        # costs put the full fits first, so the runners take the tasks
-        # out of task order.
-        rng = np.random.default_rng(40)
-        pools = [rng.normal(size=(n, 26)) * rng.uniform(0.5, 2.0, 26)
-                 for n in (700, 900)]
-        specs = [(pools[0], "diag", 0), (pools[1], "diag", 1),
-                 (pools[0], "full", 2), (pools[1], "full", 3)]
+    def test_fits_equal_sequential_fits_in_task_order(
+            self, tmp_path, monkeypatch):
+        fits = _recording_train_gmm(monkeypatch)
         before = threading.active_count()
-        fits = _two_at_a_time(
-            [lambda f=f, kind=kind, seed=seed: train_gmm(
-                f, 64, kind, self.EM, seed=seed) for f, kind, seed in specs],
-            [(kind == "full", len(f)) for f, kind, _ in specs])
+        run_study(SEED, tmp_path, self.FITS)
         assert threading.active_count() == before
-        for fit, (f, kind, seed) in zip(fits, specs):
-            alone = train_gmm(f, 64, kind, self.EM, seed=seed)
-            assert fit.covariance_kind == kind
+        by_seed = {fit["seed"]: fit for fit in fits}
+        assert len(fits) == len(by_seed) == 12
+        for fit in fits:
+            alone = train_gmm(fit["frames"], *fit["args"], seed=fit["seed"])
             for name in ("weights", "means", "covariances"):
-                np.testing.assert_array_equal(getattr(fit, name),
+                np.testing.assert_array_equal(getattr(fit["result"], name),
                                               getattr(alone, name))
-            assert fit.ll_curve == alone.ll_curve
+            assert fit["result"].ll_curve == alone.ll_curve
+        # Each saved pair holds its own leg's fits.
+        for kind_idx, kind in enumerate(WarpKind):
+            tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
+            for cov_idx, cov in enumerate(("diag", "full")):
+                pair = load_pair_model(
+                    tmp_path / "models" / f"{study._leg_stem(tag, cov)}.json")
+                for cls, gmm in enumerate((pair.genuine, pair.replay)):
+                    fit = by_seed[_fit_seed(kind_idx, cov_idx, cls)]
+                    assert fit["args"][1] == gmm.covariance_kind == cov
+                    np.testing.assert_array_equal(gmm.means,
+                                                  fit["result"].means)
 
-    def test_two_runners_take_the_costliest_tasks_first(self):
-        # The two costliest tasks wait for each other, so they must run at
-        # once, on two threads, before either runner takes another.
+    def test_two_runners_take_the_costliest_tasks_first(
+            self, tmp_path, monkeypatch):
+        # The first warp's two full fits wait for each other, so they must
+        # run at once, on the pool's two threads, before either takes
+        # another fit.
         barrier = threading.Barrier(2, timeout=10)
-        started = []
+        full = {_fit_seed(0, 1, cls) for cls in (0, 1)}
 
-        def task(i):
-            def run():
-                started.append(i)
-                if i in (0, 2):
-                    barrier.wait()
-                return i, threading.current_thread()
-            return run
+        def before_fit(seed):
+            if seed in full:
+                barrier.wait()
 
-        results = _two_at_a_time([task(i) for i in range(4)], [5, 1, 9, 3])
-        assert [i for i, _ in results] == [0, 1, 2, 3]
-        assert sorted(started[:2]) == [0, 2]
-        assert results[0][1] is not results[2][1]
+        fits = _recording_train_gmm(monkeypatch, before_fit)
+        run_study(SEED, tmp_path, TINY)
+        assert {fit["seed"] for fit in fits[:2]} == full
+        assert {fit["seed"] for fit in fits[2:4]} == {
+            _fit_seed(0, 0, cls) for cls in (0, 1)}
+        threads = {fit["thread"] for fit in fits[:2]}
+        assert len(threads) == 2
+        assert threading.current_thread() not in threads
+        assert all(t.name.startswith("replaykit") for t in threads)
 
-    def test_every_task_runs_once_under_fast_thread_switching(self):
-        # Thread switches every microsecond between many short tasks: a
-        # task taken twice, or skipped, by the two runners shows here.
-        runs = [0] * 2000
-        lock = threading.Lock()
-
-        def task(i):
-            def run():
-                with lock:
-                    runs[i] += 1
-                return i
-            return run
-
+    def test_every_task_runs_once_under_fast_thread_switching(
+            self, study_runs, tmp_path, monkeypatch):
+        # Thread switches every microsecond while the pool makes the
+        # corpus and fits: a fit run twice, or skipped, or a result taken
+        # for the wrong leg shows here.
+        fits = _recording_train_gmm(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = _two_at_a_time([task(i) for i in range(len(runs))],
-                                     [i % 7 for i in range(len(runs))])
+            run_study(SEED, tmp_path, TINY)
         finally:
             sys.setswitchinterval(interval)
-        assert results == list(range(len(runs)))
-        assert runs == [1] * len(runs)
+        assert sorted(fit["seed"] for fit in fits) == sorted(
+            _fit_seed(kind_idx, cov_idx, cls) for kind_idx in range(3)
+            for cov_idx in range(2) for cls in range(2))
+        assert _tree(tmp_path) == _tree(study_runs[0][0])
 
-    @pytest.mark.parametrize("on_worker", [False, True],
-                             ids=["caller", "worker"])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first", "second"])
     @pytest.mark.parametrize("frames,kind,error", [
         (np.zeros((5, 2)), "diag", ValueError),
         # Squares of 1e160 overflow, so the first covariances are not
@@ -234,41 +292,47 @@ class TestTwoAtATime:
          SingularComponentError),
     ], ids=["too-few-frames", "singular"])
     def test_a_failing_fit_raises_from_either_runner(
-            self, frames, kind, error, on_worker):
-        good = np.random.default_rng(42).normal(size=(200, 2))
-        caller = threading.current_thread()
+            self, frames, kind, error, failing, tmp_path, monkeypatch):
+        # The first warp's two full fits run at once; the first or the
+        # second submitted fails.
         barrier = threading.Barrier(2, timeout=10)
+        full = [_fit_seed(0, 1, cls) for cls in (0, 1)]
 
         def fit(x):
             with np.errstate(over="ignore", invalid="ignore"):
                 return train_gmm(x, 2, kind, seed=0)
 
-        def task():
-            # Each runner holds one of the two tasks when it gets here.
+        def failing_fit(x, n_comp, covariance_kind, config, seed):
+            if seed not in full:
+                return train_gmm(x, n_comp, covariance_kind, config,
+                                 seed=seed)
             barrier.wait()
-            failing = (threading.current_thread() is not caller) == on_worker
-            return fit(frames if failing else good)
+            return fit(frames if seed == full[failing]
+                       else np.random.default_rng(42).normal(size=(200, 2)))
 
         with pytest.raises(error) as alone:
             fit(frames)
+        monkeypatch.setattr(study, "train_gmm", failing_fit)
         before = threading.active_count()
         with pytest.raises(error) as info:
-            _two_at_a_time([task, task], [1, 1])
+            run_study(SEED, tmp_path, TINY)
         assert type(info.value) is error
         assert str(info.value) == str(alone.value)
         assert threading.active_count() == before
+        assert _archive_files(tmp_path) == []
 
     def test_study_writes_what_a_sequential_loop_writes(
             self, study_runs, tmp_path, monkeypatch):
-        monkeypatch.setattr(study, "_two_at_a_time",
-                            lambda tasks, costs: [task() for task in tasks])
+        # One thread makes the corpus and runs every fit, in the order
+        # they are submitted.
+        monkeypatch.setattr(study, "ThreadPoolExecutor", SynchronousExecutor)
         run_study(SEED, tmp_path, TINY)
         assert _tree(tmp_path) == _tree(study_runs[0][0])
 
 
 class TestReadAhead:
-    """`run_study` makes and writes its corpus on a producer thread, one
-    signal ahead of the extraction that takes it."""
+    """`run_study` makes and writes its corpus on its pool, one signal
+    ahead of the extraction that takes it."""
 
     @staticmethod
     def counting(made, n=None):
@@ -282,9 +346,9 @@ class TestReadAhead:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with contextlib.ExitStack() as stack:
+            with ThreadPoolExecutor(max_workers=2) as pool:
                 taken = []
-                for item in _read_ahead(self.counting(made, 2000), stack):
+                for item in _read_ahead(self.counting(made, 2000), pool):
                     assert len(made) <= item + 2
                     taken.append(item)
         finally:
@@ -300,8 +364,8 @@ class TestReadAhead:
         before = threading.active_count()
         taken = []
         with pytest.raises(SingularComponentError) as info:
-            with contextlib.ExitStack() as stack:
-                for item in _read_ahead(failing(), stack):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for item in _read_ahead(failing(), pool):
                     taken.append(item)
         assert type(info.value) is SingularComponentError
         assert str(info.value) == "component 2 collapsed"
@@ -310,11 +374,14 @@ class TestReadAhead:
 
     @pytest.mark.parametrize("how", ["raise", "close"])
     def test_a_stopped_consumer_stops_and_joins_the_producer(self, how):
+        # As in `run_study`: the pool's shutdown is on the stack.
         made = []
         before = threading.active_count()
         with contextlib.suppress(KeyError):
             with contextlib.ExitStack() as stack:
-                items = _read_ahead(self.counting(made), stack)
+                pool = ThreadPoolExecutor(max_workers=2)
+                stack.callback(pool.shutdown, cancel_futures=True)
+                items = _read_ahead(self.counting(made), pool)
                 assert [next(items), next(items)] == [0, 1]
                 if how == "raise":
                     raise KeyError("consumer failed")
@@ -323,15 +390,17 @@ class TestReadAhead:
         count = len(made)
         time.sleep(0.05)
         assert len(made) == count
-        # A closed stream ends: it neither waits nor makes more.
-        assert len(list(items)) <= 1
+        # A stream whose pool is shut down neither waits nor makes more:
+        # the item ahead was cancelled, or no new one can be submitted.
+        with pytest.raises((CancelledError, RuntimeError)):
+            next(items)
         assert len(made) == count
 
     def test_study_raising_in_training_writes_no_wav_after(
             self, tmp_path, monkeypatch):
-        # Each WAV write is slowed, so the producer is still writing the
-        # first held-out replay when training raises, unless it is
-        # stopped and joined before `run_study` raises.
+        # Each WAV write is slowed, so the pool is still writing the
+        # first held-out replay when training raises, unless it is shut
+        # down before `run_study` raises.
         write_wav = study.write_wav
 
         def slow_write_wav(signal, path):
@@ -351,12 +420,62 @@ class TestReadAhead:
         time.sleep(0.1)
         assert sorted(tmp_path.rglob("*")) == written
 
-    def test_study_writes_what_an_unthreaded_stream_writes(
-            self, study_runs, tmp_path, monkeypatch):
-        monkeypatch.setattr(study, "_read_ahead",
-                            lambda items, stack: iter(items))
+
+class TestStudyPool:
+    """One pool per `run_study` call, shut down before it returns or
+    raises."""
+
+    def test_one_pool_per_call_shut_down_before_return(
+            self, tmp_path, monkeypatch):
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                pools.append(self)
+                self.kwargs = kwargs
+                self.shutdowns = []
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                self.shutdowns.append((wait, cancel_futures))
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(study, "ThreadPoolExecutor", Recording)
+        before = threading.active_count()
         run_study(SEED, tmp_path, TINY)
-        assert _tree(tmp_path) == _tree(study_runs[0][0])
+        assert threading.active_count() == before
+        [pool] = pools
+        assert pool.kwargs["max_workers"] == 2
+        assert pool.shutdowns == [(True, True)]
+
+    def test_a_failed_wav_write_raises_and_leaves_no_archive(
+            self, tmp_path, monkeypatch):
+        # The first held-out replay's WAV write fails on the pool while
+        # the calling thread trains; the error comes out when the stream
+        # reaches it.
+        _, manifest, profiles = synth_corpus(TINY_CORPUS, SEED)
+        heldout = {p.device_id
+                   for p in profiles[TINY_CORPUS.n_train_devices:]}
+        heldout_wavs = {str(tmp_path / "corpus" / r.audio_path)
+                        for r in manifest.replay_records()
+                        if r.device_id in heldout}
+        write_wav = study.write_wav
+        failed = []
+
+        def failing_write_wav(signal, path):
+            if str(path) in heldout_wavs:
+                failed.append(path)
+                raise OSError(28, "No space left on device", str(path))
+            write_wav(signal, path)
+
+        monkeypatch.setattr(study, "write_wav", failing_write_wav)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="No space left on device") as info:
+            run_study(SEED, tmp_path, TINY)
+        assert len(failed) == 1
+        assert info.value.filename == str(failed[0])
+        assert threading.active_count() == before
+        assert _archive_files(tmp_path) == []
 
 
 class TestExtractFeatures:
