@@ -22,8 +22,12 @@ contradicts, raise ArchiveFormatError then, before any frame is read.
 After the scan the reader reads entries one at a time, in file order or
 by id, so a consumer holds one entry at a time beyond what it makes of
 it; `read_archive` collects them all into an in-memory `FeatureArchive`.
-Since every check runs at open, a command that reads an archive stays
-all-or-nothing: a malformed archive fails it before it writes anything.
+Each entry's values are checked as they are read, and a NaN or ±inf
+raises ArchiveFormatError; `ArchiveWriter` refuses to write one. Since
+the layout is checked at open, the values at each read, and every
+command writes its output only after its last read, a command that
+reads an archive stays all-or-nothing: a malformed archive fails it
+before it writes anything.
 
 Nothing in the layout marks the last entry, so an archive cut at an entry
 boundary reads back as a valid, shorter one. Writes therefore go to
@@ -88,17 +92,23 @@ class ArchiveWriter:
 
     def add(self, utt_id: str, fm: FeatureMatrix) -> None:
         shape = (fm.dim, fm.kind)
-        if self._shape is None:
-            self._shape = shape
-        elif shape != self._shape:
+        if self._shape is not None and shape != self._shape:
             raise ValueError("archive entries must share dim and kind")
         if utt_id in self._ids:
             raise ValueError(f"duplicate utterance id {utt_id!r}")
+        # A value beyond float32's range becomes inf in the cast, and is
+        # refused with NaN and inf.
+        with np.errstate(over="ignore"):
+            values = np.ascontiguousarray(fm.values, dtype="<f4")
+        if not np.isfinite(values).all():
+            raise ValueError(f"utterance {utt_id!r}: feature values must be "
+                             f"finite as float32")
+        self._shape = shape
         self._ids.add(utt_id)
         id_bytes = utt_id.encode("utf-8")
         self._fh.write(struct.pack("<H", len(id_bytes)) + id_bytes
                        + struct.pack("<II", fm.n_frames, fm.dim))
-        self._fh.write(np.ascontiguousarray(fm.values, dtype="<f4"))
+        self._fh.write(values)
 
     def __enter__(self) -> "ArchiveWriter":
         return self
@@ -221,7 +231,9 @@ class ArchiveReader:
 
     def values(self, utt_id: str) -> np.ndarray:
         """The entry's (n_frames, dim) frames as stored, float32; KeyError
-        if the archive has no such id."""
+        if the archive has no such id, ArchiveFormatError if a stored
+        value is NaN or ±inf (checked before any cast, which would warn on
+        a signalling NaN)."""
         offset, n_frames, dim = self._index[utt_id]
         out = np.empty((n_frames, dim), dtype="<f4")
         self._fh.seek(offset)
@@ -231,6 +243,9 @@ class ArchiveReader:
             raise ArchiveFormatError(
                 f"{self.path}: truncated archive: needed {out.nbytes} bytes "
                 f"at offset {offset}, have {got}")
+        if not np.isfinite(out).all():
+            raise ArchiveFormatError(
+                f"{self.path}: entry {utt_id!r} holds non-finite values")
         return out
 
     def read(self, utt_id: str) -> FeatureMatrix:

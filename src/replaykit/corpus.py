@@ -183,6 +183,11 @@ def read_wav(path) -> AudioSignal:
         raise WavFormatError(f"{path}: not a supported PCM WAV ({exc})") from exc
     except EOFError as exc:  # `wave` raises it bare when the header is cut
         raise WavFormatError(f"{path}: truncated WAV header") from exc
+    except RuntimeError as exc:
+        # `wave` raises it bare when a chunk's declared size sends a seek
+        # outside the chunk, as a byte inserted into the header does.
+        raise WavFormatError(f"{path}: corrupt WAV header: a chunk's "
+                             f"declared size does not fit its data") from exc
     if n_channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sampwidth != 2:

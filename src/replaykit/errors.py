@@ -26,7 +26,8 @@ class ReplaykitError(Exception):
 
 class WavFormatError(ReplaykitError, ValueError):
     """WAV container or encoding not supported (stereo, non-16-bit,
-    compressed, or wrong sample rate)."""
+    compressed, or wrong sample rate), or a header that is cut or
+    corrupt."""
 
 
 class ManifestError(ReplaykitError, ValueError):
@@ -36,7 +37,8 @@ class ManifestError(ReplaykitError, ValueError):
 
 class ArchiveFormatError(ReplaykitError, ValueError):
     """Feature archive bytes are not valid: bad magic, unsupported version,
-    truncated body, repeated utterance id, or a dim the kind forbids."""
+    truncated body, repeated utterance id, a dim the kind forbids, or a
+    stored NaN or ±inf."""
 
 
 class ModelFormatError(ReplaykitError, ValueError):

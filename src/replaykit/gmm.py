@@ -15,15 +15,21 @@ centre against row norms taken once, where Σ(x − c)² made two more passes
 over the frames. The draw is `Generator.choice(n, p=d2 / total)`'s own, a
 cumsum scaled by its last entry and searched with one `rng.random()`,
 without choice's passes that check p, so a seed picks the same frames.
-Each Lloyd iteration takes MOMENT_BLOCK frames at a time: one GEMM, with
+Each Lloyd iteration takes its frames one block at a time: one GEMM, with
 the centre norms added in place, assigns them to their nearest centres,
-and one one-hot GEMM adds them to the cluster sums. So no (n, K) array
-is built (14.6 MB at the default study's 28,512 frames and K=64), and no
-assignment of all n frames is kept; on the benchmark workloads at seeds
-1 and 2 every assignment equals that of one GEMM over all frames. One
-`np.bincount` per dimension for the sums is about as fast at K=64, but
-takes twice as long at K=2 (2.6 against 1.5 ms per iteration over
-14,256 frames, one BLAS thread).
+and one one-hot GEMM adds them to the cluster sums. A block holds
+LLOYD_BLOCK_ELEMENTS // K frames, so that its (rows, K) distance and
+one-hot arrays hold at most 256 × 64 elements each, 128 KB: 256 frames
+at K=64, 8,192 at K=2. So no (n, K) array is built (14.6 MB at the
+default study's 28,512 frames and K=64), and no assignment of all n
+frames is kept, while a small K pays the dozen numpy calls of a block
+4 times per iteration over 28,512 frames, not 112 times (`_kmeans_init`
+at K=2 took 47 against 29 ms there, one BLAS thread). On the benchmark
+workloads at seeds 1 and 2, every Lloyd assignment and every final
+assignment equals that of one GEMM over all frames. One `np.bincount`
+per dimension for the sums is about as fast at K=64, but takes twice as
+long at K=2 (2.6 against 1.5 ms per iteration over 14,256 frames, one
+BLAS thread).
 
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
@@ -135,6 +141,7 @@ WEIGHT_FLOOR = 1e-8
 MIN_FRAMES_PER_COMPONENT = 10
 KMEANS_ITERS = 10
 MOMENT_BLOCK = 256
+LLOYD_BLOCK_ELEMENTS = 256 * 64
 EXP_CUT = -700.0
 FULL_FEATURES_MIN_K = 8
 
@@ -402,10 +409,11 @@ def _nearest(frames: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kmeans_init(frames: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ spreading followed by a few Lloyd iterations, each of
-    which assigns frames and takes the cluster sums MOMENT_BLOCK frames at
-    a time; an empty cluster keeps its centre. Spreading takes one GEMV
-    per centre and draws as `Generator.choice(n, p=d2 / total)` does (see
-    the module docstring), in buffers allocated once per call."""
+    which assigns frames and takes the cluster sums one block at a time,
+    LLOYD_BLOCK_ELEMENTS // k frames to a block; an empty cluster keeps
+    its centre. Spreading takes one GEMV per centre and draws as
+    `Generator.choice(n, p=d2 / total)` does (see the module docstring),
+    in buffers allocated once per call."""
     n = frames.shape[0]
     centers = np.empty((k, frames.shape[1]))
     norms = np.einsum("nd,nd->n", frames, frames)
@@ -431,11 +439,12 @@ def _kmeans_init(frames: np.ndarray, k: int,
         np.minimum(d2, sq_dist(centers[j]), out=d2)
 
     one_hot = np.eye(k)
+    rows = max(1, LLOYD_BLOCK_ELEMENTS // k)
     for _ in range(KMEANS_ITERS):
         counts = np.zeros(k, dtype=np.intp)
         sums = 0
-        for start in range(0, n, MOMENT_BLOCK):
-            block = frames[start:start + MOMENT_BLOCK]
+        for start in range(0, n, rows):
+            block = frames[start:start + rows]
             assign = _nearest(block, centers)
             counts += np.bincount(assign, minlength=k)
             sums = sums + one_hot[assign].T @ block

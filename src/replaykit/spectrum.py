@@ -12,14 +12,21 @@ sets the FFT length. Whoever passes one owns it and the spectrum it
 returns, which is a view that the next call through the same workspace
 overwrites; `iter_features` makes one per pass and consumes each spectrum
 before framing the next signal.
+
+The pipeline frames and transforms every utterance in its own calls, so
+per-call set-up counts: `frame_signal` builds its strided view directly
+with `as_strided`, the view `sliding_window_view(x, frame_len)[::hop]`
+gives without that function's argument handling, and `dct_ii` builds
+each (n_out, n) cosine basis once and keeps it, read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .corpus import AudioSignal
 
@@ -43,19 +50,18 @@ class FrameMatrix:
 def frame_signal(signal: AudioSignal, frame_len: int, hop: int) -> FrameMatrix:
     """Slice a signal into frames starting at multiples of `hop`.
 
-    The frames are a read-only view of the samples, not a copy. The
-    trailing partial frame is discarded; a signal shorter than one frame
-    yields zero frames.
+    The frames are a read-only strided view of the samples, not a copy:
+    row i starts at sample i * hop. The trailing partial frame is
+    discarded; a signal shorter than one frame yields zero frames.
     """
     if hop <= 0 or hop > frame_len:
         raise ValueError(f"invalid framing: need 0 < hop <= frame_len, "
                          f"got hop={hop}, frame_len={frame_len}")
     x = signal.samples
-    if x.size < frame_len:
-        frames = np.empty((0, frame_len))
-    else:
-        frames = sliding_window_view(x, frame_len)[::hop]
-    return FrameMatrix(frames)
+    n_frames = max(0, (x.size - frame_len) // hop + 1)
+    step = x.strides[0]
+    return FrameMatrix(as_strided(x, (n_frames, frame_len),
+                                  (hop * step, step), writeable=False))
 
 
 class SpectrumWorkspace:
@@ -125,9 +131,17 @@ def dct_ii(vector: np.ndarray, n_out: int) -> np.ndarray:
     n = vector.shape[-1]
     if not 1 <= n_out <= n:
         raise ValueError(f"n_out must be in [1, {n}], got {n_out}")
+    return vector @ _dct_basis(n, n_out).T
+
+
+@lru_cache(maxsize=16)
+def _dct_basis(n: int, n_out: int) -> np.ndarray:
+    """The read-only (n_out, n) orthonormal DCT-II basis, built once per
+    shape; every caller shares the one array."""
     # The integer phase k (2n+1) is reduced modulo 4N, a full period, so
     # the cosine is evaluated at angles below 2 pi where it is accurate.
     phase = np.arange(n_out)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
     basis = np.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
     basis[0] = np.sqrt(1.0 / n)
-    return vector @ basis.T
+    basis.flags.writeable = False
+    return basis

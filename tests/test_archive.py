@@ -323,3 +323,47 @@ class TestArchiveWriter:
         with pytest.warns(ResourceWarning):
             del writer
             gc.collect()
+
+    def test_non_finite_matrix_refused_naming_the_utterance(self, tmp_path):
+        # 1e39 is finite as float64 but beyond float32's range. A refused
+        # matrix writes nothing, and its dim binds no later entry.
+        p = tmp_path / "a.rpfa"
+        with self._writer(p) as writer:
+            for bad in (np.nan, np.inf, -np.inf, 1e39):
+                values = np.ones((2, 3))
+                values[1, 2] = bad
+                with pytest.raises(ValueError) as info:
+                    writer.add("u0", _fm(values))
+                assert str(info.value) == ("utterance 'u0': feature values "
+                                           "must be finite as float32")
+            writer.add("u0", _fm(np.ones((1, 4))))
+        entries = read_archive(p).entries
+        assert list(entries) == ["u0"]
+        np.testing.assert_array_equal(entries["u0"].values, np.ones((1, 4)))
+
+
+class TestNonFiniteStoredValues:
+    """A stored NaN or ±inf fails the read of its entry with
+    ArchiveFormatError, and no cast warns first: a signalling NaN warns
+    `invalid value encountered in cast` when converted to float64."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0x7F800000,
+                                      0xFF800000],
+                             ids=["quiet-nan", "signalling-nan", "inf",
+                                  "minus-inf"])
+    def test_read_raises_for_the_entry(self, tmp_path, bits):
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({"u0": _fm(np.ones((2, 3))),
+                                "u1": _fm(np.ones((4, 3)))}), p)
+        data = bytearray(p.read_bytes())
+        # The last float32 of u1, the file's last entry.
+        data[-4:] = struct.pack("<I", bits)
+        p.write_bytes(bytes(data))
+        with ArchiveReader(p) as reader:
+            np.testing.assert_array_equal(reader.read("u0").values, 1.0)
+            for read in (reader.values, reader.read):
+                with pytest.raises(ArchiveFormatError) as info:
+                    read("u1")
+                assert str(info.value) == (f"{p}: entry 'u1' holds "
+                                           f"non-finite values")

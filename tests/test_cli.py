@@ -132,6 +132,22 @@ class TestFailures:
              "--feature", "fbank", "--out", tmp_path / "x.rpfa"])
         assert line == f"error: {wav}: no such file"
 
+    def test_wav_with_a_byte_inserted_into_its_header(self, work, tmp_path):
+        # The inserted byte shifts the fmt chunk's size field, so the
+        # stdlib `wave` reader seeks past the chunk and raises a bare
+        # RuntimeError; the command must still name the file.
+        corpus = tmp_path / "corpus"
+        _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        data = wav.read_bytes()
+        wav.write_bytes(data[:12] + b"\0" + data[12:])
+        out = tmp_path / "x.rpfa"
+        line = self._single_error_line(
+            ["extract", "--manifest", corpus / "manifest.tsv", "--warp", "mel",
+             "--feature", "fbank", "--out", out])
+        assert line.startswith(f"error: {wav}: corrupt WAV header")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("score", "--archive"), ("score", "--model"), ("eval", "--scores")])
     def test_missing_input_file(self, work, tmp_path, command, flag):

@@ -98,6 +98,27 @@ class TestReadWav:
             read_wav(p)
         assert str(info.value) == f"{p}: {message}"
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_byte_inserted_or_deleted_in_the_header(self, tmp_path):
+        # Bytes 12-39 hold the fmt chunk and the data chunk's id. Shifting
+        # them by one byte either makes the chunk sizes send `wave` past
+        # a chunk, which it reports as a bare RuntimeError, or garbles
+        # a field that the reader checks; every case is a typed error.
+        p = tmp_path / "w.wav"
+        _write_raw_wav(p, struct.pack("<8h", *range(8)))
+        data = p.read_bytes()
+        corrupt = 0
+        for offset in range(12, 40):
+            for edited in (data[:offset] + b"\0" + data[offset:],
+                           data[:offset] + data[offset + 1:]):
+                p.write_bytes(edited)
+                with pytest.raises(WavFormatError) as info:
+                    read_wav(p)
+                assert str(info.value).startswith(f"{p}: ")
+                corrupt += str(info.value).startswith(
+                    f"{p}: corrupt WAV header: ")
+        assert corrupt > 0
+
     def test_every_16bit_value_reads_as_its_quotient_by_32768(self, tmp_path):
         # The reader scales by 2**-15 in one step; pin it bit for bit to
         # the float64 quotient s / 32768 over every 16-bit sample value.

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from replaykit import gmm
 from replaykit.errors import ModelFormatError, SingularComponentError
 from replaykit.filterbank import FeatureKind, FeatureMatrix
 from replaykit.gmm import (
     FULL_FEATURES_MIN_K,
+    KMEANS_ITERS,
+    LLOYD_BLOCK_ELEMENTS,
     MOMENT_BLOCK,
     Gmm,
     GmmPairModel,
@@ -640,6 +643,30 @@ class TestAgainstOracles:
         picks = oracles.kmeans_pp_indices(frames, k,
                                           np.random.default_rng(seed))
         np.testing.assert_array_equal(centers, frames[picks])
+
+    @pytest.mark.parametrize("k", [2, 8, 64])
+    def test_lloyd_over_several_budget_sized_blocks(self, monkeypatch, k):
+        # Each Lloyd iteration takes LLOYD_BLOCK_ELEMENTS // k frames at a
+        # time: 8,192 at K=2, 2,048 at K=8 and 256 at K=64. Three full
+        # blocks and a short fourth must give the centres that exact
+        # distances to one centre at a time give over all frames.
+        rows = LLOYD_BLOCK_ELEMENTS // k
+        rng = np.random.default_rng(700 + k)
+        frames = rng.permutation(_mixture_frames(
+            rng, k, 4, per_comp=-(-(3 * rows + 77) // k)))[:3 * rows + 77]
+        blocks = []
+        nearest = gmm._nearest
+
+        def recording_nearest(block, centers):
+            blocks.append(block.shape[0])
+            return nearest(block, centers)
+
+        monkeypatch.setattr(gmm, "_nearest", recording_nearest)
+        centers = _kmeans_init(frames, k, np.random.default_rng(k))
+        assert blocks == [rows, rows, rows, 77] * KMEANS_ITERS
+        assert max(blocks) * k <= LLOYD_BLOCK_ELEMENTS
+        _, want, _ = oracles.gmm_init(frames, k, "diag", 1e-4, seed=k)
+        np.testing.assert_allclose(centers, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_initialisation(self, kind, k):

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import power_spectrum_loop
 from replaykit.corpus import AudioSignal
 from replaykit.spectrum import (
     FrameMatrix,
     SpectrumWorkspace,
+    _dct_basis,
     dct_ii,
     frame_signal,
     power_spectrum,
@@ -56,20 +58,41 @@ class TestFrameSignal:
             frame_signal(_signal(400), 400, 401)
 
     def test_frames_are_a_view_equal_to_the_gather(self):
-        # Lengths around one frame and around the next hop boundary.
-        for frame_len, hop in [(400, 160), (7, 3), (5, 5), (4, 1)]:
-            for n in (frame_len - 1, frame_len, frame_len + 1,
+        # Lengths: none, around one frame and around the next hop
+        # boundary. The view is built directly, and must be the one
+        # sliding_window_view(x, frame_len)[::hop] builds: same shape,
+        # strides, memory and bits, and read-only.
+        for frame_len, hop in [(400, 160), (400, 400), (7, 3), (5, 5),
+                               (4, 1)]:
+            for n in (0, frame_len - 1, frame_len, frame_len + 1,
                       frame_len + hop - 1, frame_len + hop,
                       frame_len + hop + 1, frame_len + 5 * hop):
                 sig = _signal(n, seed=n)
-                fm = frame_signal(sig, frame_len, hop)
+                frames = frame_signal(sig, frame_len, hop).frames
                 n_frames = max(0, (n - frame_len) // hop + 1)
                 idx = (np.arange(frame_len)[None, :]
                        + hop * np.arange(n_frames)[:, None])
-                np.testing.assert_array_equal(fm.frames, sig.samples[idx])
-                if n_frames:
-                    assert np.shares_memory(fm.frames, sig.samples)
-                    assert not fm.frames.flags.writeable
+                np.testing.assert_array_equal(frames, sig.samples[idx])
+                assert frames.shape == (n_frames, frame_len)
+                assert frames.dtype == np.float64
+                assert not frames.flags.writeable
+                if not n_frames:
+                    continue
+                want = sliding_window_view(sig.samples, frame_len)[::hop]
+                assert frames.strides == want.strides
+                assert frames.__array_interface__["data"] == \
+                    want.__array_interface__["data"]
+                np.testing.assert_array_equal(frames.view(np.uint64),
+                                              want.view(np.uint64))
+
+    def test_view_of_a_strided_signal(self):
+        # Samples that are themselves a strided view still frame by their
+        # own stride.
+        sig = AudioSignal(_signal(2000).samples[::2])
+        frames = frame_signal(sig, 400, 160).frames
+        want = sliding_window_view(sig.samples, 400)[::160]
+        assert frames.strides == want.strides
+        np.testing.assert_array_equal(frames, want)
 
     def test_count_formula_against_enumeration(self):
         rng = np.random.default_rng(42)
@@ -207,6 +230,23 @@ class TestDctII:
         np.testing.assert_allclose(dct_ii(x, 13),
                                    [_dct_oracle(row, 13) for row in x],
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("n, n_out", [(1, 1), (4, 2), (23, 13),
+                                          (40, 13), (23, 23)])
+    def test_cached_basis_is_read_only_and_the_formulas_bits(self, n, n_out):
+        phase = np.arange(n_out)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
+        want = np.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
+        want[0] = np.sqrt(1.0 / n)
+        basis = _dct_basis(n, n_out)
+        assert basis is _dct_basis(n, n_out)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 0.0
+        np.testing.assert_array_equal(basis.view(np.uint64),
+                                      want.view(np.uint64))
+        x = np.random.default_rng(n).uniform(-3, 3, size=(9, n))
+        np.testing.assert_array_equal(dct_ii(x, n_out).view(np.uint64),
+                                      (x @ want.T).view(np.uint64))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=48))
     @settings(max_examples=50, deadline=None)

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 
 from oracles import eer_brute_force
 from replaykit import cli, study
-from replaykit.archive import read_archive
+from replaykit.archive import ArchiveReader, read_archive
 from replaykit.corpus import (AudioSignal, SynthConfig, derive_seed,
                               synth_corpus)
 from replaykit.errors import SingularComponentError
@@ -476,6 +478,75 @@ class TestStudyPool:
         assert info.value.filename == str(failed[0])
         assert threading.active_count() == before
         assert _archive_files(tmp_path) == []
+
+
+class TestStudyProtocol:
+    """What each leg trains on, scores and compares. One train device and
+    two held-out devices make each pool's frame count its own, so a pool
+    that gains or swaps a part shows in its size as well as its frames."""
+
+    CORPUS = dataclasses.replace(TINY_CORPUS, n_heldout_devices=2)
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """A study run on one thread, with each fit's frames and seed."""
+        out = tmp_path_factory.mktemp("protocol")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(study, "ThreadPoolExecutor", SynchronousExecutor)
+            fits = _recording_train_gmm(mp)
+            run_study(SEED, out, dataclasses.replace(TINY,
+                                                     corpus=self.CORPUS))
+        _, manifest, profiles = synth_corpus(self.CORPUS, SEED)
+        train = {p.device_id
+                 for p in profiles[:self.CORPUS.n_train_devices]}
+        ids = {"genuine": [r.utt_id for r in manifest.genuine_records()],
+               "train": [r.utt_id for r in manifest.replay_records()
+                         if r.device_id in train],
+               "heldout": [r.utt_id for r in manifest.replay_records()
+                           if r.device_id not in train]}
+        return out, fits, ids
+
+    def test_each_fit_trains_on_its_pool_in_manifest_order(self, run):
+        out, fits, ids = run
+        by_seed = {fit["seed"]: fit for fit in fits}
+        assert len(fits) == len(by_seed) == 12
+        for kind_idx, kind in enumerate(WarpKind):
+            path = out / "features" / f"{kind.value}_cepstra-delta.rpfa"
+            with ArchiveReader(path) as reader:
+                for cls, pool in enumerate(("genuine", "train")):
+                    want = np.concatenate([reader.values(u)
+                                           for u in ids[pool]])
+                    for cov_idx in range(2):
+                        frames = by_seed[_fit_seed(kind_idx, cov_idx,
+                                                   cls)]["frames"]
+                        # The archive holds the study's float64 features
+                        # rounded to float32.
+                        assert frames.shape == want.shape, (kind, pool)
+                        np.testing.assert_array_equal(
+                            frames.astype("<f4"), want)
+
+    def test_score_files_list_genuine_and_held_out_replays(self, run):
+        out, _, ids = run
+        paths = sorted((out / "scores").glob("*.tsv"))
+        assert len(paths) == 6
+        for path in paths:
+            assert [r.utt_id for r in read_scores(path)] == \
+                ids["genuine"] + ids["heldout"], path.name
+
+    def test_dataset_probe_compares_train_with_held_out(self, run):
+        out, _, ids = run
+        with ArchiveReader(out / "features" / "mel_fbank.rpfa") as reader:
+            counts = reader.frame_counts
+        frames = {pool: sum(counts[u] for u in pool_ids)
+                  for pool, pool_ids in ids.items()}
+        assert frames["heldout"] == 2 * frames["train"]
+        for kind in WarpKind:
+            doc = json.loads((out / "probes" / f"dataset_{kind.value}.json")
+                             .read_text())
+            assert [(p["value"], p["n_genuine_frames"], p["n_replay_frames"])
+                    for p in doc["patterns"]] == [
+                ("train", frames["genuine"], frames["train"]),
+                ("heldout", frames["genuine"], frames["heldout"])]
 
 
 class TestExtractFeatures:
