@@ -1,7 +1,9 @@
 """Command-line front end: synth, extract, probe, train, score, eval, study.
 
 Every command exits 0 on success; any failure prints a single diagnostic
-line on stderr and exits 1.
+line on stderr and exits 1. No command writes over one of its inputs: an
+`--out` that names an input file (or, for `probe`, whose `.json` sibling
+does) is refused before the command reads it.
 
 What each command holds in memory at once, beyond its own output:
 - `synth`: the corpus stream's state (`corpus.CorpusSignals`) and one
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -58,6 +61,26 @@ from .study import (  # noqa: F401
 SAMPLES_PER_MS = corpus_mod.PIPELINE_SAMPLE_RATE / 1000
 
 
+def _refuse_overwriting_inputs(out, inputs, also_written=()) -> None:
+    """Raise ValueError `<out>: ...` if `out`, or another path the command
+    writes for it, names the same file as an input (the same path, a
+    symlink or a hard link), so that a command never writes over what it
+    reads. Commands call it before they read the inputs it is given."""
+    for written in (out, *also_written):
+        try:
+            out_stat = os.stat(written)
+        except OSError:
+            continue  # nothing is there, so no input is either
+        for path in inputs:
+            try:
+                same = os.path.samestat(out_stat, os.stat(path))
+            except OSError:
+                continue  # a missing input fails where it is read
+            if same:
+                raise ValueError(f"{out}: the output would overwrite the "
+                                 f"input {path}")
+
+
 def _cmd_synth(args) -> None:
     config = corpus_mod.SynthConfig(
         n_speakers=args.speakers, n_phrases=args.phrases,
@@ -73,7 +96,10 @@ def _cmd_synth(args) -> None:
 
 def _cmd_extract(args) -> None:
     manifest_path = Path(args.manifest)
+    _refuse_overwriting_inputs(args.out, [manifest_path])
     manifest = corpus_mod.parse_manifest(manifest_path)
+    wav_paths = [manifest_path.parent / rec.audio_path for rec in manifest]
+    _refuse_overwriting_inputs(args.out, wav_paths)
     config = ExtractionConfig(
         warp=WarpKind.from_name(args.warp),
         feature=FeatureKind(args.feature),
@@ -82,9 +108,8 @@ def _cmd_extract(args) -> None:
         hop=int(round(args.hop_ms * SAMPLES_PER_MS)),
         n_fft=args.nfft,
         delta_window=args.delta_window)
-    utterances = ((rec.utt_id,
-                   corpus_mod.read_wav(manifest_path.parent / rec.audio_path))
-                  for rec in manifest)
+    utterances = ((rec.utt_id, corpus_mod.read_wav(path))
+                  for rec, path in zip(manifest, wav_paths))
     tag = feature_tag(config.warp, config.feature)
     with archive_mod.ArchiveWriter(args.out, tag, config.to_dict()) as writer:
         for utt_id, (fm,) in iter_features(utterances, config):
@@ -93,6 +118,9 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_probe(args) -> None:
+    # The report's JSON document goes next to the TSV (`write_probe_report`).
+    _refuse_overwriting_inputs(args.out, [args.archive, args.manifest],
+                               [Path(args.out).with_suffix(".json")])
     table = MomentTable()
     with archive_mod.ArchiveReader(args.archive) as reader:
         manifest = corpus_mod.parse_manifest(args.manifest)
@@ -105,12 +133,14 @@ def _cmd_probe(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    _refuse_overwriting_inputs(args.out, [args.archive, args.manifest])
     with archive_mod.ArchiveReader(args.archive) as reader:
         manifest = corpus_mod.parse_manifest(args.manifest)
         counts = reader.frame_counts
         missing = [r.utt_id for r in manifest if r.utt_id not in counts]
         if missing:
-            raise ValueError(f"archive lacks features for {missing[:3]}")
+            raise FeatureMismatchError(
+                f"archive lacks features for {missing[:3]}")
         config = TrainConfig(max_iters=args.max_iters,
                              ll_tolerance=args.ll_tolerance)
         genuine = [r.utt_id for r in manifest.genuine_records()]
@@ -130,6 +160,8 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_score(args) -> None:
+    _refuse_overwriting_inputs(
+        args.out, [p for p in (args.archive, args.model, args.manifest) if p])
     with archive_mod.ArchiveReader(args.archive) as reader:
         pair = load_pair_model(args.model)
         if pair.feature_kind != reader.feature_kind:

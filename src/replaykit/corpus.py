@@ -1,5 +1,11 @@
 """Audio and manifest I/O plus a deterministic synthetic replay corpus.
 
+WAV files are read and written by a small RIFF codec in this module. It
+takes one layout: integer PCM (format tag 1), 1 channel, 16 bits, 16 kHz.
+`write_wav` writes the canonical 44-byte header and the samples;
+`read_wav` reads the file in one call, walks its chunks, and skips the
+ones it does not need.
+
 The synthetic corpus stands in for licensed anti-spoofing data. Genuine
 utterances are harmonic sources (speaker-specific fundamental) shaped by a
 phrase-specific spectral envelope plus broadband noise; the harmonic sum
@@ -27,14 +33,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import wave
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, WavFormatError, existing_file
+from .errors import ManifestError, WavFormatError, existing_file, no_such_file
 
 PIPELINE_SAMPLE_RATE = 16000
 
@@ -71,6 +77,21 @@ class AudioSignal:
         if self.samples.size and not (np.min(self.samples) >= -1.0
                                       and np.max(self.samples) < 1.0):
             raise ValueError("samples must be finite and lie in [-1.0, 1.0)")
+
+    @classmethod
+    def from_pcm16(cls, pcm: np.ndarray) -> "AudioSignal":
+        """The signal of 16-bit PCM samples, s mapped to s / 32768.
+
+        Scaling by 2**-15 is exact, so this equals the division bit for
+        bit. Every int16 value maps into [-1.0, 1.0), so the range check
+        that every other way of making a signal runs is skipped."""
+        if pcm.dtype.kind != "i" or pcm.dtype.itemsize != 2 or pcm.ndim != 1:
+            raise ValueError("pcm must be a 1-D array of 16-bit integers")
+        samples = pcm.astype(np.float64)
+        samples *= 2.0 ** -15
+        signal = cls.__new__(cls)
+        signal.samples = samples
+        return signal
 
     def __len__(self) -> int:
         return self.samples.size
@@ -169,54 +190,104 @@ class DeviceProfile:
 # WAV I/O
 # ---------------------------------------------------------------------------
 
+# The canonical header `write_wav` writes: the RIFF header, a 16-byte
+# `fmt ` chunk and the `data` chunk's header.
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+_RIFF_HEADER = struct.Struct("<4sI4s")
+_CHUNK_HEADER = struct.Struct("<4sI")
+# Format tag, channels, sample rate, byte rate, block align, bits.
+_FMT_PCM = struct.Struct("<HHIIHH")
+_WAVE_FORMAT_PCM = 1
+
+
 def read_wav(path) -> AudioSignal:
-    """Read a mono 16-bit PCM WAV at 16 kHz; sample s maps to s / 32768."""
-    path = existing_file(path)
+    """Read a mono 16-bit PCM WAV at 16 kHz; sample s maps to s / 32768.
+
+    The accepted layout: a RIFF/WAVE header, then chunks of an id, a
+    little-endian size and a body padded to an even length. The first
+    `fmt ` chunk, of at least 16 bytes, must give format tag 1 (integer
+    PCM), 1 channel, 16 bits and PIPELINE_SAMPLE_RATE; its byte rate and
+    block align are not read. Other chunks, before or between these two,
+    are skipped. The first `data` chunk, which must follow the `fmt `
+    chunk, holds the samples, size // 2 of them; the file may go on after
+    them. The RIFF
+    size field is not read: the walk ends at the file's end. Every other
+    file raises WavFormatError, or FileNotFoundError if there is none.
+    """
+    path = Path(path)
     try:
-        with wave.open(str(path), "rb") as wf:
-            n_channels = wf.getnchannels()
-            sampwidth = wf.getsampwidth()
-            rate = wf.getframerate()
-            n_samples = wf.getnframes()
-            raw = wf.readframes(n_samples)
-    except wave.Error as exc:
-        raise WavFormatError(f"{path}: not a supported PCM WAV ({exc})") from exc
-    except EOFError as exc:  # `wave` raises it bare when the header is cut
-        raise WavFormatError(f"{path}: truncated WAV header") from exc
-    except RuntimeError as exc:
-        # `wave` raises it bare when a chunk's declared size sends a seek
-        # outside the chunk, as a byte inserted into the header does.
-        raise WavFormatError(f"{path}: corrupt WAV header: a chunk's "
-                             f"declared size does not fit its data") from exc
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        raise no_such_file(path) from None
+    if len(data) < _RIFF_HEADER.size:
+        raise WavFormatError(f"{path}: truncated WAV header")
+    riff, _, wave_id = _RIFF_HEADER.unpack_from(data)
+    if riff != b"RIFF" or wave_id != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    fmt = None
+    pos = _RIFF_HEADER.size
+    while True:
+        if pos + _CHUNK_HEADER.size > len(data):
+            raise WavFormatError(f"{path}: truncated WAV header")
+        chunk_id, size = _CHUNK_HEADER.unpack_from(data, pos)
+        pos += _CHUNK_HEADER.size
+        if chunk_id == b"data":
+            break
+        if pos + size > len(data):
+            raise WavFormatError(
+                f"{path}: corrupt WAV header: chunk {chunk_id!r} declares "
+                f"{size} bytes, {len(data) - pos} follow it")
+        if chunk_id == b"fmt " and fmt is None:
+            if size < _FMT_PCM.size:
+                raise WavFormatError(
+                    f"{path}: corrupt WAV header: fmt chunk of {size} bytes, "
+                    f"PCM needs {_FMT_PCM.size}")
+            fmt = _FMT_PCM.unpack_from(data, pos)
+        pos += size + (size & 1)
+    if fmt is None:
+        raise WavFormatError(
+            f"{path}: corrupt WAV header: data chunk before fmt chunk")
+    tag, n_channels, rate, _, _, bits = fmt
+    if tag != _WAVE_FORMAT_PCM:
+        raise WavFormatError(f"{path}: not a supported PCM WAV (format tag "
+                             f"{tag:#06x}; only 0x0001, integer PCM, is read)")
     if n_channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {n_channels} channels")
-    if sampwidth != 2:
-        raise WavFormatError(f"{path}: expected 16-bit PCM, got "
-                             f"{8 * sampwidth}-bit")
+    if bits != 16:
+        raise WavFormatError(f"{path}: expected 16-bit PCM, got {bits}-bit")
     if rate != PIPELINE_SAMPLE_RATE:
         raise WavFormatError(f"{path}: expected sample rate "
                              f"{PIPELINE_SAMPLE_RATE}, got {rate}")
-    if len(raw) != 2 * n_samples:
+    n_samples = size // 2
+    held = len(data) - pos
+    if held < 2 * n_samples:
         raise WavFormatError(f"{path}: truncated: the header declares "
                              f"{n_samples} samples ({2 * n_samples} bytes), "
-                             f"the data holds {len(raw)} bytes")
-    # One float64 array: scaling by 2**-15 is exact, so this equals the
-    # division by 32768 bit for bit.
-    return AudioSignal(np.frombuffer(raw, dtype="<i2") * 2.0 ** -15)
+                             f"the data holds {held} bytes")
+    return AudioSignal.from_pcm16(
+        np.frombuffer(data, dtype="<i2", count=n_samples, offset=pos))
 
 
 def write_wav(signal: AudioSignal, path) -> None:
-    """Write 16-bit PCM; the exact inverse of read_wav's sample mapping."""
+    """Write the signal as read_wav's canonical layout: a 44-byte header
+    (RIFF/WAVE, a 16-byte `fmt ` chunk of format tag 1, 1 channel, 16 bits
+    and PIPELINE_SAMPLE_RATE, and the `data` chunk's header), then the
+    16-bit samples, in one write. Sample x is stored as round(32768 x),
+    clipped to the 16-bit range: the exact inverse of read_wav's mapping."""
     ints = signal.samples * 32768.0
     np.round(ints, out=ints)
-    ints = np.clip(ints, -32768, 32767, out=ints).astype("<i2")
+    np.clip(ints, -32768, 32767, out=ints)
+    n_bytes = 2 * ints.size
+    buf = bytearray(_WAV_HEADER.size + n_bytes)
+    _WAV_HEADER.pack_into(
+        buf, 0, b"RIFF", _WAV_HEADER.size - 8 + n_bytes, b"WAVE", b"fmt ",
+        _FMT_PCM.size, _WAVE_FORMAT_PCM, 1, PIPELINE_SAMPLE_RATE,
+        2 * PIPELINE_SAMPLE_RATE, 2, 16, b"data", n_bytes)
+    np.frombuffer(buf, dtype="<i2", offset=_WAV_HEADER.size)[:] = ints
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(PIPELINE_SAMPLE_RATE)
-        wf.writeframes(ints.tobytes())
+    path.write_bytes(buf)
 
 
 # ---------------------------------------------------------------------------

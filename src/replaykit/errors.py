@@ -3,20 +3,26 @@
 Most precondition violations raise plain ValueError; the classes here exist
 for conditions a caller plausibly wants to catch on their own (file format
 problems, degenerate statistics, training collapse). All of them remain
-catchable as their builtin base. Every reader of an input file checks
-that it exists through `existing_file`.
+catchable as their builtin base. Every reader of an input file names a
+missing one through `no_such_file`: most check first, with
+`existing_file`; `read_wav`, which reads each file in one call, raises it
+when the open fails.
 """
 
 from pathlib import Path
 
 
+def no_such_file(path) -> FileNotFoundError:
+    """FileNotFoundError `<path>: no such file`, the one way every reader
+    names a missing input."""
+    return FileNotFoundError(f"{path}: no such file")
+
+
 def existing_file(path) -> Path:
-    """`path` as a Path; FileNotFoundError `<path>: no such file` if
-    nothing is there, so a missing input is named the same way by every
-    reader."""
+    """`path` as a Path; `no_such_file` if nothing is there."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"{path}: no such file")
+        raise no_such_file(path)
     return path
 
 
@@ -25,9 +31,17 @@ class ReplaykitError(Exception):
 
 
 class WavFormatError(ReplaykitError, ValueError):
-    """WAV container or encoding not supported (stereo, non-16-bit,
-    compressed, or wrong sample rate), or a header that is cut or
-    corrupt."""
+    """A WAV file `read_wav` cannot read:
+    - shorter than a RIFF header, or cut before its data chunk's header
+      ("truncated WAV header");
+    - not a RIFF/WAVE file;
+    - a chunk whose declared size runs past the file's end, a `fmt `
+      chunk shorter than 16 bytes, or a data chunk before the `fmt `
+      chunk ("corrupt WAV header: ...");
+    - a format other than integer PCM (tag 1; extensible, 0xFFFE, too),
+      more than one channel, other than 16 bits, or another sample rate
+      than 16 kHz;
+    - fewer data bytes than the data chunk declares ("truncated: ...")."""
 
 
 class ManifestError(ReplaykitError, ValueError):
@@ -68,5 +82,8 @@ class SingularComponentError(ReplaykitError, RuntimeError):
 
 
 class FeatureMismatchError(ReplaykitError, ValueError):
-    """Features handed to a model are of another kind, or come from
-    another extraction config, than the features it was trained on."""
+    """Features do not match what they are used with: features handed to
+    a model are of another kind, or come from another extraction config,
+    than the features it was trained on; or an archive, or the moment
+    table a probe reads, lacks features for an utterance its manifest
+    names."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Manifest
-from .errors import DegenerateBandError
+from .errors import DegenerateBandError, FeatureMismatchError
 from .filterbank import FeatureKind, FeatureMatrix, WarpKind
 
 DEGENERATE_DENOMINATOR = 1e-12
@@ -255,7 +255,8 @@ def _check_present(table: MomentTable, *manifests: Manifest) -> None:
                                  for r in manifest
                                  if r.utt_id not in table._rows))
     if missing:
-        raise ValueError(f"features missing for utterance(s) {missing[:3]}")
+        raise FeatureMismatchError(
+            f"features missing for utterance(s) {missing[:3]}")
 
 
 def _report(table: MomentTable, factor, pools) -> ProbeReport:

@@ -1,15 +1,17 @@
 import contextlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from replaykit import cli
 from replaykit.archive import FeatureArchive, read_archive, write_archive
-from replaykit.corpus import (AudioSignal, parse_manifest, synth_corpus,
+from replaykit.corpus import (AudioSignal, Manifest, UtteranceMeta,
+                              parse_manifest, synth_corpus, write_manifest,
                               write_wav)
-from replaykit.errors import ArchiveFormatError
+from replaykit.errors import ArchiveFormatError, FeatureMismatchError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import MomentTable, probe_factor
 from replaykit.gmm import (GmmPairModel, TrainConfig, load_pair_model,
@@ -133,9 +135,9 @@ class TestFailures:
         assert line == f"error: {wav}: no such file"
 
     def test_wav_with_a_byte_inserted_into_its_header(self, work, tmp_path):
-        # The inserted byte shifts the fmt chunk's size field, so the
-        # stdlib `wave` reader seeks past the chunk and raises a bare
-        # RuntimeError; the command must still name the file.
+        # The inserted byte shifts the fmt chunk's id and size field, so
+        # the chunk's declared size runs past the file's end; the command
+        # must name the file.
         corpus = tmp_path / "corpus"
         _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
         wav = sorted((corpus / "audio").glob("*.wav"))[0]
@@ -318,6 +320,64 @@ class TestFailures:
              work / "corpus" / "manifest.tsv", "--out", out, *argv])
         assert line == f"error: {info.value}"
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("command, target", [
+        ("extract", "manifest"), ("extract", "wav"),
+        ("probe", "archive"), ("probe", "manifest"), ("probe", "json"),
+        ("train", "archive"), ("train", "manifest"),
+        ("score", "archive"), ("score", "model"), ("score", "manifest"),
+        ("score", "symlink"),
+    ])
+    def test_out_naming_an_input(self, work, tmp_path, command, target):
+        # Every input is a copy, so a command that writes over one harms
+        # no other test. "json": probe's --out is x.tsv, its JSON document
+        # goes to x.json, and the archive is x.json. "symlink": --out is
+        # a link to the archive.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work / "corpus", corpus)
+        manifest = corpus / "manifest.tsv"
+        feature = "fbank" if command == "probe" else "cepstra-delta"
+        archive = tmp_path / ("x.json" if target == "json" else "x.rpfa")
+        shutil.copy(work / f"mel_{feature}.rpfa", archive)
+        model = tmp_path / "model.json"
+        shutil.copy(work / "model.json", model)
+        out = {"manifest": manifest, "archive": archive, "model": model,
+               "wav": sorted((corpus / "audio").glob("*.wav"))[0],
+               "json": tmp_path / "x.tsv",
+               "symlink": tmp_path / "link.tsv"}[target]
+        if target == "symlink":
+            out.symlink_to(archive)
+        argv = {"extract": ["--manifest", manifest, "--warp", "mel",
+                            "--feature", feature],
+                "probe": ["--archive", archive, "--manifest", manifest,
+                          "--factor", "device"],
+                "train": ["--archive", archive, "--manifest", manifest,
+                          "--ncomp", 2, "--seed", SEED, "--max-iters", 2],
+                "score": ["--archive", archive, "--model", model,
+                          "--manifest", manifest]}[command]
+        files = sorted(tmp_path.rglob("*"))
+        before = {p: p.read_bytes() for p in files if p.is_file()}
+        line = self._single_error_line([command, *argv, "--out", out])
+        assert line.startswith(f"error: {out}: the output would overwrite "
+                               f"the input ")
+        assert sorted(tmp_path.rglob("*")) == files
+        assert {p: p.read_bytes() for p in files if p.is_file()} == before
+
+    def test_train_on_an_archive_lacking_a_manifest_utterance(self, work,
+                                                             tmp_path):
+        records = parse_manifest(work / "corpus" / "manifest.tsv").records
+        extra = UtteranceMeta("S09-P00-R0-live", "audio/S09-P00-R0-live.wav",
+                              "genuine", "S09", "P00", "-")
+        write_manifest(Manifest(records + [extra]), tmp_path / "m.tsv")
+        args = cli.build_parser().parse_args(
+            ["train", "--archive", str(work / "mel_cepstra-delta.rpfa"),
+             "--manifest", str(tmp_path / "m.tsv"), "--seed", str(SEED),
+             "--out", str(tmp_path / "model.json")])
+        with pytest.raises(FeatureMismatchError) as info:
+            args.func(args)
+        assert str(info.value) == \
+            "archive lacks features for ['S09-P00-R0-live']"
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestStreamsAsInMemory:

@@ -32,15 +32,29 @@ from replaykit.spectrum import SpectrumWorkspace, frame_signal, power_spectrum
 SR = 16000
 
 
+# Hand-rolled RIFF bytes, so the reader is tested against raw bytes.
+def _chunk(chunk_id, body):
+    """One RIFF chunk: id, little-endian size, body and its pad byte."""
+    return (chunk_id + struct.pack("<I", len(body)) + body
+            + b"\0" * (len(body) % 2))
+
+
+def _fmt(tag=1, n_channels=1, rate=SR, bits=16):
+    """A 16-byte `fmt ` chunk body."""
+    block_align = n_channels * bits // 8
+    return struct.pack("<HHIIHH", tag, n_channels, rate, rate * block_align,
+                       block_align, bits)
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def _write_raw_wav(path, pcm_bytes, n_channels=1, sampwidth=2, rate=SR):
-    """Hand-rolled RIFF writer so the reader is tested against raw bytes."""
-    byte_rate = rate * n_channels * sampwidth
-    block_align = n_channels * sampwidth
-    header = b"RIFF" + struct.pack("<I", 36 + len(pcm_bytes)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, n_channels, rate,
-                                    byte_rate, block_align, 8 * sampwidth)
-    header += b"data" + struct.pack("<I", len(pcm_bytes))
-    path.write_bytes(header + pcm_bytes)
+    path.write_bytes(_riff(
+        _chunk(b"fmt ", _fmt(1, n_channels, rate, 8 * sampwidth)),
+        _chunk(b"data", pcm_bytes)))
 
 
 class TestReadWav:
@@ -101,9 +115,9 @@ class TestReadWav:
     @pytest.mark.filterwarnings("error")
     def test_a_byte_inserted_or_deleted_in_the_header(self, tmp_path):
         # Bytes 12-39 hold the fmt chunk and the data chunk's id. Shifting
-        # them by one byte either makes the chunk sizes send `wave` past
-        # a chunk, which it reports as a bare RuntimeError, or garbles
-        # a field that the reader checks; every case is a typed error.
+        # them by one byte either gives a chunk a declared size that runs
+        # past the file's end ("corrupt WAV header"), or garbles a field
+        # that the reader checks; every case is a typed error.
         p = tmp_path / "w.wav"
         _write_raw_wav(p, struct.pack("<8h", *range(8)))
         data = p.read_bytes()
@@ -138,6 +152,122 @@ class TestReadWav:
         write_wav(sig, p)
         back = read_wav(p)
         np.testing.assert_array_equal(back.samples, sig.samples)
+
+
+PCM = struct.pack("<4h", -32768, -1, 0, 32767)
+PCM_SAMPLES = [-1.0, -2.0 ** -15, 0.0, 32767 / 32768]
+
+
+class TestWavLayouts:
+    """What read_wav accepts beyond the 44-byte header write_wav writes,
+    and what it refuses."""
+
+    @pytest.mark.parametrize("chunks", [
+        [_chunk(b"fmt ", _fmt()),
+         _chunk(b"LIST", b"INFO" + _chunk(b"ISFT", b"x")),
+         _chunk(b"data", PCM)],
+        [_chunk(b"odd ", b"abc"), _chunk(b"fmt ", _fmt()),
+         _chunk(b"data", PCM)],
+        [_chunk(b"fmt ", _fmt() + b"\0\0"), _chunk(b"data", PCM)],
+        [_chunk(b"fmt ", _fmt()), _chunk(b"fmt ", _fmt(n_channels=2)),
+         _chunk(b"data", PCM), _chunk(b"data", b"\0\0")],
+        [_chunk(b"fmt ", _fmt()), _chunk(b"data", PCM + b"\x01")],
+    ], ids=["list-before-data", "odd-chunk-with-pad-byte",
+            "18-byte-fmt", "first-fmt-and-data-taken",
+            "odd-data-size"])
+    def test_reads_back(self, tmp_path, chunks):
+        p = tmp_path / "x.wav"
+        p.write_bytes(_riff(*chunks))
+        np.testing.assert_array_equal(read_wav(p).samples, PCM_SAMPLES)
+
+    @pytest.mark.parametrize("data, message", [
+        (_riff(_chunk(b"data", PCM), _chunk(b"fmt ", _fmt())),
+         "corrupt WAV header: data chunk before fmt chunk"),
+        # WAVE_FORMAT_EXTENSIBLE, even with the integer PCM subformat.
+        (_riff(_chunk(b"fmt ", _fmt(tag=0xFFFE)
+                      + struct.pack("<HHI", 22, 16, 4)
+                      + bytes.fromhex("0100000000001000800000aa00389b71")),
+               _chunk(b"data", PCM)),
+         "not a supported PCM WAV (format tag 0xfffe; only 0x0001, "
+         "integer PCM, is read)"),
+        (_riff(_chunk(b"fmt ", _fmt()[:14]), _chunk(b"data", PCM)),
+         "corrupt WAV header: fmt chunk of 14 bytes, PCM needs 16"),
+        (_riff(_chunk(b"fmt ", _fmt())),
+         "truncated WAV header"),
+        (_riff(_chunk(b"fmt ", _fmt()))[:20],
+         "corrupt WAV header: chunk b'fmt ' declares 16 bytes, 0 follow it"),
+        (b"RIFX" + _riff(_chunk(b"fmt ", _fmt()))[4:],
+         "not a RIFF/WAVE file"),
+        (b"ID3\x04" + bytes(60), "not a RIFF/WAVE file"),
+    ], ids=["data-before-fmt", "extensible", "short-fmt", "no-data-chunk",
+            "cut-in-fmt", "big-endian-rifx", "not-riff"])
+    def test_refused(self, tmp_path, data, message):
+        p = tmp_path / "x.wav"
+        p.write_bytes(data)
+        with pytest.raises(WavFormatError) as info:
+            read_wav(p)
+        assert str(info.value) == f"{p}: {message}"
+
+    def test_write_wav_golden_bytes(self, tmp_path):
+        p = tmp_path / "g.wav"
+        write_wav(AudioSignal(np.array([0.0, 0.5, -1.0, 32767 / 32768])), p)
+        assert p.read_bytes() == bytes.fromhex(
+            "52494646 2c000000 57415645"          # RIFF, 36 + 8, WAVE
+            "666d7420 10000000 0100 0100"         # fmt , 16, PCM, mono
+            "803e0000 007d0000 0200 1000"         # 16000 Hz, 32000 B/s, 2, 16
+            "64617461 08000000"                   # data, 8 bytes
+            "0000 0040 0080 ff7f")                # 0, 16384, -32768, 32767
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav_edits")
+
+
+# A valid 8-sample WAV and one edit of it: a byte XORed with a mask, a
+# byte inserted, deleted or set to 0 or 0xff, or the file cut.
+VALID_WAV = _riff(_chunk(b"fmt ", _fmt()),
+                  _chunk(b"data", struct.pack("<8h", *range(-4, 4))))
+WAV_EDITS = st.one_of(
+    st.tuples(st.just("xor"), st.integers(0, len(VALID_WAV) - 1),
+              st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0, len(VALID_WAV)),
+              st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.integers(0, len(VALID_WAV) - 1),
+              st.just(0)),
+    st.tuples(st.just("set"), st.integers(0, len(VALID_WAV) - 1),
+              st.sampled_from([0, 255])),
+    st.tuples(st.just("cut"), st.integers(0, len(VALID_WAV) - 1),
+              st.just(0)))
+
+
+def _edited(data, edit):
+    op, at, value = edit
+    if op == "xor":
+        return data[:at] + bytes([data[at] ^ value]) + data[at + 1:]
+    if op == "insert":
+        return data[:at] + bytes([value]) + data[at:]
+    if op == "delete":
+        return data[:at] + data[at + 1:]
+    if op == "set":
+        return data[:at] + bytes([value]) + data[at + 1:]
+    return data[:at]
+
+
+@pytest.mark.filterwarnings("error")
+@given(edit=WAV_EDITS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_one_byte_edit_reads_back_or_raises_wav_format_error(edit_dir,
+                                                                 edit):
+    p = edit_dir / "edited.wav"
+    p.write_bytes(_edited(VALID_WAV, edit))
+    try:
+        signal = read_wav(p)
+    except WavFormatError as exc:
+        assert str(exc).startswith(f"{p}: ")
+    else:
+        assert signal.samples.dtype == np.float64
+        assert np.all((signal.samples >= -1.0) & (signal.samples < 1.0))
 
 
 class TestAudioSignal:

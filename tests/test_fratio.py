@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import fratio_exact, moments_exact
 from replaykit.corpus import Manifest, UtteranceMeta
-from replaykit.errors import DegenerateBandError
+from replaykit.errors import DegenerateBandError, FeatureMismatchError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import (
     FRatioPattern,
@@ -210,7 +210,7 @@ class TestProbeFactor:
     def test_missing_features(self):
         features, manifest = _toy_setup()
         del features["S00-live"]
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(FeatureMismatchError, match="missing"):
             probe_factor(_table(features), manifest, "device")
 
     def test_compare_datasets_names_missing_features(self):
@@ -220,7 +220,7 @@ class TestProbeFactor:
         train = manifest.filter(lambda r: r.device_id != "D01")
         heldout = manifest.filter(lambda r: r.device_id != "D00")
         del features["S00-live"], features["S01-D01"]
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(FeatureMismatchError) as info:
             compare_datasets(_table(features), train, heldout)
         assert str(info.value) == ("features missing for utterance(s) "
                                    "['S00-live', 'S01-D01']")
