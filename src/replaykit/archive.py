@@ -54,6 +54,7 @@ from .filterbank import FeatureKind, FeatureMatrix, WarpKind
 
 MAGIC = b"RPFA"
 VERSION = 1
+MAX_ID_BYTES = 0xFFFF  # the u16 id length field
 
 
 @dataclass
@@ -76,7 +77,7 @@ class ArchiveWriter:
     to `<path>.partial`, which a clean exit from the `with` block renames
     to `path` and any failure deletes (see the module docstring). Entries
     must share one dim and kind, as a `FeatureArchive`'s do, and an id may
-    appear once."""
+    appear once, in at most MAX_ID_BYTES bytes of UTF-8."""
 
     def __init__(self, path, feature_kind: str, config: dict):
         self.path = Path(path)
@@ -96,6 +97,11 @@ class ArchiveWriter:
             raise ValueError("archive entries must share dim and kind")
         if utt_id in self._ids:
             raise ValueError(f"duplicate utterance id {utt_id!r}")
+        id_bytes = utt_id.encode("utf-8")
+        if len(id_bytes) > MAX_ID_BYTES:
+            raise ValueError(f"utterance id {utt_id[:40]!r}... is "
+                             f"{len(id_bytes)} bytes as UTF-8, more than the "
+                             f"{MAX_ID_BYTES} its length field holds")
         # A value beyond float32's range becomes inf in the cast, and is
         # refused with NaN and inf.
         with np.errstate(over="ignore"):
@@ -105,7 +111,6 @@ class ArchiveWriter:
                              f"finite as float32")
         self._shape = shape
         self._ids.add(utt_id)
-        id_bytes = utt_id.encode("utf-8")
         self._fh.write(struct.pack("<H", len(id_bytes)) + id_bytes
                        + struct.pack("<II", fm.n_frames, fm.dim))
         self._fh.write(values)

@@ -16,8 +16,8 @@ What each command holds in memory at once, beyond its own output:
   order and dropped once its mixture is trained; then the replay pool.
   The two mixtures are trained one after the other, not two at a time
   as in `run_study`: that holds both pools at once, which raised the
-  `cli-stages` benchmark's peak RSS from 51.0 to 53.0 MB, and its K=2
-  fits are too short to gain wall time (its unscaled time rose 4%);
+  `cli-stages` benchmark's peak RSS, and its K=2 fits are too short to
+  gain wall time;
 - `score`: one archive entry. Scores are kept and the file is written at
   the end, once the archive's feature kind and extraction config are
   found to be the model's;

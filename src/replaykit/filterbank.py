@@ -40,7 +40,6 @@ class WarpKind(enum.Enum):
 
 class FeatureKind(enum.Enum):
     LOG_FBANK = "fbank"
-    CEPSTRA = "cepstra"
     CEPSTRA_DELTA = "cepstra-delta"
 
 
@@ -133,8 +132,6 @@ class FeatureMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("feature values must be 2-D (frames x dims)")
-        if self.kind is FeatureKind.CEPSTRA and self.dim != NUM_CEPSTRA:
-            raise ValueError(f"cepstra must have dim {NUM_CEPSTRA}")
         if self.kind is FeatureKind.CEPSTRA_DELTA and self.dim != 2 * NUM_CEPSTRA:
             raise ValueError(f"cepstra+deltas must have dim {2 * NUM_CEPSTRA}")
 
@@ -159,27 +156,25 @@ def fbank_features(spec: np.ndarray, fb: FilterBank) -> FeatureMatrix:
                          FeatureKind.LOG_FBANK, fb.kind)
 
 
-def cepstral_features(logfb: FeatureMatrix) -> FeatureMatrix:
-    """Orthonormal DCT-II of each log-Fbank frame, coefficients c0..c12."""
+def cepstral_features(logfb: FeatureMatrix) -> np.ndarray:
+    """Orthonormal DCT-II of each log-Fbank frame: the (frames, 13) array
+    of coefficients c0..c12."""
     if logfb.kind is not FeatureKind.LOG_FBANK:
         raise ValueError(f"expected log-Fbank features, got {logfb.kind.value}")
     if logfb.dim < NUM_CEPSTRA:
         raise ValueError(f"need at least {NUM_CEPSTRA} bands, got {logfb.dim}")
-    return FeatureMatrix(dct_ii(logfb.values, NUM_CEPSTRA),
-                         FeatureKind.CEPSTRA, logfb.warp_kind)
+    return dct_ii(logfb.values, NUM_CEPSTRA)
 
 
-def append_deltas(feats: FeatureMatrix, window: int = 2) -> FeatureMatrix:
-    """Concatenate regression-slope deltas:
+def append_deltas(x: np.ndarray, window: int = 2) -> np.ndarray:
+    """A (frames, dims) array with its regression-slope deltas appended,
+    (frames, 2 dims):
     d_t = sum_n n (x_{t+n} - x_{t-n}) / (2 sum_n n^2), edges replicated."""
-    if feats.kind is not FeatureKind.CEPSTRA:
-        raise ValueError(f"expected cepstra, got {feats.kind.value}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if feats.n_frames == 0:
-        raise ValueError("cannot append deltas to an empty feature matrix")
-    x = feats.values
     n_frames = x.shape[0]
+    if n_frames == 0:
+        raise ValueError("cannot append deltas to an empty feature matrix")
     # x with its first and last frames repeated `window` times on each
     # side; frame t + n (or t - n), clamped to the edges, is row
     # t + n + window (or t - n + window) of it.
@@ -191,5 +186,4 @@ def append_deltas(feats: FeatureMatrix, window: int = 2) -> FeatureMatrix:
         behind = padded[window - n:window - n + n_frames]
         num += n * (ahead - behind)
     deltas = num / (2.0 * sum(n * n for n in range(1, window + 1)))
-    return FeatureMatrix(np.hstack([x, deltas]), FeatureKind.CEPSTRA_DELTA,
-                         feats.warp_kind)
+    return np.hstack([x, deltas])

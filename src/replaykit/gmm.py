@@ -23,13 +23,11 @@ one-hot arrays hold at most 256 × 64 elements each, 128 KB: 256 frames
 at K=64, 8,192 at K=2. So no (n, K) array is built (14.6 MB at the
 default study's 28,512 frames and K=64), and no assignment of all n
 frames is kept, while a small K pays the dozen numpy calls of a block
-4 times per iteration over 28,512 frames, not 112 times (`_kmeans_init`
-at K=2 took 47 against 29 ms there, one BLAS thread). On the benchmark
-workloads at seeds 1 and 2, every Lloyd assignment and every final
-assignment equals that of one GEMM over all frames. One `np.bincount`
-per dimension for the sums is about as fast at K=64, but takes twice as
-long at K=2 (2.6 against 1.5 ms per iteration over 14,256 frames, one
-BLAS thread).
+4 times per iteration over 28,512 frames, not 112 times. On the
+benchmark workloads at seeds 1 and 2, every Lloyd assignment and every
+final assignment equals that of one GEMM over all frames. One
+`np.bincount` per dimension for the sums is about as fast at K=64, but
+slower at K=2.
 
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
@@ -40,8 +38,8 @@ weights W, whose columns hold each component's -½ precision terms
 (off-diagonals doubled for full), its precision times m = mu - o, and
 ln w - ½ ln|Sigma| - ½ mᵀ Sigma⁻¹ m - (d/2) ln 2π. It is taken as
 (Wᵀ block)ᵀ, column-major, so the log-sum-exp reduces each frame across
-K contiguous columns: 2.5× faster than along the rows of a C-ordered
-(498, 2) array. The M-step adds the block times its responsibilities to
+K contiguous columns, which is faster than along the rows of a C-ordered
+(n, K) array. The M-step adds the block times its responsibilities to
 the moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1], so EM holds no (n, K) array.
 Counts, means and uncentred second moments follow from the sums, and the
 covariances are the second moments less the outer products of the means;
@@ -55,12 +53,8 @@ MOMENT_BLOCK sets what a fit holds beyond its frames. A full block's
 features are (q + d + 1) × MOMENT_BLOCK floats, 0.77 MB at d=26 and 256
 frames, and its log-densities and responsibilities are another
 MOMENT_BLOCK × K. `run_study` trains two fits at once, so it holds two
-such working sets. A K=64, d=26 full fit over 1,776 frames, the
-`study-em` benchmark's replay pool, peaks under tracemalloc at 2.8 MB
-with 256-frame blocks and at 3.9 MB with 512-frame blocks. Training two
-fits at once raised that benchmark's peak RSS from 54.8 MB by 4% with
-256-frame blocks and by 8% with 512-frame blocks, whose wall time was
-no shorter.
+such working sets. Blocks of 512 frames held more memory than blocks of
+256 and were no faster.
 
 W is taken from the floor's results, so EM makes no Cholesky
 factorisation or inverse: 1/σ² and Σ ln σ² for diag, and for full the
@@ -107,11 +101,10 @@ A model file is one JSON line per genuine/replay pair: `format_version`
 training config and the extraction config of the features it was trained
 on (an archive header's `config`), and for each mixture its weights,
 means and covariances as base64 strings of their C-order little-endian
-float64 bytes. As float text, `json.dumps` spent a float repr of about
-1.6 µs on each value, so a K=64, d=26 full pair took 135-156 ms to save
-and 2 MB on disk; as bytes it takes about 10 ms and 0.96 MB (2-vCPU
-Xeon), and it reads back bit for bit, which scoring a saved model in
-another process relies on.
+float64 bytes. Bytes, not float text: a float repr per value made a
+paper-sized pair many times slower to save and twice the size on disk,
+and bytes read back bit for bit, which scoring a saved model in another
+process relies on.
 Covariances are kept in full rather than as a triangle: a floored full
 covariance V Λ Vᵀ is symmetric only to rounding (in one K=64 fit 18,652
 of 43,264 entries differ from their transpose), so a triangle would not
@@ -171,8 +164,10 @@ class TrainConfig:
 class Gmm:
     """Mixture weights, means and covariances for one class.
 
-    Frozen, like the `GmmPairModel` that derives its scoring factors from
-    the parameters once: an array changed in place after that is not seen.
+    Weights must be at least WEIGHT_FLOOR and sum to 1, every parameter
+    must be finite, and diagonal variances must be > 0. Frozen, like the
+    `GmmPairModel` that derives its scoring factors from the parameters
+    once: an array changed in place after that is not seen.
     """
 
     weights: np.ndarray
@@ -194,6 +189,8 @@ class Gmm:
         if not all(np.isfinite(a).all()
                    for a in (self.weights, self.means, self.covariances)):
             raise ValueError("weights, means and covariances must be finite")
+        if self.covariance_kind == "diag" and np.any(self.covariances <= 0.0):
+            raise ValueError("diagonal variances must be > 0")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < WEIGHT_FLOOR):
             raise ValueError("weights must be >= 1e-8 and sum to 1")
 

@@ -31,12 +31,11 @@ training cepstra+delta frames and the six pairs.
 One pool of two worker threads serves the pass; `run_study` makes one
 per call. On it the corpus is made one signal ahead (`_read_ahead`): a
 worker makes the next signal and writes its WAV while the calling thread
-extracts, scores and trains on the one before. One is enough: on the
-`study-frontend` benchmark making the corpus is about 0.7 s of the
-pass's work and the caller's share 1.0 s, so the next signal is nearly
-always ready when it is wanted, and a deeper hand-off would only hold
-more signals. The stream keeps its one consumer and its order, so every
-file is byte-identical to a pass on one thread.
+extracts, scores and trains on the one before. One is enough: making
+a signal takes less time than the caller's work on one, so the next
+signal is nearly always ready when it is wanted, and a deeper hand-off
+would only hold more signals. The stream keeps its one consumer and its
+order, so every file is byte-identical to a pass on one thread.
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 go to the same pool, full fits first, then the larger pool, so the two
@@ -48,9 +47,8 @@ and seed it would get in a loop, and the results are taken in leg order,
 so every file is byte-identical to sequential training. Training holds
 up to two fits' working sets at once (see `gmm.MOMENT_BLOCK`). The scope
 is one warp, not all twelve fits: those would keep every warp's pools
-alive at once, which raised the `study-frontend` benchmark's peak RSS
-from 74.9 to 82.1 MB, and shortened neither that benchmark nor
-`study-em`.
+alive at once, which raised peak RSS and shortened neither the
+`study-frontend` nor the `study-em` benchmark.
 
 When the pass ends or raises, in training too, the pool is shut down
 before `run_study` returns or raises: fits not yet started are
@@ -114,8 +112,7 @@ def feature_tag(warp: WarpKind, feature: FeatureKind) -> str:
     """Conventional name of a feature stream, e.g. IM-Fbank or IMFCC+D."""
     if feature is FeatureKind.LOG_FBANK:
         return FBANK_TAGS[warp]
-    tag = CEPSTRA_TAGS[warp]
-    return tag + "+D" if feature is FeatureKind.CEPSTRA_DELTA else tag
+    return CEPSTRA_TAGS[warp] + "+D"
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,10 @@ class ExtractionConfig:
 
 def iter_features(utterances, *configs: ExtractionConfig
                   ) -> Iterator[tuple[str, list[FeatureMatrix]]]:
-    """Run (utt_id, signal) pairs through framing, spectra, filterbank and,
-    where a config asks, cepstra and deltas; yield (utt_id, one feature
-    matrix per config, in config order) for each pair as it is read.
+    """Run (utt_id, signal) pairs through framing, spectra and filterbank
+    and, under a cepstra-delta config, the DCT and the deltas, which always
+    come together; yield (utt_id, one feature matrix per config, in config
+    order) for each pair as it is read.
 
     The configs must share one framing (frame_len, hop, n_fft), which is
     checked when iteration starts; each utterance's spectrogram and each
@@ -145,9 +143,8 @@ def iter_features(utterances, *configs: ExtractionConfig
     time, so a lazy generator holds one waveform at once, and nothing
     here keeps a yielded matrix.
 
-    An utterance shorter than one frame gets a 0-frame matrix, except
-    under a cepstra-with-deltas config, where it raises EmptyUtteranceError
-    naming it.
+    An utterance shorter than one frame gets a 0-frame log-Fbank matrix;
+    under a cepstra-delta config it raises EmptyUtteranceError naming it.
 
     The pass owns one `SpectrumWorkspace`, sized to its longest utterance,
     and computes every spectrum in it. Each spectrum stays valid only
@@ -169,15 +166,15 @@ def iter_features(utterances, *configs: ExtractionConfig
         feats = []
         for config in configs:
             fm = fbanks[config.warp, config.bands]
-            if config.feature is not FeatureKind.LOG_FBANK:
-                fm = cepstral_features(fm)
             if config.feature is FeatureKind.CEPSTRA_DELTA:
                 if fm.n_frames == 0:
                     raise EmptyUtteranceError(
                         f"utterance {utt_id} has 0 frames: its "
                         f"{signal.samples.size} samples are shorter than one "
                         f"{frame_len}-sample frame, and deltas need at least 1")
-                fm = append_deltas(fm, config.delta_window)
+                fm = FeatureMatrix(
+                    append_deltas(cepstral_features(fm), config.delta_window),
+                    FeatureKind.CEPSTRA_DELTA, config.warp)
             feats.append(fm)
         yield utt_id, feats
         # Dropped before the next pair is taken: a lazy source makes the

@@ -151,10 +151,22 @@ class TestFormatGuards:
 
     def test_entry_dim_contradicts_feature_kind(self, tmp_path):
         p = tmp_path / "a.rpfa"
-        write_archive(_archive({}, feature="cepstra"), p)
+        write_archive(_archive({}, feature="cepstra-delta"), p)
         p.write_bytes(p.read_bytes() + self._entry("u", 2, 5))
-        with pytest.raises(ArchiveFormatError, match="'u'.*dim 13"):
+        with pytest.raises(ArchiveFormatError, match="'u'.*dim 26"):
             read_archive(p)
+
+    def test_unknown_feature_kind_with_entries(self, tmp_path):
+        # A kind the reader does not know, such as cepstra without their
+        # deltas, is refused once an entry needs it.
+        p = tmp_path / "a.rpfa"
+        write_archive(_archive({}, feature="mfcc"), p)
+        assert read_archive(p).entries == {}
+        p.write_bytes(p.read_bytes() + self._entry("u", 2, 13))
+        with pytest.raises(ArchiveFormatError) as info:
+            read_archive(p)
+        assert str(info.value) == (f"{p}: archive has entries but its config "
+                                   f"carries no valid 'feature' kind")
 
     def test_utterance_id_not_utf8(self, tmp_path):
         p = tmp_path / "a.rpfa"
@@ -300,7 +312,7 @@ class TestArchiveWriter:
 
     @pytest.mark.parametrize("second", [
         _fm(np.ones((2, 4))),
-        _fm(np.ones((2, 13)), kind=FeatureKind.CEPSTRA),
+        _fm(np.ones((2, 26)), kind=FeatureKind.CEPSTRA_DELTA),
     ])
     def test_entries_share_dim_and_kind(self, tmp_path, second):
         with pytest.raises(ValueError, match="share dim and kind"):
@@ -315,6 +327,25 @@ class TestArchiveWriter:
                 writer.add("u0", _fm(np.ones((2, 3))))
                 writer.add("u0", _fm(np.ones((1, 3))))
         assert list(tmp_path.iterdir()) == []
+
+    def test_id_longer_than_its_length_field_rejected(self, tmp_path):
+        # An id's UTF-8 length is stored in a u16: 65,535 bytes fit, and
+        # one more is refused before any byte of its entry is written, so
+        # the writer goes on to a valid archive.
+        p = tmp_path / "a.rpfa"
+        longest = "a" * 0xFFFF
+        too_long = "\u00e9" * 0x8000  # 32,768 characters, 65,536 bytes
+        with self._writer(p) as writer:
+            writer.add("u0", _fm(np.ones((2, 3))))
+            with pytest.raises(ValueError) as info:
+                writer.add(too_long, _fm(np.ones((1, 3))))
+            writer.add(longest, _fm(np.full((1, 3), 2.0)))
+        assert str(info.value) == (
+            f"utterance id {too_long[:40]!r}... is 65536 bytes as UTF-8, "
+            f"more than the 65535 its length field holds")
+        back = read_archive(p)
+        assert list(back.entries) == ["u0", longest]
+        np.testing.assert_array_equal(back.entries[longest].values, 2.0)
 
     def test_writer_never_closed_warns(self, tmp_path):
         # The test configuration turns this warning into a failure, so a

@@ -1,4 +1,6 @@
+import base64
 import contextlib
+import dataclasses
 import io
 import json
 import shutil
@@ -232,15 +234,15 @@ class TestFailures:
         assert line.startswith(f"error: {bad}:2: ")
 
     def test_deltas_of_an_utterance_shorter_than_a_frame(self, work, tmp_path):
-        # 399 samples are one short of a 25 ms frame: fbank and cepstra
-        # write a 0-frame entry, deltas name the utterance.
+        # 399 samples are one short of a 25 ms frame: fbank writes a
+        # 0-frame entry, cepstra+deltas name the utterance.
         corpus = tmp_path / "corpus"
         _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
         rec = parse_manifest(corpus / "manifest.tsv").records[1]
         write_wav(AudioSignal(np.zeros(399)), corpus / rec.audio_path)
         argv = ["extract", "--manifest", corpus / "manifest.tsv", "--warp",
                 "mel", "--out", tmp_path / "x.rpfa", "--feature"]
-        _ok(*argv, "cepstra")
+        _ok(*argv, "fbank")
         assert read_archive(tmp_path / "x.rpfa").entries[rec.utt_id] \
             .n_frames == 0
         line = self._single_error_line(argv + ["cepstra-delta"])
@@ -263,6 +265,54 @@ class TestFailures:
         assert line.startswith(f"error: utterance {rec.utt_id} has 0 frames")
         assert not out.exists()
         assert not out.with_name("x.rpfa.partial").exists()
+
+    def test_extract_offers_fbank_and_cepstra_delta_only(self):
+        # Cepstra come with their deltas or not at all.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                pytest.raises(SystemExit) as info:
+            cli.main(["extract", "--help"])
+        assert info.value.code == 0
+        assert "--feature {fbank,cepstra-delta}" in out.getvalue()
+
+    def test_utterance_id_too_long_for_an_archive(self, work, tmp_path):
+        # parse_manifest takes any id; an archive stores its UTF-8 length
+        # in 16 bits, and the writer names the id it cannot hold.
+        corpus = tmp_path / "corpus"
+        _ok("synth", "--out", corpus, "--seed", SEED, *TINY_SYNTH_ARGV)
+        manifest = parse_manifest(corpus / "manifest.tsv")
+        long_id = "u" * 0x10000
+        records = list(manifest.records)
+        records[1] = dataclasses.replace(records[1], utt_id=long_id)
+        write_manifest(Manifest(records), corpus / "manifest.tsv")
+        out = tmp_path / "x.rpfa"
+        line = self._single_error_line(
+            ["extract", "--manifest", corpus / "manifest.tsv", "--warp",
+             "mel", "--feature", "fbank", "--out", out])
+        assert line == (f"error: utterance id {long_id[:40]!r}... is 65536 "
+                        f"bytes as UTF-8, more than the 65535 its length "
+                        f"field holds")
+        assert not out.exists()
+        assert not out.with_name("x.rpfa.partial").exists()
+
+    def test_score_with_a_negative_variance_model(self, work, tmp_path):
+        # The model file is blamed, not the score that its log of a
+        # negative variance would make.
+        doc = json.loads((work / "model.json").read_text())
+        variances = np.frombuffer(
+            base64.b64decode(doc["replay"]["covariances"]), "<f8").copy()
+        variances[3] = -1.0
+        doc["replay"]["covariances"] = base64.b64encode(
+            variances.tobytes()).decode()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc) + "\n")
+        out = tmp_path / "s.tsv"
+        line = self._single_error_line(
+            ["score", "--archive", work / "mel_cepstra-delta.rpfa",
+             "--model", model, "--out", out])
+        assert line == (f"error: {model}: replay: diagonal variances must "
+                        f"be > 0")
+        assert not out.exists()
 
     def test_score_of_a_zero_frame_entry(self, work, tmp_path):
         archive = read_archive(work / "mel_cepstra-delta.rpfa")

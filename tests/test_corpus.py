@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from byte_edits import edited, one_byte_edits
 
 from replaykit.corpus import (
     HARMONIC_BLOCK,
@@ -224,34 +225,10 @@ def edit_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("wav_edits")
 
 
-# A valid 8-sample WAV and one edit of it: a byte XORed with a mask, a
-# byte inserted, deleted or set to 0 or 0xff, or the file cut.
+# A valid 8-sample WAV, and one edit of it.
 VALID_WAV = _riff(_chunk(b"fmt ", _fmt()),
                   _chunk(b"data", struct.pack("<8h", *range(-4, 4))))
-WAV_EDITS = st.one_of(
-    st.tuples(st.just("xor"), st.integers(0, len(VALID_WAV) - 1),
-              st.integers(1, 255)),
-    st.tuples(st.just("insert"), st.integers(0, len(VALID_WAV)),
-              st.integers(0, 255)),
-    st.tuples(st.just("delete"), st.integers(0, len(VALID_WAV) - 1),
-              st.just(0)),
-    st.tuples(st.just("set"), st.integers(0, len(VALID_WAV) - 1),
-              st.sampled_from([0, 255])),
-    st.tuples(st.just("cut"), st.integers(0, len(VALID_WAV) - 1),
-              st.just(0)))
-
-
-def _edited(data, edit):
-    op, at, value = edit
-    if op == "xor":
-        return data[:at] + bytes([data[at] ^ value]) + data[at + 1:]
-    if op == "insert":
-        return data[:at] + bytes([value]) + data[at:]
-    if op == "delete":
-        return data[:at] + data[at + 1:]
-    if op == "set":
-        return data[:at] + bytes([value]) + data[at + 1:]
-    return data[:at]
+WAV_EDITS = one_byte_edits(VALID_WAV)
 
 
 @pytest.mark.filterwarnings("error")
@@ -260,7 +237,7 @@ def _edited(data, edit):
 def test_any_one_byte_edit_reads_back_or_raises_wav_format_error(edit_dir,
                                                                  edit):
     p = edit_dir / "edited.wav"
-    p.write_bytes(_edited(VALID_WAV, edit))
+    p.write_bytes(edited(VALID_WAV, edit))
     try:
         signal = read_wav(p)
     except WavFormatError as exc:

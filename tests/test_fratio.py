@@ -227,7 +227,8 @@ class TestProbeFactor:
 
     def test_requires_logfbank(self):
         features, manifest = _toy_setup()
-        features = {u: FeatureMatrix(np.zeros((5, 13)), FeatureKind.CEPSTRA)
+        features = {u: FeatureMatrix(np.zeros((5, 26)),
+                                     FeatureKind.CEPSTRA_DELTA)
                     for u in features}
         with pytest.raises(ValueError, match="log-Fbank"):
             probe_factor(_table(features), manifest, "device")
@@ -429,8 +430,8 @@ class TestMomentTable:
     def test_requires_logfbank_message(self):
         table = MomentTable()
         with pytest.raises(ValueError) as info:
-            table.add("u", FeatureMatrix(np.zeros((5, 13)),
-                                         FeatureKind.CEPSTRA))
+            table.add("u", FeatureMatrix(np.zeros((5, 26)),
+                                         FeatureKind.CEPSTRA_DELTA))
         assert str(info.value) == "probing requires log-Fbank features"
 
     def test_band_counts_must_agree(self):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.special import logsumexp
 
 from replaykit import gmm
@@ -36,6 +37,7 @@ from replaykit.gmm import (
     train_gmm,
 )
 import oracles
+from byte_edits import TEXT_TOKENS, edited, one_byte_edits
 
 
 # Four full frame blocks and a short fifth: 1,100 frames at
@@ -363,8 +365,12 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="genuine.*K=3, d=3"):
             load_pair_model(p)
 
-    @pytest.mark.parametrize("key,value", [("weights", [0.5, 0.6]),
-                                           ("means", [[0.0] * 3, [math.nan] * 3])])
+    @pytest.mark.parametrize("key,value", [
+        ("weights", [0.5, 0.6]),
+        ("means", [[0.0] * 3, [math.nan] * 3]),
+        ("covariances", [[1.0, 1.0, 1.0], [1.0, -0.5, 1.0]]),
+        ("covariances", [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+    ])
     def test_invalid_parameters_are_typed(self, tmp_path, key, value):
         # Well-formed bytes of the right size, so `Gmm`'s checks are reached.
         p = tmp_path / "model.json"
@@ -448,6 +454,53 @@ class TestModelPersistence:
                 np.array([[1.0, 1.0]]), "diag")
         with pytest.raises(ValueError, match="share"):
             GmmPairModel(g, r, "t", {})
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("model_edits")
+
+
+# A valid K=2, d=2 diagonal pair's file, and one edit of it.
+VALID_MODEL = json.dumps({
+    "format_version": gmm.MODEL_FORMAT_VERSION, "feature_kind": "MFCC+D",
+    "covariance_kind": "diag", "K": 2, "d": 2,
+    "training_config": {"max_iters": 2}, "extraction_config": {"warp": "mel"},
+    "genuine": {"weights": _encode(np.array([0.25, 0.75])),
+                "means": _encode(np.array([[0.5, -1.0], [2.0, 0.0]])),
+                "covariances": _encode(np.array([[2.0, 0.25], [1.0, 4.0]]))},
+    "replay": {"weights": _encode(np.array([0.5, 0.5])),
+               "means": _encode(np.array([[-0.5, 1.0], [0.0, 3.0]])),
+               "covariances": _encode(np.array([[1.0, 0.5], [0.125, 8.0]]))},
+}).encode() + b"\n"
+
+
+def test_the_unedited_model_file_reads_back(edit_dir):
+    p = edit_dir / "valid.json"
+    p.write_bytes(VALID_MODEL)
+    pair = load_pair_model(p)
+    np.testing.assert_array_equal(pair.replay.covariances,
+                                  [[1.0, 0.5], [0.125, 8.0]])
+    save_pair_model(pair, p)
+    assert p.read_bytes() == VALID_MODEL
+
+
+@pytest.mark.filterwarnings("error")
+@given(edit=one_byte_edits(VALID_MODEL, TEXT_TOKENS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_one_byte_edit_reads_back_or_raises_model_format_error(edit_dir,
+                                                                   edit):
+    p = edit_dir / "edited.json"
+    p.write_bytes(edited(VALID_MODEL, edit))
+    try:
+        pair = load_pair_model(p)
+    except ModelFormatError as exc:
+        assert str(exc).startswith(f"{p}: ")
+    else:
+        for model in (pair.genuine, pair.replay):
+            assert model.covariances.shape == model.means.shape == (2, 2)
+            assert np.all(model.covariances > 0.0)
+            assert np.isfinite(model.means).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from byte_edits import TEXT_TOKENS, edited, one_byte_edits
 from oracles import eer_brute_force
 from replaykit.corpus import Manifest, UtteranceMeta
 from replaykit.errors import ScoreFormatError
@@ -169,3 +171,38 @@ class TestScoreFiles:
         p.write_text("u0\t1.5\treplay\n")
         with pytest.raises(ValueError, match="disagrees"):
             read_scores(p, manifest)
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("score_edits")
+
+
+# A valid two-line score file, and one edit of it.
+VALID_SCORES = b"S00-live\t1.5\tgenuine\nS00-D00\t-0.25\treplay\n"
+
+
+def test_the_unedited_score_file_reads_back(edit_dir):
+    p = edit_dir / "valid.tsv"
+    p.write_bytes(VALID_SCORES)
+    records = read_scores(p)
+    write_scores(records, p)
+    assert p.read_bytes() == VALID_SCORES
+
+
+@pytest.mark.filterwarnings("error")
+@given(edit=one_byte_edits(VALID_SCORES, TEXT_TOKENS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_one_byte_edit_reads_back_or_raises_score_format_error(edit_dir,
+                                                                   edit):
+    p = edit_dir / "edited.tsv"
+    p.write_bytes(edited(VALID_SCORES, edit))
+    try:
+        records = read_scores(p)
+    except ScoreFormatError as exc:
+        assert str(exc).startswith(f"{p}:")
+    else:
+        assert records
+        assert len({r.utt_id for r in records}) == len(records)
+        assert all(np.isfinite(r.score) and r.label in ("genuine", "replay")
+                   for r in records)

@@ -567,15 +567,15 @@ class TestExtractFeatures:
                 spec = power_spectrum(
                     frame_signal(signal, config.frame_len, config.hop),
                     SpectrumWorkspace(config.frame_len, config.n_fft))
-                want = fbank_features(spec, fb)
-                if config.feature is not FeatureKind.LOG_FBANK:
-                    want = cepstral_features(want)
+                want = fbank_features(spec, fb).values
                 if config.feature is FeatureKind.CEPSTRA_DELTA:
-                    want = append_deltas(want, config.delta_window)
+                    want = append_deltas(
+                        cepstral_features(fbank_features(spec, fb)),
+                        config.delta_window)
                 got = archive.entries[utt_id]
                 assert got.kind is config.feature
                 assert got.warp_kind is config.warp
-                np.testing.assert_array_equal(got.values, want.values)
+                np.testing.assert_array_equal(got.values, want)
 
     def test_buffer_reuse_across_utterance_lengths(self):
         # One call computes every spectrum in one set of buffers. Lengths
@@ -585,9 +585,10 @@ class TestExtractFeatures:
         rng = np.random.default_rng(SEED)
         utterances = [(f"u{i}", AudioSignal(rng.uniform(-0.9, 0.9, n)))
                       for i, n in enumerate((16000, 2000, 399, 24000))]
-        # Deltas reject the zero-frame utterance; they read no spectrum.
-        configs = [ExtractionConfig(warp, feature) for warp in WarpKind
-                   for feature in (FeatureKind.LOG_FBANK, FeatureKind.CEPSTRA)]
+        # Cepstra come with deltas, which reject the zero-frame utterance,
+        # and they read no spectrum that the log-Fbank does not.
+        configs = [ExtractionConfig(warp, FeatureKind.LOG_FBANK)
+                   for warp in WarpKind]
         archives = extract_features(iter(utterances), *configs)
         for utt_id, signal in utterances:
             alone = extract_features([(utt_id, signal)], *configs)
@@ -620,7 +621,7 @@ class TestExtractFeatures:
         for _, feats in iter_features(stream, *configs):
             alive.extend(weakref.ref(fm) for fm in feats)
             del feats
-        assert len(alive) == 4 * len(manifest)
+        assert len(alive) == (1 + len(configs)) * len(manifest)
 
     def test_configs_must_share_framing(self, utterances):
         a = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
