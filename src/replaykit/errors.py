@@ -58,11 +58,15 @@ class ArchiveFormatError(ReplaykitError, ValueError):
 class ModelFormatError(ReplaykitError, ValueError):
     """Model file is not JSON, has another format_version, lacks a key,
     holds parameters that are not base64 or disagree with its own K and d,
-    or holds parameters a mixture rejects."""
+    holds parameters a mixture rejects, or holds a full covariance that
+    is not positive-definite (`<path>: <genuine|replay>: component j
+    ...`)."""
 
 
 class ScoreFormatError(ReplaykitError, ValueError):
-    """A score TSV line is malformed or its label cannot be resolved."""
+    """A score TSV line is malformed or its label cannot be resolved. A
+    score must be written as `repr(float)` writes it, as `write_scores`
+    does: `1.5`, `-0.25`, `1e-05`, never `1_5`, ` 2 ` or `1.50`."""
 
 
 class EmptyUtteranceError(ReplaykitError, ValueError):

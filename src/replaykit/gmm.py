@@ -8,16 +8,14 @@ Variances are floored every M-step against the training data's variance
 (eigenvalue clipping in the full-covariance case), and densities go
 through log-sum-exp so far-tail frames stay finite.
 
-k-means++ (Arthur & Vassilvitskii, SODA 2007) draws each next centre with
-probability proportional to the squared distance from the nearest centre
-so far. That distance is ‖x‖² − 2x·c + ‖c‖², clipped at 0: one GEMV per
-centre against row norms taken once, where Σ(x − c)² made two more passes
-over the frames. The draw is `Generator.choice(n, p=d2 / total)`'s own, a
-cumsum scaled by its last entry and searched with one `rng.random()`,
-without choice's passes that check p, so a seed picks the same frames.
-Each Lloyd iteration takes its frames one block at a time: one GEMM, with
-the centre norms added in place, assigns them to their nearest centres,
-and one one-hot GEMM adds them to the cluster sums. A block holds
+k-means++ (Arthur & Vassilvitskii, SODA 2007) draws each next centre by
+`Generator.choice` with probability proportional to the squared distance
+from the nearest centre so far. That distance is ‖x‖² − 2x·c + ‖c‖²,
+clipped at 0: one GEMV per centre against row norms taken once, where
+Σ(x − c)² made two more passes over the frames. Each Lloyd iteration
+takes its frames one block at a time: one GEMM, with the centre norms
+added in place, assigns them to their nearest centres, and one one-hot
+GEMM adds them to the cluster sums. A block holds
 LLOYD_BLOCK_ELEMENTS // K frames, so that its (rows, K) distance and
 one-hot arrays hold at most 256 × 64 elements each, 128 KB: 256 frames
 at K=64, 8,192 at K=2. So no (n, K) array is built (14.6 MB at the
@@ -45,9 +43,9 @@ Counts, means and uncentred second moments follow from the sums, and the
 covariances are the second moments less the outer products of the means;
 the initial covariances are the same sums over the final k-means
 clusters, each block assigned to its nearest final centre as it is
-built. The data variance, from which the floor is taken, is also
-summed MOMENT_BLOCK frames at a time (`_variance`), and equals numpy's
-`var(axis=0)` bit for bit.
+built. Summed over their K columns, those sums are Σₙ [q(zₙ); zₙ; 1]
+over all frames, so the same pass gives the data variance from which
+the floor is taken (for full, the diagonal of the data covariance).
 
 MOMENT_BLOCK sets what a fit holds beyond its frames. A full block's
 features are (q + d + 1) × MOMENT_BLOCK floats, 0.77 MB at d=26 and 256
@@ -408,14 +406,12 @@ def _kmeans_init(frames: np.ndarray, k: int,
     """k-means++ spreading followed by a few Lloyd iterations, each of
     which assigns frames and takes the cluster sums one block at a time,
     LLOYD_BLOCK_ELEMENTS // k frames to a block; an empty cluster keeps
-    its centre. Spreading takes one GEMV per centre and draws as
-    `Generator.choice(n, p=d2 / total)` does (see the module docstring),
-    in buffers allocated once per call."""
+    its centre. Spreading takes one GEMV per centre into one distance
+    buffer, and draws uniformly once every distance is 0."""
     n = frames.shape[0]
     centers = np.empty((k, frames.shape[1]))
     norms = np.einsum("nd,nd->n", frames, frames)
     dist = np.empty(n)
-    cdf = np.empty(n)
 
     def sq_dist(center):
         np.matmul(frames, -2.0 * center, out=dist)
@@ -427,12 +423,8 @@ def _kmeans_init(frames: np.ndarray, k: int,
     d2 = sq_dist(centers[0]).copy()
     for j in range(1, k):
         total = d2.sum()
-        if total > 0.0:
-            np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
-            cdf /= cdf[-1]
-            centers[j] = frames[cdf.searchsorted(rng.random(), side="right")]
-        else:
-            centers[j] = frames[rng.integers(n)]
+        centers[j] = frames[rng.choice(n, p=d2 / total) if total > 0.0
+                            else rng.integers(n)]
         np.minimum(d2, sq_dist(centers[j]), out=d2)
 
     one_hot = np.eye(k)
@@ -532,24 +524,6 @@ def _feature_blocks(frames: np.ndarray, origin: np.ndarray, kind: str):
         yield start, stop, block
 
 
-def _variance(frames: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Per-dimension variance about `mean`, MOMENT_BLOCK frames at a time,
-    with no temporary as large as the frames. For C-ordered frames and
-    mean = frames.mean(axis=0) it is frames.var(axis=0) bit for bit:
-    numpy sums the squared deviations over axis 0 one row after another,
-    and here each block's sum starts from the running sum, carried as the
-    block's first row."""
-    n, d = frames.shape
-    buf = np.zeros((min(n, MOMENT_BLOCK) + 1, d))
-    for start in range(0, n, MOMENT_BLOCK):
-        stop = min(start + MOMENT_BLOCK, n)
-        rows = buf[1:stop - start + 1]
-        np.subtract(frames[start:stop], mean, out=rows)
-        np.square(rows, out=rows)
-        buf[0] = np.add.reduce(buf[:stop - start + 1], axis=0)
-    return buf[0] / n
-
-
 def _em_pass(frames: np.ndarray, origin: np.ndarray,
              density_weights: np.ndarray, kind: str
              ) -> tuple[float, np.ndarray]:
@@ -611,23 +585,25 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
             f"components")
 
     origin = frames.mean(axis=0)
-    data_var = _variance(frames, origin)
-    if covariance_kind == "diag":
-        floor = np.maximum(config.variance_floor_factor * data_var, 1e-12)
-    else:
-        floor = max(config.variance_floor_factor * float(data_var.mean()),
-                    1e-12)
-
     means = _kmeans_init(frames, n_comp, np.random.default_rng(seed))
     # The initial covariances are the moments of the final k-means
-    # clusters, one block of one-hot responsibilities at a time.
+    # clusters, one block of one-hot responsibilities at a time. Summed
+    # over the clusters, the same sums give the data variance.
     one_hot = np.eye(n_comp)
     sums = sum(block @ one_hot[_nearest(frames[start:stop], means)]
                for start, stop, block
                in _feature_blocks(frames, origin, covariance_kind))
     counts, _, covariances = _estimates(sums, origin, covariance_kind)
-    covariances[counts < 2] = (data_var if covariance_kind == "diag"
-                               else np.diag(data_var))
+    (data_cov,) = _estimates(sums.sum(axis=1, keepdims=True), origin,
+                             covariance_kind)[2]
+    if covariance_kind == "diag":
+        covariances[counts < 2] = data_cov
+        floor = np.maximum(config.variance_floor_factor * data_cov, 1e-12)
+    else:
+        data_var = np.diagonal(data_cov)
+        covariances[counts < 2] = np.diag(data_var)
+        floor = max(config.variance_floor_factor * float(data_var.mean()),
+                    1e-12)
 
     # Each pass floors the current estimates, then stops at max_iters or
     # runs the E-step on them and stops on convergence, or else takes the
@@ -691,8 +667,11 @@ def _gmm_from_dict(doc: dict, name: str, covariance_kind: str, k: int, d: int,
                 raise ValueError(f"{key} holds {len(raw)} bytes, not the "
                                  f"{size} of shape {shape} for K={k}, d={d}")
             arrays.append(np.frombuffer(raw, "<f8").reshape(shape))
-        return Gmm(*arrays, covariance_kind)
-    except (TypeError, ValueError) as exc:
+        model = Gmm(*arrays, covariance_kind)
+        if covariance_kind == "full":
+            _cholesky(model.covariances)
+        return model
+    except (TypeError, ValueError, SingularComponentError) as exc:
         raise ModelFormatError(f"{path}: {name}: {exc}") from exc
 
 
@@ -725,9 +704,11 @@ def load_pair_model(path) -> GmmPairModel:
     Bytes that are not UTF-8 JSON or not an object, a `format_version`
     other than MODEL_FORMAT_VERSION (older files, which record no
     extraction config, included), a missing key, and parameters that
-    are not base64, hold a byte count that disagrees with K and d, or
-    fail `Gmm`'s checks raise ModelFormatError naming the file; a
-    missing file raises FileNotFoundError `<path>: no such file`.
+    are not base64, hold a byte count that disagrees with K and d, fail
+    `Gmm`'s checks, or hold a full covariance without a Cholesky factor
+    raise ModelFormatError naming the file (and the mixture, for its
+    parameters); a missing file raises FileNotFoundError `<path>: no
+    such file`.
     """
     try:
         doc = json.loads(existing_file(path).read_text(encoding="utf-8"))

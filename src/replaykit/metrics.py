@@ -81,9 +81,9 @@ def write_scores(records: list[ScoreRecord], path) -> None:
 
 def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
     """Read a score TSV; '-' labels are filled from the manifest if given.
-    A malformed line or a repeated utterance id raises ScoreFormatError
-    naming the line, and a missing file FileNotFoundError `<path>: no
-    such file`."""
+    A malformed line, a score not written as `write_scores` writes it, or
+    a repeated utterance id raises ScoreFormatError naming the line, and
+    a missing file FileNotFoundError `<path>: no such file`."""
     labels = {r.utt_id: r.label for r in manifest} if manifest else {}
     try:
         lines = existing_file(path).read_text(encoding="utf-8").splitlines()
@@ -111,7 +111,13 @@ def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
             elif utt_id in labels and labels[utt_id] != label:
                 raise ValueError(f"label {label!r} disagrees with manifest "
                                  f"{labels[utt_id]!r}")
-            records.append(ScoreRecord(utt_id, float(score), label))
+            value = float(score)
+            # float() also takes '1_5' and ' 2 ', which write_scores never
+            # writes: a score must read back as its own repr.
+            if repr(value) != score:
+                raise ValueError(f"score {score!r} is not written as "
+                                 f"repr(float), which gives {value!r}")
+            records.append(ScoreRecord(utt_id, value, label))
         except ValueError as exc:
             raise ScoreFormatError(f"{path}:{lineno}: {exc}") from exc
     if not records:

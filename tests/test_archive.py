@@ -1,10 +1,13 @@
 import gc
+import json
 import struct
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from byte_edits import TEXT_TOKENS, edited, one_byte_edits
 
 from replaykit.archive import (ArchiveReader, ArchiveWriter, FeatureArchive,
                                read_archive, write_archive)
@@ -398,3 +401,48 @@ class TestNonFiniteStoredValues:
                     read("u1")
                 assert str(info.value) == (f"{p}: entry 'u1' holds "
                                            f"non-finite values")
+
+
+# A valid two-entry archive, laid out by hand, and one edit of it.
+_EDIT_CONFIG = {"bands": 3, "feature": "fbank", "warp": "linear"}
+_EDIT_HEADER = json.dumps({"config": _EDIT_CONFIG, "feature_kind": "L-Fbank"},
+                          sort_keys=True).encode()
+_EDIT_VALUES = {"a": np.arange(6, dtype="<f4").reshape(2, 3) / 4,
+                "b": np.full((1, 3), -1.5, dtype="<f4")}
+VALID_ARCHIVE = (b"RPFA" + struct.pack("<HI", 1, len(_EDIT_HEADER))
+                 + _EDIT_HEADER
+                 + b"".join(struct.pack("<H", len(u)) + u.encode()
+                            + struct.pack("<II", *v.shape) + v.tobytes()
+                            for u, v in _EDIT_VALUES.items()))
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("archive_edits")
+
+
+def test_the_unedited_archive_is_what_the_writer_writes(edit_dir):
+    p = edit_dir / "valid.rpfa"
+    with ArchiveWriter(p, "L-Fbank", _EDIT_CONFIG) as writer:
+        for utt_id, values in _EDIT_VALUES.items():
+            writer.add(utt_id, _fm(values))
+    assert p.read_bytes() == VALID_ARCHIVE
+
+
+@pytest.mark.filterwarnings("error")
+@given(edit=one_byte_edits(VALID_ARCHIVE, TEXT_TOKENS))
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_any_one_byte_edit_reads_back_or_raises_archive_format_error(
+        edit_dir, edit):
+    p = edit_dir / "edited.rpfa"
+    p.write_bytes(edited(VALID_ARCHIVE, edit))
+    try:
+        with ArchiveReader(p) as reader:
+            entries = list(reader)
+    except ArchiveFormatError as exc:
+        assert str(exc).startswith(f"{p}: ")
+    else:
+        assert [u for u, _ in entries] == list(reader.frame_counts)
+        for utt_id, fm in entries:
+            assert fm.n_frames == reader.frame_counts[utt_id]
+            assert np.isfinite(fm.values).all()

@@ -208,6 +208,30 @@ class TestFailures:
              "--model", bad, "--out", tmp_path / "s.tsv"])
         assert line == f"error: {bad}: missing key 'genuine'"
 
+    def test_model_with_a_covariance_that_is_not_positive_definite(
+            self, work, tmp_path):
+        # The trained diagonal pair rewritten as a full one, one replay
+        # covariance set to -I: score names the file and the mixture.
+        doc = json.loads((work / "model.json").read_text())
+        k, d = doc["K"], doc["d"]
+        doc["covariance_kind"] = "full"
+        for side in ("genuine", "replay"):
+            diag = np.frombuffer(base64.b64decode(doc[side]["covariances"]),
+                                 "<f8").reshape(k, d)
+            full = diag[:, :, None] * np.eye(d)
+            if side == "replay":
+                full[1] = -np.eye(d)
+            doc[side]["covariances"] = base64.b64encode(
+                full.astype("<f8").tobytes()).decode("ascii")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        line = self._single_error_line(
+            ["score", "--archive", work / "mel_cepstra-delta.rpfa",
+             "--model", bad, "--out", tmp_path / "s.tsv"])
+        assert line == (f"error: {bad}: replay: component 1 covariance is "
+                        f"not positive-definite")
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_model_of_another_feature_kind(self, work, tmp_path):
         # Inverted-Mel and Mel cepstra with deltas share d, so only the
         # feature kind tells this model and archive apart.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from byte_edits import edited, one_byte_edits
+from byte_edits import TEXT_TOKENS, edited, one_byte_edits
 
 from replaykit.corpus import (
     HARMONIC_BLOCK,
@@ -222,7 +222,7 @@ class TestWavLayouts:
 
 @pytest.fixture(scope="module")
 def edit_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("wav_edits")
+    return tmp_path_factory.mktemp("byte_edits")
 
 
 # A valid 8-sample WAV, and one edit of it.
@@ -329,6 +329,38 @@ class TestManifest:
         p = tmp_path / "m.tsv"
         write_manifest(m, p)
         assert parse_manifest(p).records == m.records
+
+
+# A valid two-row manifest, and one edit of it.
+VALID_MANIFEST = (
+    b"utt_id\taudio_path\tlabel\tspeaker_id\tphrase_id\tdevice_id\n"
+    b"S00-P00-live\taudio/a.wav\tgenuine\tS00\tP00\t-\n"
+    b"S00-P00-D01\taudio/b.wav\treplay\tS00\tP00\tD01\n")
+
+
+def test_the_unedited_manifest_reads_back(edit_dir):
+    p = edit_dir / "valid.tsv"
+    p.write_bytes(VALID_MANIFEST)
+    write_manifest(parse_manifest(p), p)
+    assert p.read_bytes() == VALID_MANIFEST
+
+
+@pytest.mark.filterwarnings("error")
+@given(edit=one_byte_edits(VALID_MANIFEST, TEXT_TOKENS))
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_any_one_byte_edit_reads_back_or_raises_manifest_error(
+        edit_dir, edit):
+    p = edit_dir / "edited.tsv"
+    p.write_bytes(edited(VALID_MANIFEST, edit))
+    try:
+        manifest = parse_manifest(p)
+    except ManifestError:
+        pass
+    else:
+        # What was accepted is a manifest that writes and reads back.
+        q = edit_dir / "rewritten.tsv"
+        write_manifest(manifest, q)
+        assert parse_manifest(q).records == manifest.records
 
 
 class TestDeviceProfile:

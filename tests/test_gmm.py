@@ -29,7 +29,6 @@ from replaykit.gmm import (
     _kmeans_init,
     _logsumexp,
     _stacked_densities,
-    _variance,
     _weighted_log_densities,
     load_pair_model,
     save_pair_model,
@@ -336,6 +335,25 @@ class TestModelPersistence:
         np.testing.assert_array_equal(
             np.frombuffer(raw, "<f8").reshape(2, 3, 3),
             pair.genuine.covariances)
+
+    def test_covariance_that_is_not_positive_definite(self, tmp_path):
+        # -I passes every check of Gmm's but has no Cholesky factor, so
+        # scoring would fail naming neither the file nor the mixture.
+        rng = np.random.default_rng(13)
+        g, r = (train_gmm(rng.normal(shift, 1, size=(160, 3)), 8, "full",
+                          TrainConfig(max_iters=2), seed=1)
+                for shift in (0, 2))
+        p = tmp_path / "model.json"
+        save_pair_model(GmmPairModel(g, r, "LFCC+D", {}), p)
+        doc = json.loads(p.read_text())
+        covariances = r.covariances.copy()
+        covariances[3] = -np.eye(3)
+        doc["replay"]["covariances"] = _encode(covariances)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value) == (f"{p}: replay: component 3 covariance "
+                                   f"is not positive-definite")
 
     @pytest.mark.parametrize("key", ["genuine", "K", "covariance_kind",
                                      "extraction_config"])
@@ -687,8 +705,8 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("seed", range(4))
     def test_kmeans_pp_picks_what_choice_picks(self, monkeypatch, n, k,
                                                seed):
-        # The seeding's GEMV distances and cumsum/searchsorted draw pick
-        # the frames that exact distances and Generator.choice(p=) pick.
+        # The seeding's GEMV distances, drawn from by Generator.choice,
+        # pick the frames that exact distances pick.
         frames = np.random.default_rng(900 + n).normal(
             0.0, [1.0] * 13 + [10.0] * 13, size=(n, 26))
         monkeypatch.setattr("replaykit.gmm.KMEANS_ITERS", 0)
@@ -839,15 +857,23 @@ class TestAgainstOracles:
 
 
 class TestNumericsGuards:
-    @pytest.mark.parametrize("n", [1, MOMENT_BLOCK - 1, MOMENT_BLOCK,
+    @pytest.mark.parametrize("n", [MOMENT_BLOCK - 1, MOMENT_BLOCK,
                                    MOMENT_BLOCK + 1, 1776, 9960, 28512])
-    def test_blocked_variance_is_numpys_bit_for_bit(self, n):
-        # The variance floor takes its bits from the data variance.
+    @pytest.mark.parametrize("kind", ["diag", "full"])
+    def test_one_component_init_covariance_is_numpys_variance(self, kind, n):
+        # The variance floor is taken from the data variance that the init
+        # pass's moment sums give, summed over their components. At K=1
+        # that is the one initial covariance (its diagonal for full), which
+        # must be numpy's variance to within rounding of the block sums:
+        # at most 8.8e-15 relative (diag) and 9.9e-14 (full, through the
+        # floor's eigendecomposition) over these sizes.
         rng = np.random.default_rng(n)
         frames = rng.normal(rng.normal(0.0, 50.0, 26),
                             rng.uniform(0.1, 10.0, 26), size=(n, 26))
-        np.testing.assert_array_equal(_variance(frames, frames.mean(axis=0)),
-                                      frames.var(axis=0))
+        fit = train_gmm(frames, 1, kind, TrainConfig(max_iters=0))
+        got = (fit.covariances[0] if kind == "diag"
+               else np.diagonal(fit.covariances[0]))
+        np.testing.assert_allclose(got, frames.var(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_a_small_fit_holds_less_than_half_its_frames(self, kind):

@@ -139,6 +139,14 @@ class TestScoreFiles:
         ("u1\tnan\treplay", "not finite"),
         ("u1\t1.0\tspoof", "unknown label"),
         ("u1\t1.0", "expected 3 fields"),
+        # float() reads these, but write_scores writes none of them.
+        ("u1\t1_5\treplay", "score '1_5' is not written as repr(float)"),
+        ("u1\t 2 \treplay", "score ' 2 ' is not written as repr(float)"),
+        ("u1\t2 \treplay", "score '2 ' is not written as repr(float)"),
+        ("u1\t1.50\treplay", "score '1.50' is not written as repr(float)"),
+        ("u1\t+1.5\treplay", "score '+1.5' is not written as repr(float)"),
+        ("u1\t2\treplay", "score '2' is not written as repr(float)"),
+        ("u1\t1E-05\treplay", "score '1E-05' is not written as repr(float)"),
     ])
     def test_bad_line_reports_path_and_line(self, tmp_path, row, message):
         p = tmp_path / "scores.tsv"
@@ -191,7 +199,7 @@ def test_the_unedited_score_file_reads_back(edit_dir):
 
 
 @pytest.mark.filterwarnings("error")
-@given(edit=one_byte_edits(VALID_SCORES, TEXT_TOKENS))
+@given(edit=one_byte_edits(VALID_SCORES, TEXT_TOKENS + (b"_", b" ")))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_any_one_byte_edit_reads_back_or_raises_score_format_error(edit_dir,
                                                                    edit):
