@@ -8,8 +8,13 @@ does) is refused before the command reads it.
 What each command holds in memory at once, beyond its own output:
 - `synth`: the corpus stream's state (`corpus.CorpusSignals`) and one
   signal, whose WAV is written before the next is made;
-- `extract`: one waveform and its features, streamed into the archive's
-  writer, which renames the file into place only when every entry is in;
+- `extract`: two utterances' waveforms and features. The calling thread
+  and one worker thread take alternate utterances (`iter_features`),
+  each reading its own WAVs. Features are streamed into the archive's
+  writer in manifest order, and the writer renames the file into place
+  only when every entry is in. An error is raised at its utterance's
+  place in that order, so the earliest bad WAV is the one named. The
+  worker is joined before the command returns or raises;
 - `probe`: one archive entry, whose per-utterance moments it keeps;
 - `train`: one archive entry and one pool. The genuine pool is allocated
   once from the frame counts the reader scanned, filled in manifest
@@ -34,9 +39,11 @@ to a study's but not bit-identical (`replaykit.study` gives the gap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import archive as archive_mod
@@ -108,11 +115,17 @@ def _cmd_extract(args) -> None:
         hop=int(round(args.hop_ms * SAMPLES_PER_MS)),
         n_fft=args.nfft,
         delta_window=args.delta_window)
-    utterances = ((rec.utt_id, corpus_mod.read_wav(path))
+    # Each WAV is read on the thread that computes its utterance.
+    utterances = ((rec.utt_id, functools.partial(corpus_mod.read_wav, path))
                   for rec, path in zip(manifest, wav_paths))
     tag = feature_tag(config.warp, config.feature)
-    with archive_mod.ArchiveWriter(args.out, tag, config.to_dict()) as writer:
-        for utt_id, (fm,) in iter_features(utterances, config):
+    # The pool is shut down, its thread joined, after the writer has put
+    # its archive in place or removed its partial file.
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="replaykit") as pool, \
+            archive_mod.ArchiveWriter(args.out, tag,
+                                      config.to_dict()) as writer:
+        for utt_id, (fm,) in iter_features(utterances, config, pool=pool):
             writer.add(utt_id, fm)
     print(f"wrote {len(manifest)} {tag} entries to {args.out}")
 

@@ -295,7 +295,9 @@ def write_wav(signal: AudioSignal, path) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_manifest(path) -> Manifest:
-    """Read a TSV manifest with the exact six-column header."""
+    """Read a TSV manifest with the exact six-column header. A row that is
+    refused, by these checks or `UtteranceMeta`'s, or that repeats an
+    earlier utt_id, raises ManifestError naming the file and its line."""
     path = existing_file(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -309,6 +311,7 @@ def parse_manifest(path) -> Manifest:
             f"{path}: bad header, missing column or wrong order; expected "
             f"{list(MANIFEST_COLUMNS)}")
     records = []
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -317,7 +320,16 @@ def parse_manifest(path) -> Manifest:
             raise ManifestError(
                 f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} fields, "
                 f"got {len(fields)}")
-        records.append(UtteranceMeta(*fields))
+        try:
+            rec = UtteranceMeta(*fields)
+        except ManifestError as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from None
+        if rec.utt_id in first_lines:
+            raise ManifestError(
+                f"{path}:{lineno}: duplicate utt_id {rec.utt_id!r}, first "
+                f"on line {first_lines[rec.utt_id]}")
+        first_lines[rec.utt_id] = lineno
+        records.append(rec)
     if not records:
         raise ManifestError(f"{path}: manifest has no records")
     return Manifest(records)

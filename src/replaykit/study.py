@@ -125,31 +125,59 @@ class ExtractionConfig:
     n_fft: int = 512
     delta_window: int = 2
 
+    def __post_init__(self):
+        # The checks and messages of the stages that use each value, made
+        # here first, so that a bad config fails before any utterance is
+        # read. The framing check also refuses a frame_len below 1.
+        if not 0 < self.hop <= self.frame_len:
+            raise ValueError(f"invalid framing: need 0 < hop <= frame_len, "
+                             f"got hop={self.hop}, frame_len={self.frame_len}")
+        if self.n_fft < self.frame_len:
+            raise ValueError(f"n_fft ({self.n_fft}) smaller than frame length "
+                             f"({self.frame_len})")
+        if self.n_fft & (self.n_fft - 1):
+            raise ValueError(f"n_fft must be a power of two, got {self.n_fft}")
+        if self.bands < 1:
+            raise ValueError("M must be >= 1")
+        if self.delta_window < 1:
+            raise ValueError("window must be >= 1")
+
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "warp": self.warp.value,
                 "feature": self.feature.value}
 
 
-def iter_features(utterances, *configs: ExtractionConfig
+def iter_features(utterances, *configs: ExtractionConfig, pool=None
                   ) -> Iterator[tuple[str, list[FeatureMatrix]]]:
     """Run (utt_id, signal) pairs through framing, spectra and filterbank
     and, under a cepstra-delta config, the DCT and the deltas, which always
     come together; yield (utt_id, one feature matrix per config, in config
-    order) for each pair as it is read.
+    order) for each pair, in input order. A pair's signal may also be a
+    function of no arguments that returns it, such as a WAV read; it is
+    called on the thread that computes the utterance.
 
     The configs must share one framing (frame_len, hop, n_fft), which is
     checked when iteration starts; each utterance's spectrogram and each
-    (warp, bands) log-Fbank is computed once. Pairs are taken one at a
-    time, so a lazy generator holds one waveform at once, and nothing
-    here keeps a yielded matrix.
+    (warp, bands) log-Fbank is computed once. Nothing here keeps a yielded
+    matrix.
+
+    With no `pool`, the calling thread computes every utterance, taking
+    the pairs one at a time, so a lazy generator holds one waveform at
+    once. Given a pool (`replaykit extract` passes one of one thread), its
+    worker computes utterances 0, 2, 4, ... while the caller computes 1,
+    3, 5, ..., so two utterances are in hand at once; the caller takes
+    the worker's result before yielding its own, and submits no more work
+    until both are yielded. An exception is raised at its utterance's
+    place in the order: the earliest failing utterance is the one named.
+    Every matrix is bit for bit what the inline loop gives.
 
     An utterance shorter than one frame gets a 0-frame log-Fbank matrix;
     under a cepstra-delta config it raises EmptyUtteranceError naming it.
 
-    The pass owns one `SpectrumWorkspace`, sized to its longest utterance,
-    and computes every spectrum in it. Each spectrum stays valid only
-    until the next utterance's, so it is turned into filterbank energies
-    at once and never kept.
+    Each thread of the pass owns one `SpectrumWorkspace`, sized to the
+    longest utterance it computes, and computes its spectra in it. Each
+    spectrum stays valid only until that thread's next, so it is turned
+    into filterbank energies at once and never kept.
     """
     framing = {(c.frame_len, c.hop, c.n_fft) for c in configs}
     if len(framing) != 1:
@@ -158,10 +186,12 @@ def iter_features(utterances, *configs: ExtractionConfig
     frame_len, hop, n_fft = framing.pop()
     banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft)
              for c in configs}
-    workspace = SpectrumWorkspace(frame_len, n_fft)
-    for utt_id, signal in utterances:
-        spec = power_spectrum(frame_signal(signal, frame_len, hop),
-                              workspace)
+
+    def features(utt_id, signal, workspace):
+        """One utterance from its source to (utt_id, its matrices)."""
+        if callable(signal):
+            signal = signal()
+        spec = power_spectrum(frame_signal(signal, frame_len, hop), workspace)
         fbanks = {key: fbank_features(spec, fb) for key, fb in banks.items()}
         feats = []
         for config in configs:
@@ -176,10 +206,39 @@ def iter_features(utterances, *configs: ExtractionConfig
                     append_deltas(cepstral_features(fm), config.delta_window),
                     FeatureKind.CEPSTRA_DELTA, config.warp)
             feats.append(fm)
-        yield utt_id, feats
-        # Dropped before the next pair is taken: a lazy source makes the
-        # next signal then, and both would be held at once.
-        del signal, spec, fbanks, feats, fm
+        return utt_id, feats
+
+    workspace = SpectrumWorkspace(frame_len, n_fft)
+    if pool is None:
+        for utt_id, signal in utterances:
+            result = features(utt_id, signal, workspace)
+            # Dropped before the next pair is taken: a lazy source makes
+            # the next signal then, and both would be held at once.
+            del signal
+            yield result
+            del result
+        return
+
+    theirs = SpectrumWorkspace(frame_len, n_fft)
+    items = iter(utterances)
+    end = object()
+    while (first := next(items, end)) is not end:
+        ahead = pool.submit(features, *first, theirs)
+        del first
+        try:
+            second = next(items, end)
+            mine = None if second is end else features(*second, workspace)
+            del second
+        except Exception:
+            # The worker's utterance comes first in the order: its result
+            # goes out, or its own error is raised, before this one.
+            yield ahead.result()
+            raise
+        yield ahead.result()
+        if mine is None:
+            return
+        yield mine
+        del mine
 
 
 def extract_features(utterances, *configs: ExtractionConfig

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import shutil
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ import pytest
 from replaykit import cli
 from replaykit.archive import FeatureArchive, read_archive, write_archive
 from replaykit.corpus import (AudioSignal, Manifest, UtteranceMeta,
-                              parse_manifest, synth_corpus, write_manifest,
-                              write_wav)
+                              parse_manifest, read_wav, synth_corpus,
+                              write_manifest, write_wav)
 from replaykit.errors import ArchiveFormatError, FeatureMismatchError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import MomentTable, probe_factor
@@ -452,6 +454,112 @@ class TestFailures:
         assert str(info.value) == \
             "archive lacks features for ['S09-P00-R0-live']"
         assert not (tmp_path / "model.json").exists()
+
+
+class TestTwoWayExtract:
+    """`replaykit extract` computes alternate utterances on the calling
+    thread and one worker thread; the archive, the error named and the
+    threads left must be those of a pass on one thread."""
+
+    @pytest.fixture
+    def corpus(self, work, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(work / "corpus", corpus)
+        return corpus
+
+    @staticmethod
+    def _extract(manifest, out, *flags, feature="fbank"):
+        return _run("extract", "--manifest", manifest, "--warp", "mel",
+                    "--feature", feature, "--out", out, *flags)
+
+    @pytest.mark.parametrize("feature", list(FeatureKind))
+    def test_archive_equals_the_inline_pass(self, work, feature):
+        manifest = work / "corpus" / "manifest.tsv"
+        records = parse_manifest(manifest).records
+        (inline,) = extract_features(
+            ((r.utt_id, read_wav(manifest.parent / r.audio_path))
+             for r in records), ExtractionConfig(WarpKind.MEL, feature))
+        stored = read_archive(work / f"mel_{feature.value}.rpfa")
+        assert list(stored.entries) == [r.utt_id for r in records]
+        for utt_id, fm in inline.entries.items():
+            assert stored.entries[utt_id].values.astype("<f4").tobytes() == \
+                fm.values.astype("<f4").tobytes()
+
+    def test_each_wav_is_read_on_the_thread_that_computes_it(
+            self, corpus, tmp_path, monkeypatch):
+        readers = {}
+        real_read_wav = cli.corpus_mod.read_wav
+
+        def read_wav_recording(path):
+            readers[Path(path).name] = threading.current_thread()
+            return real_read_wav(path)
+
+        monkeypatch.setattr(cli.corpus_mod, "read_wav", read_wav_recording)
+        manifest = corpus / "manifest.tsv"
+        code, _, err = self._extract(manifest, tmp_path / "x.rpfa")
+        assert code == 0, err
+        records = parse_manifest(manifest).records
+        threads = [readers[Path(r.audio_path).name] for r in records]
+        assert all(t is threading.main_thread() for t in threads[1::2])
+        assert all(t.name.startswith("replaykit") for t in threads[0::2])
+
+    @pytest.mark.parametrize("rows", [(0,), (1,), (0, 1), (1, 2)])
+    def test_the_earliest_corrupt_wav_is_named(self, corpus, tmp_path, rows):
+        manifest = corpus / "manifest.tsv"
+        records = parse_manifest(manifest).records
+        for row in rows:
+            (corpus / records[row].audio_path).write_bytes(
+                b"not a RIFF file\n")
+        out = tmp_path / "x.rpfa"
+        code, stdout, err = self._extract(manifest, out)
+        wav = corpus / records[min(rows)].audio_path
+        assert (code, stdout, err) == \
+            (1, "", f"error: {wav}: not a RIFF/WAVE file\n")
+        assert not out.exists()
+        assert not out.with_name("x.rpfa.partial").exists()
+
+    def test_threads_joined_and_no_partial_left(self, corpus, tmp_path):
+        manifest = corpus / "manifest.tsv"
+        records = parse_manifest(manifest).records
+        before = len(threading.enumerate())
+        code, _, err = self._extract(manifest, tmp_path / "ok.rpfa")
+        assert code == 0, err
+        assert len(threading.enumerate()) == before
+        # A WAV that fails to read, on the worker's side, and an utterance
+        # too short for deltas, on the caller's.
+        (corpus / records[2].audio_path).write_bytes(b"not a RIFF file\n")
+        write_wav(AudioSignal(np.zeros(399)), corpus / records[1].audio_path)
+        for feature in ("fbank", "cepstra-delta"):
+            code, _, err = self._extract(manifest, tmp_path / f"{feature}.rpfa",
+                                         feature=feature)
+            assert code == 1, err
+            assert len(threading.enumerate()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["corpus", "ok.rpfa"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--frame-ms", 0, "invalid framing: need 0 < hop <= frame_len, "
+                          "got hop=160, frame_len=0"),
+        ("--hop-ms", 0, "invalid framing: need 0 < hop <= frame_len, "
+                        "got hop=0, frame_len=400"),
+        ("--hop-ms", 30, "invalid framing: need 0 < hop <= frame_len, "
+                         "got hop=480, frame_len=400"),
+        ("--nfft", 256, "n_fft (256) smaller than frame length (400)"),
+        ("--nfft", 768, "n_fft must be a power of two, got 768"),
+        ("--bands", 0, "M must be >= 1"),
+        ("--delta-window", 0, "window must be >= 1"),
+    ])
+    def test_a_bad_flag_fails_before_any_wav_is_read(
+            self, work, tmp_path, flag, value, message):
+        # The manifest alone, without its WAVs: the flag must be refused
+        # before the first of them is looked for.
+        manifest = tmp_path / "manifest.tsv"
+        shutil.copy(work / "corpus" / "manifest.tsv", manifest)
+        out = tmp_path / "x.rpfa"
+        assert self._extract(manifest, out, flag, value,
+                             feature="cepstra-delta") == \
+            (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [manifest]
 
 
 class TestStreamsAsInMemory:

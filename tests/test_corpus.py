@@ -321,6 +321,23 @@ class TestManifest:
         with pytest.raises(ManifestError, match="needs a device_id"):
             parse_manifest(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["u1\ta.wav\tGenuine\tS01\tP03\t-"], "2: unknown label 'Genuine'"),
+        (["u1\ta.wav\tgenuine\tS01\tP03\t-",
+          "u2\tb.wav\treplay\tS01\tP03\tD00",
+          "u1\ta.wav\tgenuine\tS01\tP03\t-"],
+         "4: duplicate utt_id 'u1', first on line 2"),
+        (["u0\tz.wav\tgenuine\tS01\tP03\t-", "",
+          "u1\ta.wav\tgenuine\tS01\tP03\tD00"],
+         "4: genuine utterance 'u1' must use device_id '-'"),
+    ])
+    def test_a_refused_row_is_named_by_file_and_line(self, tmp_path, rows,
+                                                      message):
+        p = self._write(tmp_path, [self.HEADER] + rows)
+        with pytest.raises(ManifestError) as info:
+            parse_manifest(p)
+        assert str(info.value) == f"{p}:{message}"
+
     def test_write_then_parse_is_identity(self, tmp_path):
         m = Manifest([
             UtteranceMeta("u1", "a.wav", "genuine", "S00", "P00", "-"),
