@@ -51,8 +51,6 @@ from .fratio import (
     MomentTable,
     ProbeReport,
     compare_datasets,
-    fratio,
-    pattern_dispersion,
     probe_factor,
 )
 from .gmm import (

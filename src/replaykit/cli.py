@@ -8,13 +8,16 @@ does) is refused before the command reads it.
 What each command holds in memory at once, beyond its own output:
 - `synth`: the corpus stream's state (`corpus.CorpusSignals`) and one
   signal, whose WAV is written before the next is made;
-- `extract`: two utterances' waveforms and features. The calling thread
-  and one worker thread take alternate utterances (`iter_features`),
-  each reading its own WAVs. Features are streamed into the archive's
-  writer in manifest order, and the writer renames the file into place
-  only when every entry is in. An error is raised at its utterance's
-  place in that order, so the earliest bad WAV is the one named. The
-  worker is joined before the command returns or raises;
+- `extract`: two utterances' waveforms and features. The manifest's
+  even rows and its odd rows each go through an inline `iter_features`
+  pass that reads each WAV as it takes the row; one worker thread runs
+  the even pass one row ahead (`study._read_ahead`), the calling thread
+  the odd one, and `_alternate` takes their results in turn. Features
+  are streamed into the archive's writer in manifest order, and the
+  writer renames the file into place only when every entry is in. An
+  error is raised at its utterance's place in that order, so the
+  earliest bad WAV is the one named. The worker is joined before the
+  command returns or raises;
 - `probe`: one archive entry, whose per-utterance moments it keeps;
 - `train`: one archive entry and one pool. The genuine pool is allocated
   once from the frame counts the reader scanned, filled in manifest
@@ -39,7 +42,6 @@ to a study's but not bit-identical (`replaykit.study` gives the gap).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -57,6 +59,7 @@ from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_sc
 from .study import (  # noqa: F401
     ExtractionConfig,
     StudyConfig,
+    _read_ahead,
     extract_features,
     feature_tag,
     iter_features,
@@ -101,6 +104,19 @@ def _cmd_synth(args) -> None:
           f"{len(manifest.replay_records())} replay utterances to {args.out}")
 
 
+def _alternate(first, second):
+    """Yield the items of `first` and `second` in turn, starting with
+    `first`, until either runs out, so `first` may hold one item more.
+    An error from either is raised when its place in that order comes."""
+    end = object()
+    second = iter(second)
+    for item in first:
+        yield item
+        if (item := next(second, end)) is end:
+            return
+        yield item
+
+
 def _cmd_extract(args) -> None:
     manifest_path = Path(args.manifest)
     _refuse_overwriting_inputs(args.out, [manifest_path])
@@ -115,17 +131,26 @@ def _cmd_extract(args) -> None:
         hop=int(round(args.hop_ms * SAMPLES_PER_MS)),
         n_fft=args.nfft,
         delta_window=args.delta_window)
-    # Each WAV is read on the thread that computes its utterance.
-    utterances = ((rec.utt_id, functools.partial(corpus_mod.read_wav, path))
-                  for rec, path in zip(manifest, wav_paths))
     tag = feature_tag(config.warp, config.feature)
+
+    def inline_pass(rows):
+        """`iter_features` over `rows`, each WAV read as its row is taken,
+        on the thread that takes it."""
+        return iter_features(((rec.utt_id, corpus_mod.read_wav(path))
+                              for rec, path in rows), config)
+
+    rows = list(zip(manifest, wav_paths))
     # The pool is shut down, its thread joined, after the writer has put
     # its archive in place or removed its partial file.
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="replaykit") as pool, \
             archive_mod.ArchiveWriter(args.out, tag,
                                       config.to_dict()) as writer:
-        for utt_id, (fm,) in iter_features(utterances, config, pool=pool):
+        # Two inline passes: the worker computes rows 0, 2, 4, ..., each
+        # while the caller computes the row before it, 1, 3, 5, ...
+        for utt_id, (fm,) in _alternate(
+                _read_ahead(inline_pass(rows[0::2]), pool),
+                inline_pass(rows[1::2])):
             writer.add(utt_id, fm)
     print(f"wrote {len(manifest)} {tag} entries to {args.out}")
 

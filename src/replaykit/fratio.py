@@ -1,12 +1,13 @@
 """Per-band discriminability ratios and variability-factor probing.
 
-`fratio` gives, per band, the squared distance between the genuine and
-replay class means over the sum of their population (1/N) variances: a
-fingerprint of where the two classes separate. `probe_factor` computes
-one per value of a factor (speaker, phrase, device) and `compare_datasets`
-one per dataset (train, heldout), each over one archive's features; the
-dispersion of the normalized fingerprints measures how much the factor
-shifts the discriminative picture.
+The F-ratio gives, per band, the squared distance between the genuine
+and replay class means over the sum of their population (1/N)
+variances: a fingerprint of where the two classes separate.
+`probe_factor` computes one pattern of them per value of a factor
+(speaker, phrase, device) and `compare_datasets` one per dataset (train,
+heldout), each over one archive's features; the dispersion of the
+normalized patterns measures how much the factor shifts the
+discriminative picture.
 
 The probes read no frames. They take an archive's `MomentTable`, to which
 each utterance's log-Fbank frames are added as they are made or read
@@ -140,19 +141,6 @@ def _stack(rows, dim: int) -> tuple[np.ndarray, ...]:
               for c in columns))
 
 
-def fratio(genuine, replay) -> np.ndarray:
-    """Between-class distance over summed within-class variance, per band,
-    of two frames-by-bands arrays."""
-    g = np.asarray(genuine, dtype=np.float64)
-    r = np.asarray(replay, dtype=np.float64)
-    _check_sizes(g.shape[0], r.shape[0])
-    if g.shape[1] != r.shape[1]:
-        raise ValueError(f"band counts differ: {g.shape[1]} vs {r.shape[1]}")
-    return _ratio(*(_moments(_stack([_utterance_moments(x, 0.0)],
-                                    x.shape[1]), x.shape[0])
-                    for x in (g, r)))
-
-
 def _moments(stats, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-band mean and population (1/n) variance of the n frames that
     per-utterance (count, sums, centre, m2) rows describe, without the
@@ -174,7 +162,9 @@ def _check_sizes(n_g: int, n_r: int) -> None:
 
 
 def _ratio(genuine_moments, replay_moments) -> np.ndarray:
-    """`fratio` from each class's (mean, variance)."""
+    """The per-band F-ratio from each class's (mean, variance): the
+    squared distance between the class means over the sum of their
+    variances."""
     (mean_g, var_g), (mean_r, var_r) = genuine_moments, replay_moments
     denom = var_g + var_r
     bad = np.flatnonzero(denom < DEGENERATE_DENOMINATOR)
@@ -188,15 +178,10 @@ def _ratio(genuine_moments, replay_moments) -> np.ndarray:
     return values
 
 
-def pattern_dispersion(patterns: list[FRatioPattern]) -> float:
-    """Shape spread across patterns: the per-band population standard
-    deviation of their unit-L1 shapes, averaged over bands."""
-    return _spread(patterns)[0]
-
-
 def _spread(patterns: list[FRatioPattern]) -> tuple[float, np.ndarray]:
-    """The patterns' dispersion and each one's RMS deviation of its
-    unit-L1 shape from the mean shape."""
+    """The patterns' dispersion, the per-band population standard
+    deviation of their unit-L1 shapes averaged over bands, and each one's
+    RMS deviation of its unit-L1 shape from the mean shape."""
     if not patterns:
         raise ValueError("need at least one pattern")
     n_bands = patterns[0].n_bands
@@ -263,7 +248,7 @@ def _report(table: MomentTable, factor, pools) -> ProbeReport:
     """One pattern per (value, genuine ids, replay ids) pool, merged from
     the table's rows; a tuple of ids that several pools share (the device
     probe's genuine pool) is stacked and merged once. Both pools' sizes
-    are checked before either is merged. `fratio`'s messages read
+    are checked before either is merged. The checks' messages read
     "problem: detail"; the value goes after the problem."""
 
     @functools.cache

@@ -10,8 +10,8 @@ at k * 16000 / n_fft Hz.
 `power_spectrum` computes in the buffers of a `SpectrumWorkspace`, which
 sets the FFT length. Whoever passes one owns it and the spectrum it
 returns, which is a view that the next call through the same workspace
-overwrites; `iter_features` makes one per thread of a pass, and each
-thread consumes each spectrum before framing its next signal.
+overwrites; `iter_features` makes one per pass, and the pass consumes
+each spectrum before framing its next signal.
 
 The pipeline frames and transforms every utterance in its own calls, so
 per-call set-up counts: `frame_signal` builds its strided view directly

@@ -36,6 +36,9 @@ a signal takes less time than the caller's work on one, so the next
 signal is nearly always ready when it is wanted, and a deeper hand-off
 would only hold more signals. The stream keeps its one consumer and its
 order, so every file is byte-identical to a pass on one thread.
+`_read_ahead` is the one look-ahead helper: `replaykit extract` runs it
+too, over its even rows' inline pass, while the calling thread computes
+the odd rows (`cli._cmd_extract`).
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 go to the same pool, full fits first, then the larger pool, so the two
@@ -73,6 +76,8 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 # perfbench/tracing.py wraps `write_archive` at this import site.
 from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
@@ -147,37 +152,32 @@ class ExtractionConfig:
                 "feature": self.feature.value}
 
 
-def iter_features(utterances, *configs: ExtractionConfig, pool=None
+def iter_features(utterances, *configs: ExtractionConfig
                   ) -> Iterator[tuple[str, list[FeatureMatrix]]]:
-    """Run (utt_id, signal) pairs through framing, spectra and filterbank
-    and, under a cepstra-delta config, the DCT and the deltas, which always
-    come together; yield (utt_id, one feature matrix per config, in config
-    order) for each pair, in input order. A pair's signal may also be a
-    function of no arguments that returns it, such as a WAV read; it is
-    called on the thread that computes the utterance.
+    """Run (utt_id, AudioSignal) pairs through framing, spectra and
+    filterbank and, under a cepstra-delta config, the DCT and the deltas,
+    which always come together; return an iterator of (utt_id, one feature
+    matrix per config, in config order), one per pair, in input order. It
+    takes the pairs one at a time, so a lazy generator holds one waveform
+    at once, and nothing here keeps a yielded matrix.
 
     The configs must share one framing (frame_len, hop, n_fft), which is
-    checked when iteration starts; each utterance's spectrogram and each
-    (warp, bands) log-Fbank is computed once. Nothing here keeps a yielded
-    matrix.
-
-    With no `pool`, the calling thread computes every utterance, taking
-    the pairs one at a time, so a lazy generator holds one waveform at
-    once. Given a pool (`replaykit extract` passes one of one thread), its
-    worker computes utterances 0, 2, 4, ... while the caller computes 1,
-    3, 5, ..., so two utterances are in hand at once; the caller takes
-    the worker's result before yielding its own, and submits no more work
-    until both are yielded. An exception is raised at its utterance's
-    place in the order: the earliest failing utterance is the one named.
-    Every matrix is bit for bit what the inline loop gives.
+    checked here; each utterance's spectrogram and each (warp, bands)
+    log-Fbank is computed once. The filterbanks, and the DCT basis that
+    the cepstra step caches for the life of the process, are built here
+    too, on the calling thread, not by the thread that takes the first
+    item (`replaykit extract` hands a pass to a worker): numpy memory
+    made on a worker thread comes from that thread's malloc arena, and a
+    cached basis there kept the arena resident, about 2 MB more RSS after
+    a cepstra-delta `extract` (x86-64 Linux, glibc).
 
     An utterance shorter than one frame gets a 0-frame log-Fbank matrix;
     under a cepstra-delta config it raises EmptyUtteranceError naming it.
 
-    Each thread of the pass owns one `SpectrumWorkspace`, sized to the
-    longest utterance it computes, and computes its spectra in it. Each
-    spectrum stays valid only until that thread's next, so it is turned
-    into filterbank energies at once and never kept.
+    The pass owns one `SpectrumWorkspace`, sized to its longest utterance,
+    and computes its spectra in it. Each spectrum stays valid only until
+    the next, so it is turned into filterbank energies at once and never
+    kept.
     """
     framing = {(c.frame_len, c.hop, c.n_fft) for c in configs}
     if len(framing) != 1:
@@ -186,59 +186,40 @@ def iter_features(utterances, *configs: ExtractionConfig, pool=None
     frame_len, hop, n_fft = framing.pop()
     banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft)
              for c in configs}
-
-    def features(utt_id, signal, workspace):
-        """One utterance from its source to (utt_id, its matrices)."""
-        if callable(signal):
-            signal = signal()
-        spec = power_spectrum(frame_signal(signal, frame_len, hop), workspace)
-        fbanks = {key: fbank_features(spec, fb) for key, fb in banks.items()}
-        feats = []
-        for config in configs:
-            fm = fbanks[config.warp, config.bands]
-            if config.feature is FeatureKind.CEPSTRA_DELTA:
-                if fm.n_frames == 0:
-                    raise EmptyUtteranceError(
-                        f"utterance {utt_id} has 0 frames: its "
-                        f"{signal.samples.size} samples are shorter than one "
-                        f"{frame_len}-sample frame, and deltas need at least 1")
-                fm = FeatureMatrix(
-                    append_deltas(cepstral_features(fm), config.delta_window),
-                    FeatureKind.CEPSTRA_DELTA, config.warp)
-            feats.append(fm)
-        return utt_id, feats
-
+    for c in configs:
+        if c.feature is FeatureKind.CEPSTRA_DELTA:
+            # A 0-frame run builds what the step caches.
+            cepstral_features(FeatureMatrix(np.empty((0, c.bands)),
+                                            FeatureKind.LOG_FBANK))
     workspace = SpectrumWorkspace(frame_len, n_fft)
-    if pool is None:
+
+    def features():
         for utt_id, signal in utterances:
-            result = features(utt_id, signal, workspace)
+            spec = power_spectrum(frame_signal(signal, frame_len, hop),
+                                  workspace)
+            fbanks = {key: fbank_features(spec, fb)
+                      for key, fb in banks.items()}
+            feats = []
+            for config in configs:
+                fm = fbanks[config.warp, config.bands]
+                if config.feature is FeatureKind.CEPSTRA_DELTA:
+                    if fm.n_frames == 0:
+                        raise EmptyUtteranceError(
+                            f"utterance {utt_id} has 0 frames: its "
+                            f"{signal.samples.size} samples are shorter "
+                            f"than one {frame_len}-sample frame, and "
+                            f"deltas need at least 1")
+                    fm = FeatureMatrix(append_deltas(cepstral_features(fm),
+                                                     config.delta_window),
+                                       FeatureKind.CEPSTRA_DELTA, config.warp)
+                feats.append(fm)
             # Dropped before the next pair is taken: a lazy source makes
             # the next signal then, and both would be held at once.
-            del signal
-            yield result
-            del result
-        return
+            del signal, spec, fbanks, fm
+            yield utt_id, feats
+            del feats
 
-    theirs = SpectrumWorkspace(frame_len, n_fft)
-    items = iter(utterances)
-    end = object()
-    while (first := next(items, end)) is not end:
-        ahead = pool.submit(features, *first, theirs)
-        del first
-        try:
-            second = next(items, end)
-            mine = None if second is end else features(*second, workspace)
-            del second
-        except Exception:
-            # The worker's utterance comes first in the order: its result
-            # goes out, or its own error is raised, before this one.
-            yield ahead.result()
-            raise
-        yield ahead.result()
-        if mine is None:
-            return
-        yield mine
-        del mine
+    return features()
 
 
 def extract_features(utterances, *configs: ExtractionConfig

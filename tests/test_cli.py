@@ -1,16 +1,18 @@
 import base64
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import shutil
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from replaykit import cli
+from replaykit import cli, spectrum
 from replaykit.archive import FeatureArchive, read_archive, write_archive
 from replaykit.corpus import (AudioSignal, Manifest, UtteranceMeta,
                               parse_manifest, read_wav, synth_corpus,
@@ -22,7 +24,7 @@ from replaykit.gmm import (GmmPairModel, TrainConfig, load_pair_model,
                            save_pair_model, score_utterance, train_gmm)
 from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
                                write_scores)
-from replaykit.study import (ExtractionConfig, extract_features,
+from replaykit.study import (ExtractionConfig, _read_ahead, extract_features,
                              write_probe_report)
 from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak
 
@@ -456,6 +458,71 @@ class TestFailures:
         assert not (tmp_path / "model.json").exists()
 
 
+class TestAlternate:
+    """`cli._alternate` interleaves `replaykit extract`'s even and odd
+    passes."""
+
+    @staticmethod
+    def counting(made, items):
+        for item in items:
+            made.append(item)
+            yield item
+
+    def test_items_are_taken_in_turn(self):
+        assert list(cli._alternate(iter([0, 2, 4]), iter([1, 3, 5]))) == \
+            [0, 1, 2, 3, 4, 5]
+        assert list(cli._alternate(iter([]), iter([]))) == []
+
+    def test_a_first_side_one_item_longer(self):
+        assert list(cli._alternate(iter([0, 2, 4]), iter([1, 3]))) == \
+            [0, 1, 2, 3, 4]
+        assert list(cli._alternate(iter([0]), iter([]))) == [0]
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_an_error_is_raised_in_its_place(self, side):
+        def failing(items):
+            yield from items
+            raise KeyError(side)
+
+        first, second = [0, 2, 4], [1, 3, 5]
+        if side == "first":
+            first = failing(first[:1])
+        else:
+            second = failing(second[:1])
+        taken = []
+        with pytest.raises(KeyError) as info:
+            for item in cli._alternate(iter(first), iter(second)):
+                taken.append(item)
+        assert info.value.args == (side,)
+        assert taken == ([0, 1] if side == "first" else [0, 1, 2])
+
+    def test_a_stopped_consumer_takes_no_more(self):
+        made = []
+        items = cli._alternate(self.counting(made, [0, 2, 4, 6]),
+                               self.counting(made, [1, 3, 5, 7]))
+        assert [next(items) for _ in range(3)] == [0, 1, 2]
+        items.close()
+        assert made == [0, 1, 2]
+        with pytest.raises(StopIteration):
+            next(items)
+        assert made == [0, 1, 2]
+
+    def test_a_stopped_consumer_stops_and_joins_the_worker(self):
+        # As in `replaykit extract`: the first side is made on the pool,
+        # one item ahead, and the pool's exit joins its thread.
+        made = []
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                items = cli._alternate(
+                    _read_ahead(self.counting(made, range(0, 100, 2)), pool),
+                    self.counting(made, range(1, 100, 2)))
+                assert [next(items) for _ in range(3)] == [0, 1, 2]
+                raise KeyError("consumer failed")
+        assert threading.active_count() == before
+        assert sorted(made) == [0, 1, 2, 4]
+
+
 class TestTwoWayExtract:
     """`replaykit extract` computes alternate utterances on the calling
     thread and one worker thread; the archive, the error named and the
@@ -503,6 +570,31 @@ class TestTwoWayExtract:
         assert all(t is threading.main_thread() for t in threads[1::2])
         assert all(t.name.startswith("replaykit") for t in threads[0::2])
 
+    def test_the_dct_basis_is_built_on_the_calling_thread(
+            self, work, tmp_path, monkeypatch):
+        # The basis is cached for the life of the process. Built on the
+        # worker thread, it kept that thread's malloc arena resident, and
+        # RSS higher after the command.
+        built, used = [], []
+        uncached = spectrum._dct_basis.__wrapped__
+
+        @functools.lru_cache(maxsize=None)
+        def build(n, n_out):
+            built.append(threading.current_thread())
+            return uncached(n, n_out)
+
+        def dct_basis(n, n_out):
+            used.append(threading.current_thread())
+            return build(n, n_out)
+
+        monkeypatch.setattr(spectrum, "_dct_basis", dct_basis)
+        code, _, err = self._extract(work / "corpus" / "manifest.tsv",
+                                     tmp_path / "x.rpfa",
+                                     feature="cepstra-delta")
+        assert code == 0, err
+        assert built == [threading.current_thread()]
+        assert any(t.name.startswith("replaykit") for t in used)
+
     @pytest.mark.parametrize("rows", [(0,), (1,), (0, 1), (1, 2)])
     def test_the_earliest_corrupt_wav_is_named(self, corpus, tmp_path, rows):
         manifest = corpus / "manifest.tsv"
@@ -547,6 +639,7 @@ class TestTwoWayExtract:
         ("--nfft", 256, "n_fft (256) smaller than frame length (400)"),
         ("--nfft", 768, "n_fft must be a power of two, got 768"),
         ("--bands", 0, "M must be >= 1"),
+        ("--bands", 12, "need at least 13 bands, got 12"),
         ("--delta-window", 0, "window must be >= 1"),
     ])
     def test_a_bad_flag_fails_before_any_wav_is_read(

@@ -1,4 +1,3 @@
-import importlib
 import json
 import tracemalloc
 
@@ -10,19 +9,16 @@ from oracles import fratio_exact, moments_exact
 from replaykit.corpus import Manifest, UtteranceMeta
 from replaykit.errors import DegenerateBandError, FeatureMismatchError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
+from replaykit import fratio as fratio_mod
 from replaykit.fratio import (
     FRatioPattern,
     MomentTable,
+    _spread,
     compare_datasets,
-    fratio,
-    pattern_dispersion,
     pool_frames,
     probe_factor,
 )
 from replaykit.study import write_probe_report
-
-# The package exports the `fratio` function under the module's name.
-fratio_mod = importlib.import_module("replaykit.fratio")
 
 
 def _logfb(rows, warp_kind=None):
@@ -39,6 +35,23 @@ def _table(features):
     return table
 
 
+def _class_manifest(genuine_id, replay_id):
+    """One genuine utterance and one replay of device D00."""
+    return Manifest([
+        UtteranceMeta(genuine_id, f"{genuine_id}.wav", "genuine", "S00",
+                      "P00", "-"),
+        UtteranceMeta(replay_id, f"{replay_id}.wav", "replay", "S00", "P00",
+                      "D00")])
+
+
+def fratio(genuine, replay):
+    """The F-ratios of the one pattern a device probe gives for a genuine
+    utterance of `genuine` frames and a replay of `replay` frames."""
+    table = _table({"g": _logfb(genuine), "r": _logfb(replay)})
+    return probe_factor(table, _class_manifest("g", "r"),
+                        "device").patterns[0].values
+
+
 class TestFRatioPattern:
     def test_hand_example(self):
         # genuine {0,2}: mean 1, var 1; replay {3,5}: mean 4, var 1
@@ -48,8 +61,11 @@ class TestFRatioPattern:
         assert values[0] == pytest.approx(4.5, abs=1e-12)
 
     def test_identical_means_zero(self):
-        values = fratio(np.array([[1.0], [3.0]]), np.array([[0.0], [4.0]]))
+        # A probe refuses an all-zero pattern, so the second band differs.
+        values = fratio(np.array([[1.0, 0.0], [3.0, 2.0]]),
+                        np.array([[0.0, 3.0], [4.0, 5.0]]))
         assert values[0] == 0.0
+        assert values[1] == pytest.approx(9.0 / 2.0, abs=1e-12)
 
     def test_degenerate_band(self):
         with pytest.raises(DegenerateBandError, match="band"):
@@ -73,9 +89,12 @@ class TestFRatioPattern:
 
     def test_class_swap_symmetry(self):
         rng = np.random.default_rng(0)
-        g = rng.normal(0, 1, size=(8, 5))
-        r = rng.normal(1, 2, size=(11, 5))
-        np.testing.assert_array_equal(fratio(g, r), fratio(r, g))
+        table = _table({"a": _logfb(rng.normal(0, 1, size=(8, 5))),
+                        "b": _logfb(rng.normal(1, 2, size=(11, 5)))})
+        a_b, b_a = (probe_factor(table, _class_manifest(g, r),
+                                 "device").patterns[0].values
+                    for g, r in (("a", "b"), ("b", "a")))
+        np.testing.assert_array_equal(a_b, b_a)
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3),
            sign=st.sampled_from([-1.0, 1.0]))
@@ -104,6 +123,10 @@ class TestFRatioPattern:
                 assert abs(got[i] - float(exact[i])) <= 1e-9
 
 
+def pattern_dispersion(patterns):
+    return _spread(patterns)[0]
+
+
 class TestPatternDispersion:
     def _pattern(self, values):
         return FRatioPattern("-", np.asarray(values, dtype=np.float64), 2, 2)
@@ -118,6 +141,17 @@ class TestPatternDispersion:
         a = self._pattern([1.0, 0.0])
         b = self._pattern([0.0, 1.0])
         assert pattern_dispersion([a, b]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_mean_over_bands_of_the_per_band_spread(self):
+        # Unit-L1 shapes [1, 0, 0] and [0, 1, 0] have per-band population
+        # standard deviations (1/2, 1/2, 0): their mean is 1/3, their max
+        # 1/2. Each shape lies sqrt(1/6) from the mean shape (1/2, 1/2, 0).
+        a = self._pattern([2.0, 0.0, 0.0])
+        b = self._pattern([0.0, 5.0, 0.0])
+        dispersion, contributions = _spread([a, b])
+        assert dispersion == pytest.approx(1.0 / 3.0, abs=1e-15)
+        np.testing.assert_allclose(contributions, [6.0 ** -0.5] * 2,
+                                   rtol=1e-15)
 
     def test_single_pattern(self):
         assert pattern_dispersion([self._pattern([1.0, 2.0])]) == 0.0

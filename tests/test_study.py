@@ -645,10 +645,28 @@ def _entries(results):
             for utt_id, feats in results]
 
 
+def _two_way(utterances, *configs, pool):
+    """`replaykit extract`'s composition over (utt_id, source) pairs, each
+    source a function giving the signal: an inline pass over the even
+    positions on `pool`'s worker, one item ahead (`_read_ahead`), and one
+    over the odd positions on the caller, taken in turn (`_alternate`).
+    Each source is called as its pair is taken, on that pass's thread."""
+    def inline_pass(pairs):
+        return iter_features(((u, load()) for u, load in pairs), *configs)
+
+    return cli._alternate(_read_ahead(inline_pass(utterances[0::2]), pool),
+                          inline_pass(utterances[1::2]))
+
+
+def _sources(utterances):
+    return [(u, lambda s=s: s) for u, s in utterances]
+
+
 class TestTwoWayExtraction:
-    """`iter_features` given a pool: its one worker takes utterances 0, 2,
-    4, ... and the caller 1, 3, 5, ...; what comes out must be what the
-    inline loop gives, in the same order, with the same first error."""
+    """`replaykit extract`'s two inline passes: the worker takes positions
+    0, 2, 4, ... and the caller 1, 3, 5, ...; what comes out must be what
+    one inline pass gives, in the same order, with the same first error.
+    `TestTwoWayExtract` in test_cli.py checks which thread reads each WAV."""
 
     @pytest.fixture
     def pool(self):
@@ -673,13 +691,10 @@ class TestTwoWayExtraction:
             configs += [ExtractionConfig(warp, FeatureKind.CEPSTRA_DELTA)
                         for warp in WarpKind]
         inline = _entries(iter_features(iter(utterances), *configs))
-        two_way = _entries(iter_features(iter(utterances), *configs,
-                                         pool=pool))
+        two_way = _entries(_two_way(_sources(utterances), *configs,
+                                    pool=pool))
         assert [u for u, _ in two_way] == [u for u, _ in utterances]
         assert two_way == inline
-        # Sources read when their utterance is computed give the same.
-        loaders = ((u, lambda s=s: s) for u, s in utterances)
-        assert _entries(iter_features(loaders, *configs, pool=pool)) == inline
         if 399 in lengths:
             assert 0 in [shape[0] for _, feats in two_way
                          for shape, _ in feats]
@@ -693,29 +708,11 @@ class TestTwoWayExtraction:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            two_way = _entries(iter_features(iter(utterances), *configs,
-                                             pool=pool))
+            two_way = _entries(_two_way(_sources(utterances), *configs,
+                                        pool=pool))
         finally:
             sys.setswitchinterval(interval)
         assert two_way == inline
-
-    def test_worker_takes_even_positions_and_caller_odd(self, pool):
-        threads = {}
-
-        def loader(utt_id, signal):
-            def load():
-                threads[utt_id] = threading.current_thread()
-                return signal
-            return load
-
-        utterances = _noise([4000] * 5)
-        config = ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)
-        list(iter_features(((u, loader(u, s)) for u, s in utterances),
-                           config, pool=pool))
-        assert threads["u1"] is threads["u3"] is threading.current_thread()
-        worker = threads["u0"]
-        assert worker is not threading.current_thread()
-        assert threads["u2"] is threads["u4"] is worker
 
     @pytest.mark.parametrize("bad", [(2,), (3,), (0, 1), (2, 3), (3, 4)])
     def test_the_earliest_failing_read_is_raised_in_its_place(
@@ -729,27 +726,29 @@ class TestTwoWayExtraction:
                 raise WavFormatError(f"{utt_id}.wav: not a RIFF/WAVE file")
             return load
 
-        utterances = [(u, corrupt(u, i % 2 == 0) if i in bad else s)
-                      for i, (u, s) in enumerate(_noise([4000] * 6))]
+        utterances = [(u, corrupt(u, i % 2 == 0) if i in bad else load)
+                      for i, (u, load) in enumerate(
+                          _sources(_noise([4000] * 6)))]
         config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
         done = []
         with pytest.raises(WavFormatError) as info:
-            for utt_id, _ in iter_features(iter(utterances), config,
-                                           pool=pool):
+            for utt_id, _ in _two_way(utterances, config, pool=pool):
                 done.append(utt_id)
         first = min(bad)
         assert str(info.value) == f"u{first}.wav: not a RIFF/WAVE file"
         assert done == [f"u{i}" for i in range(first)]
 
     def test_an_empty_utterance_on_the_callers_side(self, pool):
-        utterances = _noise([16000, 399, 16000, 16000])
+        utterances = _sources(_noise([16000, 399, 16000, 16000]))
         config = ExtractionConfig(WarpKind.INVERTED_MEL,
                                   FeatureKind.CEPSTRA_DELTA)
         done = []
-        with pytest.raises(EmptyUtteranceError, match="utterance u1 has 0"):
-            for utt_id, _ in iter_features(iter(utterances), config,
-                                           pool=pool):
+        with pytest.raises(EmptyUtteranceError) as info:
+            for utt_id, _ in _two_way(utterances, config, pool=pool):
                 done.append(utt_id)
+        assert str(info.value) == (
+            "utterance u1 has 0 frames: its 399 samples are shorter than "
+            "one 400-sample frame, and deltas need at least 1")
         assert done == ["u0"]
 
     def test_the_pass_holds_at_most_two_signals(self, pool):
@@ -769,8 +768,8 @@ class TestTwoWayExtraction:
 
         configs = [ExtractionConfig(WarpKind.MEL, feature)
                    for feature in FeatureKind]
-        for _, feats in iter_features(((f"u{i}", read) for i in range(9)),
-                                      *configs, pool=pool):
+        for _, feats in _two_way([(f"u{i}", read) for i in range(9)],
+                                 *configs, pool=pool):
             del feats
         assert len(held) == 9
         assert max(held) <= 1
