@@ -35,6 +35,7 @@ from .errors import (
     WavFormatError,
 )
 from .filterbank import (
+    ExtractionConfig,
     FeatureKind,
     FeatureMatrix,
     FilterBank,
@@ -71,7 +72,6 @@ from .spectrum import (
     power_spectrum,
 )
 from .study import (
-    ExtractionConfig,
     StudyConfig,
     StudyReport,
     extract_features,

@@ -1,24 +1,25 @@
-"""Binary feature archive (RPFA v1).
+"""Binary feature archive (RPFA v2).
 
 Layout, little-endian throughout:
 
     magic  b"RPFA"
-    u16    format version (1)
-    u32    header length, then that many bytes of UTF-8 JSON carrying
-           {"feature_kind": ..., "config": {...}}
+    u16    format version (2)
+    u32    header length, then that many bytes of UTF-8 JSON: the
+           `ExtractionConfig.to_dict()` of every entry, and nothing else
     per entry, until end of file:
         u16   utterance id length, then the id bytes (UTF-8)
         u32   n_frames
-        u32   dim
+        u32   dim, the config's `dim`
         n_frames * dim IEEE-754 float32, row-major
 
 Reading is one scan, then reads, as with Kaldi's table readers over
 `ark` files (Povey et al., ASRU 2011). Opening an `ArchiveReader` parses
 the header and walks every entry's header once, seeking past the frames,
 to record each id's offset and frame count. Bytes this layout cannot
-hold, such as a size past the end, an id that is not UTF-8 or repeats,
-or a dim that the header's feature kind forbids or the first entry
-contradicts, raise ArchiveFormatError then, before any frame is read.
+hold, such as a header that is not an `ExtractionConfig` the extractor
+accepts, a size past the end, an id that is not UTF-8 or repeats, or a
+dim other than the config's, raise ArchiveFormatError then, before any
+frame is read.
 After the scan the reader reads entries one at a time, in file order or
 by id, so a consumer holds one entry at a time beyond what it makes of
 it; `read_archive` collects them all into an in-memory `FeatureArchive`.
@@ -50,51 +51,45 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArchiveFormatError, existing_file
-from .filterbank import FeatureKind, FeatureMatrix, WarpKind
+from .filterbank import ExtractionConfig, FeatureMatrix
 
 MAGIC = b"RPFA"
-VERSION = 1
+VERSION = 2
 MAX_ID_BYTES = 0xFFFF  # the u16 id length field
 
 
 @dataclass
 class FeatureArchive:
-    """Per-utterance feature matrices sharing one extraction config."""
+    """Per-utterance feature matrices of one extraction config."""
 
-    feature_kind: str
-    config: dict
+    config: ExtractionConfig
     entries: dict[str, FeatureMatrix] = field(default_factory=dict)
-
-    def __post_init__(self):
-        dims = {fm.dim for fm in self.entries.values()}
-        kinds = {fm.kind for fm in self.entries.values()}
-        if len(dims) > 1 or len(kinds) > 1:
-            raise ValueError("archive entries must share dim and kind")
 
 
 class ArchiveWriter:
     """Writes an RPFA archive one entry at a time, as a context manager:
     to `<path>.partial`, which a clean exit from the `with` block renames
-    to `path` and any failure deletes (see the module docstring). Entries
-    must share one dim and kind, as a `FeatureArchive`'s do, and an id may
+    to `path` and any failure deletes (see the module docstring). Each
+    entry must be of the config's kind, warp and dim, and an id may
     appear once, in at most MAX_ID_BYTES bytes of UTF-8."""
 
-    def __init__(self, path, feature_kind: str, config: dict):
+    def __init__(self, path, config: ExtractionConfig):
         self.path = Path(path)
+        self.config = config
         self._partial = self.path.with_name(self.path.name + ".partial")
-        header = json.dumps({"feature_kind": feature_kind, "config": config},
-                            sort_keys=True).encode("utf-8")
+        header = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self._partial, "wb")
         self._fh.write(MAGIC + struct.pack("<HI", VERSION, len(header))
                        + header)
         self._ids: set[str] = set()
-        self._shape: tuple[int, FeatureKind] | None = None
 
     def add(self, utt_id: str, fm: FeatureMatrix) -> None:
-        shape = (fm.dim, fm.kind)
-        if self._shape is not None and shape != self._shape:
-            raise ValueError("archive entries must share dim and kind")
+        c = self.config
+        if (fm.kind, fm.warp_kind, fm.dim) != (c.feature, c.warp, c.dim):
+            raise ValueError(f"utterance {utt_id!r}: {fm.kind}, {fm.warp_kind}"
+                             f" and dim {fm.dim} contradict the archive's "
+                             f"{c.feature}, {c.warp} and dim {c.dim}")
         if utt_id in self._ids:
             raise ValueError(f"duplicate utterance id {utt_id!r}")
         id_bytes = utt_id.encode("utf-8")
@@ -109,7 +104,6 @@ class ArchiveWriter:
         if not np.isfinite(values).all():
             raise ValueError(f"utterance {utt_id!r}: feature values must be "
                              f"finite as float32")
-        self._shape = shape
         self._ids.add(utt_id)
         self._fh.write(struct.pack("<H", len(id_bytes)) + id_bytes
                        + struct.pack("<II", fm.n_frames, fm.dim))
@@ -131,7 +125,7 @@ class ArchiveWriter:
 
 
 def write_archive(archive: FeatureArchive, path) -> None:
-    with ArchiveWriter(path, archive.feature_kind, archive.config) as writer:
+    with ArchiveWriter(path, archive.config) as writer:
         for utt_id, fm in archive.entries.items():
             writer.add(utt_id, fm)
 
@@ -140,9 +134,10 @@ class ArchiveReader:
     """Reads an RPFA archive one entry at a time, as a context manager (or
     call `close`); see the module docstring.
 
-    Opening checks the whole file and records `feature_kind`, `config`
-    and `frame_counts`, each id's frame count in file order. Iterating
-    yields (utt_id, FeatureMatrix) pairs in file order; `read` gives one
+    Opening checks the whole file and records `config`, the header's
+    `ExtractionConfig`, and `frame_counts`, each id's frame count in file
+    order. Iterating yields (utt_id, FeatureMatrix) pairs in file order;
+    `read` gives one
     entry by id and `values` its frames as stored, float32. Each call
     reads the file again, so nothing read is kept here.
     """
@@ -168,27 +163,14 @@ class ArchiveReader:
         (header_len,) = struct.unpack("<I", self._take(4))
         header_bytes = self._take(header_len)
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
-            self.feature_kind = header["feature_kind"]
-            self.config = header["config"]
-            self._warp = (WarpKind.from_name(self.config["warp"])
-                          if isinstance(self.config, dict)
-                          and "warp" in self.config else None)
-        except (ValueError, KeyError, TypeError) as exc:
+            self.config = ExtractionConfig.from_dict(
+                json.loads(header_bytes.decode("utf-8")))
+        except ValueError as exc:
             raise ArchiveFormatError(f"{path}: bad header: {exc}") from exc
 
-        # utt_id -> (offset of its frames, n_frames, dim), in file order.
-        self._index: dict[str, tuple[int, int, int]] = {}
-        self._kind: FeatureKind | None = None
-        self._dim: int | None = None
+        self._offsets: dict[str, int] = {}  # of each id's frames
+        self.frame_counts: dict[str, int] = {}
         while self._fh.tell() < self._size:
-            if self._kind is None:
-                try:
-                    self._kind = FeatureKind(self.config["feature"])
-                except (TypeError, KeyError, ValueError) as exc:
-                    raise ArchiveFormatError(
-                        f"{path}: archive has entries but its config "
-                        f"carries no valid 'feature' kind") from exc
             (id_len,) = struct.unpack("<H", self._take(2))
             try:
                 utt_id = self._take(id_len).decode("utf-8")
@@ -198,12 +180,15 @@ class ArchiveReader:
             n_frames, dim = struct.unpack("<II", self._take(8))
             offset = self._need(4 * n_frames * dim)
             self._fh.seek(4 * n_frames * dim, os.SEEK_CUR)
-            if utt_id in self._index:
+            if utt_id in self._offsets:
                 raise ArchiveFormatError(
                     f"{path}: duplicate utterance id {utt_id!r}")
-            self._check_dim(utt_id, dim)
-            self._index[utt_id] = (offset, n_frames, dim)
-        self.frame_counts = {u: n for u, (_, n, _) in self._index.items()}
+            if dim != self.config.dim:
+                raise ArchiveFormatError(
+                    f"{path}: entry {utt_id!r} has dim {dim}, but the "
+                    f"config's features have dim {self.config.dim}")
+            self._offsets[utt_id] = offset
+            self.frame_counts[utt_id] = n_frames
 
     def _need(self, count: int) -> int:
         """The file position, once it is known that `count` bytes follow
@@ -219,28 +204,13 @@ class ArchiveReader:
         self._need(count)
         return self._fh.read(count)
 
-    def _check_dim(self, utt_id: str, dim: int) -> None:
-        """The first entry's dim must suit the feature kind, as a
-        `FeatureMatrix` checks it; every later entry's must equal it."""
-        if self._dim is None:
-            try:
-                FeatureMatrix(np.empty((0, dim)), self._kind, self._warp)
-            except ValueError as exc:
-                raise ArchiveFormatError(
-                    f"{self.path}: entry {utt_id!r}: {exc}") from exc
-            self._dim = dim
-        elif dim != self._dim:
-            raise ArchiveFormatError(
-                f"{self.path}: entry {utt_id!r}: archive entries must share "
-                f"dim and kind, got dim {dim} after {self._dim}")
-
     def values(self, utt_id: str) -> np.ndarray:
         """The entry's (n_frames, dim) frames as stored, float32; KeyError
         if the archive has no such id, ArchiveFormatError if a stored
         value is NaN or ±inf (checked before any cast, which would warn on
         a signalling NaN)."""
-        offset, n_frames, dim = self._index[utt_id]
-        out = np.empty((n_frames, dim), dtype="<f4")
+        offset = self._offsets[utt_id]
+        out = np.empty((self.frame_counts[utt_id], self.config.dim), "<f4")
         self._fh.seek(offset)
         got = self._fh.readinto(out.reshape(-1).view(np.uint8)) \
             if out.size else 0
@@ -257,10 +227,10 @@ class ArchiveReader:
         """The entry as a float64 `FeatureMatrix`, exact to the stored
         float32 values."""
         return FeatureMatrix(self.values(utt_id).astype(np.float64),
-                             self._kind, self._warp)
+                             self.config.feature, self.config.warp)
 
     def __iter__(self) -> Iterator[tuple[str, FeatureMatrix]]:
-        for utt_id in self._index:
+        for utt_id in self._offsets:
             yield utt_id, self.read(utt_id)
 
     def close(self) -> None:
@@ -277,5 +247,4 @@ def read_archive(path) -> FeatureArchive:
     """Every entry of the archive at `path`, in file order, in memory as
     float64: an `ArchiveReader` collected."""
     with ArchiveReader(path) as reader:
-        return FeatureArchive(reader.feature_kind, reader.config,
-                              dict(reader))
+        return FeatureArchive(reader.config, dict(reader))

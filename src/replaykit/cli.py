@@ -27,8 +27,8 @@ What each command holds in memory at once, beyond its own output:
   `cli-stages` benchmark's peak RSS, and its K=2 fits are too short to
   gain wall time;
 - `score`: one archive entry. Scores are kept and the file is written at
-  the end, once the archive's feature kind and extraction config are
-  found to be the model's;
+  the end, once the archive's `ExtractionConfig` is found to equal the
+  model's; an archive with no entries writes none and fails;
 - `eval`: the score file; `study`: see `run_study`.
 `probe`, `train` and `score` read archives through `ArchiveReader`,
 which checks the whole file when it opens, so a malformed archive fails
@@ -51,13 +51,13 @@ from pathlib import Path
 from . import archive as archive_mod
 from . import corpus as corpus_mod
 from .errors import EmptyUtteranceError, FeatureMismatchError
-from .filterbank import FeatureKind, WarpKind
+from .filterbank import ExtractionConfig, FeatureKind, WarpKind
 from .fratio import MomentTable, pool_frames, probe_factor
 from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
 from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_scores
-# perfbench/tracing.py wraps `extract_features` at this import site.
+# `extract_features` only for perfbench/tracing.py, which wraps it at this
+# import site; nothing here calls it, so its metric reads 0 (ROADMAP 8).
 from .study import (  # noqa: F401
-    ExtractionConfig,
     StudyConfig,
     _read_ahead,
     extract_features,
@@ -144,8 +144,7 @@ def _cmd_extract(args) -> None:
     # its archive in place or removed its partial file.
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="replaykit") as pool, \
-            archive_mod.ArchiveWriter(args.out, tag,
-                                      config.to_dict()) as writer:
+            archive_mod.ArchiveWriter(args.out, config) as writer:
         # Two inline passes: the worker computes rows 0, 2, 4, ..., each
         # while the caller computes the row before it, 1, 3, 5, ...
         for utt_id, (fm,) in _alternate(
@@ -189,8 +188,7 @@ def _cmd_train(args) -> None:
                             args.ncomp, args.cov, config, seed=args.seed)
         r_model = train_gmm(pool_frames(replay, counts, reader.values),
                             args.ncomp, args.cov, config, seed=args.seed + 1)
-    pair = GmmPairModel(g_model, r_model, reader.feature_kind,
-                        config.to_dict(), reader.config)
+    pair = GmmPairModel(g_model, r_model, config.to_dict(), reader.config)
     save_pair_model(pair, args.out)
     print(f"trained {args.cov} pair (K={args.ncomp}) on "
           f"{sum(counts[u] for u in genuine)}+"
@@ -202,14 +200,9 @@ def _cmd_score(args) -> None:
         args.out, [p for p in (args.archive, args.model, args.manifest) if p])
     with archive_mod.ArchiveReader(args.archive) as reader:
         pair = load_pair_model(args.model)
-        if pair.feature_kind != reader.feature_kind:
-            raise FeatureMismatchError(
-                f"model {args.model} was trained on {pair.feature_kind} "
-                f"features, but archive {args.archive} holds "
-                f"{reader.feature_kind}")
         if pair.extraction_config != reader.config:
-            trained, given = (json.dumps(c, sort_keys=True) for c in
-                              (pair.extraction_config, reader.config))
+            trained, given = (json.dumps(c.to_dict(), sort_keys=True) for c
+                              in (pair.extraction_config, reader.config))
             raise FeatureMismatchError(
                 f"model {args.model} was trained on features extracted with "
                 f"{trained}, but archive {args.archive} holds features "

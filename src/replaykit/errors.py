@@ -51,16 +51,18 @@ class ManifestError(ReplaykitError, ValueError):
 
 class ArchiveFormatError(ReplaykitError, ValueError):
     """Feature archive bytes are not valid: bad magic, unsupported version,
-    truncated body, repeated utterance id, a dim the kind forbids, or a
-    stored NaN or ±inf."""
+    a header that is not an `ExtractionConfig` (`<path>: bad header:
+    ...`), truncated body, repeated utterance id, a dim other than the
+    config's, or a stored NaN or ±inf."""
 
 
 class ModelFormatError(ReplaykitError, ValueError):
     """Model file is not JSON, has another format_version, lacks a key,
-    holds parameters that are not base64 or disagree with its own K and d,
-    holds parameters a mixture rejects, or holds a full covariance that
-    is not positive-definite (`<path>: <genuine|replay>: component j
-    ...`)."""
+    holds an extraction_config that is not an `ExtractionConfig` or whose
+    dim is not d (`<path>: extraction_config: ...`), parameters that are
+    not base64, disagree with K and d or a mixture rejects, or a full
+    covariance that is not positive-definite (`<path>: <genuine|replay>:
+    component j ...`)."""
 
 
 class ScoreFormatError(ReplaykitError, ValueError):
@@ -86,8 +88,7 @@ class SingularComponentError(ReplaykitError, RuntimeError):
 
 
 class FeatureMismatchError(ReplaykitError, ValueError):
-    """Features do not match what they are used with: features handed to
-    a model are of another kind, or come from another extraction config,
-    than the features it was trained on; or an archive, or the moment
-    table a probe reads, lacks features for an utterance its manifest
-    names."""
+    """Features do not match what they are used with: an archive handed
+    to a model holds features of another `ExtractionConfig` than the one
+    it was trained on; or an archive, or the moment table a probe reads,
+    lacks features for an utterance its manifest names."""

@@ -11,6 +11,7 @@ spans the full band of the pipeline's 16 kHz audio, 0 Hz to NYQUIST_HZ.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -41,6 +42,67 @@ class WarpKind(enum.Enum):
 class FeatureKind(enum.Enum):
     LOG_FBANK = "fbank"
     CEPSTRA_DELTA = "cepstra-delta"
+
+
+@dataclass(frozen=True)
+class ExtractionConfig:
+    """One feature stream, the only description of it: an archive's
+    header and a model file hold its `to_dict`."""
+
+    warp: WarpKind
+    feature: FeatureKind
+    bands: int = 23
+    frame_len: int = 400
+    hop: int = 160
+    n_fft: int = 512
+    delta_window: int = 2
+
+    def __post_init__(self):
+        # The checks and messages of the stages that use each value, made
+        # here first, so that a bad config fails before any utterance is
+        # read. The framing check also refuses a frame_len below 1.
+        if not 0 < self.hop <= self.frame_len:
+            raise ValueError(f"invalid framing: need 0 < hop <= frame_len, "
+                             f"got hop={self.hop}, frame_len={self.frame_len}")
+        if self.n_fft < self.frame_len:
+            raise ValueError(f"n_fft ({self.n_fft}) smaller than frame length "
+                             f"({self.frame_len})")
+        if self.n_fft & (self.n_fft - 1):
+            raise ValueError(f"n_fft must be a power of two, got {self.n_fft}")
+        if self.bands < 1:
+            raise ValueError("M must be >= 1")
+        if self.feature is FeatureKind.CEPSTRA_DELTA \
+                and self.bands < NUM_CEPSTRA:
+            raise ValueError(f"need at least {NUM_CEPSTRA} bands, "
+                             f"got {self.bands}")
+        if self.delta_window < 1:
+            raise ValueError("window must be >= 1")
+
+    @property
+    def dim(self) -> int:
+        """Columns of the stream's feature matrices."""
+        if self.feature is FeatureKind.CEPSTRA_DELTA:
+            return 2 * NUM_CEPSTRA
+        return self.bands
+
+    def to_dict(self) -> dict:
+        return {**dataclasses.asdict(self), "warp": self.warp.value,
+                "feature": self.feature.value}
+
+    @classmethod
+    def from_dict(cls, doc) -> "ExtractionConfig":
+        """The config whose `to_dict` is `doc`, or ValueError: not an
+        object, other keys, unknown names, counts that are not integers,
+        or values the checks refuse."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(doc, dict) or set(doc) != set(names):
+            raise ValueError(f"expected an object with the keys "
+                             f"{sorted(names)}, got {doc!r}")
+        counts = [doc[name] for name in names[2:]]
+        if any(type(value) is not int for value in counts):
+            raise ValueError(f"{names[2:]} must be integers, got {counts}")
+        return cls(WarpKind.from_name(doc["warp"]),
+                   FeatureKind(doc["feature"]), *counts)
 
 
 def _mel(f):
@@ -132,8 +194,6 @@ class FeatureMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("feature values must be 2-D (frames x dims)")
-        if self.kind is FeatureKind.CEPSTRA_DELTA and self.dim != 2 * NUM_CEPSTRA:
-            raise ValueError(f"cepstra+deltas must have dim {2 * NUM_CEPSTRA}")
 
     @property
     def n_frames(self) -> int:
@@ -161,8 +221,6 @@ def cepstral_features(logfb: FeatureMatrix) -> np.ndarray:
     of coefficients c0..c12."""
     if logfb.kind is not FeatureKind.LOG_FBANK:
         raise ValueError(f"expected log-Fbank features, got {logfb.kind.value}")
-    if logfb.dim < NUM_CEPSTRA:
-        raise ValueError(f"need at least {NUM_CEPSTRA} bands, got {logfb.dim}")
     return dct_ii(logfb.values, NUM_CEPSTRA)
 
 

@@ -95,9 +95,9 @@ EM takes one `exp` per block: the responsibilities are the log-sum-exp's
 shifted exponentials divided by their row sums.
 
 A model file is one JSON line per genuine/replay pair: `format_version`
-(MODEL_FORMAT_VERSION), the feature and covariance kinds, K, d, the
-training config and the extraction config of the features it was trained
-on (an archive header's `config`), and for each mixture its weights,
+(MODEL_FORMAT_VERSION), the covariance kind, K, d, the training config,
+the `ExtractionConfig.to_dict()` of the features it was trained on (what
+their archive's header holds), and for each mixture its weights,
 means and covariances as base64 strings of their C-order little-endian
 float64 bytes. Bytes, not float text: a float repr per value made a
 paper-sized pair many times slower to save and twice the size on disk,
@@ -125,7 +125,7 @@ import numpy as np
 
 from .errors import (EmptyUtteranceError, ModelFormatError,
                      SingularComponentError, existing_file)
-from .filterbank import FeatureMatrix
+from .filterbank import ExtractionConfig, FeatureMatrix
 
 COVARIANCE_KINDS = ("diag", "full")
 WEIGHT_FLOOR = 1e-8
@@ -203,10 +203,9 @@ class Gmm:
 
 @dataclass(frozen=True)
 class GmmPairModel:
-    """Genuine and replay mixtures plus the provenance of their features:
-    the feature kind's tag, the training config, and the extraction config
-    of the archive they were trained on, which `replaykit score` requires
-    an archive to match (empty when the pair names none).
+    """Genuine and replay mixtures plus their provenance: the training
+    config and the `ExtractionConfig` of the features they were trained
+    on, which `replaykit score` requires an archive's to equal.
 
     Frozen, because the scoring factors of both mixtures are derived once
     per pair, on first use.
@@ -214,9 +213,8 @@ class GmmPairModel:
 
     genuine: Gmm
     replay: Gmm
-    feature_kind: str
     training_config: dict
-    extraction_config: dict = field(default_factory=dict)
+    extraction_config: ExtractionConfig
 
     def __post_init__(self):
         if self.genuine.dim != self.replay.dim \
@@ -641,7 +639,7 @@ def train_gmm(frames: np.ndarray, n_comp: int, covariance_kind: str,
 # Model persistence
 # ---------------------------------------------------------------------------
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 _PARAMETERS = ("weights", "means", "covariances")
 
 
@@ -681,15 +679,19 @@ def save_pair_model(model: GmmPairModel, path) -> None:
     Each mixture's weights, means and covariances are base64 strings of
     their C-order little-endian float64 bytes; see the module docstring
     for why they are not float text and why covariances are kept in full.
+    A d other than the extraction config's dim raises ValueError first.
     """
+    d, dim = model.genuine.dim, model.extraction_config.dim
+    if d != dim:
+        raise ValueError(f"{path}: extraction_config: d is {d}, but its "
+                         f"features have dim {dim}")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "feature_kind": model.feature_kind,
         "covariance_kind": model.genuine.covariance_kind,
         "K": model.genuine.n_comp,
         "d": model.genuine.dim,
         "training_config": model.training_config,
-        "extraction_config": model.extraction_config,
+        "extraction_config": model.extraction_config.to_dict(),
         "genuine": _gmm_to_dict(model.genuine),
         "replay": _gmm_to_dict(model.replay),
     }
@@ -702,13 +704,13 @@ def load_pair_model(path) -> GmmPairModel:
     """Read a model written by `save_pair_model`, bit for bit.
 
     Bytes that are not UTF-8 JSON or not an object, a `format_version`
-    other than MODEL_FORMAT_VERSION (older files, which record no
-    extraction config, included), a missing key, and parameters that
-    are not base64, hold a byte count that disagrees with K and d, fail
-    `Gmm`'s checks, or hold a full covariance without a Cholesky factor
-    raise ModelFormatError naming the file (and the mixture, for its
-    parameters); a missing file raises FileNotFoundError `<path>: no
-    such file`.
+    other than MODEL_FORMAT_VERSION (older files included), a missing
+    key, an `extraction_config` that `ExtractionConfig.from_dict`
+    refuses or whose dim is not d, and parameters that are not base64,
+    hold a byte count that disagrees with K and d, fail `Gmm`'s checks,
+    or hold a full covariance without a Cholesky factor raise
+    ModelFormatError naming the file (and the field or the mixture); a
+    missing file raises FileNotFoundError `<path>: no such file`.
     """
     try:
         doc = json.loads(existing_file(path).read_text(encoding="utf-8"))
@@ -723,12 +725,18 @@ def load_pair_model(path) -> GmmPairModel:
                                f"reader needs {MODEL_FORMAT_VERSION}")
     try:
         kind, k, d = doc["covariance_kind"], doc["K"], doc["d"]
+        try:
+            extraction = ExtractionConfig.from_dict(doc["extraction_config"])
+            if d != extraction.dim:
+                raise ValueError(f"d is {d!r}, but its features have dim "
+                                 f"{extraction.dim}")
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: extraction_config: {exc}") from exc
         return GmmPairModel(
             genuine=_gmm_from_dict(doc, "genuine", kind, k, d, path),
             replay=_gmm_from_dict(doc, "replay", kind, k, d, path),
-            feature_kind=doc["feature_kind"],
             training_config=doc["training_config"],
-            extraction_config=doc["extraction_config"],
+            extraction_config=extraction,
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing key {exc}") from exc

@@ -73,6 +73,10 @@ def compute_eer(records: list[ScoreRecord]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def write_scores(records: list[ScoreRecord], path) -> None:
+    """One line per record; ValueError `<path>: ...`, writing nothing, if
+    there are none, since `read_scores` refuses a file without records."""
+    if not records:
+        raise ValueError(f"{path}: no score records to write")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{r.utt_id}\t{r.score!r}\t{r.label}" for r in records]

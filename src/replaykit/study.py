@@ -79,7 +79,8 @@ from pathlib import Path
 
 import numpy as np
 
-# perfbench/tracing.py wraps `write_archive` at this import site.
+# `write_archive` only for perfbench/tracing.py, which wraps it at this
+# import site; nothing here calls it, so its metrics read 0 (ROADMAP 8).
 from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
 from .corpus import (
     AudioSignal,
@@ -92,6 +93,7 @@ from .corpus import (
 )
 from .errors import EmptyUtteranceError
 from .filterbank import (
+    ExtractionConfig,
     FeatureKind,
     FeatureMatrix,
     WarpKind,
@@ -107,49 +109,16 @@ from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
 from .metrics import ScoreRecord, compute_eer, write_scores
 from .spectrum import SpectrumWorkspace, frame_signal, power_spectrum
 
-FBANK_TAGS = {WarpKind.LINEAR: "L-Fbank", WarpKind.MEL: "M-Fbank",
-              WarpKind.INVERTED_MEL: "IM-Fbank"}
-CEPSTRA_TAGS = {WarpKind.LINEAR: "LFCC", WarpKind.MEL: "MFCC",
-                WarpKind.INVERTED_MEL: "IMFCC"}
+WARP_INITIALS = {WarpKind.LINEAR: "L", WarpKind.MEL: "M",
+                 WarpKind.INVERTED_MEL: "IM"}
 
 
 def feature_tag(warp: WarpKind, feature: FeatureKind) -> str:
-    """Conventional name of a feature stream, e.g. IM-Fbank or IMFCC+D."""
+    """Display name of a feature stream, e.g. IM-Fbank or IMFCC+D, for
+    report keys, file stems and printed lines; no file records it."""
     if feature is FeatureKind.LOG_FBANK:
-        return FBANK_TAGS[warp]
-    return CEPSTRA_TAGS[warp] + "+D"
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    warp: WarpKind
-    feature: FeatureKind
-    bands: int = 23
-    frame_len: int = 400
-    hop: int = 160
-    n_fft: int = 512
-    delta_window: int = 2
-
-    def __post_init__(self):
-        # The checks and messages of the stages that use each value, made
-        # here first, so that a bad config fails before any utterance is
-        # read. The framing check also refuses a frame_len below 1.
-        if not 0 < self.hop <= self.frame_len:
-            raise ValueError(f"invalid framing: need 0 < hop <= frame_len, "
-                             f"got hop={self.hop}, frame_len={self.frame_len}")
-        if self.n_fft < self.frame_len:
-            raise ValueError(f"n_fft ({self.n_fft}) smaller than frame length "
-                             f"({self.frame_len})")
-        if self.n_fft & (self.n_fft - 1):
-            raise ValueError(f"n_fft must be a power of two, got {self.n_fft}")
-        if self.bands < 1:
-            raise ValueError("M must be >= 1")
-        if self.delta_window < 1:
-            raise ValueError("window must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "warp": self.warp.value,
-                "feature": self.feature.value}
+        return f"{WARP_INITIALS[warp]}-Fbank"
+    return f"{WARP_INITIALS[warp]}FCC+D"
 
 
 def iter_features(utterances, *configs: ExtractionConfig
@@ -229,8 +198,7 @@ def extract_features(utterances, *configs: ExtractionConfig
     for utt_id, feats in iter_features(utterances, *configs):
         for out, fm in zip(entries, feats):
             out[utt_id] = fm
-    return [FeatureArchive(feature_tag(c.warp, c.feature), c.to_dict(), e)
-            for c, e in zip(configs, entries)]
+    return [FeatureArchive(c, e) for c, e in zip(configs, entries)]
 
 
 def write_corpus(signals, manifest, profiles, out_dir
@@ -362,9 +330,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
 
     configs = [ExtractionConfig(kind, feature, config.bands, config.frame_len,
                                 config.hop, config.n_fft, config.delta_window)
-               for kind in WarpKind
-               for feature in (FeatureKind.LOG_FBANK,
-                               FeatureKind.CEPSTRA_DELTA)]
+               for kind in WarpKind for feature in FeatureKind]
     # Detection legs: genuine model on all genuine frames, replay model on
     # train-device replay frames; score genuine plus held-out replays.
     leg_configs = {c.warp: c for c in configs
@@ -377,7 +343,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     with contextlib.ExitStack() as stack:
         writers = [stack.enter_context(ArchiveWriter(
             out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
-            feature_tag(c.warp, c.feature), c.to_dict())) for c in configs]
+            c)) for c in configs]
         # Shut down first when the stack unwinds: queued fits are
         # cancelled, the work in hand finishes, and the threads are joined.
         pool = ThreadPoolExecutor(max_workers=2,
@@ -438,9 +404,8 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                     seed=derive_seed(seed, 3, kind_idx, cov_idx, cls))
             models = iter([fits[leg].result() for leg in legs])
             for cov in COVARIANCE_KINDS:
-                pair = GmmPairModel(next(models), next(models), tag,
-                                    config.train.to_dict(),
-                                    leg_configs[kind].to_dict())
+                pair = GmmPairModel(next(models), next(models),
+                                    config.train.to_dict(), leg_configs[kind])
                 save_pair_model(pair, out_dir / "models" /
                                 f"{_leg_stem(tag, cov)}.json")
                 pairs[kind, cov] = pair

@@ -9,20 +9,36 @@ from hypothesis import given, settings, strategies as st
 
 from byte_edits import TEXT_TOKENS, edited, one_byte_edits
 
-from replaykit.archive import (ArchiveReader, ArchiveWriter, FeatureArchive,
-                               read_archive, write_archive)
+from replaykit.archive import (VERSION, ArchiveReader, ArchiveWriter,
+                               FeatureArchive, read_archive, write_archive)
 from replaykit.errors import ArchiveFormatError
-from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
+from replaykit.filterbank import (ExtractionConfig, FeatureKind, FeatureMatrix,
+                                  WarpKind)
 
 
 def _fm(values, kind=FeatureKind.LOG_FBANK, warp=WarpKind.LINEAR):
     return FeatureMatrix(np.asarray(values, dtype=np.float64), kind, warp)
 
 
-def _archive(entries, feature="fbank", bands=3):
-    config = {"warp": "linear", "feature": feature, "bands": bands,
-              "frame_len": 400, "hop": 160, "n_fft": 512}
-    return FeatureArchive("L-Fbank", config, entries)
+def _config(feature=FeatureKind.LOG_FBANK, bands=3, warp=WarpKind.LINEAR):
+    return ExtractionConfig(warp, feature, bands)
+
+
+def _archive(entries, feature=FeatureKind.LOG_FBANK, bands=3):
+    return FeatureArchive(_config(feature, bands), entries)
+
+
+def _header_only(header: bytes) -> bytes:
+    """An archive of this version with these header bytes and no entry."""
+    return b"RPFA" + struct.pack("<HI", VERSION, len(header)) + header
+
+
+def _config_header(**changes) -> bytes:
+    """The JSON header of `_config()`, with keys changed or, set to
+    None, removed."""
+    doc = {**_config().to_dict(), **changes}
+    return json.dumps({k: v for k, v in doc.items()
+                       if v is not None}).encode()
 
 
 class TestRoundTrip:
@@ -31,23 +47,38 @@ class TestRoundTrip:
         write_archive(_archive({}), p)
         back = read_archive(p)
         assert back.entries == {}
-        assert back.feature_kind == "L-Fbank"
-        assert back.config["bands"] == 3
+        assert back.config == _config()
 
     def test_single_entry_exact_at_f32(self, tmp_path):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(3, 26)).astype(np.float32).astype(np.float64)
         fm = FeatureMatrix(values, FeatureKind.CEPSTRA_DELTA, WarpKind.MEL)
-        config = {"warp": "mel", "feature": "cepstra-delta", "bands": 23,
-                  "frame_len": 400, "hop": 160, "n_fft": 512}
+        config = ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)
         p = tmp_path / "a.rpfa"
-        write_archive(FeatureArchive("MFCC+D", config, {"utt1": fm}), p)
+        write_archive(FeatureArchive(config, {"utt1": fm}), p)
         back = read_archive(p)
         assert list(back.entries) == ["utt1"]
         got = back.entries["utt1"]
         assert got.kind is FeatureKind.CEPSTRA_DELTA
         assert got.warp_kind is WarpKind.MEL
         np.testing.assert_array_equal(got.values, values)
+        assert back.config == config
+
+    def test_the_header_is_the_config_alone(self, tmp_path):
+        # The config is the one description of the entries: no tag beside
+        # it (such as IMFCC+D over Mel log-Fbank) can disagree with it.
+        config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
+        p = tmp_path / "a.rpfa"
+        write_archive(FeatureArchive(config, {"u": _fm(
+            np.ones((1, 23)), warp=WarpKind.MEL)}), p)
+        data = p.read_bytes()
+        (length,) = struct.unpack("<I", data[6:10])
+        assert data[:6] == b"RPFA" + struct.pack("<H", 2)
+        assert data[10:10 + length] == json.dumps(
+            config.to_dict(), sort_keys=True).encode()
+        with ArchiveReader(p) as reader:
+            assert reader.config == config
+            assert reader.read("u").warp_kind is WarpKind.MEL
 
     def test_multiple_entries_preserve_order_and_shapes(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -106,11 +137,14 @@ class TestFormatGuards:
             read_archive(p)
 
     def test_unsupported_version(self, tmp_path):
+        # Version 1 headers carried a tag beside the config.
         data = self._valid_bytes(tmp_path)
-        p = tmp_path / "v2.rpfa"
-        p.write_bytes(data[:4] + struct.pack("<H", 2) + data[6:])
-        with pytest.raises(ArchiveFormatError, match="version"):
-            read_archive(p)
+        p = tmp_path / "other.rpfa"
+        for version in (1, VERSION + 1):
+            p.write_bytes(data[:4] + struct.pack("<H", version) + data[6:])
+            with pytest.raises(ArchiveFormatError) as info:
+                read_archive(p)
+            assert str(info.value) == f"{p}: unsupported version {version}"
 
     def test_truncated_body(self, tmp_path):
         data = self._valid_bytes(tmp_path)
@@ -127,16 +161,14 @@ class TestFormatGuards:
             read_archive(p)
 
     def test_entries_need_feature_config(self, tmp_path):
+        # A header without a config is refused at open, with no entry too.
         p = tmp_path / "a.rpfa"
-        write_archive(FeatureArchive("tag", {}, {}), p)
-        read_archive(p)  # empty body: fine
-        data = p.read_bytes()
-        id_bytes = b"u1"
-        entry = struct.pack("<H", len(id_bytes)) + id_bytes
-        entry += struct.pack("<II", 1, 2) + np.zeros(2, "<f4").tobytes()
-        p.write_bytes(data + entry)
-        with pytest.raises(ArchiveFormatError, match="feature"):
-            read_archive(p)
+        for body in (b"", self._entry("u1", 1, 2)):
+            p.write_bytes(_header_only(b"{}") + body)
+            with pytest.raises(ArchiveFormatError) as info:
+                read_archive(p)
+            assert str(info.value).startswith(
+                f"{p}: bad header: expected an object with the keys ")
 
     def _entry(self, utt_id, n_frames, dim):
         id_bytes = utt_id.encode()
@@ -154,22 +186,37 @@ class TestFormatGuards:
 
     def test_entry_dim_contradicts_feature_kind(self, tmp_path):
         p = tmp_path / "a.rpfa"
-        write_archive(_archive({}, feature="cepstra-delta"), p)
+        write_archive(_archive({}, feature=FeatureKind.CEPSTRA_DELTA,
+                               bands=23), p)
         p.write_bytes(p.read_bytes() + self._entry("u", 2, 5))
-        with pytest.raises(ArchiveFormatError, match="'u'.*dim 26"):
+        with pytest.raises(ArchiveFormatError) as info:
             read_archive(p)
+        assert str(info.value) == (f"{p}: entry 'u' has dim 5, but the "
+                                   f"config's features have dim 26")
+
+    def test_entry_of_another_dim_than_the_bands_fails_at_open(
+            self, tmp_path):
+        # A 40-dim entry, such as 40-band inverted-Mel log-Fbank, in an
+        # archive of 23-band Mel log-Fbank: refused, not read back as Mel.
+        p = tmp_path / "a.rpfa"
+        config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
+        write_archive(FeatureArchive(config, {}), p)
+        p.write_bytes(p.read_bytes() + self._entry("u", 2, 40))
+        with pytest.raises(ArchiveFormatError) as info:
+            ArchiveReader(p)
+        assert str(info.value) == (f"{p}: entry 'u' has dim 40, but the "
+                                   f"config's features have dim 23")
 
     def test_unknown_feature_kind_with_entries(self, tmp_path):
         # A kind the reader does not know, such as cepstra without their
-        # deltas, is refused once an entry needs it.
+        # deltas, is refused at open, with or without entries.
         p = tmp_path / "a.rpfa"
-        write_archive(_archive({}, feature="mfcc"), p)
-        assert read_archive(p).entries == {}
-        p.write_bytes(p.read_bytes() + self._entry("u", 2, 13))
-        with pytest.raises(ArchiveFormatError) as info:
-            read_archive(p)
-        assert str(info.value) == (f"{p}: archive has entries but its config "
-                                   f"carries no valid 'feature' kind")
+        for body in (b"", self._entry("u", 2, 13)):
+            p.write_bytes(_header_only(_config_header(feature="mfcc")) + body)
+            with pytest.raises(ArchiveFormatError) as info:
+                read_archive(p)
+            assert str(info.value) == (f"{p}: bad header: 'mfcc' is not a "
+                                       f"valid FeatureKind")
 
     def test_utterance_id_not_utf8(self, tmp_path):
         p = tmp_path / "a.rpfa"
@@ -182,14 +229,34 @@ class TestFormatGuards:
         assert str(info.value).startswith(f"{p}: utterance id is not UTF-8 (")
 
     @pytest.mark.parametrize("header, message", [
-        (b'{"config": {"warp": "bogus"}, "feature_kind": "tag"}',
-         "unknown warp kind 'bogus'"),
-        (b"[]", "list indices"),
-        (b'{"config": {}, "feature_kind": "\xff"}', "utf-8"),
+        pytest.param(json.dumps({"config": _config().to_dict(),
+                                 "feature_kind": "L-Fbank"}).encode(),
+                     "expected an object with the keys ", id="tag-and-config"),
+        pytest.param(b"[]", "expected an object with the keys ",
+                     id="not-an-object"),
+        pytest.param(b'{"warp": "\xff"}', "utf-8", id="not-utf-8"),
+        pytest.param(_config_header(warp="bogus"),
+                     "unknown warp kind 'bogus'", id="unknown-warp"),
+        pytest.param(_config_header(delta_window=None),
+                     "expected an object with the keys ", id="missing-key"),
+        pytest.param(_config_header(extra=1),
+                     "expected an object with the keys ", id="extra-key"),
+        pytest.param(_config_header(bands=23.0), "must be integers",
+                     id="float-count"),
+        pytest.param(_config_header(delta_window=True), "must be integers",
+                     id="bool-count"),
+        pytest.param(_config_header(hop=0, n_fft=300),
+                     "invalid framing: need 0 < hop <= frame_len, got hop=0",
+                     id="hop-0-n_fft-300"),
+        pytest.param(_config_header(n_fft=768),
+                     "n_fft must be a power of two, got 768", id="n_fft-768"),
+        pytest.param(_config_header(feature="cepstra-delta", bands=12),
+                     "need at least 13 bands, got 12", id="cepstra-12-bands"),
     ])
     def test_bad_header(self, tmp_path, header, message):
+        # A header the extractor would refuse fails at open, with no entry.
         p = tmp_path / "a.rpfa"
-        p.write_bytes(b"RPFA" + struct.pack("<HI", 1, len(header)) + header)
+        p.write_bytes(_header_only(header))
         with pytest.raises(ArchiveFormatError) as info:
             read_archive(p)
         assert str(info.value).startswith(f"{p}: bad header: ")
@@ -197,16 +264,20 @@ class TestFormatGuards:
 
     def test_header_shorter_than_declared(self, tmp_path):
         p = tmp_path / "t.rpfa"
-        p.write_bytes(b"RPFA" + struct.pack("<HI", 1, 50) + b"{}")
+        p.write_bytes(b"RPFA" + struct.pack("<HI", VERSION, 50) + b"{}")
         with pytest.raises(ArchiveFormatError) as info:
             read_archive(p)
         assert str(info.value) == (f"{p}: truncated archive: needed 50 "
                                    f"bytes at offset 10, have 2")
 
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(ValueError, match="share"):
-            FeatureArchive("tag", {}, {"a": _fm(np.ones((1, 2))),
-                                       "b": _fm(np.ones((1, 3)))})
+    def test_mixed_dims_rejected(self, tmp_path):
+        # An in-memory archive holds what it is given; writing it checks
+        # each entry against its config, and leaves no file.
+        archive = _archive({"a": _fm(np.ones((1, 3))),
+                            "b": _fm(np.ones((1, 2)))})
+        with pytest.raises(ValueError, match="'b'.*contradict"):
+            write_archive(archive, tmp_path / "a.rpfa")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArchiveReader:
@@ -222,8 +293,7 @@ class TestArchiveReader:
         p, entries = self._written(tmp_path)
         whole = read_archive(p).entries
         with ArchiveReader(p) as reader:
-            assert reader.feature_kind == "L-Fbank"
-            assert reader.config == _archive({}).config
+            assert reader.config == _config()
             assert reader.frame_counts == {u: fm.n_frames
                                            for u, fm in entries.items()}
             assert [u for u, _ in reader] == list(entries)
@@ -251,8 +321,8 @@ class TestArchiveReader:
                       + np.zeros(4, "<f4").tobytes())
         with pytest.raises(ArchiveFormatError) as info:
             ArchiveReader(p)
-        assert str(info.value) == (f"{p}: entry 'u2': archive entries must "
-                                   f"share dim and kind, got dim 4 after 3")
+        assert str(info.value) == (f"{p}: entry 'u2' has dim 4, but the "
+                                   f"config's features have dim 3")
 
     def test_failed_scan_closes_the_file(self, tmp_path):
         p, _ = self._written(tmp_path)
@@ -279,7 +349,7 @@ class TestArchiveReader:
 
 class TestArchiveWriter:
     def _writer(self, path):
-        return ArchiveWriter(path, "L-Fbank", _archive({}).config)
+        return ArchiveWriter(path, _config())
 
     def test_file_appears_at_path_only_on_clean_exit(self, tmp_path):
         p = tmp_path / "sub" / "a.rpfa"
@@ -318,11 +388,64 @@ class TestArchiveWriter:
         _fm(np.ones((2, 26)), kind=FeatureKind.CEPSTRA_DELTA),
     ])
     def test_entries_share_dim_and_kind(self, tmp_path, second):
-        with pytest.raises(ValueError, match="share dim and kind"):
+        # Every entry is of the config's dim and kind, so all share them.
+        with pytest.raises(ValueError, match="'u1'.*contradict"):
             with self._writer(tmp_path / "a.rpfa") as writer:
                 writer.add("u0", _fm(np.ones((2, 3))))
                 writer.add("u1", second)
         assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_an_entry_of_another_warp_and_dim(self, tmp_path):
+        # 40-band inverted-Mel log-Fbank under a 23-band Mel config.
+        config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
+        with pytest.raises(ValueError) as info:
+            with ArchiveWriter(tmp_path / "a.rpfa", config) as writer:
+                writer.add("u", _fm(np.ones((2, 40)),
+                                    warp=WarpKind.INVERTED_MEL))
+        assert str(info.value) == (
+            "utterance 'u': FeatureKind.LOG_FBANK, WarpKind.INVERTED_MEL and "
+            "dim 40 contradict the archive's FeatureKind.LOG_FBANK, "
+            "WarpKind.MEL and dim 23")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_an_fbank_entry_under_a_cepstra_config(self, tmp_path):
+        # A 26-band log-Fbank entry has the dim of cepstra with deltas but
+        # not their kind, which the reader could not tell from the bytes.
+        config = ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)
+        with pytest.raises(ValueError, match="'u': FeatureKind.LOG_FBANK"):
+            with ArchiveWriter(tmp_path / "a.rpfa", config) as writer:
+                writer.add("u", _fm(np.ones((2, 26)), warp=WarpKind.MEL))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [
+        _config(), ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA),
+    ], ids=["linear-fbank-3", "mel-cepstra-delta"])
+    def test_what_it_writes_reads_back_as_written(self, tmp_path, config):
+        # Every entry the writer takes reads back with its kind, warp and
+        # values; the others are refused before a byte of them is written.
+        p = tmp_path / "a.rpfa"
+        written = {}
+        with ArchiveWriter(p, config) as writer:
+            for kind in FeatureKind:
+                for warp in (*WarpKind, None):
+                    for dim in (2, 3, 26):
+                        if kind is FeatureKind.CEPSTRA_DELTA and dim != 26:
+                            continue
+                        utt_id = f"{kind.value}-{warp}-{dim}"
+                        fm = _fm(np.full((2, dim), 0.5), kind, warp)
+                        try:
+                            writer.add(utt_id, fm)
+                        except ValueError:
+                            continue
+                        written[utt_id] = fm
+        assert len(written) == 1
+        with ArchiveReader(p) as reader:
+            back = dict(reader)
+        assert list(back) == list(written)
+        for utt_id, fm in written.items():
+            assert (back[utt_id].kind, back[utt_id].warp_kind) == \
+                (fm.kind, fm.warp_kind)
+            np.testing.assert_array_equal(back[utt_id].values, fm.values)
 
     def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate utterance id 'u0'"):
@@ -360,7 +483,7 @@ class TestArchiveWriter:
 
     def test_non_finite_matrix_refused_naming_the_utterance(self, tmp_path):
         # 1e39 is finite as float64 but beyond float32's range. A refused
-        # matrix writes nothing, and its dim binds no later entry.
+        # matrix writes nothing.
         p = tmp_path / "a.rpfa"
         with self._writer(p) as writer:
             for bad in (np.nan, np.inf, -np.inf, 1e39):
@@ -370,10 +493,10 @@ class TestArchiveWriter:
                     writer.add("u0", _fm(values))
                 assert str(info.value) == ("utterance 'u0': feature values "
                                            "must be finite as float32")
-            writer.add("u0", _fm(np.ones((1, 4))))
+            writer.add("u0", _fm(np.ones((1, 3))))
         entries = read_archive(p).entries
         assert list(entries) == ["u0"]
-        np.testing.assert_array_equal(entries["u0"].values, np.ones((1, 4)))
+        np.testing.assert_array_equal(entries["u0"].values, np.ones((1, 3)))
 
 
 class TestNonFiniteStoredValues:
@@ -404,12 +527,12 @@ class TestNonFiniteStoredValues:
 
 
 # A valid two-entry archive, laid out by hand, and one edit of it.
-_EDIT_CONFIG = {"bands": 3, "feature": "fbank", "warp": "linear"}
-_EDIT_HEADER = json.dumps({"config": _EDIT_CONFIG, "feature_kind": "L-Fbank"},
-                          sort_keys=True).encode()
+_EDIT_HEADER = (b'{"bands": 3, "delta_window": 2, "feature": "fbank", '
+                b'"frame_len": 400, "hop": 160, "n_fft": 512, '
+                b'"warp": "linear"}')
 _EDIT_VALUES = {"a": np.arange(6, dtype="<f4").reshape(2, 3) / 4,
                 "b": np.full((1, 3), -1.5, dtype="<f4")}
-VALID_ARCHIVE = (b"RPFA" + struct.pack("<HI", 1, len(_EDIT_HEADER))
+VALID_ARCHIVE = (b"RPFA" + struct.pack("<HI", 2, len(_EDIT_HEADER))
                  + _EDIT_HEADER
                  + b"".join(struct.pack("<H", len(u)) + u.encode()
                             + struct.pack("<II", *v.shape) + v.tobytes()
@@ -423,7 +546,7 @@ def edit_dir(tmp_path_factory):
 
 def test_the_unedited_archive_is_what_the_writer_writes(edit_dir):
     p = edit_dir / "valid.rpfa"
-    with ArchiveWriter(p, "L-Fbank", _EDIT_CONFIG) as writer:
+    with ArchiveWriter(p, _config()) as writer:
         for utt_id, values in _EDIT_VALUES.items():
             writer.add(utt_id, _fm(values))
     assert p.read_bytes() == VALID_ARCHIVE
@@ -445,4 +568,6 @@ def test_any_one_byte_edit_reads_back_or_raises_archive_format_error(
         assert [u for u, _ in entries] == list(reader.frame_counts)
         for utt_id, fm in entries:
             assert fm.n_frames == reader.frame_counts[utt_id]
+            assert (fm.kind, fm.warp_kind, fm.dim) == (
+                reader.config.feature, reader.config.warp, reader.config.dim)
             assert np.isfinite(fm.values).all()

@@ -238,7 +238,7 @@ class TestFailures:
 
     def test_model_of_another_feature_kind(self, work, tmp_path):
         # Inverted-Mel and Mel cepstra with deltas share d, so only the
-        # feature kind tells this model and archive apart.
+        # warp of the extraction config tells this model and archive apart.
         imel = tmp_path / "imel_cepstra-delta.rpfa"
         _ok("extract", "--manifest", work / "corpus" / "manifest.tsv",
             "--warp", "imel", "--feature", "cepstra-delta", "--out", imel)
@@ -246,9 +246,26 @@ class TestFailures:
         line = self._single_error_line(
             ["score", "--archive", imel, "--model", model,
              "--out", tmp_path / "s.tsv"])
-        assert line == (f"error: model {model} was trained on MFCC+D "
-                        f"features, but archive {imel} holds IMFCC+D")
+        trained, given = (json.dumps(ExtractionConfig(
+            warp, FeatureKind.CEPSTRA_DELTA).to_dict(), sort_keys=True)
+            for warp in (WarpKind.MEL, WarpKind.INVERTED_MEL))
+        assert line == (f"error: model {model} was trained on features "
+                        f"extracted with {trained}, but archive {imel} "
+                        f"holds features extracted with {given}")
         assert not (tmp_path / "s.tsv").exists()
+
+    def test_score_of_an_archive_without_entries(self, work, tmp_path):
+        # `eval` refuses a score file without records, so `score` writes
+        # none.
+        empty = tmp_path / "empty.rpfa"
+        write_archive(FeatureArchive(
+            read_archive(work / "mel_cepstra-delta.rpfa").config), empty)
+        out = tmp_path / "s.tsv"
+        line = self._single_error_line(
+            ["score", "--archive", empty, "--model", work / "model.json",
+             "--out", out])
+        assert line == f"error: {out}: no score records to write"
+        assert not out.exists()
 
     def test_non_numeric_score(self, work, tmp_path):
         rows = (work / "labelled.tsv").read_text().splitlines()
@@ -346,7 +363,7 @@ class TestFailures:
         archive = read_archive(work / "mel_cepstra-delta.rpfa")
         utt_id = list(archive.entries)[2]
         archive.entries[utt_id] = FeatureMatrix(
-            np.zeros((0, 26)), FeatureKind.CEPSTRA_DELTA)
+            np.zeros((0, 26)), FeatureKind.CEPSTRA_DELTA, WarpKind.MEL)
         bad = tmp_path / "empty_entry.rpfa"
         write_archive(archive, bad)
         line = self._single_error_line(
@@ -369,9 +386,9 @@ class TestFailures:
         line = self._single_error_line(
             ["score", "--archive", wide, "--model", model, "--manifest",
              manifest, "--out", out])
-        trained = json.dumps(read_archive(
-            work / "mel_cepstra-delta.rpfa").config, sort_keys=True)
-        given = json.dumps(read_archive(wide).config, sort_keys=True)
+        trained, given = (json.dumps(read_archive(p).config.to_dict(),
+                                     sort_keys=True)
+                          for p in (work / "mel_cepstra-delta.rpfa", wide))
         assert '"bands": 23' in trained and '"bands": 40' in given
         assert line == (f"error: model {model} was trained on features "
                         f"extracted with {trained}, but archive {wide} "
@@ -693,7 +710,7 @@ class TestStreamsAsInMemory:
         archive = read_archive(path)
         manifest = parse_manifest(work / "corpus" / "manifest.tsv")
         reversed_path = tmp_path / "reversed.rpfa"
-        write_archive(FeatureArchive(archive.feature_kind, archive.config,
+        write_archive(FeatureArchive(archive.config,
                                      dict(reversed(archive.entries.items()))),
                       reversed_path)
         config = TrainConfig(max_iters=2)
@@ -702,8 +719,7 @@ class TestStreamsAsInMemory:
                     2, cov, config, seed=SEED + offset)
                 for offset, records in enumerate(
                     (manifest.genuine_records(), manifest.replay_records())))
-        save_pair_model(GmmPairModel(g, r, archive.feature_kind,
-                                     config.to_dict(), archive.config),
+        save_pair_model(GmmPairModel(g, r, config.to_dict(), archive.config),
                         tmp_path / "want.json")
         for source in (path, reversed_path):
             _ok("train", "--archive", source, "--manifest",

@@ -8,6 +8,7 @@ import oracles
 from replaykit.corpus import AudioSignal, DeviceProfile, _amplitude_response
 from replaykit.filterbank import (
     NYQUIST_HZ,
+    ExtractionConfig,
     FeatureKind,
     FeatureMatrix,
     WarpKind,
@@ -177,6 +178,37 @@ class TestFbankFeatures:
     def test_mismatched_config(self):
         with pytest.raises(ValueError, match="does not match"):
             fbank_features(_spec(np.ones((1, 129))), self.FB)
+
+
+class TestExtractionConfig:
+    @pytest.mark.parametrize("feature", list(FeatureKind))
+    @pytest.mark.parametrize("warp", list(WarpKind))
+    def test_from_dict_inverts_to_dict(self, warp, feature):
+        config = ExtractionConfig(warp, feature, bands=40, frame_len=480,
+                                  hop=240, n_fft=1024, delta_window=3)
+        assert ExtractionConfig.from_dict(config.to_dict()) == config
+
+    def test_dim(self):
+        assert ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK,
+                                bands=40).dim == 40
+        assert ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA,
+                                bands=40).dim == 26
+
+    def test_cepstra_need_13_bands(self):
+        ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK, bands=12)
+        with pytest.raises(ValueError, match="^need at least 13 bands, got 12$"):
+            ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA, bands=12)
+
+    @pytest.mark.parametrize("change", [
+        {"warp": ["mel"]}, {"feature": None}, {"bands": "23"},
+        {"hop": 160.5}, {"n_fft": None},
+    ], ids=["warp-a-list", "feature-null", "bands-a-string", "hop-a-float",
+            "n_fft-null"])
+    def test_from_dict_raises_value_error_only(self, change):
+        doc = {**ExtractionConfig(WarpKind.MEL,
+                                  FeatureKind.LOG_FBANK).to_dict(), **change}
+        with pytest.raises(ValueError):
+            ExtractionConfig.from_dict(doc)
 
 
 class TestCepstralFeatures:

@@ -12,7 +12,8 @@ from scipy.special import logsumexp
 
 from replaykit import gmm
 from replaykit.errors import ModelFormatError, SingularComponentError
-from replaykit.filterbank import FeatureKind, FeatureMatrix
+from replaykit.filterbank import (ExtractionConfig, FeatureKind,
+                                  FeatureMatrix, WarpKind)
 from replaykit.gmm import (
     FULL_FEATURES_MIN_K,
     KMEANS_ITERS,
@@ -218,10 +219,21 @@ def _cepstra(values):
                          FeatureKind.LOG_FBANK)
 
 
+def _fbank_config(bands: int) -> ExtractionConfig:
+    return ExtractionConfig(WarpKind.LINEAR, FeatureKind.LOG_FBANK, bands)
+
+
+def _pair(genuine, replay, training_config=None):
+    """A pair recording log-Fbank features of its d as its provenance."""
+    return GmmPairModel(genuine, replay,
+                        training_config or TrainConfig().to_dict(),
+                        _fbank_config(genuine.dim))
+
+
 class TestScoreUtterance:
     def _pair(self, g_mean=0.0, r_mean=1.0):
-        return GmmPairModel(_single_gaussian(g_mean, 1.0),
-                            _single_gaussian(r_mean, 1.0), "test", {})
+        return _pair(_single_gaussian(g_mean, 1.0),
+                     _single_gaussian(r_mean, 1.0))
 
     def test_identical_models_score_zero(self):
         pair = self._pair(0.3, 0.3)
@@ -252,7 +264,7 @@ class TestScoreUtterance:
         x = rng.normal(size=(6, 3))
         x[2, 0] = bad
         with pytest.raises(ValueError, match=r"^1 of 6 frames are non-finite$"):
-            score_utterance(GmmPairModel(model, model, "test", {}), _cepstra(x))
+            score_utterance(_pair(model, model), _cepstra(x))
 
     def test_empty_utterance(self):
         pair = self._pair()
@@ -269,7 +281,7 @@ class TestScoreUtterance:
         frames = rng.normal(size=(200, 2))
         g = train_gmm(frames, 2, "full", seed=0)
         r = train_gmm(frames + 1.0, 2, "full", seed=0)
-        pair = GmmPairModel(g, r, "test", {})
+        pair = _pair(g, r)
         feats = _cepstra(rng.normal(size=(50, 2)))
         assert score_utterance(pair, feats) == score_utterance(pair, feats)
 
@@ -283,9 +295,7 @@ class TestModelPersistence:
         rng = np.random.default_rng(12)
         g = train_gmm(rng.normal(0, 1, size=(80, 3)), 2, kind, seed=1)
         r = train_gmm(rng.normal(2, 1, size=(80, 3)), 2, kind, seed=2)
-        return GmmPairModel(g, r, "LFCC+D", TrainConfig().to_dict(),
-                            {"warp": "linear", "feature": "cepstra-delta",
-                             "bands": 23})
+        return _pair(g, r)
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_roundtrip_bit_exact(self, tmp_path, kind):
@@ -298,9 +308,9 @@ class TestModelPersistence:
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.covariances, b.covariances)
-        assert back.feature_kind == "LFCC+D"
         assert back.training_config == pair.training_config
         assert back.extraction_config == pair.extraction_config
+        assert isinstance(back.extraction_config, ExtractionConfig)
 
     @pytest.mark.parametrize("kind, k", [("diag", 2), ("full", 2),
                                          ("diag", 8), ("full", 8)])
@@ -313,7 +323,8 @@ class TestModelPersistence:
                       TrainConfig(max_iters=2), seed=1)
         r = train_gmm(rng.normal(0.5, 1, size=(600, 26)), k, kind,
                       TrainConfig(max_iters=2), seed=2)
-        pair = GmmPairModel(g, r, "MFCC+D", TrainConfig().to_dict())
+        pair = GmmPairModel(g, r, TrainConfig().to_dict(), ExtractionConfig(
+            WarpKind.MEL, FeatureKind.CEPSTRA_DELTA))
         save_pair_model(pair, tmp_path / "model.json")
         back = load_pair_model(tmp_path / "model.json")
         for _ in range(20):
@@ -325,11 +336,11 @@ class TestModelPersistence:
         p = tmp_path / "model.json"
         save_pair_model(pair, p)
         doc = json.loads(p.read_text())
-        assert set(doc) == {"format_version", "feature_kind",
-                            "covariance_kind", "K", "d", "training_config",
-                            "extraction_config", "genuine", "replay"}
-        assert doc["format_version"] == 3 and doc["K"] == 2 and doc["d"] == 3
-        assert doc["extraction_config"] == pair.extraction_config
+        assert set(doc) == {"format_version", "covariance_kind", "K", "d",
+                            "training_config", "extraction_config",
+                            "genuine", "replay"}
+        assert doc["format_version"] == 4 and doc["K"] == 2 and doc["d"] == 3
+        assert doc["extraction_config"] == pair.extraction_config.to_dict()
         # covariances in full, C order, as little-endian float64 bytes
         raw = base64.b64decode(doc["genuine"]["covariances"])
         np.testing.assert_array_equal(
@@ -344,7 +355,7 @@ class TestModelPersistence:
                           TrainConfig(max_iters=2), seed=1)
                 for shift in (0, 2))
         p = tmp_path / "model.json"
-        save_pair_model(GmmPairModel(g, r, "LFCC+D", {}), p)
+        save_pair_model(_pair(g, r), p)
         doc = json.loads(p.read_text())
         covariances = r.covariances.copy()
         covariances[3] = -np.eye(3)
@@ -366,6 +377,45 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError) as info:
             load_pair_model(p)
         assert str(info.value) == f"{p}: missing key '{key}'"
+
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(5, "expected an object with the keys ", id="a-number"),
+        pytest.param({}, "expected an object with the keys ", id="empty"),
+        pytest.param({**_fbank_config(3).to_dict(), "hop": 0},
+                     "invalid framing", id="hop-0"),
+        pytest.param({**_fbank_config(3).to_dict(), "warp": "bogus"},
+                     "unknown warp kind 'bogus'", id="unknown-warp"),
+        pytest.param({**_fbank_config(3).to_dict(), "bands": 3.0},
+                     "must be integers", id="float-bands"),
+        pytest.param(_fbank_config(4).to_dict(),
+                     "d is 3, but its features have dim 4", id="another-dim"),
+        pytest.param(ExtractionConfig(WarpKind.MEL,
+                                      FeatureKind.CEPSTRA_DELTA).to_dict(),
+                     "d is 3, but its features have dim 26", id="cepstra"),
+    ])
+    def test_extraction_config_that_is_not_one_is_typed(self, tmp_path, value,
+                                                        message):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        doc = json.loads(p.read_text())
+        doc["extraction_config"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value).startswith(f"{p}: extraction_config: ")
+        assert message in str(info.value)
+
+    def test_save_refuses_a_d_other_than_the_configs_dim(self, tmp_path):
+        # What load_pair_model would refuse is not written.
+        trained = self._trained_pair("diag")
+        pair = GmmPairModel(trained.genuine, trained.replay,
+                            trained.training_config, _fbank_config(4))
+        p = tmp_path / "model.json"
+        with pytest.raises(ValueError) as info:
+            save_pair_model(pair, p)
+        assert str(info.value) == (f"{p}: extraction_config: d is 3, but its "
+                                   f"features have dim 4")
+        assert not p.exists()
 
     @pytest.mark.parametrize("kind", ["diag", "full"])
     def test_shape_disagreeing_with_k_d_is_typed(self, tmp_path, kind):
@@ -418,7 +468,7 @@ class TestModelPersistence:
             load_pair_model(p)
         assert str(info.value).startswith(f"{p}: genuine: means is not base64")
 
-    @pytest.mark.parametrize("version", [None, 1, 2])
+    @pytest.mark.parametrize("version", [None, 1, 2, 3])
     def test_format_version_other_than_current_is_typed(self, tmp_path,
                                                         version):
         p = tmp_path / "model.json"
@@ -432,7 +482,7 @@ class TestModelPersistence:
             load_pair_model(p)
         found = "missing" if version is None else version
         assert str(info.value) == (f"{p}: format_version is {found}, "
-                                   f"this reader needs 3")
+                                   f"this reader needs 4")
 
     def test_paper_sized_full_pair_is_bit_exact_and_under_1_mb(self, tmp_path):
         rng = np.random.default_rng(64)
@@ -442,7 +492,8 @@ class TestModelPersistence:
         r = train_gmm(rng.normal(1, 2, size=(700, 26)), 64, "full", config,
                       seed=2)
         p = tmp_path / "model.json"
-        save_pair_model(GmmPairModel(g, r, "MFCC+D", config.to_dict()), p)
+        save_pair_model(GmmPairModel(g, r, config.to_dict(), ExtractionConfig(
+            WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)), p)
         assert p.stat().st_size < 1_000_000
         back = load_pair_model(p)
         for a, b in ((g, back.genuine), (r, back.replay)):
@@ -471,7 +522,7 @@ class TestModelPersistence:
         r = Gmm(np.array([1.0]), np.array([[0.0, 0.0]]),
                 np.array([[1.0, 1.0]]), "diag")
         with pytest.raises(ValueError, match="share"):
-            GmmPairModel(g, r, "t", {})
+            _pair(g, r)
 
 
 @pytest.fixture(scope="module")
@@ -481,9 +532,12 @@ def edit_dir(tmp_path_factory):
 
 # A valid K=2, d=2 diagonal pair's file, and one edit of it.
 VALID_MODEL = json.dumps({
-    "format_version": gmm.MODEL_FORMAT_VERSION, "feature_kind": "MFCC+D",
+    "format_version": gmm.MODEL_FORMAT_VERSION,
     "covariance_kind": "diag", "K": 2, "d": 2,
-    "training_config": {"max_iters": 2}, "extraction_config": {"warp": "mel"},
+    "training_config": {"max_iters": 2},
+    "extraction_config": {"warp": "mel", "feature": "fbank", "bands": 2,
+                          "frame_len": 400, "hop": 160, "n_fft": 512,
+                          "delta_window": 2},
     "genuine": {"weights": _encode(np.array([0.25, 0.75])),
                 "means": _encode(np.array([[0.5, -1.0], [2.0, 0.0]])),
                 "covariances": _encode(np.array([[2.0, 0.25], [1.0, 4.0]]))},
@@ -515,6 +569,7 @@ def test_any_one_byte_edit_reads_back_or_raises_model_format_error(edit_dir,
     except ModelFormatError as exc:
         assert str(exc).startswith(f"{p}: ")
     else:
+        assert pair.extraction_config.dim == 2
         for model in (pair.genuine, pair.replay):
             assert model.covariances.shape == model.means.shape == (2, 2)
             assert np.all(model.covariances > 0.0)
@@ -629,8 +684,8 @@ class TestAgainstOracles:
     @staticmethod
     def _assert_score(kind, k, n_frames):
         rng = np.random.default_rng(200 + k)
-        pair = GmmPairModel(_random_gmm(rng, kind, k, 3),
-                            _random_gmm(rng, kind, k, 3), "test", {})
+        pair = _pair(_random_gmm(rng, kind, k, 3),
+                     _random_gmm(rng, kind, k, 3))
         x = rng.normal(0.0, 3.0, size=(n_frames, 3))
         x[5] = 1e6
         expected = np.mean(oracles.gmm_frame_log_likelihoods(pair.genuine, x)
@@ -661,8 +716,8 @@ class TestAgainstOracles:
         # Both mixtures in one GEMM per block about a shared origin, per
         # frame against the loop oracle, in one block and in several.
         rng = np.random.default_rng(700 + sum(ks))
-        pair = GmmPairModel(_random_gmm(rng, kind, ks[0], 3),
-                            _random_gmm(rng, kind, ks[1], 3), "test", {})
+        pair = _pair(_random_gmm(rng, kind, ks[0], 3),
+                     _random_gmm(rng, kind, ks[1], 3))
         x = rng.normal(0.0, 3.0, size=(n_frames, 3))
         x[5] = 1e6
         densities = pair._densities
@@ -690,7 +745,7 @@ class TestAgainstOracles:
         far = _random_gmm(rng, kind, k, 3)
         replay = Gmm(far.weights, far.means + [separation, 0.0, 0.0],
                      far.covariances, kind)
-        pair = GmmPairModel(genuine, replay, "test", {})
+        pair = _pair(genuine, replay)
         x = rng.normal(size=(100, 3)) + np.vstack([
             genuine.means[rng.integers(k, size=50)],
             replay.means[rng.integers(k, size=50)]])
@@ -957,7 +1012,7 @@ class TestNumericsGuards:
         covs = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0]),
                          np.zeros((2, 2))])
         model = Gmm(np.full(4, 0.25), np.zeros((4, 2)), covs, "full")
-        pair = GmmPairModel(model, model, "test", {})
+        pair = _pair(model, model)
         with pytest.raises(SingularComponentError,
                            match=r"^component 2 covariance is not "
                                  r"positive-definite$"):
@@ -978,7 +1033,7 @@ class TestNumericsGuards:
 
     def test_parameters_cannot_be_replaced(self):
         model = _single_gaussian(0.0, 1.0)
-        pair = GmmPairModel(model, model, "test", {})
+        pair = _pair(model, model)
         score_utterance(pair, _cepstra(np.array([[0.5]])))
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.covariances = np.array([[4.0]])

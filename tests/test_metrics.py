@@ -100,6 +100,14 @@ class TestScoreFiles:
         write_scores(records, p)
         assert read_scores(p) == records
 
+    def test_no_records_are_refused_and_nothing_is_written(self, tmp_path):
+        # `read_scores` refuses a file without records, so none is written.
+        p = tmp_path / "scores" / "s.tsv"
+        with pytest.raises(ValueError) as info:
+            write_scores([], p)
+        assert str(info.value) == f"{p}: no score records to write"
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_precision(self, tmp_path):
         records = [ScoreRecord("u0", 0.1 + 0.2, "genuine"),
                    ScoreRecord("u1", -1.0 / 3.0, "replay")]

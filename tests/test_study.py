@@ -111,8 +111,8 @@ class TestRunStudy:
             ((r.utt_id, s) for r, s in signals),
             *(ExtractionConfig(warp, FeatureKind.CEPSTRA_DELTA)
               for warp in WarpKind))
-        features = {archive.feature_kind: archive.entries
-                    for archive in archives}
+        features = {feature_tag(archive.config.warp, archive.config.feature):
+                    archive.entries for archive in archives}
         pairs = {(tag, cov): load_pair_model(
                      out / "models" / f"{tag.split('+')[0].lower()}_{cov}.json")
                  for tag, by_cov in report.eers.items() for cov in by_cov}
@@ -562,7 +562,7 @@ class TestExtractFeatures:
         archives = extract_features(iter(utterances), *configs)
         for config, archive in zip(configs, archives):
             assert list(archive.entries) == [u for u, _ in utterances]
-            assert archive.config == config.to_dict()
+            assert archive.config == config
             fb = build_filterbank(config.warp, config.bands, config.n_fft)
             for utt_id, signal in utterances:
                 spec = power_spectrum(
@@ -806,7 +806,7 @@ def test_study_holds_no_log_fbank_frames(tmp_path):
 
     extract_peak, archives = _traced_peak(extract_all)
     fbank_bytes = sum(fm.values.nbytes for archive in archives
-                      if archive.config["feature"] == "fbank"
+                      if archive.config.feature is FeatureKind.LOG_FBANK
                       for fm in archive.entries.values())
     assert fbank_bytes > 5_000_000
     assert study_peak < extract_peak - fbank_bytes / 2
