@@ -67,7 +67,7 @@ from .metrics import ScoreRecord, compute_eer, read_scores, write_scores
 from .spectrum import (
     FrameMatrix,
     SpectrumWorkspace,
-    dct_ii,
+    dct_basis,
     frame_signal,
     power_spectrum,
 )

@@ -32,7 +32,9 @@ What each command holds in memory at once, beyond its own output:
 - `eval`: the score file; `study`: see `run_study`.
 `probe`, `train` and `score` read archives through `ArchiveReader`,
 which checks the whole file when it opens, so a malformed archive fails
-them before they write anything.
+them before they write anything. `probe` and `train` then check the
+archive's config and index against the manifest, before they read an
+entry (`_manifest_of_archive`).
 
 The commands share their stages with `run_study`, but extract from 16-bit
 WAVs and train on float32 archive round-trips, so their results are close
@@ -154,13 +156,33 @@ def _cmd_extract(args) -> None:
     print(f"wrote {len(manifest)} {tag} entries to {args.out}")
 
 
+def _manifest_of_archive(reader, args, feature=None):
+    """Parse `args.manifest` and check the open archive against it from
+    its header and index alone, before any entry is read: raise
+    FeatureMismatchError `<archive>: ...` if the archive holds features
+    of another kind than `feature` (when one is given) or lacks an
+    utterance that the manifest lists."""
+    manifest = corpus_mod.parse_manifest(args.manifest)
+    if feature is not None and reader.config.feature is not feature:
+        raise FeatureMismatchError(
+            f"{args.archive}: holds {reader.config.feature.value} features, "
+            f"but {args.command} needs {feature.value} features")
+    counts = reader.frame_counts
+    missing = [r.utt_id for r in manifest if r.utt_id not in counts]
+    if missing:
+        raise FeatureMismatchError(
+            f"{args.archive}: lacks features for {len(missing)} utterance(s) "
+            f"that {args.manifest} lists, {missing[:3]}")
+    return manifest
+
+
 def _cmd_probe(args) -> None:
     # The report's JSON document goes next to the TSV (`write_probe_report`).
     _refuse_overwriting_inputs(args.out, [args.archive, args.manifest],
                                [Path(args.out).with_suffix(".json")])
     table = MomentTable()
     with archive_mod.ArchiveReader(args.archive) as reader:
-        manifest = corpus_mod.parse_manifest(args.manifest)
+        manifest = _manifest_of_archive(reader, args, FeatureKind.LOG_FBANK)
         for utt_id, fm in reader:
             table.add(utt_id, fm)
     report = probe_factor(table, manifest, args.factor)
@@ -172,12 +194,8 @@ def _cmd_probe(args) -> None:
 def _cmd_train(args) -> None:
     _refuse_overwriting_inputs(args.out, [args.archive, args.manifest])
     with archive_mod.ArchiveReader(args.archive) as reader:
-        manifest = corpus_mod.parse_manifest(args.manifest)
+        manifest = _manifest_of_archive(reader, args)
         counts = reader.frame_counts
-        missing = [r.utt_id for r in manifest if r.utt_id not in counts]
-        if missing:
-            raise FeatureMismatchError(
-                f"archive lacks features for {missing[:3]}")
         config = TrainConfig(max_iters=args.max_iters,
                              ll_tolerance=args.ll_tolerance)
         genuine = [r.utt_id for r in manifest.genuine_records()]
@@ -188,7 +206,7 @@ def _cmd_train(args) -> None:
                             args.ncomp, args.cov, config, seed=args.seed)
         r_model = train_gmm(pool_frames(replay, counts, reader.values),
                             args.ncomp, args.cov, config, seed=args.seed + 1)
-    pair = GmmPairModel(g_model, r_model, config.to_dict(), reader.config)
+    pair = GmmPairModel(g_model, r_model, config, reader.config)
     save_pair_model(pair, args.out)
     print(f"trained {args.cov} pair (K={args.ncomp}) on "
           f"{sum(counts[u] for u in genuine)}+"

@@ -59,7 +59,9 @@ class ArchiveFormatError(ReplaykitError, ValueError):
 class ModelFormatError(ReplaykitError, ValueError):
     """Model file is not JSON, has another format_version, lacks a key,
     holds an extraction_config that is not an `ExtractionConfig` or whose
-    dim is not d (`<path>: extraction_config: ...`), parameters that are
+    dim is not d (`<path>: extraction_config: ...`) or a training_config
+    that is not a `TrainConfig` (`<path>: training_config: ...`),
+    parameters that are
     not base64, disagree with K and d or a mixture rejects, or a full
     covariance that is not positive-definite (`<path>: <genuine|replay>:
     component j ...`)."""
@@ -90,5 +92,6 @@ class SingularComponentError(ReplaykitError, RuntimeError):
 class FeatureMismatchError(ReplaykitError, ValueError):
     """Features do not match what they are used with: an archive handed
     to a model holds features of another `ExtractionConfig` than the one
-    it was trained on; or an archive, or the moment table a probe reads,
-    lacks features for an utterance its manifest names."""
+    it was trained on; an archive handed to `replaykit probe` holds
+    features other than log-Fbank; or an archive, or the moment table a
+    probe reads, lacks features for an utterance its manifest names."""

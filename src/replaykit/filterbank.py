@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PIPELINE_SAMPLE_RATE
-from .spectrum import dct_ii
 
 NYQUIST_HZ = PIPELINE_SAMPLE_RATE / 2
 NUM_CEPSTRA = 13
@@ -216,12 +215,14 @@ def fbank_features(spec: np.ndarray, fb: FilterBank) -> FeatureMatrix:
                          FeatureKind.LOG_FBANK, fb.kind)
 
 
-def cepstral_features(logfb: FeatureMatrix) -> np.ndarray:
+def cepstral_features(logfb: FeatureMatrix, basis: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II of each log-Fbank frame: the (frames, 13) array
-    of coefficients c0..c12."""
+    of coefficients c0..c12, through `basis`, the
+    `spectrum.dct_basis(bands, NUM_CEPSTRA)` that the caller builds once
+    per pass (`iter_features`) and keeps as long as the pass."""
     if logfb.kind is not FeatureKind.LOG_FBANK:
         raise ValueError(f"expected log-Fbank features, got {logfb.kind.value}")
-    return dct_ii(logfb.values, NUM_CEPSTRA)
+    return logfb.values @ basis.T
 
 
 def append_deltas(x: np.ndarray, window: int = 2) -> np.ndarray:

@@ -95,14 +95,14 @@ EM takes one `exp` per block: the responsibilities are the log-sum-exp's
 shifted exponentials divided by their row sums.
 
 A model file is one JSON line per genuine/replay pair: `format_version`
-(MODEL_FORMAT_VERSION), the covariance kind, K, d, the training config,
-the `ExtractionConfig.to_dict()` of the features it was trained on (what
-their archive's header holds), and for each mixture its weights,
-means and covariances as base64 strings of their C-order little-endian
-float64 bytes. Bytes, not float text: a float repr per value made a
-paper-sized pair many times slower to save and twice the size on disk,
-and bytes read back bit for bit, which scoring a saved model in another
-process relies on.
+(MODEL_FORMAT_VERSION), the covariance kind, K, d, the `to_dict()` of
+the `TrainConfig` and of the `ExtractionConfig` of the features it was
+trained on (what their archive's header holds), and for each mixture its
+weights, means and covariances as base64 strings of their C-order
+little-endian float64 bytes. Bytes, not float text: a float repr per
+value made a paper-sized pair many times slower to save and twice the
+size on disk, and bytes read back bit for bit, which scoring a saved
+model in another process relies on.
 Covariances are kept in full rather than as a triangle: a floored full
 covariance V Λ Vᵀ is symmetric only to rounding (in one K=64 fit 18,652
 of 43,264 entries differ from their transpose), so a triangle would not
@@ -157,6 +157,28 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    @classmethod
+    def from_dict(cls, doc) -> "TrainConfig":
+        """The config whose `to_dict` is `doc`, or ValueError: not an
+        object, other keys, a `max_iters` that is not an integer, other
+        values that are not numbers (bools are not), or values the checks
+        refuse."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(doc, dict) or set(doc) != set(names):
+            raise ValueError(f"expected an object with the keys "
+                             f"{sorted(names)}, got {doc!r}")
+        if type(doc["max_iters"]) is not int:
+            raise ValueError(f"max_iters must be an integer, got "
+                             f"{doc['max_iters']!r}")
+        for name in names[1:]:
+            if type(doc[name]) not in (int, float):
+                raise ValueError(f"{name} must be a number, got "
+                                 f"{doc[name]!r}")
+        try:
+            return cls(**doc)
+        except OverflowError as exc:  # an integer no float can hold
+            raise ValueError(f"{exc}, got {doc!r}") from exc
+
 
 @dataclass(frozen=True)
 class Gmm:
@@ -203,9 +225,9 @@ class Gmm:
 
 @dataclass(frozen=True)
 class GmmPairModel:
-    """Genuine and replay mixtures plus their provenance: the training
-    config and the `ExtractionConfig` of the features they were trained
-    on, which `replaykit score` requires an archive's to equal.
+    """Genuine and replay mixtures plus their provenance: the
+    `TrainConfig` and the `ExtractionConfig` of the features they were
+    trained on, which `replaykit score` requires an archive's to equal.
 
     Frozen, because the scoring factors of both mixtures are derived once
     per pair, on first use.
@@ -213,7 +235,7 @@ class GmmPairModel:
 
     genuine: Gmm
     replay: Gmm
-    training_config: dict
+    training_config: TrainConfig
     extraction_config: ExtractionConfig
 
     def __post_init__(self):
@@ -690,7 +712,7 @@ def save_pair_model(model: GmmPairModel, path) -> None:
         "covariance_kind": model.genuine.covariance_kind,
         "K": model.genuine.n_comp,
         "d": model.genuine.dim,
-        "training_config": model.training_config,
+        "training_config": model.training_config.to_dict(),
         "extraction_config": model.extraction_config.to_dict(),
         "genuine": _gmm_to_dict(model.genuine),
         "replay": _gmm_to_dict(model.replay),
@@ -706,7 +728,8 @@ def load_pair_model(path) -> GmmPairModel:
     Bytes that are not UTF-8 JSON or not an object, a `format_version`
     other than MODEL_FORMAT_VERSION (older files included), a missing
     key, an `extraction_config` that `ExtractionConfig.from_dict`
-    refuses or whose dim is not d, and parameters that are not base64,
+    refuses or whose dim is not d, a `training_config` that
+    `TrainConfig.from_dict` refuses, and parameters that are not base64,
     hold a byte count that disagrees with K and d, fail `Gmm`'s checks,
     or hold a full covariance without a Cholesky factor raise
     ModelFormatError naming the file (and the field or the mixture); a
@@ -732,10 +755,14 @@ def load_pair_model(path) -> GmmPairModel:
                                  f"{extraction.dim}")
         except ValueError as exc:
             raise ModelFormatError(f"{path}: extraction_config: {exc}") from exc
+        try:
+            training = TrainConfig.from_dict(doc["training_config"])
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: training_config: {exc}") from exc
         return GmmPairModel(
             genuine=_gmm_from_dict(doc, "genuine", kind, k, d, path),
             replay=_gmm_from_dict(doc, "replay", kind, k, d, path),
-            training_config=doc["training_config"],
+            training_config=training,
             extraction_config=extraction,
         )
     except KeyError as exc:

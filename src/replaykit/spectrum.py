@@ -1,6 +1,8 @@
 """Framing, Hamming-windowed power spectra, and the orthonormal DCT.
 
-Conventions pinned here: 25 ms / 10 ms framing defaults live in the CLI,
+Conventions pinned here: the pipeline frames at 25 ms / 10 ms, which
+`ExtractionConfig` and `StudyConfig` give in samples (frame_len 400, hop
+160 at 16 kHz) and the CLI in milliseconds (`--frame-ms`, `--hop-ms`);
 the window is the symmetric Hamming w[n] = 0.54 - 0.46 cos(2 pi n / (L-1)),
 and the forward transform is unnormalized (|X[k]|^2 with no 1/N), so the
 sum over all n_fft bins of |X[k]|^2 equals n_fft times the windowed-frame
@@ -13,17 +15,16 @@ returns, which is a view that the next call through the same workspace
 overwrites; `iter_features` makes one per pass, and the pass consumes
 each spectrum before framing its next signal.
 
-The pipeline frames and transforms every utterance in its own calls, so
-per-call set-up counts: `frame_signal` builds its strided view directly
-with `as_strided`, the view `sliding_window_view(x, frame_len)[::hop]`
-gives without that function's argument handling, and `dct_ii` builds
-each (n_out, n) cosine basis once and keeps it, read-only.
+The pipeline frames every utterance in its own call, so per-call set-up
+counts: `frame_signal` builds its strided view directly with
+`as_strided`, the view `sliding_window_view(x, frame_len)[::hop]` gives
+without that function's argument handling. `dct_basis` builds a new
+basis on each call; `iter_features` builds one per pass and band count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -120,28 +121,17 @@ def power_spectrum(frames: FrameMatrix,
     return np.square(power, out=power)
 
 
-def dct_ii(vector: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out coefficients of the orthonormal DCT-II along the last axis.
-
+def dct_basis(n: int, n_out: int) -> np.ndarray:
+    """The (n_out, n) orthonormal DCT-II basis: `x @ dct_basis(n, n_out).T`
+    is the first n_out coefficients of each row of x,
     y[k] = a_k * sum_n x[n] cos(pi k (2n+1) / (2N)), a_0 = sqrt(1/N) and
     a_k = sqrt(2/N) otherwise, so the full transform is an orthonormal
-    change of basis; computed as a product with that (n_out, N) basis.
-    """
-    vector = np.asarray(vector, dtype=np.float64)
-    n = vector.shape[-1]
+    change of basis."""
     if not 1 <= n_out <= n:
         raise ValueError(f"n_out must be in [1, {n}], got {n_out}")
-    return vector @ _dct_basis(n, n_out).T
-
-
-@lru_cache(maxsize=16)
-def _dct_basis(n: int, n_out: int) -> np.ndarray:
-    """The read-only (n_out, n) orthonormal DCT-II basis, built once per
-    shape; every caller shares the one array."""
     # The integer phase k (2n+1) is reduced modulo 4N, a full period, so
     # the cosine is evaluated at angles below 2 pi where it is accurate.
     phase = np.arange(n_out)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
     basis = np.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
     basis[0] = np.sqrt(1.0 / n)
-    basis.flags.writeable = False
     return basis

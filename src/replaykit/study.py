@@ -23,10 +23,12 @@ which the six detection legs pool to train on; it then trains and saves
 each leg's pair, scores the genuine utterances with it, and drops the
 training frames. The rest of the pass scores each held-out replay with
 its warp's two pairs as the replay is made, and keeps none of its
-frames. So a study holds at once the genuine signals' spectra, one
-utterance's features, the signal made ahead of it (below), three small
-moment tables and, as training replaces the one with the other, the
-training cepstra+delta frames and the six pairs.
+frames. So a study holds at once the genuine signals' spectra, the
+pass's tables (a filterbank per warp, one DCT basis and one
+`SpectrumWorkspace`, each built once per pass), one utterance's
+features, the signal made ahead of it (below), three small moment tables
+and, as training replaces the one with the other, the training
+cepstra+delta frames and the six pairs.
 
 One pool of two worker threads serves the pass; `run_study` makes one
 per call. On it the corpus is made one signal ahead (`_read_ahead`): a
@@ -77,8 +79,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 # `write_archive` only for perfbench/tracing.py, which wraps it at this
 # import site; nothing here calls it, so its metrics read 0 (ROADMAP 8).
 from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
@@ -93,6 +93,7 @@ from .corpus import (
 )
 from .errors import EmptyUtteranceError
 from .filterbank import (
+    NUM_CEPSTRA,
     ExtractionConfig,
     FeatureKind,
     FeatureMatrix,
@@ -107,7 +108,7 @@ from .fratio import (PROBE_FACTORS, MomentTable, ProbeReport,
 from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
                   save_pair_model, score_utterance, train_gmm)
 from .metrics import ScoreRecord, compute_eer, write_scores
-from .spectrum import SpectrumWorkspace, frame_signal, power_spectrum
+from .spectrum import SpectrumWorkspace, dct_basis, frame_signal, power_spectrum
 
 WARP_INITIALS = {WarpKind.LINEAR: "L", WarpKind.MEL: "M",
                  WarpKind.INVERTED_MEL: "IM"}
@@ -132,13 +133,11 @@ def iter_features(utterances, *configs: ExtractionConfig
 
     The configs must share one framing (frame_len, hop, n_fft), which is
     checked here; each utterance's spectrogram and each (warp, bands)
-    log-Fbank is computed once. The filterbanks, and the DCT basis that
-    the cepstra step caches for the life of the process, are built here
-    too, on the calling thread, not by the thread that takes the first
-    item (`replaykit extract` hands a pass to a worker): numpy memory
-    made on a worker thread comes from that thread's malloc arena, and a
-    cached basis there kept the arena resident, about 2 MB more RSS after
-    a cepstra-delta `extract` (x86-64 Linux, glibc).
+    log-Fbank is computed once. The pass's tables, one filterbank per
+    (warp, bands) and one DCT basis per cepstra-delta band count, are
+    built once, here, on the calling thread, not by the thread that takes
+    the first item (`replaykit extract` hands a pass to a worker), and
+    live as long as the pass.
 
     An utterance shorter than one frame gets a 0-frame log-Fbank matrix;
     under a cepstra-delta config it raises EmptyUtteranceError naming it.
@@ -153,13 +152,11 @@ def iter_features(utterances, *configs: ExtractionConfig
         raise ValueError(f"extraction configs must share one framing "
                          f"(frame_len, hop, n_fft), got {sorted(framing)}")
     frame_len, hop, n_fft = framing.pop()
-    banks = {(c.warp, c.bands): build_filterbank(c.warp, c.bands, n_fft)
-             for c in configs}
-    for c in configs:
-        if c.feature is FeatureKind.CEPSTRA_DELTA:
-            # A 0-frame run builds what the step caches.
-            cepstral_features(FeatureMatrix(np.empty((0, c.bands)),
-                                            FeatureKind.LOG_FBANK))
+    banks = {key: build_filterbank(*key, n_fft)
+             for key in dict.fromkeys((c.warp, c.bands) for c in configs)}
+    bases = {bands: dct_basis(bands, NUM_CEPSTRA)
+             for bands in {c.bands for c in configs
+                           if c.feature is FeatureKind.CEPSTRA_DELTA}}
     workspace = SpectrumWorkspace(frame_len, n_fft)
 
     def features():
@@ -178,9 +175,10 @@ def iter_features(utterances, *configs: ExtractionConfig
                             f"{signal.samples.size} samples are shorter "
                             f"than one {frame_len}-sample frame, and "
                             f"deltas need at least 1")
-                    fm = FeatureMatrix(append_deltas(cepstral_features(fm),
-                                                     config.delta_window),
-                                       FeatureKind.CEPSTRA_DELTA, config.warp)
+                    fm = FeatureMatrix(
+                        append_deltas(cepstral_features(fm, bases[config.bands]),
+                                      config.delta_window),
+                        FeatureKind.CEPSTRA_DELTA, config.warp)
                 feats.append(fm)
             # Dropped before the next pair is taken: a lazy source makes
             # the next signal then, and both would be held at once.
@@ -405,7 +403,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
             models = iter([fits[leg].result() for leg in legs])
             for cov in COVARIANCE_KINDS:
                 pair = GmmPairModel(next(models), next(models),
-                                    config.train.to_dict(), leg_configs[kind])
+                                    config.train, leg_configs[kind])
                 save_pair_model(pair, out_dir / "models" /
                                 f"{_leg_stem(tag, cov)}.json")
                 pairs[kind, cov] = pair

@@ -1,7 +1,6 @@
 import base64
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import shutil
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaykit import cli, spectrum
+from replaykit import cli, study
 from replaykit.archive import FeatureArchive, read_archive, write_archive
 from replaykit.corpus import (AudioSignal, Manifest, UtteranceMeta,
                               parse_manifest, read_wav, synth_corpus,
@@ -100,13 +99,13 @@ class TestRoundTrip:
         signals, _, _ = synth_corpus(TINY_CORPUS, SEED)
         for feature, bound in ((FeatureKind.LOG_FBANK, 1e-2),
                                (FeatureKind.CEPSTRA_DELTA, 5e-3)):
-            (study,) = extract_features(
+            (in_memory,) = extract_features(
                 ((r.utt_id, s) for r, s in signals),
                 ExtractionConfig(WarpKind.MEL, feature))
             stored = read_archive(work / f"mel_{feature.value}.rpfa")
-            assert stored.config == study.config
+            assert stored.config == in_memory.config
             gap = max(np.abs(stored.entries[u].values - fm.values).max()
-                      for u, fm in study.entries.items())
+                      for u, fm in in_memory.entries.items())
             assert 0.0 < gap < bound
 
 
@@ -234,6 +233,18 @@ class TestFailures:
              "--model", bad, "--out", tmp_path / "s.tsv"])
         assert line == (f"error: {bad}: replay: component 1 covariance is "
                         f"not positive-definite")
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_model_whose_training_config_is_not_one(self, work, tmp_path):
+        doc = json.loads((work / "model.json").read_text())
+        doc["training_config"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        line = self._single_error_line(
+            ["score", "--archive", work / "mel_cepstra-delta.rpfa",
+             "--model", bad, "--out", tmp_path / "s.tsv"])
+        assert line.startswith(f"error: {bad}: training_config: expected an "
+                               f"object with the keys ")
         assert not (tmp_path / "s.tsv").exists()
 
     def test_model_of_another_feature_kind(self, work, tmp_path):
@@ -470,9 +481,37 @@ class TestFailures:
              "--out", str(tmp_path / "model.json")])
         with pytest.raises(FeatureMismatchError) as info:
             args.func(args)
-        assert str(info.value) == \
-            "archive lacks features for ['S09-P00-R0-live']"
+        assert str(info.value) == (
+            f"{work / 'mel_cepstra-delta.rpfa'}: lacks features for 1 "
+            f"utterance(s) that {tmp_path / 'm.tsv'} lists, "
+            f"['S09-P00-R0-live']")
         assert not (tmp_path / "model.json").exists()
+
+    def test_probe_on_an_archive_lacking_a_manifest_utterance(self, work,
+                                                             tmp_path):
+        records = parse_manifest(work / "corpus" / "manifest.tsv").records
+        extra = UtteranceMeta("S09-P00-R0-live", "audio/S09-P00-R0-live.wav",
+                              "genuine", "S09", "P00", "-")
+        manifest = tmp_path / "m.tsv"
+        write_manifest(Manifest(records + [extra]), manifest)
+        archive = work / "mel_fbank.rpfa"
+        line = self._single_error_line(
+            ["probe", "--archive", archive, "--manifest", manifest,
+             "--factor", "device", "--out", tmp_path / "p.tsv"])
+        assert line == (f"error: {archive}: lacks features for 1 "
+                        f"utterance(s) that {manifest} lists, "
+                        f"['S09-P00-R0-live']")
+        assert list(tmp_path.iterdir()) == [manifest]
+
+    def test_probe_on_a_cepstra_archive(self, work, tmp_path):
+        archive = work / "mel_cepstra-delta.rpfa"
+        line = self._single_error_line(
+            ["probe", "--archive", archive, "--manifest",
+             work / "corpus" / "manifest.tsv", "--factor", "device",
+             "--out", tmp_path / "p.tsv"])
+        assert line == (f"error: {archive}: holds cepstra-delta features, "
+                        f"but probe needs fbank features")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAlternate:
@@ -589,28 +628,31 @@ class TestTwoWayExtract:
 
     def test_the_dct_basis_is_built_on_the_calling_thread(
             self, work, tmp_path, monkeypatch):
-        # The basis is cached for the life of the process. Built on the
-        # worker thread, it kept that thread's malloc arena resident, and
-        # RSS higher after the command.
-        built, used = [], []
-        uncached = spectrum._dct_basis.__wrapped__
+        # Each pass builds its filterbank and DCT basis when it is made, on
+        # the thread that makes it, though the worker computes its rows'
+        # cepstra.
+        calls = {name: [] for name in
+                 ("build_filterbank", "dct_basis", "cepstral_features")}
 
-        @functools.lru_cache(maxsize=None)
-        def build(n, n_out):
-            built.append(threading.current_thread())
-            return uncached(n, n_out)
+        def recording(name):
+            fn = getattr(study, name)
 
-        def dct_basis(n, n_out):
-            used.append(threading.current_thread())
-            return build(n, n_out)
+            def wrapper(*args):
+                calls[name].append(threading.current_thread())
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(spectrum, "_dct_basis", dct_basis)
+        for name in calls:
+            monkeypatch.setattr(study, name, recording(name))
         code, _, err = self._extract(work / "corpus" / "manifest.tsv",
                                      tmp_path / "x.rpfa",
                                      feature="cepstra-delta")
         assert code == 0, err
-        assert built == [threading.current_thread()]
-        assert any(t.name.startswith("replaykit") for t in used)
+        main = threading.main_thread()
+        assert set(calls["build_filterbank"]) == {main}
+        assert set(calls["dct_basis"]) == {main}
+        assert any(t.name.startswith("replaykit")
+                   for t in calls["cepstral_features"])
 
     @pytest.mark.parametrize("rows", [(0,), (1,), (0, 1), (1, 2)])
     def test_the_earliest_corrupt_wav_is_named(self, corpus, tmp_path, rows):
@@ -719,7 +761,7 @@ class TestStreamsAsInMemory:
                     2, cov, config, seed=SEED + offset)
                 for offset, records in enumerate(
                     (manifest.genuine_records(), manifest.replay_records())))
-        save_pair_model(GmmPairModel(g, r, config.to_dict(), archive.config),
+        save_pair_model(GmmPairModel(g, r, config, archive.config),
                         tmp_path / "want.json")
         for source in (path, reversed_path):
             _ok("train", "--archive", source, "--manifest",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from replaykit.corpus import AudioSignal, DeviceProfile, _amplitude_response
 from replaykit.filterbank import (
+    NUM_CEPSTRA,
     NYQUIST_HZ,
     ExtractionConfig,
     FeatureKind,
@@ -19,7 +20,8 @@ from replaykit.filterbank import (
     warp,
     warp_inverse,
 )
-from replaykit.spectrum import SpectrumWorkspace, frame_signal, power_spectrum
+from replaykit.spectrum import (SpectrumWorkspace, dct_basis, frame_signal,
+                                power_spectrum)
 
 SR = 16000
 
@@ -211,23 +213,27 @@ class TestExtractionConfig:
             ExtractionConfig.from_dict(doc)
 
 
+BASIS_23 = dct_basis(23, NUM_CEPSTRA)
+
+
 class TestCepstralFeatures:
     def test_constant_frame(self):
         c = 1.7
         logfb = FeatureMatrix(np.full((1, 23), c), FeatureKind.LOG_FBANK)
-        ceps = cepstral_features(logfb)
+        ceps = cepstral_features(logfb, BASIS_23)
         assert ceps.shape == (1, 13)
         assert ceps[0, 0] == pytest.approx(c * math.sqrt(23), abs=1e-9)
         np.testing.assert_allclose(ceps[0, 1:], 0.0, atol=1e-9)
 
     def test_zero_frame(self):
         logfb = FeatureMatrix(np.zeros((2, 23)), FeatureKind.LOG_FBANK)
-        np.testing.assert_array_equal(cepstral_features(logfb), 0.0)
+        np.testing.assert_array_equal(cepstral_features(logfb, BASIS_23),
+                                      0.0)
 
     def test_wrong_kind(self):
         ceps = FeatureMatrix(np.zeros((1, 26)), FeatureKind.CEPSTRA_DELTA)
         with pytest.raises(ValueError, match="log-Fbank"):
-            cepstral_features(ceps)
+            cepstral_features(ceps, BASIS_23)
 
     def test_bin_permutation_invariance(self):
         # Permuting FFT bins that carry zero weight in every filter leaves
@@ -241,8 +247,9 @@ class TestCepstralFeatures:
             spec = rng.uniform(0.1, 3.0, size=(4, 257))
             permuted = spec.copy()
             permuted[:, dead] = spec[:, dead[::-1]]
-            a = cepstral_features(fbank_features(_spec(spec), fb))
-            b = cepstral_features(fbank_features(_spec(permuted), fb))
+            a = cepstral_features(fbank_features(_spec(spec), fb), BASIS_23)
+            b = cepstral_features(fbank_features(_spec(permuted), fb),
+                                  BASIS_23)
             np.testing.assert_array_equal(a, b)
 
 

@@ -226,7 +226,7 @@ def _fbank_config(bands: int) -> ExtractionConfig:
 def _pair(genuine, replay, training_config=None):
     """A pair recording log-Fbank features of its d as its provenance."""
     return GmmPairModel(genuine, replay,
-                        training_config or TrainConfig().to_dict(),
+                        training_config or TrainConfig(),
                         _fbank_config(genuine.dim))
 
 
@@ -309,6 +309,7 @@ class TestModelPersistence:
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.covariances, b.covariances)
         assert back.training_config == pair.training_config
+        assert isinstance(back.training_config, TrainConfig)
         assert back.extraction_config == pair.extraction_config
         assert isinstance(back.extraction_config, ExtractionConfig)
 
@@ -323,7 +324,7 @@ class TestModelPersistence:
                       TrainConfig(max_iters=2), seed=1)
         r = train_gmm(rng.normal(0.5, 1, size=(600, 26)), k, kind,
                       TrainConfig(max_iters=2), seed=2)
-        pair = GmmPairModel(g, r, TrainConfig().to_dict(), ExtractionConfig(
+        pair = GmmPairModel(g, r, TrainConfig(), ExtractionConfig(
             WarpKind.MEL, FeatureKind.CEPSTRA_DELTA))
         save_pair_model(pair, tmp_path / "model.json")
         back = load_pair_model(tmp_path / "model.json")
@@ -404,6 +405,64 @@ class TestModelPersistence:
             load_pair_model(p)
         assert str(info.value).startswith(f"{p}: extraction_config: ")
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(5, "expected an object with the keys ", id="a-number"),
+        pytest.param([], "expected an object with the keys ", id="a-list"),
+        pytest.param({"max_iters": 2.5}, "expected an object with the keys ",
+                     id="one-key"),
+        pytest.param({"max_iters": "x", "ll_tolerance": None},
+                     "expected an object with the keys ", id="two-keys"),
+        pytest.param({**TrainConfig().to_dict(), "seed": 1},
+                     "expected an object with the keys ", id="extra-key"),
+        pytest.param({**TrainConfig().to_dict(), "max_iters": 2.5},
+                     "max_iters must be an integer, got 2.5",
+                     id="float-max-iters"),
+        pytest.param({**TrainConfig().to_dict(), "max_iters": True},
+                     "max_iters must be an integer, got True",
+                     id="bool-max-iters"),
+        pytest.param({**TrainConfig().to_dict(), "ll_tolerance": "x"},
+                     "ll_tolerance must be a number, got 'x'",
+                     id="string-tolerance"),
+        pytest.param({**TrainConfig().to_dict(), "ll_tolerance": False},
+                     "ll_tolerance must be a number, got False",
+                     id="bool-tolerance"),
+        pytest.param({**TrainConfig().to_dict(),
+                      "variance_floor_factor": None},
+                     "variance_floor_factor must be a number, got None",
+                     id="null-floor"),
+        pytest.param({**TrainConfig().to_dict(), "max_iters": -1},
+                     "max_iters must be >= 0, got -1", id="negative-iters"),
+        pytest.param({**TrainConfig().to_dict(),
+                      "variance_floor_factor": -1.0},
+                     "variance_floor_factor must be finite and >= 0",
+                     id="negative-floor"),
+        pytest.param({**TrainConfig().to_dict(), "ll_tolerance": 10 ** 400},
+                     "int too large to convert to float",
+                     id="tolerance-beyond-float"),
+    ])
+    def test_training_config_that_is_not_one_is_typed(self, tmp_path, value,
+                                                      message):
+        p = tmp_path / "model.json"
+        save_pair_model(self._trained_pair("diag"), p)
+        doc = json.loads(p.read_text())
+        doc["training_config"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_pair_model(p)
+        assert str(info.value).startswith(f"{p}: training_config: ")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(), TrainConfig(max_iters=0, ll_tolerance=0,
+                                   variance_floor_factor=0.0),
+        TrainConfig(max_iters=7, ll_tolerance=float("inf"),
+                    variance_floor_factor=2),
+    ], ids=["defaults", "zeros", "inf-and-int"])
+    def test_training_config_from_dict_inverts_to_dict(self, config):
+        back = TrainConfig.from_dict(config.to_dict())
+        assert back == config
+        assert json.dumps(back.to_dict()) == json.dumps(config.to_dict())
 
     def test_save_refuses_a_d_other_than_the_configs_dim(self, tmp_path):
         # What load_pair_model would refuse is not written.
@@ -492,7 +551,7 @@ class TestModelPersistence:
         r = train_gmm(rng.normal(1, 2, size=(700, 26)), 64, "full", config,
                       seed=2)
         p = tmp_path / "model.json"
-        save_pair_model(GmmPairModel(g, r, config.to_dict(), ExtractionConfig(
+        save_pair_model(GmmPairModel(g, r, config, ExtractionConfig(
             WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)), p)
         assert p.stat().st_size < 1_000_000
         back = load_pair_model(p)
@@ -534,7 +593,8 @@ def edit_dir(tmp_path_factory):
 VALID_MODEL = json.dumps({
     "format_version": gmm.MODEL_FORMAT_VERSION,
     "covariance_kind": "diag", "K": 2, "d": 2,
-    "training_config": {"max_iters": 2},
+    "training_config": {"max_iters": 2, "ll_tolerance": 1e-05,
+                        "variance_floor_factor": 0.0001},
     "extraction_config": {"warp": "mel", "feature": "fbank", "bands": 2,
                           "frame_len": 400, "hop": 160, "n_fft": 512,
                           "delta_window": 2},

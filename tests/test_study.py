@@ -25,6 +25,7 @@ from replaykit.corpus import (AudioSignal, SynthConfig, derive_seed,
 from replaykit.errors import (EmptyUtteranceError, SingularComponentError,
                               WavFormatError)
 from replaykit.filterbank import (
+    NUM_CEPSTRA,
     FeatureKind,
     WarpKind,
     append_deltas,
@@ -35,7 +36,8 @@ from replaykit.filterbank import (
 from replaykit.gmm import (TrainConfig, load_pair_model, score_utterance,
                            train_gmm)
 from replaykit.metrics import compute_eer, read_scores
-from replaykit.spectrum import SpectrumWorkspace, frame_signal, power_spectrum
+from replaykit.spectrum import (SpectrumWorkspace, dct_basis, frame_signal,
+                                power_spectrum)
 from replaykit.study import (
     ExtractionConfig,
     StudyConfig,
@@ -570,8 +572,9 @@ class TestExtractFeatures:
                     SpectrumWorkspace(config.frame_len, config.n_fft))
                 want = fbank_features(spec, fb).values
                 if config.feature is FeatureKind.CEPSTRA_DELTA:
+                    basis = dct_basis(config.bands, NUM_CEPSTRA)
                     want = append_deltas(
-                        cepstral_features(fbank_features(spec, fb)),
+                        cepstral_features(fbank_features(spec, fb), basis),
                         config.delta_window)
                 got = archive.entries[utt_id]
                 assert got.kind is config.feature
@@ -623,6 +626,30 @@ class TestExtractFeatures:
             alive.extend(weakref.ref(fm) for fm in feats)
             del feats
         assert len(alive) == (1 + len(configs)) * len(manifest)
+
+    def test_each_table_is_built_once_per_pass(self, utterances,
+                                               monkeypatch):
+        # Six configs over three warps at one band count: one filterbank
+        # per warp and one DCT basis, built when the pass is made, not
+        # per utterance.
+        built = []
+
+        def recording(fn):
+            def wrapper(*args):
+                built.append((fn.__name__, args))
+                return fn(*args)
+            return wrapper
+
+        for name in ("build_filterbank", "dct_basis"):
+            monkeypatch.setattr(study, name, recording(getattr(study, name)))
+        configs = [ExtractionConfig(warp, feature) for warp in WarpKind
+                   for feature in FeatureKind]
+        feats = iter_features(iter(utterances), *configs)
+        want = [("build_filterbank", (warp, 23, 512)) for warp in WarpKind]
+        want.append(("dct_basis", (23, NUM_CEPSTRA)))
+        assert built == want
+        assert len(list(feats)) == len(utterances)
+        assert built == want
 
     def test_configs_must_share_framing(self, utterances):
         a = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
