@@ -6,8 +6,13 @@ line on stderr and exits 1. No command writes over one of its inputs: an
 does) is refused before the command reads it.
 
 What each command holds in memory at once, beyond its own output:
-- `synth`: the corpus stream's state (`corpus.CorpusSignals`) and one
-  signal, whose WAV is written before the next is made;
+- `synth`: the corpus stream's state (`corpus.CorpusSignals`) plus the
+  signals in flight, at most SYNTH_AHEAD + 1: two worker threads run the
+  stream's calls, up to SYNTH_AHEAD submitted beyond the signal whose WAV
+  the calling thread writes, and the WAVs are written in the stream's
+  order. An error is raised at its row's place, after the WAVs before
+  it; queued calls are then cancelled, and the workers are joined before
+  the command returns or raises;
 - `extract`: two utterances' waveforms and features. The manifest's
   even rows and its odd rows each go through an inline `iter_features`
   pass that reads each WAV as it takes the row; one worker thread runs
@@ -44,6 +49,7 @@ to a study's but not bit-identical (`replaykit.study` gives the gap).
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -61,6 +67,7 @@ from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_sc
 # import site; nothing here calls it, so its metric reads 0 (ROADMAP 8).
 from .study import (  # noqa: F401
     StudyConfig,
+    _look_ahead,
     _read_ahead,
     extract_features,
     feature_tag,
@@ -71,6 +78,9 @@ from .study import (  # noqa: F401
 )
 
 SAMPLES_PER_MS = corpus_mod.PIPELINE_SAMPLE_RATE / 1000
+# `synth` keeps up to this many of the corpus stream's calls submitted to
+# its two worker threads beyond the signal whose WAV it is writing.
+SYNTH_AHEAD = 2
 
 
 def _refuse_overwriting_inputs(out, inputs, also_written=()) -> None:
@@ -100,8 +110,15 @@ def _cmd_synth(args) -> None:
         n_heldout_devices=args.heldout_devices,
         utt_seconds=args.utt_seconds, reps=args.reps)
     signals, manifest, profiles = corpus_mod.synth_corpus(config, args.seed)
-    for _ in write_corpus(signals, manifest, profiles, args.out):
-        pass
+    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="replaykit")
+    try:
+        # The stream's calls run on the pool, SYNTH_AHEAD beyond the
+        # signal whose WAV this thread writes, in the stream's order.
+        wavs = write_corpus(_look_ahead(signals.makers(), pool, SYNTH_AHEAD),
+                            manifest, profiles, args.out)
+        collections.deque(wavs, maxlen=0)  # drained, holding no signal
+    finally:
+        pool.shutdown(cancel_futures=True)
     print(f"wrote {len(manifest.genuine_records())} genuine and "
           f"{len(manifest.replay_records())} replay utterances to {args.out}")
 

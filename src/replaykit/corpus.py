@@ -20,21 +20,29 @@ stays in the high bands. All utterances of a corpus share one length, so
 `synth_corpus` computes each device's response once and each genuine
 signal's spectrum once.
 
-`synth_corpus` returns its signals as a stream (`CorpusSignals`), made
-while it is iterated, each with its manifest row: the genuine signals,
-then the replays one device at a time, train devices first. Replays make
-up most of a corpus, one per genuine utterance and device, so a pass
-holds at once only each genuine signal's spectrum, which all of its
-replays are made from, one device's response, and the one replay being
-made.
+`synth_corpus` returns its signals as a stream (`CorpusSignals`), each
+with its manifest row: the genuine signals, then the replays one device
+at a time, train devices first. The stream is a sequence of makers, one
+call per row that makes that row's signal; iterating it runs each call
+as it is taken, on the iterating thread, and `replaykit synth` runs them
+on two worker threads instead (`cli._cmd_synth`). Each genuine row's
+call leaves its signal's spectrum and RMS for the replays, one per
+device, which are made from them, so a replay's call never makes its
+genuine signal again. Replays make up most of a corpus, so a pass holds
+at once each genuine signal's spectrum, one device's response (two while
+the calls in flight cross from one device to the next), and the signals
+made but not yet taken: one when the stream is iterated, a few more on a
+pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -502,6 +510,34 @@ def derive_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
+def _make_genuine(rec: UtteranceMeta, f0: float, envelope: _PhraseEnvelope,
+                  entropy: tuple, n_samples: int,
+                  source: Future) -> tuple[UtteranceMeta, AudioSignal]:
+    """A genuine row's call: its row and signal. It also sets `source` to
+    the signal's rfft spectrum and RMS, which its replays are made from,
+    or to the error met making them, so that taking a replay's call
+    (`CorpusSignals.makers`) never waits for ever."""
+    try:
+        sig = _synth_genuine(f0, envelope, n_samples,
+                             np.random.default_rng(entropy))
+        source.set_result((np.fft.rfft(sig.samples),
+                           float(np.sqrt(np.mean(sig.samples ** 2)))))
+    except BaseException as exc:
+        source.set_exception(exc)
+        raise
+    return rec, sig
+
+
+def _make_replay(rec: UtteranceMeta, source: Future, n_samples: int,
+                 response: np.ndarray, profile: DeviceProfile,
+                 seed: int) -> tuple[UtteranceMeta, AudioSignal]:
+    """A replay row's call: its row and signal, made from its genuine
+    row's spectrum and RMS; a genuine row that failed raises its error
+    here too."""
+    spectrum, in_rms = source.result()
+    return rec, _replay(spectrum, in_rms, n_samples, response, profile, seed)
+
+
 class CorpusSignals:
     """The signals of a synthetic corpus, made while they are iterated,
     as (manifest row, signal) pairs: every genuine signal in manifest
@@ -511,13 +547,18 @@ class CorpusSignals:
     So a consumer can finish with the genuine and train-device signals
     before the first held-out replay is made. Only the stream is in this
     order; the manifest keeps its own, on which the CLI's frame pools, and
-    so its k-means++ draws, depend (`synth_corpus`). A pass keeps each
-    genuine signal's spectrum and RMS, not the signal, and one device's
-    response at a time; it holds each replay only until the next one is
-    asked for.
-    `len()` is the manifest's length, and every pass makes the same bytes.
-    The replay of genuine signal g through device d is seeded by (g, d),
-    not by its place in the stream.
+    so its k-means++ draws, depend (`synth_corpus`). `len()` is the
+    manifest's length, and every pass makes the same bytes. The replay of
+    genuine signal g through device d is seeded by (g, d), not by its
+    place in the stream, so the calls may run on any thread.
+
+    `makers()` gives the stream as calls, one per row in this order, each
+    returning the row and its signal; iterating runs each as it is taken.
+    A pass keeps each genuine signal's spectrum and RMS, not the signal,
+    and one device's response at a time, which the calls in flight keep
+    until they are done. Iterated, it holds each signal only until the
+    next one is asked for; a consumer that runs the calls on a pool holds
+    the signals of the calls it has submitted and not yet taken, too.
     """
 
     def __init__(self, manifest: Manifest,
@@ -536,27 +577,34 @@ class CorpusSignals:
         return len(self._manifest)
 
     def __iter__(self) -> Iterator[tuple[UtteranceMeta, AudioSignal]]:
+        for make in self.makers():
+            yield make()
+
+    def makers(self) -> Iterator[
+            Callable[[], tuple[UtteranceMeta, AudioSignal]]]:
+        """The stream's calls, in its order. Each must be run, or
+        submitted to a pool, before the next is taken: a replay's call
+        is given out only once its genuine row's call is done, and
+        taking one waits for that."""
         records = self._manifest.records
         n_genuine, n_devices = len(self._sources), len(self._profiles)
-        spectra = []
-        for rec, (f0, envelope, entropy) in zip(records, self._sources):
-            sig = _synth_genuine(f0, envelope, self._n_samples,
-                                 np.random.default_rng(entropy))
-            yield rec, sig
-            spectra.append((np.fft.rfft(sig.samples),
-                            float(np.sqrt(np.mean(sig.samples ** 2)))))
-            del sig
+        sources = [Future() for _ in self._sources]
+        for rec, (f0, envelope, entropy), source in zip(
+                records, self._sources, sources):
+            yield functools.partial(_make_genuine, rec, f0, envelope, entropy,
+                                    self._n_samples, source)
         # Every signal has n_samples samples: one response per device and
         # one spectrum per genuine signal serve all of its replays.
         freqs = np.fft.rfftfreq(self._n_samples,
                                 d=1.0 / PIPELINE_SAMPLE_RATE)
         for d_idx, profile in enumerate(self._profiles):
             response = _amplitude_response(profile, freqs)
-            for g_idx, (spectrum, in_rms) in enumerate(spectra):
-                yield (records[n_genuine + g_idx * n_devices + d_idx],
-                       _replay(spectrum, in_rms, self._n_samples, response,
-                               profile,
-                               derive_seed(self._seed, 2, g_idx, d_idx)))
+            for g_idx, source in enumerate(sources):
+                rec = records[n_genuine + g_idx * n_devices + d_idx]
+                wait([source])
+                yield functools.partial(
+                    _make_replay, rec, source, self._n_samples, response,
+                    profile, derive_seed(self._seed, 2, g_idx, d_idx))
 
 
 def synth_corpus(config: SynthConfig, seed: int
@@ -566,8 +614,8 @@ def synth_corpus(config: SynthConfig, seed: int
     The manifest lists every (speaker, phrase, rep) genuine utterance,
     then each one's replayed copy through each device; train devices are
     named D00.., held-out devices H00... The signals are made only as
-    they are iterated (`CorpusSignals`), each with its manifest row, in
-    another order: the genuine signals, then the replays device by
+    the stream's calls are run (`CorpusSignals`), each with its manifest
+    row, in another order: the genuine signals, then the replays device by
     device. The manifest keeps its order because the CLI extracts, pools
     and trains in it, and k-means++ draws its centres by a frame's index
     in the pooled order, so the CLI's models depend on that order.

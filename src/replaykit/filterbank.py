@@ -22,6 +22,10 @@ from .corpus import PIPELINE_SAMPLE_RATE
 NYQUIST_HZ = PIPELINE_SAMPLE_RATE / 2
 NUM_CEPSTRA = 13
 LOG_FLOOR = 1e-10
+# The largest n_fft an `ExtractionConfig` takes (4.1 s at 16 kHz), so that
+# the dead-filter check it makes, on every archive header and model file
+# read too, stays within O(MAX_N_FFT) time and memory.
+MAX_N_FFT = 1 << 16
 
 
 class WarpKind(enum.Enum):
@@ -68,6 +72,9 @@ class ExtractionConfig:
                              f"({self.frame_len})")
         if self.n_fft & (self.n_fft - 1):
             raise ValueError(f"n_fft must be a power of two, got {self.n_fft}")
+        if self.n_fft > MAX_N_FFT:
+            raise ValueError(f"n_fft must be at most {MAX_N_FFT}, "
+                             f"got {self.n_fft}")
         if self.bands < 1:
             raise ValueError("M must be >= 1")
         if self.feature is FeatureKind.CEPSTRA_DELTA \
@@ -76,6 +83,7 @@ class ExtractionConfig:
                              f"got {self.bands}")
         if self.delta_window < 1:
             raise ValueError("window must be >= 1")
+        _filter_edges(self.warp, self.bands, self.n_fft)
 
     @property
     def dim(self) -> int:
@@ -152,19 +160,45 @@ class FilterBank:
     edges_warped: np.ndarray
 
 
+def _filter_edges(kind: WarpKind, M: int, n_fft: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The M + 2 warped edges and the n_fft // 2 + 1 bins' warped
+    coordinates of `build_filterbank(kind, M, n_fft)`, or the ValueError
+    it raises if a filter would cover no FFT bin, without its weights.
+
+    Filter i is nonzero exactly at the coordinates strictly between edges
+    i and i + 2. Filters 0, 2, 4, ... so need distinct bins among the
+    n_fft // 2 - 1 strictly inside the band, so M > n_fft leaves some
+    filter without one and is refused before any array of M is made."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if M > n_fft:
+        raise ValueError(
+            f"too many filters: more than n_fft leave some spanning zero "
+            f"FFT bins at n_fft={n_fft} (kind={kind.value}, M={M})")
+    edges = np.linspace(0.0, warp(kind, NYQUIST_HZ), M + 2)
+    bin_freqs = np.arange(n_fft // 2 + 1) * (PIPELINE_SAMPLE_RATE / n_fft)
+    coords = np.asarray(warp(kind, np.minimum(bin_freqs, NYQUIST_HZ)))
+    # The warps increase, so the coordinates are sorted.
+    inside = (np.searchsorted(coords, edges[2:], side="left")
+              - np.searchsorted(coords, edges[:-2], side="right"))
+    empty = np.flatnonzero(inside == 0)
+    if empty.size:
+        raise ValueError(
+            f"too many filters: filter(s) {empty.tolist()} span zero FFT "
+            f"bins at n_fft={n_fft} (kind={kind.value}, M={M})")
+    return edges, coords
+
+
 def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> FilterBank:
     """Place M+2 uniformly spaced warped edges over 0..NYQUIST_HZ and
     rasterize the triangles at the n_fft // 2 + 1 bin frequencies.
 
     Raises if a filter covers no FFT bin (too many filters for the FFT
-    resolution) rather than silently producing a dead band.
+    resolution) rather than silently producing a dead band; an
+    `ExtractionConfig` makes the same check when it is constructed.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    edges = np.linspace(0.0, warp(kind, NYQUIST_HZ), M + 2)
-    bin_freqs = np.arange(n_fft // 2 + 1) * (PIPELINE_SAMPLE_RATE / n_fft)
-    coords = np.asarray(warp(kind, np.minimum(bin_freqs, NYQUIST_HZ)))
-
+    edges, coords = _filter_edges(kind, M, n_fft)
     weights = np.zeros((M, coords.size))
     for i in range(M):
         left, center, right = edges[i], edges[i + 1], edges[i + 2]
@@ -172,12 +206,6 @@ def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> FilterBank:
         falling = (coords > center) & (coords <= right)
         weights[i, rising] = (coords[rising] - left) / (center - left)
         weights[i, falling] = (right - coords[falling]) / (right - center)
-
-    empty = np.flatnonzero(~weights.any(axis=1))
-    if empty.size:
-        raise ValueError(
-            f"too many filters: filter(s) {empty.tolist()} span zero FFT "
-            f"bins at n_fft={n_fft} (kind={kind.value}, M={M})")
     return FilterBank(kind, weights, edges)
 
 

@@ -38,9 +38,15 @@ a signal takes less time than the caller's work on one, so the next
 signal is nearly always ready when it is wanted, and a deeper hand-off
 would only hold more signals. The stream keeps its one consumer and its
 order, so every file is byte-identical to a pass on one thread.
-`_read_ahead` is the one look-ahead helper: `replaykit extract` runs it
-too, over its even rows' inline pass, while the calling thread computes
-the odd rows (`cli._cmd_extract`).
+`_read_ahead` is the one-at-a-time case of the one ordered look-ahead
+helper, `_look_ahead`, which runs calls on a pool a fixed number ahead
+and yields their results in order: `_read_ahead` runs `next` on the
+stream one call ahead, and asks for the first item when it is made, so
+the worker starts on it while the caller is still setting up.
+`replaykit extract` runs `_read_ahead` too, over its even rows' inline
+pass, while the calling thread computes the odd rows
+(`cli._cmd_extract`); `replaykit synth` runs the corpus stream's own
+calls through `_look_ahead`, two ahead on two workers (`cli._cmd_synth`).
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 go to the same pool, full fits first, then the larger pool, so the two
@@ -70,8 +76,10 @@ cepstra+delta); inverted-Mel, which weights the quiet top band, by 2e-2.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 from collections.abc import Iterator
@@ -295,17 +303,44 @@ class StudyReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
 
+def _look_ahead(calls, pool: ThreadPoolExecutor, depth: int) -> Iterator:
+    """Run `calls` on `pool` and yield their results in order, with up to
+    `depth` calls submitted beyond the result the caller holds. The first
+    `depth` are submitted now, when the look-ahead is made; the next one
+    each time a result is taken. An exception raised by a call is raised
+    here when its place in the order comes, and the calls still queued
+    are then cancelled."""
+    calls = iter(calls)
+    ahead = collections.deque(
+        pool.submit(call) for call in itertools.islice(calls, depth))
+
+    def results():
+        try:
+            while ahead:
+                result = ahead.popleft().result()
+                ahead.extend(pool.submit(call)
+                             for call in itertools.islice(calls, 1))
+                yield result
+                del result  # the caller's now
+        finally:
+            for future in ahead:
+                future.cancel()
+
+    return results()
+
+
 def _read_ahead(items, pool: ThreadPoolExecutor) -> Iterator:
     """Yield `items` in order while `pool` makes the next one, so it is
-    at most one item ahead. An exception met making an item is raised
-    here when its place in the order comes."""
+    at most one item ahead: `_look_ahead` over calls of `next`, the
+    first submitted now. An exception met making an item is raised here
+    when its place in the order comes. Once `items` is exhausted one
+    more `next` is submitted, which finds it exhausted again."""
     items = iter(items)
     end = object()
-    ahead = pool.submit(next, items, end)
-    while (item := ahead.result()) is not end:
-        ahead = pool.submit(next, items, end)
-        yield item
-        del item  # the caller's now
+    return itertools.takewhile(
+        lambda item: item is not end,
+        _look_ahead(itertools.repeat(functools.partial(next, items, end)),
+                    pool, 1))
 
 
 def _leg_stem(tag: str, cov: str) -> str:

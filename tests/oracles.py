@@ -101,6 +101,25 @@ def power_spectrum_loop(frames, n_fft):
     return out
 
 
+def dead_filters_loop(kind, M, n_fft):
+    """The filters of M triangles whose edges are spaced uniformly on the
+    warped axis over the band, as `build_filterbank` places them, and
+    whose weight is zero at every one of the n_fft // 2 + 1 bins, found
+    by evaluating each triangle at each bin in turn."""
+    from replaykit.filterbank import NYQUIST_HZ, warp
+    edges = np.linspace(0.0, warp(kind, NYQUIST_HZ), M + 2).tolist()
+    coords = [warp(kind, min(b * PIPELINE_SAMPLE_RATE / n_fft, NYQUIST_HZ))
+              for b in range(n_fft // 2 + 1)]
+    dead = []
+    for i in range(M):
+        left, center, right = edges[i:i + 3]
+        if all(max(0.0, min((c - left) / (center - left),
+                            (right - c) / (right - center))) == 0.0
+               for c in coords):
+            dead.append(i)
+    return dead
+
+
 # ---------------------------------------------------------------------------
 # Gaussian mixtures: the per-component loop forms of the E-step densities,
 # the k-means initialisation and the M-step, with scipy factorisations.

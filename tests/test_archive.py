@@ -252,6 +252,17 @@ class TestFormatGuards:
                      "n_fft must be a power of two, got 768", id="n_fft-768"),
         pytest.param(_config_header(feature="cepstra-delta", bands=12),
                      "need at least 13 bands, got 12", id="cepstra-12-bands"),
+        pytest.param(_config_header(warp="mel", bands=128),
+                     "too many filters: filter(s) [0] span zero FFT bins",
+                     id="mel-128-bands"),
+        pytest.param(_config_header(bands=600),
+                     "too many filters: more than n_fft",
+                     id="linear-600-bands"),
+        pytest.param(_config_header(warp="imel", bands=128),
+                     "too many filters: filter(s) [127] span zero FFT bins",
+                     id="imel-128-bands"),
+        pytest.param(_config_header(n_fft=1 << 40),
+                     "n_fft must be at most 65536", id="n_fft-2**40"),
     ])
     def test_bad_header(self, tmp_path, header, message):
         # A header the extractor would refuse fails at open, with no entry.

@@ -1,21 +1,26 @@
 import base64
+import collections
 import contextlib
 import dataclasses
 import io
 import json
 import shutil
+import sys
 import threading
+import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from replaykit import cli, study
+from replaykit import cli, corpus, study
 from replaykit.archive import FeatureArchive, read_archive, write_archive
-from replaykit.corpus import (AudioSignal, Manifest, UtteranceMeta,
-                              parse_manifest, read_wav, synth_corpus,
-                              write_manifest, write_wav)
+from replaykit.corpus import (AudioSignal, Manifest, SynthConfig,
+                              UtteranceMeta, derive_seed, parse_manifest,
+                              read_wav, synth_corpus, write_manifest,
+                              write_wav)
 from replaykit.errors import ArchiveFormatError, FeatureMismatchError
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import MomentTable, probe_factor
@@ -24,8 +29,8 @@ from replaykit.gmm import (GmmPairModel, TrainConfig, load_pair_model,
 from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
                                write_scores)
 from replaykit.study import (ExtractionConfig, _read_ahead, extract_features,
-                             write_probe_report)
-from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak
+                             write_corpus, write_probe_report)
+from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak, _tree
 
 
 def _run(*argv):
@@ -699,6 +704,8 @@ class TestTwoWayExtract:
         ("--nfft", 768, "n_fft must be a power of two, got 768"),
         ("--bands", 0, "M must be >= 1"),
         ("--bands", 12, "need at least 13 bands, got 12"),
+        ("--bands", 128, "too many filters: filter(s) [0] span zero FFT "
+                         "bins at n_fft=512 (kind=mel, M=128)"),
         ("--delta-window", 0, "window must be >= 1"),
     ])
     def test_a_bad_flag_fails_before_any_wav_is_read(
@@ -712,6 +719,153 @@ class TestTwoWayExtract:
                              feature="cepstra-delta") == \
             (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [manifest]
+
+
+class TestSynthPool:
+    """`replaykit synth` runs the corpus stream's calls on two worker
+    threads and writes each WAV on the calling thread, in the stream's
+    order; its corpus must be the one the inline stream writes."""
+
+    ONE_GENUINE_ROW = ["--speakers", "1", "--phrases", "1",
+                       "--train-devices", "1", "--heldout-devices", "1",
+                       "--reps", "1", "--utt-seconds", "0.5"]
+    CLI_STAGES_SHAPE = ["--speakers", "6", "--phrases", "4",
+                        "--train-devices", "3", "--heldout-devices", "3",
+                        "--reps", "1", "--utt-seconds", "0.5"]
+
+    @staticmethod
+    def _config(argv):
+        args = cli.build_parser().parse_args(
+            ["synth", "--out", "-", "--seed", str(SEED), *argv])
+        return SynthConfig(args.speakers, args.phrases, args.train_devices,
+                           args.heldout_devices, args.utt_seconds, args.reps)
+
+    @pytest.fixture
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("argv", [ONE_GENUINE_ROW, CLI_STAGES_SHAPE],
+                             ids=["one-genuine-row", "cli-stages-shape"])
+    def test_the_corpus_is_the_inline_streams(self, tmp_path, argv,
+                                              fast_switching):
+        # One genuine row is fewer than the calls in flight, so the first
+        # replays are asked for while their genuine row is still made.
+        signals, manifest, profiles = synth_corpus(self._config(argv), SEED)
+        collections.deque(write_corpus(signals, manifest, profiles,
+                                       tmp_path / "inline"), maxlen=0)
+        _ok("synth", "--out", tmp_path / "pooled", "--seed", SEED, *argv)
+        inline = _tree(tmp_path / "inline")
+        assert len(inline) == len(manifest) + 2
+        assert _tree(tmp_path / "pooled") == inline
+
+    def test_calls_run_on_the_pool_and_wavs_are_written_here(
+            self, tmp_path, monkeypatch):
+        makers, writers = [], []
+
+        def on_thread(log, fn):
+            def wrapper(*args):
+                log.append(threading.current_thread())
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(corpus, "_synth_genuine",
+                            on_thread(makers, corpus._synth_genuine))
+        monkeypatch.setattr(corpus, "_replay", on_thread(makers,
+                                                         corpus._replay))
+        monkeypatch.setattr(study, "write_wav",
+                            on_thread(writers, study.write_wav))
+        _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
+        n_rows = len(parse_manifest(tmp_path / "manifest.tsv"))
+        assert len(makers) == len(writers) == n_rows
+        assert all(t.name.startswith("replaykit") for t in makers)
+        assert set(writers) == {threading.main_thread()}
+
+    def test_a_replay_call_starts_once_its_genuine_row_is_done(
+            self, tmp_path, monkeypatch):
+        # One genuine row: both its replays' calls are asked for while it
+        # may still be made.
+        started_early = []
+        make_replay = corpus._make_replay
+
+        def recording(rec, source, *args):
+            started_early.append(not source.done())
+            return make_replay(rec, source, *args)
+
+        monkeypatch.setattr(corpus, "_make_replay", recording)
+        _ok("synth", "--out", tmp_path, "--seed", SEED, *self.ONE_GENUINE_ROW)
+        assert started_early == [False, False]
+
+    @pytest.mark.parametrize("argv, row", [
+        (TINY_SYNTH_ARGV, 0), (TINY_SYNTH_ARGV, 3), (TINY_SYNTH_ARGV, 4),
+        (ONE_GENUINE_ROW, 0), (ONE_GENUINE_ROW, 1)],
+        ids=["row-0", "last-genuine", "first-replay", "one-genuine-row-0",
+             "one-genuine-row-first-replay"])
+    def test_an_error_is_raised_after_the_wavs_before_it(
+            self, tmp_path, monkeypatch, argv, row):
+        # TINY_SYNTH_ARGV: 4 genuine rows, then 4 replays per device. With
+        # one genuine row, its replay is asked for while it is made.
+        config = self._config(argv)
+        signals, _, _ = synth_corpus(config, SEED)
+        order = [rec.audio_path for rec, _ in signals]
+        n_genuine = config.n_speakers * config.n_phrases * config.reps
+        genuine, replay = corpus._synth_genuine, corpus._replay
+        last = (config.n_speakers - 1, config.n_phrases - 1, config.reps - 1)
+        failing_entropy = {0: (SEED, 1, 0, 0, 0),
+                           n_genuine - 1: (SEED, 1, *last)}
+
+        def synth_genuine(f0, envelope, n_samples, rng):
+            if tuple(rng.bit_generator.seed_seq.entropy) == \
+                    failing_entropy.get(row):
+                raise RuntimeError(f"row {row} failed")
+            return genuine(f0, envelope, n_samples, rng)
+
+        def replay_(spectrum, in_rms, n, response, profile, seed):
+            if row == n_genuine and seed == derive_seed(SEED, 2, 0, 0):
+                raise RuntimeError(f"row {row} failed")
+            return replay(spectrum, in_rms, n, response, profile, seed)
+
+        monkeypatch.setattr(corpus, "_synth_genuine", synth_genuine)
+        monkeypatch.setattr(corpus, "_replay", replay_)
+        before = threading.active_count()
+        assert _run("synth", "--out", tmp_path, "--seed", SEED, *argv) == \
+            (1, "", f"error: row {row} failed\n")
+        assert threading.active_count() == before
+        written = sorted(str(p.relative_to(tmp_path))
+                         for p in tmp_path.rglob("*.wav"))
+        assert written == sorted(order[:row])
+        assert (tmp_path / "manifest.tsv").is_file()
+
+    def test_signals_alive_at_once_stay_within_the_bound(
+            self, tmp_path, monkeypatch):
+        # Slow WAV writes let the workers run as far ahead as they may:
+        # SYNTH_AHEAD signals made ahead and the one being written.
+        lock = threading.Lock()
+        alive, peak = set(), [0]
+
+        def tracked(fn):
+            def wrapper(*args):
+                sig = fn(*args)
+                with lock:
+                    alive.add(id(sig))
+                    peak[0] = max(peak[0], len(alive))
+                weakref.finalize(sig, alive.discard, id(sig))
+                return sig
+            return wrapper
+
+        def slow_write_wav(signal, path, write_wav=study.write_wav):
+            time.sleep(0.005)
+            write_wav(signal, path)
+
+        monkeypatch.setattr(corpus, "_synth_genuine",
+                            tracked(corpus._synth_genuine))
+        monkeypatch.setattr(corpus, "_replay", tracked(corpus._replay))
+        monkeypatch.setattr(study, "write_wav", slow_write_wav)
+        _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
+        assert not alive
+        assert peak[0] == cli.SYNTH_AHEAD + 1
 
 
 class TestStreamsAsInMemory:

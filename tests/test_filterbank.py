@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from replaykit.corpus import AudioSignal, DeviceProfile, _amplitude_response
 from replaykit.filterbank import (
+    MAX_N_FFT,
     NUM_CEPSTRA,
     NYQUIST_HZ,
     ExtractionConfig,
@@ -147,6 +148,23 @@ class TestBuildFilterbank:
         with pytest.raises(ValueError, match="too many filters"):
             build_filterbank(WarpKind.MEL, 150, 512)
 
+    @pytest.mark.parametrize("n_fft", [8, 32, 64])
+    @pytest.mark.parametrize("kind", list(WarpKind))
+    def test_refused_exactly_when_a_triangle_is_zero_at_every_bin(
+            self, kind, n_fft):
+        # The check finds dead filters without rasterizing the triangles;
+        # it must name the ones the triangles evaluated bin by bin give.
+        for M in range(1, n_fft + 3):
+            dead = oracles.dead_filters_loop(kind, M, n_fft)
+            if not dead:
+                fb = build_filterbank(kind, M, n_fft)
+                assert fb.weights.any(axis=1).all()
+                continue
+            with pytest.raises(ValueError, match="^too many filters: ") as info:
+                build_filterbank(kind, M, n_fft)
+            if M <= n_fft:
+                assert f"filter(s) {dead} span zero" in str(info.value)
+
 
 def _spec(rows):
     return np.asarray(rows, dtype=np.float64)
@@ -200,6 +218,34 @@ class TestExtractionConfig:
         ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK, bands=12)
         with pytest.raises(ValueError, match="^need at least 13 bands, got 12$"):
             ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA, bands=12)
+
+    @pytest.mark.parametrize("warp_kind, bands", [
+        (WarpKind.MEL, 128), (WarpKind.LINEAR, 600),
+        (WarpKind.INVERTED_MEL, 128)], ids=["mel-128", "linear-600",
+                                            "imel-128"])
+    def test_a_dead_filter_is_refused_as_build_filterbank_refuses_it(
+            self, warp_kind, bands):
+        with pytest.raises(ValueError) as built:
+            build_filterbank(warp_kind, bands, 512)
+        with pytest.raises(ValueError) as made:
+            ExtractionConfig(warp_kind, FeatureKind.LOG_FBANK, bands=bands,
+                             n_fft=512)
+        assert str(made.value) == str(built.value)
+        assert str(made.value).startswith("too many filters: ")
+
+    def test_n_fft_is_bounded(self):
+        ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK, n_fft=MAX_N_FFT)
+        message = f"^n_fft must be at most {MAX_N_FFT}, got {2 * MAX_N_FFT}$"
+        with pytest.raises(ValueError, match=message):
+            ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK,
+                             n_fft=2 * MAX_N_FFT)
+
+    def test_a_huge_band_count_is_refused_before_any_array_is_made(self):
+        # A header may hold any integer; 10**15 edges would take 8 PB.
+        with pytest.raises(ValueError, match="^too many filters: more than "
+                                             "n_fft leave some"):
+            ExtractionConfig(WarpKind.LINEAR, FeatureKind.LOG_FBANK,
+                             bands=10 ** 15)
 
     @pytest.mark.parametrize("change", [
         {"warp": ["mel"]}, {"feature": None}, {"bands": "23"},

@@ -393,6 +393,18 @@ class TestModelPersistence:
         pytest.param(ExtractionConfig(WarpKind.MEL,
                                       FeatureKind.CEPSTRA_DELTA).to_dict(),
                      "d is 3, but its features have dim 26", id="cepstra"),
+        pytest.param({**_fbank_config(3).to_dict(), "warp": "mel",
+                      "bands": 128},
+                     "too many filters: filter(s) [0] span zero FFT bins",
+                     id="mel-128-bands"),
+        pytest.param({**_fbank_config(3).to_dict(), "warp": "linear",
+                      "bands": 600},
+                     "too many filters: more than n_fft",
+                     id="linear-600-bands"),
+        pytest.param({**_fbank_config(3).to_dict(), "warp": "imel",
+                      "bands": 128},
+                     "too many filters: filter(s) [127] span zero FFT bins",
+                     id="imel-128-bands"),
     ])
     def test_extraction_config_that_is_not_one_is_typed(self, tmp_path, value,
                                                         message):

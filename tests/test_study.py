@@ -361,6 +361,20 @@ class TestReadAhead:
         assert taken == list(range(2000))
         assert threading.active_count() == before
 
+    def test_the_first_item_is_asked_for_when_the_look_ahead_is_made(self):
+        # So a consumer that computes something else first, as `replaykit
+        # extract`'s calling thread does, does not wait for item 0.
+        asked = threading.Event()
+
+        def source():
+            asked.set()
+            yield 0
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            items = _read_ahead(source(), pool)
+            assert asked.wait(timeout=10)
+            assert list(items) == [0]
+
     def test_a_producer_exception_is_raised_in_its_place(self):
         def failing():
             yield from range(3)
