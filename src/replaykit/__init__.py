@@ -45,7 +45,6 @@ from .filterbank import (
     cepstral_features,
     fbank_features,
     warp,
-    warp_inverse,
 )
 from .fratio import (
     FRatioPattern,

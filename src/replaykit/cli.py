@@ -7,22 +7,26 @@ does) is refused before the command reads it.
 
 What each command holds in memory at once, beyond its own output:
 - `synth`: the corpus stream's state (`corpus.CorpusSignals`) plus the
-  signals in flight, at most SYNTH_AHEAD + 1: two worker threads run the
-  stream's calls, up to SYNTH_AHEAD submitted beyond the signal whose WAV
-  the calling thread writes, and the WAVs are written in the stream's
-  order. An error is raised at its row's place, after the WAVs before
-  it; queued calls are then cancelled, and the workers are joined before
-  the command returns or raises;
-- `extract`: two utterances' waveforms and features. The manifest's
-  even rows and its odd rows each go through an inline `iter_features`
-  pass that reads each WAV as it takes the row; one worker thread runs
-  the even pass one row ahead (`study._read_ahead`), the calling thread
-  the odd one, and `_alternate` takes their results in turn. Features
-  are streamed into the archive's writer in manifest order, and the
-  writer renames the file into place only when every entry is in. An
-  error is raised at its utterance's place in that order, so the
-  earliest bad WAV is the one named. The worker is joined before the
+  signals in flight, at most AHEAD + 1: two worker threads run the
+  stream's calls, up to AHEAD submitted beyond the signal whose WAV the
+  calling thread writes, and the WAVs are written in the stream's order.
+  An error is raised at its row's place, after the WAVs before it;
+  queued calls are then cancelled, and the workers are joined before the
   command returns or raises;
+- `extract`: at most AHEAD + 1 chunks' features, plus the WAVs the
+  workers are reading: ~4 MB of cepstra+delta for 2 s rows, the
+  `cli-stages` benchmark's, at 32 rows a chunk. The
+  manifest's rows are cut into contiguous chunks of EXTRACT_CHUNK rows,
+  and each chunk is one call: an inline `iter_features` pass, with its
+  own tables, that reads each WAV as it takes the row. Two worker
+  threads run the calls, up to AHEAD submitted beyond the chunk whose
+  features the calling thread streams into the archive's writer, in
+  manifest order; a manifest of one chunk runs on one worker. The
+  writer renames the file into place only when every entry is in. An
+  error is raised when its chunk's turn comes, so the earliest bad WAV
+  in manifest order is the one named, even when a later chunk fails
+  first; queued calls are then cancelled, and the workers are joined
+  before the command returns or raises;
 - `probe`: one archive entry, whose per-utterance moments it keeps;
 - `train`: one archive entry and one pool. The genuine pool is allocated
   once from the frame counts the reader scanned, filled in manifest
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import os
 import sys
@@ -68,7 +73,6 @@ from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_sc
 from .study import (  # noqa: F401
     StudyConfig,
     _look_ahead,
-    _read_ahead,
     extract_features,
     feature_tag,
     iter_features,
@@ -78,9 +82,13 @@ from .study import (  # noqa: F401
 )
 
 SAMPLES_PER_MS = corpus_mod.PIPELINE_SAMPLE_RATE / 1000
-# `synth` keeps up to this many of the corpus stream's calls submitted to
-# its two worker threads beyond the signal whose WAV it is writing.
-SYNTH_AHEAD = 2
+# `synth` and `extract` keep up to this many calls submitted to their two
+# worker threads beyond the result whose output the calling thread writes.
+AHEAD = 2
+# `extract` runs one inline pass per this many contiguous manifest rows.
+# Over 168 rows of 2 s, 16 to 48 rows a chunk ran equally fast; at 8 the
+# per-call costs, each pass's tables among them, took all of the gain.
+EXTRACT_CHUNK = 32
 
 
 def _refuse_overwriting_inputs(out, inputs, also_written=()) -> None:
@@ -112,28 +120,15 @@ def _cmd_synth(args) -> None:
     signals, manifest, profiles = corpus_mod.synth_corpus(config, args.seed)
     pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="replaykit")
     try:
-        # The stream's calls run on the pool, SYNTH_AHEAD beyond the
-        # signal whose WAV this thread writes, in the stream's order.
-        wavs = write_corpus(_look_ahead(signals.makers(), pool, SYNTH_AHEAD),
+        # The stream's calls run on the pool, AHEAD beyond the signal
+        # whose WAV this thread writes, in the stream's order.
+        wavs = write_corpus(_look_ahead(signals.makers(), pool, AHEAD),
                             manifest, profiles, args.out)
         collections.deque(wavs, maxlen=0)  # drained, holding no signal
     finally:
         pool.shutdown(cancel_futures=True)
     print(f"wrote {len(manifest.genuine_records())} genuine and "
           f"{len(manifest.replay_records())} replay utterances to {args.out}")
-
-
-def _alternate(first, second):
-    """Yield the items of `first` and `second` in turn, starting with
-    `first`, until either runs out, so `first` may hold one item more.
-    An error from either is raised when its place in that order comes."""
-    end = object()
-    second = iter(second)
-    for item in first:
-        yield item
-        if (item := next(second, end)) is end:
-            return
-        yield item
 
 
 def _cmd_extract(args) -> None:
@@ -152,24 +147,25 @@ def _cmd_extract(args) -> None:
         delta_window=args.delta_window)
     tag = feature_tag(config.warp, config.feature)
 
-    def inline_pass(rows):
-        """`iter_features` over `rows`, each WAV read as its row is taken,
-        on the thread that takes it."""
-        return iter_features(((rec.utt_id, corpus_mod.read_wav(path))
-                              for rec, path in rows), config)
+    def extract_chunk(rows):
+        """One inline `iter_features` pass over `rows`, each WAV read as
+        its row is taken, on the thread that runs the call: the rows'
+        (utt_id, feature matrix) pairs, in order."""
+        return [(utt_id, fm) for utt_id, (fm,) in iter_features(
+            ((rec.utt_id, corpus_mod.read_wav(path)) for rec, path in rows),
+            config)]
 
     rows = list(zip(manifest, wav_paths))
-    # The pool is shut down, its thread joined, after the writer has put
-    # its archive in place or removed its partial file.
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="replaykit") as pool, \
-            archive_mod.ArchiveWriter(args.out, config) as writer:
-        # Two inline passes: the worker computes rows 0, 2, 4, ..., each
-        # while the caller computes the row before it, 1, 3, 5, ...
-        for utt_id, (fm,) in _alternate(
-                _read_ahead(inline_pass(rows[0::2]), pool),
-                inline_pass(rows[1::2])):
-            writer.add(utt_id, fm)
+    chunks = (functools.partial(extract_chunk, rows[i:i + EXTRACT_CHUNK])
+              for i in range(0, len(rows), EXTRACT_CHUNK))
+    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="replaykit")
+    try:
+        with archive_mod.ArchiveWriter(args.out, config) as writer:
+            for chunk in _look_ahead(chunks, pool, AHEAD):
+                for utt_id, fm in chunk:
+                    writer.add(utt_id, fm)
+    finally:
+        pool.shutdown(cancel_futures=True)
     print(f"wrote {len(manifest)} {tag} entries to {args.out}")
 
 

@@ -116,10 +116,6 @@ def _mel(f):
     return 2595.0 * np.log10(1.0 + f / 700.0)
 
 
-def _mel_inverse(m):
-    return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-
-
 def warp(kind: WarpKind, f) -> np.ndarray | float:
     """Map frequency in Hz to the warped coordinate; increasing, warp(0)=0."""
     f = np.asarray(f, dtype=np.float64)
@@ -131,22 +127,6 @@ def warp(kind: WarpKind, f) -> np.ndarray | float:
         out = _mel(f)
     else:
         out = _mel(NYQUIST_HZ) - _mel(NYQUIST_HZ - f)
-    return out if out.ndim else float(out)
-
-
-def warp_inverse(kind: WarpKind, w) -> np.ndarray | float:
-    """Map a warped coordinate back to Hz."""
-    w = np.asarray(w, dtype=np.float64)
-    top = warp(kind, NYQUIST_HZ)
-    if np.any(w < 0.0) or np.any(w > top * (1.0 + 1e-12)):
-        raise ValueError(f"warped coordinate out of range [0, {top}]")
-    if kind is WarpKind.LINEAR:
-        out = w.copy()
-    elif kind is WarpKind.MEL:
-        out = _mel_inverse(w)
-    else:
-        out = NYQUIST_HZ - _mel_inverse(_mel(NYQUIST_HZ) - w)
-    out = np.clip(out, 0.0, NYQUIST_HZ)
     return out if out.ndim else float(out)
 
 

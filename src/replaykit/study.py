@@ -43,10 +43,11 @@ helper, `_look_ahead`, which runs calls on a pool a fixed number ahead
 and yields their results in order: `_read_ahead` runs `next` on the
 stream one call ahead, and asks for the first item when it is made, so
 the worker starts on it while the caller is still setting up.
-`replaykit extract` runs `_read_ahead` too, over its even rows' inline
-pass, while the calling thread computes the odd rows
-(`cli._cmd_extract`); `replaykit synth` runs the corpus stream's own
-calls through `_look_ahead`, two ahead on two workers (`cli._cmd_synth`).
+`replaykit synth` runs the corpus stream's own calls through
+`_look_ahead`, two ahead on two workers (`cli._cmd_synth`), and
+`replaykit extract` runs its calls the same way, each an inline
+`iter_features` pass over a chunk of contiguous manifest rows
+(`cli._cmd_extract`).
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 go to the same pool, full fits first, then the larger pool, so the two
@@ -144,8 +145,8 @@ def iter_features(utterances, *configs: ExtractionConfig
     log-Fbank is computed once. The pass's tables, one filterbank per
     (warp, bands) and one DCT basis per cepstra-delta band count, are
     built once, here, on the calling thread, not by the thread that takes
-    the first item (`replaykit extract` hands a pass to a worker), and
-    live as long as the pass.
+    the first item, and live as long as the pass; `replaykit extract`
+    calls this once per chunk of rows, on the worker that computes it.
 
     An utterance shorter than one frame gets a 0-frame log-Fbank matrix;
     under a cepstra-delta config it raises EmptyUtteranceError naming it.

@@ -101,6 +101,29 @@ def power_spectrum_loop(frames, n_fft):
     return out
 
 
+def warp_inverse(kind, w):
+    """Hz of warped coordinates `w`, the closed-form inverse of each warp
+    `filterbank.warp` applies (linear: Hz; Mel: 2595 log10(1 + f / 700);
+    inverted Mel: mel(Nyquist) - mel(Nyquist - f)), written out here as
+    the reference for filter centres and edges."""
+    from replaykit.filterbank import WarpKind
+    w = np.asarray(w, dtype=np.float64)
+    nyquist = PIPELINE_SAMPLE_RATE / 2
+
+    def mel_inverse(m):
+        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
+
+    if kind is WarpKind.LINEAR:
+        hz = w.copy()
+    elif kind is WarpKind.MEL:
+        hz = mel_inverse(w)
+    else:
+        top = 2595.0 * np.log10(1.0 + nyquist / 700.0)
+        hz = nyquist - mel_inverse(top - w)
+    # Rounding can step just past the band's ends, which `warp` refuses.
+    return np.clip(hz, 0.0, nyquist)
+
+
 def dead_filters_loop(kind, M, n_fft):
     """The filters of M triangles whose edges are spaced uniformly on the
     warped axis over the band, as `build_filterbank` places them, and

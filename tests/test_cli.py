@@ -3,32 +3,34 @@ import collections
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import shutil
 import sys
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from replaykit import cli, corpus, study
-from replaykit.archive import FeatureArchive, read_archive, write_archive
+from replaykit.archive import (ArchiveWriter, FeatureArchive, read_archive,
+                               write_archive)
 from replaykit.corpus import (AudioSignal, Manifest, SynthConfig,
                               UtteranceMeta, derive_seed, parse_manifest,
                               read_wav, synth_corpus, write_manifest,
                               write_wav)
-from replaykit.errors import ArchiveFormatError, FeatureMismatchError
+from replaykit.errors import (ArchiveFormatError, FeatureMismatchError,
+                              WavFormatError)
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
 from replaykit.fratio import MomentTable, probe_factor
 from replaykit.gmm import (GmmPairModel, TrainConfig, load_pair_model,
                            save_pair_model, score_utterance, train_gmm)
 from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
                                write_scores)
-from replaykit.study import (ExtractionConfig, _read_ahead, extract_features,
+from replaykit.study import (ExtractionConfig, extract_features,
                              write_corpus, write_probe_report)
 from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak, _tree
 
@@ -519,75 +521,19 @@ class TestFailures:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestAlternate:
-    """`cli._alternate` interleaves `replaykit extract`'s even and odd
-    passes."""
+class TestChunkedExtract:
+    """`replaykit extract` runs one inline pass per chunk of EXTRACT_CHUNK
+    contiguous manifest rows on two worker threads, up to AHEAD chunks
+    ahead, and adds every entry to the archive on the calling thread in
+    manifest order; the archive, the error named and the threads left
+    must be those of one inline pass on one thread. EXTRACT_CHUNK is 3
+    here, so the 12-row corpus makes 4 chunks."""
 
-    @staticmethod
-    def counting(made, items):
-        for item in items:
-            made.append(item)
-            yield item
+    CHUNK = 3
 
-    def test_items_are_taken_in_turn(self):
-        assert list(cli._alternate(iter([0, 2, 4]), iter([1, 3, 5]))) == \
-            [0, 1, 2, 3, 4, 5]
-        assert list(cli._alternate(iter([]), iter([]))) == []
-
-    def test_a_first_side_one_item_longer(self):
-        assert list(cli._alternate(iter([0, 2, 4]), iter([1, 3]))) == \
-            [0, 1, 2, 3, 4]
-        assert list(cli._alternate(iter([0]), iter([]))) == [0]
-
-    @pytest.mark.parametrize("side", ["first", "second"])
-    def test_an_error_is_raised_in_its_place(self, side):
-        def failing(items):
-            yield from items
-            raise KeyError(side)
-
-        first, second = [0, 2, 4], [1, 3, 5]
-        if side == "first":
-            first = failing(first[:1])
-        else:
-            second = failing(second[:1])
-        taken = []
-        with pytest.raises(KeyError) as info:
-            for item in cli._alternate(iter(first), iter(second)):
-                taken.append(item)
-        assert info.value.args == (side,)
-        assert taken == ([0, 1] if side == "first" else [0, 1, 2])
-
-    def test_a_stopped_consumer_takes_no_more(self):
-        made = []
-        items = cli._alternate(self.counting(made, [0, 2, 4, 6]),
-                               self.counting(made, [1, 3, 5, 7]))
-        assert [next(items) for _ in range(3)] == [0, 1, 2]
-        items.close()
-        assert made == [0, 1, 2]
-        with pytest.raises(StopIteration):
-            next(items)
-        assert made == [0, 1, 2]
-
-    def test_a_stopped_consumer_stops_and_joins_the_worker(self):
-        # As in `replaykit extract`: the first side is made on the pool,
-        # one item ahead, and the pool's exit joins its thread.
-        made = []
-        before = threading.active_count()
-        with pytest.raises(KeyError):
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                items = cli._alternate(
-                    _read_ahead(self.counting(made, range(0, 100, 2)), pool),
-                    self.counting(made, range(1, 100, 2)))
-                assert [next(items) for _ in range(3)] == [0, 1, 2]
-                raise KeyError("consumer failed")
-        assert threading.active_count() == before
-        assert sorted(made) == [0, 1, 2, 4]
-
-
-class TestTwoWayExtract:
-    """`replaykit extract` computes alternate utterances on the calling
-    thread and one worker thread; the archive, the error named and the
-    threads left must be those of a pass on one thread."""
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "EXTRACT_CHUNK", self.CHUNK)
 
     @pytest.fixture
     def corpus(self, work, tmp_path):
@@ -600,77 +546,69 @@ class TestTwoWayExtract:
         return _run("extract", "--manifest", manifest, "--warp", "mel",
                     "--feature", feature, "--out", out, *flags)
 
-    @pytest.mark.parametrize("feature", list(FeatureKind))
-    def test_archive_equals_the_inline_pass(self, work, feature):
-        manifest = work / "corpus" / "manifest.tsv"
-        records = parse_manifest(manifest).records
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6],
+                             ids=["default-switching", "fast-switching"])
+    @pytest.mark.parametrize("feature", list(FeatureKind),
+                             ids=[k.value for k in FeatureKind])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7, 10])
+    def test_archive_equals_the_inline_pass(
+            self, corpus, tmp_path, n_rows, feature, switch_interval):
+        manifest = corpus / "manifest.tsv"
+        records = parse_manifest(manifest).records[:n_rows]
+        if feature is FeatureKind.LOG_FBANK:
+            # 0-frame utterances on both sides of the first chunk boundary.
+            for rec in records[self.CHUNK - 1:self.CHUNK + 1]:
+                write_wav(AudioSignal(np.zeros(399)), corpus / rec.audio_path)
+        write_manifest(Manifest(records), manifest)
+        config = ExtractionConfig(WarpKind.MEL, feature)
         (inline,) = extract_features(
-            ((r.utt_id, read_wav(manifest.parent / r.audio_path))
-             for r in records), ExtractionConfig(WarpKind.MEL, feature))
-        stored = read_archive(work / f"mel_{feature.value}.rpfa")
-        assert list(stored.entries) == [r.utt_id for r in records]
-        for utt_id, fm in inline.entries.items():
-            assert stored.entries[utt_id].values.astype("<f4").tobytes() == \
-                fm.values.astype("<f4").tobytes()
+            ((r.utt_id, read_wav(corpus / r.audio_path)) for r in records),
+            config)
+        write_archive(inline, tmp_path / "inline.rpfa")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch_interval or interval)
+        try:
+            code, _, err = self._extract(manifest, tmp_path / "chunked.rpfa",
+                                         feature=feature.value)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0, err
+        assert (tmp_path / "chunked.rpfa").read_bytes() == \
+            (tmp_path / "inline.rpfa").read_bytes()
+        if feature is FeatureKind.LOG_FBANK and n_rows >= self.CHUNK:
+            assert 0 in [fm.n_frames for fm in inline.entries.values()]
 
-    def test_each_wav_is_read_on_the_thread_that_computes_it(
-            self, corpus, tmp_path, monkeypatch):
-        readers = {}
+    @pytest.mark.parametrize("rows, slow", [
+        ((0,), False), ((CHUNK - 1,), False), ((CHUNK,), False),
+        ((CHUNK - 1, CHUNK), True)],
+        ids=["first-row", "last-of-chunk-0", "first-of-chunk-1",
+             "both-with-chunk-1-failing-first"])
+    def test_the_earliest_corrupt_wav_is_named(
+            self, corpus, tmp_path, monkeypatch, rows, slow):
+        manifest = corpus / "manifest.tsv"
+        records = parse_manifest(manifest).records
+        bad = [corpus / records[row].audio_path for row in rows]
+        for path in bad:
+            path.write_bytes(b"not a RIFF file\n")
+        failed = []
         real_read_wav = cli.corpus_mod.read_wav
 
         def read_wav_recording(path):
-            readers[Path(path).name] = threading.current_thread()
-            return real_read_wav(path)
+            if slow and Path(path) == bad[0]:
+                time.sleep(0.2)  # chunk 1 fails first
+            try:
+                return real_read_wav(path)
+            except WavFormatError:
+                failed.append(Path(path))
+                raise
 
         monkeypatch.setattr(cli.corpus_mod, "read_wav", read_wav_recording)
-        manifest = corpus / "manifest.tsv"
-        code, _, err = self._extract(manifest, tmp_path / "x.rpfa")
-        assert code == 0, err
-        records = parse_manifest(manifest).records
-        threads = [readers[Path(r.audio_path).name] for r in records]
-        assert all(t is threading.main_thread() for t in threads[1::2])
-        assert all(t.name.startswith("replaykit") for t in threads[0::2])
-
-    def test_the_dct_basis_is_built_on_the_calling_thread(
-            self, work, tmp_path, monkeypatch):
-        # Each pass builds its filterbank and DCT basis when it is made, on
-        # the thread that makes it, though the worker computes its rows'
-        # cepstra.
-        calls = {name: [] for name in
-                 ("build_filterbank", "dct_basis", "cepstral_features")}
-
-        def recording(name):
-            fn = getattr(study, name)
-
-            def wrapper(*args):
-                calls[name].append(threading.current_thread())
-                return fn(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(study, name, recording(name))
-        code, _, err = self._extract(work / "corpus" / "manifest.tsv",
-                                     tmp_path / "x.rpfa",
-                                     feature="cepstra-delta")
-        assert code == 0, err
-        main = threading.main_thread()
-        assert set(calls["build_filterbank"]) == {main}
-        assert set(calls["dct_basis"]) == {main}
-        assert any(t.name.startswith("replaykit")
-                   for t in calls["cepstral_features"])
-
-    @pytest.mark.parametrize("rows", [(0,), (1,), (0, 1), (1, 2)])
-    def test_the_earliest_corrupt_wav_is_named(self, corpus, tmp_path, rows):
-        manifest = corpus / "manifest.tsv"
-        records = parse_manifest(manifest).records
-        for row in rows:
-            (corpus / records[row].audio_path).write_bytes(
-                b"not a RIFF file\n")
+        before = threading.active_count()
         out = tmp_path / "x.rpfa"
-        code, stdout, err = self._extract(manifest, out)
-        wav = corpus / records[min(rows)].audio_path
-        assert (code, stdout, err) == \
-            (1, "", f"error: {wav}: not a RIFF/WAVE file\n")
+        assert self._extract(manifest, out) == \
+            (1, "", f"error: {bad[0]}: not a RIFF/WAVE file\n")
+        assert threading.active_count() == before
+        assert failed == (bad[::-1] if slow else bad)
         assert not out.exists()
         assert not out.with_name("x.rpfa.partial").exists()
 
@@ -681,10 +619,13 @@ class TestTwoWayExtract:
         code, _, err = self._extract(manifest, tmp_path / "ok.rpfa")
         assert code == 0, err
         assert len(threading.enumerate()) == before
-        # A WAV that fails to read, on the worker's side, and an utterance
-        # too short for deltas, on the caller's.
-        (corpus / records[2].audio_path).write_bytes(b"not a RIFF file\n")
-        write_wav(AudioSignal(np.zeros(399)), corpus / records[1].audio_path)
+        # An utterance too short for deltas in chunk 1 and a WAV that
+        # fails to read in chunk 2: the first fails cepstra-delta, the
+        # second fbank.
+        write_wav(AudioSignal(np.zeros(399)),
+                  corpus / records[self.CHUNK].audio_path)
+        (corpus / records[2 * self.CHUNK].audio_path).write_bytes(
+            b"not a RIFF file\n")
         for feature in ("fbank", "cepstra-delta"):
             code, _, err = self._extract(manifest, tmp_path / f"{feature}.rpfa",
                                          feature=feature)
@@ -692,6 +633,124 @@ class TestTwoWayExtract:
             assert len(threading.enumerate()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["corpus", "ok.rpfa"]
+
+    def _passes(self, corpus, tmp_path, monkeypatch, feature):
+        """Run `extract` recording, on each thread, its table builds and
+        the WAVs it reads; return each thread's record cut at its
+        filterbank builds, one list per pass, and the threads that added
+        entries to the archive."""
+        lock = threading.Lock()
+        logs = collections.defaultdict(list)
+        adders = []
+
+        def recording(event, fn):
+            def wrapper(*args):
+                with lock:
+                    logs[threading.current_thread()].append(event(*args))
+                return fn(*args)
+            return wrapper
+
+        for name in ("build_filterbank", "dct_basis"):
+            monkeypatch.setattr(study, name, recording(
+                lambda *args, name=name: name, getattr(study, name)))
+        monkeypatch.setattr(cli.corpus_mod, "read_wav", recording(
+            lambda path: Path(path).name, cli.corpus_mod.read_wav))
+
+        def add_recording(writer, *args, add=ArchiveWriter.add):
+            adders.append(threading.current_thread())
+            add(writer, *args)
+
+        monkeypatch.setattr(ArchiveWriter, "add", add_recording)
+        code, _, err = self._extract(corpus / "manifest.tsv",
+                                     tmp_path / "x.rpfa", feature=feature)
+        assert code == 0, err
+        passes = {}
+        for thread, log in logs.items():
+            for event in log:
+                if event == "build_filterbank":
+                    passes.setdefault(thread, []).append([])
+                passes[thread][-1].append(event)
+        return passes, adders
+
+    def _chunks(self, corpus):
+        names = [Path(r.audio_path).name
+                 for r in parse_manifest(corpus / "manifest.tsv")]
+        return [names[i:i + self.CHUNK]
+                for i in range(0, len(names), self.CHUNK)]
+
+    def test_chunks_run_on_workers_and_entries_are_added_here(
+            self, corpus, tmp_path, monkeypatch):
+        passes, adders = self._passes(corpus, tmp_path, monkeypatch, "fbank")
+        assert all(t.name.startswith("replaykit") for t in passes)
+        # Each chunk's WAVs are read, in order, by one pass on one thread.
+        assert sorted(p[1:] for ps in passes.values() for p in ps) == \
+            sorted(self._chunks(corpus))
+        assert len(adders) == 12
+        assert set(adders) == {threading.main_thread()}
+
+    def test_each_chunk_builds_its_tables_on_its_worker(
+            self, corpus, tmp_path, monkeypatch):
+        passes, _ = self._passes(corpus, tmp_path, monkeypatch,
+                                 "cepstra-delta")
+        assert threading.main_thread() not in passes
+        assert sorted(p for ps in passes.values() for p in ps) == \
+            sorted(["build_filterbank", "dct_basis", *chunk]
+                   for chunk in self._chunks(corpus))
+
+    def test_a_manifest_of_one_chunk_runs_on_one_worker(
+            self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "EXTRACT_CHUNK", 12)
+        passes, _ = self._passes(corpus, tmp_path, monkeypatch, "fbank")
+        assert len(passes) == 1
+        assert [p[1:] for ps in passes.values() for p in ps] == \
+            [sum(self._chunks(corpus), [])]
+
+    def test_chunk_results_alive_at_once_stay_within_the_bound(
+            self, corpus, tmp_path, monkeypatch):
+        # Slow archive writes let the workers run as far ahead as they
+        # may: AHEAD chunks computed ahead and the one being written. A
+        # chunk counts from the start of its call until its last matrix
+        # is freed.
+        lock = threading.RLock()
+        alive, peak = collections.Counter(), [0]
+        n_passes = itertools.count()
+        real_iter_features = cli.iter_features
+
+        def hold(chunk):
+            with lock:
+                alive[chunk] += 1
+                peak[0] = max(peak[0], len(alive))
+
+        def release(chunk):
+            with lock:
+                alive[chunk] -= 1
+                if not alive[chunk]:
+                    del alive[chunk]
+
+        def tracked(utterances, *configs):
+            chunk = next(n_passes)
+            hold(chunk)
+            try:
+                for utt_id, feats in real_iter_features(utterances,
+                                                        *configs):
+                    hold(chunk)
+                    weakref.finalize(feats[0], release, chunk)
+                    yield utt_id, feats
+            finally:
+                release(chunk)
+
+        def slow_add(writer, *args, add=ArchiveWriter.add):
+            time.sleep(0.005)
+            add(writer, *args)
+
+        monkeypatch.setattr(cli, "iter_features", tracked)
+        monkeypatch.setattr(ArchiveWriter, "add", slow_add)
+        code, _, err = self._extract(corpus / "manifest.tsv",
+                                     tmp_path / "x.rpfa")
+        assert code == 0, err
+        assert next(n_passes) == 4
+        assert not alive
+        assert peak[0] == cli.AHEAD + 1
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--frame-ms", 0, "invalid framing: need 0 < hop <= frame_len, "
@@ -841,7 +900,7 @@ class TestSynthPool:
     def test_signals_alive_at_once_stay_within_the_bound(
             self, tmp_path, monkeypatch):
         # Slow WAV writes let the workers run as far ahead as they may:
-        # SYNTH_AHEAD signals made ahead and the one being written.
+        # AHEAD signals made ahead and the one being written.
         lock = threading.Lock()
         alive, peak = set(), [0]
 
@@ -865,7 +924,7 @@ class TestSynthPool:
         monkeypatch.setattr(study, "write_wav", slow_write_wav)
         _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
         assert not alive
-        assert peak[0] == cli.SYNTH_AHEAD + 1
+        assert peak[0] == cli.AHEAD + 1
 
 
 class TestStreamsAsInMemory:

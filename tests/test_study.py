@@ -22,8 +22,7 @@ from replaykit import cli, study
 from replaykit.archive import ArchiveReader, read_archive
 from replaykit.corpus import (AudioSignal, SynthConfig, derive_seed,
                               synth_corpus)
-from replaykit.errors import (EmptyUtteranceError, SingularComponentError,
-                              WavFormatError)
+from replaykit.errors import SingularComponentError
 from replaykit.filterbank import (
     NUM_CEPSTRA,
     FeatureKind,
@@ -672,148 +671,6 @@ class TestExtractFeatures:
             extract_features(utterances, a, b)
         with pytest.raises(ValueError, match="framing"):
             extract_features(utterances)
-
-
-def _noise(lengths):
-    rng = np.random.default_rng(SEED)
-    return [(f"u{i}", AudioSignal(rng.uniform(-0.9, 0.9, n)))
-            for i, n in enumerate(lengths)]
-
-
-def _entries(results):
-    """(utt_id, [(shape, bytes) per matrix]) of each result, in order."""
-    return [(utt_id, [(fm.values.shape, fm.values.tobytes()) for fm in feats])
-            for utt_id, feats in results]
-
-
-def _two_way(utterances, *configs, pool):
-    """`replaykit extract`'s composition over (utt_id, source) pairs, each
-    source a function giving the signal: an inline pass over the even
-    positions on `pool`'s worker, one item ahead (`_read_ahead`), and one
-    over the odd positions on the caller, taken in turn (`_alternate`).
-    Each source is called as its pair is taken, on that pass's thread."""
-    def inline_pass(pairs):
-        return iter_features(((u, load()) for u, load in pairs), *configs)
-
-    return cli._alternate(_read_ahead(inline_pass(utterances[0::2]), pool),
-                          inline_pass(utterances[1::2]))
-
-
-def _sources(utterances):
-    return [(u, lambda s=s: s) for u, s in utterances]
-
-
-class TestTwoWayExtraction:
-    """`replaykit extract`'s two inline passes: the worker takes positions
-    0, 2, 4, ... and the caller 1, 3, 5, ...; what comes out must be what
-    one inline pass gives, in the same order, with the same first error.
-    `TestTwoWayExtract` in test_cli.py checks which thread reads each WAV."""
-
-    @pytest.fixture
-    def pool(self):
-        with ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="replaykit") as pool:
-            yield pool
-
-    @pytest.mark.parametrize("lengths", [
-        (16000,),
-        (16000, 399),  # a 0-frame utterance on the caller's side
-        (399, 2000, 16000),  # and on the worker's
-        (16000, 24000, 2000, 399, 24000),
-        # Long -> short -> long on each side: each workspace reuses rows a
-        # longer utterance wrote, then grows.
-        (24000, 16000, 2000, 1000, 32000, 24000, 8000),
-    ])
-    def test_entries_equal_the_inline_pass(self, pool, lengths):
-        utterances = _noise(lengths)
-        configs = [ExtractionConfig(warp, FeatureKind.LOG_FBANK)
-                   for warp in WarpKind]
-        if min(lengths) >= 400:  # deltas need a frame
-            configs += [ExtractionConfig(warp, FeatureKind.CEPSTRA_DELTA)
-                        for warp in WarpKind]
-        inline = _entries(iter_features(iter(utterances), *configs))
-        two_way = _entries(_two_way(_sources(utterances), *configs,
-                                    pool=pool))
-        assert [u for u, _ in two_way] == [u for u, _ in utterances]
-        assert two_way == inline
-        if 399 in lengths:
-            assert 0 in [shape[0] for _, feats in two_way
-                         for shape, _ in feats]
-
-    def test_entries_equal_the_inline_pass_under_fast_thread_switching(
-            self, pool):
-        utterances = _noise([16000, 8000, 4000] * 4)
-        configs = [ExtractionConfig(warp, feature) for warp in WarpKind
-                   for feature in FeatureKind]
-        inline = _entries(iter_features(iter(utterances), *configs))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            two_way = _entries(_two_way(_sources(utterances), *configs,
-                                        pool=pool))
-        finally:
-            sys.setswitchinterval(interval)
-        assert two_way == inline
-
-    @pytest.mark.parametrize("bad", [(2,), (3,), (0, 1), (2, 3), (3, 4)])
-    def test_the_earliest_failing_read_is_raised_in_its_place(
-            self, pool, bad):
-        # The worker's failing reads are slowed down, so the caller's
-        # later one fails first in time; it must still come second.
-        def corrupt(utt_id, slow):
-            def load():
-                if slow:
-                    time.sleep(0.05)
-                raise WavFormatError(f"{utt_id}.wav: not a RIFF/WAVE file")
-            return load
-
-        utterances = [(u, corrupt(u, i % 2 == 0) if i in bad else load)
-                      for i, (u, load) in enumerate(
-                          _sources(_noise([4000] * 6)))]
-        config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
-        done = []
-        with pytest.raises(WavFormatError) as info:
-            for utt_id, _ in _two_way(utterances, config, pool=pool):
-                done.append(utt_id)
-        first = min(bad)
-        assert str(info.value) == f"u{first}.wav: not a RIFF/WAVE file"
-        assert done == [f"u{i}" for i in range(first)]
-
-    def test_an_empty_utterance_on_the_callers_side(self, pool):
-        utterances = _sources(_noise([16000, 399, 16000, 16000]))
-        config = ExtractionConfig(WarpKind.INVERTED_MEL,
-                                  FeatureKind.CEPSTRA_DELTA)
-        done = []
-        with pytest.raises(EmptyUtteranceError) as info:
-            for utt_id, _ in _two_way(utterances, config, pool=pool):
-                done.append(utt_id)
-        assert str(info.value) == (
-            "utterance u1 has 0 frames: its 399 samples are shorter than "
-            "one 400-sample frame, and deltas need at least 1")
-        assert done == ["u0"]
-
-    def test_the_pass_holds_at_most_two_signals(self, pool):
-        # Each source makes a fresh signal when it is read; no more than
-        # one other may be alive then, on either thread.
-        lock = threading.Lock()
-        alive = []
-        held = []
-        base = _noise([8000])[0][1]
-
-        def read():
-            with lock:
-                held.append(sum(ref() is not None for ref in alive))
-                signal = AudioSignal(base.samples.copy())
-                alive.append(weakref.ref(signal))
-            return signal
-
-        configs = [ExtractionConfig(WarpKind.MEL, feature)
-                   for feature in FeatureKind]
-        for _, feats in _two_way([(f"u{i}", read) for i in range(9)],
-                                 *configs, pool=pool):
-            del feats
-        assert len(held) == 9
-        assert max(held) <= 1
 
 
 def _traced_peak(fn):
