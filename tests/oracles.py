@@ -109,6 +109,10 @@ def warp_inverse(kind, w):
     from replaykit.filterbank import WarpKind
     w = np.asarray(w, dtype=np.float64)
     nyquist = PIPELINE_SAMPLE_RATE / 2
+    mel_top = 2595.0 * np.log10(1.0 + nyquist / 700.0)
+    top = nyquist if kind is WarpKind.LINEAR else mel_top
+    if np.any(w < 0.0) or np.any(w > top * (1.0 + 1e-12)):
+        raise ValueError(f"warped coordinate out of range [0, {top}]")
 
     def mel_inverse(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
@@ -118,10 +122,10 @@ def warp_inverse(kind, w):
     elif kind is WarpKind.MEL:
         hz = mel_inverse(w)
     else:
-        top = 2595.0 * np.log10(1.0 + nyquist / 700.0)
-        hz = nyquist - mel_inverse(top - w)
+        hz = nyquist - mel_inverse(mel_top - w)
     # Rounding can step just past the band's ends, which `warp` refuses.
-    return np.clip(hz, 0.0, nyquist)
+    hz = np.clip(hz, 0.0, nyquist)
+    return hz if hz.ndim else float(hz)
 
 
 def dead_filters_loop(kind, M, n_fft):

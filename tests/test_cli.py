@@ -521,7 +521,7 @@ class TestFailures:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestChunkedExtract:
+class TestTwoWayExtract:
     """`replaykit extract` runs one inline pass per chunk of EXTRACT_CHUNK
     contiguous manifest rows on two worker threads, up to AHEAD chunks
     ahead, and adds every entry to the archive on the calling thread in
@@ -546,45 +546,48 @@ class TestChunkedExtract:
         return _run("extract", "--manifest", manifest, "--warp", "mel",
                     "--feature", feature, "--out", out, *flags)
 
-    @pytest.mark.parametrize("switch_interval", [None, 1e-6],
-                             ids=["default-switching", "fast-switching"])
-    @pytest.mark.parametrize("feature", list(FeatureKind),
-                             ids=[k.value for k in FeatureKind])
-    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7, 10])
-    def test_archive_equals_the_inline_pass(
-            self, corpus, tmp_path, n_rows, feature, switch_interval):
+    @pytest.mark.parametrize("feature", list(FeatureKind))
+    def test_archive_equals_the_inline_pass(self, corpus, tmp_path,
+                                            feature):
+        # Manifests of 1 to 10 rows, each under default and fast thread
+        # switching.
         manifest = corpus / "manifest.tsv"
-        records = parse_manifest(manifest).records[:n_rows]
+        all_records = parse_manifest(manifest).records
         if feature is FeatureKind.LOG_FBANK:
             # 0-frame utterances on both sides of the first chunk boundary.
-            for rec in records[self.CHUNK - 1:self.CHUNK + 1]:
+            for rec in all_records[self.CHUNK - 1:self.CHUNK + 1]:
                 write_wav(AudioSignal(np.zeros(399)), corpus / rec.audio_path)
-        write_manifest(Manifest(records), manifest)
         config = ExtractionConfig(WarpKind.MEL, feature)
-        (inline,) = extract_features(
-            ((r.utt_id, read_wav(corpus / r.audio_path)) for r in records),
-            config)
-        write_archive(inline, tmp_path / "inline.rpfa")
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(switch_interval or interval)
-        try:
-            code, _, err = self._extract(manifest, tmp_path / "chunked.rpfa",
-                                         feature=feature.value)
-        finally:
-            sys.setswitchinterval(interval)
-        assert code == 0, err
-        assert (tmp_path / "chunked.rpfa").read_bytes() == \
-            (tmp_path / "inline.rpfa").read_bytes()
-        if feature is FeatureKind.LOG_FBANK and n_rows >= self.CHUNK:
-            assert 0 in [fm.n_frames for fm in inline.entries.values()]
+        for n_rows in [1, 2, 3, 4, 7, 10]:
+            records = all_records[:n_rows]
+            write_manifest(Manifest(records), manifest)
+            (inline,) = extract_features(
+                ((r.utt_id, read_wav(corpus / r.audio_path))
+                 for r in records), config)
+            write_archive(inline, tmp_path / "inline.rpfa")
+            if feature is FeatureKind.LOG_FBANK and n_rows >= self.CHUNK:
+                assert 0 in [fm.n_frames for fm in inline.entries.values()]
+            for switch_interval in (interval, 1e-6):
+                sys.setswitchinterval(switch_interval)
+                try:
+                    code, _, err = self._extract(
+                        manifest, tmp_path / "chunked.rpfa",
+                        feature=feature.value)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert code == 0, (n_rows, switch_interval, err)
+                assert (tmp_path / "chunked.rpfa").read_bytes() == \
+                    (tmp_path / "inline.rpfa").read_bytes(), \
+                    (n_rows, switch_interval)
 
-    @pytest.mark.parametrize("rows, slow", [
-        ((0,), False), ((CHUNK - 1,), False), ((CHUNK,), False),
-        ((CHUNK - 1, CHUNK), True)],
-        ids=["first-row", "last-of-chunk-0", "first-of-chunk-1",
-             "both-with-chunk-1-failing-first"])
+    # The first row; the last row of chunk 0; the first row of chunk 1;
+    # and both of those, chunk 0's read slowed so that chunk 1 fails first.
+    @pytest.mark.parametrize("rows", [
+        (0,), (CHUNK - 1,), (CHUNK,), (CHUNK - 1, CHUNK)])
     def test_the_earliest_corrupt_wav_is_named(
-            self, corpus, tmp_path, monkeypatch, rows, slow):
+            self, corpus, tmp_path, monkeypatch, rows):
+        slow = len(rows) > 1
         manifest = corpus / "manifest.tsv"
         records = parse_manifest(manifest).records
         bad = [corpus / records[row].audio_path for row in rows]
@@ -678,8 +681,10 @@ class TestChunkedExtract:
         return [names[i:i + self.CHUNK]
                 for i in range(0, len(names), self.CHUNK)]
 
-    def test_chunks_run_on_workers_and_entries_are_added_here(
+    def test_each_wav_is_read_on_the_thread_that_computes_it(
             self, corpus, tmp_path, monkeypatch):
+        # Chunk passes run on the workers; entries are added to the
+        # archive on the main thread.
         passes, adders = self._passes(corpus, tmp_path, monkeypatch, "fbank")
         assert all(t.name.startswith("replaykit") for t in passes)
         # Each chunk's WAVs are read, in order, by one pass on one thread.
@@ -688,8 +693,10 @@ class TestChunkedExtract:
         assert len(adders) == 12
         assert set(adders) == {threading.main_thread()}
 
-    def test_each_chunk_builds_its_tables_on_its_worker(
+    def test_the_dct_basis_is_built_on_the_calling_thread(
             self, corpus, tmp_path, monkeypatch):
+        # Each chunk's pass builds its tables on the thread that calls the
+        # pass, its worker; the main thread builds none.
         passes, _ = self._passes(corpus, tmp_path, monkeypatch,
                                  "cepstra-delta")
         assert threading.main_thread() not in passes

@@ -69,7 +69,24 @@ class TestWarp:
 
 class TestWarpInverse:
     """`oracles.warp_inverse`, the reference the filter-centre tests map
-    edges back to Hz with, undoes `filterbank.warp`."""
+    edges back to Hz with: its closed forms, its range, and that it undoes
+    `filterbank.warp`."""
+
+    def test_linear(self):
+        assert oracles.warp_inverse(WarpKind.LINEAR, 500.0) == 500.0
+
+    def test_mel(self):
+        assert oracles.warp_inverse(WarpKind.MEL, 781.17) == \
+            pytest.approx(700.0, abs=0.01)
+
+    def test_zero(self):
+        for kind in WarpKind:
+            assert oracles.warp_inverse(kind, 0.0) == 0.0
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            oracles.warp_inverse(WarpKind.MEL,
+                                 warp(WarpKind.MEL, NYQUIST_HZ) + 1.0)
 
     @given(st.floats(0.0, NYQUIST_HZ))
     @settings(max_examples=100, deadline=None)
