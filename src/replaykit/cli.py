@@ -86,8 +86,6 @@ SAMPLES_PER_MS = corpus_mod.PIPELINE_SAMPLE_RATE / 1000
 # worker threads beyond the result whose output the calling thread writes.
 AHEAD = 2
 # `extract` runs one inline pass per this many contiguous manifest rows.
-# Over 168 rows of 2 s, 16 to 48 rows a chunk ran equally fast; at 8 the
-# per-call costs, each pass's tables among them, took all of the gain.
 EXTRACT_CHUNK = 32
 
 

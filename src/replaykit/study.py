@@ -31,29 +31,26 @@ and, as training replaces the one with the other, the training
 cepstra+delta frames and the six pairs.
 
 One pool of two worker threads serves the pass; `run_study` makes one
-per call. On it the corpus is made one signal ahead (`_read_ahead`): a
-worker makes the next signal and writes its WAV while the calling thread
-extracts, scores and trains on the one before. One is enough: making
-a signal takes less time than the caller's work on one, so the next
-signal is nearly always ready when it is wanted, and a deeper hand-off
-would only hold more signals. The stream keeps its one consumer and its
-order, so every file is byte-identical to a pass on one thread.
-`_read_ahead` is the one-at-a-time case of the one ordered look-ahead
-helper, `_look_ahead`, which runs calls on a pool a fixed number ahead
-and yields their results in order: `_read_ahead` runs `next` on the
-stream one call ahead, and asks for the first item when it is made, so
-the worker starts on it while the caller is still setting up.
-`replaykit synth` runs the corpus stream's own calls through
-`_look_ahead`, two ahead on two workers (`cli._cmd_synth`), and
-`replaykit extract` runs its calls the same way, each an inline
-`iter_features` pass over a chunk of contiguous manifest rows
-(`cli._cmd_extract`).
+per call. On it the corpus is made one signal ahead: `_look_ahead` runs
+the stream's calls (`CorpusSignals.makers`) with one submitted beyond
+the signal the calling thread holds, and `write_corpus` writes each WAV
+on the calling thread, in the stream's order, before the signal is
+extracted. This is `replaykit synth`'s path (`cli._cmd_synth`), at
+depth 1. One is enough: making a signal takes less time than the
+caller's work on one, so the next signal is nearly always ready when it
+is wanted, and a deeper look-ahead would only hold more signals. The
+stream keeps its one consumer and its order, so every file is
+byte-identical to a pass on one thread. `_look_ahead` is the one ordered
+look-ahead helper: `replaykit extract` runs its calls through it too,
+each an inline `iter_features` pass over a chunk of contiguous manifest
+rows (`cli._cmd_extract`).
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 go to the same pool, full fits first, then the larger pool, so the two
 costliest start first. At the start of training the first held-out
-replay, made ahead, still takes one of the two workers until it is
-written. numpy releases the GIL in the GEMMs, FFTs, `eigh` and `exp`
+replay's call, submitted ahead, still takes one of the two workers until
+its signal is made; its WAV is written when the stream reaches it, after
+training. numpy releases the GIL in the GEMMs, FFTs, `eigh` and `exp`
 that make up the work, so the threads overlap. Each fit gets the frames
 and seed it would get in a loop, and the results are taken in leg order,
 so every file is byte-identical to sequential training. Training holds
@@ -63,9 +60,9 @@ alive at once, which raised peak RSS and shortened neither the
 `study-frontend` nor the `study-em` benchmark.
 
 When the pass ends or raises, in training too, the pool is shut down
-before `run_study` returns or raises: fits not yet started are
-cancelled, the work in hand finishes, and the pool's threads are
-joined. So no WAV is written after, and no thread outlives the call.
+before `run_study` returns or raises: calls and fits not yet started
+are cancelled, the work in hand finishes, and the pool's threads are
+joined. So no signal is made after, and no thread outlives the call.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -80,7 +77,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 from collections.abc import Iterator
@@ -226,7 +222,9 @@ def _write_wavs(signals, out_dir: Path) -> Iterator[tuple[str, AudioSignal]]:
     for rec, sig in signals:
         write_wav(sig, out_dir / rec.audio_path)
         yield rec.utt_id, sig
-        del sig  # before the stream makes the next signal
+        # Dropped before the next signal is taken; under a look-ahead
+        # that one is already being made.
+        del sig
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +328,6 @@ def _look_ahead(calls, pool: ThreadPoolExecutor, depth: int) -> Iterator:
     return results()
 
 
-def _read_ahead(items, pool: ThreadPoolExecutor) -> Iterator:
-    """Yield `items` in order while `pool` makes the next one, so it is
-    at most one item ahead: `_look_ahead` over calls of `next`, the
-    first submitted now. An exception met making an item is raised here
-    when its place in the order comes. Once `items` is exhausted one
-    more `next` is submitted, which finds it exhausted again."""
-    items = iter(items)
-    end = object()
-    return itertools.takewhile(
-        lambda item: item is not end,
-        _look_ahead(itertools.repeat(functools.partial(next, items, end)),
-                    pool, 1))
-
-
 def _leg_stem(tag: str, cov: str) -> str:
     """File stem of a detection leg's model and scores, e.g. imfcc_full."""
     return f"{tag.split('+')[0].lower()}_{cov}"
@@ -378,16 +362,17 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         writers = [stack.enter_context(ArchiveWriter(
             out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
             c)) for c in configs]
-        # Shut down first when the stack unwinds: queued fits are
+        # Shut down first when the stack unwinds: queued calls are
         # cancelled, the work in hand finishes, and the threads are joined.
         pool = ThreadPoolExecutor(max_workers=2,
                                   thread_name_prefix="replaykit")
         stack.callback(pool.shutdown, cancel_futures=True)
-        # Written and made on the pool, one signal ahead of the
-        # extraction. Its first part is exactly man_train's rows: the
-        # genuine signals, then the train devices' replays.
-        stream = _read_ahead(write_corpus(signals, manifest, profiles,
-                                          out_dir / "corpus"), pool)
+        # The stream's calls run on the pool, one beyond the signal whose
+        # WAV this thread writes, in the stream's order. Its first part is
+        # exactly man_train's rows: the genuine signals, then the train
+        # devices' replays.
+        stream = write_corpus(_look_ahead(signals.makers(), pool, 1),
+                              manifest, profiles, out_dir / "corpus")
 
         def extract(utterances):
             """Append each utterance's six matrices to the archives, keep

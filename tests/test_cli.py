@@ -32,7 +32,8 @@ from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
                                write_scores)
 from replaykit.study import (ExtractionConfig, extract_features,
                              write_corpus, write_probe_report)
-from test_study import SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak, _tree
+from test_study import (SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak,
+                        _tree, _watch_signal_makers)
 
 
 def _run(*argv):
@@ -829,20 +830,14 @@ class TestSynthPool:
 
     def test_calls_run_on_the_pool_and_wavs_are_written_here(
             self, tmp_path, monkeypatch):
-        makers, writers = [], []
+        writers = []
 
-        def on_thread(log, fn):
-            def wrapper(*args):
-                log.append(threading.current_thread())
-                return fn(*args)
-            return wrapper
+        def write_wav(signal, path, write_wav=study.write_wav):
+            writers.append(threading.current_thread())
+            write_wav(signal, path)
 
-        monkeypatch.setattr(corpus, "_synth_genuine",
-                            on_thread(makers, corpus._synth_genuine))
-        monkeypatch.setattr(corpus, "_replay", on_thread(makers,
-                                                         corpus._replay))
-        monkeypatch.setattr(study, "write_wav",
-                            on_thread(writers, study.write_wav))
+        makers, _, _ = _watch_signal_makers(monkeypatch)
+        monkeypatch.setattr(study, "write_wav", write_wav)
         _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
         n_rows = len(parse_manifest(tmp_path / "manifest.tsv"))
         assert len(makers) == len(writers) == n_rows
@@ -908,26 +903,11 @@ class TestSynthPool:
             self, tmp_path, monkeypatch):
         # Slow WAV writes let the workers run as far ahead as they may:
         # AHEAD signals made ahead and the one being written.
-        lock = threading.Lock()
-        alive, peak = set(), [0]
-
-        def tracked(fn):
-            def wrapper(*args):
-                sig = fn(*args)
-                with lock:
-                    alive.add(id(sig))
-                    peak[0] = max(peak[0], len(alive))
-                weakref.finalize(sig, alive.discard, id(sig))
-                return sig
-            return wrapper
-
         def slow_write_wav(signal, path, write_wav=study.write_wav):
             time.sleep(0.005)
             write_wav(signal, path)
 
-        monkeypatch.setattr(corpus, "_synth_genuine",
-                            tracked(corpus._synth_genuine))
-        monkeypatch.setattr(corpus, "_replay", tracked(corpus._replay))
+        _, alive, peak = _watch_signal_makers(monkeypatch)
         monkeypatch.setattr(study, "write_wav", slow_write_wav)
         _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
         assert not alive

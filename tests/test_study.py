@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import eer_brute_force
-from replaykit import cli, study
+from replaykit import cli, corpus, study
 from replaykit.archive import ArchiveReader, read_archive
 from replaykit.corpus import (AudioSignal, SynthConfig, derive_seed,
                               synth_corpus)
@@ -43,7 +44,7 @@ from replaykit.study import (
     extract_features,
     feature_tag,
     iter_features,
-    _read_ahead,
+    _look_ahead,
     run_study,
     write_corpus,
 )
@@ -210,6 +211,30 @@ def _fit_seed(kind_idx, cov_idx, cls):
     return derive_seed(SEED, 3, kind_idx, cov_idx, cls)
 
 
+def _watch_signal_makers(monkeypatch):
+    """Wrap the corpus stream's signal makers, `corpus._synth_genuine` and
+    `corpus._replay`. Return the threads that made each signal, the ids of
+    the signals alive, and the most alive at once, as a one-item list."""
+    lock = threading.Lock()
+    threads, alive, peak = [], set(), [0]
+
+    def watched(fn):
+        def wrapper(*args):
+            sig = fn(*args)
+            with lock:
+                threads.append(threading.current_thread())
+                alive.add(id(sig))
+                peak[0] = max(peak[0], len(alive))
+            weakref.finalize(sig, alive.discard, id(sig))
+            return sig
+        return wrapper
+
+    monkeypatch.setattr(corpus, "_synth_genuine",
+                        watched(corpus._synth_genuine))
+    monkeypatch.setattr(corpus, "_replay", watched(corpus._replay))
+    return threads, alive, peak
+
+
 class TestTwoAtATime:
     """`run_study` trains each warp's four fits two at a time on its pool;
     every result must be what training them one after another gives."""
@@ -334,109 +359,146 @@ class TestTwoAtATime:
         assert _tree(tmp_path) == _tree(study_runs[0][0])
 
 
-class TestReadAhead:
-    """`run_study` makes and writes its corpus on its pool, one signal
-    ahead of the extraction that takes it."""
+class DeferredFuture(Future):
+    """A future whose call runs when its result is first asked for, on the
+    asking thread, unless it was cancelled before."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self.fn())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class DeferredPool:
+    """A pool stand-in that runs no call until its result is asked for, so
+    a call submitted ahead stays queued until its turn comes."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn):
+        self.futures.append(DeferredFuture(fn))
+        return self.futures[-1]
+
+
+class TestLookAhead:
+    """`_look_ahead` runs calls on a pool a fixed number ahead of the
+    result the caller holds, and yields their results in order."""
 
     @staticmethod
-    def counting(made, n=None):
-        for i in itertools.count() if n is None else range(n):
-            made.append(i)
-            yield i
+    def calls(given, ran, n=None, fail_at=None, error=None):
+        """Calls returning 0, 1, ...; each is appended to `given` as it is
+        taken and to `ran` as it runs. Call `fail_at` raises `error`."""
+        def call(i):
+            ran.append(i)
+            if i == fail_at:
+                raise error
+            return i
 
-    def test_items_come_out_in_order_at_most_one_ahead(self):
-        made = []
+        for i in itertools.count() if n is None else range(n):
+            given.append(i)
+            yield functools.partial(call, i)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_results_come_out_in_order_depth_calls_ahead(self, depth):
+        given, ran, taken = [], [], []
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                taken = []
-                for item in _read_ahead(self.counting(made, 2000), pool):
-                    assert len(made) <= item + 2
-                    taken.append(item)
+                for result in _look_ahead(self.calls(given, ran, 2000),
+                                          pool, depth):
+                    assert len(given) == min(result + 1 + depth, 2000)
+                    taken.append(result)
         finally:
             sys.setswitchinterval(interval)
-        assert taken == list(range(2000))
+        assert taken == sorted(ran) == list(range(2000))
         assert threading.active_count() == before
 
-    def test_the_first_item_is_asked_for_when_the_look_ahead_is_made(self):
-        # So a consumer that computes something else first, as `replaykit
-        # extract`'s calling thread does, does not wait for item 0.
-        asked = threading.Event()
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_first_depth_calls_are_submitted_when_made(self, depth):
+        # So a caller that sets up something else first does not wait for
+        # result 0.
+        started = [threading.Event() for _ in range(3)]
 
-        def source():
-            asked.set()
-            yield 0
+        def calls():
+            for event in started:
+                yield event.set
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            items = _read_ahead(source(), pool)
-            assert asked.wait(timeout=10)
-            assert list(items) == [0]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = _look_ahead(calls(), pool, depth)
+            assert all(event.wait(timeout=10) for event in started[:depth])
+            assert not started[depth].is_set()
+            assert list(results) == [None] * 3
 
-    def test_a_producer_exception_is_raised_in_its_place(self):
-        def failing():
-            yield from range(3)
-            raise SingularComponentError("component 2 collapsed")
-
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_call_error_is_raised_in_its_place(self, depth):
+        error = SingularComponentError("call 3 failed")
+        given, ran, taken = [], [], []
         before = threading.active_count()
-        taken = []
         with pytest.raises(SingularComponentError) as info:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                for item in _read_ahead(failing(), pool):
-                    taken.append(item)
-        assert type(info.value) is SingularComponentError
-        assert str(info.value) == "component 2 collapsed"
+                for result in _look_ahead(
+                        self.calls(given, ran, fail_at=3, error=error),
+                        pool, depth):
+                    taken.append(result)
+        assert info.value is error
         assert taken == [0, 1, 2]
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_queued_calls_are_cancelled_after_an_error(self, depth):
+        error = KeyError("call 3 failed")
+        given, ran = [], []
+        pool = DeferredPool()
+        results = _look_ahead(self.calls(given, ran, fail_at=3, error=error),
+                              pool, depth)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(KeyError) as info:
+            next(results)
+        assert info.value is error
+        # Calls 4 .. 2 + depth were submitted ahead of call 3's result.
+        assert given == list(range(3 + depth))
+        assert [f.cancelled() for f in pool.futures[4:]] == [True] * (depth - 1)
+        with pytest.raises(StopIteration):
+            next(results)
+        assert ran == [0, 1, 2, 3]
+
     @pytest.mark.parametrize("how", ["raise", "close"])
-    def test_a_stopped_consumer_stops_and_joins_the_producer(self, how):
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_stopped_consumer_leaves_no_thread_and_no_call_runs(
+            self, depth, how):
         # As in `run_study`: the pool's shutdown is on the stack.
-        made = []
+        given, ran = [], []
         before = threading.active_count()
         with contextlib.suppress(KeyError):
             with contextlib.ExitStack() as stack:
                 pool = ThreadPoolExecutor(max_workers=2)
                 stack.callback(pool.shutdown, cancel_futures=True)
-                items = _read_ahead(self.counting(made), pool)
-                assert [next(items), next(items)] == [0, 1]
+                results = _look_ahead(self.calls(given, ran), pool, depth)
+                assert [next(results), next(results)] == [0, 1]
                 if how == "raise":
                     raise KeyError("consumer failed")
+                results.close()
         assert threading.active_count() == before
-        assert len(made) <= 3
-        count = len(made)
+        assert len(ran) <= len(given) == 2 + depth
+        count = len(ran)
         time.sleep(0.05)
-        assert len(made) == count
-        # A stream whose pool is shut down neither waits nor makes more:
-        # the item ahead was cancelled, or no new one can be submitted.
-        with pytest.raises((CancelledError, RuntimeError)):
-            next(items)
-        assert len(made) == count
-
-    def test_study_raising_in_training_writes_no_wav_after(
-            self, tmp_path, monkeypatch):
-        # Each WAV write is slowed, so the pool is still writing the
-        # first held-out replay when training raises, unless it is shut
-        # down before `run_study` raises.
-        write_wav = study.write_wav
-
-        def slow_write_wav(signal, path):
-            time.sleep(0.02)
-            write_wav(signal, path)
-
-        def failing_fit(*args, **kwargs):
-            raise SingularComponentError("fit failed")
-
-        monkeypatch.setattr(study, "write_wav", slow_write_wav)
-        monkeypatch.setattr(study, "train_gmm", failing_fit)
-        before = threading.active_count()
-        with pytest.raises(SingularComponentError, match="fit failed"):
-            run_study(SEED, tmp_path, TINY)
-        written = sorted(tmp_path.rglob("*"))
-        assert threading.active_count() == before
-        time.sleep(0.1)
-        assert sorted(tmp_path.rglob("*")) == written
+        assert len(ran) == count
+        # A look-ahead whose pool is shut down neither waits nor runs
+        # more: the call ahead was cancelled, or none can be submitted.
+        with pytest.raises(StopIteration if how == "close"
+                           else (CancelledError, RuntimeError)):
+            next(results)
+        assert len(ran) == count
 
 
 class TestStudyPool:
@@ -468,9 +530,8 @@ class TestStudyPool:
 
     def test_a_failed_wav_write_raises_and_leaves_no_archive(
             self, tmp_path, monkeypatch):
-        # The first held-out replay's WAV write fails on the pool while
-        # the calling thread trains; the error comes out when the stream
-        # reaches it.
+        # The first held-out replay's WAV write fails on the calling
+        # thread, when the stream reaches that replay after training.
         _, manifest, profiles = synth_corpus(TINY_CORPUS, SEED)
         heldout = {p.device_id
                    for p in profiles[TINY_CORPUS.n_train_devices:]}
@@ -494,6 +555,62 @@ class TestStudyPool:
         assert info.value.filename == str(failed[0])
         assert threading.active_count() == before
         assert _archive_files(tmp_path) == []
+
+    def test_study_raising_in_training_writes_no_wav_after(
+            self, tmp_path, monkeypatch):
+        # Training raises while the pool makes the first held-out replay
+        # ahead. With each WAV write slowed, a write off the calling
+        # thread would still be in hand when `run_study` raises.
+        write_wav = study.write_wav
+
+        def slow_write_wav(signal, path):
+            time.sleep(0.02)
+            write_wav(signal, path)
+
+        def failing_fit(*args, **kwargs):
+            raise SingularComponentError("fit failed")
+
+        monkeypatch.setattr(study, "write_wav", slow_write_wav)
+        monkeypatch.setattr(study, "train_gmm", failing_fit)
+        before = threading.active_count()
+        with pytest.raises(SingularComponentError, match="fit failed"):
+            run_study(SEED, tmp_path, TINY)
+        written = sorted(tmp_path.rglob("*"))
+        assert threading.active_count() == before
+        time.sleep(0.1)
+        assert sorted(tmp_path.rglob("*")) == written
+
+    def test_calls_run_on_the_pool_and_wavs_are_written_here(
+            self, tmp_path, monkeypatch):
+        signals, _, _ = synth_corpus(TINY_CORPUS, SEED)
+        order = [tmp_path / "corpus" / rec.audio_path for rec, _ in signals]
+        writers = []
+
+        def write_wav(signal, path, write_wav=study.write_wav):
+            writers.append((threading.current_thread(), path))
+            write_wav(signal, path)
+
+        makers, _, _ = _watch_signal_makers(monkeypatch)
+        monkeypatch.setattr(study, "write_wav", write_wav)
+        run_study(SEED, tmp_path, TINY)
+        assert len(makers) == len(order)
+        assert all(t.name.startswith("replaykit") for t in makers)
+        assert writers == [(threading.current_thread(), path)
+                           for path in order]
+
+    def test_signals_alive_at_once_stay_within_the_bound(
+            self, tmp_path, monkeypatch):
+        # Slow WAV writes let the pool run as far ahead as it may: one
+        # signal made ahead and the one being written.
+        def slow_write_wav(signal, path, write_wav=study.write_wav):
+            time.sleep(0.005)
+            write_wav(signal, path)
+
+        _, alive, peak = _watch_signal_makers(monkeypatch)
+        monkeypatch.setattr(study, "write_wav", slow_write_wav)
+        run_study(SEED, tmp_path, TINY)
+        assert not alive
+        assert peak[0] == 2
 
 
 class TestStudyProtocol:
