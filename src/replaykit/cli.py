@@ -3,30 +3,28 @@
 Every command exits 0 on success; any failure prints a single diagnostic
 line on stderr and exits 1. No command writes over one of its inputs: an
 `--out` that names an input file (or, for `probe`, whose `.json` sibling
-does) is refused before the command reads it.
+does) is refused before the command reads it. Every command runs at one
+BLAS thread, and `synth` and `extract` on the two worker threads of one
+pool that is gone when the command returns or raises; see
+`replaykit._threads` for the policy.
 
 What each command holds in memory at once, beyond its own output:
 - `synth`: the corpus stream's state (`corpus.CorpusSignals`) plus the
-  signals in flight, at most AHEAD + 1: two worker threads run the
-  stream's calls, up to AHEAD submitted beyond the signal whose WAV the
-  calling thread writes, and the WAVs are written in the stream's order.
-  An error is raised at its row's place, after the WAVs before it;
-  queued calls are then cancelled, and the workers are joined before the
-  command returns or raises;
+  signals in flight, at most AHEAD + 1: the workers run the stream's
+  calls, up to AHEAD submitted beyond the signal whose WAV the calling
+  thread writes, and the WAVs are written in the stream's order. An
+  error is raised at its row's place, after the WAVs before it;
 - `extract`: at most AHEAD + 1 chunks' features, plus the WAVs the
-  workers are reading: ~4 MB of cepstra+delta for 2 s rows, the
-  `cli-stages` benchmark's, at 32 rows a chunk. The
-  manifest's rows are cut into contiguous chunks of EXTRACT_CHUNK rows,
-  and each chunk is one call: an inline `iter_features` pass, with its
-  own tables, that reads each WAV as it takes the row. Two worker
-  threads run the calls, up to AHEAD submitted beyond the chunk whose
-  features the calling thread streams into the archive's writer, in
-  manifest order; a manifest of one chunk runs on one worker. The
-  writer renames the file into place only when every entry is in. An
-  error is raised when its chunk's turn comes, so the earliest bad WAV
-  in manifest order is the one named, even when a later chunk fails
-  first; queued calls are then cancelled, and the workers are joined
-  before the command returns or raises;
+  workers are reading. The manifest's rows are cut into contiguous
+  chunks of EXTRACT_CHUNK rows, and each chunk is one call: an inline
+  `iter_features` pass, with its own tables, that reads each WAV as it
+  takes the row. The workers run the calls, up to AHEAD submitted
+  beyond the chunk whose features the calling thread streams into the
+  archive's writer, in manifest order; a manifest of one chunk runs on
+  one worker. The writer renames the file into place only when every
+  entry is in. An error is raised when its chunk's turn comes, so the
+  earliest bad WAV in manifest order is the one named, even when a
+  later chunk fails first;
 - `probe`: one archive entry, whose per-utterance moments it keeps;
 - `train`: one archive entry and one pool. The genuine pool is allocated
   once from the frame counts the reader scanned, filled in manifest
@@ -47,7 +45,7 @@ entry (`_manifest_of_archive`).
 
 The commands share their stages with `run_study`, but extract from 16-bit
 WAVs and train on float32 archive round-trips, so their results are close
-to a study's but not bit-identical (`replaykit.study` gives the gap).
+to a study's but not bit-identical.
 """
 
 from __future__ import annotations
@@ -58,11 +56,11 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import archive as archive_mod
 from . import corpus as corpus_mod
+from ._threads import pinned_blas, workers
 from .errors import EmptyUtteranceError, FeatureMismatchError
 from .filterbank import ExtractionConfig, FeatureKind, WarpKind
 from .fratio import MomentTable, pool_frames, probe_factor
@@ -116,15 +114,12 @@ def _cmd_synth(args) -> None:
         n_heldout_devices=args.heldout_devices,
         utt_seconds=args.utt_seconds, reps=args.reps)
     signals, manifest, profiles = corpus_mod.synth_corpus(config, args.seed)
-    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="replaykit")
-    try:
+    with workers() as pool:
         # The stream's calls run on the pool, AHEAD beyond the signal
         # whose WAV this thread writes, in the stream's order.
         wavs = write_corpus(_look_ahead(signals.makers(), pool, AHEAD),
                             manifest, profiles, args.out)
         collections.deque(wavs, maxlen=0)  # drained, holding no signal
-    finally:
-        pool.shutdown(cancel_futures=True)
     print(f"wrote {len(manifest.genuine_records())} genuine and "
           f"{len(manifest.replay_records())} replay utterances to {args.out}")
 
@@ -156,14 +151,11 @@ def _cmd_extract(args) -> None:
     rows = list(zip(manifest, wav_paths))
     chunks = (functools.partial(extract_chunk, rows[i:i + EXTRACT_CHUNK])
               for i in range(0, len(rows), EXTRACT_CHUNK))
-    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="replaykit")
-    try:
-        with archive_mod.ArchiveWriter(args.out, config) as writer:
-            for chunk in _look_ahead(chunks, pool, AHEAD):
-                for utt_id, fm in chunk:
-                    writer.add(utt_id, fm)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with (workers() as pool,
+          archive_mod.ArchiveWriter(args.out, config) as writer):
+        for chunk in _look_ahead(chunks, pool, AHEAD):
+            for utt_id, fm in chunk:
+                writer.add(utt_id, fm)
     print(f"wrote {len(manifest)} {tag} entries to {args.out}")
 
 
@@ -340,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@pinned_blas()
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -23,9 +23,7 @@ default study's 28,512 frames and K=64), and no assignment of all n
 frames is kept, while a small K pays the dozen numpy calls of a block
 4 times per iteration over 28,512 frames, not 112 times. On the
 benchmark workloads at seeds 1 and 2, every Lloyd assignment and every
-final assignment equals that of one GEMM over all frames. One
-`np.bincount` per dimension for the sums is about as fast at K=64, but
-slower at K=2.
+final assignment equals that of one GEMM over all frames.
 
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
@@ -51,8 +49,7 @@ MOMENT_BLOCK sets what a fit holds beyond its frames. A full block's
 features are (q + d + 1) × MOMENT_BLOCK floats, 0.77 MB at d=26 and 256
 frames, and its log-densities and responsibilities are another
 MOMENT_BLOCK × K. `run_study` trains two fits at once, so it holds two
-such working sets. Blocks of 512 frames held more memory than blocks of
-256 and were no faster.
+such working sets.
 
 W is taken from the floor's results, so EM makes no Cholesky
 factorisation or inverse: 1/σ² and Σ ln σ² for diag, and for full the
@@ -75,12 +72,10 @@ Cholesky whitening: the 2K blocks [L⁻¹ | -L⁻¹m] stacked into one
 each component's squared norm. Per frame and component the feature
 form's GEMM multiplies q + d + 1 = 378 weights at d=26, against
 whitening's d(d + 1) = 702, but it first builds the q = 351 products of
-z zᵀ, a cost per frame that only a large K repays: on random d=26
-pairs, whitening was the faster form at K=2 and K=6, the feature form
-at K=10 and K=64, and the two were within noise of each other at K=8.
-Both forms follow the precision
-parametrisation of scikit-learn's GaussianMixture (Pedregosa et al.,
-JMLR 2011). With the origin shared, the feature form expands each
+z zᵀ, a cost per frame that only a large K repays; FULL_FEATURES_MIN_K
+is where the two forms cost about the same. Both forms follow the
+precision parametrisation of scikit-learn's GaussianMixture (Pedregosa
+et al., JMLR 2011). With the origin shared, the feature form expands each
 component's quadratic form about a point up to half the pair's
 separation Δ away, so a frame's log-likelihood carries an absolute error
 of a few ulp of (Δ/2)²/σ²; tests pin it for mixtures 10³ σ apart.

@@ -30,13 +30,13 @@ features, the signal made ahead of it (below), three small moment tables
 and, as training replaces the one with the other, the training
 cepstra+delta frames and the six pairs.
 
-One pool of two worker threads serves the pass; `run_study` makes one
-per call. On it the corpus is made one signal ahead: `_look_ahead` runs
-the stream's calls (`CorpusSignals.makers`) with one submitted beyond
-the signal the calling thread holds, and `write_corpus` writes each WAV
-on the calling thread, in the stream's order, before the signal is
-extracted. This is `replaykit synth`'s path (`cli._cmd_synth`), at
-depth 1. One is enough: making a signal takes less time than the
+One pool of two worker threads (`_threads.workers`) serves the pass,
+one pool per call. On it the corpus is made one signal ahead:
+`_look_ahead` runs the stream's calls (`CorpusSignals.makers`) with one
+submitted beyond the signal the calling thread holds, and `write_corpus`
+writes each WAV on the calling thread, in the stream's order, before the
+signal is extracted. This is `replaykit synth`'s path (`cli._cmd_synth`),
+at depth 1. One is enough: making a signal takes less time than the
 caller's work on one, so the next signal is nearly always ready when it
 is wanted, and a deeper look-ahead would only hold more signals. The
 stream keeps its one consumer and its order, so every file is
@@ -59,17 +59,14 @@ is one warp, not all twelve fits: those would keep every warp's pools
 alive at once, which raised peak RSS and shortened neither the
 `study-frontend` nor the `study-em` benchmark.
 
-When the pass ends or raises, in training too, the pool is shut down
-before `run_study` returns or raises: calls and fits not yet started
-are cancelled, the work in hand finishes, and the pool's threads are
-joined. So no signal is made after, and no thread outlives the call.
+`run_study` runs at one BLAS thread, and its pool is shut down when the
+pass ends or raises, in training too, so no signal is made after; see
+`replaykit._threads` for the policy.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
 signals, while the CLI extracts from 16-bit WAVs and trains on float32
-archive round-trips. On a 2-speaker, 2-phrase, 0.5 s corpus at seed 1 the
-features differ by at most about 7e-3 (Mel log-Fbank) and 2.5e-3 (Mel
-cepstra+delta); inverted-Mel, which weights the quiet top band, by 2e-2.
+archive round-trips, so their features differ by that rounding.
 """
 
 from __future__ import annotations
@@ -80,13 +77,13 @@ import dataclasses
 import itertools
 import json
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 # `write_archive` only for perfbench/tracing.py, which wraps it at this
 # import site; nothing here calls it, so its metrics read 0 (ROADMAP 8).
 from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
+from ._threads import pinned_blas, workers
 from .corpus import (
     AudioSignal,
     SynthConfig,
@@ -302,7 +299,7 @@ class StudyReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
 
-def _look_ahead(calls, pool: ThreadPoolExecutor, depth: int) -> Iterator:
+def _look_ahead(calls, pool, depth: int) -> Iterator:
     """Run `calls` on `pool` and yield their results in order, with up to
     `depth` calls submitted beyond the result the caller holds. The first
     `depth` are submitted now, when the look-ahead is made; the next one
@@ -333,6 +330,7 @@ def _leg_stem(tag: str, cov: str) -> str:
     return f"{tag.split('+')[0].lower()}_{cov}"
 
 
+@pinned_blas()
 def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyReport:
     """Run the full probing-and-detection loop; see the module docstring."""
     config = config or StudyConfig()
@@ -362,11 +360,8 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         writers = [stack.enter_context(ArchiveWriter(
             out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
             c)) for c in configs]
-        # Shut down first when the stack unwinds: queued calls are
-        # cancelled, the work in hand finishes, and the threads are joined.
-        pool = ThreadPoolExecutor(max_workers=2,
-                                  thread_name_prefix="replaykit")
-        stack.callback(pool.shutdown, cancel_futures=True)
+        # Shut down first when the stack unwinds.
+        pool = stack.enter_context(workers())
         # The stream's calls run on the pool, one beyond the signal whose
         # WAV this thread writes, in the stream's order. Its first part is
         # exactly man_train's rows: the genuine signals, then the train

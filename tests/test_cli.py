@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaykit import cli, corpus, study
+from replaykit import _threads, cli, corpus, study
 from replaykit.archive import (ArchiveWriter, FeatureArchive, read_archive,
                                write_archive)
 from replaykit.corpus import (AudioSignal, Manifest, SynthConfig,
@@ -563,9 +563,10 @@ class TestTwoWayExtract:
         for n_rows in [1, 2, 3, 4, 7, 10]:
             records = all_records[:n_rows]
             write_manifest(Manifest(records), manifest)
-            (inline,) = extract_features(
-                ((r.utt_id, read_wav(corpus / r.audio_path))
-                 for r in records), config)
+            with _threads.pinned_blas():
+                (inline,) = extract_features(
+                    ((r.utt_id, read_wav(corpus / r.audio_path))
+                     for r in records), config)
             write_archive(inline, tmp_path / "inline.rpfa")
             if feature is FeatureKind.LOG_FBANK and n_rows >= self.CHUNK:
                 assert 0 in [fm.n_frames for fm in inline.entries.values()]
@@ -821,8 +822,9 @@ class TestSynthPool:
         # One genuine row is fewer than the calls in flight, so the first
         # replays are asked for while their genuine row is still made.
         signals, manifest, profiles = synth_corpus(self._config(argv), SEED)
-        collections.deque(write_corpus(signals, manifest, profiles,
-                                       tmp_path / "inline"), maxlen=0)
+        with _threads.pinned_blas():
+            collections.deque(write_corpus(signals, manifest, profiles,
+                                           tmp_path / "inline"), maxlen=0)
         _ok("synth", "--out", tmp_path / "pooled", "--seed", SEED, *argv)
         inline = _tree(tmp_path / "inline")
         assert len(inline) == len(manifest) + 2

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import eer_brute_force
-from replaykit import cli, corpus, study
+from replaykit import _threads, cli, corpus, study
 from replaykit.archive import ArchiveReader, read_archive
 from replaykit.corpus import (AudioSignal, SynthConfig, derive_seed,
                               synth_corpus)
@@ -256,7 +256,9 @@ class TestTwoAtATime:
         by_seed = {fit["seed"]: fit for fit in fits}
         assert len(fits) == len(by_seed) == 12
         for fit in fits:
-            alone = train_gmm(fit["frames"], *fit["args"], seed=fit["seed"])
+            with _threads.pinned_blas():
+                alone = train_gmm(fit["frames"], *fit["args"],
+                                  seed=fit["seed"])
             for name in ("weights", "means", "covariances"):
                 np.testing.assert_array_equal(getattr(fit["result"], name),
                                               getattr(alone, name))
@@ -354,7 +356,8 @@ class TestTwoAtATime:
             self, study_runs, tmp_path, monkeypatch):
         # One thread makes the corpus and runs every fit, in the order
         # they are submitted.
-        monkeypatch.setattr(study, "ThreadPoolExecutor", SynchronousExecutor)
+        monkeypatch.setattr(_threads, "ThreadPoolExecutor",
+                            SynchronousExecutor)
         run_study(SEED, tmp_path, TINY)
         assert _tree(tmp_path) == _tree(study_runs[0][0])
 
@@ -520,7 +523,7 @@ class TestStudyPool:
                 self.shutdowns.append((wait, cancel_futures))
                 super().shutdown(wait, cancel_futures=cancel_futures)
 
-        monkeypatch.setattr(study, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(_threads, "ThreadPoolExecutor", Recording)
         before = threading.active_count()
         run_study(SEED, tmp_path, TINY)
         assert threading.active_count() == before
@@ -625,7 +628,7 @@ class TestStudyProtocol:
         """A study run on one thread, with each fit's frames and seed."""
         out = tmp_path_factory.mktemp("protocol")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(study, "ThreadPoolExecutor", SynchronousExecutor)
+            mp.setattr(_threads, "ThreadPoolExecutor", SynchronousExecutor)
             fits = _recording_train_gmm(mp)
             run_study(SEED, out, dataclasses.replace(TINY,
                                                      corpus=self.CORPUS))
