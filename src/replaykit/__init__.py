@@ -38,7 +38,6 @@ from .filterbank import (
     ExtractionConfig,
     FeatureKind,
     FeatureMatrix,
-    FilterBank,
     WarpKind,
     append_deltas,
     build_filterbank,

@@ -32,7 +32,7 @@ before it writes anything.
 
 Nothing in the layout marks the last entry, so an archive cut at an entry
 boundary reads back as a valid, shorter one. Writes therefore go to
-`<path>.partial`, one entry at a time through `ArchiveWriter`, and the
+`partial_path(path)`, one entry at a time through `ArchiveWriter`, and the
 file is renamed to `path` only when the writer exits cleanly: a file at an
 archive's path is complete. `write_archive` writes an in-memory
 `FeatureArchive` the same way; `run_study` and `replaykit extract` stream
@@ -66,17 +66,24 @@ class FeatureArchive:
     entries: dict[str, FeatureMatrix] = field(default_factory=dict)
 
 
+def partial_path(path) -> Path:
+    """`<path>.partial`, where `ArchiveWriter` writes the archive at
+    `path` until it is complete."""
+    path = Path(path)
+    return path.with_name(path.name + ".partial")
+
+
 class ArchiveWriter:
     """Writes an RPFA archive one entry at a time, as a context manager:
-    to `<path>.partial`, which a clean exit from the `with` block renames
-    to `path` and any failure deletes (see the module docstring). Each
-    entry must be of the config's kind, warp and dim, and an id may
+    to `partial_path(path)`, which a clean exit from the `with` block
+    renames to `path` and any failure deletes (see the module docstring).
+    Each entry must be of the config's kind and dim, and an id may
     appear once, in at most MAX_ID_BYTES bytes of UTF-8."""
 
     def __init__(self, path, config: ExtractionConfig):
         self.path = Path(path)
         self.config = config
-        self._partial = self.path.with_name(self.path.name + ".partial")
+        self._partial = partial_path(self.path)
         header = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self._partial, "wb")
@@ -86,10 +93,10 @@ class ArchiveWriter:
 
     def add(self, utt_id: str, fm: FeatureMatrix) -> None:
         c = self.config
-        if (fm.kind, fm.warp_kind, fm.dim) != (c.feature, c.warp, c.dim):
-            raise ValueError(f"utterance {utt_id!r}: {fm.kind}, {fm.warp_kind}"
-                             f" and dim {fm.dim} contradict the archive's "
-                             f"{c.feature}, {c.warp} and dim {c.dim}")
+        if (fm.kind, fm.dim) != (c.feature, c.dim):
+            raise ValueError(f"utterance {utt_id!r}: {fm.kind} and dim "
+                             f"{fm.dim} contradict the archive's "
+                             f"{c.feature} and dim {c.dim}")
         if utt_id in self._ids:
             raise ValueError(f"duplicate utterance id {utt_id!r}")
         id_bytes = utt_id.encode("utf-8")
@@ -227,7 +234,7 @@ class ArchiveReader:
         """The entry as a float64 `FeatureMatrix`, exact to the stored
         float32 values."""
         return FeatureMatrix(self.values(utt_id).astype(np.float64),
-                             self.config.feature, self.config.warp)
+                             self.config.feature)
 
     def __iter__(self) -> Iterator[tuple[str, FeatureMatrix]]:
         for utt_id in self._offsets:

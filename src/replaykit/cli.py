@@ -1,38 +1,34 @@
 """Command-line front end: synth, extract, probe, train, score, eval, study.
 
-Every command exits 0 on success; any failure prints a single diagnostic
-line on stderr and exits 1. No command writes over one of its inputs: an
-`--out` that names an input file (or, for `probe`, whose `.json` sibling
-does) is refused before the command reads it. Every command runs at one
-BLAS thread, and `synth` and `extract` on the two worker threads of one
-pool that is gone when the command returns or raises; see
-`replaykit._threads` for the policy.
+Every command exits 0 on success. A usage error, such as a missing or
+unknown option, exits 2 with argparse's usage text on stderr; any other
+failure prints a single diagnostic line on stderr and exits 1. No
+command writes over one of its inputs: an `--out` that names an input
+file (or, for `probe`, whose `.json` sibling does, and for `extract`,
+whose `.partial` file does) is refused before the command reads it.
+Every command runs inside `pinned_blas()`, and `synth` and `extract` on
+one pool of `workers()`; see `replaykit._threads`.
 
 What each command holds in memory at once, beyond its own output:
 - `synth`: the corpus stream's state (`corpus.CorpusSignals`) plus the
-  signals in flight, at most AHEAD + 1: the workers run the stream's
-  calls, up to AHEAD submitted beyond the signal whose WAV the calling
-  thread writes, and the WAVs are written in the stream's order. An
-  error is raised at its row's place, after the WAVs before it;
-- `extract`: at most AHEAD + 1 chunks' features, plus the WAVs the
+  signals in flight, at most WORKERS + 1: the stream's calls go through
+  `look_ahead` at depth WORKERS, one call in flight per worker, and the
+  calling thread writes each WAV in the stream's order;
+- `extract`: at most WORKERS + 1 chunks' features, plus the WAVs the
   workers are reading. The manifest's rows are cut into contiguous
   chunks of EXTRACT_CHUNK rows, and each chunk is one call: an inline
   `iter_features` pass, with its own tables, that reads each WAV as it
-  takes the row. The workers run the calls, up to AHEAD submitted
-  beyond the chunk whose features the calling thread streams into the
-  archive's writer, in manifest order; a manifest of one chunk runs on
-  one worker. The writer renames the file into place only when every
-  entry is in. An error is raised when its chunk's turn comes, so the
-  earliest bad WAV in manifest order is the one named, even when a
-  later chunk fails first;
+  takes the row. The calls go through `look_ahead` at depth WORKERS,
+  and the calling thread streams each chunk's features into the
+  archive's writer in manifest order, so the earliest bad WAV in
+  manifest order is the one named, even when a later chunk fails first.
+  The writer renames the file into place only when every entry is in;
 - `probe`: one archive entry, whose per-utterance moments it keeps;
 - `train`: one archive entry and one pool. The genuine pool is allocated
   once from the frame counts the reader scanned, filled in manifest
   order and dropped once its mixture is trained; then the replay pool.
   The two mixtures are trained one after the other, not two at a time
-  as in `run_study`: that holds both pools at once, which raised the
-  `cli-stages` benchmark's peak RSS, and its K=2 fits are too short to
-  gain wall time;
+  as in `run_study`, which would hold both pools at once;
 - `score`: one archive entry. Scores are kept and the file is written at
   the end, once the archive's `ExtractionConfig` is found to equal the
   model's; an archive with no entries writes none and fails;
@@ -60,7 +56,7 @@ from pathlib import Path
 
 from . import archive as archive_mod
 from . import corpus as corpus_mod
-from ._threads import pinned_blas, workers
+from ._threads import WORKERS, look_ahead, pinned_blas, workers
 from .errors import EmptyUtteranceError, FeatureMismatchError
 from .filterbank import ExtractionConfig, FeatureKind, WarpKind
 from .fratio import MomentTable, pool_frames, probe_factor
@@ -70,7 +66,6 @@ from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_sc
 # import site; nothing here calls it, so its metric reads 0 (ROADMAP 8).
 from .study import (  # noqa: F401
     StudyConfig,
-    _look_ahead,
     extract_features,
     feature_tag,
     iter_features,
@@ -80,9 +75,6 @@ from .study import (  # noqa: F401
 )
 
 SAMPLES_PER_MS = corpus_mod.PIPELINE_SAMPLE_RATE / 1000
-# `synth` and `extract` keep up to this many calls submitted to their two
-# worker threads beyond the result whose output the calling thread writes.
-AHEAD = 2
 # `extract` runs one inline pass per this many contiguous manifest rows.
 EXTRACT_CHUNK = 32
 
@@ -115,9 +107,7 @@ def _cmd_synth(args) -> None:
         utt_seconds=args.utt_seconds, reps=args.reps)
     signals, manifest, profiles = corpus_mod.synth_corpus(config, args.seed)
     with workers() as pool:
-        # The stream's calls run on the pool, AHEAD beyond the signal
-        # whose WAV this thread writes, in the stream's order.
-        wavs = write_corpus(_look_ahead(signals.makers(), pool, AHEAD),
+        wavs = write_corpus(look_ahead(signals.makers(), pool, WORKERS),
                             manifest, profiles, args.out)
         collections.deque(wavs, maxlen=0)  # drained, holding no signal
     print(f"wrote {len(manifest.genuine_records())} genuine and "
@@ -126,10 +116,12 @@ def _cmd_synth(args) -> None:
 
 def _cmd_extract(args) -> None:
     manifest_path = Path(args.manifest)
-    _refuse_overwriting_inputs(args.out, [manifest_path])
+    # The archive is written to its partial file first (`ArchiveWriter`).
+    partial = [archive_mod.partial_path(args.out)]
+    _refuse_overwriting_inputs(args.out, [manifest_path], partial)
     manifest = corpus_mod.parse_manifest(manifest_path)
     wav_paths = [manifest_path.parent / rec.audio_path for rec in manifest]
-    _refuse_overwriting_inputs(args.out, wav_paths)
+    _refuse_overwriting_inputs(args.out, wav_paths, partial)
     config = ExtractionConfig(
         warp=WarpKind.from_name(args.warp),
         feature=FeatureKind(args.feature),
@@ -153,7 +145,7 @@ def _cmd_extract(args) -> None:
               for i in range(0, len(rows), EXTRACT_CHUNK))
     with (workers() as pool,
           archive_mod.ArchiveWriter(args.out, config) as writer):
-        for chunk in _look_ahead(chunks, pool, AHEAD):
+        for chunk in look_ahead(chunks, pool, WORKERS):
             for utt_id, fm in chunk:
                 writer.add(utt_id, fm)
     print(f"wrote {len(manifest)} {tag} entries to {args.out}")
@@ -183,9 +175,9 @@ def _cmd_probe(args) -> None:
     # The report's JSON document goes next to the TSV (`write_probe_report`).
     _refuse_overwriting_inputs(args.out, [args.archive, args.manifest],
                                [Path(args.out).with_suffix(".json")])
-    table = MomentTable()
     with archive_mod.ArchiveReader(args.archive) as reader:
         manifest = _manifest_of_archive(reader, args, FeatureKind.LOG_FBANK)
+        table = MomentTable(reader.config.warp)
         for utt_id, fm in reader:
             table.add(utt_id, fm)
     report = probe_factor(table, manifest, args.factor)

@@ -24,8 +24,9 @@ signal's spectrum once.
 with its manifest row: the genuine signals, then the replays one device
 at a time, train devices first. The stream is a sequence of makers, one
 call per row that makes that row's signal; iterating it runs each call
-as it is taken, on the iterating thread, and `replaykit synth` runs them
-on two worker threads instead (`cli._cmd_synth`). Each genuine row's
+as it is taken, on the iterating thread; `run_study` and `replaykit
+synth` run them on replaykit's worker threads instead
+(`_threads.look_ahead`). Each genuine row's
 call leaves its signal's spectrum and RMS for the replays, one per
 device, which are made from them, so a replay's call never makes its
 genuine signal again. Replays make up most of a corpus, so a pass holds

@@ -130,16 +130,6 @@ def warp(kind: WarpKind, f) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-@dataclass
-class FilterBank:
-    """M triangular filters over FFT bins, uniform on the warped axis:
-    (M, n_fft // 2 + 1) weights and the M + 2 warped edges."""
-
-    kind: WarpKind
-    weights: np.ndarray
-    edges_warped: np.ndarray
-
-
 def _filter_edges(kind: WarpKind, M: int, n_fft: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The M + 2 warped edges and the n_fft // 2 + 1 bins' warped
@@ -170,9 +160,10 @@ def _filter_edges(kind: WarpKind, M: int, n_fft: int
     return edges, coords
 
 
-def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> FilterBank:
-    """Place M+2 uniformly spaced warped edges over 0..NYQUIST_HZ and
-    rasterize the triangles at the n_fft // 2 + 1 bin frequencies.
+def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> np.ndarray:
+    """The (M, n_fft // 2 + 1) weights of M triangular filters: M+2
+    uniformly spaced warped edges over 0..NYQUIST_HZ, and the triangles
+    rasterized at the n_fft // 2 + 1 bin frequencies.
 
     Raises if a filter covers no FFT bin (too many filters for the FFT
     resolution) rather than silently producing a dead band; an
@@ -186,7 +177,7 @@ def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> FilterBank:
         falling = (coords > center) & (coords <= right)
         weights[i, rising] = (coords[rising] - left) / (center - left)
         weights[i, falling] = (right - coords[falling]) / (right - center)
-    return FilterBank(kind, weights, edges)
+    return weights
 
 
 @dataclass
@@ -195,7 +186,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     kind: FeatureKind
-    warp_kind: WarpKind | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -211,16 +201,17 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def fbank_features(spec: np.ndarray, fb: FilterBank) -> FeatureMatrix:
-    """Log filterbank energies of a power spectrogram (frames by bins):
-    ln(max(power @ weights.T, LOG_FLOOR))."""
-    if spec.shape[1] != fb.weights.shape[1]:
+def fbank_features(spec: np.ndarray, weights: np.ndarray) -> FeatureMatrix:
+    """Log filterbank energies of a power spectrogram (frames by bins)
+    through a `build_filterbank` array: ln(max(power @ weights.T,
+    LOG_FLOOR))."""
+    if spec.shape[1] != weights.shape[1]:
         raise ValueError(
             f"spectrogram with {spec.shape[1]} bins does not match the "
-            f"filterbank's {fb.weights.shape[1]}")
-    energies = spec @ fb.weights.T
+            f"filterbank's {weights.shape[1]}")
+    energies = spec @ weights.T
     return FeatureMatrix(np.log(np.maximum(energies, LOG_FLOOR)),
-                         FeatureKind.LOG_FBANK, fb.kind)
+                         FeatureKind.LOG_FBANK)
 
 
 def cepstral_features(logfb: FeatureMatrix, basis: np.ndarray) -> np.ndarray:

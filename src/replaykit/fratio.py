@@ -50,7 +50,7 @@ class FRatioPattern:
 @dataclass
 class ProbeReport:
     """One pattern per value of the probed factor, the warp of the probed
-    features (None if they name none), the patterns' dispersion and each
+    table (None if it was given none), the patterns' dispersion and each
     pattern's contribution to it: the RMS deviation of its normalized
     shape from the mean shape."""
 
@@ -87,16 +87,18 @@ def pool_frames(utt_ids: list[str], frame_counts: Mapping[str, int],
 class MomentTable:
     """Per-utterance moments of one archive's log-Fbank features, enough
     to give any pool of its utterances the mean and variance of the
-    pool's stacked frames (see `_moments`). `add` keeps an utterance's
-    row and no frame: its frame count, its column sums, its mean's offset
-    from the table's origin, and the squared deviations of its frames
-    about that mean. The origin is the first frame of the first utterance
-    that has frames; offsets from it keep the variance merge exact to
-    rounding even for features far from 0.
+    pool's stacked frames (see `_moments`). `warp`, the stream's as its
+    `ExtractionConfig` states it, is given when the table is made, and
+    the probes report it. `add` keeps an utterance's row and no frame:
+    its frame count, its column sums, its mean's offset from the table's
+    origin, and the squared deviations of its frames about that mean.
+    The origin is the first frame of the first utterance that has
+    frames; offsets from it keep the variance merge exact to rounding
+    even for features far from 0.
     """
 
-    def __init__(self):
-        self.warp: WarpKind | None = None
+    def __init__(self, warp: WarpKind | None = None):
+        self.warp = warp
         self._dim = 0
         self._origin: np.ndarray | None = None
         self._rows: dict[str, tuple] = {}
@@ -106,7 +108,7 @@ class MomentTable:
         if fm.kind is not FeatureKind.LOG_FBANK:
             raise ValueError("probing requires log-Fbank features")
         if not self._rows:
-            self.warp, self._dim = fm.warp_kind, fm.dim
+            self._dim = fm.dim
         elif fm.dim != self._dim:
             raise ValueError(f"band counts differ: {self._dim} vs {fm.dim}")
         if utt_id in self._rows:

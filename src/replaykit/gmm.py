@@ -18,12 +18,9 @@ added in place, assigns them to their nearest centres, and one one-hot
 GEMM adds them to the cluster sums. A block holds
 LLOYD_BLOCK_ELEMENTS // K frames, so that its (rows, K) distance and
 one-hot arrays hold at most 256 × 64 elements each, 128 KB: 256 frames
-at K=64, 8,192 at K=2. So no (n, K) array is built (14.6 MB at the
-default study's 28,512 frames and K=64), and no assignment of all n
-frames is kept, while a small K pays the dozen numpy calls of a block
-4 times per iteration over 28,512 frames, not 112 times. On the
-benchmark workloads at seeds 1 and 2, every Lloyd assignment and every
-final assignment equals that of one GEMM over all frames.
+at K=64, 8,192 at K=2. So no (n, K) array is built and no assignment of
+all n frames is kept, while a small K, in larger blocks, pays the dozen
+numpy calls of a block fewer times per iteration.
 
 Training works on moment features. For frames shifted by the data mean,
 z = x - o, they are [q(z); z; 1], where q(z) is z² (diag) or the row-major
@@ -46,10 +43,9 @@ over all frames, so the same pass gives the data variance from which
 the floor is taken (for full, the diagonal of the data covariance).
 
 MOMENT_BLOCK sets what a fit holds beyond its frames. A full block's
-features are (q + d + 1) × MOMENT_BLOCK floats, 0.77 MB at d=26 and 256
-frames, and its log-densities and responsibilities are another
-MOMENT_BLOCK × K. `run_study` trains two fits at once, so it holds two
-such working sets.
+features are (q + d + 1) × MOMENT_BLOCK floats, and its log-densities
+and responsibilities are another MOMENT_BLOCK × K. `run_study` trains
+two fits at once, so it holds two such working sets.
 
 W is taken from the floor's results, so EM makes no Cholesky
 factorisation or inverse: 1/σ² and Σ ln σ² for diag, and for full the
@@ -99,8 +95,7 @@ value made a paper-sized pair many times slower to save and twice the
 size on disk, and bytes read back bit for bit, which scoring a saved
 model in another process relies on.
 Covariances are kept in full rather than as a triangle: a floored full
-covariance V Λ Vᵀ is symmetric only to rounding (in one K=64 fit 18,652
-of 43,264 entries differ from their transpose), so a triangle would not
+covariance V Λ Vᵀ is symmetric only to rounding, so a triangle would not
 read back the model that was saved.
 """
 

@@ -30,38 +30,27 @@ features, the signal made ahead of it (below), three small moment tables
 and, as training replaces the one with the other, the training
 cepstra+delta frames and the six pairs.
 
-One pool of two worker threads (`_threads.workers`) serves the pass,
-one pool per call. On it the corpus is made one signal ahead:
-`_look_ahead` runs the stream's calls (`CorpusSignals.makers`) with one
-submitted beyond the signal the calling thread holds, and `write_corpus`
-writes each WAV on the calling thread, in the stream's order, before the
-signal is extracted. This is `replaykit synth`'s path (`cli._cmd_synth`),
-at depth 1. One is enough: making a signal takes less time than the
-caller's work on one, so the next signal is nearly always ready when it
-is wanted, and a deeper look-ahead would only hold more signals. The
-stream keeps its one consumer and its order, so every file is
-byte-identical to a pass on one thread. `_look_ahead` is the one ordered
-look-ahead helper: `replaykit extract` runs its calls through it too,
-each an inline `iter_features` pass over a chunk of contiguous manifest
-rows (`cli._cmd_extract`).
+The pass runs on replaykit's worker pool (`_threads`), one pool per
+call. On it the corpus is made one signal ahead: the stream's calls
+(`CorpusSignals.makers`) go through `look_ahead` at depth 1, and
+`write_corpus` writes each WAV on the calling thread before the signal
+is extracted, as `replaykit synth` does at its own depth. One is enough:
+making a signal takes less time than the caller's work on one, so the
+next signal is nearly always ready when it is wanted, and a deeper
+look-ahead would only hold more signals.
 
 A warp's four fits, diag and full for the genuine and the replay pool,
 go to the same pool, full fits first, then the larger pool, so the two
 costliest start first. At the start of training the first held-out
-replay's call, submitted ahead, still takes one of the two workers until
+replay's call, submitted ahead, still takes one of the workers until
 its signal is made; its WAV is written when the stream reaches it, after
-training. numpy releases the GIL in the GEMMs, FFTs, `eigh` and `exp`
-that make up the work, so the threads overlap. Each fit gets the frames
-and seed it would get in a loop, and the results are taken in leg order,
-so every file is byte-identical to sequential training. Training holds
-up to two fits' working sets at once (see `gmm.MOMENT_BLOCK`). The scope
-is one warp, not all twelve fits: those would keep every warp's pools
-alive at once, which raised peak RSS and shortened neither the
-`study-frontend` nor the `study-em` benchmark.
-
-`run_study` runs at one BLAS thread, and its pool is shut down when the
-pass ends or raises, in training too, so no signal is made after; see
-`replaykit._threads` for the policy.
+training. Each fit gets the frames and seed it would get in a loop, and
+the results are taken in leg order, so every file is byte-identical to
+sequential training. Training holds up to two fits' working sets at
+once (see `gmm.MOMENT_BLOCK`). The scope is one warp, not all twelve
+fits, which would keep every warp's pools alive at once. The pool is
+shut down when the pass ends or raises, in training too, so no signal
+is made after, and the whole call runs inside `pinned_blas()`.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -71,7 +60,6 @@ archive round-trips, so their features differ by that rounding.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import itertools
@@ -83,7 +71,7 @@ from pathlib import Path
 # `write_archive` only for perfbench/tracing.py, which wraps it at this
 # import site; nothing here calls it, so its metrics read 0 (ROADMAP 8).
 from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
-from ._threads import pinned_blas, workers
+from ._threads import look_ahead, pinned_blas, workers
 from .corpus import (
     AudioSignal,
     SynthConfig,
@@ -165,8 +153,8 @@ def iter_features(utterances, *configs: ExtractionConfig
         for utt_id, signal in utterances:
             spec = power_spectrum(frame_signal(signal, frame_len, hop),
                                   workspace)
-            fbanks = {key: fbank_features(spec, fb)
-                      for key, fb in banks.items()}
+            fbanks = {key: fbank_features(spec, weights)
+                      for key, weights in banks.items()}
             feats = []
             for config in configs:
                 fm = fbanks[config.warp, config.bands]
@@ -180,7 +168,7 @@ def iter_features(utterances, *configs: ExtractionConfig
                     fm = FeatureMatrix(
                         append_deltas(cepstral_features(fm, bases[config.bands]),
                                       config.delta_window),
-                        FeatureKind.CEPSTRA_DELTA, config.warp)
+                        FeatureKind.CEPSTRA_DELTA)
                 feats.append(fm)
             # Dropped before the next pair is taken: a lazy source makes
             # the next signal then, and both would be held at once.
@@ -232,7 +220,7 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     """TSV: a `value`, `F_1..F_M`, `dispersion_contribution` header, then
     one row per factor value: its band ratios and the RMS deviation of its
     normalized shape from the mean shape. Next to it, a JSON document with
-    the factor, the warp (null if the features name none), the band count,
+    the factor, the warp (null if the report names none), the band count,
     the dispersion and each pattern's value, frame counts and ratios.
     A TSV path ending in .json, which the JSON document would overwrite,
     raises ValueError before anything is written."""
@@ -299,32 +287,6 @@ class StudyReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
 
-def _look_ahead(calls, pool, depth: int) -> Iterator:
-    """Run `calls` on `pool` and yield their results in order, with up to
-    `depth` calls submitted beyond the result the caller holds. The first
-    `depth` are submitted now, when the look-ahead is made; the next one
-    each time a result is taken. An exception raised by a call is raised
-    here when its place in the order comes, and the calls still queued
-    are then cancelled."""
-    calls = iter(calls)
-    ahead = collections.deque(
-        pool.submit(call) for call in itertools.islice(calls, depth))
-
-    def results():
-        try:
-            while ahead:
-                result = ahead.popleft().result()
-                ahead.extend(pool.submit(call)
-                             for call in itertools.islice(calls, 1))
-                yield result
-                del result  # the caller's now
-        finally:
-            for future in ahead:
-                future.cancel()
-
-    return results()
-
-
 def _leg_stem(tag: str, cov: str) -> str:
     """File stem of a detection leg's model and scores, e.g. imfcc_full."""
     return f"{tag.split('+')[0].lower()}_{cov}"
@@ -353,7 +315,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                    if c.feature is FeatureKind.CEPSTRA_DELTA}
     genuine_ids = [r.utt_id for r in manifest.genuine_records()]
     train_replay_ids = [r.utt_id for r in man_train.replay_records()]
-    fbank_tables = {kind: MomentTable() for kind in WarpKind}
+    fbank_tables = {kind: MomentTable(kind) for kind in WarpKind}
     pairs: dict[tuple[WarpKind, str], GmmPairModel] = {}
     scores: dict[tuple[WarpKind, str], dict[str, float]] = {}
     with contextlib.ExitStack() as stack:
@@ -366,7 +328,7 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
         # WAV this thread writes, in the stream's order. Its first part is
         # exactly man_train's rows: the genuine signals, then the train
         # devices' replays.
-        stream = write_corpus(_look_ahead(signals.makers(), pool, 1),
+        stream = write_corpus(look_ahead(signals.makers(), pool, 1),
                               manifest, profiles, out_dir / "corpus")
 
         def extract(utterances):

@@ -128,23 +128,35 @@ def warp_inverse(kind, w):
     return hz if hz.ndim else float(hz)
 
 
-def dead_filters_loop(kind, M, n_fft):
-    """The filters of M triangles whose edges are spaced uniformly on the
-    warped axis over the band, as `build_filterbank` places them, and
-    whose weight is zero at every one of the n_fft // 2 + 1 bins, found
-    by evaluating each triangle at each bin in turn."""
+def filter_edges_warped(kind, M):
+    """The M + 2 filter edges of `build_filterbank(kind, M, n_fft)` on
+    the warped axis: spaced uniformly over the band, 0 Hz to Nyquist."""
     from replaykit.filterbank import NYQUIST_HZ, warp
-    edges = np.linspace(0.0, warp(kind, NYQUIST_HZ), M + 2).tolist()
+    return np.linspace(0.0, warp(kind, NYQUIST_HZ), M + 2)
+
+
+def triangle_weights_loop(kind, M, n_fft):
+    """The (M, n_fft // 2 + 1) weights of M triangles on the edges of
+    `filter_edges_warped`, each evaluated at each bin's warped coordinate
+    in turn."""
+    from replaykit.filterbank import NYQUIST_HZ, warp
+    edges = filter_edges_warped(kind, M).tolist()
     coords = [warp(kind, min(b * PIPELINE_SAMPLE_RATE / n_fft, NYQUIST_HZ))
               for b in range(n_fft // 2 + 1)]
-    dead = []
+    weights = np.zeros((M, len(coords)))
     for i in range(M):
         left, center, right = edges[i:i + 3]
-        if all(max(0.0, min((c - left) / (center - left),
-                            (right - c) / (right - center))) == 0.0
-               for c in coords):
-            dead.append(i)
-    return dead
+        for b, c in enumerate(coords):
+            weights[i, b] = max(0.0, min((c - left) / (center - left),
+                                         (right - c) / (right - center)))
+    return weights
+
+
+def dead_filters_loop(kind, M, n_fft):
+    """The filters of `triangle_weights_loop(kind, M, n_fft)` whose
+    weight is zero at every one of the n_fft // 2 + 1 bins."""
+    weights = triangle_weights_loop(kind, M, n_fft)
+    return [i for i in range(M) if not weights[i].any()]
 
 
 # ---------------------------------------------------------------------------

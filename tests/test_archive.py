@@ -16,8 +16,8 @@ from replaykit.filterbank import (ExtractionConfig, FeatureKind, FeatureMatrix,
                                   WarpKind)
 
 
-def _fm(values, kind=FeatureKind.LOG_FBANK, warp=WarpKind.LINEAR):
-    return FeatureMatrix(np.asarray(values, dtype=np.float64), kind, warp)
+def _fm(values, kind=FeatureKind.LOG_FBANK):
+    return FeatureMatrix(np.asarray(values, dtype=np.float64), kind)
 
 
 def _config(feature=FeatureKind.LOG_FBANK, bands=3, warp=WarpKind.LINEAR):
@@ -52,7 +52,7 @@ class TestRoundTrip:
     def test_single_entry_exact_at_f32(self, tmp_path):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(3, 26)).astype(np.float32).astype(np.float64)
-        fm = FeatureMatrix(values, FeatureKind.CEPSTRA_DELTA, WarpKind.MEL)
+        fm = FeatureMatrix(values, FeatureKind.CEPSTRA_DELTA)
         config = ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)
         p = tmp_path / "a.rpfa"
         write_archive(FeatureArchive(config, {"utt1": fm}), p)
@@ -60,7 +60,6 @@ class TestRoundTrip:
         assert list(back.entries) == ["utt1"]
         got = back.entries["utt1"]
         assert got.kind is FeatureKind.CEPSTRA_DELTA
-        assert got.warp_kind is WarpKind.MEL
         np.testing.assert_array_equal(got.values, values)
         assert back.config == config
 
@@ -69,8 +68,8 @@ class TestRoundTrip:
         # it (such as IMFCC+D over Mel log-Fbank) can disagree with it.
         config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
         p = tmp_path / "a.rpfa"
-        write_archive(FeatureArchive(config, {"u": _fm(
-            np.ones((1, 23)), warp=WarpKind.MEL)}), p)
+        write_archive(FeatureArchive(config, {"u": _fm(np.ones((1, 23)))}),
+                      p)
         data = p.read_bytes()
         (length,) = struct.unpack("<I", data[6:10])
         assert data[:6] == b"RPFA" + struct.pack("<H", 2)
@@ -78,7 +77,6 @@ class TestRoundTrip:
             config.to_dict(), sort_keys=True).encode()
         with ArchiveReader(p) as reader:
             assert reader.config == config
-            assert reader.read("u").warp_kind is WarpKind.MEL
 
     def test_multiple_entries_preserve_order_and_shapes(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -315,7 +313,6 @@ class TestArchiveReader:
                     stored, entries[utt_id].values.astype(np.float32))
                 fm = reader.read(utt_id)
                 assert fm.kind is FeatureKind.LOG_FBANK
-                assert fm.warp_kind is WarpKind.LINEAR
                 np.testing.assert_array_equal(fm.values,
                                               whole[utt_id].values)
             with pytest.raises(KeyError):
@@ -407,16 +404,15 @@ class TestArchiveWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_refuses_an_entry_of_another_warp_and_dim(self, tmp_path):
-        # 40-band inverted-Mel log-Fbank under a 23-band Mel config.
+        # 40-band log-Fbank under a 23-band Mel config. A matrix states no
+        # warp; its stream's config does.
         config = ExtractionConfig(WarpKind.MEL, FeatureKind.LOG_FBANK)
         with pytest.raises(ValueError) as info:
             with ArchiveWriter(tmp_path / "a.rpfa", config) as writer:
-                writer.add("u", _fm(np.ones((2, 40)),
-                                    warp=WarpKind.INVERTED_MEL))
+                writer.add("u", _fm(np.ones((2, 40))))
         assert str(info.value) == (
-            "utterance 'u': FeatureKind.LOG_FBANK, WarpKind.INVERTED_MEL and "
-            "dim 40 contradict the archive's FeatureKind.LOG_FBANK, "
-            "WarpKind.MEL and dim 23")
+            "utterance 'u': FeatureKind.LOG_FBANK and dim 40 contradict the "
+            "archive's FeatureKind.LOG_FBANK and dim 23")
         assert list(tmp_path.iterdir()) == []
 
     def test_refuses_an_fbank_entry_under_a_cepstra_config(self, tmp_path):
@@ -425,37 +421,35 @@ class TestArchiveWriter:
         config = ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA)
         with pytest.raises(ValueError, match="'u': FeatureKind.LOG_FBANK"):
             with ArchiveWriter(tmp_path / "a.rpfa", config) as writer:
-                writer.add("u", _fm(np.ones((2, 26)), warp=WarpKind.MEL))
+                writer.add("u", _fm(np.ones((2, 26))))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("config", [
         _config(), ExtractionConfig(WarpKind.MEL, FeatureKind.CEPSTRA_DELTA),
     ], ids=["linear-fbank-3", "mel-cepstra-delta"])
     def test_what_it_writes_reads_back_as_written(self, tmp_path, config):
-        # Every entry the writer takes reads back with its kind, warp and
+        # Every entry the writer takes reads back with its kind and
         # values; the others are refused before a byte of them is written.
         p = tmp_path / "a.rpfa"
         written = {}
         with ArchiveWriter(p, config) as writer:
             for kind in FeatureKind:
-                for warp in (*WarpKind, None):
-                    for dim in (2, 3, 26):
-                        if kind is FeatureKind.CEPSTRA_DELTA and dim != 26:
-                            continue
-                        utt_id = f"{kind.value}-{warp}-{dim}"
-                        fm = _fm(np.full((2, dim), 0.5), kind, warp)
-                        try:
-                            writer.add(utt_id, fm)
-                        except ValueError:
-                            continue
-                        written[utt_id] = fm
+                for dim in (2, 3, 26):
+                    if kind is FeatureKind.CEPSTRA_DELTA and dim != 26:
+                        continue
+                    utt_id = f"{kind.value}-{dim}"
+                    fm = _fm(np.full((2, dim), 0.5), kind)
+                    try:
+                        writer.add(utt_id, fm)
+                    except ValueError:
+                        continue
+                    written[utt_id] = fm
         assert len(written) == 1
         with ArchiveReader(p) as reader:
             back = dict(reader)
         assert list(back) == list(written)
         for utt_id, fm in written.items():
-            assert (back[utt_id].kind, back[utt_id].warp_kind) == \
-                (fm.kind, fm.warp_kind)
+            assert back[utt_id].kind is fm.kind
             np.testing.assert_array_equal(back[utt_id].values, fm.values)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -579,6 +573,6 @@ def test_any_one_byte_edit_reads_back_or_raises_archive_format_error(
         assert [u for u, _ in entries] == list(reader.frame_counts)
         for utt_id, fm in entries:
             assert fm.n_frames == reader.frame_counts[utt_id]
-            assert (fm.kind, fm.warp_kind, fm.dim) == (
-                reader.config.feature, reader.config.warp, reader.config.dim)
+            assert (fm.kind, fm.dim) == (reader.config.feature,
+                                         reader.config.dim)
             assert np.isfinite(fm.values).all()

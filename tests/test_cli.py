@@ -381,8 +381,8 @@ class TestFailures:
     def test_score_of_a_zero_frame_entry(self, work, tmp_path):
         archive = read_archive(work / "mel_cepstra-delta.rpfa")
         utt_id = list(archive.entries)[2]
-        archive.entries[utt_id] = FeatureMatrix(
-            np.zeros((0, 26)), FeatureKind.CEPSTRA_DELTA, WarpKind.MEL)
+        archive.entries[utt_id] = FeatureMatrix(np.zeros((0, 26)),
+                                                FeatureKind.CEPSTRA_DELTA)
         bad = tmp_path / "empty_entry.rpfa"
         write_archive(archive, bad)
         line = self._single_error_line(
@@ -436,7 +436,7 @@ class TestFailures:
         assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("command, target", [
-        ("extract", "manifest"), ("extract", "wav"),
+        ("extract", "manifest"), ("extract", "wav"), ("extract", "partial"),
         ("probe", "archive"), ("probe", "manifest"), ("probe", "json"),
         ("train", "archive"), ("train", "manifest"),
         ("score", "archive"), ("score", "model"), ("score", "manifest"),
@@ -446,10 +446,14 @@ class TestFailures:
         # Every input is a copy, so a command that writes over one harms
         # no other test. "json": probe's --out is x.tsv, its JSON document
         # goes to x.json, and the archive is x.json. "symlink": --out is
-        # a link to the archive.
+        # a link to the archive. "partial": extract's --out is m.rpfa, the
+        # archive is written to m.rpfa.partial first, and the manifest is
+        # m.rpfa.partial.
         corpus = tmp_path / "corpus"
         shutil.copytree(work / "corpus", corpus)
         manifest = corpus / "manifest.tsv"
+        if target == "partial":
+            manifest = manifest.rename(corpus / "m.rpfa.partial")
         feature = "fbank" if command == "probe" else "cepstra-delta"
         archive = tmp_path / ("x.json" if target == "json" else "x.rpfa")
         shutil.copy(work / f"mel_{feature}.rpfa", archive)
@@ -458,7 +462,8 @@ class TestFailures:
         out = {"manifest": manifest, "archive": archive, "model": model,
                "wav": sorted((corpus / "audio").glob("*.wav"))[0],
                "json": tmp_path / "x.tsv",
-               "symlink": tmp_path / "link.tsv"}[target]
+               "symlink": tmp_path / "link.tsv",
+               "partial": corpus / "m.rpfa"}[target]
         if target == "symlink":
             out.symlink_to(archive)
         argv = {"extract": ["--manifest", manifest, "--warp", "mel",
@@ -524,7 +529,7 @@ class TestFailures:
 
 class TestTwoWayExtract:
     """`replaykit extract` runs one inline pass per chunk of EXTRACT_CHUNK
-    contiguous manifest rows on two worker threads, up to AHEAD chunks
+    contiguous manifest rows on the worker threads, up to WORKERS chunks
     ahead, and adds every entry to the archive on the calling thread in
     manifest order; the archive, the error named and the threads left
     must be those of one inline pass on one thread. EXTRACT_CHUNK is 3
@@ -717,7 +722,7 @@ class TestTwoWayExtract:
     def test_chunk_results_alive_at_once_stay_within_the_bound(
             self, corpus, tmp_path, monkeypatch):
         # Slow archive writes let the workers run as far ahead as they
-        # may: AHEAD chunks computed ahead and the one being written. A
+        # may: WORKERS chunks computed ahead and the one being written. A
         # chunk counts from the start of its call until its last matrix
         # is freed.
         lock = threading.RLock()
@@ -759,7 +764,7 @@ class TestTwoWayExtract:
         assert code == 0, err
         assert next(n_passes) == 4
         assert not alive
-        assert peak[0] == cli.AHEAD + 1
+        assert peak[0] == _threads.WORKERS + 1
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--frame-ms", 0, "invalid framing: need 0 < hop <= frame_len, "
@@ -904,7 +909,7 @@ class TestSynthPool:
     def test_signals_alive_at_once_stay_within_the_bound(
             self, tmp_path, monkeypatch):
         # Slow WAV writes let the workers run as far ahead as they may:
-        # AHEAD signals made ahead and the one being written.
+        # WORKERS signals made ahead and the one being written.
         def slow_write_wav(signal, path, write_wav=study.write_wav):
             time.sleep(0.005)
             write_wav(signal, path)
@@ -913,7 +918,7 @@ class TestSynthPool:
         monkeypatch.setattr(study, "write_wav", slow_write_wav)
         _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
         assert not alive
-        assert peak[0] == cli.AHEAD + 1
+        assert peak[0] == _threads.WORKERS + 1
 
 
 class TestStreamsAsInMemory:
@@ -924,7 +929,7 @@ class TestStreamsAsInMemory:
     def test_probe(self, work, tmp_path):
         archive = read_archive(work / "mel_fbank.rpfa")
         manifest = parse_manifest(work / "corpus" / "manifest.tsv")
-        table = MomentTable()
+        table = MomentTable(archive.config.warp)
         for utt_id, fm in archive.entries.items():
             table.add(utt_id, fm)
         for factor in ("speaker", "phrase", "device"):

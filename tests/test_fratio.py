@@ -21,15 +21,15 @@ from replaykit.fratio import (
 from replaykit.study import write_probe_report
 
 
-def _logfb(rows, warp_kind=None):
+def _logfb(rows):
     return FeatureMatrix(np.asarray(rows, dtype=np.float64),
-                         FeatureKind.LOG_FBANK, warp_kind)
+                         FeatureKind.LOG_FBANK)
 
 
-def _table(features):
+def _table(features, warp=None):
     """The `MomentTable` of an utterance -> frames mapping, added in its
-    order."""
-    table = MomentTable()
+    order, made with `warp`."""
+    table = MomentTable(warp)
     for utt_id, fm in features.items():
         table.add(utt_id, fm)
     return table
@@ -181,19 +181,19 @@ def _toy_setup():
     for s in ("S00", "S01"):
         utt = f"{s}-live"
         records.append(UtteranceMeta(utt, f"{utt}.wav", "genuine", s, "P00", "-"))
-        features[utt] = _logfb(rng.normal(0.0, 1.0, size=(20, 3)), WarpKind.LINEAR)
+        features[utt] = _logfb(rng.normal(0.0, 1.0, size=(20, 3)))
         for d, shift in (("D00", 2.0), ("D01", 5.0)):
             rutt = f"{s}-{d}"
             records.append(UtteranceMeta(rutt, f"{rutt}.wav", "replay", s, "P00", d))
-            features[rutt] = _logfb(rng.normal(shift, 1.0, size=(20, 3)),
-                                    WarpKind.LINEAR)
+            features[rutt] = _logfb(rng.normal(shift, 1.0, size=(20, 3)))
     return features, Manifest(records)
 
 
 class TestProbeFactor:
     def test_one_pattern_per_device(self):
         features, manifest = _toy_setup()
-        report = probe_factor(_table(features), manifest, "device")
+        report = probe_factor(_table(features, WarpKind.LINEAR), manifest,
+                              "device")
         assert report.factor == "device"
         assert [p.value for p in report.patterns] == ["D00", "D01"]
         assert report.warp is WarpKind.LINEAR
@@ -269,15 +269,15 @@ class TestProbeFactor:
 
     def test_too_few_frames_in_one_pool(self):
         features, manifest = _toy_setup()
-        features["S00-D00"] = _logfb(np.zeros((1, 3)), WarpKind.LINEAR)
-        features["S01-D00"] = _logfb(np.zeros((0, 3)), WarpKind.LINEAR)
+        features["S00-D00"] = _logfb(np.zeros((1, 3)))
+        features["S01-D00"] = _logfb(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="too few frames for device=D00"):
             probe_factor(_table(features), manifest, "device")
 
     def test_degenerate_band_names_the_value(self):
         features, manifest = _toy_setup()
         for utt in ("S00-live", "S01-live", "S00-D01", "S01-D01"):
-            features[utt] = _logfb(np.zeros((20, 3)), WarpKind.LINEAR)
+            features[utt] = _logfb(np.zeros((20, 3)))
         with pytest.raises(DegenerateBandError,
                            match=r"band\(s\) \[0, 1, 2\] for device=D01: "):
             probe_factor(_table(features), manifest, "device")
@@ -306,14 +306,14 @@ def _uneven_setup():
             records.append(UtteranceMeta(utt, f"{utt}.wav", "genuine", s, p,
                                          "-"))
             rows = rng.normal(offset, 1.0, size=(rng.integers(5, 31), 4))
-            features[utt] = _logfb(rows, WarpKind.MEL)
+            features[utt] = _logfb(rows)
             for d, shift in (("D00", 0.5), ("D01", 1.5), ("H00", 3.0)):
                 rutt = f"{s}-{p}-{d}"
                 records.append(UtteranceMeta(rutt, f"{rutt}.wav", "replay",
                                              s, p, d))
                 rows = rng.normal(offset + shift, 1.0 + shift,
                                   size=(rng.integers(5, 31), 4))
-                features[rutt] = _logfb(rows, WarpKind.MEL)
+                features[rutt] = _logfb(rows)
     return features, Manifest(records)
 
 
@@ -384,8 +384,8 @@ class TestPooledMoments:
 
     def test_too_few_frames_message(self):
         features, manifest = _toy_setup()
-        features["S00-D00"] = _logfb(np.zeros((1, 3)), WarpKind.LINEAR)
-        features["S01-D00"] = _logfb(np.zeros((0, 3)), WarpKind.LINEAR)
+        features["S00-D00"] = _logfb(np.zeros((1, 3)))
+        features["S01-D00"] = _logfb(np.zeros((0, 3)))
         with pytest.raises(ValueError) as info:
             probe_factor(_table(features), manifest, "device")
         assert str(info.value) == ("too few frames for device=D00: need >= 2 "
@@ -394,9 +394,9 @@ class TestPooledMoments:
     def test_degenerate_band_message(self):
         features, manifest = _toy_setup()
         for utt in ("S00-live", "S01-live", "S00-D01", "S01-D01"):
-            features[utt] = _logfb(np.zeros((20, 3)), WarpKind.LINEAR)
-        features["S00-D00"] = _logfb(np.ones((20, 3)), WarpKind.LINEAR)
-        features["S01-D00"] = _logfb(np.ones((20, 3)), WarpKind.LINEAR)
+            features[utt] = _logfb(np.zeros((20, 3)))
+        features["S00-D00"] = _logfb(np.ones((20, 3)))
+        features["S01-D00"] = _logfb(np.ones((20, 3)))
         with pytest.raises(DegenerateBandError) as info:
             probe_factor(_table(features), manifest, "device")
         assert str(info.value) == (
@@ -410,7 +410,7 @@ class TestPooledMoments:
         features, manifest = _toy_setup()
         rows = features["S01-D01"].values.copy()
         rows[3, 1] = bad
-        features["S01-D01"] = _logfb(rows, WarpKind.LINEAR)
+        features["S01-D01"] = _logfb(rows)
         with pytest.raises(ValueError) as info:
             probe_factor(_table(features), manifest, "device")
         assert str(info.value) == ("non-finite ratios for device=D01: "
@@ -496,7 +496,8 @@ class TestCompareDatasets:
         features, manifest = _toy_setup()
         man_a = manifest.filter(lambda r: r.is_genuine or r.device_id == "D00")
         man_b = manifest.filter(lambda r: r.is_genuine or r.device_id == "D01")
-        report = compare_datasets(_table(features), man_a, man_b)
+        report = compare_datasets(_table(features, WarpKind.LINEAR), man_a,
+                                  man_b)
         assert report.factor == "dataset"
         assert [p.value for p in report.patterns] == ["train", "heldout"]
         assert report.warp is WarpKind.LINEAR
@@ -506,7 +507,8 @@ class TestCompareDatasets:
 class TestWriteProbeReport:
     def test_device_report_layout(self, tmp_path):
         features, manifest = _toy_setup()
-        report = probe_factor(_table(features), manifest, "device")
+        report = probe_factor(_table(features, WarpKind.LINEAR), manifest,
+                              "device")
         tsv = tmp_path / "device_linear.tsv"
         write_probe_report(report, tsv)
 
@@ -539,8 +541,8 @@ class TestWriteProbeReport:
         assert doc["patterns"][1]["values"] == values[1].tolist()
 
     def test_features_without_warp_give_null(self, tmp_path):
+        # A table made with no warp.
         features, manifest = _toy_setup()
-        features = {u: _logfb(fm.values) for u, fm in features.items()}
         write_probe_report(probe_factor(_table(features), manifest, "speaker"),
                            tmp_path / "speaker.tsv")
         doc = json.loads((tmp_path / "speaker.json").read_text(encoding="utf-8"))

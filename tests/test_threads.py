@@ -1,13 +1,22 @@
-"""`run_study` and every command compute at one BLAS thread and give the
-caller's count back; so their outputs do not depend on it."""
+"""replaykit's threads: `look_ahead` on the pool yields results in order,
+raises an error at its place and cancels what is queued; and `run_study`
+and every command compute at one BLAS thread and give the caller's count
+back, so their outputs do not depend on it."""
 
 import contextlib
+import functools
+import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+import time
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 import pytest
 
 from replaykit import _threads, cli, corpus, study
+from replaykit._threads import look_ahead
+from replaykit.errors import SingularComponentError
 from replaykit.filterbank import ExtractionConfig, FeatureKind, WarpKind
 from replaykit.study import run_study
 import test_study
@@ -15,8 +24,153 @@ from test_cli import _ok, _run, work  # noqa: F401  (a fixture)
 from test_study import SEED, TINY, TINY_SYNTH_ARGV, _tree
 
 BLAS = _threads._openblas()
-pytestmark = pytest.mark.skipif(BLAS is None,
-                                reason="numpy bundles no OpenBLAS")
+needs_openblas = pytest.mark.skipif(BLAS is None,
+                                    reason="numpy bundles no OpenBLAS")
+
+
+class DeferredFuture(Future):
+    """A future whose call runs when its result is first asked for, on the
+    asking thread, unless it was cancelled before."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self.fn())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class DeferredPool:
+    """A pool stand-in that runs no call until its result is asked for, so
+    a call submitted ahead stays queued until its turn comes."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn):
+        self.futures.append(DeferredFuture(fn))
+        return self.futures[-1]
+
+
+class TestLookAhead:
+    """`look_ahead` runs calls on a pool a fixed number ahead of the
+    result the caller holds, and yields their results in order."""
+
+    @staticmethod
+    def calls(given, ran, n=None, fail_at=None, error=None):
+        """Calls returning 0, 1, ...; each is appended to `given` as it is
+        taken and to `ran` as it runs. Call `fail_at` raises `error`."""
+        def call(i):
+            ran.append(i)
+            if i == fail_at:
+                raise error
+            return i
+
+        for i in itertools.count() if n is None else range(n):
+            given.append(i)
+            yield functools.partial(call, i)
+
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_results_come_out_in_order_depth_calls_ahead(self, depth, n):
+        # 0 and 1 calls: fewer than depth.
+        given, ran, taken = [], [], []
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for result in look_ahead(self.calls(given, ran, n), pool,
+                                         depth):
+                    assert len(given) == min(result + 1 + depth, n)
+                    taken.append(result)
+        finally:
+            sys.setswitchinterval(interval)
+        assert taken == sorted(ran) == list(range(n))
+        assert given == list(range(n))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_first_depth_calls_are_submitted_when_made(self, depth):
+        # So a caller that sets up something else first does not wait for
+        # result 0.
+        started = [threading.Event() for _ in range(3)]
+
+        def calls():
+            for event in started:
+                yield event.set
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = look_ahead(calls(), pool, depth)
+            assert all(event.wait(timeout=10) for event in started[:depth])
+            assert not started[depth].is_set()
+            assert list(results) == [None] * 3
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_call_error_is_raised_in_its_place(self, depth):
+        error = SingularComponentError("call 3 failed")
+        given, ran, taken = [], [], []
+        before = threading.active_count()
+        with pytest.raises(SingularComponentError) as info:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for result in look_ahead(
+                        self.calls(given, ran, fail_at=3, error=error),
+                        pool, depth):
+                    taken.append(result)
+        assert info.value is error
+        assert taken == [0, 1, 2]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_queued_calls_are_cancelled_after_an_error(self, depth):
+        error = KeyError("call 3 failed")
+        given, ran = [], []
+        pool = DeferredPool()
+        results = look_ahead(self.calls(given, ran, fail_at=3, error=error),
+                             pool, depth)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(KeyError) as info:
+            next(results)
+        assert info.value is error
+        # Calls 4 .. 2 + depth were submitted ahead of call 3's result.
+        assert given == list(range(3 + depth))
+        assert [f.cancelled() for f in pool.futures[4:]] == [True] * (depth - 1)
+        with pytest.raises(StopIteration):
+            next(results)
+        assert ran == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("how", ["raise", "close"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_stopped_consumer_leaves_no_thread_and_no_call_runs(
+            self, depth, how):
+        # As in `run_study`: the pool's shutdown is on the stack.
+        given, ran = [], []
+        before = threading.active_count()
+        with contextlib.suppress(KeyError):
+            with contextlib.ExitStack() as stack:
+                pool = ThreadPoolExecutor(max_workers=2)
+                stack.callback(pool.shutdown, cancel_futures=True)
+                results = look_ahead(self.calls(given, ran), pool, depth)
+                assert [next(results), next(results)] == [0, 1]
+                if how == "raise":
+                    raise KeyError("consumer failed")
+                results.close()
+        assert threading.active_count() == before
+        assert len(ran) <= len(given) == 2 + depth
+        count = len(ran)
+        time.sleep(0.05)
+        assert len(ran) == count
+        # A look-ahead whose pool is shut down neither waits nor runs
+        # more: the call ahead was cancelled, or none can be submitted.
+        with pytest.raises(StopIteration if how == "close"
+                           else (CancelledError, RuntimeError)):
+            next(results)
+        assert len(ran) == count
 
 
 @pytest.fixture
@@ -74,6 +228,7 @@ STAGES = {
 }
 
 
+@needs_openblas
 class TestPinnedBlas:
     @pytest.fixture
     def pool_shutdowns(self, monkeypatch):
@@ -151,6 +306,7 @@ def nothing_found(monkeypatch):
     _threads._openblas.cache_clear()
 
 
+@needs_openblas
 def test_without_openblas_nothing_changes_and_one_line_is_logged(
         nothing_found, two_blas_threads, work, tmp_path, monkeypatch,
         caplog):
@@ -167,6 +323,7 @@ def test_without_openblas_nothing_changes_and_one_line_is_logged(
     assert "no OpenBLAS" in caplog.records[0].getMessage()
 
 
+@needs_openblas
 def test_trees_do_not_depend_on_the_blas_thread_count(tmp_path):
     # Unpinned, this study's fits and scores differ in their last bits
     # between one and two OpenBLAS threads.
