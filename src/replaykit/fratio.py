@@ -50,12 +50,11 @@ class FRatioPattern:
 @dataclass
 class ProbeReport:
     """One pattern per value of the probed factor, the warp of the probed
-    table (None if it was given none), the patterns' dispersion and each
-    pattern's contribution to it: the RMS deviation of its normalized
-    shape from the mean shape."""
+    table, the patterns' dispersion and each pattern's contribution to
+    it: the RMS deviation of its normalized shape from the mean shape."""
 
     factor: str
-    warp: WarpKind | None
+    warp: WarpKind
     patterns: list[FRatioPattern]
     dispersion: float
     contributions: np.ndarray
@@ -97,7 +96,7 @@ class MomentTable:
     even for features far from 0.
     """
 
-    def __init__(self, warp: WarpKind | None = None):
+    def __init__(self, warp: WarpKind):
         self.warp = warp
         self._dim = 0
         self._origin: np.ndarray | None = None

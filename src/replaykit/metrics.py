@@ -27,6 +27,9 @@ class ScoreRecord:
     label: str
 
     def __post_init__(self):
+        # A numpy float's repr is `np.float64(1.5)`, which `read_scores`
+        # refuses; the file holds the Python float's.
+        object.__setattr__(self, "score", float(self.score))
         if self.label not in (GENUINE_LABEL, REPLAY_LABEL, UNLABELLED):
             raise ValueError(f"unknown label {self.label!r}")
         if not np.isfinite(self.score):

@@ -220,8 +220,8 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     """TSV: a `value`, `F_1..F_M`, `dispersion_contribution` header, then
     one row per factor value: its band ratios and the RMS deviation of its
     normalized shape from the mean shape. Next to it, a JSON document with
-    the factor, the warp (null if the report names none), the band count,
-    the dispersion and each pattern's value, frame counts and ratios.
+    the factor, the warp, the band count, the dispersion and each
+    pattern's value, frame counts and ratios.
     A TSV path ending in .json, which the JSON document would overwrite,
     raises ValueError before anything is written."""
     tsv_path = Path(tsv_path)
@@ -240,7 +240,7 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
 
     doc = {
         "factor": report.factor,
-        "warp": report.warp.value if report.warp else None,
+        "warp": report.warp.value,
         "bands": report.n_bands,
         "dispersion": report.dispersion,
         "patterns": [{

@@ -6,18 +6,15 @@ import io
 import itertools
 import json
 import shutil
-import sys
 import threading
 import time
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from replaykit import _threads, cli, corpus, study
-from replaykit.archive import (ArchiveWriter, FeatureArchive, read_archive,
-                               write_archive)
+from replaykit.archive import FeatureArchive, read_archive, write_archive
 from replaykit.corpus import (AudioSignal, Manifest, SynthConfig,
                               UtteranceMeta, derive_seed, parse_manifest,
                               read_wav, synth_corpus, write_manifest,
@@ -33,7 +30,7 @@ from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
 from replaykit.study import (ExtractionConfig, extract_features,
                              write_corpus, write_probe_report)
 from test_study import (SEED, TINY_CORPUS, TINY_SYNTH_ARGV, _traced_peak,
-                        _tree, _watch_signal_makers)
+                        _tree)
 
 
 def _run(*argv):
@@ -286,10 +283,12 @@ class TestFailures:
         assert line == f"error: {out}: no score records to write"
         assert not out.exists()
 
-    def test_non_numeric_score(self, work, tmp_path):
+    # float() reads 1_5 as 15.0, but write_scores never writes it.
+    @pytest.mark.parametrize("score", ["abc", "1_5"])
+    def test_non_numeric_score(self, work, tmp_path, score):
         rows = (work / "labelled.tsv").read_text().splitlines()
         utt_id, _, label = rows[1].split("\t")
-        rows[1] = f"{utt_id}\tabc\t{label}"
+        rows[1] = f"{utt_id}\t{score}\t{label}"
         bad = tmp_path / "bad.tsv"
         bad.write_text("\n".join(rows) + "\n")
         line = self._single_error_line(
@@ -330,14 +329,22 @@ class TestFailures:
         assert not out.exists()
         assert not out.with_name("x.rpfa.partial").exists()
 
-    def test_extract_offers_fbank_and_cepstra_delta_only(self):
-        # Cepstra come with their deltas or not at all.
+    def test_extract_offers_fbank_and_cepstra_delta_only(self, work,
+                                                         tmp_path):
+        # Cepstra come with their deltas or not at all: `--feature
+        # cepstra` is a usage error, exit 2, and writes no archive.
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 pytest.raises(SystemExit) as info:
             cli.main(["extract", "--help"])
         assert info.value.code == 0
         assert "--feature {fbank,cepstra-delta}" in out.getvalue()
+        with pytest.raises(SystemExit) as info:
+            _run("extract", "--manifest", work / "corpus" / "manifest.tsv",
+                 "--warp", "imel", "--feature", "cepstra",
+                 "--out", tmp_path / "x.rpfa")
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_utterance_id_too_long_for_an_archive(self, work, tmp_path):
         # parse_manifest takes any id; an archive stores its UTF-8 length
@@ -529,11 +536,8 @@ class TestFailures:
 
 class TestTwoWayExtract:
     """`replaykit extract` runs one inline pass per chunk of EXTRACT_CHUNK
-    contiguous manifest rows on the worker threads, up to WORKERS chunks
-    ahead, and adds every entry to the archive on the calling thread in
-    manifest order; the archive, the error named and the threads left
-    must be those of one inline pass on one thread. EXTRACT_CHUNK is 3
-    here, so the 12-row corpus makes 4 chunks."""
+    rows on its pool (`test_threads.TestPool`); its archive and the error
+    it names must be one inline pass's. EXTRACT_CHUNK is 3 here: 4 chunks."""
 
     CHUNK = 3
 
@@ -555,8 +559,7 @@ class TestTwoWayExtract:
     @pytest.mark.parametrize("feature", list(FeatureKind))
     def test_archive_equals_the_inline_pass(self, corpus, tmp_path,
                                             feature):
-        # Manifests of 1 to 10 rows, each under default and fast thread
-        # switching.
+        # Manifests of 1 to 10 rows.
         manifest = corpus / "manifest.tsv"
         all_records = parse_manifest(manifest).records
         if feature is FeatureKind.LOG_FBANK:
@@ -564,7 +567,6 @@ class TestTwoWayExtract:
             for rec in all_records[self.CHUNK - 1:self.CHUNK + 1]:
                 write_wav(AudioSignal(np.zeros(399)), corpus / rec.audio_path)
         config = ExtractionConfig(WarpKind.MEL, feature)
-        interval = sys.getswitchinterval()
         for n_rows in [1, 2, 3, 4, 7, 10]:
             records = all_records[:n_rows]
             write_manifest(Manifest(records), manifest)
@@ -575,18 +577,11 @@ class TestTwoWayExtract:
             write_archive(inline, tmp_path / "inline.rpfa")
             if feature is FeatureKind.LOG_FBANK and n_rows >= self.CHUNK:
                 assert 0 in [fm.n_frames for fm in inline.entries.values()]
-            for switch_interval in (interval, 1e-6):
-                sys.setswitchinterval(switch_interval)
-                try:
-                    code, _, err = self._extract(
-                        manifest, tmp_path / "chunked.rpfa",
-                        feature=feature.value)
-                finally:
-                    sys.setswitchinterval(interval)
-                assert code == 0, (n_rows, switch_interval, err)
-                assert (tmp_path / "chunked.rpfa").read_bytes() == \
-                    (tmp_path / "inline.rpfa").read_bytes(), \
-                    (n_rows, switch_interval)
+            code, _, err = self._extract(manifest, tmp_path / "chunked.rpfa",
+                                         feature=feature.value)
+            assert code == 0, (n_rows, err)
+            assert (tmp_path / "chunked.rpfa").read_bytes() == \
+                (tmp_path / "inline.rpfa").read_bytes(), n_rows
 
     # The first row; the last row of chunk 0; the first row of chunk 1;
     # and both of those, chunk 0's read slowed so that chunk 1 fails first.
@@ -613,158 +608,45 @@ class TestTwoWayExtract:
                 raise
 
         monkeypatch.setattr(cli.corpus_mod, "read_wav", read_wav_recording)
-        before = threading.active_count()
         out = tmp_path / "x.rpfa"
         assert self._extract(manifest, out) == \
             (1, "", f"error: {bad[0]}: not a RIFF/WAVE file\n")
-        assert threading.active_count() == before
         assert failed == (bad[::-1] if slow else bad)
         assert not out.exists()
         assert not out.with_name("x.rpfa.partial").exists()
 
-    def test_threads_joined_and_no_partial_left(self, corpus, tmp_path):
-        manifest = corpus / "manifest.tsv"
-        records = parse_manifest(manifest).records
-        before = len(threading.enumerate())
-        code, _, err = self._extract(manifest, tmp_path / "ok.rpfa")
-        assert code == 0, err
-        assert len(threading.enumerate()) == before
-        # An utterance too short for deltas in chunk 1 and a WAV that
-        # fails to read in chunk 2: the first fails cepstra-delta, the
-        # second fbank.
-        write_wav(AudioSignal(np.zeros(399)),
-                  corpus / records[self.CHUNK].audio_path)
-        (corpus / records[2 * self.CHUNK].audio_path).write_bytes(
-            b"not a RIFF file\n")
-        for feature in ("fbank", "cepstra-delta"):
-            code, _, err = self._extract(manifest, tmp_path / f"{feature}.rpfa",
-                                         feature=feature)
-            assert code == 1, err
-            assert len(threading.enumerate()) == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["corpus", "ok.rpfa"]
+    # A chunk is one call, on a worker: one `iter_features` pass, which
+    # builds its DCT basis and then reads its rows' WAVs in order. The
+    # main thread does neither. A manifest of one chunk is one call.
+    @pytest.mark.parametrize("chunk", [CHUNK, 12])
+    def test_each_chunk_is_one_pass_on_a_worker(
+            self, corpus, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "EXTRACT_CHUNK", chunk)
+        logs = collections.defaultdict(list)  # per thread
 
-    def _passes(self, corpus, tmp_path, monkeypatch, feature):
-        """Run `extract` recording, on each thread, its table builds and
-        the WAVs it reads; return each thread's record cut at its
-        filterbank builds, one list per pass, and the threads that added
-        entries to the archive."""
-        lock = threading.Lock()
-        logs = collections.defaultdict(list)
-        adders = []
-
-        def recording(event, fn):
+        def recording(fn, event):
             def wrapper(*args):
-                with lock:
-                    logs[threading.current_thread()].append(event(*args))
+                logs[threading.current_thread()].append(event(*args))
                 return fn(*args)
             return wrapper
 
-        for name in ("build_filterbank", "dct_basis"):
-            monkeypatch.setattr(study, name, recording(
-                lambda *args, name=name: name, getattr(study, name)))
+        monkeypatch.setattr(study, "dct_basis", recording(
+            study.dct_basis, lambda *args: "dct_basis"))
         monkeypatch.setattr(cli.corpus_mod, "read_wav", recording(
-            lambda path: Path(path).name, cli.corpus_mod.read_wav))
-
-        def add_recording(writer, *args, add=ArchiveWriter.add):
-            adders.append(threading.current_thread())
-            add(writer, *args)
-
-        monkeypatch.setattr(ArchiveWriter, "add", add_recording)
-        code, _, err = self._extract(corpus / "manifest.tsv",
-                                     tmp_path / "x.rpfa", feature=feature)
-        assert code == 0, err
-        passes = {}
-        for thread, log in logs.items():
-            for event in log:
-                if event == "build_filterbank":
-                    passes.setdefault(thread, []).append([])
-                passes[thread][-1].append(event)
-        return passes, adders
-
-    def _chunks(self, corpus):
+            cli.corpus_mod.read_wav, lambda path: Path(path).name))
+        _ok("extract", "--manifest", corpus / "manifest.tsv", "--warp", "mel",
+            "--feature", "cepstra-delta", "--out", tmp_path / "x.rpfa")
+        assert threading.main_thread() not in logs
+        passes = []  # each thread's log, cut at its DCT basis builds
+        for event in itertools.chain(*logs.values()):
+            if event == "dct_basis":
+                passes.append([])
+            passes[-1].append(event)
         names = [Path(r.audio_path).name
                  for r in parse_manifest(corpus / "manifest.tsv")]
-        return [names[i:i + self.CHUNK]
-                for i in range(0, len(names), self.CHUNK)]
-
-    def test_each_wav_is_read_on_the_thread_that_computes_it(
-            self, corpus, tmp_path, monkeypatch):
-        # Chunk passes run on the workers; entries are added to the
-        # archive on the main thread.
-        passes, adders = self._passes(corpus, tmp_path, monkeypatch, "fbank")
-        assert all(t.name.startswith("replaykit") for t in passes)
-        # Each chunk's WAVs are read, in order, by one pass on one thread.
-        assert sorted(p[1:] for ps in passes.values() for p in ps) == \
-            sorted(self._chunks(corpus))
-        assert len(adders) == 12
-        assert set(adders) == {threading.main_thread()}
-
-    def test_the_dct_basis_is_built_on_the_calling_thread(
-            self, corpus, tmp_path, monkeypatch):
-        # Each chunk's pass builds its tables on the thread that calls the
-        # pass, its worker; the main thread builds none.
-        passes, _ = self._passes(corpus, tmp_path, monkeypatch,
-                                 "cepstra-delta")
-        assert threading.main_thread() not in passes
-        assert sorted(p for ps in passes.values() for p in ps) == \
-            sorted(["build_filterbank", "dct_basis", *chunk]
-                   for chunk in self._chunks(corpus))
-
-    def test_a_manifest_of_one_chunk_runs_on_one_worker(
-            self, corpus, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "EXTRACT_CHUNK", 12)
-        passes, _ = self._passes(corpus, tmp_path, monkeypatch, "fbank")
-        assert len(passes) == 1
-        assert [p[1:] for ps in passes.values() for p in ps] == \
-            [sum(self._chunks(corpus), [])]
-
-    def test_chunk_results_alive_at_once_stay_within_the_bound(
-            self, corpus, tmp_path, monkeypatch):
-        # Slow archive writes let the workers run as far ahead as they
-        # may: WORKERS chunks computed ahead and the one being written. A
-        # chunk counts from the start of its call until its last matrix
-        # is freed.
-        lock = threading.RLock()
-        alive, peak = collections.Counter(), [0]
-        n_passes = itertools.count()
-        real_iter_features = cli.iter_features
-
-        def hold(chunk):
-            with lock:
-                alive[chunk] += 1
-                peak[0] = max(peak[0], len(alive))
-
-        def release(chunk):
-            with lock:
-                alive[chunk] -= 1
-                if not alive[chunk]:
-                    del alive[chunk]
-
-        def tracked(utterances, *configs):
-            chunk = next(n_passes)
-            hold(chunk)
-            try:
-                for utt_id, feats in real_iter_features(utterances,
-                                                        *configs):
-                    hold(chunk)
-                    weakref.finalize(feats[0], release, chunk)
-                    yield utt_id, feats
-            finally:
-                release(chunk)
-
-        def slow_add(writer, *args, add=ArchiveWriter.add):
-            time.sleep(0.005)
-            add(writer, *args)
-
-        monkeypatch.setattr(cli, "iter_features", tracked)
-        monkeypatch.setattr(ArchiveWriter, "add", slow_add)
-        code, _, err = self._extract(corpus / "manifest.tsv",
-                                     tmp_path / "x.rpfa")
-        assert code == 0, err
-        assert next(n_passes) == 4
-        assert not alive
-        assert peak[0] == _threads.WORKERS + 1
+        assert sorted(passes) == sorted(
+            ["dct_basis", *names[i:i + chunk]]
+            for i in range(0, len(names), chunk))
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--frame-ms", 0, "invalid framing: need 0 < hop <= frame_len, "
@@ -795,9 +677,9 @@ class TestTwoWayExtract:
 
 
 class TestSynthPool:
-    """`replaykit synth` runs the corpus stream's calls on two worker
-    threads and writes each WAV on the calling thread, in the stream's
-    order; its corpus must be the one the inline stream writes."""
+    """`replaykit synth` runs the corpus stream's calls on its pool
+    (`test_threads.TestPool`); its corpus must be the one the inline
+    stream writes."""
 
     ONE_GENUINE_ROW = ["--speakers", "1", "--phrases", "1",
                        "--train-devices", "1", "--heldout-devices", "1",
@@ -813,17 +695,9 @@ class TestSynthPool:
         return SynthConfig(args.speakers, args.phrases, args.train_devices,
                            args.heldout_devices, args.utt_seconds, args.reps)
 
-    @pytest.fixture
-    def fast_switching(self):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        yield
-        sys.setswitchinterval(interval)
-
     @pytest.mark.parametrize("argv", [ONE_GENUINE_ROW, CLI_STAGES_SHAPE],
                              ids=["one-genuine-row", "cli-stages-shape"])
-    def test_the_corpus_is_the_inline_streams(self, tmp_path, argv,
-                                              fast_switching):
+    def test_the_corpus_is_the_inline_streams(self, tmp_path, argv):
         # One genuine row is fewer than the calls in flight, so the first
         # replays are asked for while their genuine row is still made.
         signals, manifest, profiles = synth_corpus(self._config(argv), SEED)
@@ -835,34 +709,23 @@ class TestSynthPool:
         assert len(inline) == len(manifest) + 2
         assert _tree(tmp_path / "pooled") == inline
 
-    def test_calls_run_on_the_pool_and_wavs_are_written_here(
-            self, tmp_path, monkeypatch):
-        writers = []
-
-        def write_wav(signal, path, write_wav=study.write_wav):
-            writers.append(threading.current_thread())
-            write_wav(signal, path)
-
-        makers, _, _ = _watch_signal_makers(monkeypatch)
-        monkeypatch.setattr(study, "write_wav", write_wav)
-        _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
-        n_rows = len(parse_manifest(tmp_path / "manifest.tsv"))
-        assert len(makers) == len(writers) == n_rows
-        assert all(t.name.startswith("replaykit") for t in makers)
-        assert set(writers) == {threading.main_thread()}
-
     def test_a_replay_call_starts_once_its_genuine_row_is_done(
             self, tmp_path, monkeypatch):
-        # One genuine row: both its replays' calls are asked for while it
-        # may still be made.
+        # One genuine row, made slowly: both its replays' calls are asked
+        # for while it is still made.
         started_early = []
-        make_replay = corpus._make_replay
+        make_replay, synth_genuine = corpus._make_replay, corpus._synth_genuine
 
         def recording(rec, source, *args):
             started_early.append(not source.done())
             return make_replay(rec, source, *args)
 
+        def slow_synth_genuine(*args):
+            time.sleep(0.05)
+            return synth_genuine(*args)
+
         monkeypatch.setattr(corpus, "_make_replay", recording)
+        monkeypatch.setattr(corpus, "_synth_genuine", slow_synth_genuine)
         _ok("synth", "--out", tmp_path, "--seed", SEED, *self.ONE_GENUINE_ROW)
         assert started_early == [False, False]
 
@@ -897,28 +760,12 @@ class TestSynthPool:
 
         monkeypatch.setattr(corpus, "_synth_genuine", synth_genuine)
         monkeypatch.setattr(corpus, "_replay", replay_)
-        before = threading.active_count()
         assert _run("synth", "--out", tmp_path, "--seed", SEED, *argv) == \
             (1, "", f"error: row {row} failed\n")
-        assert threading.active_count() == before
         written = sorted(str(p.relative_to(tmp_path))
                          for p in tmp_path.rglob("*.wav"))
         assert written == sorted(order[:row])
         assert (tmp_path / "manifest.tsv").is_file()
-
-    def test_signals_alive_at_once_stay_within_the_bound(
-            self, tmp_path, monkeypatch):
-        # Slow WAV writes let the workers run as far ahead as they may:
-        # WORKERS signals made ahead and the one being written.
-        def slow_write_wav(signal, path, write_wav=study.write_wav):
-            time.sleep(0.005)
-            write_wav(signal, path)
-
-        _, alive, peak = _watch_signal_makers(monkeypatch)
-        monkeypatch.setattr(study, "write_wav", slow_write_wav)
-        _ok("synth", "--out", tmp_path, "--seed", SEED, *TINY_SYNTH_ARGV)
-        assert not alive
-        assert peak[0] == _threads.WORKERS + 1
 
 
 class TestStreamsAsInMemory:

@@ -26,7 +26,7 @@ def _logfb(rows):
                          FeatureKind.LOG_FBANK)
 
 
-def _table(features, warp=None):
+def _table(features, warp=WarpKind.LINEAR):
     """The `MomentTable` of an utterance -> frames mapping, added in its
     order, made with `warp`."""
     table = MomentTable(warp)
@@ -462,21 +462,21 @@ class TestMomentTable:
             np.testing.assert_array_equal(got, want[[7, 2, 20]])
 
     def test_requires_logfbank_message(self):
-        table = MomentTable()
+        table = MomentTable(WarpKind.MEL)
         with pytest.raises(ValueError) as info:
             table.add("u", FeatureMatrix(np.zeros((5, 26)),
                                          FeatureKind.CEPSTRA_DELTA))
         assert str(info.value) == "probing requires log-Fbank features"
 
     def test_band_counts_must_agree(self):
-        table = MomentTable()
+        table = MomentTable(WarpKind.MEL)
         table.add("a", _logfb(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="band counts differ: 3 vs 4"):
             table.add("b", _logfb(np.zeros((2, 4))))
 
     def test_repeated_utterance_id(self):
         # The second add is refused, and the table keeps the first row.
-        table = MomentTable()
+        table = MomentTable(WarpKind.MEL)
         table.add("a", _logfb(np.zeros((2, 3))))
         table.add("b", _logfb(np.ones((3, 3))))
         with pytest.raises(ValueError) as info:
@@ -539,15 +539,6 @@ class TestWriteProbeReport:
                                               "values"]
         assert doc["patterns"][0]["n_genuine_frames"] == 40
         assert doc["patterns"][1]["values"] == values[1].tolist()
-
-    def test_features_without_warp_give_null(self, tmp_path):
-        # A table made with no warp.
-        features, manifest = _toy_setup()
-        write_probe_report(probe_factor(_table(features), manifest, "speaker"),
-                           tmp_path / "speaker.tsv")
-        doc = json.loads((tmp_path / "speaker.json").read_text(encoding="utf-8"))
-        assert doc["warp"] is None
-        assert [p["value"] for p in doc["patterns"]] == ["S00", "S01"]
 
 
 class TestPoolFrames:

@@ -94,8 +94,9 @@ class TestComputeEer:
 
 
 class TestScoreFiles:
-    def test_roundtrip(self, tmp_path):
-        records = _records([0.25, -1.5], [3.125])
+    @pytest.mark.parametrize("number", [float, np.float64, np.float32])
+    def test_roundtrip(self, tmp_path, number):
+        records = _records([number(0.25), number(-1.5)], [number(3.125)])
         p = tmp_path / "scores.tsv"
         write_scores(records, p)
         assert read_scores(p) == records

@@ -6,10 +6,8 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -156,25 +154,6 @@ class TestRunStudy:
         assert _tree(tmp_path) == _tree(out / "corpus")
 
 
-class SynchronousExecutor:
-    """A stand-in for `ThreadPoolExecutor` that runs each task when it is
-    submitted, on the thread that submits it."""
-
-    def __init__(self, max_workers=None, thread_name_prefix=""):
-        pass
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
-
-
 def _recording_train_gmm(monkeypatch, before_fit=None):
     """Replace `study.train_gmm` with a wrapper that records each fit's
     frames, arguments, seed, thread and result, in the order the fits
@@ -207,30 +186,6 @@ def _fit_seed(kind_idx, cov_idx, cls):
     return derive_seed(SEED, 3, kind_idx, cov_idx, cls)
 
 
-def _watch_signal_makers(monkeypatch):
-    """Wrap the corpus stream's signal makers, `corpus._synth_genuine` and
-    `corpus._replay`. Return the threads that made each signal, the ids of
-    the signals alive, and the most alive at once, as a one-item list."""
-    lock = threading.Lock()
-    threads, alive, peak = [], set(), [0]
-
-    def watched(fn):
-        def wrapper(*args):
-            sig = fn(*args)
-            with lock:
-                threads.append(threading.current_thread())
-                alive.add(id(sig))
-                peak[0] = max(peak[0], len(alive))
-            weakref.finalize(sig, alive.discard, id(sig))
-            return sig
-        return wrapper
-
-    monkeypatch.setattr(corpus, "_synth_genuine",
-                        watched(corpus._synth_genuine))
-    monkeypatch.setattr(corpus, "_replay", watched(corpus._replay))
-    return threads, alive, peak
-
-
 class TestTwoAtATime:
     """`run_study` trains each warp's four fits two at a time on its pool;
     every result must be what training them one after another gives."""
@@ -246,9 +201,7 @@ class TestTwoAtATime:
     def test_fits_equal_sequential_fits_in_task_order(
             self, tmp_path, monkeypatch):
         fits = _recording_train_gmm(monkeypatch)
-        before = threading.active_count()
         run_study(SEED, tmp_path, self.FITS)
-        assert threading.active_count() == before
         by_seed = {fit["seed"]: fit for fit in fits}
         assert len(fits) == len(by_seed) == 12
         for fit in fits:
@@ -288,27 +241,7 @@ class TestTwoAtATime:
         assert {fit["seed"] for fit in fits[:2]} == full
         assert {fit["seed"] for fit in fits[2:4]} == {
             _fit_seed(0, 0, cls) for cls in (0, 1)}
-        threads = {fit["thread"] for fit in fits[:2]}
-        assert len(threads) == 2
-        assert threading.current_thread() not in threads
-        assert all(t.name.startswith("replaykit") for t in threads)
-
-    def test_every_task_runs_once_under_fast_thread_switching(
-            self, study_runs, tmp_path, monkeypatch):
-        # Thread switches every microsecond while the pool makes the
-        # corpus and fits: a fit run twice, or skipped, or a result taken
-        # for the wrong leg shows here.
-        fits = _recording_train_gmm(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_study(SEED, tmp_path, TINY)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(fit["seed"] for fit in fits) == sorted(
-            _fit_seed(kind_idx, cov_idx, cls) for kind_idx in range(3)
-            for cov_idx in range(2) for cls in range(2))
-        assert _tree(tmp_path) == _tree(study_runs[0][0])
+        assert len({fit["thread"] for fit in fits[:2]}) == 2
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["first", "second"])
     @pytest.mark.parametrize("frames,kind,error", [
@@ -340,50 +273,15 @@ class TestTwoAtATime:
         with pytest.raises(error) as alone:
             fit(frames)
         monkeypatch.setattr(study, "train_gmm", failing_fit)
-        before = threading.active_count()
         with pytest.raises(error) as info:
             run_study(SEED, tmp_path, TINY)
         assert type(info.value) is error
         assert str(info.value) == str(alone.value)
-        assert threading.active_count() == before
         assert _archive_files(tmp_path) == []
-
-    def test_study_writes_what_a_sequential_loop_writes(
-            self, study_runs, tmp_path, monkeypatch):
-        # One thread makes the corpus and runs every fit, in the order
-        # they are submitted.
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor",
-                            SynchronousExecutor)
-        run_study(SEED, tmp_path, TINY)
-        assert _tree(tmp_path) == _tree(study_runs[0][0])
 
 
 class TestStudyPool:
-    """One pool per `run_study` call, shut down before it returns or
-    raises."""
-
-    def test_one_pool_per_call_shut_down_before_return(
-            self, tmp_path, monkeypatch):
-        pools = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                pools.append(self)
-                self.kwargs = kwargs
-                self.shutdowns = []
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                self.shutdowns.append((wait, cancel_futures))
-                super().shutdown(wait, cancel_futures=cancel_futures)
-
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor", Recording)
-        before = threading.active_count()
-        run_study(SEED, tmp_path, TINY)
-        assert threading.active_count() == before
-        [pool] = pools
-        assert pool.kwargs["max_workers"] == 2
-        assert pool.shutdowns == [(True, True)]
+    """What `run_study` leaves when a WAV write fails."""
 
     def test_a_failed_wav_write_raises_and_leaves_no_archive(
             self, tmp_path, monkeypatch):
@@ -405,69 +303,11 @@ class TestStudyPool:
             write_wav(signal, path)
 
         monkeypatch.setattr(study, "write_wav", failing_write_wav)
-        before = threading.active_count()
         with pytest.raises(OSError, match="No space left on device") as info:
             run_study(SEED, tmp_path, TINY)
         assert len(failed) == 1
         assert info.value.filename == str(failed[0])
-        assert threading.active_count() == before
         assert _archive_files(tmp_path) == []
-
-    def test_study_raising_in_training_writes_no_wav_after(
-            self, tmp_path, monkeypatch):
-        # Training raises while the pool makes the first held-out replay
-        # ahead. With each WAV write slowed, a write off the calling
-        # thread would still be in hand when `run_study` raises.
-        write_wav = study.write_wav
-
-        def slow_write_wav(signal, path):
-            time.sleep(0.02)
-            write_wav(signal, path)
-
-        def failing_fit(*args, **kwargs):
-            raise SingularComponentError("fit failed")
-
-        monkeypatch.setattr(study, "write_wav", slow_write_wav)
-        monkeypatch.setattr(study, "train_gmm", failing_fit)
-        before = threading.active_count()
-        with pytest.raises(SingularComponentError, match="fit failed"):
-            run_study(SEED, tmp_path, TINY)
-        written = sorted(tmp_path.rglob("*"))
-        assert threading.active_count() == before
-        time.sleep(0.1)
-        assert sorted(tmp_path.rglob("*")) == written
-
-    def test_calls_run_on_the_pool_and_wavs_are_written_here(
-            self, tmp_path, monkeypatch):
-        signals, _, _ = synth_corpus(TINY_CORPUS, SEED)
-        order = [tmp_path / "corpus" / rec.audio_path for rec, _ in signals]
-        writers = []
-
-        def write_wav(signal, path, write_wav=study.write_wav):
-            writers.append((threading.current_thread(), path))
-            write_wav(signal, path)
-
-        makers, _, _ = _watch_signal_makers(monkeypatch)
-        monkeypatch.setattr(study, "write_wav", write_wav)
-        run_study(SEED, tmp_path, TINY)
-        assert len(makers) == len(order)
-        assert all(t.name.startswith("replaykit") for t in makers)
-        assert writers == [(threading.current_thread(), path)
-                           for path in order]
-
-    def test_signals_alive_at_once_stay_within_the_bound(
-            self, tmp_path, monkeypatch):
-        # Slow WAV writes let the pool run as far ahead as it may: one
-        # signal made ahead and the one being written.
-        def slow_write_wav(signal, path, write_wav=study.write_wav):
-            time.sleep(0.005)
-            write_wav(signal, path)
-
-        _, alive, peak = _watch_signal_makers(monkeypatch)
-        monkeypatch.setattr(study, "write_wav", slow_write_wav)
-        run_study(SEED, tmp_path, TINY)
-        assert not alive
-        assert peak[0] == 2
 
 
 class TestStudyProtocol:
@@ -479,10 +319,9 @@ class TestStudyProtocol:
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
-        """A study run on one thread, with each fit's frames and seed."""
+        """A study run, with each fit's frames and seed."""
         out = tmp_path_factory.mktemp("protocol")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_threads, "ThreadPoolExecutor", SynchronousExecutor)
             fits = _recording_train_gmm(mp)
             run_study(SEED, out, dataclasses.replace(TINY,
                                                      corpus=self.CORPUS))

@@ -1,21 +1,30 @@
-"""replaykit's threads: `look_ahead` on the pool yields results in order,
-raises an error at its place and cancels what is queued; and `run_study`
-and every command compute at one BLAS thread and give the caller's count
-back, so their outputs do not depend on it."""
+"""Every caller's pool contract, and the BLAS threads replaykit computes on.
 
+`look_ahead` yields results in order, raises an error at its place and
+cancels what is queued (`TestLookAhead`). `TestPool` checks each part of
+the contract of `run_study`, `synth` and `extract` once, for all three;
+their own classes keep their byte-equality and error-naming tests.
+`run_study` and every command compute at one BLAS thread and give the
+caller's count back, so their outputs do not depend on it."""
+
+import collections
 import contextlib
+import dataclasses
 import functools
 import itertools
 import logging
 import sys
 import threading
 import time
+import weakref
+from collections.abc import Callable
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 import pytest
 
 from replaykit import _threads, cli, corpus, study
-from replaykit._threads import look_ahead
+from replaykit._threads import WORKERS, look_ahead, workers
+from replaykit.archive import ArchiveWriter
 from replaykit.errors import SingularComponentError
 from replaykit.filterbank import ExtractionConfig, FeatureKind, WarpKind
 from replaykit.study import run_study
@@ -46,15 +55,53 @@ class DeferredFuture(Future):
 
 
 class DeferredPool:
-    """A pool stand-in that runs no call until its result is asked for, so
-    a call submitted ahead stays queued until its turn comes."""
+    """A pool stand-in on one thread: it runs no call until its result is
+    asked for, so a call submitted ahead stays queued until its turn
+    comes, and then runs on the asking thread."""
 
-    def __init__(self):
+    def __init__(self, **kwargs):
         self.futures = []
 
-    def submit(self, fn):
-        self.futures.append(DeferredFuture(fn))
+    def submit(self, fn, /, *args, **kwargs):
+        self.futures.append(DeferredFuture(
+            functools.partial(fn, *args, **kwargs)))
         return self.futures[-1]
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass  # a call whose result is not taken never runs
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """replaykit's pool, noting in `made` how it was made, and how it was
+    shut down with the BLAS thread count then."""
+
+    def __init__(self, made, **kwargs):
+        super().__init__(**kwargs)
+        self.kwargs, self.shutdowns = kwargs, []
+        made.append(self)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        super().shutdown(wait, cancel_futures=cancel_futures)
+        self.shutdowns.append((wait, cancel_futures))
+        self.blas = BLAS[0]() if BLAS else None
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The `RecordingPool`s made during the test."""
+    made = []
+    monkeypatch.setattr(_threads, "ThreadPoolExecutor",
+                        functools.partial(RecordingPool, made))
+    return made
+
+
+@pytest.fixture
+def fast_switching():
+    """Thread switches every microsecond during the test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 class TestLookAhead:
@@ -77,23 +124,16 @@ class TestLookAhead:
 
     @pytest.mark.parametrize("n", [0, 1, 2000])
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_results_come_out_in_order_depth_calls_ahead(self, depth, n):
+    def test_results_come_out_in_order_depth_calls_ahead(
+            self, depth, n, fast_switching):
         # 0 and 1 calls: fewer than depth.
         given, ran, taken = [], [], []
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                for result in look_ahead(self.calls(given, ran, n), pool,
-                                         depth):
-                    assert len(given) == min(result + 1 + depth, n)
-                    taken.append(result)
-        finally:
-            sys.setswitchinterval(interval)
+        with workers() as pool:
+            for result in look_ahead(self.calls(given, ran, n), pool, depth):
+                assert len(given) == min(result + 1 + depth, n)
+                taken.append(result)
         assert taken == sorted(ran) == list(range(n))
         assert given == list(range(n))
-        assert threading.active_count() == before
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_the_first_depth_calls_are_submitted_when_made(self, depth):
@@ -105,7 +145,7 @@ class TestLookAhead:
             for event in started:
                 yield event.set
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
+        with workers() as pool:
             results = look_ahead(calls(), pool, depth)
             assert all(event.wait(timeout=10) for event in started[:depth])
             assert not started[depth].is_set()
@@ -115,16 +155,14 @@ class TestLookAhead:
     def test_a_call_error_is_raised_in_its_place(self, depth):
         error = SingularComponentError("call 3 failed")
         given, ran, taken = [], [], []
-        before = threading.active_count()
         with pytest.raises(SingularComponentError) as info:
-            with ThreadPoolExecutor(max_workers=2) as pool:
+            with workers() as pool:
                 for result in look_ahead(
                         self.calls(given, ran, fail_at=3, error=error),
                         pool, depth):
                     taken.append(result)
         assert info.value is error
         assert taken == [0, 1, 2]
-        assert threading.active_count() == before
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_the_queued_calls_are_cancelled_after_an_error(self, depth):
@@ -153,8 +191,7 @@ class TestLookAhead:
         before = threading.active_count()
         with contextlib.suppress(KeyError):
             with contextlib.ExitStack() as stack:
-                pool = ThreadPoolExecutor(max_workers=2)
-                stack.callback(pool.shutdown, cancel_futures=True)
+                pool = stack.enter_context(workers())
                 results = look_ahead(self.calls(given, ran), pool, depth)
                 assert [next(results), next(results)] == [0, 1]
                 if how == "raise":
@@ -171,6 +208,155 @@ class TestLookAhead:
                            else (CancelledError, RuntimeError)):
             next(results)
         assert len(ran) == count
+
+
+class Watch:
+    """What a caller's pool did: the thread each call ran on, each output
+    the caller wrote, as (thread, key), after `delay` seconds, and the
+    most calls whose results were alive at once, each result counted from
+    when it is made until it is freed. Call number `fail_at` raises."""
+
+    def __init__(self, delay=0, fail_at=None):
+        self.lock = threading.RLock()  # a finalizer may run under it
+        self.delay, self.fail_at = delay, fail_at
+        self.threads, self.written = [], []
+        self.alive, self.peak = collections.Counter(), 0
+
+    def call(self):
+        with self.lock:
+            self.threads.append(threading.current_thread())
+            number = len(self.threads) - 1
+        if number == self.fail_at:
+            raise RuntimeError("call failed")
+        return number
+
+    def made(self, number, result):
+        with self.lock:
+            self.alive[number] += 1
+            self.peak = max(self.peak, len(self.alive))
+        weakref.finalize(result, self._freed, number)
+
+    def _freed(self, number):
+        with self.lock:
+            self.alive -= collections.Counter([number])  # drops a 0 count
+
+    def wrote(self, key):
+        time.sleep(self.delay)
+        self.written.append((threading.current_thread(), key))
+
+
+def _watch_signals(monkeypatch, watch):
+    """Watch the corpus stream's signal makers and its WAV writes."""
+    def maker(fn):
+        def wrapper(*args):
+            number = watch.call()
+            sig = fn(*args)
+            watch.made(number, sig)
+            return sig
+        return wrapper
+
+    def write_wav(signal, path, write_wav=study.write_wav):
+        watch.wrote(path.stem)  # the utterance id
+        write_wav(signal, path)
+
+    for name in ("_synth_genuine", "_replay"):
+        monkeypatch.setattr(corpus, name, maker(getattr(corpus, name)))
+    monkeypatch.setattr(study, "write_wav", write_wav)
+
+
+def _watch_chunks(monkeypatch, watch):
+    """Watch `extract`'s chunk passes and its archive's entries."""
+    def chunk_pass(utterances, *configs, iter_features=cli.iter_features):
+        number = watch.call()
+        for utt_id, feats in iter_features(utterances, *configs):
+            watch.made(number, feats[0])
+            yield utt_id, feats
+
+    def add(writer, utt_id, fm, add=ArchiveWriter.add):
+        watch.wrote(utt_id)
+        add(writer, utt_id, fm)
+
+    monkeypatch.setattr(cli, "iter_features", chunk_pass)
+    monkeypatch.setattr(ArchiveWriter, "add", add)
+
+
+@dataclasses.dataclass
+class Caller:
+    """A caller of the pool, run as a command."""
+
+    argv: Callable  # (out dir): its argv, writing its outputs there
+    depth: int  # its look-ahead's
+    watch: Callable  # (monkeypatch, Watch): watches its calls and outputs
+    order: list  # the utterance ids of its outputs, in order
+
+
+@pytest.fixture(params=["study", "synth", "extract"])
+def caller(request, work, monkeypatch):
+    monkeypatch.setattr(cli, "StudyConfig", lambda: TINY)
+    # 3 rows per chunk: `work`'s 12-row corpus makes 4 extract calls.
+    monkeypatch.setattr(cli, "EXTRACT_CHUNK", 3)
+    name = request.param
+    if name == "extract":
+        order = [r.utt_id for r in
+                 corpus.parse_manifest(work / "corpus" / "manifest.tsv")]
+    else:  # the corpus stream's order
+        signals, _, _ = corpus.synth_corpus(TINY.corpus, SEED)
+        order = [r.utt_id for r, _ in signals]
+    return Caller(lambda out: [name, *_command_argv(name, work, out)],
+                  1 if name == "study" else WORKERS,
+                  _watch_chunks if name == "extract" else _watch_signals,
+                  order)
+
+
+class TestPool:
+    """The pool contract of `run_study` (through `replaykit study`),
+    `synth` and `extract`: their calls make corpus signals or extract
+    chunks of rows on `replaykit…` threads while the caller writes the
+    outputs in order; at most depth + 1 results are alive; one pool per
+    call, shut down and joined on success and on error; and the outputs
+    are the bytes of a one-thread run."""
+
+    def test_calls_run_on_workers_and_outputs_are_written_here(
+            self, caller, tmp_path, monkeypatch):
+        caller.watch(monkeypatch, watch := Watch())
+        _ok(*caller.argv(tmp_path))
+        assert watch.threads
+        assert all(t.name.startswith("replaykit") for t in watch.threads)
+        assert watch.written == [(threading.current_thread(), utt_id)
+                                 for utt_id in caller.order]
+
+    def test_at_most_depth_plus_one_results_are_alive(
+            self, caller, tmp_path, monkeypatch):
+        # Slow outputs let the pool run as far ahead as it may: depth
+        # results made ahead and the one being written.
+        caller.watch(monkeypatch, watch := Watch(delay=0.005))
+        _ok(*caller.argv(tmp_path))
+        assert not watch.alive
+        assert watch.peak == caller.depth + 1
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "error"])
+    def test_one_pool_per_call_shut_down_and_joined(
+            self, caller, fail, pools, tmp_path, monkeypatch):
+        caller.watch(monkeypatch, Watch(fail_at=2 if fail else None))
+        before = threading.active_count()
+        code, _, err = _run(*caller.argv(tmp_path))
+        assert (code, err) == ((1, "error: call failed\n") if fail
+                               else (0, ""))
+        assert threading.active_count() == before
+        assert [(p.kwargs, p.shutdowns) for p in pools] == [
+            ({"max_workers": WORKERS, "thread_name_prefix": "replaykit"},
+             [(True, True)])]
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["default", "1us"])
+    def test_outputs_equal_a_one_thread_run(
+            self, caller, fast, request, tmp_path, monkeypatch):
+        with monkeypatch.context() as one_thread:
+            one_thread.setattr(_threads, "ThreadPoolExecutor", DeferredPool)
+            _ok(*caller.argv(tmp_path / "one"))
+        if fast:
+            request.getfixturevalue("fast_switching")
+        _ok(*caller.argv(tmp_path / "pooled"))
+        assert _tree(tmp_path / "pooled") == _tree(tmp_path / "one")
 
 
 @pytest.fixture
@@ -203,7 +389,7 @@ def _command_argv(name, work, out):
     return {
         "synth": ["--out", out, "--seed", SEED, *TINY_SYNTH_ARGV],
         "extract": ["--manifest", manifest, "--warp", "mel", "--feature",
-                    "fbank", "--out", out],
+                    "fbank", "--out", out / "x.rpfa"],
         "probe": ["--archive", work / "mel_fbank.rpfa", "--manifest",
                   manifest, "--factor", "device", "--out", out / "d.tsv"],
         "train": ["--archive", cepstra, "--manifest", manifest, "--ncomp",
@@ -230,26 +416,12 @@ STAGES = {
 
 @needs_openblas
 class TestPinnedBlas:
-    @pytest.fixture
-    def pool_shutdowns(self, monkeypatch):
-        """The BLAS thread count each pool saw once it was shut down."""
-        get, _ = BLAS
-        counts = []
-
-        class Recording(ThreadPoolExecutor):
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                super().shutdown(wait, cancel_futures=cancel_futures)
-                counts.append(get())
-
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor", Recording)
-        return counts
-
     @pytest.mark.parametrize("fail", [False, True], ids=["ok", "error"])
     @pytest.mark.parametrize("command", list(STAGES))
     def test_each_command_runs_at_one_thread_and_restores_the_count(
             self, command, fail, work, tmp_path, two_blas_threads,
-            pool_shutdowns, monkeypatch):
-        module, name, pools = STAGES[command]
+            pools, monkeypatch):
+        module, name, n_pools = STAGES[command]
         counts = []
         monkeypatch.setattr(module, name,
                             _reading(getattr(module, name), counts, fail))
@@ -259,9 +431,9 @@ class TestPinnedBlas:
         assert (code, err) == ((1, "error: stage failed\n") if fail
                                else (0, ""))
         assert counts and set(counts) == {1}
-        assert set(pool_shutdowns) <= {1}
+        assert {pool.blas for pool in pools} <= {1}
         if not fail:
-            assert len(pool_shutdowns) == pools
+            assert len(pools) == n_pools
         assert two_blas_threads() == 2
 
     def test_a_usage_error_restores_the_count(self, two_blas_threads):
@@ -271,8 +443,7 @@ class TestPinnedBlas:
 
     @pytest.mark.parametrize("fail", [False, True], ids=["ok", "error"])
     def test_run_study_runs_at_one_thread_and_restores_the_count(
-            self, fail, tmp_path, two_blas_threads, pool_shutdowns,
-            monkeypatch):
+            self, fail, tmp_path, two_blas_threads, pools, monkeypatch):
         counts = []
         monkeypatch.setattr(study, "train_gmm",
                             _reading(study.train_gmm, counts, fail))
@@ -280,7 +451,7 @@ class TestPinnedBlas:
               else contextlib.nullcontext()):
             run_study(SEED, tmp_path, TINY)
         assert counts and set(counts) == {1}
-        assert pool_shutdowns == [1]
+        assert [(p.shutdowns, p.blas) for p in pools] == [([(True, True)], 1)]
         assert two_blas_threads() == 2
 
     def test_a_stage_function_called_directly_is_left_alone(
