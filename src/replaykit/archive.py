@@ -31,12 +31,13 @@ reads an archive stays all-or-nothing: a malformed archive fails it
 before it writes anything.
 
 Nothing in the layout marks the last entry, so an archive cut at an entry
-boundary reads back as a valid, shorter one. Writes therefore go to
-`partial_path(path)`, one entry at a time through `ArchiveWriter`, and the
-file is renamed to `path` only when the writer exits cleanly: a file at an
-archive's path is complete. `write_archive` writes an in-memory
-`FeatureArchive` the same way; `run_study` and `replaykit extract` stream
-their archives through writers and never hold a whole archive.
+boundary reads back as a valid, shorter one. Writes therefore go to the
+archive's partial file, one entry at a time through `ArchiveWriter`, which
+moves it to `path` only when the writer exits cleanly, as every output of
+replaykit is moved (see `replaykit._files`): a file at an archive's path
+is complete. `write_archive` writes an in-memory `FeatureArchive` the same
+way; `run_study` and `replaykit extract` stream their archives through
+writers and never hold a whole archive.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveFormatError, existing_file
+from ._files import existing_file, output_file
+from .errors import ArchiveFormatError
 from .filterbank import ExtractionConfig, FeatureMatrix
 
 MAGIC = b"RPFA"
@@ -66,27 +68,19 @@ class FeatureArchive:
     entries: dict[str, FeatureMatrix] = field(default_factory=dict)
 
 
-def partial_path(path) -> Path:
-    """`<path>.partial`, where `ArchiveWriter` writes the archive at
-    `path` until it is complete."""
-    path = Path(path)
-    return path.with_name(path.name + ".partial")
-
-
 class ArchiveWriter:
     """Writes an RPFA archive one entry at a time, as a context manager:
-    to `partial_path(path)`, which a clean exit from the `with` block
-    renames to `path` and any failure deletes (see the module docstring).
+    through `output_file(path)`, so that a clean exit from the `with`
+    block moves it to `path` and any failure deletes it.
     Each entry must be of the config's kind and dim, and an id may
     appear once, in at most MAX_ID_BYTES bytes of UTF-8."""
 
     def __init__(self, path, config: ExtractionConfig):
         self.path = Path(path)
         self.config = config
-        self._partial = partial_path(self.path)
         header = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self._partial, "wb")
+        self._output = output_file(self.path, "wb")
+        self._fh = self._output.__enter__()
         self._fh.write(MAGIC + struct.pack("<HI", VERSION, len(header))
                        + header)
         self._ids: set[str] = set()
@@ -120,15 +114,7 @@ class ArchiveWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        committed = False
-        try:
-            self._fh.close()
-            if exc_type is None:
-                os.replace(self._partial, self.path)
-                committed = True
-        finally:
-            if not committed:
-                self._partial.unlink(missing_ok=True)
+        self._output.__exit__(exc_type, exc, tb)
 
 
 def write_archive(archive: FeatureArchive, path) -> None:

@@ -4,8 +4,10 @@ Every command exits 0 on success. A usage error, such as a missing or
 unknown option, exits 2 with argparse's usage text on stderr; any other
 failure prints a single diagnostic line on stderr and exits 1. No
 command writes over one of its inputs: an `--out` that names an input
-file (or, for `probe`, whose `.json` sibling does, and for `extract`,
-whose `.partial` file does) is refused before the command reads it.
+file is refused before the command reads it, and so is one whose
+`.partial` file does, where the output is written first (see
+`replaykit._files`), or, for `probe`, whose `.json` sibling or its
+partial does.
 Every command runs inside `pinned_blas()`, and `synth` and `extract` on
 one pool of `workers()`; see `replaykit._threads`.
 
@@ -56,6 +58,7 @@ from pathlib import Path
 
 from . import archive as archive_mod
 from . import corpus as corpus_mod
+from ._files import partial_path
 from ._threads import WORKERS, look_ahead, pinned_blas, workers
 from .errors import EmptyUtteranceError, FeatureMismatchError
 from .filterbank import ExtractionConfig, FeatureKind, WarpKind
@@ -80,23 +83,25 @@ EXTRACT_CHUNK = 32
 
 
 def _refuse_overwriting_inputs(out, inputs, also_written=()) -> None:
-    """Raise ValueError `<out>: ...` if `out`, or another path the command
-    writes for it, names the same file as an input (the same path, a
-    symlink or a hard link), so that a command never writes over what it
-    reads. Commands call it before they read the inputs it is given."""
+    """Raise ValueError `<out>: ...` if `out`, another path the command
+    writes for it, or the partial file of either names the same file as an
+    input (the same path, a symlink or a hard link), so that a command
+    never writes over what it reads. Commands call it before they read the
+    inputs it is given."""
     for written in (out, *also_written):
-        try:
-            out_stat = os.stat(written)
-        except OSError:
-            continue  # nothing is there, so no input is either
-        for path in inputs:
+        for target in (written, partial_path(written)):
             try:
-                same = os.path.samestat(out_stat, os.stat(path))
+                out_stat = os.stat(target)
             except OSError:
-                continue  # a missing input fails where it is read
-            if same:
-                raise ValueError(f"{out}: the output would overwrite the "
-                                 f"input {path}")
+                continue  # nothing is there, so no input is either
+            for path in inputs:
+                try:
+                    same = os.path.samestat(out_stat, os.stat(path))
+                except OSError:
+                    continue  # a missing input fails where it is read
+                if same:
+                    raise ValueError(f"{out}: the output would overwrite "
+                                     f"the input {path}")
 
 
 def _cmd_synth(args) -> None:
@@ -116,12 +121,10 @@ def _cmd_synth(args) -> None:
 
 def _cmd_extract(args) -> None:
     manifest_path = Path(args.manifest)
-    # The archive is written to its partial file first (`ArchiveWriter`).
-    partial = [archive_mod.partial_path(args.out)]
-    _refuse_overwriting_inputs(args.out, [manifest_path], partial)
+    _refuse_overwriting_inputs(args.out, [manifest_path])
     manifest = corpus_mod.parse_manifest(manifest_path)
     wav_paths = [manifest_path.parent / rec.audio_path for rec in manifest]
-    _refuse_overwriting_inputs(args.out, wav_paths, partial)
+    _refuse_overwriting_inputs(args.out, wav_paths)
     config = ExtractionConfig(
         warp=WarpKind.from_name(args.warp),
         feature=FeatureKind(args.feature),

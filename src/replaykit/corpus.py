@@ -49,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, WavFormatError, existing_file, no_such_file
+from ._files import no_such_file, output_file, read_table, write_table
+from .errors import ManifestError, WavFormatError
 
 PIPELINE_SAMPLE_RATE = 16000
 
@@ -294,9 +295,8 @@ def write_wav(signal: AudioSignal, path) -> None:
         _FMT_PCM.size, _WAVE_FORMAT_PCM, 1, PIPELINE_SAMPLE_RATE,
         2 * PIPELINE_SAMPLE_RATE, 2, 16, b"data", n_bytes)
     np.frombuffer(buf, dtype="<i2", offset=_WAV_HEADER.size)[:] = ints
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(buf)
+    with output_file(path, "wb") as f:
+        f.write(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -306,59 +306,22 @@ def write_wav(signal: AudioSignal, path) -> None:
 def parse_manifest(path) -> Manifest:
     """Read a TSV manifest with the exact six-column header. A row that is
     refused, by these checks or `UtteranceMeta`'s, or that repeats an
-    earlier utt_id, raises ManifestError naming the file and its line."""
-    path = existing_file(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not lines:
-        raise ManifestError(f"{path}: empty file")
-    header = tuple(lines[0].split("\t"))
-    if header != MANIFEST_COLUMNS:
-        raise ManifestError(
-            f"{path}: bad header, missing column or wrong order; expected "
-            f"{list(MANIFEST_COLUMNS)}")
-    records = []
-    first_lines: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(MANIFEST_COLUMNS):
-            raise ManifestError(
-                f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} fields, "
-                f"got {len(fields)}")
-        try:
-            rec = UtteranceMeta(*fields)
-        except ManifestError as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from None
-        if rec.utt_id in first_lines:
-            raise ManifestError(
-                f"{path}:{lineno}: duplicate utt_id {rec.utt_id!r}, first "
-                f"on line {first_lines[rec.utt_id]}")
-        first_lines[rec.utt_id] = lineno
-        records.append(rec)
-    if not records:
-        raise ManifestError(f"{path}: manifest has no records")
-    return Manifest(records)
+    earlier utt_id, raises ManifestError naming the file and its line
+    (`replaykit._files.read_table`)."""
+    return Manifest(read_table(path, len(MANIFEST_COLUMNS), UtteranceMeta,
+                               ManifestError, MANIFEST_COLUMNS))
 
 
 def write_manifest(manifest: Manifest, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["\t".join(MANIFEST_COLUMNS)]
-    lines += ["\t".join(getattr(r, c) for c in MANIFEST_COLUMNS)
-              for r in manifest]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, ([getattr(r, c) for c in MANIFEST_COLUMNS]
+                       for r in manifest), MANIFEST_COLUMNS)
 
 
 def save_device_profiles(profiles: list[DeviceProfile], path) -> None:
     """Serialize profiles as a JSON array, field names as in DeviceProfile."""
     doc = [dataclasses.asdict(p) for p in profiles]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with output_file(path) as f:
+        f.write(json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

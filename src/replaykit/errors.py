@@ -3,27 +3,9 @@
 Most precondition violations raise plain ValueError; the classes here exist
 for conditions a caller plausibly wants to catch on their own (file format
 problems, degenerate statistics, training collapse). All of them remain
-catchable as their builtin base. Every reader of an input file names a
-missing one through `no_such_file`: most check first, with
-`existing_file`; `read_wav`, which reads each file in one call, raises it
-when the open fails.
+catchable as their builtin base. A missing input file raises
+FileNotFoundError `<path>: no such file` (see `replaykit._files`).
 """
-
-from pathlib import Path
-
-
-def no_such_file(path) -> FileNotFoundError:
-    """FileNotFoundError `<path>: no such file`, the one way every reader
-    names a missing input."""
-    return FileNotFoundError(f"{path}: no such file")
-
-
-def existing_file(path) -> Path:
-    """`path` as a Path; `no_such_file` if nothing is there."""
-    path = Path(path)
-    if not path.exists():
-        raise no_such_file(path)
-    return path
 
 
 class ReplaykitError(Exception):

@@ -108,13 +108,13 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from ._files import existing_file, output_file
 from .errors import (EmptyUtteranceError, ModelFormatError,
-                     SingularComponentError, existing_file)
+                     SingularComponentError)
 from .filterbank import ExtractionConfig, FeatureMatrix
 
 COVARIANCE_KINDS = ("diag", "full")
@@ -707,9 +707,8 @@ def save_pair_model(model: GmmPairModel, path) -> None:
         "genuine": _gmm_to_dict(model.genuine),
         "replay": _gmm_to_dict(model.replay),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with output_file(path) as f:
+        f.write(json.dumps(doc) + "\n")
 
 
 def load_pair_model(path) -> GmmPairModel:

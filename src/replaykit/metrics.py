@@ -10,12 +10,12 @@ operating points where the sign of (FAR - FRR) flips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._files import read_table, write_table
 from .corpus import GENUINE_LABEL, REPLAY_LABEL, Manifest
-from .errors import ScoreFormatError, existing_file
+from .errors import ScoreFormatError
 
 UNLABELLED = "-"  # label unknown to the scorer; read_scores fills it in
 
@@ -80,53 +80,32 @@ def write_scores(records: list[ScoreRecord], path) -> None:
     there are none, since `read_scores` refuses a file without records."""
     if not records:
         raise ValueError(f"{path}: no score records to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{r.utt_id}\t{r.score!r}\t{r.label}" for r in records]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, ([r.utt_id, repr(r.score), r.label] for r in records))
 
 
 def read_scores(path, manifest: Manifest | None = None) -> list[ScoreRecord]:
     """Read a score TSV; '-' labels are filled from the manifest if given.
     A malformed line, a score not written as `write_scores` writes it, or
     a repeated utterance id raises ScoreFormatError naming the line, and
-    a missing file FileNotFoundError `<path>: no such file`."""
+    a missing file FileNotFoundError `<path>: no such file`
+    (`replaykit._files.read_table`)."""
     labels = {r.utt_id: r.label for r in manifest} if manifest else {}
-    try:
-        lines = existing_file(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ScoreFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    records = []
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        try:
-            if len(fields) != 3:
-                raise ValueError(f"expected 3 fields, got {len(fields)}")
-            utt_id, score, label = fields
-            if utt_id in first_line:
-                raise ValueError(f"duplicate utterance id {utt_id!r}, first "
-                                 f"on line {first_line[utt_id]}")
-            first_line[utt_id] = lineno
-            if label == UNLABELLED:
-                if utt_id not in labels:
-                    raise ValueError(f"no label for {utt_id!r} and none "
-                                     f"found in the manifest")
-                label = labels[utt_id]
-            elif utt_id in labels and labels[utt_id] != label:
-                raise ValueError(f"label {label!r} disagrees with manifest "
-                                 f"{labels[utt_id]!r}")
-            value = float(score)
-            # float() also takes '1_5' and ' 2 ', which write_scores never
-            # writes: a score must read back as its own repr.
-            if repr(value) != score:
-                raise ValueError(f"score {score!r} is not written as "
-                                 f"repr(float), which gives {value!r}")
-            records.append(ScoreRecord(utt_id, value, label))
-        except ValueError as exc:
-            raise ScoreFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not records:
-        raise ScoreFormatError(f"{path}: no score records")
-    return records
+
+    def record(utt_id, score, label):
+        if label == UNLABELLED:
+            if utt_id not in labels:
+                raise ValueError(f"no label for {utt_id!r} and none "
+                                 f"found in the manifest")
+            label = labels[utt_id]
+        elif utt_id in labels and labels[utt_id] != label:
+            raise ValueError(f"label {label!r} disagrees with manifest "
+                             f"{labels[utt_id]!r}")
+        value = float(score)
+        # float() also takes '1_5' and ' 2 ', which write_scores never
+        # writes: a score must read back as its own repr.
+        if repr(value) != score:
+            raise ValueError(f"score {score!r} is not written as "
+                             f"repr(float), which gives {value!r}")
+        return ScoreRecord(utt_id, value, label)
+
+    return read_table(path, 3, record, ScoreFormatError)

@@ -71,6 +71,7 @@ from pathlib import Path
 # `write_archive` only for perfbench/tracing.py, which wraps it at this
 # import site; nothing here calls it, so its metrics read 0 (ROADMAP 8).
 from .archive import ArchiveWriter, FeatureArchive, write_archive  # noqa: F401
+from ._files import output_file, write_table
 from ._threads import look_ahead, pinned_blas, workers
 from .corpus import (
     AudioSignal,
@@ -221,23 +222,14 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     one row per factor value: its band ratios and the RMS deviation of its
     normalized shape from the mean shape. Next to it, a JSON document with
     the factor, the warp, the band count, the dispersion and each
-    pattern's value, frame counts and ratios.
+    pattern's value, frame counts and ratios. The JSON document is
+    written first, so the TSV is never without it.
     A TSV path ending in .json, which the JSON document would overwrite,
     raises ValueError before anything is written."""
     tsv_path = Path(tsv_path)
     if tsv_path.suffix == ".json":
         raise ValueError(f"{tsv_path}: the probe report's TSV path must not "
                          f"end in .json, where its JSON document goes")
-    header = ["value"] + [f"F_{i + 1}" for i in range(report.n_bands)]
-    header.append("dispersion_contribution")
-    lines = ["\t".join(header)]
-    for pattern, contrib in zip(report.patterns, report.contributions):
-        cells = [pattern.value] + [repr(v) for v in pattern.values.tolist()]
-        cells.append(repr(float(contrib)))
-        lines.append("\t".join(cells))
-    tsv_path.parent.mkdir(parents=True, exist_ok=True)
-    tsv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     doc = {
         "factor": report.factor,
         "warp": report.warp.value,
@@ -250,8 +242,13 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
             "values": p.values.tolist(),
         } for p in report.patterns],
     }
-    tsv_path.with_suffix(".json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with output_file(tsv_path.with_suffix(".json")) as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    header = ["value"] + [f"F_{i + 1}" for i in range(report.n_bands)]
+    header.append("dispersion_contribution")
+    rows = ([p.value] + [repr(v) for v in p.values.tolist()] + [repr(float(c))]
+            for p, c in zip(report.patterns, report.contributions))
+    write_table(tsv_path, rows, header)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +427,6 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                          probe_dispersions=probe_dispersions,
                          dataset_dispersions=dataset_dispersions,
                          eers=eers)
-    (out_dir / "study_report.json").write_text(report.to_json(),
-                                               encoding="utf-8")
+    with output_file(out_dir / "study_report.json") as f:
+        f.write(report.to_json())
     return report

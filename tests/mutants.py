@@ -196,8 +196,8 @@ FAULTS = [
           ("tests/test_cli.py::TestTwoWayExtract::"
            "test_archive_equals_the_inline_pass[FeatureKind.CEPSTRA_DELTA]",)),
     Fault("_cmd_extract may write over a WAV it reads", "cli.py",
-          "_refuse_overwriting_inputs(args.out, wav_paths, partial)",
-          "_refuse_overwriting_inputs(args.out, [], partial)",
+          "_refuse_overwriting_inputs(args.out, wav_paths)",
+          "_refuse_overwriting_inputs(args.out, [])",
           ("tests/test_cli.py::TestFailures::"
            "test_out_naming_an_input[extract-wav]",)),
     Fault("_cmd_extract runs its chunks on the calling thread", "cli.py",
@@ -207,6 +207,40 @@ FAULTS = [
            "test_calls_run_on_workers_and_outputs_are_written_here[extract]",
            "tests/test_cli.py::TestTwoWayExtract::"
            "test_each_chunk_is_one_pass_on_a_worker[3]")),
+    # The file layer.
+    Fault("output_file writes straight to path", "_files.py",
+          "self._partial = partial_path(self.path)",
+          "self._partial = self.path",
+          ("tests/test_files.py::"
+           "test_an_error_leaves_the_old_file_and_no_partial",)),
+    Fault("output_file keeps the partial on failure", "_files.py",
+          "            if not committed:\n"
+          "                self._partial.unlink(missing_ok=True)",
+          "            if not committed:\n"
+          "                pass",
+          ("tests/test_files.py::"
+           "test_an_error_leaves_the_old_file_and_no_partial",
+           "tests/test_cli.py::TestFailures::"
+           "test_probe_whose_json_document_cannot_be_written")),
+    Fault("the overwrite guard skips partial paths", "cli.py",
+          "for target in (written, partial_path(written)):",
+          "for target in (written,):",
+          ("tests/test_cli.py::TestFailures::"
+           "test_out_naming_an_input[train-partial]",
+           "tests/test_cli.py::TestFailures::"
+           "test_out_naming_an_input[probe-json-partial]")),
+    Fault("write_table drops its cell check", "_files.py",
+          'if "\\t" in cell or len((cell + ".").splitlines()) > 1:',
+          "if False:",
+          ("tests/test_metrics.py::TestScoreFiles::"
+           "test_a_cell_the_reader_would_split_is_not_written[a\\tb]",
+           "tests/test_corpus.py::TestManifest::"
+           "test_a_cell_the_reader_would_split_is_not_written[x\\u2028y]")),
+    Fault("read_table drops its duplicate-id check", "_files.py",
+          "if cells[0] in first_line:",
+          "if False:",
+          ("tests/test_metrics.py::TestScoreFiles::"
+           "test_duplicate_utterance_id",)),
 ]
 
 # Run in each copy: pytest on the given node ids, after checking that the

@@ -198,6 +198,18 @@ class TestFailures:
         assert line.startswith(f"error: {out}: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_probe_whose_json_document_cannot_be_written(self, work,
+                                                         tmp_path):
+        # The JSON document is written first, and moving it onto a
+        # directory fails, so neither the TSV nor a partial file is left.
+        out = tmp_path / "device.tsv"
+        (tmp_path / "device.json").mkdir()
+        self._single_error_line(
+            ["probe", "--archive", work / "mel_fbank.rpfa", "--manifest",
+             work / "corpus" / "manifest.tsv", "--factor", "device",
+             "--out", out])
+        assert list(tmp_path.rglob("*")) == [tmp_path / "device.json"]
+
     def test_model_not_json(self, work, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -445,32 +457,40 @@ class TestFailures:
     @pytest.mark.parametrize("command, target", [
         ("extract", "manifest"), ("extract", "wav"), ("extract", "partial"),
         ("probe", "archive"), ("probe", "manifest"), ("probe", "json"),
-        ("train", "archive"), ("train", "manifest"),
+        ("probe", "partial"), ("probe", "json-partial"),
+        ("train", "archive"), ("train", "manifest"), ("train", "partial"),
         ("score", "archive"), ("score", "model"), ("score", "manifest"),
-        ("score", "symlink"),
+        ("score", "symlink"), ("score", "partial"),
     ])
     def test_out_naming_an_input(self, work, tmp_path, command, target):
         # Every input is a copy, so a command that writes over one harms
         # no other test. "json": probe's --out is x.tsv, its JSON document
         # goes to x.json, and the archive is x.json. "symlink": --out is
-        # a link to the archive. "partial": extract's --out is m.rpfa, the
-        # archive is written to m.rpfa.partial first, and the manifest is
-        # m.rpfa.partial.
+        # a link to the archive. "partial": every output is written to its
+        # partial file first, so extract's --out is m.rpfa and the manifest
+        # m.rpfa.partial, and another command's --out is x.tsv and the
+        # archive x.tsv.partial. "json-partial": probe's --out is x.tsv,
+        # and the archive is x.json.partial, where its JSON document is
+        # written first.
         corpus = tmp_path / "corpus"
         shutil.copytree(work / "corpus", corpus)
         manifest = corpus / "manifest.tsv"
-        if target == "partial":
+        if target == "partial" and command == "extract":
             manifest = manifest.rename(corpus / "m.rpfa.partial")
         feature = "fbank" if command == "probe" else "cepstra-delta"
-        archive = tmp_path / ("x.json" if target == "json" else "x.rpfa")
+        archive = tmp_path / {"json": "x.json", "partial": "x.tsv.partial",
+                              "json-partial": "x.json.partial",
+                              }.get(target, "x.rpfa")
         shutil.copy(work / f"mel_{feature}.rpfa", archive)
         model = tmp_path / "model.json"
         shutil.copy(work / "model.json", model)
         out = {"manifest": manifest, "archive": archive, "model": model,
                "wav": sorted((corpus / "audio").glob("*.wav"))[0],
                "json": tmp_path / "x.tsv",
+               "json-partial": tmp_path / "x.tsv",
                "symlink": tmp_path / "link.tsv",
-               "partial": corpus / "m.rpfa"}[target]
+               "partial": (corpus / "m.rpfa" if command == "extract"
+                           else tmp_path / "x.tsv")}[target]
         if target == "symlink":
             out.symlink_to(archive)
         argv = {"extract": ["--manifest", manifest, "--warp", "mel",

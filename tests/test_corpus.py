@@ -326,7 +326,7 @@ class TestManifest:
         (["u1\ta.wav\tgenuine\tS01\tP03\t-",
           "u2\tb.wav\treplay\tS01\tP03\tD00",
           "u1\ta.wav\tgenuine\tS01\tP03\t-"],
-         "4: duplicate utt_id 'u1', first on line 2"),
+         "4: duplicate utterance id 'u1', first on line 2"),
         (["u0\tz.wav\tgenuine\tS01\tP03\t-", "",
           "u1\ta.wav\tgenuine\tS01\tP03\tD00"],
          "4: genuine utterance 'u1' must use device_id '-'"),
@@ -346,6 +346,20 @@ class TestManifest:
         p = tmp_path / "m.tsv"
         write_manifest(m, p)
         assert parse_manifest(p).records == m.records
+
+    @pytest.mark.parametrize("cell", ["a\tb", "x\ny", "a\rb", "x\u2028y"])
+    def test_a_cell_the_reader_would_split_is_not_written(self, tmp_path,
+                                                          cell):
+        # `parse_manifest` splits rows at tabs and its lines with
+        # `str.splitlines`, so such a cell would not read back.
+        m = Manifest([UtteranceMeta(cell, "a.wav", "genuine", "S00", "P00",
+                                    "-")])
+        p = tmp_path / "m.tsv"
+        with pytest.raises(ValueError) as info:
+            write_manifest(m, p)
+        assert str(info.value) == (f"{p}: line 2: the cell {cell!r} holds a "
+                                   f"tab or a line break")
+        assert list(tmp_path.iterdir()) == []
 
 
 # A valid two-row manifest, and one edit of it.

@@ -101,6 +101,19 @@ class TestScoreFiles:
         write_scores(records, p)
         assert read_scores(p) == records
 
+    @pytest.mark.parametrize("cell", ["a\tb", "x\ny", "a\rb", "x\u2028y"])
+    def test_a_cell_the_reader_would_split_is_not_written(self, tmp_path,
+                                                          cell):
+        # `read_scores` splits rows at tabs and its lines with
+        # `str.splitlines`, so such an id would not read back.
+        p = tmp_path / "scores.tsv"
+        with pytest.raises(ValueError) as info:
+            write_scores([ScoreRecord("u0", 1.0, "replay"),
+                          ScoreRecord(cell, 1.0, "genuine")], p)
+        assert str(info.value) == (f"{p}: line 2: the cell {cell!r} holds a "
+                                   f"tab or a line break")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_records_are_refused_and_nothing_is_written(self, tmp_path):
         # `read_scores` refuses a file without records, so none is written.
         p = tmp_path / "scores" / "s.tsv"

@@ -564,6 +564,9 @@ def test_benchmark_tracer_finds_its_import_sites():
     # replaykit.cli imported them; renaming or dropping one of those
     # imports breaks every traced benchmark run.
     root = Path(__file__).resolve().parents[1]
+    if not (root / "perfbench" / "tracing.py").is_file():
+        pytest.skip("perfbench/tracing.py is not beside tests/, as in a "
+                    "copy of src/ and tests/ alone")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]
