@@ -6,6 +6,8 @@ parent directories made first, through `output_file`. Only a clean exit
 from its `with` block moves the partial onto `path`, with `os.replace`,
 which replaces what was there, a symlink included, rather than writing
 through it; any failure deletes the partial and leaves `path` as it was.
+A move that fails raises an OSError of its own class, `<path>: <reason>`,
+naming the output rather than its partial file.
 So a file at an output's path is complete: a manifest, score file or
 archive cut at a row or entry boundary would read back as a valid,
 shorter one, and never appears there; and a write that fails leaves no
@@ -71,7 +73,12 @@ class output_file:
         try:
             self._fh.close()
             if exc_type is None:
-                os.replace(self._partial, self.path)
+                try:
+                    os.replace(self._partial, self.path)
+                except OSError as error:
+                    # Named by the output, not by its partial file.
+                    raise type(error)(
+                        f"{self.path}: {error.strerror}") from error
                 committed = True
         finally:
             if not committed:

@@ -58,12 +58,14 @@ from pathlib import Path
 
 from . import archive as archive_mod
 from . import corpus as corpus_mod
+from . import study as study_mod
 from ._files import partial_path
 from ._threads import WORKERS, look_ahead, pinned_blas, workers
 from .errors import EmptyUtteranceError, FeatureMismatchError
 from .filterbank import ExtractionConfig, FeatureKind, WarpKind
-from .fratio import MomentTable, pool_frames, probe_factor
-from .gmm import GmmPairModel, TrainConfig, load_pair_model, save_pair_model, score_utterance, train_gmm
+from .fratio import PROBE_FACTORS, MomentTable, pool_frames, probe_factor
+from .gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig, load_pair_model,
+                  save_pair_model, score_utterance, train_gmm)
 from .metrics import UNLABELLED, ScoreRecord, compute_eer, read_scores, write_scores
 # `extract_features` only for perfbench/tracing.py, which wraps it at this
 # import site; nothing here calls it, so its metric reads 0 (ROADMAP 8).
@@ -292,19 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="per-factor discriminability patterns")
     p.add_argument("--archive", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--factor", choices=["speaker", "phrase", "device"],
-                   required=True)
+    p.add_argument("--factor", choices=PROBE_FACTORS, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("train", help="train a genuine/replay GMM pair")
     p.add_argument("--archive", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--ncomp", type=int, default=64)
-    p.add_argument("--cov", choices=["diag", "full"], default="diag")
+    # Read through its module: this module's `StudyConfig` name may be
+    # bound to a factory that `study` calls.
+    p.add_argument("--ncomp", type=int, default=study_mod.StudyConfig.n_comp)
+    p.add_argument("--cov", choices=COVARIANCE_KINDS, default="diag")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--ll-tolerance", type=float, default=1e-5)
+    p.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
+    p.add_argument("--ll-tolerance", type=float,
+                   default=TrainConfig.ll_tolerance)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

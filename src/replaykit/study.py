@@ -18,17 +18,20 @@ matrix leaves only its per-utterance moments, added to its warp's
 
 The stream gives the genuine signals and the train devices' replays
 before any held-out replay (`CorpusSignals`), so the pass stops at that
-boundary to train. Up to it the study keeps the cepstra+delta frames,
-which the six detection legs pool to train on; it then trains and saves
-each leg's pair, scores the genuine utterances with it, and drops the
-training frames. The rest of the pass scores each held-out replay with
-its warp's two pairs as the replay is made, and keeps none of its
-frames. So a study holds at once the genuine signals' spectra, the
-pass's tables (a filterbank per warp, one DCT basis and one
-`SpectrumWorkspace`, each built once per pass), one utterance's
-features, the signal made ahead of it (below), three small moment tables
-and, as training replaces the one with the other, the training
-cepstra+delta frames and the six pairs.
+boundary to train. Up to it the study keeps each utterance's
+cepstra+delta matrix per warp. Each warp pools them to train its two
+detection legs' pairs, and drops its train-device replays' matrices;
+its pairs are trained and saved. Once all six pairs are trained, one
+loop scores every evaluated utterance with every pair: first the
+genuine utterances, each matrix dropped once scored, then each held-out
+replay as the rest of the pass makes it, keeping none of its frames. So
+a study holds at once the genuine signals' spectra, the pass's tables (a
+filterbank per warp, one DCT basis and one `SpectrumWorkspace`, each
+built once per pass), one utterance's features, the signal made ahead of
+it (below), three small moment tables, the genuine utterances'
+cepstra+delta frames until they are scored and, as training replaces
+the one with the other, the train-device replays' frames and the six
+pairs.
 
 The pass runs on replaykit's worker pool (`_threads`), one pool per
 call. On it the corpus is made one signal ahead: the stream's calls
@@ -45,12 +48,12 @@ costliest start first. At the start of training the first held-out
 replay's call, submitted ahead, still takes one of the workers until
 its signal is made; its WAV is written when the stream reaches it, after
 training. Each fit gets the frames and seed it would get in a loop, and
-the results are taken in leg order, so every file is byte-identical to
-sequential training. Training holds up to two fits' working sets at
-once (see `gmm.MOMENT_BLOCK`). The scope is one warp, not all twelve
-fits, which would keep every warp's pools alive at once. The pool is
-shut down when the pass ends or raises, in training too, so no signal
-is made after, and the whole call runs inside `pinned_blas()`.
+the results are taken in leg order (`LEG_FITS`), so every file is
+byte-identical to sequential training. Training holds up to two fits'
+working sets at once (see `gmm.MOMENT_BLOCK`). The scope is one warp,
+not all twelve fits, which would keep every warp's pools alive at once.
+The pool is shut down when the pass ends or raises, in training too, so
+no signal is made after, and the whole call runs inside `pinned_blas()`.
 
 The study and the CLI commands share their stage functions, not bits:
 `run_study` probes and trains on float64 features of the in-memory float64
@@ -222,8 +225,11 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
     one row per factor value: its band ratios and the RMS deviation of its
     normalized shape from the mean shape. Next to it, a JSON document with
     the factor, the warp, the band count, the dispersion and each
-    pattern's value, frame counts and ratios. The JSON document is
-    written first, so the TSV is never without it.
+    pattern's value, frame counts and ratios. Both land or neither: the
+    TSV is written and moved into place inside the JSON document's
+    `output_file` block, so a TSV that fails deletes the JSON's partial
+    file, and a JSON document that then fails to land deletes the TSV (an
+    older TSV at its path is not brought back).
     A TSV path ending in .json, which the JSON document would overwrite,
     raises ValueError before anything is written."""
     tsv_path = Path(tsv_path)
@@ -242,13 +248,16 @@ def write_probe_report(report: ProbeReport, tsv_path) -> None:
             "values": p.values.tolist(),
         } for p in report.patterns],
     }
-    with output_file(tsv_path.with_suffix(".json")) as f:
-        f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     header = ["value"] + [f"F_{i + 1}" for i in range(report.n_bands)]
     header.append("dispersion_contribution")
     rows = ([p.value] + [repr(v) for v in p.values.tolist()] + [repr(float(c))]
             for p, c in zip(report.patterns, report.contributions))
-    write_table(tsv_path, rows, header)
+    with contextlib.ExitStack() as undo:
+        with output_file(tsv_path.with_suffix(".json")) as f:
+            f.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            write_table(tsv_path, rows, header)
+            undo.callback(tsv_path.unlink)  # if the JSON document fails
+        undo.pop_all()
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +293,13 @@ class StudyReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
 
+# A warp's four fits in leg order, (cov_idx, cov, cls): per covariance
+# kind, the genuine (cls 0) then the replay (cls 1) mixture of its pair.
+LEG_FITS = tuple((cov_idx, cov, cls)
+                 for cov_idx, cov in enumerate(COVARIANCE_KINDS)
+                 for cls in (0, 1))
+
+
 def _leg_stem(tag: str, cov: str) -> str:
     """File stem of a detection leg's model and scores, e.g. imfcc_full."""
     return f"{tag.split('+')[0].lower()}_{cov}"
@@ -314,7 +330,6 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
     train_replay_ids = [r.utt_id for r in man_train.replay_records()]
     fbank_tables = {kind: MomentTable(kind) for kind in WarpKind}
     pairs: dict[tuple[WarpKind, str], GmmPairModel] = {}
-    scores: dict[tuple[WarpKind, str], dict[str, float]] = {}
     with contextlib.ExitStack() as stack:
         writers = [stack.enter_context(ArchiveWriter(
             out_dir / "features" / f"{c.warp.value}_{c.feature.value}.rpfa",
@@ -343,73 +358,62 @@ def run_study(seed: int, out_dir, config: StudyConfig | None = None) -> StudyRep
                 yield utt_id, kept
                 del feats, fm, kept  # before the next utterance is made
 
-        cepstra = {kind: {} for kind in WarpKind}
-        for utt_id, kept in extract(itertools.islice(stream, len(man_train))):
-            for kind, fm in kept.items():
-                cepstra[kind][utt_id] = fm
-
+        train = dict(extract(itertools.islice(stream, len(man_train))))
         for kind_idx, kind in enumerate(WarpKind):
-            # Once pooled, a warp's train-device replays are dropped; its
-            # genuine matrices go once its pairs have scored them.
-            entries = cepstra.pop(kind)
-            tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
-            counts = {u: fm.n_frames for u, fm in entries.items()}
-            pools = [pool_frames(ids, counts, lambda u: entries[u].values)
+            # Once pooled, the warp's train-device replays are dropped; the
+            # genuine matrices stay until the pairs score them.
+            counts = {u: kept[kind].n_frames for u, kept in train.items()}
+            pools = [pool_frames(ids, counts, lambda u: train[u][kind].values)
                      for ids in (genuine_ids, train_replay_ids)]
-            genuine = [entries[u] for u in genuine_ids]
-            del entries
-
-            # The warp's four fits, (diag, full) × (genuine, replay), go to
-            # the pool costliest first: full fits, then the larger pool,
-            # ties in leg order. `train_gmm` is looked up by this module's
-            # name as each is submitted, so a wrapper set on it sees them
-            # all.
-            legs = [(cov_idx, cov, cls)
-                    for cov_idx, cov in enumerate(COVARIANCE_KINDS)
-                    for cls in (0, 1)]
+            for u in train_replay_ids:
+                del train[u][kind]
+            # The warp's four fits go to the pool costliest first: full
+            # fits, then the larger pool, ties in leg order. `train_gmm` is
+            # looked up by this module's name as each is submitted, so a
+            # wrapper set on it sees them all.
             fits = {}
             for cov_idx, cov, cls in sorted(
-                    legs, key=lambda leg: (leg[1] == "full",
-                                           len(pools[leg[2]])),
+                    LEG_FITS, key=lambda fit: (fit[1] == "full",
+                                               len(pools[fit[2]])),
                     reverse=True):
-                fits[cov_idx, cov, cls] = pool.submit(
+                fits[cov, cls] = pool.submit(
                     train_gmm, pools[cls], config.n_comp, cov, config.train,
                     seed=derive_seed(seed, 3, kind_idx, cov_idx, cls))
-            models = iter([fits[leg].result() for leg in legs])
+            models = {(cov, cls): fits[cov, cls].result()
+                      for _, cov, cls in LEG_FITS}
+            del pools, fits
+            tag = feature_tag(kind, FeatureKind.CEPSTRA_DELTA)
             for cov in COVARIANCE_KINDS:
-                pair = GmmPairModel(next(models), next(models),
-                                    config.train, leg_configs[kind])
+                pairs[kind, cov] = pair = GmmPairModel(
+                    models[cov, 0], models[cov, 1], config.train,
+                    leg_configs[kind])
                 save_pair_model(pair, out_dir / "models" /
                                 f"{_leg_stem(tag, cov)}.json")
-                pairs[kind, cov] = pair
-                scores[kind, cov] = {
-                    u: score_utterance(pair, fm)
-                    for u, fm in zip(genuine_ids, genuine)}
-            del genuine, pools, fits, models
 
-        # The held-out replays: each is scored by its warp's pairs as it
-        # is made, and none of its frames is kept.
-        for utt_id, kept in extract(stream):
+        # Every pair scores the genuine utterances, then each held-out
+        # replay as the stream makes it; no scored matrix is kept.
+        scores = {leg: {} for leg in pairs}
+        evaluated = itertools.chain(((u, train.pop(u)) for u in genuine_ids),
+                                    extract(stream))
+        for utt_id, kept in evaluated:
             for (kind, cov), pair in pairs.items():
                 scores[kind, cov][utt_id] = score_utterance(pair, kept[kind])
             del kept
 
     # Probes on log-Fbank features, per factor and warp, plus the
     # train-vs-heldout dataset comparison.
-    probes_dir = out_dir / "probes"
     probe_dispersions: dict[str, dict[str, float]] = {}
     dataset_dispersions: dict[str, float] = {}
     for kind, table in fbank_tables.items():
-        per_factor = {}
-        for factor in PROBE_FACTORS:
-            report = probe_factor(table, manifest, factor)
-            write_probe_report(report,
-                               probes_dir / f"{factor}_{kind.value}.tsv")
-            per_factor[factor] = report.dispersion
-        probe_dispersions[kind.value] = per_factor
-        ds_report = compare_datasets(table, man_train, man_heldout)
-        write_probe_report(ds_report, probes_dir / f"dataset_{kind.value}.tsv")
-        dataset_dispersions[kind.value] = ds_report.dispersion
+        reports = {factor: probe_factor(table, manifest, factor)
+                   for factor in PROBE_FACTORS}
+        reports["dataset"] = compare_datasets(table, man_train, man_heldout)
+        for name, report in reports.items():
+            write_probe_report(
+                report, out_dir / "probes" / f"{name}_{kind.value}.tsv")
+        dataset_dispersions[kind.value] = reports.pop("dataset").dispersion
+        probe_dispersions[kind.value] = {
+            factor: report.dispersion for factor, report in reports.items()}
 
     # Score files list the genuine utterances, then the held-out replays,
     # in manifest order.

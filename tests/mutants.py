@@ -85,6 +85,21 @@ FAULTS = [
           'getattr(model, name), ">f8")',
           ("tests/test_gmm.py::TestModelPersistence::"
            "test_roundtrip_bit_exact[diag]",)),
+    Fault("EM's gain as a sum of log-likelihoods", "gmm.py",
+          "abs(total_ll - prev_ll)",
+          "abs(total_ll + prev_ll)",
+          ("tests/test_gmm.py::TestTrainGmm::"
+           "test_em_stops_after_the_first_gain_below_the_tolerance",)),
+    Fault("EM's gain times the frame count", "gmm.py",
+          "prev_ll) / n < config.ll_tolerance",
+          "prev_ll) * n < config.ll_tolerance",
+          ("tests/test_gmm.py::TestTrainGmm::"
+           "test_em_stops_after_the_first_gain_below_the_tolerance",)),
+    Fault("EM stopping at a gain equal to the tolerance", "gmm.py",
+          "/ n < config.ll_tolerance",
+          "/ n <= config.ll_tolerance",
+          ("tests/test_gmm.py::TestTrainGmm::"
+           "test_em_stops_after_the_first_gain_below_the_tolerance",)),
     Fault("a score summed, not averaged", "gmm.py",
           "return float(np.mean(genuine - replay))",
           "return float(np.sum(genuine - replay))",
@@ -99,6 +114,11 @@ FAULTS = [
           "eer = far[i]",
           ("tests/test_metrics.py::TestComputeEer::"
            "test_matches_brute_force_oracle",)),
+    Fault("the EER threshold interpolated backwards", "metrics.py",
+          "thresholds[i] + alpha",
+          "thresholds[i] - alpha",
+          ("tests/test_metrics.py::TestComputeEer::"
+           "test_threshold_interpolated_between_two_scores",)),
     Fault("the EER's tie side flipped", "metrics.py",
           'np.searchsorted(replay_sorted, thresholds, side="left")',
           'np.searchsorted(replay_sorted, thresholds, side="right")',
@@ -124,7 +144,7 @@ FAULTS = [
     # The study's protocol.
     Fault("the genuine pool holding the train-device replays", "study.py",
           "for ids in (genuine_ids, train_replay_ids)]",
-          "for ids in (list(entries), train_replay_ids)]",
+          "for ids in (list(train), train_replay_ids)]",
           ("tests/test_study.py::TestStudyProtocol::"
            "test_each_fit_trains_on_its_pool_in_manifest_order",)),
     Fault("the dataset probe comparing train with train", "study.py",
@@ -161,9 +181,9 @@ FAULTS = [
           ("tests/test_study.py::TestExtractFeatures::"
            "test_stream_holds_no_previous_utterance",)),
     Fault("run_study submits fits in leg order", "study.py",
-          'key=lambda leg: (leg[1] == "full",\n'
-          "                                           len(pools[leg[2]])),",
-          "key=lambda leg: 0,",
+          'key=lambda fit: (fit[1] == "full",\n'
+          "                                               len(pools[fit[2]])),",
+          "key=lambda fit: 0,",
           ("tests/test_study.py::TestTwoAtATime::"
            "test_two_runners_take_the_costliest_tasks_first",)),
     Fault("run_study's corpus look-ahead at depth 2", "study.py",
@@ -222,6 +242,28 @@ FAULTS = [
            "test_an_error_leaves_the_old_file_and_no_partial",
            "tests/test_cli.py::TestFailures::"
            "test_probe_whose_json_document_cannot_be_written")),
+    Fault("output_file names a failed move by its partial file",
+          "_files.py",
+          'raise type(error)(\n                        f"{self.path}: {error.strerror}") from error',
+          "raise",
+          ("tests/test_files.py::"
+           "test_a_failed_move_names_the_output_and_leaves_no_partial",
+           "tests/test_cli.py::TestFailures::"
+           "test_probe_whose_tsv_cannot_be_written")),
+    Fault("a probe report's TSV kept when its JSON document fails",
+          "study.py",
+          "undo.callback(tsv_path.unlink)",
+          "pass",
+          ("tests/test_cli.py::TestFailures::"
+           "test_probe_whose_json_document_cannot_be_written",)),
+    Fault("a probe report's JSON document written before its TSV", "study.py",
+          "            write_table(tsv_path, rows, header)\n"
+          "            undo.callback(tsv_path.unlink)  # if the JSON document fails\n"
+          "        undo.pop_all()\n",
+          "        undo.pop_all()\n"
+          "    write_table(tsv_path, rows, header)\n",
+          ("tests/test_cli.py::TestFailures::"
+           "test_probe_whose_tsv_cannot_be_written",)),
     Fault("the overwrite guard skips partial paths", "cli.py",
           "for target in (written, partial_path(written)):",
           "for target in (written,):",

@@ -2,9 +2,11 @@ import base64
 import collections
 import contextlib
 import dataclasses
+import errno
 import io
 import itertools
 import json
+import os
 import shutil
 import threading
 import time
@@ -22,9 +24,10 @@ from replaykit.corpus import (AudioSignal, Manifest, SynthConfig,
 from replaykit.errors import (ArchiveFormatError, FeatureMismatchError,
                               WavFormatError)
 from replaykit.filterbank import FeatureKind, FeatureMatrix, WarpKind
-from replaykit.fratio import MomentTable, probe_factor
-from replaykit.gmm import (GmmPairModel, TrainConfig, load_pair_model,
-                           save_pair_model, score_utterance, train_gmm)
+from replaykit.fratio import PROBE_FACTORS, MomentTable, probe_factor
+from replaykit.gmm import (COVARIANCE_KINDS, GmmPairModel, TrainConfig,
+                           load_pair_model, save_pair_model, score_utterance,
+                           train_gmm)
 from replaykit.metrics import (ScoreRecord, compute_eer, read_scores,
                                write_scores)
 from replaykit.study import (ExtractionConfig, extract_features,
@@ -200,15 +203,31 @@ class TestFailures:
 
     def test_probe_whose_json_document_cannot_be_written(self, work,
                                                          tmp_path):
-        # The JSON document is written first, and moving it onto a
-        # directory fails, so neither the TSV nor a partial file is left.
+        # Moving the JSON document onto a directory fails after its TSV
+        # has landed, so the TSV is deleted: neither it nor a partial file
+        # is left.
         out = tmp_path / "device.tsv"
         (tmp_path / "device.json").mkdir()
-        self._single_error_line(
+        line = self._single_error_line(
             ["probe", "--archive", work / "mel_fbank.rpfa", "--manifest",
              work / "corpus" / "manifest.tsv", "--factor", "device",
              "--out", out])
+        assert line == (f"error: {tmp_path / 'device.json'}: "
+                        f"{os.strerror(errno.EISDIR)}")
         assert list(tmp_path.rglob("*")) == [tmp_path / "device.json"]
+
+    def test_probe_whose_tsv_cannot_be_written(self, work, tmp_path):
+        # Moving the TSV onto a directory fails inside the JSON document's
+        # block, so neither the JSON document nor a partial file is left,
+        # and the error names the TSV, not its partial file.
+        out = tmp_path / "device.tsv"
+        out.mkdir()
+        line = self._single_error_line(
+            ["probe", "--archive", work / "mel_fbank.rpfa", "--manifest",
+             work / "corpus" / "manifest.tsv", "--factor", "device",
+             "--out", out])
+        assert line == f"error: {out}: {os.strerror(errno.EISDIR)}"
+        assert list(tmp_path.rglob("*")) == [out]
 
     def test_model_not_json(self, work, tmp_path):
         bad = tmp_path / "bad.json"
@@ -915,3 +934,22 @@ class TestMemory:
                           SEED, "--max-iters", 2,
                           "--out", tmp_path / "model.json")
         assert peak < reference + archive_bytes / 4
+
+
+def test_train_and_probe_flags_follow_the_library(monkeypatch):
+    # `train`'s defaults are TrainConfig's and StudyConfig's, also where
+    # `cli.StudyConfig` is a factory, and its kinds and `probe`'s factors
+    # are the library's.
+    monkeypatch.setattr(cli, "StudyConfig", lambda: None)
+    parse = cli.build_parser().parse_args
+    train = ["train", "--archive", "a", "--manifest", "m", "--seed", "1",
+             "--out", "o"]
+    args = parse(train)
+    assert (args.ncomp, args.max_iters, args.ll_tolerance) == (
+        study.StudyConfig().n_comp, TrainConfig().max_iters,
+        TrainConfig().ll_tolerance)
+    assert [parse(train + ["--cov", cov]).cov
+            for cov in COVARIANCE_KINDS] == list(COVARIANCE_KINDS)
+    assert [parse(["probe", "--archive", "a", "--manifest", "m", "--factor",
+                   factor, "--out", "o"]).factor
+            for factor in PROBE_FACTORS] == list(PROBE_FACTORS)

@@ -1,6 +1,6 @@
 import pytest
 
-from replaykit._files import output_file
+from replaykit._files import output_file, partial_path
 
 
 def test_an_error_leaves_the_old_file_and_no_partial(tmp_path):
@@ -26,3 +26,16 @@ def test_a_clean_exit_replaces_a_symlink_not_its_target(tmp_path):
     assert not link.is_symlink() and link.read_text() == "new\n"
     assert target.read_text() == "old\n"
     assert sorted(tmp_path.rglob("*")) == [link.parent, link, target]
+
+
+def test_a_failed_move_names_the_output_and_leaves_no_partial(tmp_path):
+    p = tmp_path / "out.tsv"
+    p.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        with output_file(p) as f:
+            f.write("new\n")
+    moved = info.value.__cause__
+    assert isinstance(moved, IsADirectoryError)
+    assert moved.filename == str(partial_path(p))
+    assert str(info.value) == f"{p}: {moved.strerror}"
+    assert list(tmp_path.rglob("*")) == [p]

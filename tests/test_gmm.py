@@ -124,6 +124,29 @@ class TestTrainGmm:
         config = TrainConfig(ll_tolerance=0.0, variance_floor_factor=0.0)
         assert config.ll_tolerance == config.variance_floor_factor == 0.0
 
+    def test_em_stops_after_the_first_gain_below_the_tolerance(self):
+        # EM stops after the first pass whose per-frame log-likelihood
+        # gain over the pass before, |ll - prev| / n, is below
+        # ll_tolerance; at a zero tolerance it runs to max_iters.
+        frames = _mixture_frames(np.random.default_rng(23), 3, 2)
+        n = len(frames)
+
+        def curve(tolerance):
+            return train_gmm(frames, 3, "diag",
+                             TrainConfig(max_iters=30, ll_tolerance=tolerance),
+                             seed=7).ll_curve
+
+        full = curve(0.0)
+        assert len(full) == 30
+        gain = {i: abs(full[i] - full[i - 1]) / n for i in range(1, 30)}
+        # A pass j, with several before it, whose gain is below every
+        # earlier pass's.
+        j = next(i for i in range(5, 30)
+                 if gain[i] < min(gain[k] for k in range(1, i)))
+        assert j + 1 < 30
+        assert curve(np.nextafter(gain[j], np.inf)) == full[:j + 1]
+        assert len(curve(gain[j])) > j + 1
+
     def test_unknown_covariance_kind(self):
         with pytest.raises(ValueError, match="covariance_kind"):
             train_gmm(np.zeros((20, 1)), 1, "spherical")

@@ -88,6 +88,15 @@ class TestComputeEer:
         # at the interpolated threshold the two step rates bracket the EER
         assert min(far, frr) - 1e-12 <= eer <= max(far, frr) + 1e-12
 
+    def test_threshold_interpolated_between_two_scores(self):
+        # Over the thresholds 0, 1, 2, 2.5, 3 and the sentinel 4, FAR is
+        # 1, 2/3, 2/3, 1/3, 0, 0 and FRR 0, 0, 1/2, 1/2, 1/2, 1, so FAR -
+        # FRR changes sign halfway from 2 (1/6) to 2.5 (-1/6): the EER is
+        # halfway from 2/3 to 1/3 and the threshold halfway from 2 to 2.5.
+        eer, threshold = compute_eer(_records([1.0, 3.0], [0.0, 2.0, 2.5]))
+        assert eer == pytest.approx(0.5, abs=1e-12)
+        assert threshold == 2.25
+
     def test_rejects_nonfinite_score(self):
         with pytest.raises(ValueError, match="finite"):
             ScoreRecord("u", float("nan"), "genuine")
