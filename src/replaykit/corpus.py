@@ -335,14 +335,17 @@ def _amplitude_response(profile: DeviceProfile, freqs: np.ndarray) -> np.ndarray
     forward and backward (so the amplitude response is the Butterworth
     magnitude squared), ripple entries are Gaussian gain bumps in dB, and
     the shared replay cue is a flat cut above REPLAY_SHELF_HZ.
+
+    The high-pass is 1 / (1 + (low / f) ** 8) at every f >= 0: at 0 Hz
+    low / f is inf and the response exactly 0. No finite ratio comes near
+    overflow: the lowest nonzero bin of the at most 10 s a `SynthConfig`
+    takes is 0.1 Hz, and a `DeviceProfile`'s low cutoff at most 300 Hz,
+    so low / f is at most 3,000.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     amp = 1.0 / (1.0 + (freqs / profile.high_cutoff_hz) ** 8)
-    highpass = np.zeros_like(freqs)
-    pos = freqs > 0.0
-    ratio = np.minimum(profile.low_cutoff_hz / freqs[pos], 1e30)
-    highpass[pos] = 1.0 / (1.0 + ratio ** 8)
-    amp = amp * highpass
+    with np.errstate(divide="ignore"):
+        amp = amp * (1.0 / (1.0 + (profile.low_cutoff_hz / freqs) ** 8))
     gain_db = np.zeros_like(freqs)
     for center, gain in profile.ripple:
         gain_db += gain * np.exp(-0.5 * ((freqs - center) / RIPPLE_WIDTH_HZ) ** 2)

@@ -165,19 +165,22 @@ def build_filterbank(kind: WarpKind, M: int, n_fft: int) -> np.ndarray:
     uniformly spaced warped edges over 0..NYQUIST_HZ, and the triangles
     rasterized at the n_fft // 2 + 1 bin frequencies.
 
+    All M at once: max(0, min(rising, falling)) with rising = (c - left) /
+    (center - left) and falling = (right - c) / (right - center), for the
+    bins' warped coordinates c against each filter's three edges. The
+    coordinates are sorted and the edges strictly increase, so rising <= 1
+    <= falling up to a filter's center and falling <= 1 <= rising past it,
+    and the minimum is the one slope that applies there.
+
     Raises if a filter covers no FFT bin (too many filters for the FFT
     resolution) rather than silently producing a dead band; an
     `ExtractionConfig` makes the same check when it is constructed.
     """
     edges, coords = _filter_edges(kind, M, n_fft)
-    weights = np.zeros((M, coords.size))
-    for i in range(M):
-        left, center, right = edges[i], edges[i + 1], edges[i + 2]
-        rising = (coords >= left) & (coords <= center)
-        falling = (coords > center) & (coords <= right)
-        weights[i, rising] = (coords[rising] - left) / (center - left)
-        weights[i, falling] = (right - coords[falling]) / (right - center)
-    return weights
+    left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (coords - left) / (center - left)
+    falling = (right - coords) / (right - center)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 @dataclass

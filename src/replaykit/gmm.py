@@ -459,18 +459,20 @@ def _floor_covariances(covariances: np.ndarray, kind: str, floor
     covariances, with their precisions and log-determinants.
 
     diag clips each variance at `floor`, a per-dimension vector. full
-    symmetrises each matrix of the (K, d, d) stack and clips its
-    eigenvalues at the scalar `floor`, in one batched eigendecomposition
-    V Λ Vᵀ; the precisions are V Λ⁻¹ Vᵀ and the log-determinants Σ ln λ.
-    An EM pass needs only those two, so the floored V Λ Vᵀ is rebuilt
-    only when `floored` is called, for the parameters a fit returns.
+    clips the eigenvalues of each matrix of the (K, d, d) stack at the
+    scalar `floor`, in one batched eigendecomposition V Λ Vᵀ; the
+    precisions are V Λ⁻¹ Vᵀ and the log-determinants Σ ln λ. An EM pass
+    needs only those two, so the floored V Λ Vᵀ is rebuilt only when
+    `floored` is called, for the parameters a fit returns.
+
+    `eigh` reads one triangle, so a full stack must be exactly symmetric,
+    as `_estimates` builds it.
     """
     if kind == "diag":
         covariances = np.maximum(covariances, floor)
         return (lambda: covariances, 1.0 / covariances,
                 np.log(covariances).sum(axis=1))
-    sym = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, eigvecs = np.linalg.eigh(covariances)
     np.maximum(eigvals, floor, out=eigvals)
     eigvecs_t = np.swapaxes(eigvecs, 1, 2)
     return (lambda: (eigvecs * eigvals[:, None, :]) @ eigvecs_t,
@@ -555,7 +557,8 @@ def _em_pass(frames: np.ndarray, origin: np.ndarray,
 def _estimates(sums: np.ndarray, origin: np.ndarray, kind: str
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-component counts, means and unfloored covariances from the
-    moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1]."""
+    moment sums Σₙ rₙₖ [q(zₙ); zₙ; 1]. A full stack is exactly
+    symmetric: the second moments are mirrored, and mᵢmⱼ == mⱼmᵢ."""
     d = origin.size
     counts = sums[-1]
     scaled = sums[:-1] / np.maximum(counts, 1e-300)

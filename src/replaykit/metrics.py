@@ -39,9 +39,12 @@ class ScoreRecord:
 def compute_eer(records: list[ScoreRecord]) -> tuple[float, float]:
     """Return (eer, threshold) from labeled scores.
 
-    Sweeps the sorted unique scores (every achievable operating point) plus
-    a sentinel past the maximum, then interpolates at the sign change of
-    FAR - FRR.
+    Sweeps the sorted unique scores (every achievable operating point:
+    the pooled scores sorted once, each kept where it differs from its
+    predecessor) plus a sentinel past the maximum, then interpolates at
+    the sign change of FAR - FRR. The sentinel is max + 1, or the next
+    float above max where max + 1 rounds back onto it (only at |max| >=
+    2**53), so it always lies strictly above every score.
     """
     if any(r.label == UNLABELLED for r in records):
         raise ValueError("cannot compute an EER over unlabelled scores")
@@ -50,8 +53,11 @@ def compute_eer(records: list[ScoreRecord]) -> tuple[float, float]:
     if genuine.size == 0 or replay.size == 0:
         raise ValueError("need at least one genuine and one replay score")
 
-    thresholds = np.unique(np.concatenate([genuine, replay]))
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    # Not np.unique, which imports numpy.ma on its first call.
+    pooled = np.sort(np.concatenate([genuine, replay]))
+    top = pooled[-1]
+    thresholds = np.append(pooled[np.append(True, pooled[1:] != pooled[:-1])],
+                           max(top + 1.0, np.nextafter(top, np.inf)))
     # score >= t accepted: counts via searchsorted on sorted class scores
     genuine_sorted = np.sort(genuine)
     replay_sorted = np.sort(replay)

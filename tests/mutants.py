@@ -49,6 +49,16 @@ FAULTS = [
           "np.linspace(0.0, 0.95 * warp(kind, NYQUIST_HZ), M + 2)",
           ("tests/test_filterbank.py::TestBuildFilterbank::"
            "test_partition_of_unity_all_kinds",)),
+    Fault("a filter's rising edge spanning its whole base", "filterbank.py",
+          "rising = (coords - left) / (center - left)",
+          "rising = (coords - left) / (right - left)",
+          ("tests/test_filterbank.py::TestBuildFilterbank::"
+           "test_exact_triangles_when_every_center_is_a_bin",)),
+    Fault("the triangles not clipped at zero", "filterbank.py",
+          "np.maximum(0.0, np.minimum(rising, falling))",
+          "np.minimum(rising, falling)",
+          ("tests/test_filterbank.py::TestBuildFilterbank::"
+           "test_exact_triangles_when_every_center_is_a_bin",)),
     Fault("LOG_FLOOR at 1e-3", "filterbank.py",
           "LOG_FLOOR = 1e-10",
           "LOG_FLOOR = 1e-3",
@@ -100,6 +110,21 @@ FAULTS = [
           "/ n <= config.ll_tolerance",
           ("tests/test_gmm.py::TestTrainGmm::"
            "test_em_stops_after_the_first_gain_below_the_tolerance",)),
+    Fault("_estimates filling one triangle of a full stack", "gmm.py",
+          "covariances = np.empty((counts.size, d, d))\n"
+          "        covariances[:, rows, cols] = second\n"
+          "        covariances[:, cols, rows] = second",
+          "covariances = np.zeros((counts.size, d, d))\n"
+          "        covariances[:, rows, cols] = second",
+          ("tests/test_gmm.py::TestNumericsGuards::"
+           "test_full_estimates_are_exactly_symmetric",)),
+    Fault("a pair scored about its genuine mixture's mean", "gmm.py",
+          "origin = np.mean([m.weights @ m.means for m in mixtures], axis=0)",
+          "origin = mixtures[0].weights @ mixtures[0].means",
+          ("tests/test_gmm.py::TestScoreUtterance::"
+           "test_swapping_the_pair_negates_every_score[diag-64]",
+           "tests/test_gmm.py::TestScoreUtterance::"
+           "test_swapping_the_pair_negates_every_score[full-whitened]")),
     Fault("a score summed, not averaged", "gmm.py",
           "return float(np.mean(genuine - replay))",
           "return float(np.sum(genuine - replay))",
@@ -124,6 +149,24 @@ FAULTS = [
           'np.searchsorted(replay_sorted, thresholds, side="right")',
           ("tests/test_metrics.py::TestComputeEer::"
            "test_perfectly_separable",)),
+    Fault("the EER's sentinel at max + 2", "metrics.py",
+          "max(top + 1.0, np.nextafter(top, np.inf))",
+          "max(top + 2.0, np.nextafter(top, np.inf))",
+          ("tests/test_metrics.py::TestComputeEer::"
+           "test_crossing_past_the_top_score_meets_the_sentinel",)),
+    Fault("the EER's sentinel at max + 1 even where it rounds to max",
+          "metrics.py",
+          "max(top + 1.0, np.nextafter(top, np.inf))",
+          "top + 1.0",
+          ("tests/test_metrics.py::TestComputeEer::"
+           "test_sentinel_above_a_top_score_that_absorbs_one[1e+16]",
+           "tests/test_cli.py::TestRoundTrip::"
+           "test_eval_of_scores_that_absorb_one")),
+    Fault("the EER's thresholds through np.unique", "metrics.py",
+          "pooled[np.append(True, pooled[1:] != pooled[:-1])]",
+          "np.unique(pooled)",
+          ("tests/test_study.py::"
+           "test_a_study_and_an_eval_import_no_module_on_their_first_call",)),
     # The corpus.
     Fault("derive_seed reading only its first two integers", "corpus.py",
           "np.random.SeedSequence(list(entropy))",

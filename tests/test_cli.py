@@ -82,6 +82,17 @@ class TestRoundTrip:
         eer, threshold = compute_eer(read_scores(work / "labelled.tsv"))
         assert out == f"EER: {100.0 * eer:.2f}%  threshold: {threshold!r}\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_eval_of_scores_that_absorb_one(self, work, tmp_path):
+        # 1e16 + 1 rounds to 1e16, so a sentinel of max + 1 would meet
+        # the top score and the EER would read nan.
+        scores = tmp_path / "scores.tsv"
+        write_scores([ScoreRecord("g0", 1e16, "genuine"),
+                      ScoreRecord("r0", 1e16, "replay")], scores)
+        assert _ok("eval", "--scores", scores, "--manifest",
+                   work / "corpus" / "manifest.tsv") == \
+            "EER: 50.00%  threshold: 1e+16\n"
+
     def test_unlabelled_scores_filled_by_eval(self, work):
         manifest = work / "corpus" / "manifest.tsv"
         labelled = (work / "labelled.tsv").read_text().splitlines()

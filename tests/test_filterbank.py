@@ -149,6 +149,19 @@ class TestBuildFilterbank:
         for i in range(7):
             assert weights[i].max() == pytest.approx(1.0, abs=1e-12)
 
+    def test_exact_triangles_when_every_center_is_a_bin(self):
+        # M=15: centers at 500 j Hz, which is bin 16 j. Every edge and bin
+        # is a multiple of 31.25 Hz, so each weight is a multiple of 1/16
+        # and the triangles hold exactly: each filter peaks at 1 on its
+        # center bin, and neighbours sum to 1 between the first and last
+        # centers.
+        weights = build_filterbank(WarpKind.LINEAR, 15, 512)
+        centers = 16 * np.arange(1, 16)
+        np.testing.assert_array_equal(weights[np.arange(15), centers], 1.0)
+        np.testing.assert_array_equal(weights.argmax(axis=1), centers)
+        np.testing.assert_array_equal(
+            weights[:, centers[0]:centers[-1] + 1].sum(axis=0), 1.0)
+
     def test_zero_bin_filter_rejected(self):
         # Mel filters near DC get narrower than the bin spacing well before
         # the linear ones do.

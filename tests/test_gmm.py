@@ -23,6 +23,7 @@ from replaykit.gmm import (
     GmmPairModel,
     TrainConfig,
     _density_weights,
+    _estimates,
     _exp_in_place,
     _feature_blocks,
     _floor_covariances,
@@ -298,6 +299,29 @@ class TestScoreUtterance:
         pair = self._pair()
         with pytest.raises(ValueError, match="dimension"):
             score_utterance(pair, _cepstra(np.zeros((3, 2))))
+
+    @pytest.mark.parametrize("kind,ks", [
+        ("diag", (4, 4)), ("diag", (64, 64)),
+        ("full", (2, FULL_FEATURES_MIN_K - 1)), ("full", (16, 16)),
+        ("full", (2, FULL_FEATURES_MIN_K))],
+        ids=["diag-4", "diag-64", "full-whitened", "full-16", "full-mixed"])
+    def test_swapping_the_pair_negates_every_score(self, kind, ks):
+        # Exact for whitened full pairs. In the feature form the GEMM may
+        # round a column differently by its position: up to 1.6e-15
+        # relative was seen, on a full K=2 beside K=8 pair. Both orders
+        # share one origin, so no other rounding differs.
+        rng = np.random.default_rng(70 + sum(ks))
+        g, r = (_random_gmm(rng, kind, k, 4) for k in ks)
+        r = Gmm(r.weights, r.means + 10.0, r.covariances, kind)
+        whitened = kind == "full" and max(ks) < FULL_FEATURES_MIN_K
+        for n_frames in (1, 30, SEVERAL_BLOCKS):
+            feats = _cepstra(rng.normal(5.0, 3.0, size=(n_frames, 4)))
+            score = score_utterance(_pair(g, r), feats)
+            swapped = score_utterance(_pair(r, g), feats)
+            if whitened:
+                assert swapped == -score
+            else:
+                assert swapped == pytest.approx(-score, rel=1e-14, abs=0.0)
 
     def test_scoring_determinism(self):
         rng = np.random.default_rng(9)
@@ -1051,6 +1075,19 @@ class TestNumericsGuards:
         finally:
             tracemalloc.stop()
         assert peak < n * k * 8 / 4
+
+    def test_full_estimates_are_exactly_symmetric(self):
+        # `_floor_covariances` hands them to `eigh`, which reads one
+        # triangle, without symmetrising them.
+        rng = np.random.default_rng(11)
+        frames = rng.normal(rng.normal(0.0, 20.0, 6), 3.0, size=(700, 6))
+        origin = frames.mean(axis=0)
+        resp = rng.dirichlet(np.ones(5), size=700)
+        sums = sum(block @ resp[start:stop] for start, stop, block
+                   in _feature_blocks(frames, origin, "full"))
+        covariances = _estimates(sums, origin, "full")[2]
+        np.testing.assert_array_equal(covariances,
+                                      np.swapaxes(covariances, 1, 2))
 
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(0)

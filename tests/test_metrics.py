@@ -97,6 +97,18 @@ class TestComputeEer:
         assert eer == pytest.approx(0.5, abs=1e-12)
         assert threshold == 2.25
 
+    def test_crossing_past_the_top_score_meets_the_sentinel(self):
+        # At the one threshold 5, FAR is 1 and FRR 0; at the sentinel 6,
+        # FAR is 0 and FRR 1. The crossing lies halfway between them.
+        assert compute_eer(_records([5.0], [5.0])) == (0.5, 5.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("top", [2.0 ** 53, 1e16, -2.0 ** 53, -1e300])
+    def test_sentinel_above_a_top_score_that_absorbs_one(self, top):
+        # top + 1 rounds to top here, except at -2**53. The sentinel lies
+        # one float above top, and the point halfway to it rounds to top.
+        assert compute_eer(_records([top], [top])) == (0.5, top)
+
     def test_rejects_nonfinite_score(self):
         with pytest.raises(ValueError, match="finite"):
             ScoreRecord("u", float("nan"), "genuine")
